@@ -1,8 +1,10 @@
 """Perf-regression guard over the committed benchmark reports.
 
-Re-runs the workloads behind the committed ``BENCH_interp.json``,
-``BENCH_race.json``, and ``BENCH_attr.json`` and fails when any of
-them regresses by more than 15% against its committed number.  Raw
+Re-runs the workloads behind the committed ``BENCH_race.json``,
+``BENCH_attr.json``, ``BENCH_parallel.json`` and ``BENCH_serve.json``
+and fails when any of them regresses by more than 15% against its
+committed number.  Interpreter dispatch speed is tracked end to end by
+``sim_steps_per_s`` on the ``compute`` workload of ``BENCHMARK.json``.  Raw
 wall seconds are not portable across machines, so each guard compares
 the machine-relative quantity its report pins:
 
@@ -10,11 +12,6 @@ the machine-relative quantity its report pins:
   load-store wall time).  Guard: current ratio <= committed x 1.15.
 * ``BENCH_attr.json`` — the enabled-mode attribution ratio.  Guard:
   current ratio <= committed x 1.15.
-* ``BENCH_interp.json`` — compiled-vs-tree speedup.  The committed
-  report is full scale (six benchmarks, 32 UEs); the guard re-runs
-  the smoke subset and compares against the committed geomean over
-  that same subset.  Guard: current speedup >= committed / 1.15,
-  cycles identical between engines.
 * ``BENCH_parallel.json`` — the process backend's byte-identity flag
   (guarded on every host) and wall-clock speedup (guarded only when
   both the committed report and the current host have >= 4 CPUs —
@@ -32,7 +29,6 @@ Usage::
 """
 
 import json
-import math
 import os
 import sys
 
@@ -42,7 +38,6 @@ for path in (os.path.join(ROOT, "src"), os.path.dirname(os.path.abspath(__file__
         sys.path.insert(0, path)
 
 import bench_attr_overhead  # noqa: E402
-import bench_interp_speed  # noqa: E402
 import bench_parallel_speedup  # noqa: E402
 import bench_race_overhead  # noqa: E402
 import bench_serve_throughput  # noqa: E402
@@ -64,18 +59,6 @@ def _host_note():
     """Every guard report pins the host parallelism it measured on —
     a number that looks regressed is meaningless without it."""
     return " [host_cpus=%d]" % _host_cpus()
-
-
-def _geomean(values):
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
-def _committed_smoke_speedup(report):
-    """Committed geomean over the smoke subset's workload rows."""
-    speedups = [row["speedup"]
-                for key, row in report["workloads"].items()
-                if key.split("/")[0] in bench_interp_speed.SMOKE_BENCHMARKS]
-    return _geomean(speedups)
 
 
 def guard_race():
@@ -101,24 +84,6 @@ def guard_attr():
     return ok, ("attr enabled-mode ratio %.3f (committed %.3f, "
                 "bound %.3f)" % (current["ratio"], committed["ratio"],
                                  bound) + _host_note())
-
-
-def guard_interp():
-    committed = _committed_smoke_speedup(_committed("BENCH_interp.json"))
-    # a genuine engine regression lowers *every* measurement, while
-    # host load only smears individual ones — so the best of two full
-    # measures is the guard's estimate
-    runs = [bench_interp_speed.measure(
-                bench_interp_speed.SMOKE_BENCHMARKS, num_ues=SMOKE_UES)
-            for _ in range(2)]
-    speedup = max(run["overall_speedup"] for run in runs)
-    identical = all(run["cycles_identical"] for run in runs)
-    floor = committed / SLACK
-    ok = identical and speedup >= floor
-    return ok, ("interp smoke speedup %.2fx (committed subset "
-                "geomean %.2fx, floor %.2fx, cycles_identical=%s)"
-                % (speedup, committed, floor, identical)
-                + _host_note())
 
 
 def guard_parallel():
@@ -228,13 +193,6 @@ def test_attr_overhead_has_not_regressed(results_dir):
     assert ok, message
 
 
-def test_interp_speedup_has_not_regressed(results_dir):
-    from conftest import write_result
-    ok, message = guard_interp()
-    write_result(results_dir, "perf_guard_interp.txt", message)
-    assert ok, message
-
-
 def test_parallel_backend_has_not_regressed(results_dir):
     from conftest import write_result
     ok, message = guard_parallel()
@@ -254,8 +212,7 @@ def test_serve_throughput_has_not_regressed(results_dir):
 
 def main(argv=None):
     failures = 0
-    for guard in (guard_race, guard_attr, guard_interp,
-                  guard_parallel, guard_serve):
+    for guard in (guard_race, guard_attr, guard_parallel, guard_serve):
         ok, message = guard()
         print(("PASS: " if ok else "FAIL: ") + message)
         failures += 0 if ok else 1

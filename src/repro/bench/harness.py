@@ -68,14 +68,13 @@ class ExperimentHarness:
 
     def __init__(self, num_ues=32, workloads=None, config_factory=None,
                  on_chip_capacity=SCALED_ON_CHIP_CAPACITY,
-                 verify=True, max_steps=500_000_000, engine="compiled"):
+                 verify=True, max_steps=500_000_000):
         self.num_ues = num_ues
         self.workloads = workloads or default_workloads()
         self.config_factory = config_factory or scaled_config
         self.on_chip_capacity = on_chip_capacity
         self.verify = verify
         self.max_steps = max_steps
-        self.engine = engine  # interpreter engine: "compiled" or "tree"
         self._cache = {}
 
     # -- sources -----------------------------------------------------------
@@ -111,8 +110,7 @@ class ExperimentHarness:
             chip = self._fresh_chip()
             with profiler.span("simulate"):
                 result = run_pthread_single_core(
-                    source, chip.config, chip, max_steps=self.max_steps,
-                    engine=self.engine)
+                    source, chip.config, chip, max_steps=self.max_steps)
         elif configuration in ("rcce-off", "rcce-on"):
             policy = ("off-chip-only" if configuration == "rcce-off"
                       else "size")
@@ -121,8 +119,7 @@ class ExperimentHarness:
             chip = self._fresh_chip()
             with profiler.span("simulate"):
                 result = run_rcce(translated.unit, num_ues, chip.config,
-                                  chip, max_steps=self.max_steps,
-                                  engine=self.engine)
+                                  chip, max_steps=self.max_steps)
             if self.verify:
                 self._verify(name, result, num_ues)
         else:

@@ -95,9 +95,6 @@ def build_parser():
     analyze.add_argument("--ues", type=int, default=8,
                          help="RCCE cores for --bottlenecks "
                          "(default 8)")
-    analyze.add_argument("--engine", choices=["compiled", "tree"],
-                         default="compiled",
-                         help="interpreter engine for --bottlenecks")
     analyze.add_argument("--json", default=None, metavar="FILE",
                          help="write the attribution + critical-path "
                          "report as JSON (--bottlenecks only)")
@@ -141,10 +138,6 @@ def build_parser():
                      "simulation (load in chrome://tracing / Perfetto)")
     run.add_argument("--metrics", default=None, metavar="FILE",
                      help="write the metrics-registry snapshots as JSON")
-    run.add_argument("--engine", choices=["compiled", "tree"],
-                     default="compiled",
-                     help="interpreter engine: closure-compiled "
-                     "(default) or the reference tree-walker")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="shard the RCCE cores across N host worker "
                      "processes with Graphite-style relaxed clock "
@@ -157,7 +150,7 @@ def build_parser():
     run.add_argument("--faults", default=None, metavar="SPEC",
                      help="inject deterministic faults, e.g. "
                      "'mpb_flip:p=1e-6,seed=7;mesh_drop:p=1e-4' "
-                     "(see docs/robustness.md; forces --engine tree)")
+                     "(see docs/robustness.md)")
     run.add_argument("--recover", action="store_true",
                      help="enable the recovery layer for the RCCE "
                      "run: ECC scrubbing of flipped reads and "
@@ -229,9 +222,6 @@ def build_parser():
     bench = sub.add_parser("bench", help="regenerate a paper figure")
     bench.add_argument("figure", choices=["6.1", "6.2", "6.3"])
     bench.add_argument("--ues", type=int, default=32)
-    bench.add_argument("--engine", choices=["compiled", "tree"],
-                       default="compiled",
-                       help="interpreter engine (see `run --engine`)")
 
     serve = sub.add_parser(
         "serve", help="run (or query) the supervised job daemon "
@@ -278,8 +268,6 @@ def build_parser():
                         "core")
     submit.add_argument("--ues", type=int, default=8,
                         help="RCCE cores to simulate (default 8)")
-    submit.add_argument("--engine", choices=["compiled", "tree"],
-                        default="compiled")
     submit.add_argument("--max-steps", type=int, default=200_000_000,
                         help="per-core step budget")
     submit.add_argument("--faults", default=None, metavar="SPEC",
@@ -297,7 +285,7 @@ def build_parser():
     submit.add_argument("--preemptible", action="store_true",
                         help="let the scheduler preempt this job at "
                         "a barrier-aligned checkpoint for "
-                        "higher-priority work (forces --engine tree)")
+                        "higher-priority work")
     submit.add_argument("--checkpoint-every", type=int, default=1,
                         metavar="N", help="checkpoint cadence in "
                         "barrier rounds for --preemptible (default 1)")
@@ -450,8 +438,7 @@ def _analyze_bottlenecks(args, out, err):
                            name="rcce x%d cores" % args.ues)
     engine = AttributionEngine()
     result = run_rcce(unit, args.ues, chip.config, chip,
-                      max_steps=args.max_steps, engine=args.engine,
-                      attribution=engine)
+                      max_steps=args.max_steps, attribution=engine)
     for diagnostic in result.diagnostics:
         err.write(diagnostic.format() + "\n")
     report = result.attribution
@@ -562,15 +549,6 @@ def cmd_run(args, out, err):
         or getattr(args, "checkpoint", None) is not None
     race_on = getattr(args, "race", False) \
         or getattr(args, "race_report", None) is not None
-    if (bool(faults) or want_checkpoint or restore is not None) \
-            and args.engine == "compiled" \
-            and getattr(args, "strict", False):
-        err.write("repro: --engine compiled cannot honour %s: the "
-                  "fault and checkpoint hooks need the reference "
-                  "tree engine (verified cycle-identical); rerun "
-                  "with --engine tree or drop --strict\n"
-                  % ("--faults" if faults else "checkpoint/restore"))
-        return EXIT_USAGE
     if jobs > 1 and getattr(args, "strict", False):
         blocker = None
         if faults:
@@ -629,7 +607,6 @@ def cmd_run(args, out, err):
         baseline = run_pthread_single_core(source, pthread_chip.config,
                                            pthread_chip,
                                            max_steps=args.max_steps,
-                                           engine=args.engine,
                                            faults=faults,
                                            race=race_on,
                                            jobs=jobs)
@@ -682,7 +659,7 @@ def cmd_run(args, out, err):
 
             rcce = run_rcce_supervised(
                 unit, args.ues, config=Table61Config(),
-                max_steps=args.max_steps, engine=args.engine,
+                max_steps=args.max_steps,
                 faults=faults, recovery=recovery,
                 max_restarts=max_restarts,
                 chip_factory=chip_factory,
@@ -697,8 +674,7 @@ def cmd_run(args, out, err):
                 chip.attach_events(tracer, pid=1,
                                    name="rcce x%d cores" % args.ues)
             rcce = run_rcce(unit, args.ues, chip.config, chip,
-                            max_steps=args.max_steps,
-                            engine=args.engine, faults=faults,
+                            max_steps=args.max_steps, faults=faults,
                             watchdog=watchdog, recovery=recovery,
                             race=race_on, jobs=jobs, quantum=quantum,
                             chaos=chaos,
@@ -762,7 +738,7 @@ def cmd_run(args, out, err):
 
 
 def cmd_bench(args, out, err):
-    harness = ExperimentHarness(num_ues=args.ues, engine=args.engine)
+    harness = ExperimentHarness(num_ues=args.ues)
     if args.figure == "6.1":
         rows = harness.figure_6_1()
         out.write(render_bars(rows, "benchmark", "speedup",
@@ -832,8 +808,7 @@ def cmd_submit(args, out, err):
     source = _read_source(args.source)
     if args.faults:
         parse_fault_spec(args.faults)  # fail early, client-side
-    spec = JobSpec(mode=args.mode, num_ues=args.ues,
-                   engine=args.engine, policy=args.policy,
+    spec = JobSpec(mode=args.mode, num_ues=args.ues, policy=args.policy,
                    capacity=args.capacity, fold=args.fold,
                    split=getattr(args, "split", False),
                    max_steps=args.max_steps, faults=args.faults)

@@ -14,7 +14,9 @@ Converts the multithreaded program into the multiprocess RCCE program:
 * shared variables get explicit ``RCCE_shmalloc`` (off-chip) or
   ``RCCE_malloc`` (on-chip MPB) allocations per the Stage 4 plan;
 * mutexes map onto the SCC's per-core test-and-set registers via
-  ``RCCE_acquire_lock`` / ``RCCE_release_lock``.
+  ``RCCE_acquire_lock`` / ``RCCE_release_lock``;
+* condition variables have no RCCE translation: every wait, signal
+  and broadcast is an error diagnostic, never passed through.
 """
 
 from repro.cfront import c_ast, ctypes
@@ -351,10 +353,14 @@ class MutexConversion(TransformPass):
     Every distinct mutex variable is assigned (in order of first use)
     the test-and-set register of a core; ``pthread_mutex_lock(&m)``
     becomes ``RCCE_acquire_lock(k)`` and unlock ``RCCE_release_lock(k)``.
-    ``pthread_barrier_wait`` maps to ``RCCE_barrier``.
+    ``pthread_barrier_wait`` maps to ``RCCE_barrier``.  Condition
+    variable calls have no translation and are reported as errors.
     """
 
     name = "stage5-mutex-conversion"
+
+    CONDVAR_CALLS = ("pthread_cond_wait", "pthread_cond_timedwait",
+                     "pthread_cond_signal", "pthread_cond_broadcast")
 
     def __init__(self, num_cores=48):
         self.num_cores = num_cores
@@ -372,6 +378,12 @@ class MutexConversion(TransformPass):
             elif callee == "pthread_barrier_wait":
                 node.func = c_ast.Id("RCCE_barrier")
                 node.args = [c_ast.UnaryOp("&", c_ast.Id("RCCE_COMM_WORLD"))]
+            elif callee in self.CONDVAR_CALLS:
+                context.diagnose(
+                    self.name, "error",
+                    "%s has no RCCE translation: condition variables "
+                    "are not supported" % callee,
+                    getattr(node, "coord", None))
         return dict(self.lock_ids)
 
     def _mutex_name(self, arg):

@@ -63,10 +63,13 @@ injector is never consulted: the chip and interpreter hooks are single
 ``is not None`` branches, keeping cycles and traces byte-identical to
 an un-faulted build.
 
-Fault runs execute on the reference tree-walking engine (the runners
-force ``engine="tree"``): the closure-compiled engine inlines its
-memory fast paths, and the two engines are differentially verified to
-produce identical cycles, so nothing is lost.
+Fault runs execute on the closure-compiled engine like every other
+run.  With an injector attached, the chip hands out inline-cache
+entries that price through ``access_cost`` (so ``mesh_delay`` and
+``mesh_drop`` see every access), the interpreter reads memory through
+:meth:`filter_load` and the ECC scrubber, and the step tick calls
+:meth:`core_tick` every 256 steps.  Runs without faults pay none of
+this.
 
 Every injection increments a ``fault_injections{kind,core}`` counter in
 the chip's metrics registry and, when a tracer is attached, emits a

@@ -52,7 +52,7 @@ enabled run pays one list add, not a method call.  Constant-cost
 classes and counts are not tracked on the hot path at all: L1/L2 hit
 cycles are derived from the caches' own hit counters (every hit costs
 a constant) and memory-op totals from the chip's per-core access
-counters, both of which the two engines maintain identically anyway.
+counters, both of which the simulator maintains anyway.
 
 Synchronization events (barrier entries, send/recv rendezvous, flag
 waits and writes) are recorded per rank for the critical-path analyzer
@@ -208,8 +208,8 @@ class AttributionEngine:
 
     def _mem_ops(self):
         """Per-core memory-operation totals.  These are *not* counted
-        on the hot path: both engines bump the chip's per-core access
-        counters identically already, so the engine reads them while
+        on the hot path: the interpreter already bumps the chip's
+        per-core access counters, so the engine reads them while
         attached and snapshots them on detach."""
         if self.chip is None:
             return dict(self._ops)

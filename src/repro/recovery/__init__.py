@@ -68,12 +68,6 @@ class RecoveryOptions:
         return bool(self.ecc or self.retry or self.checkpoint_path
                     or self.restore is not None)
 
-    @property
-    def checkpointed(self):
-        """Whether this run needs barrier quiesce hooks (and therefore
-        the tree engine), like fault runs do."""
-        return bool(self.checkpoint_path or self.restore is not None)
-
     def with_restore(self, restore):
         """A copy with a different restore source (the supervisor
         swaps in the newest checkpoint between attempts)."""

@@ -7,18 +7,19 @@ the LUT-backed allocation map, the test-and-set registers, and each
 core's cycle/step cursors.  :class:`CheckpointManager` serializes that
 state to a versioned JSON snapshot every N barrier rounds.
 
-**Restore is verified replay.**  The tree engine's execution state is
-a live Python call stack and cannot be serialized mid-flight, but the
-simulator is deterministic: restoring a snapshot means re-executing
-the program from the start and, when the recorded barrier round is
-reached, verifying that the replayed state matches the snapshot
-byte-for-byte (clocks, per-core cursors, output, memory digest, LUT,
-registers).  A mismatch raises :class:`SnapshotDivergenceError`; a
-match certifies that the continuation is exactly the run the snapshot
-came from.  Under the supervisor, a restarted attempt keeps the same
-fault injector (one-shot faults stay fired) with its RNG streams
-reset, so the replayed prefix reproduces the original injection
-schedule and the verification holds even for faulted campaigns.
+**Restore is verified replay.**  A core's execution state is a live
+Python call stack of compiled closures and cannot be serialized
+mid-flight, but the simulator is deterministic: restoring a snapshot
+means re-executing the program from the start and, when the recorded
+barrier round is reached, verifying that the replayed state matches
+the snapshot byte-for-byte (clocks, per-core cursors, output, memory
+digest, LUT, registers).  A mismatch raises
+:class:`SnapshotDivergenceError`; a match certifies that the
+continuation is exactly the run the snapshot came from.  Under the
+supervisor, a restarted attempt keeps the same fault injector
+(one-shot faults stay fired) with its RNG streams reset, so the
+replayed prefix reproduces the original injection schedule and the
+verification holds even for faulted campaigns.
 
 Snapshot files are self-describing: ``format``/``version`` headers, a
 fingerprint of the :class:`~repro.scc.config.SCCConfig`, the source
@@ -190,7 +191,6 @@ class StateProbe:
             "config": config_fingerprint(self.chip.config),
             "num_ues": self.num_ues,
             "core_map": self.core_map,
-            "engine": "tree",
             "source_sha": self.source_sha,
         }
 

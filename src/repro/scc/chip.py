@@ -381,7 +381,15 @@ class SCCChip:
         the live ``_private_cost``/``_shared_cost``/``_mpb_cost`` so
         cache state, DRAM queueing, traffic recording, and trace events
         stay exact.  Entries are only valid for the ``mem_epoch`` at
-        build time; callers must rebuild when the epoch changes."""
+        build time; callers must rebuild when the epoch changes.
+
+        With a fault injector attached the entry covers every address
+        and prices through :meth:`access_cost` itself, so link faults
+        see each access exactly as on the slow path."""
+        if self.faults is not None:
+            def slow(addr, kind, ts, _cost=self.access_cost, _core=core):
+                return _cost(_core, addr, kind, 4, ts)
+            return 0, 1 << 64, slow
         segment, physical = self.address_space.resolve(addr)
         delta = physical - addr
         if segment is SegmentKind.PRIVATE:

@@ -87,10 +87,10 @@ class JobSpec:
     fingerprint).  Service policy — priority, deadline, retries —
     lives on :class:`Job` instead and never affects results."""
 
-    FIELDS = ("mode", "num_ues", "engine", "policy", "capacity",
+    FIELDS = ("mode", "num_ues", "policy", "capacity",
               "fold", "split", "max_steps", "faults")
 
-    def __init__(self, mode="rcce", num_ues=8, engine="compiled",
+    def __init__(self, mode="rcce", num_ues=8,
                  policy="size", capacity=None, fold=False, split=False,
                  max_steps=200_000_000, faults=None):
         if mode not in ("rcce", "pthread"):
@@ -98,7 +98,6 @@ class JobSpec:
                              "not %r" % mode)
         self.mode = mode
         self.num_ues = int(num_ues)
-        self.engine = engine
         self.policy = policy
         self.capacity = capacity
         self.fold = bool(fold)
@@ -264,8 +263,7 @@ def execute_job(job, checkpoint_path=None, preempt_check=None,
     budget = max_steps if max_steps is not None else spec.max_steps
     if spec.mode == "pthread":
         result = run_pthread_single_core(
-            job.source, max_steps=budget, engine=spec.engine,
-            faults=spec.faults)
+            job.source, max_steps=budget, faults=spec.faults)
         return _payload(result, time.monotonic() - started)
 
     from repro.cfront.errors import CFrontError
@@ -296,8 +294,7 @@ def execute_job(job, checkpoint_path=None, preempt_check=None,
             checkpoint_every=job.checkpoint_every,
             restore=restore, on_round=on_round)
     result = run_rcce(unit, spec.num_ues, max_steps=budget,
-                      engine=spec.engine, faults=spec.faults,
-                      recovery=recovery)
+                      faults=spec.faults, recovery=recovery)
     return _payload(result, time.monotonic() - started)
 
 

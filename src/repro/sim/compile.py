@@ -1,10 +1,9 @@
-"""Closure compilation of the C AST: the interpreter's fast engine.
+"""Closure compilation of the C AST: the simulator's execution engine.
 
-The tree-walker (``repro.sim.interpreter``) re-dispatches on AST node
-types for every step.  This module lowers each function body ONCE into
-a tree of pre-bound Python closures: every statement/expression node
-becomes a small function ``fn(I, F)`` (``I`` the interpreter, ``F`` the
-flat frame of local-variable addresses), with
+This module lowers each function body ONCE into a tree of pre-bound
+Python closures: every statement/expression node becomes a small
+function ``fn(I, F)`` (``I`` the :class:`~repro.sim.interpreter.
+Interpreter`, ``F`` the flat frame of local-variable addresses), with
 
 * dispatch resolved at compile time (no ``isinstance``/dict lookups on
   the hot path),
@@ -19,20 +18,24 @@ flat frame of local-variable addresses), with
   reconfiguration, new split window), so a present entry is always
   valid and the hot path never checks an epoch stamp.
 
-The contract is **trace exactness**: a compiled function performs the
-same ``steps`` increments, the same ``cycles`` charges in the same
-order, and the same chip/memory side effects as the tree-walker, so
-cycle counts, stdout, metrics and trace events are byte-identical.
-Anything the compiler cannot prove it can reproduce exactly falls back
-to the tree-walker for that whole function (``CompiledFunction.body is
-None``); constructs that the tree-walker only rejects at *execution*
-time (``goto``, unknown nodes) compile to closures that raise the same
-error when reached.
+The timing contract is fixed by the goldens in ``tests/golden/sim.json``
+(taken from the tree-walking interpreter this engine replaced): every
+step, every cycle charge in its order, and every chip/memory side
+effect is reproduced, so cycle counts, stdout, metrics and trace events
+match them byte for byte.  Each statement, expression and loop
+iteration is one step; the step prologue inlined in every closure
+checks the step budget and calls ``I._tick()`` every ``TICK_STEPS``
+steps.
 
-Known, documented divergences (invalid-C corner cases only): a
-``break``/``continue`` that escapes its *function* (the tree-walker
-lets the exception unwind into the caller's loop), and calls through a
-``FunctionRef`` naming a variable rather than a function.
+Constructs the simulator does not support compile to closures that
+raise :class:`InterpreterError` when (and only when) executed: ``goto``,
+unknown AST nodes, a member the struct does not have.  A non-constant
+``case`` label is rejected when its function is compiled.  An item
+ahead of a switch body's first label is dead code and is skipped.
+A ``break`` or ``continue`` that escapes its function raises
+:class:`InterpreterError` at the call.  A call through a function
+pointer resolves the target's name among the unit's functions first,
+then the builtins.
 """
 
 import itertools
@@ -42,7 +45,7 @@ import weakref
 from repro.cfront import c_ast, ctypes
 from repro.sim.interpreter import (
     OP_COSTS,
-    RETIRE_BATCH,
+    TICK_STEPS,
     Interpreter,
     InterpreterError,
     StepLimitExceeded,
@@ -63,8 +66,9 @@ __all__ = ["BoundArg", "CompiledFunction", "CompiledUnit",
            "compile_unit", "invoke", "make_coercer",
            "warm_process_cache"]
 
-# Pre-bound operation costs (the tree-walker reads OP_COSTS per charge;
-# sourcing the constants from the same table keeps the engines aligned).
+# Pre-bound operation costs (builtins and the generic binop path read
+# OP_COSTS per charge; sourcing the constants from the same table keeps
+# them aligned).
 _C_IALU = OP_COSTS["int_alu"]
 _C_IMUL = OP_COSTS["int_mul"]
 _C_IDIV = OP_COSTS["int_div"]
@@ -75,26 +79,21 @@ _C_BRANCH = OP_COSTS["branch"]
 _C_CALL = OP_COSTS["call"]
 _C_CAST = OP_COSTS["cast"]
 
-_M = RETIRE_BATCH - 1          # step-batch mask, inlined in prologues
+_M = TICK_STEPS - 1            # tick mask, inlined in prologues
 _ENV = Interpreter.ENV_CONSTANTS
 _FLOAT_NAMES = ("float", "double", "long double")
 
 _new_site = itertools.count(1).__next__
 
 
-class _CompileFallback(Exception):
-    """Raised at compile time when a function must run on the
-    tree-walker to preserve exact semantics."""
-
-
 class BoundArg:
-    """A lazily-evaluable argument handed to builtins in compiled mode.
+    """A lazily-evaluable argument handed to builtins.
 
     Builtins receive ``(interp, arg_nodes)`` and call
     ``interp.eval_expr(node)`` per argument (possibly skipping some,
-    e.g. ``fprintf``'s stream).  In compiled mode each node is one of
-    these: evaluation runs the pre-compiled closure, preserving both
-    laziness and charge order."""
+    e.g. ``fprintf``'s stream).  Each node is one of these: evaluation
+    runs the pre-compiled closure, preserving both laziness and charge
+    order."""
 
     __slots__ = ("fn", "I", "F")
 
@@ -108,19 +107,18 @@ class BoundArg:
 
 
 class CompiledFunction:
-    """One function lowered to closures (or marked for tree fallback)."""
+    """One function lowered to closures.  It keeps no reference to its
+    AST: the AST links back to the unit, which would then outlive its
+    entry in the weakly keyed compile cache."""
 
-    __slots__ = ("name", "func", "nslots", "params", "body",
-                 "ret_coerce", "fallback_reason")
+    __slots__ = ("name", "nslots", "params", "body", "ret_coerce")
 
-    def __init__(self, func):
-        self.name = func.name
-        self.func = func
+    def __init__(self, name):
+        self.name = name
         self.nslots = 0
         self.params = ()
-        self.body = None          # closure, or None => tree fallback
+        self.body = None
         self.ret_coerce = None
-        self.fallback_reason = None
 
 
 class CompiledUnit:
@@ -133,9 +131,9 @@ class CompiledUnit:
         self.global_types = {}
 
     def fallbacks(self):
-        return {name: cf.fallback_reason
-                for name, cf in self.functions.items()
-                if cf.body is None}
+        """Functions left uncompiled, by name: none, since every
+        construct compiles."""
+        return {}
 
 
 _UNIT_CACHE = weakref.WeakKeyDictionary()
@@ -171,14 +169,12 @@ def _compile_unit(unit):
     cu.global_types = {decl.name: decl.ctype
                        for decl in unit.global_decls()
                        if not decl.is_typedef}
-    for func in unit.functions():          # last definition wins, like
-        cu.functions[func.name] = CompiledFunction(func)   # Interpreter
-    for cf in cu.functions.values():
-        try:
-            _FunctionCompiler(cu, cf).compile()
-        except Exception as exc:  # noqa: BLE001 - fall back, stay exact
-            cf.body = None
-            cf.fallback_reason = "%s: %s" % (type(exc).__name__, exc)
+    # last definition wins; every function is declared before any body
+    # is compiled, so calls resolve regardless of definition order
+    funcs = {func.name: func for func in unit.functions()}
+    cu.functions = {name: CompiledFunction(name) for name in funcs}
+    for name, func in funcs.items():
+        _FunctionCompiler(cu, cu.functions[name]).compile(func)
     return cu
 
 
@@ -244,7 +240,7 @@ def _st_dyn(I, addr, value, site, ct):
 
 
 def _flt_load_conv(value, ct):
-    """The tree-walker's load conversion for a runtime-known type."""
+    """The int->float load conversion for a runtime-known type."""
     if isinstance(value, int) and ct.__class__ is ctypes.PrimitiveType \
             and ct.name in _FLOAT_NAMES:
         return float(value)
@@ -252,11 +248,9 @@ def _flt_load_conv(value, ct):
 
 
 def invoke(I, cf, args):
-    """Execute a compiled function call: the closure engine's
-    counterpart of ``Interpreter._call_function_tree``."""
+    """Execute a compiled function call: charge it, bind the arguments
+    into a fresh frame, run the body and coerce its return value."""
     body = cf.body
-    if body is None:
-        return I._call_function_tree(cf.name, args)
     I.cycles += _C_CALL
     saved_function = I.current_function
     I.current_function = cf.name
@@ -286,6 +280,11 @@ def invoke(I, cf, args):
             if ret.value is not None:
                 return cf.ret_coerce(ret.value)
             return None
+        except (_Break, _Continue) as exc:
+            raise InterpreterError(
+                "%s outside a loop in %s"
+                % ("break" if isinstance(exc, _Break) else "continue",
+                   cf.name)) from None
         return None
     finally:
         stack.sp = saved_sp
@@ -498,9 +497,8 @@ def _can_escape(stmt, want_break):
 # ---------------------------------------------------------------------------
 # closure builders — statements
 #
-# Every builder inlines the step prologue the tree-walker performs in
-# exec_stmt/eval_expr/_step:
-#     steps += 1; check limit; flush the retire batch every RETIRE_BATCH.
+# Every builder inlines the step prologue:
+#     steps += 1; check the budget; call I._tick() every TICK_STEPS.
 # ---------------------------------------------------------------------------
 
 def _make_seq(items):
@@ -512,7 +510,7 @@ def _make_seq(items):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
         return run0
     if n == 1:
         c0, = items
@@ -523,7 +521,7 @@ def _make_seq(items):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             c0(I, F)
         return run1
     if n == 2:
@@ -535,7 +533,7 @@ def _make_seq(items):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             c0(I, F)
             c1(I, F)
         return run2
@@ -546,7 +544,7 @@ def _make_seq(items):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         for c in items:
             c(I, F)
     return run
@@ -559,7 +557,7 @@ def _make_raise_stmt(message):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         raise InterpreterError(message)
     return run
 
@@ -571,7 +569,7 @@ def _make_exprstmt(expr_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         expr_c(I, F)
     return run
 
@@ -583,7 +581,7 @@ def _make_if(cond_c, then_c, else_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         I.cycles += _C_BRANCH
         v = cond_c(I, F)
         if v.__class__ is _P:
@@ -603,14 +601,14 @@ def _make_while(cond_c, body_c, protect):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             while True:
                 s = I.steps + 1
                 I.steps = s
                 if s > I.max_steps:
                     _ovf(I)
                 if not s & _M:
-                    I._batch_tick()
+                    I._tick()
                 I.cycles += _C_BRANCH
                 v = cond_c(I, F)
                 if v.__class__ is _P:
@@ -631,14 +629,14 @@ def _make_while(cond_c, body_c, protect):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         while True:
             s = I.steps + 1
             I.steps = s
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             I.cycles += _C_BRANCH
             v = cond_c(I, F)
             if v.__class__ is _P:
@@ -656,14 +654,14 @@ def _make_dowhile(body_c, cond_c, protect):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         while True:
             s = I.steps + 1
             I.steps = s
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             if protect:
                 try:
                     body_c(I, F)
@@ -689,7 +687,7 @@ def _make_for(init_c, cond_c, step_c, body_c, protect):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         if init_c is not None:
             init_c(I, F)
         while True:
@@ -698,7 +696,7 @@ def _make_for(init_c, cond_c, step_c, body_c, protect):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             if cond_c is not None:
                 I.cycles += _C_BRANCH
                 v = cond_c(I, F)
@@ -728,7 +726,7 @@ def _make_return(expr_c):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             raise _Return(None)
         return run_void
 
@@ -738,7 +736,7 @@ def _make_return(expr_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         raise _Return(expr_c(I, F))
     return run
 
@@ -750,7 +748,7 @@ def _make_break():
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         raise _Break()
     return run
 
@@ -762,7 +760,7 @@ def _make_continue():
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         raise _Continue()
     return run
 
@@ -774,7 +772,7 @@ def _make_switch(cond_c, groups):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         I.cycles += _C_BRANCH
         value = cond_c(I, F)
         matched = False
@@ -849,7 +847,7 @@ def _make_const(value):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         return value
     return run
 
@@ -861,7 +859,7 @@ def _make_raise_expr(message):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         raise InterpreterError(message)
     return run
 
@@ -876,7 +874,7 @@ def _make_id_late(name):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         if name in I.builtins:
             return FunctionRef(name)
         if name in _ENV:
@@ -893,7 +891,7 @@ def _make_id_load_local(slot, name, flt, site):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             addr = F[slot]
             if not addr:
                 _undefined(name)
@@ -917,7 +915,7 @@ def _make_id_load_local(slot, name, flt, site):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr = F[slot]
         if not addr:
             _undefined(name)
@@ -941,7 +939,7 @@ def _make_id_load_global(name, flt, site):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             addr = I._global_addr[name]
             e = I._site_cache.get(site)
             if e is None or not e[0] <= addr < e[1]:
@@ -963,7 +961,7 @@ def _make_id_load_global(name, flt, site):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr = I._global_addr[name]
         e = I._site_cache.get(site)
         if e is None or not e[0] <= addr < e[1]:
@@ -984,7 +982,7 @@ def _make_id_decay_local(slot, name, stride, pointee):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr = F[slot]
         if not addr:
             _undefined(name)
@@ -999,7 +997,7 @@ def _make_id_decay_global(name, stride, pointee):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         return _P(I._global_addr[name], stride, pointee)
     return run
 
@@ -1011,7 +1009,7 @@ def _make_land(left_c, right_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         I.cycles += _C_BRANCH
         v = left_c(I, F)
         if v.__class__ is _P:
@@ -1032,7 +1030,7 @@ def _make_lor(left_c, right_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         I.cycles += _C_BRANCH
         v = left_c(I, F)
         if v.__class__ is _P:
@@ -1053,7 +1051,7 @@ def _make_add(left_c, right_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -1079,7 +1077,7 @@ def _make_sub(left_c, right_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -1107,7 +1105,7 @@ def _make_mul(left_c, right_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -1129,7 +1127,7 @@ def _make_div(left_c, right_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -1156,7 +1154,7 @@ def _make_mod(left_c, right_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -1184,7 +1182,7 @@ def _make_cmp(left_c, right_c, cmp):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -1208,7 +1206,7 @@ def _make_intop(op, left_c, right_c, fn):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         a = left_c(I, F)
         b = right_c(I, F)
         if a.__class__ is _P or b.__class__ is _P:
@@ -1228,7 +1226,7 @@ def _make_binop_generic(op, left_c, right_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         return I._apply_binop(op, left_c(I, F), right_c(I, F),
                               charge=True)
     return run
@@ -1254,7 +1252,7 @@ def _make_ternary(cond_c, then_c, else_c):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         I.cycles += _C_BRANCH
         v = cond_c(I, F)
         if v.__class__ is _P:
@@ -1272,7 +1270,7 @@ def _make_comma(item_cs):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         value = None
         for c in item_cs:
             value = c(I, F)
@@ -1287,7 +1285,7 @@ def _make_cast(inner_c, co):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         v = inner_c(I, F)
         I.cycles += _C_CAST
         return co(v)
@@ -1303,7 +1301,7 @@ def _make_addrof(lv, ct):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         return _P(lv(I, F), stride, ct)
     return run
 
@@ -1315,7 +1313,7 @@ def _make_addrof_dyn(lv):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr, ct = lv(I, F)
         return _P(addr, ct.sizeof() or 4, ct)
     return run
@@ -1328,7 +1326,7 @@ def _make_deref(operand_c, site):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         p = operand_c(I, F)
         if p.__class__ is not _P:
             raise InterpreterError("dereference of non-pointer")
@@ -1358,7 +1356,7 @@ def _make_incdec(lv, ct, delta, postfix):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr = lv(I, F)
         old = _ld(I, addr, site_r)
         if flt and isinstance(old, int):
@@ -1384,7 +1382,7 @@ def _make_incdec_dyn(lv, delta, postfix):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr, ct = lv(I, F)
         old = _flt_load_conv(_ld(I, addr, site_r), ct)
         I.cycles += _C_IALU
@@ -1406,7 +1404,7 @@ def _make_unary_simple(op, operand_c):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             v = operand_c(I, F)
             I.cycles += _C_IALU
             return -v
@@ -1418,7 +1416,7 @@ def _make_unary_simple(op, operand_c):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             v = operand_c(I, F)
             I.cycles += _C_IALU
             return v
@@ -1430,7 +1428,7 @@ def _make_unary_simple(op, operand_c):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             v = operand_c(I, F)
             I.cycles += _C_IALU
             if v.__class__ is _P:
@@ -1444,19 +1442,19 @@ def _make_unary_simple(op, operand_c):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             v = operand_c(I, F)
             I.cycles += _C_IALU
             return ~int(v)
         return run_inv
 
-    def run(I, F, _ovf=_overflow):   # unknown unary: mirror the tree
+    def run(I, F, _ovf=_overflow):   # unknown unary: charge, then fail
         s = I.steps + 1
         I.steps = s
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         operand_c(I, F)
         I.cycles += _C_IALU
         raise InterpreterError("unsupported unary operator %r" % op)
@@ -1470,7 +1468,7 @@ def _make_assign_static(lv, rhs_c, co, site):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr = lv(I, F)
         v = rhs_c(I, F)
         e = I._site_cache.get(site)
@@ -1499,7 +1497,7 @@ def _make_augassign_static(lv, rhs_c, subop, ct):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr = lv(I, F)
         old = _ld(I, addr, site_r)
         if flt and isinstance(old, int):
@@ -1517,7 +1515,7 @@ def _make_assign_dyn(lv, rhs_c, site):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr, ct = lv(I, F)
         return _st_dyn(I, addr, rhs_c(I, F), site, ct)
     return run
@@ -1533,7 +1531,7 @@ def _make_augassign_dyn(lv, rhs_c, subop):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr, ct = lv(I, F)
         old = _flt_load_conv(_ld(I, addr, site_r), ct)
         rhs = rhs_c(I, F)
@@ -1556,7 +1554,7 @@ def _make_lvalue_load(lv, ct):
                 if s > I.max_steps:
                     _ovf(I)
                 if not s & _M:
-                    I._batch_tick()
+                    I._tick()
                 return _P(lv(I, F), stride, pe)
             return run_decay
         flt = _static_flt(ct)
@@ -1568,7 +1566,7 @@ def _make_lvalue_load(lv, ct):
                 if s > I.max_steps:
                     _ovf(I)
                 if not s & _M:
-                    I._batch_tick()
+                    I._tick()
                 v = _ld(I, lv(I, F), site)
                 if isinstance(v, int):
                     return float(v)
@@ -1581,7 +1579,7 @@ def _make_lvalue_load(lv, ct):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             return _ld(I, lv(I, F), site)
         return run
 
@@ -1593,7 +1591,7 @@ def _make_lvalue_load(lv, ct):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr, ct2 = lv(I, F)
         if isinstance(ct2, ctypes.ArrayType):
             return pointer_for(ct2, addr)
@@ -1610,7 +1608,7 @@ def _make_call_static(cf, arg_cs):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             return _inv(I, cf, ())
         return run0
     if n == 1:
@@ -1622,7 +1620,7 @@ def _make_call_static(cf, arg_cs):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             return _inv(I, cf, (a0(I, F),))
         return run1
     if n == 2:
@@ -1634,7 +1632,7 @@ def _make_call_static(cf, arg_cs):
             if s > I.max_steps:
                 _ovf(I)
             if not s & _M:
-                I._batch_tick()
+                I._tick()
             v0 = a0(I, F)
             return _inv(I, cf, (v0, a1(I, F)))
         return run2
@@ -1645,7 +1643,7 @@ def _make_call_static(cf, arg_cs):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         return _inv(I, cf, [c(I, F) for c in arg_cs])
     return run
 
@@ -1653,7 +1651,7 @@ def _make_call_static(cf, arg_cs):
 def _make_call_named(name, arg_cs, binding):
     """Call of a statically-known name that is NOT a unit function:
     usually a builtin, possibly a variable holding a function pointer
-    (the tree-walker's fallback; ``binding`` is its lexical spec)."""
+    (``binding`` is the variable's lexical spec)."""
     def run(I, F, _ovf=_overflow, _inv=invoke, _BA=BoundArg,
             _FR=FunctionRef):
         s = I.steps + 1
@@ -1661,7 +1659,7 @@ def _make_call_named(name, arg_cs, binding):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         name2 = name
         if name2 not in I.builtins:
             if binding is not None:
@@ -1694,7 +1692,7 @@ def _make_call_indirect(func_c, arg_cs):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         target = func_c(I, F)
         if target.__class__ is not _FR:
             raise InterpreterError("call through non-function value")
@@ -1716,7 +1714,7 @@ def _make_sizeof_local(slot, size):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         return size if F[slot] else 4
     return run
 
@@ -1762,7 +1760,7 @@ def _make_lv_array_static_local(slot, name, index_c, stride):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr = F[slot]
         if not addr:
             _undefined(name)
@@ -1779,7 +1777,7 @@ def _make_lv_array_static_global(name, index_c, stride):
         if s > I.max_steps:
             _ovf(I)
         if not s & _M:
-            I._batch_tick()
+            I._tick()
         addr = I._global_addr[name]
         i = index_c(I, F)
         I.cycles += _C_IALU
@@ -1804,11 +1802,25 @@ def _make_lv_member_offset(inner_lv, offset):
     return lv
 
 
-def _make_lv_member_nonstruct(inner_lv, paired):
+def _make_lv_member_raise(inner_lv, message):
+    """The base lvalue is resolved (its steps and charges happen), then
+    the member access fails."""
     def lv(I, F):
         inner_lv(I, F)
-        raise InterpreterError("member access on non-struct")
+        raise InterpreterError(message)
     return lv
+
+
+def _member(struct, member):
+    """``(offset, ctype)`` of ``member`` in the struct type ``struct``
+    (array wrappers stripped)."""
+    struct = ctypes.strip_arrays(struct)
+    if not isinstance(struct, ctypes.StructType):
+        raise InterpreterError("member access on non-struct")
+    try:
+        return struct.field_offset(member), struct.field_type(member)
+    except KeyError as exc:
+        raise InterpreterError(exc.args[0]) from None
 
 
 def _make_lv_member_arrow(base_c, member):
@@ -1816,22 +1828,16 @@ def _make_lv_member_arrow(base_c, member):
         p = base_c(I, F)
         if p.__class__ is not _P:
             raise InterpreterError("-> on non-pointer")
-        struct = ctypes.strip_arrays(p.pointee)
-        if not isinstance(struct, ctypes.StructType):
-            raise InterpreterError("member access on non-struct")
-        return (p.addr + struct.field_offset(member),
-                struct.field_type(member))
+        offset, ct = _member(p.pointee, member)
+        return p.addr + offset, ct
     return lv
 
 
 def _make_lv_member_dyn(inner_lv, member):
     def lv(I, F):
         addr, ct = inner_lv(I, F)
-        struct = ctypes.strip_arrays(ct)
-        if not isinstance(struct, ctypes.StructType):
-            raise InterpreterError("member access on non-struct")
-        return (addr + struct.field_offset(member),
-                struct.field_type(member))
+        offset, ct = _member(ct, member)
+        return addr + offset, ct
     return lv
 
 
@@ -1868,8 +1874,7 @@ class _FunctionCompiler:
 
     # -- entry ---------------------------------------------------------------
 
-    def compile(self):
-        func = self.cf.func
+    def compile(self, func):
         params = []
         for param in func.params:
             if param.name is None:
@@ -1884,7 +1889,7 @@ class _FunctionCompiler:
         cf.params = tuple(params)
         cf.ret_coerce = make_coercer(func.return_type)
         cf.nslots = self.nslots
-        cf.body = body        # set last: non-None marks "compiled"
+        cf.body = body
 
     # -- statements ----------------------------------------------------------
 
@@ -1995,9 +2000,7 @@ class _FunctionCompiler:
                 groups.append((True, None,
                                tuple(self.compile_stmt(s)
                                      for s in item.stmts)))
-            else:
-                raise _CompileFallback(
-                    "switch body contains a non-case statement")
+            # anything else precedes every label: dead code, skipped
         return _make_switch(cond_c, tuple(groups))
 
     def _c_label(self, stmt):
@@ -2207,15 +2210,11 @@ class _FunctionCompiler:
                     self.compile_expr(expr.base), member), None)
             inner_lv, inner_ct = self.compile_lvalue(expr.base)
             if inner_ct is not None:
-                struct = ctypes.strip_arrays(inner_ct)
-                if not isinstance(struct, ctypes.StructType):
-                    return (_make_lv_member_nonstruct(inner_lv, False),
-                            None)
-                # KeyError here aborts compilation -> tree fallback,
-                # which raises it at the same execution point
-                offset = struct.field_offset(member)
-                return (_make_lv_member_offset(inner_lv, offset),
-                        struct.field_type(member))
+                try:
+                    offset, ct = _member(inner_ct, member)
+                except InterpreterError as exc:
+                    return _make_lv_member_raise(inner_lv, str(exc)), None
+                return _make_lv_member_offset(inner_lv, offset), ct
             return _make_lv_member_dyn(inner_lv, member), None
         if isinstance(expr, c_ast.Cast):
             return self.compile_lvalue(expr.expr)

@@ -680,7 +680,7 @@ class ShardWorld(RCCEWorld):
 
 
 def _worker_main(shard, ranks, source, num_ues, core_map, config,
-                 max_steps, engine, quantum, rank_conns, control_conn,
+                 max_steps, quantum, rank_conns, control_conn,
                  chaos=None):
     """One worker process: a full chip replica running ``ranks`` as
     host threads, every sync point an RPC to the coordinator.
@@ -697,12 +697,8 @@ def _worker_main(shard, ranks, source, num_ues, core_map, config,
         except ValueError:
             break  # not the main thread (thread-backend tests)
     try:
-        if engine == "compiled":
-            from repro.sim.compile import warm_process_cache
-            unit = warm_process_cache(source)
-        else:
-            from repro.cfront.frontend import parse_program
-            unit = parse_program(source, share=True)
+        from repro.sim.compile import warm_process_cache
+        unit = warm_process_cache(source)
         chip = SCCChip(config)
         memory = ShardMemory()
         client = _ShardClient(shard, memory, rank_conns, control_conn,
@@ -735,8 +731,7 @@ def _worker_main(shard, ranks, source, num_ues, core_map, config,
             try:
                 runtime = world.runtime_for(rank)
                 interp = Interpreter(unit, chip, runtime.core_id,
-                                     memory, runtime, max_steps,
-                                     engine=engine)
+                                     memory, runtime, max_steps)
                 rank_of_core[interp.core_id] = rank
                 interpreters.append(interp)
                 if quantum:
@@ -1259,7 +1254,7 @@ class _Coordinator:
 
 
 def run_rcce_parallel(source, num_ues, config, chip, core_map,
-                      max_steps, engine, jobs, quantum=None,
+                      max_steps, jobs, quantum=None,
                       start_method=None, diagnostics=None,
                       wall_timeout=WALL_TIMEOUT_SECONDS,
                       parked_timeout=PARKED_TIMEOUT_SECONDS,
@@ -1348,7 +1343,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
         worker = ctx.Process(
             target=_worker_main,
             args=(shard, ranks, source, num_ues, world_core_map,
-                  config, max_steps, engine, quantum, rank_children,
+                  config, max_steps, quantum, rank_children,
                   control_child, plan_for_worker),
             name="repro-shard%d" % shard, daemon=True)
         worker.start()

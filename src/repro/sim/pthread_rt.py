@@ -53,11 +53,10 @@ class ThreadRecord:
 class PthreadRuntime:
     """pthread_* builtins for one single-core process.
 
-    Builtins receive *unevaluated* argument nodes and evaluate them
-    through ``interp.eval_expr``; under the compiled engine those
-    nodes are bound-closure thunks rather than AST nodes, and
-    ``eval_expr`` dispatches either kind, so the same left-to-right
-    evaluation (and cycle charging) happens under both engines.
+    Builtins receive *unevaluated* argument nodes — bound-closure
+    thunks — and evaluate them through ``interp.eval_expr``, so
+    arguments are evaluated (and charged) left to right, and only when
+    the builtin asks for them.
     """
 
     __slots__ = ("threads", "order", "_next_tid", "_current_tid",

@@ -11,9 +11,11 @@ is the slowest core's final clock — wall time, as the paper measures.
 Both runners accept an optional ``faults`` spec (see ``repro.faults``)
 and — for ``run_rcce`` — an optional ``watchdog`` (see
 ``repro.sim.watchdog``) and ``recovery``
-(:class:`repro.recovery.RecoveryOptions`).  With all left at ``None``
-every hook is a single attribute check and runs are byte-identical to
-a build without this layer.
+(:class:`repro.recovery.RecoveryOptions`).  Every run, faulted and
+checkpointed ones included, executes on the closure-compiled engine
+(``repro.sim.compile``).  With all left at ``None`` every hook is a
+single attribute check and runs are byte-identical to a build without
+this layer.
 
 ``run_rcce_supervised`` wraps ``run_rcce`` in a restart loop: when a
 restartable fault kills a checkpointing run, it reloads the newest
@@ -54,6 +56,7 @@ from repro.recovery import (
 from repro.recovery.supervisor import RESTARTABLE_ERRORS  # noqa: F401
 from repro.scc.chip import SCCChip
 from repro.scc.config import Table61Config
+from repro.sim.compile import compile_unit
 from repro.sim.interpreter import (
     Interpreter,
     StepLimitExceeded,
@@ -83,7 +86,7 @@ class RunResult:
         self.stats = stats or {}
         # the chip's metrics-registry snapshot taken at run end
         self.metrics = metrics or {}
-        # runner-level findings (engine downgrades, recovery events)
+        # runner-level findings (backend downgrades, recovery events)
         self.diagnostics = list(diagnostics) if diagnostics else []
         # RecoveryReport when the run went through the supervisor
         self.recovery = None
@@ -173,32 +176,6 @@ def _source_sha(program):
     return None
 
 
-def _resolve_engine(engine, injector, checkpointed=False):
-    """Pick the engine actually used; returns ``(engine, warning)``.
-
-    Fault-injected and checkpointed runs need the reference
-    tree-walking engine: the compiled engine inlines memory fast paths
-    that would bypass value-flip hooks, and checkpoints capture the
-    tree walker's state at barrier quiesce points.  The two engines
-    are verified cycle-identical so nothing is lost — but a requested
-    ``compiled`` run is downgraded *loudly*, as a warning
-    :class:`Diagnostic` the CLI prints (and refuses under
-    ``--strict``), never silently."""
-    needs_tree = injector is not None or checkpointed
-    if not needs_tree or engine != "compiled":
-        return engine, None
-    reasons = []
-    if injector is not None:
-        reasons.append("fault injection")
-    if checkpointed:
-        reasons.append("checkpoint/restore")
-    return "tree", Diagnostic.warning(
-        "simulate",
-        "engine 'compiled' was requested but %s requires the "
-        "reference tree engine; running with engine 'tree' (verified "
-        "cycle-identical)" % " and ".join(reasons))
-
-
 def _resolve_parallel_backend(backend, jobs, program, injector,
                               detector, attr, recovery, chip):
     """Pick the parallel backend actually used for ``jobs > 1``;
@@ -208,13 +185,12 @@ def _resolve_parallel_backend(backend, jobs, program, injector,
     so every feature that needs one shared live world — fault
     injection, the race detector, cycle attribution, recovery,
     event tracing — and pre-parsed program units (workers re-parse
-    source) force the shared-world *thread* backend instead.  Like
-    engine downgrades, this happens loudly: a warning
-    :class:`Diagnostic` the CLI prints (and refuses under
-    ``--strict``), never silently.  The watchdog no longer forces a
-    downgrade: the parallel coordinator sees every sync wait, so it
-    maps the watchdog's lock/barrier timeouts onto its own
-    parked/wall-clock supervision."""
+    source) force the shared-world *thread* backend instead.  This
+    happens loudly: a warning :class:`Diagnostic` the CLI prints (and
+    refuses under ``--strict``), never silently.  The watchdog no
+    longer forces a downgrade: the parallel coordinator sees every
+    sync wait, so it maps the watchdog's lock/barrier timeouts onto
+    its own parked/wall-clock supervision."""
     if jobs <= 1:
         return "none", None
     if backend not in ("process", "thread"):
@@ -275,9 +251,8 @@ def _timeout_from(exc, interpreters, ranks=None):
 
 
 def run_pthread_single_core(program, config=None, chip=None, core=0,
-                            max_steps=200_000_000, engine="compiled",
-                            faults=None, race=None, attribution=None,
-                            jobs=1):
+                            max_steps=200_000_000, faults=None, race=None,
+                            attribution=None, jobs=1):
     """Run a Pthreads program with all threads on one core."""
     unit = _as_unit(program)
     config = config or Table61Config()
@@ -285,8 +260,7 @@ def run_pthread_single_core(program, config=None, chip=None, core=0,
     injector = _as_injector(faults)
     detector = _as_detector(race)
     attr = _as_attribution(attribution)
-    engine, downgrade = _resolve_engine(engine, injector)
-    diagnostics = [downgrade] if downgrade is not None else []
+    diagnostics = []
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     if jobs > 1:
@@ -307,8 +281,7 @@ def run_pthread_single_core(program, config=None, chip=None, core=0,
     runtime = PthreadRuntime()
     interpreters = []
     _prepare_chip(chip, interpreters, [core])
-    interp = Interpreter(unit, chip, core, memory, runtime, max_steps,
-                         engine=engine)
+    interp = Interpreter(unit, chip, core, memory, runtime, max_steps)
     interpreters.append(interp)
     chip.activate_core(core)
     try:
@@ -375,7 +348,7 @@ class _CoreError:
 
 
 def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
-             max_steps=200_000_000, engine="compiled", faults=None,
+             max_steps=200_000_000, faults=None,
              watchdog=None, recovery=None, race=None, attribution=None,
              jobs=1, quantum=None, parallel_backend="process",
              chaos=None, shard_restarts=None, heartbeat_timeout=None):
@@ -424,9 +397,7 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     attr = _as_attribution(attribution)
     if recovery is not None and not recovery.active:
         recovery = None
-    checkpointed = recovery is not None and recovery.checkpointed
-    engine, downgrade = _resolve_engine(engine, injector, checkpointed)
-    diagnostics = [downgrade] if downgrade is not None else []
+    diagnostics = []
     backend, parallel_downgrade = _resolve_parallel_backend(
         parallel_backend, jobs, program, injector, detector, attr,
         recovery, chip)
@@ -442,7 +413,7 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
         try:
             return run_rcce_parallel(
                 program, num_ues, config, chip, core_map, max_steps,
-                engine, jobs, quantum=quantum,
+                jobs, quantum=quantum,
                 diagnostics=diagnostics,
                 heartbeat_timeout=heartbeat_timeout,
                 shard_restarts=shard_restarts, chaos=chaos_plan,
@@ -480,12 +451,10 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
         detector.attach(chip)  # before the world: it reads chip.race
     if attr is not None:
         attr.attach(chip)  # before the world: it binds the rank map
-    if engine == "compiled":
-        # lower the unit once, before any core thread spawns: the
-        # compiled-unit cache is shared and this keeps thread startup
-        # deterministic and contention-free
-        from repro.sim.compile import compile_unit
-        compile_unit(unit)
+    # lower the unit once, before any core thread spawns: the
+    # compiled-unit cache is shared and this keeps thread startup
+    # deterministic and contention-free
+    compile_unit(unit)
     interpreters = []
     _prepare_chip(chip, interpreters,
                   list(core_map) if core_map else range(num_ues))
@@ -550,7 +519,7 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
         try:
             runtime = world.runtime_for(rank)
             interp = Interpreter(unit, chip, runtime.core_id, memory,
-                                 runtime, max_steps, engine=engine)
+                                 runtime, max_steps)
             ranks[interp.core_id] = rank
             interpreters.append(interp)
             if skew is not None:
@@ -639,7 +608,7 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
 
 
 def run_rcce_supervised(program, num_ues, config=None, core_map=None,
-                        max_steps=200_000_000, engine="compiled",
+                        max_steps=200_000_000,
                         faults=None, recovery=None, max_restarts=1,
                         chip_factory=None, watchdog_factory=None,
                         race=None, attribution=None, jobs=1,
@@ -687,7 +656,7 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
         try:
             result = run_rcce(
                 program, num_ues, config=config, chip=chip,
-                core_map=core_map, max_steps=max_steps, engine=engine,
+                core_map=core_map, max_steps=max_steps,
                 faults=injector, watchdog=watchdog, recovery=options,
                 race=attempt_race, attribution=attribution,
                 jobs=jobs, quantum=quantum,

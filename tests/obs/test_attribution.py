@@ -292,7 +292,7 @@ def test_supervisor_reports_per_attempt_audits(tmp_path):
     path = str(tmp_path / "audit.ckpt")
     from repro.recovery import RecoveryOptions
     result = run_rcce_supervised(
-        CAMPAIGN_KERNEL, 2, engine="tree",
+        CAMPAIGN_KERNEL, 2,
         faults="core_crash:core=1,at=11000",
         recovery=RecoveryOptions(checkpoint_path=path,
                                  checkpoint_every=1),

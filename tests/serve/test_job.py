@@ -21,7 +21,6 @@ class TestJobSpec:
         variants = [
             JobSpec(mode="pthread"),
             JobSpec(num_ues=16),
-            JobSpec(engine="tree"),
             JobSpec(policy="frequency"),
             JobSpec(capacity=4096),
             JobSpec(fold=True),
@@ -34,11 +33,14 @@ class TestJobSpec:
         assert len(prints) == len(variants)
 
     def test_dict_round_trip(self):
-        spec = JobSpec(mode="pthread", num_ues=16, engine="tree",
-                       capacity=8192, fold=True, faults="mpb_flip")
+        spec = JobSpec(mode="pthread", num_ues=16, capacity=8192,
+                       fold=True, faults="mpb_flip")
         again = JobSpec.from_dict(spec.as_dict())
         assert again.as_dict() == spec.as_dict()
         assert again.fingerprint() == spec.fingerprint()
+        # a spec persisted when jobs still chose an engine loads as-is
+        legacy = dict(spec.as_dict(), engine="compiled")
+        assert JobSpec.from_dict(legacy).as_dict() == spec.as_dict()
 
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):

@@ -1,177 +1,102 @@
-"""Differential suite: the closure-compiled engine must be trace-exact
-against the reference tree-walker.
+"""Golden suite: the simulator's one execution engine, the
+closure-compiled one, must reproduce the results the reference
+tree-walking interpreter produced before it was retired.
 
-Every comparison checks simulated cycles, steps, program stdout, and
-the chip's full metrics snapshot — not just the final answer — so a
-compiled-engine shortcut that drifts the timing model by a single cycle
-fails here.  The corpus is the benchmark suite (scaled down for test
-speed; `benchmarks/bench_interp_speed.py` covers the full-size set)
-plus hand-written kernels for each language feature, plus
-hypothesis-generated arithmetic/pointer kernels.
+``tests/golden/sim.json`` pins, per case, simulated cycles, per-core
+cycles, program stdout, and the chip's full metrics snapshot — not
+just the final answer — so a change that drifts the timing model by a
+single cycle fails here.  The cases (see ``tests.sim.goldens``) cover
+hand-written kernels for each language feature, the benchmark corpus
+(scaled down for test speed) under every configuration, and fault,
+recovery, checkpoint/restore and supervised-restart campaigns.
+Hypothesis-generated arithmetic/pointer kernels check the engine's
+fault-hooked paths against its plain fast paths.
 """
+
+import collections
+import gc
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.bench.harness import ExperimentHarness
 from repro.bench.programs import benchmark_source
-from repro.bench.workloads import Workload, scaled_config
 from repro.cfront.frontend import parse_program
-from repro.core.framework import TranslationFramework
-from repro.scc.chip import SCCChip
-from repro.scc.config import SCCConfig
+from repro.faults import FaultInjector
 from repro.sim.compile import compile_unit
-from repro.sim.interpreter import Interpreter
+from repro.sim.interpreter import Interpreter, InterpreterError
 from repro.sim.machine import Memory
 from repro.sim.runner import run_pthread_single_core, run_rcce
-
-_TINY_CONFIG = dict(num_cores=4, mesh_columns=2, mesh_rows=1,
-                    cores_per_tile=2, num_memory_controllers=1)
-
-
-def _tiny_chip():
-    return SCCChip(SCCConfig(**_TINY_CONFIG))
-
-
-def _snapshot(result):
-    return {
-        "cycles": result.cycles,
-        "per_core": dict(result.per_core_cycles),
-        "stdout": result.stdout(),
-        "metrics": result.metrics,
-    }
+from tests.sim.goldens import (
+    CASES,
+    CONFIGURATIONS,
+    FEATURE_KERNELS,
+    SMALL_WORKLOADS,
+    golden,
+    run_case,
+    signature,
+    tiny_chip,
+    translated,
+)
 
 
-def assert_engines_agree_pthread(source, max_steps=50_000_000):
-    runs = {}
-    for engine in ("tree", "compiled"):
-        runs[engine] = _snapshot(run_pthread_single_core(
-            source, chip=_tiny_chip(), max_steps=max_steps,
-            engine=engine))
-    assert runs["compiled"] == runs["tree"]
-    return runs["compiled"]
-
-
-# -- feature kernels -------------------------------------------------------------
-
-FEATURE_KERNELS = {
-    "arith_and_casts": """
-        int main(void) {
-            int a = 7, b = -3;
-            long big = 100000;
-            double x = 2.5;
-            int c = (int)(x * a) + b / 2 - b % 2;
-            float f = (float)c / 4;
-            return c + (int)f + (int)(big % 97);
-        }
-    """,
-    "control_flow": """
-        int classify(int n) {
-            switch (n % 4) {
-            case 0: return 10;
-            case 1:
-            case 2: return 20;
-            default: break;
-            }
-            return 30;
-        }
-        int main(void) {
-            int total = 0, i = 0;
-            for (i = 0; i < 20; i++) {
-                if (i == 3) continue;
-                if (i == 17) break;
-                total += classify(i);
-            }
-            do { total++; } while (total < 0);
-            while (total > 500) total -= 7;
-            return total;
-        }
-    """,
-    "pointers_and_arrays": """
-        int sum(int *p, int n) {
-            int total = 0;
-            int *end = p + n;
-            while (p < end) total += *p++;
-            return total;
-        }
-        int main(void) {
-            int data[16];
-            int i;
-            for (i = 0; i < 16; i++) data[i] = i * i;
-            data[3] = -data[3];
-            return sum(data, 16) + *(data + 5);
-        }
-    """,
-    "globals_and_recursion": """
-        int calls = 0;
-        int fib(int n) {
-            calls++;
-            if (n < 2) return n;
-            return fib(n - 1) + fib(n - 2);
-        }
-        int main(void) {
-            int f = fib(10);
-            return f + calls;
-        }
-    """,
-    "float_kernels": """
-        double dot(double *a, double *b, int n) {
-            double acc = 0.0;
-            int i;
-            for (i = 0; i < n; i++) acc += a[i] * b[i];
-            return acc;
-        }
-        int main(void) {
-            double xs[8], ys[8];
-            int i;
-            for (i = 0; i < 8; i++) { xs[i] = i * 0.5; ys[i] = 8 - i; }
-            return (int)dot(xs, ys, 8);
-        }
-    """,
-}
+# -- pinned goldens ----------------------------------------------------------
 
 
 @pytest.mark.parametrize("name", sorted(FEATURE_KERNELS))
 def test_feature_kernel_differential(name):
-    assert_engines_agree_pthread(FEATURE_KERNELS[name])
+    case = "feature/" + name
+    assert run_case(case) == golden(case)
 
 
-# -- benchmark corpus (scaled for test speed) ---------------------------------
-
-_SMALL_WORKLOADS = {
-    "pi": Workload("pi", {"steps": 512}, 32 * 8),
-    "sum35": Workload("sum35", {"limit": 512}, 32 * 8),
-    "primes": Workload("primes", {"limit": 256}, 32 * 4),
-    "stream": Workload("stream", {"n": 128}, 3 * 128 * 8 + 32 * 8),
-    "dot": Workload("dot", {"n": 192}, 2 * 192 * 8 + 32 * 8),
-    "lu": Workload("lu", {"batch": 4, "dim": 8},
-                   4 * 8 * 8 * 8 + 32 * 8),
-}
-
-
-def _small_harness(engine):
-    return ExperimentHarness(num_ues=4, workloads=dict(_SMALL_WORKLOADS),
-                             config_factory=scaled_config, engine=engine)
-
-
-@pytest.mark.parametrize("name", sorted(_SMALL_WORKLOADS))
-@pytest.mark.parametrize("configuration",
-                         ["pthread", "rcce-off", "rcce-on"])
+@pytest.mark.parametrize("name", sorted(SMALL_WORKLOADS))
+@pytest.mark.parametrize("configuration", CONFIGURATIONS)
 def test_bench_corpus_differential(name, configuration):
-    runs = {}
-    for engine in ("tree", "compiled"):
-        run = _small_harness(engine).run(name, configuration)
-        runs[engine] = {
-            "cycles": run.cycles,
-            "per_core": dict(run.result.per_core_cycles),
-            "stdout": run.result.stdout(),
-            "metrics": run.instrumentation["metrics"],
-        }
-    assert runs["compiled"] == runs["tree"]
+    case = "corpus/%s/%s" % (configuration, name)
+    assert run_case(case) == golden(case)
 
 
-# -- hypothesis: generated arithmetic/pointer kernels --------------------------
+_CAMPAIGNS = sorted(name for name in CASES if name.split("/")[0] in (
+    "faults", "supervised", "restore", "pthread_faults", "recovery"))
+
+
+@pytest.mark.parametrize("case", _CAMPAIGNS)
+def test_fault_campaign_matches_golden(case):
+    """Faults, ECC, send retry, checkpoints (captured every round,
+    then restored), and supervised restarts run on the compiled
+    engine exactly as they ran on the tree-walker."""
+    assert run_case(case) == golden(case)
+
+
+# -- hypothesis: generated kernels, fault hooks armed or not -------------------
+
+
+class _SilentInjector(FaultInjector):
+    """Fault rules that never fire: attaching this injector switches
+    the engine onto its fault-hooked paths (whole-range access entry,
+    filtered loads, the core tick) and counts each hook call, without
+    changing a single value or cycle."""
+
+    SPEC = ("mesh_delay:p=0,seed=1;dram_flip:p=0,seed=2;"
+            "core_stall:core=0,p=0")
+
+    def __init__(self):
+        super().__init__(self.SPEC)
+        self.calls = collections.Counter()
+
+    def filter_load(self, interp, addr, value):
+        self.calls["load"] += 1
+        return super().filter_load(interp, addr, value)
+
+    def latency_extra(self, core, segment, kind, cost, ts):
+        self.calls["access"] += 1
+        return super().latency_extra(core, segment, kind, cost, ts)
+
+    def core_tick(self, interp):
+        self.calls["tick"] += 1
+        super().core_tick(interp)
+
 
 _ops = st.sampled_from(["+", "-", "*", "/", "%", "&", "|", "^",
                         "<<", ">>", "<", "<=", "==", "!=", ">", ">="])
@@ -200,7 +125,10 @@ def _expr(draw, depth=0):
        seed=st.integers(0, 1000))
 @settings(max_examples=20, deadline=None)
 def test_generated_kernel_differential(exprs, seed):
-    body = "".join("acc += %s;\n        p[%d] = acc;\n"
+    """The fault-hooked paths are trace-exact against the plain fast
+    paths on generated arithmetic/pointer kernels, and each hook is
+    really reached (the rounds loop outlasts one tick interval)."""
+    body = "".join("acc += %s;\n            p[%d] = acc;\n"
                    % (expr, index % 8)
                    for index, expr in enumerate(exprs))
     source = """
@@ -209,29 +137,40 @@ def test_generated_kernel_differential(exprs, seed):
             int v0 = %d, v1 = 3, v2 = -7, v3 = 11;
             int acc = 0;
             int *p = data;
-            int i;
+            int i, round;
             for (i = 0; i < 8; i++) data[i] = i + v0;
+            for (round = 0; round < 64; round++) {
             %s
+            }
             return acc;
         }
     """ % (seed % 13, body)
-    assert_engines_agree_pthread(source)
+    plain = signature(run_pthread_single_core(
+        source, chip=tiny_chip(), max_steps=50_000_000))
+    injector = _SilentInjector()
+    hooked = signature(run_pthread_single_core(
+        source, chip=tiny_chip(), max_steps=50_000_000, faults=injector))
+    assert hooked == plain
+    assert all(injector.calls[hook] > 0
+               for hook in ("load", "access", "tick")), injector.calls
+    assert injector.total_injections() == 0
 
 
-# -- unit tests: the machinery behind the speedup ------------------------------
+# -- unit tests: the machinery behind the engine -----------------------------
 
 
 def test_compiled_is_default_engine():
+    """Every interpreter runs its program as compiled closures."""
     unit = parse_program("int main(void) { return 0; }")
-    interp = Interpreter(unit, _tiny_chip(), 0, Memory())
-    assert interp.engine == "compiled"
-    assert interp._compiled is not None
+    interp = Interpreter(unit, tiny_chip(), 0, Memory())
+    assert interp._compiled is compile_unit(unit)
 
 
 def test_unknown_engine_rejected():
+    """There is no engine to choose: the argument no longer exists."""
     unit = parse_program("int main(void) { return 0; }")
-    with pytest.raises(ValueError):
-        Interpreter(unit, _tiny_chip(), 0, Memory(), engine="jit")
+    with pytest.raises(TypeError):
+        Interpreter(unit, tiny_chip(), 0, Memory(), engine="jit")
 
 
 def test_compile_unit_cached_per_unit():
@@ -239,62 +178,72 @@ def test_compile_unit_cached_per_unit():
     assert compile_unit(unit) is compile_unit(unit)
 
 
+def test_compiled_unit_does_not_outlive_its_unit():
+    """The compile cache is keyed weakly on the unit, so nothing the
+    compiled unit holds may lead back to the unit's AST."""
+    unit = parse_program("""
+        int total = 0;
+        int twice(int x) { return 2 * x; }
+        int RCCE_APP(int argc, char **argv) {
+            RCCE_init(&argc, &argv);
+            total = twice(RCCE_ue());
+            RCCE_finalize();
+            return 0;
+        }
+    """)
+    ref = weakref.ref(unit)
+    compile_unit(unit)
+    run_rcce(unit, 2)
+    del unit
+    gc.collect()
+    assert ref() is None
+
+
 def test_goto_raises_identically_in_both_engines():
     """goto is unsupported at *runtime*: it compiles to a closure that
-    raises the tree-walker's exact error when (and only when) executed."""
+    raises, when (and only when) executed, the error the tree-walker
+    raised, at the same step and cycle."""
+    assert run_case("error/goto") == golden("error/goto")
+
+
+def test_switch_dead_item_is_skipped():
+    """An unlabeled statement ahead of a switch's first case is dead
+    code: the switch still compiles, and runs as the tree-walker
+    ran it."""
+    assert run_case("switch/dead_item") == golden("switch/dead_item")
+
+
+def test_unknown_struct_member_raises_when_reached():
     source = """
+        struct point { int x; int y; };
         int main(void) {
-            int n = 0;
-            goto out;
-        out:
-            return n;
+            struct point p;
+            int n = 1;
+            if (n > 5) { p.z = 3; }
+            p.x = n;
+            return p.x;
         }
     """
-    from repro.sim.interpreter import InterpreterError
-    messages = {}
-    for engine in ("tree", "compiled"):
-        unit = parse_program(source)
-        interp = Interpreter(unit, _tiny_chip(), 0, Memory(),
-                             engine=engine)
-        with pytest.raises(InterpreterError) as excinfo:
-            interp.run_main()
-        messages[engine] = str(excinfo.value)
-    assert messages["compiled"] == messages["tree"]
+    assert Interpreter(parse_program(source), tiny_chip(), 0,
+                       Memory()).run_main() == 1
+    interp = Interpreter(parse_program(source.replace("n > 5", "n < 5")),
+                         tiny_chip(), 0, Memory())
+    with pytest.raises(InterpreterError, match="no field 'z'"):
+        interp.run_main()
 
 
-def test_uncompilable_function_falls_back_to_tree():
-    """A construct the compiler cannot lower exactly (a non-case item
-    in a switch body) marks the whole function for the tree-walker,
-    which must still produce identical results."""
-    from repro.cfront import c_ast
-
+def test_break_escaping_its_function_raises():
     source = """
+        void leave(void) { break; }
         int main(void) {
-            int x = 2, r = 0;
-            switch (x) {
-            case 1: r = 10; break;
-            case 2: r = 20; break;
-            default: r = 30;
-            }
-            return r;
+            int i;
+            for (i = 0; i < 3; i++) { leave(); }
+            return i;
         }
     """
-    unit = parse_program(source)
-    switch = unit.find_function("main").body.items[1]
-    assert isinstance(switch, c_ast.Switch)
-    # an unlabeled statement before any case is dead code in C; the
-    # tree-walker skips it, the compiler refuses the whole function
-    switch.body.items.insert(0, c_ast.EmptyStmt())
-    compiled = compile_unit(unit)
-    assert "main" in compiled.fallbacks()
-
-    results = {}
-    for engine in ("tree", "compiled"):
-        interp = Interpreter(unit, _tiny_chip(), 0, Memory(),
-                             engine=engine)
-        value = interp.run_main()
-        results[engine] = (value, interp.cycles, interp.steps)
-    assert results["compiled"] == results["tree"]
+    interp = Interpreter(parse_program(source), tiny_chip(), 0, Memory())
+    with pytest.raises(InterpreterError, match="break outside a loop"):
+        interp.run_main()
 
 
 def test_site_cache_filled_and_invalidated():
@@ -307,7 +256,7 @@ def test_site_cache_filled_and_invalidated():
         }
     """
     unit = parse_program(source)
-    chip = _tiny_chip()
+    chip = tiny_chip()
     interp = Interpreter(unit, chip, 0, Memory())
     interp.run_main()
     assert interp.site_fills > 0
@@ -320,21 +269,21 @@ def test_site_cache_filled_and_invalidated():
 
 
 def test_configure_window_invalidates_site_caches():
-    chip = _tiny_chip()
+    chip = tiny_chip()
     epoch = chip.mem_epoch
     chip.configure_window(1, 0x8000_0000, shared=True)
     assert chip.mem_epoch == epoch + 1
 
 
 def test_split_alloc_invalidates_site_caches():
-    chip = _tiny_chip()
+    chip = tiny_chip()
     epoch = chip.mem_epoch
     chip.address_space.alloc_split(4096, 1024, label="t")
     assert chip.mem_epoch == epoch + 1
 
 
 def _chip_with_layout():
-    chip = _tiny_chip()
+    chip = tiny_chip()
     layout = {
         "split": chip.address_space.alloc_split(4096, 1024, label="t"),
         "private": chip.address_space.alloc_private(0, 256, label="p"),
@@ -369,93 +318,90 @@ def test_access_fastpath_matches_access_cost():
         assert fast_chip.cores[0].accesses == slow_chip.cores[0].accesses
 
 
+def test_faulted_fastpath_entry_prices_through_access_cost():
+    """With an injector attached, one entry covers every address and
+    every access reaches the link-fault hook."""
+    chip, layout = _chip_with_layout()
+    injector = FaultInjector("mesh_delay:p=1.0,seed=1,cycles=7")
+    injector.attach(chip)
+    lo, hi, fn = chip.access_fastpath(0, layout["shared"].base)
+    assert lo <= layout["private"].base and layout["mpb"].base < hi
+    plain, _ = _chip_with_layout()
+    for addr in (layout["shared"].base, layout["mpb"].base):
+        assert fn(addr, "read", 0) == plain.access_cost(0, addr) + 7
+    assert injector.total_injections() == 2
+
+
 # -- race detector: byte-identical timing, enabled or not ----------------------
+#
+# ``baseline`` names what the audited run is compared with: "compiled"
+# a live unaudited run, "tree" the tree-walker's pinned golden.
 
 
-def _pthread_signature(source, engine, race):
-    result = run_pthread_single_core(source, chip=_tiny_chip(),
-                                     max_steps=50_000_000,
-                                     engine=engine, race=race)
+def _pthread_signature(race=None, attribution=None):
+    result = run_pthread_single_core(
+        benchmark_source("pi", 4, steps=256), chip=tiny_chip(),
+        max_steps=50_000_000, race=race, attribution=attribution)
     if race:
         assert result.race.ok, result.race.render()
-    return (result.cycles, dict(result.per_core_cycles),
-            result.stdout())
+    return signature(result)
 
 
-def _rcce_signature(unit, engine, race):
-    chip = _tiny_chip()
-    result = run_rcce(unit, 4, chip.config, chip,
-                      max_steps=50_000_000, engine=engine, race=race)
+def _translated_dot():
+    return translated("dot", n=64)[0]
+
+
+def _rcce_result(unit, race=None, attribution=None):
+    chip = tiny_chip()
+    result = run_rcce(unit, 4, chip.config, chip, max_steps=50_000_000,
+                      race=race, attribution=attribution)
     if race:
         assert result.race.ok, result.race.render()
-    return (result.cycles, dict(result.per_core_cycles),
-            result.stdout())
+    return result
 
 
-@pytest.mark.parametrize("engine", ["tree", "compiled"])
-def test_race_detector_is_cycle_invisible_pthread(engine):
+def _timing(record):
+    return record["cycles"], record["per_core"], record["stdout"]
+
+
+def _baseline_pthread(baseline):
+    if baseline == "tree":
+        return golden("plain/pthread_pi")
+    return _pthread_signature()
+
+
+def _baseline_rcce(baseline):
+    if baseline == "tree":
+        return golden("plain/rcce_dot")
+    return signature(_rcce_result(_translated_dot()))
+
+
+@pytest.mark.parametrize("baseline", ["tree", "compiled"])
+def test_race_detector_is_cycle_invisible_pthread(baseline):
     """Auditing a race-free pthread program must not move a single
     cycle or output byte — the detector observes, never charges."""
-    from repro.bench.programs import benchmark_source
-    source = benchmark_source("pi", 4, steps=256)
-    off = _pthread_signature(source, engine, race=False)
-    on = _pthread_signature(source, engine, race=True)
-    assert on == off
+    on = _pthread_signature(race=True)
+    assert _timing(on) == _timing(_baseline_pthread(baseline))
 
 
-@pytest.mark.parametrize("engine", ["tree", "compiled"])
-def test_race_detector_is_cycle_invisible_rcce(engine):
-    from repro.bench.harness import SCALED_ON_CHIP_CAPACITY
-    from repro.bench.programs import benchmark_source
-    framework = TranslationFramework(
-        on_chip_capacity=SCALED_ON_CHIP_CAPACITY,
-        partition_policy="size")
-    unit = framework.translate(
-        benchmark_source("dot", 4, n=64)).unit
-    off = _rcce_signature(unit, engine, race=False)
-    on = _rcce_signature(unit, engine, race=True)
-    assert on == off
+@pytest.mark.parametrize("baseline", ["tree", "compiled"])
+def test_race_detector_is_cycle_invisible_rcce(baseline):
+    on = signature(_rcce_result(_translated_dot(), race=True))
+    assert _timing(on) == _timing(_baseline_rcce(baseline))
 
 
 # -- cycle attribution: byte-identical timing, enabled or not ------------------
 
 
-def _pthread_attr_signature(source, engine, attribution):
-    result = run_pthread_single_core(source, chip=_tiny_chip(),
-                                     max_steps=50_000_000,
-                                     engine=engine,
-                                     attribution=attribution)
-    return (result.cycles, dict(result.per_core_cycles),
-            result.stdout(), result.metrics)
-
-
-def _rcce_attr_signature(unit, engine, attribution):
-    chip = _tiny_chip()
-    result = run_rcce(unit, 4, chip.config, chip,
-                      max_steps=50_000_000, engine=engine,
-                      attribution=attribution)
-    return result, (result.cycles, dict(result.per_core_cycles),
-                    result.stdout())
-
-
-def _translated_dot():
-    from repro.bench.harness import SCALED_ON_CHIP_CAPACITY
-    framework = TranslationFramework(
-        on_chip_capacity=SCALED_ON_CHIP_CAPACITY,
-        partition_policy="size")
-    return framework.translate(benchmark_source("dot", 4, n=64)).unit
-
-
-@pytest.mark.parametrize("engine", ["tree", "compiled"])
-def test_attribution_is_cycle_invisible_pthread(engine):
+@pytest.mark.parametrize("baseline", ["tree", "compiled"])
+def test_attribution_is_cycle_invisible_pthread(baseline):
     """Attributing every cycle must not move one — the engine watches
     the charges, it never makes them.  The metrics snapshot is part of
     the signature: only the attribution collector's own series may
     differ, so it is compared with those popped."""
-    source = benchmark_source("pi", 4, steps=256)
-    off = _pthread_attr_signature(source, engine, attribution=False)
-    on = _pthread_attr_signature(source, engine, attribution=True)
-    for snapshot in (on[3], off[3]):
+    on = _pthread_signature(attribution=True)
+    off = _baseline_pthread(baseline)
+    for snapshot in (on["metrics"], off["metrics"]):
         snapshot["counters"].pop("attr_cycles", None)
         snapshot["counters"].pop("attr_mem_ops", None)
         # attaching rebuilds the memory fast paths (an epoch bump),
@@ -464,12 +410,10 @@ def test_attribution_is_cycle_invisible_pthread(engine):
     assert on == off
 
 
-@pytest.mark.parametrize("engine", ["tree", "compiled"])
-def test_attribution_is_cycle_invisible_rcce(engine):
-    unit = _translated_dot()
-    _, off = _rcce_attr_signature(unit, engine, attribution=False)
-    _, on = _rcce_attr_signature(unit, engine, attribution=True)
-    assert on == off
+@pytest.mark.parametrize("baseline", ["tree", "compiled"])
+def test_attribution_is_cycle_invisible_rcce(baseline):
+    on = signature(_rcce_result(_translated_dot(), attribution=True))
+    assert _timing(on) == _timing(_baseline_rcce(baseline))
 
 
 # -- parallel backend: sharding must never move a cycle -----------------------
@@ -480,22 +424,13 @@ def test_attribution_is_cycle_invisible_rcce(engine):
 # bucketing of host-side wait times is nondeterministic even
 # sequentially — so these signatures deliberately exclude them.
 
-_PARALLEL_SOURCES = {}
 _PARALLEL_BASELINES = {}
 
 
 def _parallel_source(name):
     """Translated RCCE source for a scaled workload (the process
     backend replicates the program from source in each worker)."""
-    if name not in _PARALLEL_SOURCES:
-        from repro.bench.harness import SCALED_ON_CHIP_CAPACITY
-        framework = TranslationFramework(
-            on_chip_capacity=SCALED_ON_CHIP_CAPACITY,
-            partition_policy="size")
-        workload = _SMALL_WORKLOADS[name]
-        _PARALLEL_SOURCES[name] = framework.translate(
-            benchmark_source(name, 4, **workload.sizes)).rcce_source
-    return _PARALLEL_SOURCES[name]
+    return translated(name)[1]
 
 
 def _parallel_signature(result):
@@ -506,7 +441,7 @@ def _parallel_signature(result):
 def _parallel_baseline(name):
     """jobs=1 run of the same source string, cached per workload."""
     if name not in _PARALLEL_BASELINES:
-        chip = _tiny_chip()
+        chip = tiny_chip()
         result = run_rcce(_parallel_source(name), 4, chip.config, chip,
                           max_steps=50_000_000)
         _PARALLEL_BASELINES[name] = _parallel_signature(result)
@@ -514,11 +449,11 @@ def _parallel_baseline(name):
 
 
 @pytest.mark.parametrize("jobs", [2, 4, 8])
-@pytest.mark.parametrize("name", sorted(_SMALL_WORKLOADS))
+@pytest.mark.parametrize("name", sorted(SMALL_WORKLOADS))
 def test_process_backend_matches_sequential(name, jobs):
     """The process backend is byte-identical to the sequential engine
     for every shard count (jobs > num_ues clamps to num_ues)."""
-    chip = _tiny_chip()
+    chip = tiny_chip()
     result = run_rcce(_parallel_source(name), 4, chip.config, chip,
                       max_steps=50_000_000, jobs=jobs)
     assert _parallel_signature(result) == _parallel_baseline(name)
@@ -529,14 +464,14 @@ def test_process_backend_matches_sequential(name, jobs):
 def test_process_backend_quantum_invariant(quantum):
     """The quantum is a non-blocking publication deadline, never a
     barrier — its length cannot change a single cycle."""
-    chip = _tiny_chip()
+    chip = tiny_chip()
     result = run_rcce(_parallel_source("dot"), 4, chip.config, chip,
                       max_steps=50_000_000, jobs=2, quantum=quantum)
     assert _parallel_signature(result) == _parallel_baseline("dot")
     assert result.stats["parallel"]["quantum"] == quantum
 
 
-@given(name=st.sampled_from(sorted(_SMALL_WORKLOADS)),
+@given(name=st.sampled_from(sorted(SMALL_WORKLOADS)),
        jobs=st.integers(1, 8),
        quantum=st.sampled_from([1_000, 7_919, 50_000, 1_000_000]))
 @settings(max_examples=12, deadline=None)
@@ -545,7 +480,7 @@ def test_parallel_invariance_property(name, jobs, quantum):
     cycles, outputs, or attribution conservation.  Attribution forces
     the thread backend, so this also pins the downgrade path and the
     SkewBarrier bookkeeping it shares with the process backend."""
-    chip = _tiny_chip()
+    chip = tiny_chip()
     result = run_rcce(_parallel_source(name), 4, chip.config, chip,
                       max_steps=50_000_000, jobs=jobs, quantum=quantum,
                       attribution=True)
@@ -559,20 +494,12 @@ def test_parallel_invariance_property(name, jobs, quantum):
 
 
 def test_attribution_identical_across_engines():
-    """Enabled-mode parity: both engines must produce the same
-    attribution breakdown, the same per-core memory-op counts, and the
-    same critical path — the compiled fast paths bake the same cells
-    the tree-walker bumps."""
-    unit = _translated_dot()
-    reports = {}
-    for engine in ("tree", "compiled"):
-        result, _ = _rcce_attr_signature(unit, engine, attribution=True)
-        reports[engine] = result.attribution
-    tree, compiled = reports["tree"], reports["compiled"]
-    assert compiled.per_core == tree.per_core
-    assert compiled.mem_ops == tree.mem_ops
-    assert compiled.critical_path.as_dict() == \
-        tree.critical_path.as_dict()
+    """Enabled-mode parity: the attribution breakdown, the per-core
+    memory-op counts, and the critical path all match the ones the
+    tree-walker produced — the compiled fast paths bake the same cells
+    the tree-walker bumped."""
+    case = "attribution/rcce_dot"
+    assert run_case(case) == golden(case)
 
 
 @pytest.mark.parametrize("method", ["fork", "spawn"])
@@ -588,9 +515,9 @@ def test_process_backend_start_method_invariant(method):
 
     if method not in multiprocessing.get_all_start_methods():
         pytest.skip("start method %r unavailable" % method)
-    chip = _tiny_chip()
+    chip = tiny_chip()
     result = run_rcce_parallel(
         _parallel_source("dot"), 4, chip.config, chip, None,
-        50_000_000, "compiled", 2, start_method=method)
+        50_000_000, 2, start_method=method)
     assert _parallel_signature(result) == _parallel_baseline("dot")
     assert result.stats["parallel"]["start_method"] == method

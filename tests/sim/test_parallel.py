@@ -286,7 +286,7 @@ class TestErrorPropagation:
         chip = _tiny_chip()
         with pytest.raises(CommDeadlockError) as excinfo:
             run_rcce_parallel(DEADLOCK_SOURCE, 2, chip.config, chip,
-                              None, 50_000_000, "compiled", jobs=2,
+                              None, 50_000_000, jobs=2,
                               parked_timeout=1.0)
         message = str(excinfo.value)
         assert "parked" in message
@@ -303,7 +303,7 @@ def test_spawn_start_method_identical():
     baseline = _signature(run_rcce(RING_SOURCE, 4))
     chip = _tiny_chip()
     result = run_rcce_parallel(RING_SOURCE, 4, chip.config, chip,
-                               None, 50_000_000, "compiled", jobs=2,
+                               None, 50_000_000, jobs=2,
                                start_method="spawn")
     assert _signature(result) == baseline
     assert result.stats["parallel"]["start_method"] == "spawn"

@@ -113,7 +113,7 @@ def _chaos_run(chaos, shard_restarts=None, heartbeat_timeout=None,
     chip = _tiny_chip()
     return run_rcce_parallel(
         CHAOS_SOURCE, 4, chip.config, chip, None, 50_000_000,
-        "compiled", jobs, quantum=QUANTUM, chaos=chaos,
+        jobs, quantum=QUANTUM, chaos=chaos,
         shard_restarts=shard_restarts,
         heartbeat_timeout=heartbeat_timeout)
 
@@ -378,7 +378,7 @@ class TestWatchdogComposition:
         with pytest.raises(CommDeadlockError):
             run_rcce_parallel(
                 DEADLOCK_SOURCE, 2, chip.config, chip, None,
-                50_000_000, "compiled", 2,
+                50_000_000, 2,
                 watchdog=Watchdog(lock_timeout=1.0,
                                   barrier_timeout=1.0))
 
@@ -386,7 +386,7 @@ class TestWatchdogComposition:
         chip = _tiny_chip()
         with pytest.raises(CommDeadlockError) as excinfo:
             run_rcce_parallel(DEADLOCK_SOURCE, 2, chip.config, chip,
-                              None, 50_000_000, "compiled", 2,
+                              None, 50_000_000, 2,
                               parked_timeout=1.0)
         message = str(excinfo.value)
         assert "rank 0 parked at recv sync site" in message

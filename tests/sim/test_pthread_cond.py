@@ -13,6 +13,7 @@ import pytest
 from repro.sim.pthread_rt import COND_WAIT_COST
 from repro.sim.runner import run_pthread_single_core
 from repro.sim.watchdog import DeadlockError
+from tests.sim.goldens import golden, signature
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -106,17 +107,19 @@ int main(int argc, char **argv)
 
 
 class TestCondvars:
-    @pytest.mark.parametrize("engine", ["tree", "compiled"])
-    def test_producer_consumer(self, engine):
-        result = run_pthread_single_core(PRODUCER_CONSUMER,
-                                         engine=engine)
-        assert result.stdout() == "got 42\n"
+    # ``baseline`` names the reference: "compiled" the expected answer,
+    # "tree" the tree-walker's pinned result (tests/golden/sim.json)
+    @pytest.mark.parametrize("baseline", ["tree", "compiled"])
+    def test_producer_consumer(self, baseline):
+        result = run_pthread_single_core(PRODUCER_CONSUMER)
+        if baseline == "tree":
+            assert signature(result) == golden("cond/producer_consumer")
+        else:
+            assert result.stdout() == "got 42\n"
 
     def test_engines_agree_on_cycles(self):
-        runs = {engine: run_pthread_single_core(PRODUCER_CONSUMER,
-                                                engine=engine)
-                for engine in ("tree", "compiled")}
-        assert runs["compiled"].cycles == runs["tree"].cycles
+        result = run_pthread_single_core(PRODUCER_CONSUMER)
+        assert result.cycles == golden("cond/producer_consumer")["cycles"]
 
     def test_broadcast_wakes_every_waiter(self):
         result = run_pthread_single_core(BROADCAST)
@@ -162,7 +165,7 @@ class TestMissedSignal:
 
     def test_missed_signal_raises_under_compiled_engine(self):
         with pytest.raises(DeadlockError):
-            run_pthread_single_core(self._fixture(), engine="compiled")
+            run_pthread_single_core(self._fixture())
 
 
 class TestRaceEdges:

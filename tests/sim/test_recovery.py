@@ -154,8 +154,8 @@ class TestSyndromeWeight:
 
 class TestECC:
     def test_single_bit_flips_corrected(self):
-        clean = run_rcce(MPB_KERNEL, 2, engine="tree")
-        prot = run_rcce(MPB_KERNEL, 2, engine="tree",
+        clean = run_rcce(MPB_KERNEL, 2)
+        prot = run_rcce(MPB_KERNEL, 2,
                         faults="mpb_flip:p=0.05,seed=11",
                         recovery=RecoveryOptions(ecc=True))
         assert prot.stdout() == clean.stdout()
@@ -165,22 +165,22 @@ class TestECC:
         assert prot.cycles >= clean.cycles + ECC_SCRUB_CYCLES
 
     def test_unprotected_same_seed_corrupts(self):
-        clean = run_rcce(MPB_KERNEL, 2, engine="tree")
-        unprot = run_rcce(MPB_KERNEL, 2, engine="tree",
+        clean = run_rcce(MPB_KERNEL, 2)
+        unprot = run_rcce(MPB_KERNEL, 2,
                           faults="mpb_flip:p=0.05,seed=11")
         assert unprot.stdout() != clean.stdout()
 
     def test_unprotected_run_stays_deterministic(self):
         # the recovery layer must not perturb unprotected fault runs
-        first = run_rcce(MPB_KERNEL, 2, engine="tree",
+        first = run_rcce(MPB_KERNEL, 2,
                          faults="mpb_flip:p=0.05,seed=11")
-        second = run_rcce(MPB_KERNEL, 2, engine="tree",
+        second = run_rcce(MPB_KERNEL, 2,
                           faults="mpb_flip:p=0.05,seed=11")
         assert first.cycles == second.cycles
         assert first.stdout() == second.stdout()
 
     def test_protected_run_is_deterministic(self):
-        runs = [run_rcce(MPB_KERNEL, 2, engine="tree",
+        runs = [run_rcce(MPB_KERNEL, 2,
                          faults="mpb_flip:p=0.05,seed=11",
                          recovery=RecoveryOptions(ecc=True))
                 for _ in range(2)]
@@ -191,13 +191,13 @@ class TestECC:
 
     def test_multi_bit_flip_uncorrectable(self):
         with pytest.raises(UncorrectableECCError):
-            run_rcce(MPB_KERNEL, 2, engine="tree",
+            run_rcce(MPB_KERNEL, 2,
                      faults="mpb_flip:p=0.05,seed=11,bits=2",
                      recovery=RecoveryOptions(ecc=True))
 
     def test_multi_bit_flip_without_ecc_is_silent(self):
         # no scrubber: a double flip corrupts data, exactly like PR 3
-        result = run_rcce(MPB_KERNEL, 2, engine="tree",
+        result = run_rcce(MPB_KERNEL, 2,
                           faults="mpb_flip:p=0.05,seed=11,bits=2")
         assert counter_total(result, "fault_injections") > 0
 
@@ -220,8 +220,8 @@ class TestRetryPolicy:
 
 class TestSendRetry:
     def test_drops_absorbed(self):
-        clean = run_rcce(SEND_KERNEL, 2, engine="tree")
-        ret = run_rcce(SEND_KERNEL, 2, engine="tree",
+        clean = run_rcce(SEND_KERNEL, 2)
+        ret = run_rcce(SEND_KERNEL, 2,
                        faults="mesh_drop:p=0.4,seed=5",
                        recovery=RecoveryOptions(retry=True))
         assert ret.stdout() == clean.stdout()
@@ -231,7 +231,7 @@ class TestSendRetry:
         assert ret.cycles > clean.cycles
 
     def test_retry_is_deterministic(self):
-        runs = [run_rcce(SEND_KERNEL, 2, engine="tree",
+        runs = [run_rcce(SEND_KERNEL, 2,
                          faults="mesh_drop:p=0.4,seed=5",
                          recovery=RecoveryOptions(retry=True))
                 for _ in range(2)]
@@ -241,7 +241,7 @@ class TestSendRetry:
 
     def test_exhaustion_raises(self):
         with pytest.raises(MeshRetryExhaustedError) as info:
-            run_rcce(SEND_KERNEL, 2, engine="tree",
+            run_rcce(SEND_KERNEL, 2,
                      faults="mesh_drop:p=1.0,seed=5",
                      recovery=RecoveryOptions(retry=True))
         assert info.value.attempts == RetryPolicy().max_attempts
@@ -271,7 +271,7 @@ class TestSendRetry:
 
 
 def _checkpointed(path, every=2, **kwargs):
-    return run_rcce(MPB_KERNEL, 2, engine="tree",
+    return run_rcce(MPB_KERNEL, 2,
                     recovery=RecoveryOptions(checkpoint_path=path,
                                              checkpoint_every=every),
                     **kwargs)
@@ -280,7 +280,7 @@ def _checkpointed(path, every=2, **kwargs):
 class TestCheckpointRestore:
     def test_checkpointing_run_is_byte_identical(self, tmp_path):
         path = str(tmp_path / "run.ckpt")
-        plain = run_rcce(MPB_KERNEL, 2, engine="tree")
+        plain = run_rcce(MPB_KERNEL, 2)
         ck = _checkpointed(path)
         assert ck.cycles == plain.cycles
         assert ck.per_core_cycles == plain.per_core_cycles
@@ -289,9 +289,9 @@ class TestCheckpointRestore:
 
     def test_restore_round_trip(self, tmp_path):
         path = str(tmp_path / "run.ckpt")
-        plain = run_rcce(MPB_KERNEL, 2, engine="tree")
+        plain = run_rcce(MPB_KERNEL, 2)
         _checkpointed(path)
-        restored = run_rcce(MPB_KERNEL, 2, engine="tree",
+        restored = run_rcce(MPB_KERNEL, 2,
                             recovery=RecoveryOptions(restore=path))
         assert restored.cycles == plain.cycles
         assert restored.per_core_cycles == plain.per_core_cycles
@@ -303,6 +303,20 @@ class TestCheckpointRestore:
         snapshot = load_snapshot(path, config=Table61Config())
         assert snapshot.round > 0
         assert snapshot.num_ues == 2
+
+    def test_legacy_engine_header_still_loads(self, tmp_path):
+        # snapshots from when runs chose an engine carry the field
+        src = str(tmp_path / "run.ckpt")
+        _checkpointed(src)
+        with open(src) as handle:
+            doc = json.load(handle)
+        assert "engine" not in doc
+        doc["engine"] = "tree"
+        legacy = tmp_path / "legacy.ckpt"
+        legacy.write_text(json.dumps(doc))
+        restored = run_rcce(MPB_KERNEL, 2,
+                            recovery=RecoveryOptions(restore=str(legacy)))
+        assert restored.stdout() == run_rcce(MPB_KERNEL, 2).stdout()
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -348,14 +362,14 @@ class TestCheckpointRestore:
         path = str(tmp_path / "run.ckpt")
         _checkpointed(path)
         with pytest.raises(SnapshotMismatchError):
-            run_rcce(SEND_KERNEL, 2, engine="tree",
+            run_rcce(SEND_KERNEL, 2,
                      recovery=RecoveryOptions(restore=path))
 
     def test_wrong_topology_rejected(self, tmp_path):
         path = str(tmp_path / "run.ckpt")
         _checkpointed(path)
         with pytest.raises(SnapshotMismatchError):
-            run_rcce(MPB_KERNEL, 4, engine="tree",
+            run_rcce(MPB_KERNEL, 4,
                      recovery=RecoveryOptions(restore=path))
 
     def test_divergent_replay_detected(self, tmp_path):
@@ -363,13 +377,13 @@ class TestCheckpointRestore:
         # the replayed clocks miss the scrub penalties and the
         # verifier must refuse to certify the restore
         path = str(tmp_path / "run.ckpt")
-        run_rcce(MPB_KERNEL, 2, engine="tree",
+        run_rcce(MPB_KERNEL, 2,
                  faults="mpb_flip:p=0.05,seed=11",
                  recovery=RecoveryOptions(ecc=True,
                                           checkpoint_path=path,
                                           checkpoint_every=2))
         with pytest.raises(SnapshotDivergenceError):
-            run_rcce(MPB_KERNEL, 2, engine="tree",
+            run_rcce(MPB_KERNEL, 2,
                      recovery=RecoveryOptions(restore=path))
 
 
@@ -383,15 +397,15 @@ class TestSupervisor:
 
     def test_requires_checkpoint_path(self):
         with pytest.raises(ValueError):
-            run_rcce_supervised(CAMPAIGN_KERNEL, 2, engine="tree",
+            run_rcce_supervised(CAMPAIGN_KERNEL, 2,
                                 recovery=RecoveryOptions(),
                                 max_restarts=1)
 
     def test_campaign_recovers(self, tmp_path):
-        clean = run_rcce(CAMPAIGN_KERNEL, 2, engine="tree")
+        clean = run_rcce(CAMPAIGN_KERNEL, 2)
         path = str(tmp_path / "campaign.ckpt")
         result = run_rcce_supervised(
-            CAMPAIGN_KERNEL, 2, engine="tree", faults=self.SPEC,
+            CAMPAIGN_KERNEL, 2, faults=self.SPEC,
             recovery=RecoveryOptions(ecc=True, retry=True,
                                      checkpoint_path=path,
                                      checkpoint_every=1),
@@ -412,7 +426,7 @@ class TestSupervisor:
         outcomes = []
         for _ in range(2):
             with pytest.raises(CoreCrashFault) as info:
-                run_rcce(CAMPAIGN_KERNEL, 2, engine="tree",
+                run_rcce(CAMPAIGN_KERNEL, 2,
                          faults=self.SPEC)
             outcomes.append(str(info.value))
         assert outcomes[0] == outcomes[1]
@@ -423,7 +437,7 @@ class TestSupervisor:
                 "core_crash:core=0,at=13000")
         with pytest.raises(CoreCrashFault) as info:
             run_rcce_supervised(
-                CAMPAIGN_KERNEL, 2, engine="tree", faults=spec,
+                CAMPAIGN_KERNEL, 2, faults=spec,
                 recovery=RecoveryOptions(checkpoint_path=path,
                                          checkpoint_every=1),
                 max_restarts=1)
@@ -434,9 +448,9 @@ class TestSupervisor:
 
     def test_clean_supervised_run_matches_plain(self, tmp_path):
         path = str(tmp_path / "clean.ckpt")
-        plain = run_rcce(CAMPAIGN_KERNEL, 2, engine="tree")
+        plain = run_rcce(CAMPAIGN_KERNEL, 2)
         result = run_rcce_supervised(
-            CAMPAIGN_KERNEL, 2, engine="tree",
+            CAMPAIGN_KERNEL, 2,
             recovery=RecoveryOptions(checkpoint_path=path,
                                      checkpoint_every=1),
             max_restarts=2)
@@ -447,31 +461,29 @@ class TestSupervisor:
 
 
 # ---------------------------------------------------------------------------
-# Engine downgrade diagnostics
+# Engine downgrade: there is none
 
 
 class TestEngineDowngrade:
-    def test_fault_run_warns(self):
-        result = run_rcce(MPB_KERNEL, 2, engine="compiled",
-                          faults="mpb_flip:p=0.0001,seed=1")
-        assert any(d.severity == "warning" and "tree" in d.message
-                   for d in result.diagnostics)
+    """Fault injection and checkpointing run on the one engine, so
+    neither reports a change of engine: their diagnostics stay as
+    empty as a clean run's."""
 
-    def test_checkpoint_run_warns(self, tmp_path):
-        path = str(tmp_path / "warn.ckpt")
-        result = run_rcce(
-            MPB_KERNEL, 2, engine="compiled",
-            recovery=RecoveryOptions(checkpoint_path=path))
-        assert any("checkpoint" in d.message
-                   for d in result.diagnostics)
-
-    def test_tree_request_stays_quiet(self):
-        result = run_rcce(MPB_KERNEL, 2, engine="tree",
+    def test_fault_run_stays_quiet(self):
+        result = run_rcce(MPB_KERNEL, 2,
                           faults="mpb_flip:p=0.0001,seed=1")
         assert result.diagnostics == []
 
+    def test_checkpoint_run_stays_quiet(self, tmp_path):
+        path = str(tmp_path / "quiet.ckpt")
+        result = run_rcce(
+            MPB_KERNEL, 2,
+            recovery=RecoveryOptions(checkpoint_path=path))
+        assert result.diagnostics == []
+        assert load_snapshot(path).num_ues == 2
+
     def test_clean_compiled_run_stays_quiet(self):
-        result = run_rcce(MPB_KERNEL, 2, engine="compiled")
+        result = run_rcce(MPB_KERNEL, 2)
         assert result.diagnostics == []
 
 
@@ -513,15 +525,15 @@ int RCCE_APP(int argc, char **argv) {
 def test_generated_kernel_round_trip(seed_value, rounds, terms):
     source = _KERNEL_TEMPLATE % (seed_value, rounds,
                                  " + ".join(terms))
-    plain = run_rcce(source, 2, engine="tree")
+    plain = run_rcce(source, 2)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "gen.ckpt")
-        ck = run_rcce(source, 2, engine="tree",
+        ck = run_rcce(source, 2,
                       recovery=RecoveryOptions(checkpoint_path=path,
                                                checkpoint_every=2))
         assert ck.cycles == plain.cycles
         assert ck.stdout() == plain.stdout()
-        restored = run_rcce(source, 2, engine="tree",
+        restored = run_rcce(source, 2,
                             recovery=RecoveryOptions(restore=path))
         assert restored.cycles == plain.cycles
         assert restored.per_core_cycles == plain.per_core_cycles

@@ -1,7 +1,8 @@
 """Property-based check: the interpreter implements C expression
 semantics.  Random integer expressions are rendered to C, run through
 the interpreter, and compared against a Python oracle implementing the
-C rules (truncating division, sign-following modulo)."""
+C rules (truncating division, sign-following modulo, in-range shifts).
+The main property also routes each result through pointer stores."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,13 +19,24 @@ _TINY_CONFIG = SCCConfig(num_cores=2, mesh_columns=1, mesh_rows=1,
                          cores_per_tile=2, num_memory_controllers=1)
 
 
-def interpret(expr_text, bindings):
+def _run_main(bindings, body):
     decls = "".join("int %s = %d;\n" % (name, value)
                     for name, value in bindings.items())
-    source = "%sint main(void) { return %s; }" % (decls, expr_text)
+    source = "%sint out[2];\nint main(void) { %s }" % (decls, body)
     unit = parse_program(source)
     interp = Interpreter(unit, SCCChip(_TINY_CONFIG), 0, Memory())
     return interp.call_function("main", [])
+
+
+def interpret(expr_text, bindings):
+    return _run_main(bindings, "return %s;" % expr_text)
+
+
+def interpret_stored(expr_text, bindings):
+    """The value of ``expr_text`` after an indexed and a dereferenced
+    pointer store, read back from the array."""
+    return _run_main(bindings, "int *p = out; p[0] = %s; "
+                     "*(p + 1) = p[0]; return out[1];" % expr_text)
 
 
 def c_div(a, b):
@@ -81,11 +93,15 @@ class _Node:
             "%": lambda: c_mod(left, right),
             "<": lambda: int(left < right),
             ">": lambda: int(left > right),
+            "<=": lambda: int(left <= right),
+            ">=": lambda: int(left >= right),
             "==": lambda: int(left == right),
             "!=": lambda: int(left != right),
             "&": lambda: left & right,
             "|": lambda: left | right,
             "^": lambda: left ^ right,
+            "<<": lambda: left << right,
+            ">>": lambda: left >> right,
         }
         return table[self.op]()
 
@@ -97,8 +113,16 @@ _leaves = st.one_of(
         lambda n: _Node("leaf", leaf=n)),
 )
 
-_binops = st.sampled_from(["+", "-", "*", "/", "%", "<", ">", "==",
-                           "!=", "&", "|", "^"])
+_binops = st.sampled_from(["+", "-", "*", "/", "%", "<", ">", "<=",
+                           ">=", "==", "!=", "&", "|", "^"])
+_shifts = st.sampled_from(["<<", ">>"])
+
+
+def _shift(op, left, right):
+    """``left op (right & 7)``: shift counts stay in range."""
+    return _Node(op, left, _Node("&", right, _Node("leaf", leaf=7)))
+
+
 _unops = st.sampled_from(["-", "!", "~"])
 
 _exprs = st.recursive(
@@ -106,6 +130,8 @@ _exprs = st.recursive(
     lambda children: st.one_of(
         st.tuples(_binops, children, children).map(
             lambda t: _Node(t[0], t[1], t[2])),
+        st.tuples(_shifts, children, children).map(
+            lambda t: _shift(*t)),
         st.tuples(_unops, children).map(
             lambda t: _Node(t[0], t[1])),
     ),
@@ -131,7 +157,7 @@ class TestExpressionSemantics:
         assume(-2 ** 31 <= expected < 2 ** 31)  # stay in int range
         # leaf constants render negatives with parens via unary minus
         text = tree.render()
-        result = interpret(text, env)
+        result = interpret_stored(text, env)
         assert result == expected, text
 
     @settings(max_examples=60, deadline=None)

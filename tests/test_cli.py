@@ -69,6 +69,16 @@ class TestTranslate:
                              "--capacity", "8"])
         assert "sum = (int *)RCCE_shmalloc" in output
 
+    def test_condvars_fail_loudly(self):
+        """Condition variables have no RCCE translation: each wait and
+        signal is an error naming the call and its line."""
+        code, output, err = run_cli_err(
+            ["translate", FIXTURES + "/cond_missed_signal.c"])
+        assert code == 65
+        assert output == ""
+        assert "pthread_cond_wait" in err and "line 19" in err
+        assert "pthread_cond_signal" in err and "line 35" in err
+
 
 class TestAnalyze:
     def test_tables_printed(self, example_file):
@@ -266,25 +276,21 @@ def recovery_file(tmp_path):
 
 
 class TestRecoveryFlags:
-    def test_downgrade_warns_on_stderr(self, recovery_file):
+    def test_faults_and_checkpoints_run_without_downgrade(
+            self, recovery_file, tmp_path):
+        """Fault injection, recovery and checkpoints all run on the one
+        engine, so even --strict has no downgrade to refuse."""
         code, _, err = run_cli_err(
             ["run", recovery_file, "--mode", "rcce", "--ues", "2",
-             "--faults", "mpb_flip:p=0.0001,seed=1"])
+             "--faults", "mesh_delay:p=0.02,seed=3", "--recover",
+             "--checkpoint-every", "1",
+             "--checkpoint", str(tmp_path / "run.ckpt"), "--strict"])
         assert code == 0
-        assert "warning" in err
-        assert "tree" in err
+        assert "warning" not in err
 
-    def test_downgrade_is_an_error_under_strict(self, recovery_file):
+    def test_faulted_run_stays_quiet(self, recovery_file):
         code, _, err = run_cli_err(
             ["run", recovery_file, "--mode", "rcce", "--ues", "2",
-             "--faults", "mpb_flip:p=0.0001,seed=1", "--strict"])
-        assert code == 2
-        assert "--engine tree" in err
-
-    def test_tree_engine_with_faults_stays_quiet(self, recovery_file):
-        code, _, err = run_cli_err(
-            ["run", recovery_file, "--mode", "rcce", "--ues", "2",
-             "--engine", "tree",
              "--faults", "mpb_flip:p=0.0001,seed=1"])
         assert code == 0
         assert "warning" not in err
@@ -295,7 +301,6 @@ class TestRecoveryFlags:
         metrics_path = str(tmp_path / "metrics.json")
         code, output, err = run_cli_err(
             ["run", recovery_file, "--mode", "rcce", "--ues", "2",
-             "--engine", "tree",
              "--faults",
              "mpb_flip:p=0.02,seed=3;core_crash:core=1,at=6000",
              "--recover", "--max-restarts", "2",
@@ -311,12 +316,11 @@ class TestRecoveryFlags:
         ckpt = str(tmp_path / "run.ckpt")
         code, first, _ = run_cli_err(
             ["run", recovery_file, "--mode", "rcce", "--ues", "2",
-             "--engine", "tree", "--checkpoint-every", "2",
-             "--checkpoint", ckpt])
+             "--checkpoint-every", "2", "--checkpoint", ckpt])
         assert code == 0
         code, second, _ = run_cli_err(
             ["run", recovery_file, "--mode", "rcce", "--ues", "2",
-             "--engine", "tree", "--restore", ckpt])
+             "--restore", ckpt])
         assert code == 0
         assert first == second
 
@@ -325,7 +329,7 @@ class TestRecoveryFlags:
         bad.write_text("{ definitely not a snapshot")
         code, _, err = run_cli_err(
             ["run", recovery_file, "--mode", "rcce", "--ues", "2",
-             "--engine", "tree", "--restore", str(bad)])
+             "--restore", str(bad)])
         assert code == 65
         assert "bad snapshot" in err
         assert len(err.strip().splitlines()) == 1
@@ -333,7 +337,6 @@ class TestRecoveryFlags:
     def test_missing_snapshot_exits_66(self, recovery_file, tmp_path):
         code, _, err = run_cli_err(
             ["run", recovery_file, "--mode", "rcce", "--ues", "2",
-             "--engine", "tree",
              "--restore", str(tmp_path / "absent.ckpt")])
         assert code == 66
 
