@@ -1,9 +1,10 @@
 """Perf-regression guard over the committed benchmark reports.
 
 Re-runs the workloads behind the committed ``BENCH_race.json``,
-``BENCH_attr.json``, ``BENCH_parallel.json`` and ``BENCH_serve.json``
-and fails when any of them regresses by more than 15% against its
-committed number.  Interpreter dispatch speed is tracked end to end by
+``BENCH_attr.json`` and ``BENCH_parallel.json`` and fails when any of
+them regresses: the hook ratios by more than 15% against their
+committed numbers, the parallel backend below its fixed speedup
+gate.  Interpreter dispatch speed is tracked end to end by
 ``sim_steps_per_s`` on the ``compute`` workload of ``BENCHMARK.json``.  Raw
 wall seconds are not portable across machines, so each guard compares
 the machine-relative quantity its report pins:
@@ -13,14 +14,11 @@ the machine-relative quantity its report pins:
 * ``BENCH_attr.json`` — the enabled-mode attribution ratio.  Guard:
   current ratio <= committed x 1.15.
 * ``BENCH_parallel.json`` — the process backend's byte-identity flag
-  (guarded on every host) and wall-clock speedup (guarded only when
-  both the committed report and the current host have >= 4 CPUs —
-  a single-CPU runner time-slices the workers and measures ~1x
+  (guarded on every host, on the scaled smoke subset) and its
+  wall-clock speedup: full-size LU at 2 workers, median of
+  alternating passes, must reach 1.3x on hosts with >= 2 CPUs (a
+  single-CPU runner time-slices the workers and measures ~1x
   regardless of backend quality).
-* ``BENCH_serve.json`` — the job service's byte-identity and
-  memo-hit flags plus its supervision overhead ratio (pool-1
-  service / direct, guarded on every host); pool throughput follows
-  the same >= 4 CPU rule as the parallel speedup.
 
 Usage::
 
@@ -40,7 +38,6 @@ for path in (os.path.join(ROOT, "src"), os.path.dirname(os.path.abspath(__file__
 import bench_attr_overhead  # noqa: E402
 import bench_parallel_speedup  # noqa: E402
 import bench_race_overhead  # noqa: E402
-import bench_serve_throughput  # noqa: E402
 
 SLACK = 1.15  # fail on >15% slowdown against the committed number
 SMOKE_UES = 8
@@ -87,10 +84,11 @@ def guard_attr():
 
 
 def guard_parallel():
-    """Re-run the parallel smoke subset: byte-identity is guarded on
-    every host; the committed speedup floor only where wall-clock
-    parallelism is measurable (the committed report records its own
-    ``host_cpus`` for the same reason)."""
+    """Byte-identity on the scaled smoke subset, on every host; the
+    speedup gate — full-size LU at ``GATE_JOBS`` workers, median of
+    ``PASSES`` alternating passes, against the fixed
+    ``SPEEDUP_FLOOR`` — only where wall-clock parallelism is
+    measurable."""
     committed = _committed("BENCH_parallel.json")
     report = bench_parallel_speedup.measure(
         num_ues=SMOKE_UES, jobs_list=(1, 2, 4),
@@ -101,78 +99,25 @@ def guard_parallel():
                   committed["byte_identical"]))
     cpus = _host_cpus()
     minimum = bench_parallel_speedup.MIN_HOST_CPUS
-    committed_cpus = committed.get("host_cpus") or 1
-    if ok and cpus >= minimum and committed_cpus >= minimum:
-        floor = committed["best_speedup"] / SLACK
-        best = report["best_speedup"]
-        ok = best >= floor
-        message += (", smoke speedup %.2fx (committed best %.2fx, "
-                    "floor %.2fx)" % (best, committed["best_speedup"],
-                                      floor))
+    floor = bench_parallel_speedup.SPEEDUP_FLOOR
+    label = "%s speedup at jobs=%d" % (
+        bench_parallel_speedup.GATE_WORKLOAD,
+        bench_parallel_speedup.GATE_JOBS)
+    if ok and cpus >= minimum:
+        gate = bench_parallel_speedup.measure_gate()
+        speedup = bench_parallel_speedup.gate_speedup(gate)
+        ok = gate["byte_identical"] and speedup >= floor
+        message += (", %s %.2fx (byte_identical=%s, median of %d "
+                    "passes, floor %.2fx, committed %.2fx)"
+                    % (label, speedup, gate["byte_identical"],
+                       gate["passes"], floor,
+                       bench_parallel_speedup.gate_speedup(committed)))
     elif ok:
         # the skip must say exactly what was not checked and why: a
         # green guard on a small runner must not read as "speedup OK"
-        reasons = []
-        if cpus < minimum:
-            reasons.append("this host has %d CPU(s) < %d"
-                           % (cpus, minimum))
-        if committed_cpus < minimum:
-            reasons.append("the committed report was measured on "
-                           "%s CPU(s) < %d" % (committed_cpus,
-                                               minimum))
-        message += (", SKIPPED speedup floor %.2fx/%.2f: "
-                    % (committed["best_speedup"], SLACK)
-                    + " and ".join(reasons)
-                    + " (byte-identity was still guarded)")
-    return ok, message + _host_note()
-
-
-def guard_serve():
-    """Re-run the job-service batch: byte-identity and the memo are
-    guarded on every host; the supervision overhead ratio (pool-1
-    service wall / direct wall) is machine-relative, so it is guarded
-    everywhere too — with the best of three runs, since fork-cost
-    noise on a loaded host is strictly additive.  Pool throughput,
-    like the parallel-backend speedup, needs real host parallelism
-    and is only guarded where both the committed report and this host
-    have >= 4 CPUs."""
-    committed = _committed("BENCH_serve.json")
-    runs = [bench_serve_throughput.measure() for _ in range(3)]
-    identical = all(run["byte_identical"] for run in runs)
-    cached = all(run["all_cached"] for run in runs)
-    ratio = min(run["overhead_ratio"] for run in runs)
-    bound = committed["overhead_ratio"] * SLACK
-    ok = identical and cached and ratio <= bound
-    message = ("serve byte_identical=%s all_cached=%s overhead "
-               "ratio %.3f (committed %.3f, bound %.3f)"
-               % (identical, cached, ratio,
-                  committed["overhead_ratio"], bound))
-    cpus = _host_cpus()
-    minimum = bench_serve_throughput.MIN_HOST_CPUS
-    committed_cpus = committed.get("host_cpus") or 1
-    if ok and cpus >= minimum and committed_cpus >= minimum:
-        floor = committed["jobs_per_second"] / SLACK
-        best = max(run["jobs_per_second"] for run in runs)
-        ok = best >= floor
-        message += (", throughput %.2f jobs/s (committed %.2f, "
-                    "floor %.2f)" % (best,
-                                     committed["jobs_per_second"],
-                                     floor))
-    elif ok:
-        # the skip must say exactly what was not checked and why
-        reasons = []
-        if cpus < minimum:
-            reasons.append("this host has %d CPU(s) < %d"
-                           % (cpus, minimum))
-        if committed_cpus < minimum:
-            reasons.append("the committed report was measured on "
-                           "%s CPU(s) < %d" % (committed_cpus,
-                                               minimum))
-        message += (", SKIPPED throughput floor %.2f/%.2f: "
-                    % (committed["jobs_per_second"], SLACK)
-                    + " and ".join(reasons)
-                    + " (byte-identity and overhead were still "
-                    "guarded)")
+        message += (", SKIPPED %s floor %.2fx: this host has %d "
+                    "CPU(s) < %d (byte-identity was still guarded)"
+                    % (label, floor, cpus, minimum))
     return ok, message + _host_note()
 
 
@@ -193,17 +138,10 @@ def test_attr_overhead_has_not_regressed(results_dir):
     assert ok, message
 
 
-def test_parallel_backend_has_not_regressed(results_dir):
+def test_parallel_speedup_has_not_regressed(results_dir):
     from conftest import write_result
     ok, message = guard_parallel()
     write_result(results_dir, "perf_guard_parallel.txt", message)
-    assert ok, message
-
-
-def test_serve_throughput_has_not_regressed(results_dir):
-    from conftest import write_result
-    ok, message = guard_serve()
-    write_result(results_dir, "perf_guard_serve.txt", message)
     assert ok, message
 
 
@@ -212,7 +150,7 @@ def test_serve_throughput_has_not_regressed(results_dir):
 
 def main(argv=None):
     failures = 0
-    for guard in (guard_race, guard_attr, guard_parallel, guard_serve):
+    for guard in (guard_race, guard_attr, guard_parallel):
         ok, message = guard()
         print(("PASS: " if ok else "FAIL: ") + message)
         failures += 0 if ok else 1

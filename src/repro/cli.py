@@ -15,11 +15,6 @@ run
     core, the translated RCCE variant on N cores, or both side by side.
 bench
     Regenerate a figure of the paper's evaluation.
-serve / submit / jobs
-    The supervised job service (docs/service.md): a daemon with
-    admission control, deadlines, bounded retry, and
-    checkpoint-backed preemption; submit jobs and inspect them over
-    its Unix socket.
 """
 
 import argparse
@@ -56,14 +51,11 @@ from repro.sim.watchdog import (
 # sysexits.h-style exit codes so scripts and CI can tell failure
 # classes apart (docs/robustness.md)
 EXIT_OK = 0            # success
-EXIT_ERROR = 1         # unexpected internal error
 EXIT_USAGE = 2         # bad command line (argparse's own code)
 EXIT_PARSE = 65        # EX_DATAERR: C parse / translation failure
 EXIT_NOINPUT = 66      # EX_NOINPUT: input file missing/unreadable
-EXIT_UNAVAILABLE = 69  # EX_UNAVAILABLE: serve daemon unreachable
 EXIT_SIM = 70          # EX_SOFTWARE: simulated program failed
-EXIT_TIMEOUT = 75      # EX_TEMPFAIL: deadlock / step-budget timeout,
-#                        or a backpressure-rejected submission
+EXIT_TIMEOUT = 75      # EX_TEMPFAIL: deadlock / step-budget timeout
 EXIT_INTERRUPT = 130   # 128 + SIGINT: operator interrupt, unwound
 
 
@@ -222,90 +214,6 @@ def build_parser():
     bench = sub.add_parser("bench", help="regenerate a paper figure")
     bench.add_argument("figure", choices=["6.1", "6.2", "6.3"])
     bench.add_argument("--ues", type=int, default=32)
-
-    serve = sub.add_parser(
-        "serve", help="run (or query) the supervised job daemon "
-        "(docs/service.md)")
-    serve.add_argument("--state-dir", default=".repro-serve",
-                       metavar="DIR",
-                       help="socket, queue, checkpoint, and memo "
-                       "directory (default .repro-serve)")
-    serve.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="worker-process pool size (default 2)")
-    serve.add_argument("--depth", type=int, default=None, metavar="N",
-                       help="admission control: max queued jobs "
-                       "before submissions are shed (default 64)")
-    serve.add_argument("--memory-mb", type=int, default=None,
-                       metavar="MB",
-                       help="admission control: estimated in-flight "
-                       "memory budget (default 512)")
-    serve.add_argument("--chaos", default=None, metavar="SPEC",
-                       help="deterministic service-level chaos, e.g. "
-                       "'job_kill:job=0,attempt=1' (kinds: job_kill, "
-                       "job_stall; see docs/service.md)")
-    serve.add_argument("--preempt-grace", type=float, default=None,
-                       metavar="SECONDS",
-                       help="terminate a preempted worker that has "
-                       "not checkpointed after this long (default 30)")
-    serve.add_argument("--status", action="store_true",
-                       help="print a running daemon's metrics "
-                       "snapshot and exit")
-    serve.add_argument("--json", action="store_true",
-                       help="with --status: machine-readable output")
-    serve.add_argument("--shutdown", action="store_true",
-                       help="ask a running daemon to drain, persist "
-                       "its queue, and exit 0")
-
-    submit = sub.add_parser(
-        "submit", help="submit a job to the serve daemon")
-    submit.add_argument("source", help="input C file ('-' for stdin)")
-    submit.add_argument("--state-dir", default=".repro-serve",
-                        metavar="DIR", help="the daemon's state dir")
-    submit.add_argument("--mode", choices=["rcce", "pthread"],
-                        default="rcce",
-                        help="simulate the translated RCCE program "
-                        "(default) or the pthread original on one "
-                        "core")
-    submit.add_argument("--ues", type=int, default=8,
-                        help="RCCE cores to simulate (default 8)")
-    submit.add_argument("--max-steps", type=int, default=200_000_000,
-                        help="per-core step budget")
-    submit.add_argument("--faults", default=None, metavar="SPEC",
-                        help="chip-level fault spec for this job")
-    submit.add_argument("--priority", type=int, default=0,
-                        help="scheduling priority (higher first; "
-                        "default 0)")
-    submit.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="wall-clock deadline; a job past it is "
-                        "killed with JobDeadlineError")
-    submit.add_argument("--retries", type=int, default=1, metavar="N",
-                        help="retry budget for restartable failures "
-                        "(default 1)")
-    submit.add_argument("--preemptible", action="store_true",
-                        help="let the scheduler preempt this job at "
-                        "a barrier-aligned checkpoint for "
-                        "higher-priority work")
-    submit.add_argument("--checkpoint-every", type=int, default=1,
-                        metavar="N", help="checkpoint cadence in "
-                        "barrier rounds for --preemptible (default 1)")
-    submit.add_argument("--wait", action="store_true",
-                        help="block until the job finishes; exit 70 "
-                        "if it failed")
-    submit.add_argument("--json", action="store_true",
-                        help="machine-readable output")
-    _framework_args(submit)
-
-    jobs = sub.add_parser(
-        "jobs", help="list or inspect the serve daemon's jobs")
-    jobs.add_argument("--state-dir", default=".repro-serve",
-                      metavar="DIR", help="the daemon's state dir")
-    jobs.add_argument("--id", default=None, metavar="JOB",
-                      help="show one job in full")
-    jobs.add_argument("--preempt", default=None, metavar="JOB",
-                      help="ask the daemon to preempt a running job")
-    jobs.add_argument("--json", action="store_true",
-                      help="machine-readable output")
 
     return parser
 
@@ -560,10 +468,10 @@ def cmd_run(args, out, err):
         elif getattr(args, "trace", None):
             blocker = "--trace"
         if blocker is not None:
-            err.write("repro: --jobs %d cannot honour %s: the "
-                      "feature needs the shared-world thread backend "
-                      "(verified cycle-identical); rerun without %s "
-                      "or drop --strict\n" % (jobs, blocker, blocker))
+            err.write("repro: --jobs %d cannot honour %s: the process "
+                      "backend cannot shard it, so the run would go "
+                      "sequential (jobs=1); rerun without %s or drop "
+                      "--strict\n" % (jobs, blocker, blocker))
             return EXIT_USAGE
     recovery = None
     if recover_on or want_checkpoint or restore is not None:
@@ -577,9 +485,9 @@ def cmd_run(args, out, err):
     watchdog = None
     if args.mode in ("rcce", "compare") and \
             not getattr(args, "no_watchdog", False):
-        # the watchdog no longer forces the thread backend: the
-        # parallel coordinator maps its lock/barrier timeouts onto
-        # the parked-rank and wall-clock supervision bounds
+        # the watchdog does not force a sequential run: the parallel
+        # coordinator maps its lock/barrier timeouts onto the
+        # parked-rank and wall-clock supervision bounds
         if getattr(args, "watchdog_timeout", None) is not None:
             watchdog = Watchdog(lock_timeout=args.watchdog_timeout,
                                 barrier_timeout=args.watchdog_timeout)
@@ -664,9 +572,7 @@ def cmd_run(args, out, err):
                 max_restarts=max_restarts,
                 chip_factory=chip_factory,
                 watchdog_factory=watchdog_factory,
-                race=race_on, jobs=jobs, quantum=quantum,
-                shard_restarts=shard_restarts,
-                heartbeat_timeout=heartbeat_timeout)
+                race=race_on, jobs=jobs)
             chip = chips[-1]
         else:
             chip = SCCChip(Table61Config())
@@ -684,13 +590,13 @@ def cmd_run(args, out, err):
         for diagnostic in rcce.diagnostics:
             err.write(diagnostic.format() + "\n")
         if getattr(args, "strict", False) and any(
-                "degraded to the thread backend" in d.message
+                "degraded to sequential" in d.message
                 for d in rcce.diagnostics if d.severity == "warning"):
             # the process backend's restart budget ran out mid-run;
-            # the graceful thread-backend rerun succeeded, but under
+            # the graceful sequential rerun succeeded, but under
             # --strict a silent backend swap is a usage failure
-            err.write("repro: --strict: --jobs %d degraded to the "
-                      "thread backend after exhausting its shard "
+            err.write("repro: --strict: --jobs %d degraded to "
+                      "sequential (jobs=1) after exhausting its shard "
                       "restart budget; raise --shard-restarts or "
                       "drop --strict\n" % jobs)
             return EXIT_USAGE
@@ -754,162 +660,12 @@ def cmd_bench(args, out, err):
     return EXIT_OK
 
 
-def cmd_serve(args, out, err):
-    from repro.serve.client import ServeClient
-
-    if getattr(args, "status", False):
-        client = ServeClient(args.state_dir)
-        status = client.status()
-        if getattr(args, "json", False):
-            import json
-            out.write(json.dumps(status, indent=2, sort_keys=True)
-                      + "\n")
-            return EXIT_OK
-        from repro.obs.metrics import render_snapshot_text
-        out.write("pool %d | running %d | queued %d\n"
-                  % (status["pool_size"], status["running"],
-                     status["queued"]))
-        text = render_snapshot_text(status["metrics"])
-        if text:
-            out.write(text + "\n")
-        return EXIT_OK
-    if getattr(args, "shutdown", False):
-        client = ServeClient(args.state_dir)
-        client.shutdown()
-        out.write("daemon at %s is draining\n" % args.state_dir)
-        return EXIT_OK
-
-    from repro.serve.daemon import ServeDaemon
-
-    if args.workers < 1:
-        err.write("repro: --workers must be a positive pool size "
-                  "(got %d)\n" % args.workers)
-        return EXIT_USAGE
-    chaos = getattr(args, "chaos", None) or None
-    daemon = ServeDaemon(
-        args.state_dir, pool_size=args.workers,
-        max_depth=getattr(args, "depth", None),
-        memory_budget=(args.memory_mb * 1024 * 1024
-                       if getattr(args, "memory_mb", None) is not None
-                       else None),
-        chaos=chaos,
-        preempt_grace=getattr(args, "preempt_grace", None),
-        log=lambda line: (err.write("repro serve: %s\n" % line),
-                          getattr(err, "flush", lambda: None)())[0])
-    return daemon.serve_forever()
-
-
-def cmd_submit(args, out, err):
-    import json as json_mod
-
-    from repro.serve.client import ServeClient
-    from repro.serve.job import JobSpec
-
-    source = _read_source(args.source)
-    if args.faults:
-        parse_fault_spec(args.faults)  # fail early, client-side
-    spec = JobSpec(mode=args.mode, num_ues=args.ues, policy=args.policy,
-                   capacity=args.capacity, fold=args.fold,
-                   split=getattr(args, "split", False),
-                   max_steps=args.max_steps, faults=args.faults)
-    client = ServeClient(args.state_dir)
-    response = client.submit(
-        source, spec=spec, priority=args.priority,
-        deadline_seconds=args.deadline, max_retries=args.retries,
-        preemptible=args.preemptible,
-        checkpoint_every=args.checkpoint_every)
-    if not response.get("ok"):
-        code = EXIT_TIMEOUT \
-            if response.get("error") == "BackpressureError" \
-            else EXIT_ERROR
-        err.write("repro: submission rejected: %s: %s\n"
-                  % (response.get("error", "error"),
-                     response.get("message", "")))
-        return code
-    job_id = response["job_id"]
-    if not args.wait:
-        if args.json:
-            out.write(json_mod.dumps(response) + "\n")
-        else:
-            out.write("%s submitted%s\n"
-                      % (job_id,
-                         " (cached)" if response.get("cached")
-                         else ""))
-        return EXIT_OK
-    job = client.wait(job_id)
-    if args.json:
-        out.write(json_mod.dumps(job, indent=2, sort_keys=True)
-                  + "\n")
-    elif job["state"] == "done":
-        result = job["result"]
-        out.write("%s done: %d cycles%s\n"
-                  % (job_id, result["cycles"],
-                     " (cached)" if result.get("cached") else ""))
-        out.write(result["stdout"])
-    else:
-        outcome = job.get("outcome") or {}
-        err.write("repro: job %s failed: %s: %s\n"
-                  % (job_id, outcome.get("error", "error"),
-                     outcome.get("message", "")))
-    return EXIT_OK if job["state"] == "done" else EXIT_SIM
-
-
-def cmd_jobs(args, out, err):
-    import json as json_mod
-
-    from repro.serve.client import ServeClient
-
-    client = ServeClient(args.state_dir)
-    if args.preempt:
-        response = client.preempt(args.preempt)
-        if not response.get("ok"):
-            err.write("repro: %s: %s\n"
-                      % (response.get("error", "error"),
-                         response.get("message", "")))
-            return EXIT_ERROR
-        out.write("%s asked to preempt\n" % args.preempt)
-        return EXIT_OK
-    if args.id:
-        response = client.job(args.id)
-        if not response.get("ok"):
-            err.write("repro: %s: %s\n"
-                      % (response.get("error", "error"),
-                         response.get("message", "")))
-            return EXIT_ERROR
-        out.write(json_mod.dumps(response["job"], indent=2,
-                                 sort_keys=True) + "\n")
-        return EXIT_OK
-    rows = client.jobs()["jobs"]
-    if args.json:
-        out.write(json_mod.dumps(rows, indent=2, sort_keys=True)
-                  + "\n")
-        return EXIT_OK
-    if not rows:
-        out.write("no jobs\n")
-        return EXIT_OK
-    for row in rows:
-        extra = ""
-        if "cycles" in row:
-            extra = " %d cycles%s" % (row["cycles"],
-                                      " (cached)"
-                                      if row.get("cached") else "")
-        elif "error" in row:
-            extra = " %s" % row["error"]
-        out.write("%-6s %-9s prio=%d attempts=%d preemptions=%d%s\n"
-                  % (row["job_id"], row["state"], row["priority"],
-                     row["attempts"], row["preemptions"], extra))
-    return EXIT_OK
-
-
 COMMANDS = {
     "translate": cmd_translate,
     "analyze": cmd_analyze,
     "check": cmd_check,
     "run": cmd_run,
     "bench": cmd_bench,
-    "serve": cmd_serve,
-    "submit": cmd_submit,
-    "jobs": cmd_jobs,
 }
 
 
@@ -925,9 +681,6 @@ def _fail(err, code, kind, exc):
 
 
 def main(argv=None, out=None, err=None):
-    from repro.serve.client import DaemonUnreachableError
-    from repro.serve.job import BackpressureError, ServeError
-
     out = out or sys.stdout
     err = err or sys.stderr
     args = build_parser().parse_args(argv)
@@ -942,12 +695,6 @@ def main(argv=None, out=None, err=None):
         return _fail(err, EXIT_PARSE, "parse error", exc)
     except SnapshotError as exc:
         return _fail(err, EXIT_PARSE, "bad snapshot", exc)
-    except DaemonUnreachableError as exc:
-        return _fail(err, EXIT_UNAVAILABLE, "daemon unavailable", exc)
-    except BackpressureError as exc:
-        return _fail(err, EXIT_TIMEOUT, "submission shed", exc)
-    except ServeError as exc:
-        return _fail(err, EXIT_ERROR, "job service error", exc)
     except (SimulationTimeout, WatchdogError,
             CommDeadlockError) as exc:
         return _fail(err, EXIT_TIMEOUT, "simulation timed out", exc)

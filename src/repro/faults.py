@@ -36,17 +36,6 @@ separates the two families):
     coordinator-bound IPC sends sleep ``seconds`` before transmitting
     (wall-clock only: simulated results are unaffected by design).
 
-One layer further up, two **service-level** kinds target the job
-service's worker processes (``repro serve --chaos``; see
-:class:`ServeFaultPlan`):
-
-``job_kill``
-    a job's worker process exits abruptly at the start of a chosen
-    attempt — the scheduler's retry policy must absorb it;
-``job_stall``
-    a job's worker sleeps ``seconds`` wall seconds before running —
-    deadline enforcement must detect and kill it.
-
 Faults are configured by a small textual spec (see
 :func:`parse_fault_spec`)::
 
@@ -100,14 +89,7 @@ IPC_DELAY = "ipc_delay"
 
 HOST_FAULT_KINDS = (WORKER_KILL, WORKER_STALL, IPC_DELAY)
 
-# Service-level kinds target the job service's worker processes
-# (repro.serve), one supervision layer above the parallel backend
-# (see ServeFaultPlan).
-JOB_KILL = "job_kill"
-JOB_STALL = "job_stall"
-
-SERVE_FAULT_KINDS = (JOB_KILL, JOB_STALL)
-ALL_FAULT_KINDS = FAULT_KINDS + HOST_FAULT_KINDS + SERVE_FAULT_KINDS
+ALL_FAULT_KINDS = FAULT_KINDS + HOST_FAULT_KINDS
 
 # Per-kind recognised parameters (beyond the common p= and seed=).
 _KIND_PARAMS = {
@@ -120,8 +102,6 @@ _KIND_PARAMS = {
     WORKER_KILL: ("shard", "at_tick"),
     WORKER_STALL: ("shard", "at_tick", "seconds"),
     IPC_DELAY: ("seconds",),
-    JOB_KILL: ("job", "attempt"),
-    JOB_STALL: ("job", "attempt", "seconds"),
 }
 
 # Parameters that keep their fractional part (wall-clock seconds);
@@ -255,20 +235,6 @@ def split_host_rules(rules):
     return chip_rules, host_rules
 
 
-def split_serve_rules(rules):
-    """Split a parsed rule list into ``(other_rules, serve_rules)``.
-
-    Serve rules feed a :class:`ServeFaultPlan` (attached to the job
-    scheduler); everything else passes through to the per-job
-    chip/host families.  The daemon's ``--chaos`` spec may mix all
-    three."""
-    other_rules, serve_rules = [], []
-    for rule in rules:
-        (serve_rules if rule.kind in SERVE_FAULT_KINDS
-         else other_rules).append(rule)
-    return other_rules, serve_rules
-
-
 def _flip_bits(value, rng, bit=None, bits=1):
     """Flip ``bits`` bits of a simulated memory word.  Integers flip
     within their low 32; floats within their IEEE-754 double image
@@ -321,13 +287,10 @@ class FaultInjector:
         for rule in self.rules:
             if rule.kind not in FAULT_KINDS:
                 raise FaultSpecError(
-                    "%s-level fault %r targets worker processes, "
-                    "not the chip; route it through a %s"
-                    % (("service", rule.kind, "ServeFaultPlan "
-                        "(CLI: repro serve --chaos)")
-                       if rule.kind in SERVE_FAULT_KINDS else
-                       ("host", rule.kind, "HostFaultPlan "
-                        "(CLI: --chaos, or --faults with --jobs)")))
+                    "host-level fault %r targets worker processes, "
+                    "not the chip; route it through a HostFaultPlan "
+                    "(CLI: --chaos, or --faults with --jobs)"
+                    % rule.kind)
         self.flip_rules = [
             (index, rule) for index, rule in enumerate(self.rules)
             if rule.kind in (MPB_FLIP, DRAM_FLIP)]
@@ -606,92 +569,6 @@ class HostFaultPlan:
     def __getstate__(self):
         # RNG streams are rebuilt lazily on the receiving side; the
         # fired set travels so delivered one-shots never re-fire.
-        return {"rules": self.rules, "fired": sorted(self.fired)}
-
-    def __setstate__(self, state):
-        self.__init__(state["rules"], fired=state["fired"])
-
-
-class ServeFaultPlan:
-    """Deterministic service-level chaos schedule for the job
-    service's worker processes (``repro.serve``).
-
-    One supervision layer above :class:`HostFaultPlan`: where host
-    chaos kills a *shard* worker inside one run, serve chaos kills (or
-    stalls) a whole *job* worker so the scheduler's deadline/retry/
-    preemption machinery is exercised deterministically.  Every rule
-    owns one pseudo-random stream per *job index* (seeded from
-    ``(rule seed, rule index, job index)``), decisions are drawn once
-    per (rule, job) at worker startup, and delivery is one-shot —
-    a job that was chaos-killed on attempt N runs clean on attempt
-    N+1 unless a rule names that later attempt explicitly.
-
-    Parameters: ``job`` (submission index the rule targets; omit for
-    every job), ``attempt`` (1-based attempt number the fault fires
-    on, default 1), ``seconds`` (stall duration for ``job_stall``,
-    default ``DEFAULT_STALL_SECONDS``).
-
-    The plan is pickled into every job worker; RNG streams rebuild
-    lazily on each side, and the scheduler feeds delivered one-shots
-    back via ``mark_fired`` so a retried worker never re-fires them.
-    """
-
-    def __init__(self, rules, fired=None):
-        if isinstance(rules, str):
-            rules = parse_fault_spec(rules)
-        self.rules = list(rules)
-        for rule in self.rules:
-            if rule.kind not in SERVE_FAULT_KINDS:
-                raise FaultSpecError(
-                    "fault %r cannot target job workers; only %s "
-                    "belong in a ServeFaultPlan"
-                    % (rule.kind, ", ".join(SERVE_FAULT_KINDS)))
-        self.fired = set(fired or ())
-
-    @property
-    def active(self):
-        return bool(self.rules)
-
-    def _rng(self, rule_index, job_index):
-        seed = self.rules[rule_index].seed
-        return random.Random(
-            (seed * 1_000_003 + rule_index * 97 + job_index)
-            & 0xFFFFFFFF)
-
-    def on_job_start(self, job_index, attempt=1):
-        """Kill/stall decisions at the start of ``attempt`` (1-based)
-        of submission ``job_index``'s worker.  Returns a list of
-        actions: ``("kill", rule_index)`` or
-        ``("stall", rule_index, seconds)``."""
-        actions = []
-        for index, rule in enumerate(self.rules):
-            victim = rule.params.get("job")
-            if victim is not None and victim != job_index:
-                continue
-            if attempt < rule.params.get("attempt", 1):
-                continue
-            key = (index, job_index)
-            if key in self.fired:
-                continue
-            if rule.p < 1.0 and \
-                    self._rng(index, job_index).random() >= rule.p:
-                continue
-            self.fired.add(key)
-            if rule.kind == JOB_KILL:
-                actions.append(("kill", index))
-            else:
-                actions.append(
-                    ("stall", index,
-                     rule.params.get("seconds",
-                                     DEFAULT_STALL_SECONDS)))
-        return actions
-
-    def mark_fired(self, rule_index, job_index):
-        """Scheduler-side bookkeeping: a worker reported delivering
-        one-shot fault ``rule_index`` on submission ``job_index``."""
-        self.fired.add((rule_index, job_index))
-
-    def __getstate__(self):
         return {"rules": self.rules, "fired": sorted(self.fired)}
 
     def __setstate__(self, state):

@@ -360,9 +360,7 @@ class MetricsRegistry:
 
 
 def render_snapshot_text(snapshot):
-    """Render a :meth:`MetricsRegistry.snapshot` dict (possibly taken
-    in another process — the serve daemon ships its snapshot to
-    ``repro serve --status`` over a socket) as one
+    """Render a :meth:`MetricsRegistry.snapshot` dict as one
     ``name{label=value,...} value`` line per series."""
     lines = []
     for section in ("counters", "gauges"):

@@ -151,7 +151,6 @@ class SkewBarrier:
         self.quantum_reconciliations = [0] * num_shards
         self.sync_reconciliations = [0] * num_shards
         self.max_skew = 0              # widest clock spread observed
-        self._unbind = None
 
     def _publish(self, shard, clock):
         self._clocks[shard] = clock
@@ -185,44 +184,6 @@ class SkewBarrier:
     def total_reconciliations(self):
         return (sum(self.quantum_reconciliations)
                 + sum(self.sync_reconciliations))
-
-    def bind(self, barrier, shard_of_rank):
-        """Chain onto ``barrier``'s ``on_round`` hook so every
-        :class:`ClockBarrier` round records per-shard sync
-        reconciliations and the published-clock skew.  Preserves any
-        hook already installed (checkpointing chains the same way)."""
-        previous = barrier.on_round
-
-        def on_round(rounds):
-            clocks = barrier.published_clocks()
-            with self._lock:
-                for rank, clock in clocks.items():
-                    shard = shard_of_rank(rank)
-                    self.sync_reconciliations[shard] += 1
-                    self._publish(shard, clock)
-            if previous is not None:
-                previous(rounds)
-
-        barrier.on_round = on_round
-
-        def unbind():
-            if barrier.on_round is on_round:
-                barrier.on_round = previous
-
-        self._unbind = unbind
-        return unbind
-
-    def merge(self, other):
-        """Fold a worker replica's counters into this (coordinator)
-        instance — strictly additive, plus the skew max."""
-        with self._lock:
-            for shard in range(self.num_shards):
-                self.quantum_reconciliations[shard] += \
-                    other.quantum_reconciliations[shard]
-                self.sync_reconciliations[shard] += \
-                    other.sync_reconciliations[shard]
-            if other.max_skew > self.max_skew:
-                self.max_skew = other.max_skew
 
 
 class TestAndSetRegisters:

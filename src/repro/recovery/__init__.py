@@ -1,7 +1,7 @@
 """The recovery layer: make seeded fault campaigns survivable.
 
-Four cooperating pieces close PR 3's inject -> detect loop with
-*recover*:
+Four cooperating pieces close the fault layer's inject -> detect loop
+with *recover*:
 
 * :mod:`repro.recovery.ecc` — SECDED-style scrubbing of flipped
   MPB/DRAM reads (correct single-bit, condemn multi-bit);
@@ -50,7 +50,7 @@ class RecoveryOptions:
 
     def __init__(self, ecc=False, retry=False, retry_policy=None,
                  scrub_cycles=None, checkpoint_path=None,
-                 checkpoint_every=1, restore=None, on_round=None):
+                 checkpoint_every=1, restore=None):
         self.ecc = ecc
         self.retry = retry
         self.retry_policy = retry_policy
@@ -58,10 +58,6 @@ class RecoveryOptions:
         self.checkpoint_path = checkpoint_path
         self.checkpoint_every = checkpoint_every
         self.restore = restore
-        # extra barrier quiesce hook, called as ``on_round(round_id)``
-        # after any checkpoint for that round is written — the job
-        # service's cooperative preemption point (repro.serve)
-        self.on_round = on_round
 
     @property
     def active(self):
@@ -77,7 +73,7 @@ class RecoveryOptions:
             scrub_cycles=self.scrub_cycles,
             checkpoint_path=self.checkpoint_path,
             checkpoint_every=self.checkpoint_every,
-            restore=restore, on_round=self.on_round)
+            restore=restore)
 
     def __repr__(self):
         return ("RecoveryOptions(ecc=%r, retry=%r, checkpoint=%r, "

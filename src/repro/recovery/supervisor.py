@@ -15,10 +15,7 @@ from repro.sim.watchdog import SimulationTimeout
 # Failures worth a supervised restart: one-shot crashes do not re-fire
 # on replay, and a hung attempt may have been wedged by the fault the
 # checkpoint predates.  Everything else (parse errors, divergence,
-# retry exhaustion — all deterministic under replay) fails fast.  The
-# job service (``repro.serve``) keys its retry policy on the same
-# taxonomy: a worker death is retried only when its cause is listed
-# here.
+# retry exhaustion — all deterministic under replay) fails fast.
 RESTARTABLE_ERRORS = (CoreCrashFault, SimulationTimeout,
                       UncorrectableECCError)
 

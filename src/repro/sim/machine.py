@@ -58,8 +58,9 @@ class Memory:
 
 class StackAllocator:
     """Bump allocator for one core's call stack inside its private
-    window.  Frames remember the stack pointer and restore it on exit
-    so recursion does not leak address space."""
+    window.  The compiled ``invoke`` saves the stack pointer on entry
+    and restores it on exit, so recursion does not leak address
+    space."""
 
     __slots__ = ("base", "size", "sp")
 
@@ -67,9 +68,6 @@ class StackAllocator:
         self.base = base
         self.size = size
         self.sp = base
-
-    def frame(self):
-        return _StackFrame(self)
 
     def alloc(self, nbytes, alignment=8):
         nbytes = max((nbytes + alignment - 1) // alignment * alignment,
@@ -83,21 +81,3 @@ class StackAllocator:
     @property
     def used(self):
         return self.sp - self.base
-
-
-class _StackFrame:
-    """Context manager restoring the stack pointer."""
-
-    __slots__ = ("allocator", "saved_sp")
-
-    def __init__(self, allocator):
-        self.allocator = allocator
-        self.saved_sp = allocator.sp
-
-    def __enter__(self):
-        self.saved_sp = self.allocator.sp
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.allocator.sp = self.saved_sp
-        return False

@@ -42,7 +42,7 @@ ranges per worker, applied in order).  For well-synchronized programs
 first place — this release/acquire shipping delivers exactly the
 values the sequential run would read.  Racy programs should run under
 the race detector, which (like every other incompatible feature)
-forces a loud downgrade to the shared-world thread backend.
+forces a loud downgrade to a sequential run.
 
 **Fault tolerance.**  The coordinator supervises its workers: every
 control-pipe message is a heartbeat, worker process exit (EOF without
@@ -61,7 +61,7 @@ engine.  Deterministic host-level chaos (``worker_kill`` /
 ``worker_stall`` / ``ipc_delay``) comes from
 :class:`repro.faults.HostFaultPlan`; an exhausted restart budget
 raises :class:`~repro.sim.watchdog.ShardRestartsExhaustedError`,
-which ``run_rcce`` converts into a graceful thread-backend downgrade.
+which ``run_rcce`` converts into a graceful sequential rerun.
 """
 
 import multiprocessing
@@ -193,10 +193,9 @@ class ShardPlan:
 
 
 def parallel_collector(skew, jobs, respawns=None):
-    """Build the ``sim.parallel`` metrics collector — shared by the
-    process backend and the thread backend so both report the same
-    sample shapes.  ``respawns`` (shard -> count) adds the process
-    backend's supervision counters."""
+    """Build the process backend's ``sim.parallel`` metrics
+    collector.  ``respawns`` (shard -> count) adds the supervision
+    counters."""
 
     def collect():
         samples = [
@@ -222,10 +221,10 @@ def parallel_collector(skew, jobs, respawns=None):
     return collect
 
 
-def parallel_stats(backend, skew, jobs, **extra):
-    """The ``stats["parallel"]`` block both backends report."""
+def parallel_stats(skew, jobs, **extra):
+    """The ``stats["parallel"]`` block of a process-backend run."""
     stats = {
-        "backend": backend,
+        "backend": "process",
         "jobs": jobs,
         "quantum": skew.quantum,
         "reconciliations": skew.total_reconciliations(),
@@ -695,7 +694,7 @@ def _worker_main(shard, ranks, source, num_ues, core_map, config,
         try:
             signal.signal(signum, signal.SIG_DFL)
         except ValueError:
-            break  # not the main thread (thread-backend tests)
+            break  # not the main thread: keep the inherited one
     try:
         from repro.sim.compile import warm_process_cache
         unit = warm_process_cache(source)
@@ -1267,7 +1266,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
 
     ``source`` must be the program's *source text* (workers re-parse it
     through the shared sha256 memo); the caller (``run_rcce``) already
-    downgrades pre-parsed units to the thread backend.
+    runs pre-parsed units sequentially.
 
     Shard supervision: each worker is watched through its process
     sentinel (death) and its control-pipe heartbeat (hangs).  A dead
@@ -1275,7 +1274,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
     exponential backoff and replayed to its crash point from the
     coordinator's quantum-aligned :class:`ShardCheckpoint`; an
     exhausted budget raises :class:`ShardRestartsExhaustedError` (the
-    caller downgrades to the thread backend).  ``chaos`` takes a
+    caller reruns the program sequentially).  ``chaos`` takes a
     :class:`~repro.faults.HostFaultPlan` or host-fault spec string;
     ``watchdog`` maps a sequential :class:`~repro.sim.watchdog.
     Watchdog`'s lock/barrier timeouts onto the coordinator's
@@ -1688,8 +1687,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
             "controllers": {index: (stats.reads, stats.writes)
                             for index, stats
                             in chip.controller_stats().items()},
-            "parallel": parallel_stats("process", skew, plan.jobs,
-                                       **extra),
+            "parallel": parallel_stats(skew, plan.jobs, **extra),
         },
         metrics=metrics,
         diagnostics=diagnostics)

@@ -39,7 +39,6 @@ from repro.faults import (
 from repro.obs.attribution import AttributionEngine
 from repro.race import RaceDetector
 from repro.rcce.api import RCCEWorld
-from repro.rcce.sync import SkewBarrier
 from repro.recovery import (
     CheckpointManager,
     ECCScrubber,
@@ -53,7 +52,7 @@ from repro.recovery import (
     StateProbe,
     load_snapshot,
 )
-from repro.recovery.supervisor import RESTARTABLE_ERRORS  # noqa: F401
+from repro.recovery.supervisor import RESTARTABLE_ERRORS
 from repro.scc.chip import SCCChip
 from repro.scc.config import Table61Config
 from repro.sim.compile import compile_unit
@@ -176,27 +175,23 @@ def _source_sha(program):
     return None
 
 
-def _resolve_parallel_backend(backend, jobs, program, injector,
-                              detector, attr, recovery, chip):
-    """Pick the parallel backend actually used for ``jobs > 1``;
-    returns ``(backend, warning)``.
+def _resolve_host_path(jobs, program, injector, detector, attr,
+                       recovery, chip):
+    """Pick the run's one host path — the process backend or a
+    sequential run; returns ``(use_process, warning)``.
 
     The process backend shards chip replicas across worker processes,
     so every feature that needs one shared live world — fault
     injection, the race detector, cycle attribution, recovery,
     event tracing — and pre-parsed program units (workers re-parse
-    source) force the shared-world *thread* backend instead.  This
-    happens loudly: a warning :class:`Diagnostic` the CLI prints (and
-    refuses under ``--strict``), never silently.  The watchdog no
-    longer forces a downgrade: the parallel coordinator sees every
-    sync wait, so it maps the watchdog's lock/barrier timeouts onto
-    its own parked/wall-clock supervision."""
+    source) force a sequential run instead.  This happens loudly: a
+    warning :class:`Diagnostic` the CLI prints (and refuses under
+    ``--strict``), never silently.  The watchdog does not force a
+    downgrade: the parallel coordinator sees every sync wait, so it
+    maps the watchdog's lock/barrier timeouts onto its own
+    parked/wall-clock supervision."""
     if jobs <= 1:
-        return "none", None
-    if backend not in ("process", "thread"):
-        raise ValueError("unknown parallel backend %r" % (backend,))
-    if backend == "thread":
-        return "thread", None
+        return False, None
     reasons = []
     if not isinstance(program, str):
         reasons.append("a pre-parsed program unit")
@@ -211,30 +206,12 @@ def _resolve_parallel_backend(backend, jobs, program, injector,
     if chip.events.enabled:
         reasons.append("event tracing")
     if not reasons:
-        return "process", None
-    return "thread", Diagnostic.warning(
+        return True, None
+    return False, Diagnostic.warning(
         "simulate",
-        "jobs=%d requested but %s requires the shared-world thread "
-        "backend; running with backend 'thread' (verified "
-        "cycle-identical)" % (jobs, " and ".join(reasons)))
-
-
-def _install_quantum_hook(interp, skew, shard, chip):
-    """Thread-backend lax sync: publish this interpreter's clock at
-    every quantum boundary.  Bookkeeping only — cycles are untouched,
-    so runs stay byte-identical for any quantum."""
-    events = chip.events
-
-    def hook(i, _skew=skew, _shard=shard, _events=events,
-             _pid=chip.trace_pid):
-        deadline = _skew.note_quantum(_shard, i.cycles)
-        if _events.enabled:
-            _events.instant(i.core_id, i.cycles, "quantum_sync",
-                            "parallel", {"shard": _shard}, pid=_pid)
-        return deadline
-
-    interp._quantum_hook = hook
-    interp._quantum_deadline = skew.quantum
+        "jobs=%d requested but the process backend cannot shard a run "
+        "with %s; running sequentially (jobs=1)"
+        % (jobs, " and ".join(reasons)))
 
 
 def _timeout_from(exc, interpreters, ranks=None):
@@ -350,18 +327,17 @@ class _CoreError:
 def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
              max_steps=200_000_000, faults=None,
              watchdog=None, recovery=None, race=None, attribution=None,
-             jobs=1, quantum=None, parallel_backend="process",
+             jobs=1, quantum=None,
              chaos=None, shard_restarts=None, heartbeat_timeout=None):
     """Run a translated RCCE program on ``num_ues`` simulated cores.
 
-    ``jobs > 1`` shards the simulated cores over host workers with
-    Graphite-style lax clock sync (see ``repro.sim.parallel``):
-    processes under the default ``parallel_backend="process"`` — or
-    host threads (``"thread"``), which every feature composes with and
-    which incompatible-feature runs downgrade to, loudly.  ``quantum``
-    is the lax-sync reconciliation interval in simulated cycles.
-    Cycles and outputs are byte-identical to ``jobs=1`` for any shard
-    count and any quantum.
+    ``jobs > 1`` shards the simulated cores over host worker processes
+    with Graphite-style lax clock sync (see ``repro.sim.parallel``);
+    ``quantum`` is the lax-sync reconciliation interval in simulated
+    cycles.  Cycles and outputs are byte-identical to ``jobs=1`` for
+    any shard count and any quantum.  A run the process backend cannot
+    take (see :func:`_resolve_host_path`) runs sequentially,
+    with one warning diagnostic.
 
     ``chaos`` injects deterministic *host-level* faults into the
     process backend's workers (kill/stall/IPC delay; a
@@ -369,8 +345,8 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     clauses inside ``faults`` are routed there too.  ``shard_restarts``
     bounds per-shard respawns (default 2) and ``heartbeat_timeout``
     bounds a worker's silence before it is declared stalled.  When the
-    restart budget runs out the run degrades — loudly — to the thread
-    backend and re-runs from the beginning.
+    restart budget runs out the run degrades — loudly — to a
+    sequential run from the beginning.
     """
     unit = _as_unit(program)
     config = config or Table61Config()
@@ -398,15 +374,14 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     if recovery is not None and not recovery.active:
         recovery = None
     diagnostics = []
-    backend, parallel_downgrade = _resolve_parallel_backend(
-        parallel_backend, jobs, program, injector, detector, attr,
-        recovery, chip)
+    use_process, parallel_downgrade = _resolve_host_path(
+        jobs, program, injector, detector, attr, recovery, chip)
     if parallel_downgrade is not None:
         diagnostics.append(parallel_downgrade)
     degraded_report = None
-    if backend == "process":
+    if use_process:
         # nothing below composes with sharded worker processes (that
-        # is exactly what _resolve_parallel_backend just checked), so
+        # is exactly what _resolve_host_path just checked), so
         # hand the whole run to the process backend; the parse above
         # already surfaced any front-end error in this process
         from repro.sim.parallel import run_rcce_parallel
@@ -419,32 +394,22 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                 shard_restarts=shard_restarts, chaos=chaos_plan,
                 watchdog=watchdog)
         except ShardRestartsExhaustedError as exc:
-            # the graceful rung below hard failure: finish the run on
-            # the shared-world thread backend, from the beginning
+            # the graceful rung below hard failure: rerun the whole
+            # program sequentially, from the beginning
             diagnostics.append(Diagnostic.warning(
                 "simulate",
-                "%s; degraded to the thread backend and re-ran from "
+                "%s; degraded to sequential (jobs=1) and re-ran from "
                 "the beginning (verified cycle-identical)" % exc))
             degraded_report = exc.report
             if degraded_report is not None:
                 diagnostics.extend(degraded_report.diagnostics())
-            backend = "thread"
             chaos_plan = None  # host faults died with the workers
     if chaos_plan is not None:
         diagnostics.append(Diagnostic.warning(
             "simulate",
             "host chaos targets the process backend's workers; this "
-            "run uses %s, so the chaos plan is ignored"
-            % ("the thread backend" if backend == "thread"
-               else "no worker processes (jobs=1)")))
-    plan = skew = None
-    if backend == "thread":
-        from repro.sim.parallel import ShardPlan, parallel_collector
-        plan = ShardPlan(num_ues, jobs)
-        skew = SkewBarrier(plan.jobs,
-                           quantum or SkewBarrier.DEFAULT_QUANTUM)
-        chip.metrics.register_collector(
-            "sim.parallel", parallel_collector(skew, plan.jobs))
+            "run uses no worker processes (jobs=1), so the chaos plan "
+            "is ignored"))
     if injector is not None:
         injector.attach(chip)
     if detector is not None:
@@ -487,23 +452,15 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
         if recovery.checkpoint_path:
             manager = CheckpointManager(recovery.checkpoint_path,
                                         recovery.checkpoint_every)
-    extra_round_hook = recovery.on_round if recovery is not None \
-        else None
-    if manager is not None or verifier is not None \
-            or extra_round_hook is not None:
+    if manager is not None or verifier is not None:
+        probe = StateProbe(chip, world, memory, interpreters, ranks,
+                           num_ues, world.core_map,
+                           source_sha=_source_sha(program))
         hooks = []
-        if manager is not None or verifier is not None:
-            probe = StateProbe(chip, world, memory, interpreters,
-                               ranks, num_ues, world.core_map,
-                               source_sha=_source_sha(program))
-            if verifier is not None:
-                hooks.append(verifier.bind(probe).on_round)
-            if manager is not None:
-                hooks.append(manager.bind(probe).on_round)
-        if extra_round_hook is not None:
-            # after verifier/manager: a preemption raised here sees
-            # the round's checkpoint already on disk
-            hooks.append(extra_round_hook)
+        if verifier is not None:
+            hooks.append(verifier.bind(probe).on_round)
+        if manager is not None:
+            hooks.append(manager.bind(probe).on_round)
         if len(hooks) == 1:
             world.barrier.on_round = hooks[0]
         else:
@@ -511,9 +468,6 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                 for hook in _hooks:
                     hook(round_id)
             world.barrier.on_round = barrier_round
-    if skew is not None:
-        # after the recovery hooks: bind() chains, preserving them
-        skew.bind(world.barrier, plan.shard_of.__getitem__)
 
     def core_main(rank):
         try:
@@ -522,9 +476,6 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                                  runtime, max_steps)
             ranks[interp.core_id] = rank
             interpreters.append(interp)
-            if skew is not None:
-                _install_quantum_hook(interp, skew,
-                                      plan.shard_of[rank], chip)
             try:
                 interp.run_main()
             except ThreadExit:
@@ -587,9 +538,6 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                         for index, stats
                         in chip.controller_stats().items()},
     }
-    if skew is not None:
-        from repro.sim.parallel import parallel_stats
-        stats["parallel"] = parallel_stats("thread", skew, plan.jobs)
     result = RunResult(
         total, config, outputs,
         per_core_cycles=per_core,
@@ -611,9 +559,7 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
                         max_steps=200_000_000,
                         faults=None, recovery=None, max_restarts=1,
                         chip_factory=None, watchdog_factory=None,
-                        race=None, attribution=None, jobs=1,
-                        quantum=None, shard_restarts=None,
-                        heartbeat_timeout=None):
+                        race=None, attribution=None, jobs=1):
     """Run an RCCE program under a restarting supervisor.
 
     The run checkpoints at barrier rounds
@@ -659,9 +605,7 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
                 core_map=core_map, max_steps=max_steps,
                 faults=injector, watchdog=watchdog, recovery=options,
                 race=attempt_race, attribution=attribution,
-                jobs=jobs, quantum=quantum,
-                shard_restarts=shard_restarts,
-                heartbeat_timeout=heartbeat_timeout)
+                jobs=jobs)
         except RESTARTABLE_ERRORS as exc:
             if attempt >= max_restarts:
                 exc.recovery_report = report

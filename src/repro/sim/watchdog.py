@@ -95,8 +95,8 @@ class WorkerStallError(HostFaultError):
 class ShardRestartsExhaustedError(HostFaultError):
     """A shard died or stalled more times than the restart budget
     allows.  ``report`` carries the :class:`~repro.recovery.supervisor.
-    RecoveryReport` of every attempt; the runner degrades to the
-    thread backend instead of letting this escape."""
+    RecoveryReport` of every attempt; the runner reruns the program
+    sequentially instead of letting this escape."""
 
     def __init__(self, message, shard=None, report=None):
         super().__init__(message, shard=shard)

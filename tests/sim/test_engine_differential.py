@@ -476,21 +476,34 @@ def test_process_backend_quantum_invariant(quantum):
        quantum=st.sampled_from([1_000, 7_919, 50_000, 1_000_000]))
 @settings(max_examples=12, deadline=None)
 def test_parallel_invariance_property(name, jobs, quantum):
-    """Property (ISSUE 7 satellite): no (jobs, quantum) point changes
-    cycles, outputs, or attribution conservation.  Attribution forces
-    the thread backend, so this also pins the downgrade path and the
-    SkewBarrier bookkeeping it shares with the process backend."""
+    """Property: no (jobs, quantum) point changes cycles or outputs;
+    every jobs > 1 point runs on the process backend."""
     chip = tiny_chip()
     result = run_rcce(_parallel_source(name), 4, chip.config, chip,
-                      max_steps=50_000_000, jobs=jobs, quantum=quantum,
-                      attribution=True)
+                      max_steps=50_000_000, jobs=jobs, quantum=quantum)
     assert _parallel_signature(result) == _parallel_baseline(name)
+    if jobs > 1:
+        assert result.stats["parallel"]["backend"] == "process"
+        assert result.stats["parallel"]["quantum"] == quantum
+        assert not result.diagnostics
+
+
+def test_parallel_attribution_runs_sequentially():
+    """Attribution needs one shared world: a jobs > 1 request runs
+    sequentially with one warning, and the breakdown still conserves
+    every core's cycles."""
+    chip = tiny_chip()
+    result = run_rcce(_parallel_source("dot"), 4, chip.config, chip,
+                      max_steps=50_000_000, jobs=2, attribution=True)
+    assert _parallel_signature(result) == _parallel_baseline("dot")
+    assert "parallel" not in result.stats
     for core, classes in result.attribution.per_core.items():
         assert sum(classes.values()) == result.per_core_cycles[core]
-    if jobs > 1:
-        assert result.stats["parallel"]["backend"] == "thread"
-        assert any("thread backend" in diagnostic.format()
-                   for diagnostic in result.diagnostics)
+    warnings = [d.format() for d in result.diagnostics
+                if d.severity == "warning"]
+    assert len(warnings) == 1
+    assert "cycle attribution" in warnings[0]
+    assert "running sequentially (jobs=1)" in warnings[0]
 
 
 def test_attribution_identical_across_engines():

@@ -244,6 +244,28 @@ class TestFunctions:
         assert value == 50
         # the stack pointer must have been restored every call
         assert interp.stack.used < 100 * 4 * 50
+        # an early return from inside nested loops unwinds through the
+        # call's frame restore too
+        source = """
+        int find(int target) {
+            int big[100];
+            for (int i = 0; i < 10; i++) {
+                for (int j = 0; j < 10; j++) {
+                    big[i * 10 + j] = i * 10 + j;
+                    if (big[i * 10 + j] == target) return i;
+                }
+            }
+            return -1;
+        }
+        int main(void) {
+            int total = 0;
+            for (int k = 0; k < 50; k++) total += find(42);
+            return total;
+        }
+        """
+        value, interp = run(source)
+        assert value == 4 * 50
+        assert interp.stack.used < 100 * 4 * 50
 
     def test_undefined_function_raises(self):
         with pytest.raises(InterpreterError):

@@ -52,33 +52,6 @@ class TestStackAllocator:
         addr = stack.alloc(8)
         assert addr % 8 == 0
 
-    def test_frame_restores(self):
-        stack = StackAllocator(0x1000, 256)
-        stack.alloc(16)
-        before = stack.sp
-        with stack.frame():
-            stack.alloc(64)
-            assert stack.sp > before
-        assert stack.sp == before
-
-    def test_nested_frames(self):
-        stack = StackAllocator(0x1000, 1024)
-        with stack.frame():
-            stack.alloc(100)
-            mid = stack.sp
-            with stack.frame():
-                stack.alloc(100)
-            assert stack.sp == mid
-        assert stack.used == 0
-
-    def test_frame_restores_on_exception(self):
-        stack = StackAllocator(0x1000, 256)
-        with pytest.raises(RuntimeError):
-            with stack.frame():
-                stack.alloc(32)
-                raise RuntimeError("boom")
-        assert stack.used == 0
-
     def test_overflow(self):
         stack = StackAllocator(0x1000, 64)
         with pytest.raises(MemoryError):

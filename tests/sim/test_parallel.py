@@ -84,6 +84,15 @@ def _signature(result):
             result.stdout())
 
 
+def _assert_one_downgrade(result, reason):
+    """Exactly one warning: the sequential downgrade, naming why."""
+    warnings = [d.format() for d in result.diagnostics
+                if d.severity == "warning"]
+    assert len(warnings) == 1, warnings
+    assert reason in warnings[0]
+    assert "running sequentially (jobs=1)" in warnings[0]
+
+
 # -- shard planning -----------------------------------------------------------
 
 
@@ -200,31 +209,21 @@ class TestBackendSelection:
             run_pthread_single_core("int main(void) { return 0; }",
                                     jobs=-1)
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            run_rcce(RING_SOURCE, 4, jobs=2, parallel_backend="gpu")
-
-    def test_preparsed_unit_downgrades_to_thread(self):
+    def test_preparsed_unit_runs_sequentially(self):
         from repro.cfront.frontend import parse_program
         unit = parse_program(RING_SOURCE)
         result = run_rcce(unit, 4, jobs=2)
-        assert result.stats["parallel"]["backend"] == "thread"
-        assert any("thread backend" in diagnostic.format()
-                   for diagnostic in result.diagnostics)
+        assert _signature(result) == _signature(run_rcce(unit, 4))
+        assert "parallel" not in result.stats
+        _assert_one_downgrade(result, "a pre-parsed program unit")
 
-    def test_race_downgrades_to_thread(self):
+    def test_race_runs_sequentially(self):
         result = run_rcce(RING_SOURCE, 4, jobs=2, race=True)
-        assert result.stats["parallel"]["backend"] == "thread"
+        baseline = run_rcce(RING_SOURCE, 4, race=True)
+        assert _signature(result) == _signature(baseline)
+        assert "parallel" not in result.stats
         assert result.race is not None
-        messages = [d.format() for d in result.diagnostics]
-        assert any("race detection" in m for m in messages)
-
-    def test_thread_backend_matches_sequential(self):
-        baseline = _signature(run_rcce(RING_SOURCE, 4))
-        result = run_rcce(RING_SOURCE, 4, jobs=2,
-                          parallel_backend="thread")
-        assert _signature(result) == baseline
-        assert result.stats["parallel"]["backend"] == "thread"
+        _assert_one_downgrade(result, "race detection")
 
     def test_pthread_jobs_warns_and_runs_sequentially(self):
         source = "int main(void) { return 0; }"
@@ -243,7 +242,7 @@ def test_parallel_stats_shape():
     skew = SkewBarrier(2, 1234)
     skew.note_quantum(0, 500)
     skew.note_sync(1, 700)
-    stats = parallel_stats("process", skew, 2, start_method="fork")
+    stats = parallel_stats(skew, 2, start_method="fork")
     assert stats["backend"] == "process"
     assert stats["jobs"] == 2
     assert stats["quantum"] == 1234

@@ -6,7 +6,7 @@ schedule, :class:`ShardCheckpoint` verified-replay bookkeeping, and —
 the headline contract — byte-identity to the sequential engine after
 workers are killed or stalled at arbitrary quantum ticks, including
 hypothesis-driven random kill schedules.  The exhausted-restart-budget
-degradation ladder (process -> thread, loudly) is pinned here too.
+degradation ladder (process -> sequential, loudly) is pinned here too.
 """
 
 import pickle
@@ -331,18 +331,22 @@ class TestRestartBudget:
         failure = error.report.failures[-1]
         assert failure["restored_from_round"] is None
 
-    def test_run_rcce_degrades_to_thread_backend(self):
+    def test_run_rcce_degrades_to_sequential(self):
         result = run_rcce(CHAOS_SOURCE, 4, jobs=2, quantum=QUANTUM,
                           chaos="worker_kill:at_tick=1",
                           shard_restarts=0)
         assert _signature(result) == _baseline()
-        assert result.stats["parallel"]["backend"] == "thread"
+        # the rerun is an ordinary jobs=1 run: no parallel stats block
+        assert "parallel" not in result.stats
         messages = [d.format() for d in result.diagnostics
                     if d.severity == "warning"]
-        assert any("degraded to the thread backend" in m
-                   for m in messages)
+        degraded = [m for m in messages
+                    if "degraded to sequential (jobs=1)" in m]
+        assert len(degraded) == 1
+        assert "restart budget" in degraded[0]
         assert any("restart budget exhausted" in m for m in messages)
         assert result.recovery is not None
+        assert result.recovery.failures
         assert not result.recovery.recovered
 
     def test_budget_spent_then_success_reports_recovered(self):
@@ -351,14 +355,15 @@ class TestRestartBudget:
         assert result.recovery.recovered
         assert result.recovery.max_restarts == 1
 
-    def test_chaos_ignored_on_thread_backend_warns(self):
-        result = run_rcce(CHAOS_SOURCE, 4, jobs=2,
-                          parallel_backend="thread",
+    def test_chaos_ignored_at_jobs_1_warns(self):
+        result = run_rcce(CHAOS_SOURCE, 4, jobs=1,
                           chaos="worker_kill")
         assert _signature(result) == _baseline()
-        assert any("chaos" in d.format()
-                   for d in result.diagnostics
-                   if d.severity == "warning")
+        warnings = [d.format() for d in result.diagnostics
+                    if d.severity == "warning"]
+        assert len(warnings) == 1
+        assert "chaos plan is ignored" in warnings[0]
+        assert "jobs=1" in warnings[0]
 
 
 # -- watchdog composition (the lifted downgrade) ------------------------------
@@ -370,7 +375,7 @@ class TestWatchdogComposition:
                           watchdog=Watchdog())
         assert _signature(result) == _baseline()
         assert result.stats["parallel"]["backend"] == "process"
-        assert not any("thread backend" in d.format()
+        assert not any("sequential" in d.format()
                        for d in result.diagnostics)
 
     def test_watchdog_timeouts_bound_parked_waits(self):

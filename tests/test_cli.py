@@ -371,7 +371,8 @@ class TestParallelFlags:
              "--jobs", "2", "--race"])
         assert code == 0
         assert "warning" in err
-        assert "thread backend" in err
+        assert "race detection" in err
+        assert "running sequentially (jobs=1)" in err
 
     def test_incompatible_feature_exits_2_under_strict(
             self, example_file):
@@ -380,6 +381,7 @@ class TestParallelFlags:
              "--jobs", "2", "--race", "--strict"])
         assert code == 2
         assert "--race" in err
+        assert "sequential (jobs=1)" in err
 
     def test_native_program_runs_sharded(self, tmp_path):
         path = tmp_path / "native.c"
@@ -487,7 +489,7 @@ class TestChaosFlags:
              "--shard-restarts", "0"])
         assert code == 0
         assert (code, out) == baseline
-        assert "degraded to the thread backend" in err
+        assert "degraded to sequential (jobs=1)" in err
         assert "restart budget" in err
 
     def test_exhausted_budget_exits_2_under_strict(self, chaos_file):
@@ -498,6 +500,7 @@ class TestChaosFlags:
              "--shard-restarts", "0", "--strict"])
         assert code == 2
         assert "--strict" in err
+        assert "degraded to sequential (jobs=1)" in err
         assert "--shard-restarts" in err
 
     def test_watchdog_with_jobs_no_longer_downgrades(
@@ -506,7 +509,7 @@ class TestChaosFlags:
             ["run", chaos_file, "--mode", "rcce", "--ues", "4",
              "--jobs", "2", "--watchdog-timeout", "30", "--strict"])
         assert code == 0
-        assert "thread backend" not in err
+        assert "sequential" not in err
 
     def test_parallel_deadlock_names_rank_and_site(self, tmp_path):
         path = tmp_path / "recv_deadlock.c"
