@@ -25,11 +25,7 @@ from repro.bench.harness import ExperimentHarness
 from repro.cfront.errors import CFrontError
 from repro.core.framework import TranslationFramework
 from repro.core.reports import format_table, table_4_1, table_4_2
-from repro.faults import (
-    FaultSpecError,
-    HostFaultPlan,
-    parse_fault_spec,
-)
+from repro.faults import FaultSpecError, parse_fault_spec
 from repro.obs.export import write_chrome_trace, write_metrics_json
 from repro.obs.profile import PipelineProfiler
 from repro.obs.tracer import EventTracer
@@ -191,24 +187,6 @@ def build_parser():
                      metavar="SECONDS",
                      help="wall-clock bound for any single lock or "
                      "barrier wait (default: 30s locks, 600s barriers)")
-    run.add_argument("--chaos", default=None, metavar="SPEC",
-                     help="inject deterministic host-level faults "
-                     "into the --jobs worker processes, e.g. "
-                     "'worker_kill:at_tick=3,seed=7;"
-                     "ipc_delay:seconds=0.001' (kinds: worker_kill, "
-                     "worker_stall, ipc_delay; see "
-                     "docs/robustness.md)")
-    run.add_argument("--shard-restarts", type=int, default=2,
-                     metavar="N",
-                     help="respawn a dead or stalled --jobs worker "
-                     "up to N times per shard, replaying it to its "
-                     "crash point (default 2; 0 disables shard "
-                     "supervision)")
-    run.add_argument("--heartbeat-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="declare a --jobs worker stalled (and "
-                     "respawn it) after this much wall-clock silence "
-                     "(default 30s)")
     _framework_args(run)
 
     bench = sub.add_parser("bench", help="regenerate a paper figure")
@@ -431,24 +409,6 @@ def cmd_run(args, out, err):
         err.write("repro: --quantum must be a positive cycle count "
                   "(got %d)\n" % quantum)
         return EXIT_USAGE
-    chaos = getattr(args, "chaos", None) or None
-    if chaos is not None:
-        try:
-            # host-only validation up front: a chip-level kind in
-            # --chaos is a usage error, not a simulation failure
-            HostFaultPlan(chaos)
-        except FaultSpecError as exc:
-            return _fail(err, EXIT_USAGE, "bad --chaos spec", exc)
-    shard_restarts = getattr(args, "shard_restarts", 2)
-    if shard_restarts < 0:
-        err.write("repro: --shard-restarts must be >= 0 (got %d)\n"
-                  % shard_restarts)
-        return EXIT_USAGE
-    heartbeat_timeout = getattr(args, "heartbeat_timeout", None)
-    if heartbeat_timeout is not None and heartbeat_timeout <= 0:
-        err.write("repro: --heartbeat-timeout must be positive "
-                  "(got %g)\n" % heartbeat_timeout)
-        return EXIT_USAGE
     recover_on = getattr(args, "recover", False)
     max_restarts = getattr(args, "max_restarts", 0)
     checkpoint_every = getattr(args, "checkpoint_every", 0)
@@ -582,23 +542,20 @@ def cmd_run(args, out, err):
             rcce = run_rcce(unit, args.ues, chip.config, chip,
                             max_steps=args.max_steps, faults=faults,
                             watchdog=watchdog, recovery=recovery,
-                            race=race_on, jobs=jobs, quantum=quantum,
-                            chaos=chaos,
-                            shard_restarts=shard_restarts,
-                            heartbeat_timeout=heartbeat_timeout)
+                            race=race_on, jobs=jobs, quantum=quantum)
         snapshots["rcce"] = rcce.metrics
         for diagnostic in rcce.diagnostics:
             err.write(diagnostic.format() + "\n")
         if getattr(args, "strict", False) and any(
                 "degraded to sequential" in d.message
                 for d in rcce.diagnostics if d.severity == "warning"):
-            # the process backend's restart budget ran out mid-run;
-            # the graceful sequential rerun succeeded, but under
-            # --strict a silent backend swap is a usage failure
+            # a worker process died or stalled mid-run; the
+            # sequential rerun succeeded, but under --strict a backend
+            # swap is a usage failure
             err.write("repro: --strict: --jobs %d degraded to "
-                      "sequential (jobs=1) after exhausting its shard "
-                      "restart budget; raise --shard-restarts or "
-                      "drop --strict\n" % jobs)
+                      "sequential (jobs=1) after a worker process died "
+                      "or stalled; drop --strict to accept the "
+                      "sequential rerun\n" % jobs)
             return EXIT_USAGE
         if rcce.race is not None:
             race_reports["rcce"] = rcce.race

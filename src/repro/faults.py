@@ -20,28 +20,11 @@ module perturbs the simulated chip on demand:
     a core dies (raises :class:`CoreCrashFault`) once it passes a
     chosen cycle.
 
-Beyond the chip-level kinds above, three **host-level** kinds target
-the *worker processes* of the parallel backend (``repro.sim.parallel``)
-rather than the simulated hardware — the CLI takes them via
-``--chaos`` (or mixed into ``--faults``; :func:`split_host_rules`
-separates the two families):
-
-``worker_kill``
-    a shard's worker process exits abruptly (``os._exit``) at a chosen
-    quantum tick — recovery must replay it;
-``worker_stall``
-    a shard's worker process sleeps ``seconds`` wall seconds at a
-    chosen quantum tick — the heartbeat supervisor must detect it;
-``ipc_delay``
-    coordinator-bound IPC sends sleep ``seconds`` before transmitting
-    (wall-clock only: simulated results are unaffected by design).
-
 Faults are configured by a small textual spec (see
 :func:`parse_fault_spec`)::
 
     mpb_flip:p=1e-6,seed=7
     mesh_drop:p=0.01,seed=3;core_stall:core=2,at=50000,cycles=8000
-    worker_kill:shard=1,at_tick=3;ipc_delay:p=0.1,seconds=0.002
 
 **Determinism contract.**  Every rule owns one pseudo-random stream
 *per core*, seeded from ``(rule seed, rule index, core id)``.  A core's
@@ -81,16 +64,6 @@ CORE_CRASH = "core_crash"
 FAULT_KINDS = (MPB_FLIP, DRAM_FLIP, MESH_DELAY, MESH_DROP, CORE_STALL,
                CORE_CRASH)
 
-# Host-level kinds target the parallel backend's worker processes, not
-# the simulated chip (see HostFaultPlan).
-WORKER_KILL = "worker_kill"
-WORKER_STALL = "worker_stall"
-IPC_DELAY = "ipc_delay"
-
-HOST_FAULT_KINDS = (WORKER_KILL, WORKER_STALL, IPC_DELAY)
-
-ALL_FAULT_KINDS = FAULT_KINDS + HOST_FAULT_KINDS
-
 # Per-kind recognised parameters (beyond the common p= and seed=).
 _KIND_PARAMS = {
     MPB_FLIP: ("bit", "bits"),
@@ -99,19 +72,10 @@ _KIND_PARAMS = {
     MESH_DROP: (),
     CORE_STALL: ("core", "at", "cycles"),
     CORE_CRASH: ("core", "at"),
-    WORKER_KILL: ("shard", "at_tick"),
-    WORKER_STALL: ("shard", "at_tick", "seconds"),
-    IPC_DELAY: ("seconds",),
 }
-
-# Parameters that keep their fractional part (wall-clock seconds);
-# everything else is a cycle count / index and coerces to int.
-_FLOAT_PARAMS = frozenset(["seconds"])
 
 DEFAULT_DELAY_CYCLES = 50
 DEFAULT_STALL_CYCLES = 10_000
-DEFAULT_STALL_SECONDS = 30.0
-DEFAULT_IPC_DELAY_SECONDS = 0.001
 
 
 class FaultSpecError(ValueError):
@@ -133,10 +97,10 @@ class FaultRule:
     __slots__ = ("kind", "p", "seed", "params")
 
     def __init__(self, kind, p=1.0, seed=0, params=None):
-        if kind not in ALL_FAULT_KINDS:
+        if kind not in FAULT_KINDS:
             raise FaultSpecError(
                 "unknown fault kind %r (choose from %s)"
-                % (kind, ", ".join(ALL_FAULT_KINDS)))
+                % (kind, ", ".join(FAULT_KINDS)))
         if not 0.0 <= p <= 1.0:
             raise FaultSpecError("probability p=%r outside [0, 1]" % p)
         self.kind = kind
@@ -183,10 +147,10 @@ def parse_fault_spec(spec):
             continue
         kind, _, tail = clause.partition(":")
         kind = kind.strip()
-        if kind not in ALL_FAULT_KINDS:
+        if kind not in FAULT_KINDS:
             raise FaultSpecError(
                 "unknown fault kind %r (choose from %s)"
-                % (kind, ", ".join(ALL_FAULT_KINDS)))
+                % (kind, ", ".join(FAULT_KINDS)))
         p, seed, params = 1.0, 0, {}
         if tail.strip():
             for item in tail.split(","):
@@ -205,9 +169,7 @@ def parse_fault_spec(spec):
                 elif key == "seed":
                     seed = int(number)
                 elif key in _KIND_PARAMS[kind]:
-                    params[key] = (float(number)
-                                   if key in _FLOAT_PARAMS
-                                   else int(number))
+                    params[key] = int(number)
                 else:
                     raise FaultSpecError(
                         "fault %r does not take parameter %r "
@@ -219,20 +181,6 @@ def parse_fault_spec(spec):
     if not rules:
         raise FaultSpecError("empty fault spec %r" % spec)
     return rules
-
-
-def split_host_rules(rules):
-    """Split a parsed rule list into ``(chip_rules, host_rules)``.
-
-    Chip rules feed a :class:`FaultInjector` (attached to the
-    simulated chip); host rules feed a :class:`HostFaultPlan`
-    (attached to the parallel backend's worker supervision).  One
-    ``--faults`` spec may mix both families."""
-    chip_rules, host_rules = [], []
-    for rule in rules:
-        (host_rules if rule.kind in HOST_FAULT_KINDS
-         else chip_rules).append(rule)
-    return chip_rules, host_rules
 
 
 def _flip_bits(value, rng, bit=None, bits=1):
@@ -284,13 +232,6 @@ class FaultInjector:
         if isinstance(rules, str):
             rules = parse_fault_spec(rules)
         self.rules = list(rules)
-        for rule in self.rules:
-            if rule.kind not in FAULT_KINDS:
-                raise FaultSpecError(
-                    "host-level fault %r targets worker processes, "
-                    "not the chip; route it through a HostFaultPlan "
-                    "(CLI: --chaos, or --faults with --jobs)"
-                    % rule.kind)
         self.flip_rules = [
             (index, rule) for index, rule in enumerate(self.rules)
             if rule.kind in (MPB_FLIP, DRAM_FLIP)]
@@ -463,113 +404,3 @@ class FaultInjector:
             self._record(CORE_STALL, interp.core_id, interp.cycles,
                          {"cycle": interp.cycles, "stall_cycles": stall})
             interp.charge(stall)
-
-
-class HostFaultPlan:
-    """Deterministic host-level chaos schedule for the parallel
-    backend's worker processes.
-
-    Mirrors :class:`FaultInjector`'s determinism contract at the host
-    layer: every rule owns one pseudo-random stream per *shard*
-    (seeded from ``(rule seed, rule index, shard)``), and kill/stall
-    decisions are evaluated only at the shard's anchor rank's quantum
-    ticks — points that fall at deterministic *simulated* cycles — so
-    a chaos schedule reproduces run-to-run regardless of host thread
-    scheduling.  Kill and stall rules are one-shot per (rule, shard),
-    exactly like ``core_stall``/``core_crash``; the coordinator feeds
-    the accumulated ``fired`` set back into the plan it ships to a
-    respawned worker so a delivered fault never re-fires during
-    replay.  ``ipc_delay`` is continuous (drawn per send) and affects
-    wall-clock time only — simulated results are byte-identical with
-    or without it.
-
-    The plan is pickled to every worker under both ``fork`` and
-    ``spawn`` start methods; RNG streams are (re)built lazily on each
-    side.
-    """
-
-    def __init__(self, rules, fired=None):
-        if isinstance(rules, str):
-            rules = parse_fault_spec(rules)
-        self.rules = list(rules)
-        for rule in self.rules:
-            if rule.kind not in HOST_FAULT_KINDS:
-                raise FaultSpecError(
-                    "chip-level fault %r cannot target worker "
-                    "processes; route it through a FaultInjector "
-                    "(CLI: --faults)" % rule.kind)
-        self.proc_rules = [
-            (index, rule) for index, rule in enumerate(self.rules)
-            if rule.kind in (WORKER_KILL, WORKER_STALL)]
-        self.ipc_rules = [
-            (index, rule) for index, rule in enumerate(self.rules)
-            if rule.kind == IPC_DELAY]
-        self.fired = set(fired or ())
-        self._rngs = {}
-
-    @property
-    def active(self):
-        return bool(self.rules)
-
-    def _rng(self, rule_index, shard):
-        key = (rule_index, shard)
-        rng = self._rngs.get(key)
-        if rng is None:
-            seed = self.rules[rule_index].seed
-            rng = self._rngs[key] = random.Random(
-                (seed * 1_000_003 + rule_index * 97 + shard)
-                & 0xFFFFFFFF)
-        return rng
-
-    def on_tick(self, shard, tick):
-        """Kill/stall decisions for quantum tick ``tick`` (1-based)
-        of ``shard``'s anchor rank.  Returns a list of actions:
-        ``("kill", rule_index, tick)`` or
-        ``("stall", rule_index, tick, seconds)``."""
-        actions = []
-        for index, rule in self.proc_rules:
-            victim = rule.params.get("shard")
-            if victim is not None and victim != shard:
-                continue
-            key = (index, shard)
-            if key in self.fired:
-                continue
-            if tick < rule.params.get("at_tick", 1):
-                continue
-            if rule.p < 1.0 \
-                    and self._rng(index, shard).random() >= rule.p:
-                continue
-            self.fired.add(key)
-            if rule.kind == WORKER_KILL:
-                actions.append(("kill", index, tick))
-            else:
-                actions.append(
-                    ("stall", index, tick,
-                     rule.params.get("seconds",
-                                     DEFAULT_STALL_SECONDS)))
-        return actions
-
-    def ipc_delay_seconds(self, shard):
-        """Wall seconds to sleep before one coordinator-bound IPC
-        send from ``shard`` (0.0 when no delay rule draws)."""
-        total = 0.0
-        for index, rule in self.ipc_rules:
-            if rule.p < 1.0 \
-                    and self._rng(index, shard).random() >= rule.p:
-                continue
-            total += rule.params.get("seconds",
-                                     DEFAULT_IPC_DELAY_SECONDS)
-        return total
-
-    def mark_fired(self, rule_index, shard):
-        """Coordinator-side bookkeeping: a worker reported delivering
-        one-shot fault ``rule_index`` on ``shard``."""
-        self.fired.add((rule_index, shard))
-
-    def __getstate__(self):
-        # RNG streams are rebuilt lazily on the receiving side; the
-        # fired set travels so delivered one-shots never re-fire.
-        return {"rules": self.rules, "fired": sorted(self.fired)}
-
-    def __setstate__(self, state):
-        self.__init__(state["rules"], fired=state["fired"])

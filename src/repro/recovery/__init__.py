@@ -22,7 +22,6 @@ from repro.recovery.checkpoint import (  # noqa: F401
     SNAPSHOT_VERSION,
     CheckpointManager,
     ReplayVerifier,
-    ShardCheckpoint,
     Snapshot,
     SnapshotDivergenceError,
     SnapshotError,

@@ -317,143 +317,3 @@ class ReplayVerifier:
                     % (self.snapshot.path or "<snapshot>", round_id,
                        key))
         self.verified = True
-
-
-class ShardCheckpoint:
-    """Quantum-aligned recovery record for one shard of the parallel
-    process backend (``repro.sim.parallel``).
-
-    A worker's interpreter state is a live Python call stack and
-    cannot travel over a pipe, so — exactly like :class:`ReplayVerifier`
-    above — a shard restore is **verified replay**: the respawned
-    worker re-executes its ranks from program start while the
-    coordinator serves it the *recorded* reply for every sync RPC it
-    already answered, without touching the live sync state machine.
-    Because each rank's execution between coordinator replies is
-    deterministic, the replayed shard arrives back at the crash
-    frontier with byte-identical memory, clocks, and output, then
-    seamlessly transitions to live requests.
-
-    The record kept per rank:
-
-    * ``replies`` — every coordinator reply, verbatim, as
-      ``(op, status, payload, batch)``; ``batch`` carries the shared
-      write versions shipped with that reply, so the replayed shard's
-      memory evolves through exactly the recorded sequence.
-    * ``delta_counts`` / ``delta_hashes`` — how many shared-write log
-      entries the rank has contributed and an order-sensitive rolling
-      hash over them.  During replay the re-produced entries are
-      *suppressed* (already in the global log) and verified against
-      the hash at the boundary; entries beyond the recorded count are
-      fresh work and re-enter the log live.
-
-    ``acked_tick`` is the last coordinator-acknowledged quantum tick —
-    the "restored from quantum N" figure in the recovery report.  Any
-    divergence between replayed and recorded execution raises
-    :class:`SnapshotDivergenceError` (the verified-replay contract).
-    """
-
-    def __init__(self, shard, ranks):
-        self.shard = shard
-        self.ranks = list(ranks)
-        self.replies = {rank: [] for rank in self.ranks}
-        self.cursors = {rank: 0 for rank in self.ranks}
-        self.delta_counts = {rank: 0 for rank in self.ranks}
-        self.delta_hashes = {rank: b"" for rank in self.ranks}
-        self.replay_counts = dict(self.delta_counts)
-        self.replay_hashes = dict(self.delta_hashes)
-        self.acked_tick = 0
-        self.restores = 0
-
-    # -- recording (normal operation) ----------------------------------
-
-    def record_reply(self, rank, op, status, payload, batch):
-        """A reply the coordinator is about to send to ``rank``."""
-        self.replies[rank].append((op, status, payload, batch))
-        self.cursors[rank] += 1
-
-    def note_tick(self, tick):
-        """The coordinator acknowledged quantum tick ``tick``."""
-        if tick > self.acked_tick:
-            self.acked_tick = tick
-
-    # -- replay (after a respawn) --------------------------------------
-
-    def begin_replay(self):
-        """Rewind the per-rank cursors for a respawned worker."""
-        self.restores += 1
-        self.cursors = {rank: 0 for rank in self.cursors}
-        self.replay_counts = {rank: 0 for rank in self.delta_counts}
-        self.replay_hashes = {rank: b"" for rank in self.delta_hashes}
-
-    def replaying(self, rank):
-        """Whether ``rank``'s next request is answered from the
-        record rather than the live sync state machine."""
-        return self.cursors[rank] < len(self.replies[rank])
-
-    def next_reply(self, rank, op):
-        """The recorded reply for ``rank``'s current request, which
-        must ask for the same ``op`` the original run asked for."""
-        cursor = self.cursors[rank]
-        recorded = self.replies[rank][cursor]
-        if recorded[0] != op:
-            raise SnapshotDivergenceError(
-                "shard %d replay diverged: rank %d asked for %r at "
-                "reply %d but the recorded run asked for %r"
-                % (self.shard, rank, op, cursor, recorded[0]))
-        self.cursors[rank] = cursor + 1
-        return recorded
-
-    def _track(self, rank):
-        """Lazily register a write stream the plan did not predict —
-        notably ``rank is None``, the worker's main thread logging
-        shared writes during single-threaded world setup (before rank
-        threads bind).  That stream is just as deterministic as a
-        rank's, so it gets the same cursor treatment."""
-        if rank not in self.delta_counts:
-            self.delta_counts[rank] = 0
-            self.delta_hashes[rank] = b""
-            self.replay_counts[rank] = 0
-            self.replay_hashes[rank] = b""
-
-    def record_delta(self, rank, addr, value):
-        """Fold one shared-write log entry from ``rank`` into the
-        per-rank cursor state.  Returns True when the entry is new
-        (append it to the global log); False when it merely replays
-        an already-logged write (suppress it)."""
-        self._track(rank)
-        token = repr((addr, value)).encode("utf-8")
-        if self.replay_counts[rank] < self.delta_counts[rank]:
-            self.replay_hashes[rank] = hashlib.sha256(
-                self.replay_hashes[rank] + token).digest()
-            self.replay_counts[rank] += 1
-            if self.replay_counts[rank] == self.delta_counts[rank] \
-                    and self.replay_hashes[rank] \
-                    != self.delta_hashes[rank]:
-                raise SnapshotDivergenceError(
-                    "shard %d replay diverged: rank %d re-produced "
-                    "%d shared writes but their content differs from "
-                    "the recorded run" % (self.shard, rank,
-                                          self.delta_counts[rank]))
-            return False
-        self.delta_counts[rank] += 1
-        self.delta_hashes[rank] = hashlib.sha256(
-            self.delta_hashes[rank] + token).digest()
-        self.replay_counts[rank] = self.delta_counts[rank]
-        self.replay_hashes[rank] = self.delta_hashes[rank]
-        return True
-
-    def as_dict(self):
-        """Diagnostic summary (not a serialization format)."""
-        return {
-            "shard": self.shard,
-            "ranks": list(self.ranks),
-            "acked_tick": self.acked_tick,
-            "restores": self.restores,
-            "recorded_replies": {rank: len(entries) for rank, entries
-                                 in sorted(self.replies.items())},
-            # the None stream (main-thread setup writes) sorts first
-            "delta_counts": dict(sorted(
-                self.delta_counts.items(),
-                key=lambda item: (item[0] is not None, item[0] or 0))),
-        }

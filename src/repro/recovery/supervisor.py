@@ -30,7 +30,7 @@ class RecoveryReport:
         self.recovered = False
 
     def record_failure(self, attempt, exc, restored_round=None,
-                       audit=None, shard=None):
+                       audit=None):
         self.failures.append({
             "attempt": attempt,
             "error": type(exc).__name__,
@@ -39,9 +39,6 @@ class RecoveryReport:
             # the failed attempt's RaceReport (race=... runs), so an
             # audit finding that died with the attempt still surfaces
             "audit": audit,
-            # parallel-backend shard supervision: which shard's worker
-            # died/stalled (None for whole-run supervised restarts)
-            "shard": shard,
         })
 
     @property
@@ -69,22 +66,6 @@ class RecoveryReport:
         found = []
         for failure in self.failures:
             where = failure["restored_from_round"]
-            shard = failure.get("shard")
-            if shard is not None:
-                # restored_from_round None = the failure that
-                # exhausted the budget (no respawn happened); 0 = a
-                # respawn that replayed from program start
-                found.append(Diagnostic(
-                    "recovery", WARNING,
-                    "shard %d worker attempt %d failed (%s: %s); %s"
-                    % (shard, failure["attempt"] + 1,
-                       failure["error"], failure["message"],
-                       "restart budget exhausted" if where is None
-                       else "respawned and replayed through quantum "
-                       "tick %d" % where
-                       if where else "respawned and replayed from "
-                       "the beginning")))
-                continue
             found.append(Diagnostic(
                 "recovery", WARNING,
                 "attempt %d failed (%s: %s); restarted %s"

@@ -44,29 +44,19 @@ values the sequential run would read.  Racy programs should run under
 the race detector, which (like every other incompatible feature)
 forces a loud downgrade to a sequential run.
 
-**Fault tolerance.**  The coordinator supervises its workers: every
-control-pipe message is a heartbeat, worker process exit (EOF without
-a reported simulated error) raises :class:`~repro.sim.watchdog.
-WorkerDeathError`, and heartbeat silence while a shard still has
-runnable ranks raises :class:`~repro.sim.watchdog.WorkerStallError`.
-A dead shard is respawned with exponential backoff under a bounded
-restart budget and recovered by **verified replay** (see
-:class:`~repro.recovery.checkpoint.ShardCheckpoint`): the coordinator
-records every reply it sends per rank, serves the recorded sequence
-to the respawned worker's deterministic re-execution without touching
-the live sync state machine, suppresses the re-produced shared-write
-deltas against per-rank cursors, and hash-verifies the replayed
-prefix.  Recovered runs remain byte-identical to the sequential
-engine.  Deterministic host-level chaos (``worker_kill`` /
-``worker_stall`` / ``ipc_delay``) comes from
-:class:`repro.faults.HostFaultPlan`; an exhausted restart budget
-raises :class:`~repro.sim.watchdog.ShardRestartsExhaustedError`,
-which ``run_rcce`` converts into a graceful sequential rerun.
+**Worker failure.**  The coordinator watches its workers but does not
+heal them: every control-pipe message is a heartbeat, worker process
+exit (EOF without a reported simulated error) raises
+:class:`~repro.sim.watchdog.WorkerDeathError`, and heartbeat silence
+while a shard still has runnable ranks raises
+:class:`~repro.sim.watchdog.WorkerStallError`.  Either one abandons
+the attempt — every worker is stopped and reaped — and ``run_rcce``
+reruns the program sequentially (``jobs=1``) from the beginning, which
+reproduces the same cycles and output by construction.
 """
 
 import multiprocessing
 import multiprocessing.connection
-import os
 import pickle
 import signal
 import threading
@@ -75,14 +65,11 @@ import traceback
 
 from collections import deque
 
-from repro.faults import HostFaultPlan
 from repro.scc.chip import SCCChip
 from repro.scc.memmap import SHARED_BASE
 from repro.rcce.api import RCCEWorld
 from repro.rcce.comm import CommDeadlockError
 from repro.rcce.sync import SkewBarrier
-from repro.recovery.checkpoint import ShardCheckpoint
-from repro.recovery.supervisor import RecoveryReport
 from repro.sim.interpreter import (
     Interpreter,
     InterpreterError,
@@ -92,7 +79,6 @@ from repro.sim.interpreter import (
 from repro.sim.machine import Memory
 from repro.sim.watchdog import (
     BarrierAbortedError,
-    ShardRestartsExhaustedError,
     SimulationTimeout,
     WatchdogError,
     WorkerDeathError,
@@ -114,37 +100,14 @@ __all__ = ["ShardMemory", "ShardPlan", "ParallelRunError",
 # — a worker died silently or is wedged.
 # ``HEARTBEAT_TIMEOUT``: one shard with runnable ranks went silent —
 # its worker process is hung (host-level stall, not a simulated
-# deadlock); the supervisor terminates and respawns it.
+# deadlock); the attempt is abandoned and rerun sequentially.  Read at
+# call time, so tests can shorten it.
 PARKED_TIMEOUT_SECONDS = 10.0
 WALL_TIMEOUT_SECONDS = 600.0
 HEARTBEAT_TIMEOUT_SECONDS = 30.0
 
-# Shard supervision: restart budget per shard and the exponential
-# backoff between respawns.
-DEFAULT_SHARD_RESTARTS = 2
-RESPAWN_BACKOFF_BASE = 0.05
-RESPAWN_BACKOFF_CAP = 1.0
-
-# Worker-side IPC sends retry transient interruptions with bounded
-# exponential backoff before giving up.
-IPC_SEND_RETRIES = 5
-IPC_RETRY_BACKOFF = 0.01
-
-
-def _ipc_send(conn, message):
-    """Send on a multiprocessing Connection, absorbing transient
-    interruptions (EINTR, momentarily full pipe) with bounded
-    exponential backoff.  A broken pipe (dead peer) still raises."""
-    delay = IPC_RETRY_BACKOFF
-    for attempt in range(IPC_SEND_RETRIES):
-        try:
-            conn.send(message)
-            return
-        except (InterruptedError, BlockingIOError):
-            if attempt == IPC_SEND_RETRIES - 1:
-                raise
-            time.sleep(delay)
-            delay = min(delay * 2, 1.0)
+# How long teardown waits for a worker to exit before escalating.
+JOIN_TIMEOUT_SECONDS = 5.0
 
 
 class ParallelRunError(Exception):
@@ -192,10 +155,9 @@ class ShardPlan:
                                                      self.jobs)
 
 
-def parallel_collector(skew, jobs, respawns=None):
+def parallel_collector(skew, jobs):
     """Build the process backend's ``sim.parallel`` metrics
-    collector.  ``respawns`` (shard -> count) adds the supervision
-    counters."""
+    collector."""
 
     def collect():
         samples = [
@@ -213,9 +175,6 @@ def parallel_collector(skew, jobs, respawns=None):
                             skew.quantum_reconciliations[shard]))
             samples.append(("counter", "parallel_sync_reconciliations",
                             labels, skew.sync_reconciliations[shard]))
-            if respawns is not None:
-                samples.append(("counter", "parallel_shard_respawns",
-                                labels, respawns.get(shard, 0)))
         return samples
 
     return collect
@@ -244,23 +203,14 @@ class ShardMemory(Memory):
     wholly inside one worker, so no other shard can see them — unless
     a LUT reconfiguration has blurred the private/shared line, in
     which case :meth:`log_everything` flips the filter off.
-
-    Every logged entry is tagged with the *rank* whose thread made the
-    store (``(rank, addr, value)``): rank threads interleave
-    non-deterministically inside one worker, so shard-level entry
-    counts are not reproducible — but each single rank's write order
-    is.  The coordinator's per-rank cursors
-    (:meth:`~repro.recovery.checkpoint.ShardCheckpoint.record_delta`)
-    depend on exactly that.
     """
 
-    __slots__ = ("_pending", "_log_all", "_rank_local")
+    __slots__ = ("_pending", "_log_all")
 
     def __init__(self):
         super().__init__()
-        self._pending = deque()   # (rank, addr, value); append atomic
+        self._pending = deque()   # (addr, value); append is atomic
         self._log_all = [False]
-        self._rank_local = threading.local()
         self._rebind()
 
     def _rebind(self):
@@ -270,20 +220,14 @@ class ShardMemory(Memory):
         data = self._data
         pend = self._pending.append
         log_all = self._log_all
-        local = self._rank_local
 
         def put(addr, value, _data=data, _pend=pend, _all=log_all,
-                _base=SHARED_BASE, _local=local):
+                _base=SHARED_BASE):
             _data[addr] = value
             if addr >= _base or _all[0]:
-                _pend((getattr(_local, "rank", None), addr, value))
+                _pend((addr, value))
 
         self.put = put
-
-    def set_thread_rank(self, rank):
-        """Tag every logged store from the calling thread with
-        ``rank`` (each rank thread calls this once, before running)."""
-        self._rank_local.rank = rank
 
     def log_everything(self):
         """Conservative mode: log every store (LUT reconfiguration can
@@ -308,10 +252,9 @@ class ShardMemory(Memory):
                     get(src + index * stride, default))
 
     def drain_dirty(self):
-        """Pop every pending (rank, addr, value) in FIFO order.
-        Callers serialize on the client's drain lock, so two
-        reconciliations never interleave one rank's entries out of
-        order."""
+        """Pop every pending (addr, value) in FIFO order.  Callers
+        serialize on the client's drain lock, so two reconciliations
+        never interleave entries out of order."""
         pending = self._pending
         entries = []
         while True:
@@ -378,15 +321,11 @@ class _ShardClient:
     control pipe's FIFO order *is* the worker's global write order.
     """
 
-    def __init__(self, shard, memory, rank_conns, control_conn,
-                 chaos=None):
+    def __init__(self, shard, memory, rank_conns, control_conn):
         self.shard = shard
         self.memory = memory
         self.rank_conns = rank_conns      # rank -> Connection
         self.control = control_conn
-        self.chaos = chaos                # HostFaultPlan or None
-        self.anchor_rank = min(rank_conns) if rank_conns else None
-        self._tick_index = 0              # anchor rank's quantum ticks
         self._local = threading.local()
         self._drain_lock = threading.Lock()
         self._control_lock = threading.Lock()
@@ -399,18 +338,10 @@ class _ShardClient:
     def bind_thread(self, rank):
         self._local.rank = rank
         self._local.conn = self.rank_conns[rank]
-        self.memory.set_thread_rank(rank)
-
-    def _ipc_delay(self):
-        if self.chaos is not None and self.chaos.ipc_rules:
-            seconds = self.chaos.ipc_delay_seconds(self.shard)
-            if seconds > 0.0:
-                time.sleep(seconds)
 
     def _send_control(self, message):
-        self._ipc_delay()
         with self._control_lock:
-            _ipc_send(self.control, message)
+            self.control.send(message)
 
     def flush(self, kind="deltas", clock=None):
         """Ship pending dirty writes home (one-way, never blocks on a
@@ -425,59 +356,20 @@ class _ShardClient:
     def tick(self, clock):
         """Quantum-boundary reconciliation: non-blocking publish +
         abort poll (a pushed coordinator error must be able to stop a
-        rank that is deep in a compute loop).  The shard's *anchor*
-        rank (its lowest) additionally evaluates the host chaos plan
-        here: its quantum boundaries fall at deterministic simulated
-        cycles, so kill/stall schedules reproduce run-to-run."""
+        rank that is deep in a compute loop)."""
         conn = self._local.conn
         if conn.poll():
             status, payload, _ = conn.recv()
             if status == "error":
                 raise _unpack_error(payload)
-        if self.chaos is not None \
-                and self._local.rank == self.anchor_rank:
-            self._tick_index += 1
-            for action in self.chaos.on_tick(self.shard,
-                                             self._tick_index):
-                self._deliver_chaos(action)
         self.flush(kind="tick", clock=clock)
-
-    def _deliver_chaos(self, action):
-        """Deliver one host-fault action.  The one-shot note goes home
-        first so the coordinator never re-arms a delivered fault in
-        the plan it ships to the respawned worker."""
-        if action[0] == "kill":
-            _, rule_index, tick = action
-            try:
-                self._send_control(("chaos", self.shard,
-                                    (rule_index, tick, "worker_kill"),
-                                    None))
-            except Exception:  # noqa: BLE001 - dying anyway
-                pass
-            # abrupt: no flush, no cleanup — pending deltas are lost
-            # exactly as a real worker crash would lose them
-            os._exit(17)
-        _, rule_index, tick, seconds = action
-        try:
-            self._send_control(("chaos", self.shard,
-                                (rule_index, tick, "worker_stall"),
-                                None))
-        except Exception:  # noqa: BLE001 - stall anyway
-            pass
-        # freeze the whole worker, not just this thread: holding both
-        # locks blocks every sibling flush/RPC, so the shard goes
-        # heartbeat-silent and the supervisor's stall detection fires
-        with self._drain_lock:
-            with self._control_lock:
-                time.sleep(seconds)
 
     def request(self, op, *args):
         """One synchronous sync-point RPC: flush dirty writes, send,
         block for the reply, apply the peers' deltas it carries."""
         self.flush()
         conn = self._local.conn
-        self._ipc_delay()
-        _ipc_send(conn, (op, self._local.rank) + args)
+        conn.send((op, self._local.rank) + args)
         status, payload, batch = conn.recv()
         if batch is not None:
             self._apply_batch(batch)
@@ -679,17 +571,13 @@ class ShardWorld(RCCEWorld):
 
 
 def _worker_main(shard, ranks, source, num_ues, core_map, config,
-                 max_steps, quantum, rank_conns, control_conn,
-                 chaos=None):
+                 max_steps, quantum, rank_conns, control_conn):
     """One worker process: a full chip replica running ``ranks`` as
     host threads, every sync point an RPC to the coordinator.
-    Module-level and argument-complete, so it is spawn-safe.  A
-    respawned worker gets the same arguments (plus the chaos plan's
-    accumulated fired set) and simply re-executes; the coordinator
-    serves it recorded replies until it catches up."""
+    Module-level and argument-complete, so it is spawn-safe."""
     # under fork the worker inherits the coordinator's deferred
-    # SIGTERM/SIGINT handlers, which would make ``terminate()`` a
-    # no-op; workers take the default (die) disposition instead
+    # SIGTERM/SIGINT handlers, which would make both signals no-ops
+    # here; workers take the default (die) disposition instead
     for signum in (signal.SIGINT, signal.SIGTERM):
         try:
             signal.signal(signum, signal.SIG_DFL)
@@ -700,8 +588,7 @@ def _worker_main(shard, ranks, source, num_ues, core_map, config,
         unit = warm_process_cache(source)
         chip = SCCChip(config)
         memory = ShardMemory()
-        client = _ShardClient(shard, memory, rank_conns, control_conn,
-                              chaos=chaos)
+        client = _ShardClient(shard, memory, rank_conns, control_conn)
         world = ShardWorld(chip, num_ues, core_map, client)
 
         original_configure = chip.configure_window
@@ -840,42 +727,13 @@ class _Coordinator:
         self.failure = None
         self.failure_dumps = None
         self.error_pushed = set()   # ranks already sent an error
-        # shard supervision (armed by enable_supervision)
-        self.checkpoints = None     # shard -> ShardCheckpoint
-        self.fired_host = set()     # delivered (rule index, shard)
-        self.chaos_events = []      # (shard, kind, rule index, tick)
-        self.errored_shards = set() # shards that reported a simulated
-                                    # (deterministic) error — never
-                                    # respawned
-        self.respawns = {}          # shard -> respawns performed
-        self.fatal = None           # coordinator-local fatal error
-
-    def enable_supervision(self):
-        """Arm per-shard recovery records; called before workers start
-        whenever the restart budget allows at least one respawn."""
-        self.checkpoints = {
-            shard: ShardCheckpoint(shard, self.plan.ranks_of(shard))
-            for shard in range(self.plan.jobs)}
-
-    def _checkpoint(self, shard):
-        if self.checkpoints is None:
-            return None
-        return self.checkpoints.get(shard)
+        self.fatal = None           # HostFaultError: a worker died or
+                                    # stalled, the attempt is abandoned
 
     # -- delta log ---------------------------------------------------------
 
     def append_deltas(self, shard, entries):
-        checkpoint = self._checkpoint(shard)
-        if checkpoint is None:
-            for _rank, addr, value in entries:
-                self.log.append((shard, addr, value))
-            return
-        for rank, addr, value in entries:
-            # replayed entries are already in the log: suppress them
-            # (and hash-verify the replayed prefix); fresh entries —
-            # everything past the rank's recorded cursor — enter live
-            if checkpoint.record_delta(rank, addr, value):
-                self.log.append((shard, addr, value))
+        self.log.extend((shard, addr, value) for addr, value in entries)
 
     def _range_for(self, shard):
         vfrom = self.sent_upto[shard]
@@ -898,21 +756,14 @@ class _Coordinator:
     # -- replies -----------------------------------------------------------
 
     def reply(self, rank, result):
-        op = self.pending.pop(rank, None)
-        shard = self.plan.shard_of[rank]
-        batch = self._range_for(shard)
-        checkpoint = self._checkpoint(shard)
-        if checkpoint is not None:
-            # record BEFORE sending: if the worker just died, this
-            # reply still happened as far as the sync state machine is
-            # concerned, and the respawned shard is served exactly it
-            checkpoint.record_reply(rank, op, "ok", result, batch)
+        self.pending.pop(rank, None)
+        batch = self._range_for(self.plan.shard_of[rank])
         conn = self.conns.get(rank)
         if conn is not None:
             try:
                 conn.send(("ok", result, batch))
             except (OSError, ValueError):
-                pass  # dead worker; supervision handles the EOF
+                pass  # dead worker; the event loop handles the EOF
 
     def reply_error(self, rank, packed):
         self.pending.pop(rank, None)
@@ -949,28 +800,15 @@ class _Coordinator:
     def handle_control(self, shard, message):
         kind, _shard, payload, extra = message
         if kind in ("deltas", "tick"):
-            try:
-                self.append_deltas(shard, payload)
-            except Exception as exc:  # noqa: BLE001 - replay diverged
-                self.record_failure(_pack_error(exc))
-                return
+            self.append_deltas(shard, payload)
             if kind == "tick":
                 self.skew.note_quantum(shard, extra)
-                checkpoint = self._checkpoint(shard)
-                if checkpoint is not None:
-                    checkpoint.note_tick(checkpoint.acked_tick + 1)
         elif kind == "rank_done":
             self.finished.add(payload)
         elif kind == "error":
-            self.errored_shards.add(shard)
             self.record_failure(payload, extra)
         elif kind == "result":
             self.results[shard] = payload
-        elif kind == "chaos":
-            rule_index, tick, fault_kind = payload
-            self.fired_host.add((rule_index, shard))
-            self.chaos_events.append((shard, fault_kind, rule_index,
-                                      tick))
 
     def handle_request(self, message):
         op = message[0]
@@ -979,13 +817,6 @@ class _Coordinator:
             self.reply_error(rank, self.failure)
             return
         shard = self.plan.shard_of[rank]
-        checkpoint = self._checkpoint(shard)
-        if checkpoint is not None and checkpoint.replaying(rank):
-            # a respawned shard re-executing its recorded prefix: the
-            # live sync state machine already processed this request
-            # in the original timeline — serve the recorded reply
-            self._serve_replay(checkpoint, rank, op)
-            return
         self.pending[rank] = op
         handler = getattr(self, "_op_" + op)
         try:
@@ -996,20 +827,6 @@ class _Coordinator:
             # would have raised it there
             self.reply_error(rank, _pack_error(exc))
         self.skew.note_sync(shard, self._clock_of(op, message))
-
-    def _serve_replay(self, checkpoint, rank, op):
-        try:
-            _op, status, payload, batch = checkpoint.next_reply(rank,
-                                                                op)
-        except Exception as exc:  # noqa: BLE001 - replay diverged
-            self.record_failure(_pack_error(exc))
-            return
-        conn = self.conns.get(rank)
-        if conn is not None:
-            try:
-                conn.send((status, payload, batch))
-            except (OSError, ValueError):
-                pass
 
     @staticmethod
     def _clock_of(op, message):
@@ -1202,63 +1019,13 @@ class _Coordinator:
         return "; ".join(rows) if rows \
             else "no rank has reached a sync point"
 
-    def rollback_rank(self, rank):
-        """Scrub a dead rank's *un-replied* pending request from the
-        sync state machine before its shard replays.  Replied requests
-        need no rollback: the state machine already transitioned, and
-        the recorded reply is served verbatim during replay."""
-        op = self.pending.pop(rank, None)
-        if op is None:
-            return
-        if op in ("barrier", "exchange"):
-            arrival = self.barrier_arrivals.pop(rank, None)
-            if arrival is not None and arrival[1] == "exchange":
-                round_id = arrival[2]
-                deposits = self.deposits.get(round_id)
-                if deposits is not None:
-                    deposits.pop(rank, None)
-                    if not deposits:
-                        self.deposits.pop(round_id, None)
-        elif op == "lock_acquire":
-            for waiters in self.lock_waiters.values():
-                try:
-                    waiters.remove(rank)
-                except ValueError:
-                    pass
-        elif op == "flag_wait":
-            for flag_id in list(self.flag_waiters):
-                remaining = [entry
-                             for entry in self.flag_waiters[flag_id]
-                             if entry[0] != rank]
-                if remaining:
-                    self.flag_waiters[flag_id] = remaining
-                else:
-                    del self.flag_waiters[flag_id]
-        elif op == "send":
-            for state in self.channels.values():
-                payload = state["payload"]
-                if payload is not None and payload[0] == rank:
-                    queue = state["send_queue"]
-                    state["payload"] = queue.popleft() if queue \
-                        else None
-                elif state["send_queue"]:
-                    state["send_queue"] = deque(
-                        entry for entry in state["send_queue"]
-                        if entry[0] != rank)
-        elif op == "recv":
-            for state in self.channels.values():
-                waiter = state["recv_waiter"]
-                if waiter is not None and waiter[0] == rank:
-                    state["recv_waiter"] = None
-
 
 def run_rcce_parallel(source, num_ues, config, chip, core_map,
                       max_steps, jobs, quantum=None,
                       start_method=None, diagnostics=None,
                       wall_timeout=WALL_TIMEOUT_SECONDS,
                       parked_timeout=PARKED_TIMEOUT_SECONDS,
-                      heartbeat_timeout=None, shard_restarts=None,
-                      chaos=None, watchdog=None):
+                      watchdog=None):
     """Run an RCCE source program sharded over ``jobs`` worker
     processes.  Returns the same :class:`~repro.sim.runner.RunResult`
     shape as the sequential ``run_rcce`` — cycles, outputs, stats and
@@ -1268,18 +1035,16 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
     through the shared sha256 memo); the caller (``run_rcce``) already
     runs pre-parsed units sequentially.
 
-    Shard supervision: each worker is watched through its process
-    sentinel (death) and its control-pipe heartbeat (hangs).  A dead
-    or stalled worker is respawned up to ``shard_restarts`` times with
-    exponential backoff and replayed to its crash point from the
-    coordinator's quantum-aligned :class:`ShardCheckpoint`; an
-    exhausted budget raises :class:`ShardRestartsExhaustedError` (the
-    caller reruns the program sequentially).  ``chaos`` takes a
-    :class:`~repro.faults.HostFaultPlan` or host-fault spec string;
-    ``watchdog`` maps a sequential :class:`~repro.sim.watchdog.
-    Watchdog`'s lock/barrier timeouts onto the coordinator's
-    parked/wall bounds (the coordinator sees every sync wait, so it
-    subsumes the per-thread watchdog).
+    Each worker is watched through its process sentinel (death) and
+    its control-pipe heartbeat (a shard with runnable ranks silent for
+    ``HEARTBEAT_TIMEOUT_SECONDS``).  Either failure stops and reaps
+    every worker and raises :class:`~repro.sim.watchdog.
+    WorkerDeathError` or :class:`~repro.sim.watchdog.WorkerStallError`;
+    ``run_rcce`` then reruns the program sequentially.  ``watchdog``
+    maps a sequential :class:`~repro.sim.watchdog.Watchdog`'s
+    lock/barrier timeouts onto the coordinator's parked/wall bounds
+    (the coordinator sees every sync wait, so it subsumes the
+    per-thread watchdog).
     """
     from repro.sim.runner import RunResult
 
@@ -1292,23 +1057,13 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
     skew = SkewBarrier(plan.jobs, quantum)
     coord = _Coordinator(plan, config, skew)
 
-    if isinstance(chaos, str):
-        chaos = HostFaultPlan(chaos)
-    if chaos is not None and not chaos.active:
-        chaos = None
-    if shard_restarts is None:
-        shard_restarts = DEFAULT_SHARD_RESTARTS
-    if heartbeat_timeout is None:
-        heartbeat_timeout = HEARTBEAT_TIMEOUT_SECONDS
+    heartbeat_timeout = HEARTBEAT_TIMEOUT_SECONDS
     if watchdog is not None:
         # every unfinished rank parked = every rank is inside a sync
         # wait, which is exactly what the sequential watchdog's lock
         # timeout bounds; total silence maps onto its barrier timeout
         parked_timeout = min(parked_timeout, watchdog.lock_timeout)
         wall_timeout = min(wall_timeout, watchdog.barrier_timeout)
-    report = RecoveryReport(max_restarts=shard_restarts)
-    if shard_restarts > 0:
-        coord.enable_supervision()
 
     method = start_method
     if method is None:
@@ -1316,8 +1071,8 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
         method = "fork" if "fork" in methods else methods[0]
     ctx = multiprocessing.get_context(method)
 
-    processes = {}        # shard -> live Process (None once reaped)
-    all_workers = []      # every process ever spawned, for teardown
+    workers = []          # shard -> Process
+    reaped = set()        # shards whose worker is already joined
     last_control = {}     # shard -> monotonic time of last heartbeat
     conn_shard = {}       # id(control conn) -> shard
     conn_rank = {}        # id(rank conn) -> rank
@@ -1333,21 +1088,14 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
         control_parent, control_child = ctx.Pipe(duplex=False)
         coord.controls[shard] = control_parent
         conn_shard[id(control_parent)] = shard
-        plan_for_worker = None
-        if chaos is not None:
-            # ship the accumulated fired set: a delivered one-shot
-            # fault must not re-fire while the respawn replays
-            plan_for_worker = HostFaultPlan(
-                chaos.rules, fired=chaos.fired | coord.fired_host)
         worker = ctx.Process(
             target=_worker_main,
             args=(shard, ranks, source, num_ues, world_core_map,
                   config, max_steps, quantum, rank_children,
-                  control_child, plan_for_worker),
+                  control_child),
             name="repro-shard%d" % shard, daemon=True)
         worker.start()
-        processes[shard] = worker
-        all_workers.append(worker)
+        workers.append(worker)
         # the parent's copies of the child ends must close, or EOF on
         # a dead worker would never surface
         for conn in rank_children.values():
@@ -1368,7 +1116,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
 
     def drain_control(shard):
         """Drain buffered control messages; False means the pipe hit
-        EOF (worker gone) and the caller decides recover vs. close."""
+        EOF (worker gone)."""
         control = coord.controls.get(shard)
         while control is not None and control.poll():
             try:
@@ -1379,14 +1127,6 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
             coord.handle_control(shard, message)
         return True
 
-    def reap_worker(shard):
-        proc = processes.get(shard)
-        if proc is not None:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-        processes[shard] = None
-
     def shard_runnable(shard):
         """Whether the shard owes the coordinator activity: at least
         one of its ranks is neither finished nor parked at a sync
@@ -1395,57 +1135,28 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
                    and rank not in coord.pending
                    for rank in plan.ranks_of(shard))
 
-    def recover_shard(shard, cause):
-        # the control pipe may still hold the worker's last words — a
-        # result, a deterministic error, or chaos one-shot notes — and
-        # those change the verdict, so drain before classifying
+    def worker_lost(shard, error):
+        """A worker exited or went silent.  Its control pipe may still
+        hold its last words — a result or a simulated error — and
+        those make the exit a completion or an ordinary failure;
+        otherwise the attempt is abandoned with ``error``."""
         drain_control(shard)
-        reap_worker(shard)
+        worker = workers[shard]
+        if worker.is_alive():
+            # a stalled worker may be stopped, and a stopped process
+            # never acts on terminate()'s SIGTERM
+            worker.kill()
+        worker.join(timeout=JOIN_TIMEOUT_SECONDS)
+        reaped.add(shard)
         close_shard_conns(shard)
-        if shard in coord.results or shard in coord.errored_shards \
-                or coord.failure is not None \
-                or coord.fatal is not None:
-            return
-        checkpoint = coord._checkpoint(shard)
-        used = coord.respawns.get(shard, 0)
-        if checkpoint is None or used >= shard_restarts:
-            report.record_failure(used, cause, shard=shard)
-            coord.fatal = ShardRestartsExhaustedError(
-                "shard %d %s and the restart budget (%d) is "
-                "exhausted"
-                % (shard,
-                   "worker stalled"
-                   if isinstance(cause, WorkerStallError)
-                   else "worker died", shard_restarts),
-                shard=shard, report=report)
-            return
-        report.record_failure(used, cause, shard=shard,
-                              restored_round=checkpoint.acked_tick)
-        # only un-replied pending requests roll back: replied ones
-        # already transitioned the sync state machine, and the replay
-        # serves their recorded replies verbatim
-        for rank in plan.ranks_of(shard):
-            coord.rollback_rank(rank)
-        time.sleep(min(RESPAWN_BACKOFF_BASE * (2 ** used),
-                       RESPAWN_BACKOFF_CAP))
-        coord.respawns[shard] = used + 1
-        report.restarts += 1
-        checkpoint.begin_replay()
-        spawn_shard(shard)
-
-    def handle_worker_eof(shard, why):
-        if shard in coord.results or shard in coord.errored_shards \
-                or coord.failure is not None \
-                or coord.fatal is not None:
-            reap_worker(shard)
-            close_shard_conns(shard)
-            return
-        recover_shard(shard, WorkerDeathError(why, shard=shard))
+        if shard not in coord.results and coord.failure is None \
+                and coord.fatal is None:
+            coord.fatal = error
 
     # graceful interrupt: a SIGTERM/SIGINT mid-run sets a flag; the
     # event loop notices within one wait() timeout, and the teardown
-    # switches to terminate-first so no worker is orphaned.  Handlers
-    # are installable only from the main thread; elsewhere (a nested
+    # stops every worker at once so none is orphaned.  Handlers are
+    # installable only from the main thread; elsewhere (a nested
     # coordinator on a helper thread) the default delivery applies.
     interrupted = []
     previous_handlers = {}
@@ -1456,19 +1167,18 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
             previous_handlers[signum] = signal.signal(signum,
                                                       _on_interrupt)
 
-    for shard in range(plan.jobs):
-        spawn_shard(shard)
-
     try:
+        for shard in range(plan.jobs):
+            spawn_shard(shard)
         last_activity = time.monotonic()
         parked_since = None
         while len(coord.results) < plan.jobs and \
                 coord.failure is None and coord.fatal is None and \
                 not interrupted:
-            sentinel_shard = {}
-            for shard, proc in processes.items():
-                if proc is not None and shard not in coord.results:
-                    sentinel_shard[proc.sentinel] = shard
+            sentinel_shard = {
+                worker.sentinel: shard
+                for shard, worker in enumerate(workers)
+                if shard not in reaped and shard not in coord.results}
             waitable = list(coord.controls.values()) \
                 + list(coord.conns.values()) \
                 + list(sentinel_shard)
@@ -1488,15 +1198,14 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
                 shard = conn_shard.get(id(conn))
                 if shard is not None:
                     if not drain_control(shard):
-                        handle_worker_eof(
-                            shard,
-                            "shard %d worker closed its control "
-                            "pipe without reporting a result"
-                            % shard)
+                        worker_lost(shard, WorkerDeathError(
+                            "shard %d worker closed its control pipe "
+                            "without reporting a result" % shard,
+                            shard=shard))
                     continue
                 rank = conn_rank.get(id(conn))
                 if rank is None:
-                    continue  # shard already recovered this round
+                    continue  # its shard's worker is already reaped
                 shard = coord.plan.shard_of[rank]
                 # the rank's dirty writes travel on its worker's
                 # control pipe and were sent first; log them before
@@ -1507,40 +1216,35 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
                 try:
                     message = conn.recv()
                 except (EOFError, OSError):
-                    handle_worker_eof(
-                        shard,
+                    worker_lost(shard, WorkerDeathError(
                         "shard %d worker died without reporting a "
-                        "result (EOF on rank %d)" % (shard, rank))
+                        "result (EOF on rank %d)" % (shard, rank),
+                        shard=shard))
                     continue
                 coord.handle_request(message)
             for sentinel in ready:
                 shard = sentinel_shard.get(sentinel)
-                if shard is None:
-                    continue
-                proc = processes.get(shard)
-                if proc is None or proc.is_alive():
+                if shard is None or shard in reaped \
+                        or workers[shard].is_alive():
                     continue  # already handled, or spurious wakeup
-                handle_worker_eof(
-                    shard,
+                worker_lost(shard, WorkerDeathError(
                     "shard %d worker process exited with code %s "
                     "before reporting a result"
-                    % (shard, proc.exitcode))
+                    % (shard, workers[shard].exitcode), shard=shard))
             if not ready:
                 now = time.monotonic()
-                if coord.failure is None and coord.fatal is None:
-                    for shard in list(coord.controls):
-                        if shard in coord.results \
-                                or shard in coord.errored_shards:
-                            continue
-                        quiet = now - last_control.get(shard, now)
-                        if quiet > heartbeat_timeout \
-                                and shard_runnable(shard):
-                            recover_shard(shard, WorkerStallError(
-                                "shard %d made no quantum progress "
-                                "for %.1fs (heartbeat timeout %gs)"
-                                % (shard, quiet, heartbeat_timeout),
-                                shard=shard))
-                if coord.all_parked() and \
+                stalled = [shard for shard in coord.controls
+                           if now - last_control[shard]
+                           > heartbeat_timeout
+                           and shard_runnable(shard)]
+                if stalled:
+                    shard = stalled[0]
+                    worker_lost(shard, WorkerStallError(
+                        "shard %d worker made no quantum progress for "
+                        "%.1fs (heartbeat timeout %gs)"
+                        % (shard, now - last_control[shard],
+                           heartbeat_timeout), shard=shard))
+                elif coord.all_parked() and \
                         len(coord.finished) < num_ues:
                     if parked_since is None:
                         parked_since = now
@@ -1555,29 +1259,19 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
                             "no worker activity for %gs (%s)"
                             % (wall_timeout,
                                coord.parked_description()))))
-        # drain any result/error messages still in flight
-        deadline = time.monotonic() + 5.0
-        while coord.failure is None and coord.fatal is None and \
-                not interrupted and \
-                len(coord.results) < plan.jobs and \
-                time.monotonic() < deadline:
-            for shard in list(coord.controls):
-                drain_control(shard)
-            time.sleep(0.01)
     finally:
-        if interrupted:
-            # terminate-first: an interrupted run's workers are not
-            # going to finish, so a 5s join per worker would only
-            # stretch the operator's Ctrl-C
-            for worker in all_workers:
+        if interrupted or coord.fatal is not None:
+            # nothing left to wait for: an abandoned attempt's workers
+            # will never finish, and a stopped one would not even act
+            # on SIGTERM
+            for worker in workers:
                 if worker.is_alive():
-                    worker.terminate()
-        for worker in all_workers:
-            worker.join(timeout=5.0)
-        for worker in all_workers:
+                    worker.kill()
+        for worker in workers:
+            worker.join(timeout=JOIN_TIMEOUT_SECONDS)
             if worker.is_alive():
-                worker.terminate()
-                worker.join(timeout=5.0)
+                worker.kill()
+                worker.join(timeout=JOIN_TIMEOUT_SECONDS)
         for conn in coord.conns.values():
             conn.close()
         for conn in coord.controls.values():
@@ -1586,7 +1280,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
             signal.signal(signum, handler)
 
     if interrupted:
-        raise ParallelInterrupted(interrupted[0], len(all_workers))
+        raise ParallelInterrupted(interrupted[0], len(workers))
     if coord.fatal is not None:
         raise coord.fatal
     if coord.failure is not None:
@@ -1650,8 +1344,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
                                     collect_interpreters)
 
     chip.metrics.register_collector(
-        "sim.parallel",
-        parallel_collector(skew, plan.jobs, respawns=coord.respawns))
+        "sim.parallel", parallel_collector(skew, plan.jobs))
     metrics = chip.metrics.snapshot()
 
     per_core = {row["core"]: row["cycles"]
@@ -1663,21 +1356,7 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
                     if row["core"] == core)
         outputs.extend(per_rank[rank]["output"])
 
-    extra = {"start_method": method}
-    if coord.respawns:
-        extra["shard_respawns"] = dict(coord.respawns)
-    if coord.chaos_events:
-        extra["chaos_events"] = [
-            {"shard": shard, "kind": kind, "rule": rule_index,
-             "tick": tick}
-            for shard, kind, rule_index, tick in coord.chaos_events]
-    if report.failures:
-        report.recovered = True
-        merged = list(diagnostics) if diagnostics else []
-        merged.extend(report.diagnostics())
-        diagnostics = merged
-
-    result = RunResult(
+    return RunResult(
         total, config, outputs,
         per_core_cycles=per_core,
         stats={
@@ -1687,10 +1366,8 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
             "controllers": {index: (stats.reads, stats.writes)
                             for index, stats
                             in chip.controller_stats().items()},
-            "parallel": parallel_stats(skew, plan.jobs, **extra),
+            "parallel": parallel_stats(skew, plan.jobs,
+                                       start_method=method),
         },
         metrics=metrics,
         diagnostics=diagnostics)
-    if report.failures:
-        result.recovery = report
-    return result

@@ -30,12 +30,7 @@ import threading
 
 from repro.cfront.frontend import parse_program
 from repro.diagnostics import Diagnostic
-from repro.faults import (
-    FaultInjector,
-    HostFaultPlan,
-    parse_fault_spec,
-    split_host_rules,
-)
+from repro.faults import FaultInjector
 from repro.obs.attribution import AttributionEngine
 from repro.race import RaceDetector
 from repro.rcce.api import RCCEWorld
@@ -65,7 +60,7 @@ from repro.sim.machine import Memory
 from repro.sim.pthread_rt import PthreadRuntime
 from repro.sim.watchdog import (
     BarrierAbortedError,
-    ShardRestartsExhaustedError,
+    HostFaultError,
     SimulationTimeout,
     WatchdogError,
     core_dumps,
@@ -118,12 +113,17 @@ def _as_unit(program):
 def _prepare_chip(chip, interpreters, cores):
     """Per-run observability setup: reset the metrics registry so a
     reused chip does not bleed counters between runs, re-register the
-    interpreter collector, and name the trace tracks."""
+    interpreter collector, and name the trace tracks.  ``cores`` lists
+    the core ids in rank order."""
     chip.metrics.reset()
+    position = {core: index for index, core in enumerate(cores)}
 
     def collect():
         samples = []
-        for interp in list(interpreters):
+        # rank order, as the process backend reports it: core threads
+        # append their interpreters in host start order, which varies
+        for interp in sorted(interpreters,
+                             key=lambda i: position[i.core_id]):
             labels = {"core": interp.core_id}
             samples.append(("counter", "sim_steps", labels,
                             interp.steps))
@@ -327,8 +327,7 @@ class _CoreError:
 def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
              max_steps=200_000_000, faults=None,
              watchdog=None, recovery=None, race=None, attribution=None,
-             jobs=1, quantum=None,
-             chaos=None, shard_restarts=None, heartbeat_timeout=None):
+             jobs=1, quantum=None):
     """Run a translated RCCE program on ``num_ues`` simulated cores.
 
     ``jobs > 1`` shards the simulated cores over host worker processes
@@ -337,37 +336,15 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     cycles.  Cycles and outputs are byte-identical to ``jobs=1`` for
     any shard count and any quantum.  A run the process backend cannot
     take (see :func:`_resolve_host_path`) runs sequentially,
-    with one warning diagnostic.
-
-    ``chaos`` injects deterministic *host-level* faults into the
-    process backend's workers (kill/stall/IPC delay; a
-    :class:`~repro.faults.HostFaultPlan` or spec string); host-fault
-    clauses inside ``faults`` are routed there too.  ``shard_restarts``
-    bounds per-shard respawns (default 2) and ``heartbeat_timeout``
-    bounds a worker's silence before it is declared stalled.  When the
-    restart budget runs out the run degrades — loudly — to a
-    sequential run from the beginning.
+    with one warning diagnostic.  So does a sharded run whose worker
+    process dies or stalls: the attempt is abandoned and the program
+    reruns at ``jobs=1`` from the beginning, with one warning.
     """
     unit = _as_unit(program)
     config = config or Table61Config()
     chip = chip or SCCChip(config)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    # one --faults spec may mix chip- and host-level clauses; host
-    # clauses join the chaos plan instead of the chip injector
-    chaos_plan = chaos
-    if isinstance(chaos_plan, str):
-        chaos_plan = HostFaultPlan(chaos_plan)
-    if faults is not None and not isinstance(faults, FaultInjector):
-        chip_rules, host_rules = split_host_rules(
-            parse_fault_spec(faults))
-        if host_rules:
-            chaos_plan = HostFaultPlan(
-                (chaos_plan.rules if chaos_plan is not None else [])
-                + host_rules)
-        faults = chip_rules
-    if chaos_plan is not None and not chaos_plan.active:
-        chaos_plan = None
     injector = _as_injector(faults)
     detector = _as_detector(race)
     attr = _as_attribution(attribution)
@@ -378,7 +355,6 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
         jobs, program, injector, detector, attr, recovery, chip)
     if parallel_downgrade is not None:
         diagnostics.append(parallel_downgrade)
-    degraded_report = None
     if use_process:
         # nothing below composes with sharded worker processes (that
         # is exactly what _resolve_host_path just checked), so
@@ -389,27 +365,14 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
             return run_rcce_parallel(
                 program, num_ues, config, chip, core_map, max_steps,
                 jobs, quantum=quantum,
-                diagnostics=diagnostics,
-                heartbeat_timeout=heartbeat_timeout,
-                shard_restarts=shard_restarts, chaos=chaos_plan,
-                watchdog=watchdog)
-        except ShardRestartsExhaustedError as exc:
-            # the graceful rung below hard failure: rerun the whole
-            # program sequentially, from the beginning
+                diagnostics=diagnostics, watchdog=watchdog)
+        except HostFaultError as exc:
+            # a worker died or stalled: rerun the whole program
+            # sequentially, from the beginning
             diagnostics.append(Diagnostic.warning(
                 "simulate",
-                "%s; degraded to sequential (jobs=1) and re-ran from "
-                "the beginning (verified cycle-identical)" % exc))
-            degraded_report = exc.report
-            if degraded_report is not None:
-                diagnostics.extend(degraded_report.diagnostics())
-            chaos_plan = None  # host faults died with the workers
-    if chaos_plan is not None:
-        diagnostics.append(Diagnostic.warning(
-            "simulate",
-            "host chaos targets the process backend's workers; this "
-            "run uses no worker processes (jobs=1), so the chaos plan "
-            "is ignored"))
+                "%s: %s; degraded to sequential (jobs=1) and re-ran "
+                "from the beginning" % (type(exc).__name__, exc)))
     if injector is not None:
         injector.attach(chip)
     if detector is not None:
@@ -544,8 +507,6 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
         stats=stats,
         metrics=metrics,
         diagnostics=diagnostics)
-    if degraded_report is not None:
-        result.recovery = degraded_report
     if detector is not None:
         result.race = detector.report()
         result.diagnostics.extend(result.race.diagnostics())

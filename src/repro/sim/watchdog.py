@@ -72,9 +72,10 @@ class WatchdogAborted(WatchdogError):
 
 
 class HostFaultError(WatchdogError):
-    """Base class for host-level supervision failures in the process
-    backend: a worker *process* (not a simulated core) died or hung.
-    ``shard`` names the affected shard."""
+    """Base class for host-level failures in the process backend: a
+    worker *process* (not a simulated core) died or hung.  ``shard``
+    names the affected shard; ``run_rcce`` catches it and reruns the
+    program sequentially (``jobs=1``)."""
 
     def __init__(self, message, shard=None):
         super().__init__(message)
@@ -90,17 +91,6 @@ class WorkerStallError(HostFaultError):
     """A shard's worker process made no quantum progress within the
     heartbeat bound while at least one of its ranks was still
     runnable (hung host process, not a simulated deadlock)."""
-
-
-class ShardRestartsExhaustedError(HostFaultError):
-    """A shard died or stalled more times than the restart budget
-    allows.  ``report`` carries the :class:`~repro.recovery.supervisor.
-    RecoveryReport` of every attempt; the runner reruns the program
-    sequentially instead of letting this escape."""
-
-    def __init__(self, message, shard=None, report=None):
-        super().__init__(message, shard=shard)
-        self.report = report
 
 
 class SimulationTimeout(StepLimitExceeded):

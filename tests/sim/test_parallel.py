@@ -123,27 +123,20 @@ class TestShardMemory:
         memory = ShardMemory()
         memory.store(0x100, 7)                 # private window
         memory.store(SHARED_BASE + 8, 9)       # shared DRAM
-        assert memory.drain_dirty() == [(None, SHARED_BASE + 8, 9)]
-
-    def test_entries_tagged_with_bound_rank(self):
-        memory = ShardMemory()
-        memory.set_thread_rank(3)
-        memory.store(SHARED_BASE + 8, 9)
-        assert memory.drain_dirty() == [(3, SHARED_BASE + 8, 9)]
+        assert memory.drain_dirty() == [(SHARED_BASE + 8, 9)]
 
     def test_log_everything_flips_the_filter(self):
         memory = ShardMemory()
         memory.log_everything()
         memory.store(0x100, 7)
-        assert memory.drain_dirty() == [(None, 0x100, 7)]
+        assert memory.drain_dirty() == [(0x100, 7)]
 
     def test_drain_is_fifo_and_empties(self):
         memory = ShardMemory()
         for index in range(4):
             memory.store(SHARED_BASE + index, index)
         entries = memory.drain_dirty()
-        assert entries == [(None, SHARED_BASE + i, i)
-                           for i in range(4)]
+        assert entries == [(SHARED_BASE + i, i) for i in range(4)]
         assert memory.drain_dirty() == []
 
     def test_memset_and_memcpy_log_shared(self):
@@ -153,7 +146,7 @@ class TestShardMemory:
         memory.store(SHARED_BASE + 100, 42)
         memory.drain_dirty()
         memory.memcpy(SHARED_BASE + 200, SHARED_BASE + 100, 1, 4)
-        assert memory.drain_dirty() == [(None, SHARED_BASE + 200, 42)]
+        assert memory.drain_dirty() == [(SHARED_BASE + 200, 42)]
 
     def test_apply_remote_does_not_relog(self):
         memory = ShardMemory()

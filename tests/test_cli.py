@@ -1,11 +1,17 @@
 """CLI tests (python -m repro)."""
 
 import io
+import signal
 
 import pytest
 
 from repro.bench.programs import EXAMPLE_4_1
 from repro.cli import build_parser, main
+from tests.sim.test_parallel_recovery import (
+    RING_SOURCE,
+    live_workers,
+    signal_worker,
+)
 
 
 @pytest.fixture
@@ -168,11 +174,12 @@ class TestErrorHandling:
         assert "parse error" in err
 
     def test_bad_fault_spec_exits_2(self, example_file):
-        code, _, err = run_cli_err(
-            ["run", example_file, "--mode", "pthread",
-             "--faults", "gamma_ray:p=1"])
-        assert code == 2
-        assert "bad --faults spec" in err
+        for spec in ("gamma_ray:p=1", "worker_kill"):
+            code, _, err = run_cli_err(
+                ["run", example_file, "--mode", "pthread",
+                 "--faults", spec])
+            assert code == 2
+            assert "bad --faults spec" in err
 
     def test_deadlock_exits_75(self, tmp_path):
         path = tmp_path / "deadlock.c"
@@ -402,21 +409,6 @@ class TestParallelFlags:
         assert parallel[0] == 0
 
 
-CHAOS_KERNEL = """
-#include <stdio.h>
-#include <RCCE.h>
-int RCCE_APP(int argc, char **argv) {
-    int i; int acc;
-    RCCE_init(&argc, &argv);
-    acc = 0;
-    for (i = 0; i < 20000; i++) { acc += i; }
-    RCCE_barrier(&RCCE_COMM_WORLD);
-    printf("ue %d acc %d\\n", RCCE_ue(), acc);
-    RCCE_finalize();
-    return 0;
-}
-"""
-
 RECV_DEADLOCK_KERNEL = """
 #include <RCCE.h>
 int RCCE_APP(int argc, char **argv) {
@@ -433,80 +425,32 @@ int RCCE_APP(int argc, char **argv) {
 
 
 class TestChaosFlags:
+    """``--jobs`` runs that go wrong: a dead worker, a watchdog, a
+    simulated deadlock."""
+
     @pytest.fixture
-    def chaos_file(self, tmp_path):
-        path = tmp_path / "chaos.c"
-        path.write_text(CHAOS_KERNEL)
+    def ring_file(self, tmp_path):
+        path = tmp_path / "ring.c"
+        path.write_text(RING_SOURCE)
         return str(path)
 
-    def test_bad_chaos_spec_exits_2(self, chaos_file):
+    def test_killed_worker_exits_2_under_strict(self, ring_file):
+        thread, signalled = signal_worker(signal.SIGKILL)
         code, _, err = run_cli_err(
-            ["run", chaos_file, "--mode", "rcce", "--ues", "4",
-             "--jobs", "2", "--chaos", "gamma_ray:p=1"])
-        assert code == 2
-        assert "bad --chaos spec" in err
-
-    def test_chip_kind_in_chaos_exits_2(self, chaos_file):
-        code, _, err = run_cli_err(
-            ["run", chaos_file, "--mode", "rcce", "--ues", "4",
-             "--jobs", "2", "--chaos", "dram_flip:p=0.1"])
-        assert code == 2
-        assert "bad --chaos spec" in err
-        assert "FaultInjector" in err
-
-    def test_negative_shard_restarts_exits_2(self, chaos_file):
-        code, _, err = run_cli_err(
-            ["run", chaos_file, "--mode", "rcce", "--ues", "4",
-             "--jobs", "2", "--shard-restarts", "-1"])
-        assert code == 2
-        assert "--shard-restarts" in err
-
-    def test_non_positive_heartbeat_exits_2(self, chaos_file):
-        code, _, err = run_cli_err(
-            ["run", chaos_file, "--mode", "rcce", "--ues", "4",
-             "--jobs", "2", "--heartbeat-timeout", "0"])
-        assert code == 2
-        assert "--heartbeat-timeout" in err
-
-    def test_chaos_kill_recovers_byte_identical(self, chaos_file):
-        baseline = run_cli(["run", chaos_file, "--mode", "rcce",
-                            "--ues", "4"])
-        code, out, err = run_cli_err(
-            ["run", chaos_file, "--mode", "rcce", "--ues", "4",
-             "--jobs", "2", "--quantum", "1000",
-             "--chaos", "worker_kill:at_tick=1"])
-        assert code == 0
-        assert (code, out) == baseline
-        assert "respawned and replayed" in err
-
-    def test_exhausted_budget_downgrades_exit_0(self, chaos_file):
-        baseline = run_cli(["run", chaos_file, "--mode", "rcce",
-                            "--ues", "4"])
-        code, out, err = run_cli_err(
-            ["run", chaos_file, "--mode", "rcce", "--ues", "4",
-             "--jobs", "2", "--quantum", "1000",
-             "--chaos", "worker_kill:at_tick=1",
-             "--shard-restarts", "0"])
-        assert code == 0
-        assert (code, out) == baseline
-        assert "degraded to sequential (jobs=1)" in err
-        assert "restart budget" in err
-
-    def test_exhausted_budget_exits_2_under_strict(self, chaos_file):
-        code, _, err = run_cli_err(
-            ["run", chaos_file, "--mode", "rcce", "--ues", "4",
-             "--jobs", "2", "--quantum", "1000",
-             "--chaos", "worker_kill:at_tick=1",
-             "--shard-restarts", "0", "--strict"])
+            ["run", ring_file, "--mode", "rcce", "--ues", "4",
+             "--jobs", "2", "--strict"])
+        thread.join(timeout=30.0)
+        assert signalled
         assert code == 2
         assert "--strict" in err
         assert "degraded to sequential (jobs=1)" in err
-        assert "--shard-restarts" in err
+        assert "shard 1" in err
+        assert live_workers() == []
 
     def test_watchdog_with_jobs_no_longer_downgrades(
-            self, chaos_file):
+            self, ring_file):
         code, _, err = run_cli_err(
-            ["run", chaos_file, "--mode", "rcce", "--ues", "4",
+            ["run", ring_file, "--mode", "rcce", "--ues", "4",
              "--jobs", "2", "--watchdog-timeout", "30", "--strict"])
         assert code == 0
         assert "sequential" not in err
