@@ -39,17 +39,17 @@ class Node:
         self.parent = None  # filled lazily by link_parents()
 
     def children(self):
-        """Yield (field_name, child_node) pairs, flattening lists."""
+        """The child nodes, in field order, with list fields flattened."""
+        found = []
         for field in self._fields:
             value = getattr(self, field, None)
-            if value is None:
-                continue
             if isinstance(value, list):
-                for index, item in enumerate(value):
+                for item in value:
                     if isinstance(item, Node):
-                        yield ("%s[%d]" % (field, index), item)
+                        found.append(item)
             elif isinstance(value, Node):
-                yield (field, value)
+                found.append(value)
+        return found
 
     def __repr__(self):
         attrs = []
@@ -65,18 +65,47 @@ class Node:
 
 
 def link_parents(root):
-    """Populate ``node.parent`` across the whole tree under ``root``."""
-    for _, child in root.children():
-        child.parent = root
-        link_parents(child)
-    return root
+    """Populate ``node.parent`` across the whole tree under ``root``.
+
+    The walk is pre-order, as :func:`walk` is, and a node's parent is
+    set when the node is visited.  Returns the first ``(field, node)``
+    in that order whose list field holds None (a hole a transform left
+    behind), or None when there is none."""
+    hole = None
+    stack = [(root, None)]
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            node.parent = parent
+        children = []
+        for field in node._fields:
+            value = getattr(node, field, None)
+            if isinstance(value, list):
+                for item in value:
+                    if isinstance(item, Node):
+                        children.append((item, node))
+                    elif item is None and hole is None:
+                        hole = (field, node)
+            elif isinstance(value, Node):
+                children.append((value, node))
+        children.reverse()
+        stack += children
+    return hole
 
 
 def walk(root):
-    """Depth-first pre-order generator over all nodes."""
-    yield root
-    for _, child in root.children():
-        yield from walk(child)
+    """Depth-first pre-order generator over all nodes.
+
+    A node's fields are read only after the node has been yielded, so
+    the consumer may rewrite them (say, a call's ``func`` and ``args``)
+    and the walk descends into the new children."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        yield node
+        children = node.children()
+        children.reverse()
+        stack += children
 
 
 # ---------------------------------------------------------------------------

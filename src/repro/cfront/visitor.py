@@ -14,7 +14,7 @@ class NodeVisitor:
         return self.generic_visit(node)
 
     def generic_visit(self, node):
-        for _, child in node.children():
+        for child in node.children():
             self.visit(child)
 
 

@@ -139,7 +139,7 @@ def _walk_expr(expr, function, weight, out, context):
             _walk_expr(item, function, weight, out, "read")
         return
     # fall back to generic traversal for anything new
-    for _, child in expr.children():
+    for child in expr.children():
         if isinstance(child, c_ast.Expression):
             _walk_expr(child, function, weight, out, "read")
 

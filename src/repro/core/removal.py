@@ -166,7 +166,6 @@ class RemoveUnusedPrivates(TransformPass):
             used = _referenced_names(unit)
             transformer = _UnusedDeclRemover(used)
             transformer.visit(unit)
-            c_ast.link_parents(unit)
             if transformer.removed == 0:
                 break
             removed += transformer.removed

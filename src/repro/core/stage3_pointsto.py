@@ -233,7 +233,7 @@ class PointsToAnalysis:
             for item in expr.exprs:
                 self.visit_expression(item, function, state)
             return
-        for _, child in expr.children():
+        for child in expr.children():
             if isinstance(child, c_ast.Expression):
                 self.visit_expression(child, function, state)
 

@@ -73,6 +73,25 @@ def rename_in(node, old, new):
     return _Renamer(old, new).visit(node)
 
 
+def mutex_name(call):
+    """The mutex a ``pthread_mutex_*`` call names: ``m`` for ``&m``,
+    ``m``, ``&m[i]`` or ``m[i]``; ``"<anonymous>"`` for any other
+    expression and ``"<none>"`` for a call without arguments.  Stage 5
+    assigns test-and-set registers by this name and the static lockset
+    audit reads locks by it, so the two agree on which calls share a
+    register."""
+    if not call.args:
+        return "<none>"
+    arg = call.args[0]
+    if isinstance(arg, c_ast.UnaryOp) and arg.op == "&":
+        arg = arg.operand
+    if isinstance(arg, c_ast.ArrayRef):
+        arg = arg.base
+    if isinstance(arg, c_ast.Id):
+        return arg.name
+    return "<anonymous>"
+
+
 def make_barrier(coord=None):
     return make_call("RCCE_barrier", [
         c_ast.UnaryOp("&", c_ast.Id("RCCE_COMM_WORLD"))], coord)
@@ -319,20 +338,20 @@ class ThreadsToProcesses(TransformPass):
 
 
 class _ScalarPromoter(NodeTransformer):
-    """Rewrite uses of a promoted shared scalar: ``name`` becomes
-    ``(*name)`` and ``&name`` becomes ``name``."""
+    """Rewrite uses of promoted shared scalars: each ``name`` in
+    ``names`` becomes ``(*name)`` and ``&name`` becomes ``name``."""
 
-    def __init__(self, name):
-        self.name = name
+    def __init__(self, names):
+        self.names = names
 
     def visit_UnaryOp(self, node):
         if node.op == "&" and isinstance(node.operand, c_ast.Id) and \
-                node.operand.name == self.name:
+                node.operand.name in self.names:
             return node.operand  # &x -> x (the pointer itself)
         return self.generic_visit(node)
 
     def visit_Id(self, node):
-        if node.name == self.name:
+        if node.name in self.names:
             return c_ast.UnaryOp("*", node, node.coord)
         return node
 
@@ -386,19 +405,8 @@ class MutexConversion(TransformPass):
                     getattr(node, "coord", None))
         return dict(self.lock_ids)
 
-    def _mutex_name(self, arg):
-        if isinstance(arg, c_ast.UnaryOp) and arg.op == "&":
-            arg = arg.operand
-        if isinstance(arg, c_ast.Id):
-            return arg.name
-        if isinstance(arg, c_ast.ArrayRef):
-            base = arg.base
-            if isinstance(base, c_ast.Id):
-                return base.name
-        return "<anonymous>"
-
     def _rewrite_lock(self, context, call, rcce_name):
-        mutex = self._mutex_name(call.args[0]) if call.args else "<none>"
+        mutex = mutex_name(call)
         coord = getattr(call, "coord", None)
         if mutex == "<anonymous>":
             context.diagnose(
@@ -451,6 +459,8 @@ class SharedVariableConversion(TransformPass):
 
         converted = 0
         alloc_stmts = []
+        promoted = set()
+        mallocs = self._existing_mallocs(unit)
         for decl in unit.global_decls():
             info = table.get_exact(decl.name, None)
             if info is None or not info.is_shared:
@@ -465,7 +475,9 @@ class SharedVariableConversion(TransformPass):
             else:
                 allocator = "RCCE_malloc"
             is_scalar = not (decl.ctype.is_array or decl.ctype.is_pointer)
-            if self._rename_existing_malloc(unit, decl.name, allocator):
+            calls = mallocs.pop(decl.name, None)
+            if calls:
+                self._rename_malloc(calls, allocator)
                 converted += 1
                 if decl.ctype.is_array:
                     decl.ctype = ctypes.PointerType(
@@ -473,7 +485,7 @@ class SharedVariableConversion(TransformPass):
                 decl.init = None
                 continue
             if is_scalar:
-                _ScalarPromoter(decl.name).visit(unit)
+                promoted.add(decl.name)
             element_type, count = self._element_shape(decl.ctype)
             split_bytes = None
             if bank is MemoryBank.SPLIT:
@@ -490,6 +502,8 @@ class SharedVariableConversion(TransformPass):
             decl.init = None
             converted += 1
 
+        if promoted:
+            _ScalarPromoter(promoted).visit(unit)
         main.body.items[0:0] = alloc_stmts
         return converted
 
@@ -515,22 +529,28 @@ class SharedVariableConversion(TransformPass):
         cast = c_ast.Cast(ctypes.PointerType(element_type), call)
         return c_ast.ExprStmt(c_ast.Assignment("=", c_ast.Id(name), cast))
 
-    def _rename_existing_malloc(self, unit, name, allocator):
-        """If the program already mallocs ``name``, keep its size
-        expression and just swap the allocator name."""
-        renamed = False
+    @staticmethod
+    def _existing_mallocs(unit):
+        """``{name: [call]}`` for every ``name = malloc/calloc(...)``
+        assignment (possibly cast) in the program, in one walk."""
+        mallocs = {}
         for node in c_ast.walk(unit):
             if isinstance(node, c_ast.Assignment) and node.op == "=" and \
-                    isinstance(node.lvalue, c_ast.Id) and \
-                    node.lvalue.name == name:
+                    isinstance(node.lvalue, c_ast.Id):
                 call = node.rvalue
                 if isinstance(call, c_ast.Cast):
                     call = call.expr
                 if isinstance(call, c_ast.FuncCall) and \
                         call.callee_name in ("malloc", "calloc"):
-                    if call.callee_name == "calloc" and len(call.args) == 2:
-                        call.args = [c_ast.BinaryOp("*", call.args[0],
-                                                    call.args[1])]
-                    call.func = c_ast.Id(allocator)
-                    renamed = True
-        return renamed
+                    mallocs.setdefault(node.lvalue.name, []).append(call)
+        return mallocs
+
+    @staticmethod
+    def _rename_malloc(calls, allocator):
+        """The program already mallocs the variable: keep each call's
+        size expression and just swap the allocator name."""
+        for call in calls:
+            if call.callee_name == "calloc" and len(call.args) == 2:
+                call.args = [c_ast.BinaryOp("*", call.args[0],
+                                            call.args[1])]
+            call.func = c_ast.Id(allocator)

@@ -59,19 +59,23 @@ class CFG:
 
     def rpo(self):
         """Reverse post-order over reachable blocks (good for forward
-        dataflow convergence)."""
-        visited = set()
+        dataflow convergence).  Iterative, so a long function cannot
+        exhaust the interpreter's recursion limit."""
+        visited = {self.entry.index}
         order = []
-
-        def dfs(block):
-            visited.add(block.index)
-            for succ, _ in block.successors:
+        stack = [(self.entry, iter(self.entry.successors))]
+        while stack:
+            block, successors = stack[-1]
+            for succ, _ in successors:
                 if succ.index not in visited:
-                    dfs(succ)
-            order.append(block)
-
-        dfs(self.entry)
-        return list(reversed(order))
+                    visited.add(succ.index)
+                    stack.append((succ, iter(succ.successors)))
+                    break
+            else:
+                order.append(block)
+                stack.pop()
+        order.reverse()
+        return order
 
     def back_edges(self):
         """Edges that close a cycle: ``(src, dst)`` pairs where ``dst``

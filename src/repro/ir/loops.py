@@ -38,7 +38,7 @@ def loop_depth_map(func):
     def visit(node, depth):
         depths[id(node)] = depth
         next_depth = depth + 1 if isinstance(node, _LOOP_TYPES) else depth
-        for _, child in node.children():
+        for child in node.children():
             visit(child, next_depth)
 
     visit(func.body, 0)
@@ -54,7 +54,7 @@ def find_loops(func):
             trips, constant = estimate_trip_count(node)
             loops.append(LoopInfo(node, depth, trips, constant))
             depth += 1
-        for _, child in node.children():
+        for child in node.children():
             visit(child, depth)
 
     visit(func.body, 0)

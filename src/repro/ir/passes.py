@@ -85,25 +85,18 @@ class TransformPass(Pass):
 
     def __call__(self, context):
         result = super().__call__(context)
-        c_ast.link_parents(context.unit)
-        _check_consistency(context.unit)
-        return result
-
-
-def _check_consistency(unit):
-    """Cheap structural invariants after a transform."""
-    for node in c_ast.walk(unit):
-        for field in node._fields:
-            value = getattr(node, field, None)
-            if isinstance(value, list):
-                for item in value:
-                    if item is None:
-                        raise PassError(
-                            "None left inside list field %r of %s"
+        # cheap structural invariants; the relinking walk itself
+        # reports a None left in a list field
+        hole = c_ast.link_parents(context.unit)
+        if hole is not None:
+            field, node = hole
+            raise PassError("None left inside list field %r of %s"
                             % (field, type(node).__name__))
-    for func in unit.functions():
-        if func.body is None or not isinstance(func.body, c_ast.Compound):
-            raise PassError("function %r lost its body" % func.name)
+        for func in context.unit.functions():
+            if func.body is None or \
+                    not isinstance(func.body, c_ast.Compound):
+                raise PassError("function %r lost its body" % func.name)
+        return result
 
 
 class Driver:

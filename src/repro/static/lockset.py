@@ -254,8 +254,10 @@ def _access_kind(access_expr):
     """``(kind, also_read)`` of a complete access expression, judged
     from its syntactic context."""
     parent = _context_parent(access_expr)
+    # the lvalue may carry casts; access_expr is cast-free by
+    # construction
     if isinstance(parent, c_ast.Assignment) and \
-            _peel(parent.lvalue) is _unpeel(access_expr):
+            _peel(parent.lvalue) is access_expr:
         return WRITE, parent.op != "="
     if isinstance(parent, c_ast.UnaryOp) and \
             parent.op in ("++", "--", "p++", "p--"):
@@ -266,12 +268,6 @@ def _access_kind(access_expr):
 def _peel(node):
     while isinstance(node, c_ast.Cast):
         node = node.expr
-    return node
-
-
-def _unpeel(node):
-    # access_expr is already cast-free on the way up; the lvalue may
-    # carry casts, so compare peeled identities
     return node
 
 

@@ -20,6 +20,7 @@ Three ingredients:
 
 from repro.cfront import c_ast
 from repro.cfront.visitor import enclosing
+from repro.core.stage5_translate import mutex_name
 from repro.ir.cfg import build_cfg
 from repro.ir.dataflow import ForwardDataflow
 from repro.ir.loops import estimate_trip_count
@@ -33,6 +34,8 @@ LOCK_CALLS = ("pthread_mutex_lock", "pthread_mutex_trylock")
 UNLOCK_CALLS = ("pthread_mutex_unlock",)
 RCCE_ACQUIRE = "RCCE_acquire_lock"
 RCCE_RELEASE = "RCCE_release_lock"
+ACQUIRE_CALLS = LOCK_CALLS + (RCCE_ACQUIRE,)
+RELEASE_CALLS = UNLOCK_CALLS + (RCCE_RELEASE,)
 
 
 def join_phase(a, b):
@@ -93,15 +96,12 @@ def root_multiplicities(launches, multipliers):
     return weights
 
 
-def _calls_in(stmt, names):
-    """All FuncCall nodes under a CFG statement (AST node or a
-    ``("branch", cond)`` tuple) whose callee is in ``names``."""
+def _calls_of(stmt):
+    """``[(callee name, FuncCall)]`` under a CFG statement (AST node or
+    a ``("branch", cond)`` tuple), in walk order."""
     root = stmt[1] if isinstance(stmt, tuple) else stmt
-    found = []
-    for node in c_ast.walk(root):
-        if isinstance(node, c_ast.FuncCall) and node.callee_name in names:
-            found.append(node)
-    return found
+    return [(node.callee_name, node) for node in c_ast.walk(root)
+            if isinstance(node, c_ast.FuncCall)]
 
 
 def _site_multiplicity(call):
@@ -131,33 +131,45 @@ class MainPhases:
         main = unit.find_function("main")
         if main is None:
             return
-        creates = _calls_in(main.body, ("pthread_create",))
-        joins = _calls_in(main.body, ("pthread_join",))
-        created = sum(_site_multiplicity(call) for call in creates)
-        joined = sum(_site_multiplicity(call) for call in joins)
+        calls = _calls_of(main.body)
+        created = sum(_site_multiplicity(call) for name, call in calls
+                      if name == "pthread_create")
+        joined = sum(_site_multiplicity(call) for name, call in calls
+                     if name == "pthread_join")
         self._joins_cover = created > 0 and joined >= created
         cfg = build_cfg(main)
-        reach = self._reachability(cfg)
-        created_in = self._created_before(cfg)
-        has_create = {b.index: any(_calls_in(s, ("pthread_create",))
-                                   for s in b.statements)
-                      for b in cfg.blocks}
-        has_join = {b.index: any(_calls_in(s, ("pthread_join",))
-                                 for s in b.statements)
-                    for b in cfg.blocks}
+        # (creates, joins) of every statement, walked once
+        flags = {}
         for block in cfg.blocks:
-            created_flag = created_in.get(block.index, True)
-            later = reach.get(block.index, set())
-            create_later_blocks = any(has_create[i] for i in later)
-            join_later_blocks = any(has_join[i] for i in later)
-            statements = block.statements
-            for position, stmt in enumerate(statements):
-                rest = statements[position + 1:]
-                create_after = create_later_blocks or any(
-                    _calls_in(s, ("pthread_create",)) for s in rest)
-                join_after = join_later_blocks or any(
-                    _calls_in(s, ("pthread_join",)) for s in rest)
-                if _calls_in(stmt, ("pthread_create",)):
+            row = []
+            for stmt in block.statements:
+                names = {name for name, _ in _calls_of(stmt)}
+                row.append(("pthread_create" in names,
+                            "pthread_join" in names))
+            flags[block.index] = row
+        has_create = {index: any(creates for creates, _ in row)
+                      for index, row in flags.items()}
+        has_join = {index: any(joins for _, joins in row)
+                    for index, row in flags.items()}
+        create_later = self._reaches_later(cfg, has_create)
+        join_later = self._reaches_later(cfg, has_join)
+        created_in = self._created_before(cfg, has_create)
+        for block in cfg.blocks:
+            row = flags[block.index]
+            # suffix flags: a create / join in a later statement of
+            # this block or in a block reachable from it
+            after = []
+            create_after = create_later[block.index]
+            join_after = join_later[block.index]
+            for creates, joins in reversed(row):
+                after.append((create_after, join_after))
+                create_after = create_after or creates
+                join_after = join_after or joins
+            after.reverse()
+            created_flag = created_in[block.index]
+            for stmt, (creates, _), (create_after, join_after) in zip(
+                    block.statements, row, after):
+                if creates:
                     # the launch itself begins the parallel phase
                     created_flag = True
                 if not created_flag:
@@ -171,38 +183,35 @@ class MainPhases:
                 self._phase[id(node)] = phase
 
     @staticmethod
-    def _reachability(cfg):
-        """``{index: set of indices reachable via >= 1 edge}``."""
-        direct = {b.index: {s.index for s, _ in b.successors}
-                  for b in cfg.blocks}
-        reach = {i: set(direct[i]) for i in direct}
-        changed = True
-        while changed:
-            changed = False
-            for i in reach:
-                extra = set()
-                for j in reach[i]:
-                    extra |= direct.get(j, set())
-                if not extra <= reach[i]:
-                    reach[i] |= extra
-                    changed = True
-        return reach
+    def _reaches_later(cfg, marked):
+        """``{index: a marked block is reachable along >= 1 edge}``,
+        from one backward search out of the marked blocks."""
+        reaching = {index for index, flag in marked.items() if flag}
+        stack = list(reaching)
+        while stack:
+            for pred in cfg.blocks[stack.pop()].predecessors:
+                if pred.index not in reaching:
+                    reaching.add(pred.index)
+                    stack.append(pred.index)
+        return {block.index: any(succ.index in reaching
+                                 for succ, _ in block.successors)
+                for block in cfg.blocks}
 
     @staticmethod
-    def _created_before(cfg):
+    def _created_before(cfg, has_create):
         """May-have-created boolean forward dataflow (merge = OR)."""
         in_flag = {b.index: False for b in cfg.blocks}
         out_flag = {b.index: False for b in cfg.blocks}
+        order = cfg.rpo()
         changed = True
         while changed:
             changed = False
-            for block in cfg.rpo():
+            for block in order:
                 flag = any(out_flag[p.index]
                            for p in block.predecessors)
                 if not flag and block is not cfg.entry:
                     flag = in_flag[block.index]
-                out = flag or any(_calls_in(s, ("pthread_create",))
-                                  for s in block.statements)
+                out = flag or has_create[block.index]
                 if flag != in_flag[block.index] or \
                         out != out_flag[block.index]:
                     changed = True
@@ -265,10 +274,12 @@ def _enclosing_statement(node):
 
 class LockModel:
     """Mutex-name to test-and-set-register mapping, mirrored from
-    stage 5's :class:`MutexConversion`: registers are assigned in walk
-    order of first use, modulo the core count — so when the chip runs
-    out of registers and two mutexes alias one register, the audit
-    treats them as the single lock they become after translation."""
+    stage 5's :class:`MutexConversion` (both name a mutex with
+    :func:`~repro.core.stage5_translate.mutex_name`): registers are
+    assigned in walk order of first use, modulo the core count — so
+    when the chip runs out of registers and two mutexes alias one
+    register, the audit treats them as the single lock they become
+    after translation."""
 
     def __init__(self, unit, num_cores=48):
         self.num_cores = num_cores
@@ -278,8 +289,7 @@ class LockModel:
             if not isinstance(node, c_ast.FuncCall):
                 continue
             if node.callee_name in LOCK_CALLS + UNLOCK_CALLS:
-                self._assign(self._mutex_name(node.args[0])
-                             if node.args else "<none>")
+                self._assign(mutex_name(node))
 
     def _assign(self, mutex):
         if mutex not in self.lock_ids:
@@ -288,26 +298,12 @@ class LockModel:
                 self.aliased = True
         return self.lock_ids[mutex]
 
-    @staticmethod
-    def _mutex_name(arg):
-        if isinstance(arg, c_ast.UnaryOp) and arg.op == "&":
-            arg = arg.operand
-        if isinstance(arg, c_ast.Id):
-            return arg.name
-        if isinstance(arg, c_ast.ArrayRef):
-            base = arg.base
-            if isinstance(base, c_ast.Id):
-                return base.name
-        return "<anonymous>"
-
     def lock_id_of_call(self, call):
         """The register a lock/unlock call operates on, or None for a
         call this model does not understand."""
         name = call.callee_name
         if name in LOCK_CALLS + UNLOCK_CALLS:
-            mutex = self._mutex_name(call.args[0]) \
-                if call.args else "<none>"
-            return self._assign(mutex)
+            return self._assign(mutex_name(call))
         if name in (RCCE_ACQUIRE, RCCE_RELEASE):
             if call.args and isinstance(call.args[0], c_ast.Constant) \
                     and call.args[0].kind == "int":
@@ -373,6 +369,12 @@ class LockSummaries:
         self.unit = unit
         self.model = model
         self.cfgs = {f.name: build_cfg(f) for f in unit.functions()}
+        # id(statement) -> its (callee name, call) pairs, walked once;
+        # self.cfgs keeps every keyed statement alive
+        self._calls = {id(stmt): _calls_of(stmt)
+                       for cfg in self.cfgs.values()
+                       for block in cfg.blocks
+                       for stmt in block.statements}
         self.must_acquired = {f.name: frozenset()
                               for f in unit.functions()}
         self.may_released = {f.name: frozenset()
@@ -404,14 +406,14 @@ class LockSummaries:
                     frozenset(exit_in) - boundary
             released = set()
             for stmt in self._statements(func.name):
-                for call in _calls_in(stmt, UNLOCK_CALLS
-                                      + (RCCE_RELEASE,)):
-                    lock = self.model.lock_id_of_call(call)
-                    if lock is not None:
-                        released.add(lock)
-                for call in _calls_in(stmt, tuple(self.cfgs)):
-                    released |= self.may_released.get(
-                        call.callee_name, frozenset())
+                for name, call in self._calls[id(stmt)]:
+                    if name in RELEASE_CALLS:
+                        lock = self.model.lock_id_of_call(call)
+                        if lock is not None:
+                            released.add(lock)
+                    if name in self.cfgs:
+                        released |= self.may_released.get(
+                            name, frozenset())
             self.may_released[func.name] = frozenset(released)
         # callsite locksets recorded by apply_statement this round
         for callee, states in self._call_entries.items():
@@ -427,18 +429,14 @@ class LockSummaries:
                 yield stmt
 
     def apply_statement(self, stmt, state):
-        """Flow one CFG statement through a lockset (shared by the
-        dataflow solver and the site collector)."""
-        root = stmt[1] if isinstance(stmt, tuple) else stmt
-        for node in c_ast.walk(root):
-            if not isinstance(node, c_ast.FuncCall):
-                continue
-            name = node.callee_name
-            if name in LOCK_CALLS + (RCCE_ACQUIRE,):
+        """Flow one statement of ``self.cfgs`` through a lockset
+        (shared by the dataflow solver and the site collector)."""
+        for name, node in self._calls[id(stmt)]:
+            if name in ACQUIRE_CALLS:
                 lock = self.model.lock_id_of_call(node)
                 if lock is not None:
                     state = state | {lock}
-            elif name in UNLOCK_CALLS + (RCCE_RELEASE,):
+            elif name in RELEASE_CALLS:
                 lock = self.model.lock_id_of_call(node)
                 if lock is not None:
                     state = state - {lock}

@@ -1,6 +1,8 @@
 """Visitor / transformer / search helper tests."""
 
+from repro.bench.programs import benchmark_source
 from repro.cfront import c_ast
+from repro.cfront.frontend import parse_program
 from repro.cfront.parser import parse
 from repro.cfront.visitor import (
     NodeTransformer,
@@ -136,3 +138,48 @@ class TestSearchHelpers:
         unit = parse("int a; int b;")
         nodes = list(c_ast.walk(unit))
         assert nodes[0] is unit
+
+        def preorder(node):
+            yield node
+            for field in node._fields:
+                value = getattr(node, field, None)
+                items = value if isinstance(value, list) else [value]
+                for item in items:
+                    if isinstance(item, c_ast.Node):
+                        yield from preorder(item)
+
+        kernel = parse_program(benchmark_source("lu", 4))
+        walked = list(c_ast.walk(kernel))
+        assert len(walked) > 200
+        assert [id(n) for n in walked] == \
+            [id(n) for n in preorder(kernel)]
+
+    def test_walk_reads_fields_after_yield(self):
+        # rewriting a node's fields when it is yielded redirects the
+        # walk into the new children, as MutexConversion relies on
+        unit = parse("void f(void) { lock(&m); g(); }")
+        seen = []
+        for node in c_ast.walk(unit):
+            if isinstance(node, c_ast.Id):
+                seen.append(node.name)
+            if isinstance(node, c_ast.FuncCall) and \
+                    node.callee_name == "lock":
+                node.func = c_ast.Id("acquire")
+                node.args = [c_ast.Constant("int", 0, "0")]
+        assert seen == ["acquire", "g"]
+        call = unit.functions()[0].body.items[0].expr
+        assert call.callee_name == "acquire"
+
+    def test_link_parents_preorder(self):
+        # a node reached twice keeps the parent that reaches it last in
+        # pre-order, as a recursive walk would leave it
+        shared = c_ast.Id("x")
+        inner = c_ast.ExprStmt(shared)
+        block = c_ast.Compound([inner, shared])
+        assert c_ast.link_parents(block) is None
+        assert inner.parent is block
+        assert shared.parent is block
+
+        block = c_ast.Compound([c_ast.ExprStmt(c_ast.Id("y")), None])
+        assert c_ast.link_parents(block) == ("items", block)
+        assert block.items[0].expr.parent is block.items[0]

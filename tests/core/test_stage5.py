@@ -194,6 +194,24 @@ class TestSharedVariableConversion:
         assert "counter = (int *)RCCE_shmalloc(sizeof(int) * 1);" in text
         assert "*counter = *counter + 1;" in text
 
+    def test_scalar_declared_twice_is_promoted_once(self):
+        source = """
+        #include <pthread.h>
+        extern int counter;
+        int counter;
+        void *tf(void *a) { counter = counter + 1; return 0; }
+        int main(void) {
+            pthread_t t;
+            pthread_create(&t, 0, tf, 0);
+            pthread_join(t, 0);
+            return counter;
+        }
+        """
+        text = translate(source).rcce_source
+        assert "extern int *counter;" in text
+        assert "*counter = *counter + 1;" in text
+        assert "* *counter" not in text
+
 
 class TestCleanupPasses:
     def test_pthread_types_removed(self):
