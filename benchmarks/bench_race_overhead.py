@@ -1,8 +1,8 @@
 """Disabled-mode race-detector overhead (must stay under 5%).
 
 The detector hooks every interpreter load/store behind one attribute
-test (``self._race is not None``) — the same contract as the tracer
-and fault-injector probes.  With no detector attached (the default),
+test (``self._race is not None``) — the same contract as the
+fault-injector probes.  With no detector attached (the default),
 those branches must price memory accesses at effectively the
 pre-detector cost.  This bench replays the pre-PR ``load``/``store``
 bodies (inlined below, verbatim minus the race branch) against today's
@@ -44,10 +44,10 @@ def _fresh_interp():
 
 
 def _pre_race_paths(interp):
-    """The seed's ``load``/``store`` (pre-detector), verbatim except
-    for closing over ``interp`` instead of ``self``: every pre-PR
-    branch (tracer, faults, ctype coercion) is kept so the timing
-    difference isolates exactly the added race probe."""
+    """The pre-detector ``load``/``store`` bodies, closing over
+    ``interp`` instead of ``self``: the fault and ctype-coercion
+    branches are kept so the timing difference isolates exactly the
+    race probe."""
     from repro.cfront import ctypes
     from repro.sim.values import coerce
     chip = interp.chip
@@ -55,8 +55,6 @@ def _pre_race_paths(interp):
     def load(addr, ctype=None):
         interp.cycles += chip.access_cost(interp.core_id, addr,
                                           "read", 4, interp.cycles)
-        if interp.tracer is not None:
-            interp.tracer.record(interp, addr, "read")
         value = interp.memory.load(addr)
         if interp._faults is not None:
             raw = value
@@ -72,8 +70,6 @@ def _pre_race_paths(interp):
     def store(addr, value, ctype=None):
         interp.cycles += chip.access_cost(interp.core_id, addr,
                                           "write", 4, interp.cycles)
-        if interp.tracer is not None:
-            interp.tracer.record(interp, addr, "write")
         if ctype is not None:
             value = coerce(ctype, value)
         interp.memory.store(addr, value)

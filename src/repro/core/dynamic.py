@@ -4,8 +4,10 @@ comparator.
 The paper argues for *compile-time* identification of shared data and
 contrasts it with runtime detectors that "require multiple runs of the
 application" (§1, §2).  This module implements such a detector: run the
-multithreaded program under the interpreter with an access tracer and
-report every variable physically touched by more than one thread.
+multithreaded program once on the single-core pthread baseline with the
+race detector attached, and report every variable its variable map saw
+physically touched by more than one thread — block builtins
+(``memset``, ``memcpy``, ``strcpy``) included.
 
 Its purpose here is validation: the static Stages 1-3 must produce a
 **conservative superset** — every dynamically-shared variable must be
@@ -16,23 +18,17 @@ the property is asserted over the whole benchmark corpus in
 ``benchmarks/bench_ablation_superset.py``.
 """
 
-from repro.cfront.frontend import parse_program
-from repro.scc.chip import SCCChip
-from repro.scc.config import Table61Config
-from repro.sim.interpreter import Interpreter, ThreadExit
-from repro.sim.machine import Memory
-from repro.sim.pthread_rt import PthreadRuntime
-from repro.sim.trace import AccessTracer
+from repro.race import RaceDetector
+from repro.sim.runner import run_pthread_single_core
 from repro.core.framework import TranslationFramework
 
 
 class SharingComparison:
     """Static-vs-dynamic sharing sets for one program."""
 
-    def __init__(self, static_shared, dynamic_shared, observed):
+    def __init__(self, static_shared, dynamic_shared):
         self.static_shared = static_shared      # set of (function, name)
         self.dynamic_shared = dynamic_shared
-        self.observed = observed
 
     @property
     def is_conservative_superset(self):
@@ -66,22 +62,12 @@ class SharingComparison:
 
 
 def detect_dynamic_sharing(source, max_steps=200_000_000):
-    """Run the Pthreads program once and return
-    ``(shared_keys, observed_keys)`` — variables touched by >1 thread
-    and all variables touched at all."""
-    unit = parse_program(source) if isinstance(source, str) else source
-    chip = SCCChip(Table61Config())
-    runtime = PthreadRuntime()
-    tracer = AccessTracer(
-        thread_of=lambda interp: runtime._current_tid[-1])
-    interp = Interpreter(unit, chip, 0, Memory(), runtime,
-                         max_steps, tracer=tracer)
-    try:
-        interp.run_main()
-    except ThreadExit:
-        pass
-    runtime.run_pending(interp)
-    return tracer.shared_keys(), tracer.observed_keys()
+    """Run the Pthreads program (source text or parsed unit) once and
+    return the ``(function, name)`` keys of the variables touched by
+    more than one thread."""
+    detector = RaceDetector()
+    run_pthread_single_core(source, max_steps=max_steps, race=detector)
+    return detector.shared_keys()
 
 
 def static_shared_set(source):
@@ -92,14 +78,6 @@ def static_shared_set(source):
 
 
 def compare_static_dynamic(source, max_steps=200_000_000):
-    """Full comparison for one program."""
-    if isinstance(source, str):
-        unit = parse_program(source)
-    else:
-        unit = source
-    static = static_shared_set(unit)
-    # re-parse for the dynamic run: the analysis does not mutate the
-    # tree, but isolation keeps the comparison honest
-    dynamic, observed = detect_dynamic_sharing(source if isinstance(
-        source, str) else unit, max_steps)
-    return SharingComparison(static, dynamic, observed)
+    """Full comparison for one program (source text or parsed unit)."""
+    return SharingComparison(static_shared_set(source),
+                             detect_dynamic_sharing(source, max_steps))

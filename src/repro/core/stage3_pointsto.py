@@ -119,6 +119,8 @@ class PointsToAnalysis:
         self.global_state = PointsToState()
         self.param_seeds = {}   # (function, param) -> {target: definite}
         self.result = {}        # accumulated relationship map
+        # id(pthread_create call) -> (its coord, its thread arg targets)
+        self.thread_arguments = {}
         self._heap_counter = 0
         self._heap_sites = {}
 
@@ -310,6 +312,9 @@ class PointsToAnalysis:
         callee = call.callee_name
         if callee is None:
             return
+        if callee == "pthread_create":
+            self._bind_thread_argument(call, function, state)
+            return
         func = self.unit.find_function(callee)
         if func is None:
             return
@@ -329,6 +334,18 @@ class PointsToAnalysis:
                 else:
                     bucket[target] = definite
 
+    def _bind_thread_argument(self, call, function, state):
+        """Record what ``pthread_create``'s thread argument points at:
+        the creator and the new thread both hold that pointer."""
+        if len(call.args) < 4:
+            return
+        targets = self._evaluate_pointer_expr(call.args[3], function,
+                                              state)
+        if targets:
+            _, seen = self.thread_arguments.setdefault(
+                id(call), (getattr(call, "coord", None), set()))
+            seen.update(targets)
+
 
 class AliasPointerAnalysis(AnalysisPass):
     """Stage 3 pass: runs the points-to analysis, applies Algorithm 2,
@@ -336,7 +353,7 @@ class AliasPointerAnalysis(AnalysisPass):
 
     name = "stage3-alias-pointer-analysis"
     requires = ("variables",)
-    provides = ("points_to",)
+    provides = ("points_to", "thread_pointer_args")
 
     def run(self, context):
         table = context.require("variables")
@@ -345,6 +362,9 @@ class AliasPointerAnalysis(AnalysisPass):
         context.provide("points_to", relations)
         self._fixpoint_rounds = analysis.rounds
         self._algorithm2_rounds = 0
+        context.provide("thread_pointer_args", [
+            (coord, self._share_thread_argument(table, targets))
+            for coord, targets in analysis.thread_arguments.values()])
 
         # Algorithm 2: shared pointer with a definite relationship makes
         # the pointed-to symbol shared.
@@ -384,6 +404,21 @@ class AliasPointerAnalysis(AnalysisPass):
             "shared_variables": sum(1 for info in table
                                     if info.is_shared) if table else 0,
         }
+
+    def _share_thread_argument(self, table, targets):
+        """Algorithm 2 for a pointer thread argument: the creator and
+        the thread both hold the pointer, so every non-heap target is
+        shared.  Returns the targets' names for Stage 5's diagnostic."""
+        names = []
+        for target in sorted(targets, key=str):
+            info = self._lookup(table, target)
+            if info is None:
+                names.append("a heap allocation")
+                continue
+            if not info.is_shared:
+                info.set_sharing(Sharing.TRUE, STAGE)
+            names.append("'%s'" % info.name)
+        return ", ".join(names)
 
     @staticmethod
     def _lookup(table, key):

@@ -16,7 +16,10 @@ Converts the multithreaded program into the multiprocess RCCE program:
 * mutexes map onto the SCC's per-core test-and-set registers via
   ``RCCE_acquire_lock`` / ``RCCE_release_lock``;
 * condition variables have no RCCE translation: every wait, signal
-  and broadcast is an error diagnostic, never passed through.
+  and broadcast is an error diagnostic, never passed through; so is a
+  ``pthread_create`` whose thread argument is a pointer (Stage 3
+  reports what it points at), since each UE would receive only its
+  own copy of the pointee.
 """
 
 from repro.cfront import c_ast, ctypes
@@ -111,7 +114,7 @@ class ThreadsToProcesses(TransformPass):
     """
 
     name = "stage5-threads-to-processes"
-    requires = ("thread_launches",)
+    requires = ("thread_launches", "thread_pointer_args")
 
     FOLD_INDEX_VAR = "tIdx"
 
@@ -126,6 +129,13 @@ class ThreadsToProcesses(TransformPass):
     def run(self, context):
         unit = context.unit
         launches = context.require("thread_launches")
+        for coord, names in context.require("thread_pointer_args"):
+            context.diagnose(
+                self.name, "error",
+                "pthread_create passes a pointer to %s as the thread "
+                "argument: pointer thread arguments have no RCCE "
+                "translation; pass an integer id instead" % names,
+                coord)
         if not launches:
             # still a valid single-process RCCE program: convert main
             # so RCCE_init's &argc/&argv resolve on every core

@@ -303,12 +303,20 @@ class RaceDetector:
     # -- access recording ---------------------------------------------------
 
     def register(self, name, base, size, scope_kind, function=None):
-        """Variable-extent registration (tracer protocol): resolves
-        addresses to names in reports and invalidates shadow state when
-        a stack slot is re-bound."""
+        """Variable-extent registration: resolves addresses to names in
+        reports, invalidates shadow state when a stack slot is re-bound,
+        and tracks which threads touch each instance."""
         with self._lock:
             self._variables.register(name, base, size, scope_kind,
                                      function)
+
+    def shared_keys(self):
+        """``(function, name)`` of every variable an instance of which
+        more than one thread touched — the runtime sharing set the A4
+        comparison (``repro.core.dynamic``) checks the static one
+        against."""
+        with self._lock:
+            return self._variables.shared_keys()
 
     def record(self, interp, addr, kind):
         """One simulated load (``kind="read"``) or store (``"write"``)."""
@@ -337,6 +345,8 @@ class RaceDetector:
         except ValueError:
             return  # outside every simulated segment; nothing to audit
         extent = self._variables.resolve(addr)
+        if extent is not None:
+            extent.touch(tid)
         word = self._shadow.lookup(addr, segment, extent)
         vc = self._vcs.get(tid)
         if vc is None:

@@ -7,11 +7,16 @@ lockset of its writes, and — for the HSM coherence audit — which cores
 have touched the word while it sat in a *cacheable* segment.
 
 Stack reuse: the serial pthread baseline places successive threads'
-frames at the same addresses.  Like
-:class:`repro.sim.trace.AccessTracer`, every local binding registers a
+frames at the same addresses, so every local binding registers a
 fresh :class:`VariableExtent`; a shadow word whose owning extent has
 been superseded is reset on its next access, so two threads' own
 copies of one local are never mistaken for a race.
+
+The same map is the runtime sharing observer the A4 comparison
+(``repro.core.dynamic``) reads: each extent remembers the first thread
+that touched it and whether a second one did, and
+:meth:`VariableMap.shared_keys` reports every variable with at least
+one instance touched by more than one thread.
 """
 
 import bisect
@@ -20,7 +25,8 @@ import bisect
 class VariableExtent:
     """One registered instance of a named variable's address range."""
 
-    __slots__ = ("name", "base", "size", "scope_kind", "function")
+    __slots__ = ("name", "base", "size", "scope_kind", "function",
+                 "accessor", "shared")
 
     def __init__(self, name, base, size, scope_kind, function=None):
         self.name = name
@@ -28,10 +34,23 @@ class VariableExtent:
         self.size = max(size, 1)
         self.scope_kind = scope_kind
         self.function = function
+        self.accessor = None    # the first thread to touch this instance
+        self.shared = False     # ...and whether another thread did too
 
     @property
     def end(self):
         return self.base + self.size
+
+    @property
+    def key(self):
+        return (self.function, self.name)
+
+    def touch(self, tid):
+        """Note one access by thread ``tid``."""
+        if self.accessor is None:
+            self.accessor = tid
+        elif tid != self.accessor:
+            self.shared = True
 
     def describe(self):
         if self.function:
@@ -49,6 +68,7 @@ class VariableMap:
     def __init__(self):
         self._bases = []
         self._extents = []
+        self._retired_shared = set()  # keys of shared rebound instances
 
     def register(self, name, base, size, scope_kind, function=None):
         index = bisect.bisect_right(self._bases, base)
@@ -60,6 +80,8 @@ class VariableMap:
                 # symmetric allocation call: keep the original instance
                 # so its shadow words survive (only locals are rebound)
                 return previous
+            if previous.shared:
+                self._retired_shared.add(previous.key)
             extent = VariableExtent(name, base, size, scope_kind,
                                     function)
             self._extents[index - 1] = extent
@@ -77,6 +99,12 @@ class VariableMap:
         if addr < extent.end:
             return extent
         return None
+
+    def shared_keys(self):
+        """``(function, name)`` of every variable with an instance —
+        live or already rebound — touched by more than one thread."""
+        return self._retired_shared | {
+            extent.key for extent in self._extents if extent.shared}
 
 
 class ShadowWord:

@@ -199,8 +199,6 @@ def _ld(I, addr, site):
     if e is None or not e[0] <= addr < e[1]:
         e = I._fill_site(site, addr)
     I.cycles += e[2](addr, "read", I.cycles)
-    if I.tracer is not None:
-        I.tracer.record(I, addr, "read")
     if I._race is not None:
         I._race.record(I, addr, "read")
     return I._mem_get(addr, 0)
@@ -213,8 +211,6 @@ def _st(I, addr, value, site, co):
     if e is None or not e[0] <= addr < e[1]:
         e = I._fill_site(site, addr)
     I.cycles += e[2](addr, "write", I.cycles)
-    if I.tracer is not None:
-        I.tracer.record(I, addr, "write")
     if I._race is not None:
         I._race.record(I, addr, "write")
     if co is not None:
@@ -230,8 +226,6 @@ def _st_dyn(I, addr, value, site, ct):
     if e is None or not e[0] <= addr < e[1]:
         e = I._fill_site(site, addr)
     I.cycles += e[2](addr, "write", I.cycles)
-    if I.tracer is not None:
-        I.tracer.record(I, addr, "write")
     if I._race is not None:
         I._race.record(I, addr, "write")
     value = coerce(ct, value)
@@ -259,7 +253,7 @@ def invoke(I, cf, args):
     F = [0] * cf.nslots
     try:
         if args:
-            tracer = I.tracer
+            race = I._race
             mem_set = I._mem_set
             for spec, value in zip(cf.params, args):
                 slot = spec[0]
@@ -267,12 +261,9 @@ def invoke(I, cf, args):
                     continue  # unnamed parameter: consumes the arg
                 addr = stack.alloc(spec[2])
                 F[slot] = addr
-                if tracer is not None:
-                    tracer.register(spec[3], addr, spec[2], "local",
-                                    cf.name)
-                if I._race is not None:
-                    I._race.register(spec[3], addr, spec[2], "local",
-                                     cf.name)
+                if race is not None:
+                    race.register(spec[3], addr, spec[2], "local",
+                                  cf.name)
                 mem_set(addr, spec[1](value))
         try:
             body(I, F)
@@ -793,9 +784,6 @@ def _make_decl_plain(slot, name, size):
     def run(I, F):
         addr = I.stack.alloc(size)
         F[slot] = addr
-        if I.tracer is not None:
-            I.tracer.register(name, addr, size, "local",
-                              I.current_function)
         if I._race is not None:
             I._race.register(name, addr, size, "local",
                              I.current_function)
@@ -806,9 +794,6 @@ def _make_decl_scalar(slot, name, size, init_c, co, site):
     def run(I, F):
         addr = I.stack.alloc(size)
         F[slot] = addr
-        if I.tracer is not None:
-            I.tracer.register(name, addr, size, "local",
-                              I.current_function)
         if I._race is not None:
             I._race.register(name, addr, size, "local",
                              I.current_function)
@@ -823,9 +808,6 @@ def _make_decl_array(slot, name, size, init_cs, length, stride, dv, co,
     def run(I, F):
         addr = I.stack.alloc(size)
         F[slot] = addr
-        if I.tracer is not None:
-            I.tracer.register(name, addr, size, "local",
-                              I.current_function)
         if I._race is not None:
             I._race.register(name, addr, size, "local",
                              I.current_function)
@@ -899,8 +881,6 @@ def _make_id_load_local(slot, name, flt, site):
             if e is None or not e[0] <= addr < e[1]:
                 e = I._fill_site(site, addr)
             I.cycles += e[2](addr, "read", I.cycles)
-            if I.tracer is not None:
-                I.tracer.record(I, addr, "read")
             if I._race is not None:
                 I._race.record(I, addr, "read")
             v = I._mem_get(addr, 0)
@@ -923,8 +903,6 @@ def _make_id_load_local(slot, name, flt, site):
         if e is None or not e[0] <= addr < e[1]:
             e = I._fill_site(site, addr)
         I.cycles += e[2](addr, "read", I.cycles)
-        if I.tracer is not None:
-            I.tracer.record(I, addr, "read")
         if I._race is not None:
             I._race.record(I, addr, "read")
         return I._mem_get(addr, 0)
@@ -945,8 +923,6 @@ def _make_id_load_global(name, flt, site):
             if e is None or not e[0] <= addr < e[1]:
                 e = I._fill_site(site, addr)
             I.cycles += e[2](addr, "read", I.cycles)
-            if I.tracer is not None:
-                I.tracer.record(I, addr, "read")
             if I._race is not None:
                 I._race.record(I, addr, "read")
             v = I._mem_get(addr, 0)
@@ -967,8 +943,6 @@ def _make_id_load_global(name, flt, site):
         if e is None or not e[0] <= addr < e[1]:
             e = I._fill_site(site, addr)
         I.cycles += e[2](addr, "read", I.cycles)
-        if I.tracer is not None:
-            I.tracer.record(I, addr, "read")
         if I._race is not None:
             I._race.record(I, addr, "read")
         return I._mem_get(addr, 0)
@@ -1475,8 +1449,6 @@ def _make_assign_static(lv, rhs_c, co, site):
         if e is None or not e[0] <= addr < e[1]:
             e = I._fill_site(site, addr)
         I.cycles += e[2](addr, "write", I.cycles)
-        if I.tracer is not None:
-            I.tracer.record(I, addr, "write")
         if I._race is not None:
             I._race.record(I, addr, "write")
         v = co(v)

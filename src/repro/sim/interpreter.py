@@ -85,11 +85,10 @@ class Interpreter:
     """Executes one simulated core's view of a program."""
 
     def __init__(self, unit, chip, core_id=0, memory=None, runtime=None,
-                 max_steps=200_000_000, tracer=None):
+                 max_steps=200_000_000):
         self.unit = unit
         self.chip = chip
         self.core_id = core_id
-        self.tracer = tracer
         if memory is None:
             from repro.sim.machine import Memory
             memory = Memory()
@@ -166,9 +165,6 @@ class Interpreter:
             segment = self.chip.address_space.alloc_private(
                 self.core_id, size, decl.name)
             self._global_addr[decl.name] = segment.base
-            if self.tracer is not None:
-                self.tracer.register(decl.name, segment.base, size,
-                                     "global")
             if self._race is not None:
                 self._race.register(decl.name, segment.base, size,
                                     "global")
@@ -229,8 +225,6 @@ class Interpreter:
     def load(self, addr, ctype=None):
         self.cycles += self.chip.access_cost(self.core_id, addr, "read",
                                              4, self.cycles)
-        if self.tracer is not None:
-            self.tracer.record(self, addr, "read")
         if self._race is not None:
             self._race.record(self, addr, "read")
         value = self._mem_get(addr, 0)
@@ -252,8 +246,6 @@ class Interpreter:
     def store(self, addr, value, ctype=None):
         self.cycles += self.chip.access_cost(self.core_id, addr,
                                              "write", 4, self.cycles)
-        if self.tracer is not None:
-            self.tracer.record(self, addr, "write")
         if self._race is not None:
             self._race.record(self, addr, "write")
         if ctype is not None:

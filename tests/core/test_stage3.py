@@ -141,3 +141,46 @@ class TestPostProcessing:
         result = analyze("int used; int main(void) { return used; }")
         assert result.variables.get_exact("used", None).sharing \
             is Sharing.TRUE
+
+
+THREAD_ARGS = """
+#include <pthread.h>
+int ids[2];
+void *tf(void *arg) { return arg; }
+int main(void) {
+    int local[1];
+    pthread_t a, b;
+    pthread_create(&a, 0, tf, %s);
+    pthread_create(&b, 0, tf, %s);
+    pthread_join(a, 0);
+    pthread_join(b, 0);
+    return local[0] + ids[0];
+}
+"""
+
+
+class TestThreadArguments:
+    """pthread_create's 4th argument: a pointer there is held by the
+    creator and the thread alike (Algorithm 2)."""
+
+    @staticmethod
+    def pointer_args(result):
+        return [names for _, names in
+                result.context.facts["thread_pointer_args"]]
+
+    def test_integer_ids_are_not_pointers(self):
+        result = analyze(THREAD_ARGS % ("(void *)0", "(void *)1"))
+        assert self.pointer_args(result) == []
+        assert not result.variables.get_exact("local", "main").is_shared
+
+    def test_pointer_to_local_makes_it_shared(self):
+        result = analyze(THREAD_ARGS % ("(void *)local", "(void *)0"))
+        assert result.variables.get_exact("local", "main").is_shared
+        assert self.pointer_args(result) == ["'local'"]
+        # analysis alone reports nothing: only the translation fails
+        assert result.ok
+
+    def test_slot_of_global_array_recorded_per_call(self):
+        result = analyze(THREAD_ARGS % ("(void *)&ids[0]",
+                                        "(void *)&ids[1]"))
+        assert self.pointer_args(result) == ["'ids'", "'ids'"]

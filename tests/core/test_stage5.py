@@ -39,6 +39,17 @@ int main(void) {
 
 
 class TestThreadsToProcesses:
+    def test_pointer_thread_argument_is_an_error(self):
+        """Each UE would get its own copy of what the pointer reaches:
+        the launch is an error naming the pointee, never translated."""
+        source = PTHREAD_PROGRAM.replace("(void *)i", "(void *)&data[i]")
+        result = translate(source)
+        [error] = [d for d in result.diagnostics if d.is_error]
+        assert error.stage == "stage5-threads-to-processes"
+        assert "pthread_create passes a pointer to 'data'" in \
+            error.message
+        assert translate(PTHREAD_PROGRAM).ok
+
     def test_main_renamed_to_rcce_app(self):
         result = translate(PTHREAD_PROGRAM)
         assert result.unit.find_function("RCCE_APP") is not None

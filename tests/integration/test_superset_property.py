@@ -4,16 +4,20 @@
     data" — everything threads actually share at runtime must be in
     the static set.
 
-A dynamic detector (the related-work approach) observes real sharing
-under the interpreter; the static set must cover it on every benchmark
-and on targeted corner cases.
+A dynamic detector (the related-work approach: the race detector's
+variable map) observes real sharing under the interpreter; the static
+set must cover it on every benchmark and on targeted corner cases.
 """
+
+import os
 
 import pytest
 
 from repro.bench.programs import BENCHMARKS, EXAMPLE_4_1, \
     benchmark_source
 from repro.core.dynamic import compare_static_dynamic
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 TINY = {
     "pi": {"steps": 64},
@@ -61,6 +65,15 @@ class TestConservativeSuperset:
         comparison = compare_static_dynamic(source)
         assert ("main", "hidden") in comparison.dynamic_shared
         assert comparison.is_conservative_superset
+
+    def test_pointer_thread_argument_not_missed(self):
+        """Threads reaching main's local through their argument share
+        it; Stage 3 must mark it shared (Stage 5 rejects the call)."""
+        with open(os.path.join(FIXTURES, "thread_arg_local.c")) as handle:
+            comparison = compare_static_dynamic(handle.read())
+        assert ("main", "local") in comparison.dynamic_shared
+        assert comparison.is_conservative_superset, \
+            "missed: %r" % comparison.missed
 
     def test_overapproximation_is_the_expected_direction(self):
         """A global only main touches: statically shared (conservative),
@@ -114,6 +127,28 @@ class TestDynamicDetector:
         """
         comparison = compare_static_dynamic(source)
         assert (None, "touched") in comparison.dynamic_shared
+
+    def test_block_builtins_are_observed(self):
+        """memset records its whole span through the race detector's
+        ``record_range``: two threads that touch ``buf`` only through
+        it share ``buf``."""
+        source = """
+        #include <pthread.h>
+        #include <string.h>
+        int buf[4];
+        void *tf(void *t) { memset(buf, 0, sizeof(buf)); return 0; }
+        int main(void) {
+            pthread_t a, b;
+            pthread_create(&a, 0, tf, 0);
+            pthread_create(&b, 0, tf, 0);
+            pthread_join(a, 0);
+            pthread_join(b, 0);
+            return 0;
+        }
+        """
+        comparison = compare_static_dynamic(source)
+        assert (None, "buf") in comparison.dynamic_shared
+        assert comparison.is_conservative_superset
 
     def test_single_thread_global_not_dynamically_shared(self):
         source = """

@@ -25,11 +25,14 @@ class TestVariableMap:
 
     def test_symmetric_shared_registration_is_idempotent(self):
         """Every UE registers the same shmalloc segment; the first
-        instance (and its shadow words) must survive."""
+        instance (its shadow words and its accessors) must survive."""
         variables = VariableMap()
         first = variables.register("shmalloc#0", 0x8000, 64, "shared")
+        first.touch(0)
         again = variables.register("shmalloc#0", 0x8000, 64, "shared")
         assert again is first
+        again.touch(1)
+        assert variables.shared_keys() == {(None, "shmalloc#0")}
 
     def test_describe_names_owning_function(self):
         variables = VariableMap()

@@ -85,6 +85,27 @@ class TestTranslate:
         assert "pthread_cond_wait" in err and "line 19" in err
         assert "pthread_cond_signal" in err and "line 35" in err
 
+    @pytest.mark.parametrize("fixture, variable", [
+        ("thread_arg_local.c", "'local'"),
+        ("thread_arg_slot.c", "'ids'"),
+    ])
+    def test_pointer_thread_arguments_fail_loudly(self, fixture,
+                                                  variable):
+        """A pointer thread argument has no RCCE translation: the call
+        is an error naming the pointed-at variable, for translate and
+        for an RCCE run alike; the pthreads program itself still
+        analyzes."""
+        path = FIXTURES + "/" + fixture
+        code, output, err = run_cli_err(["translate", path])
+        assert code == 65
+        assert output == ""
+        assert "pthread_create passes a pointer to %s" % variable in err
+        code, _, err = run_cli_err(["run", path, "--mode", "rcce",
+                                    "--ues", "4"])
+        assert code == 65
+        assert variable in err
+        assert run_cli_err(["analyze", path])[0] == 0
+
 
 class TestAnalyze:
     def test_tables_printed(self, example_file):
