@@ -5,7 +5,7 @@ Walks the full observability surface on a small mutex-counter program:
 1. translate — with a PipelineProfiler timing every stage,
 2. simulate  — with an EventTracer attached to the chip,
 3. export    — Chrome trace JSON (open in chrome://tracing or
-   https://ui.perfetto.dev), metrics JSON, and text dumps.
+   https://ui.perfetto.dev), metrics JSON, and a text dump.
 
 Run: python examples/trace_capture.py
 """
@@ -15,13 +15,7 @@ import os
 import tempfile
 
 from repro import TranslationFramework
-from repro.obs import (
-    EventTracer,
-    PipelineProfiler,
-    render_metrics_text,
-    write_chrome_trace,
-    write_metrics_json,
-)
+from repro.obs import EventTracer, PipelineProfiler, render_snapshot_text
 from repro.scc.chip import SCCChip
 from repro.scc.config import Table61Config
 from repro.sim import run_rcce
@@ -81,8 +75,10 @@ def main():
     outdir = tempfile.mkdtemp(prefix="repro-trace-")
     trace_path = os.path.join(outdir, "trace.json")
     metrics_path = os.path.join(outdir, "metrics.json")
-    events = write_chrome_trace(tracer, trace_path, chip.config)
-    write_metrics_json(result.metrics, metrics_path)
+    # trace microseconds equal simulated time at the core frequency
+    events = tracer.write_chrome(trace_path, chip.config.core_freq_mhz)
+    with open(metrics_path, "w") as handle:
+        json.dump(result.metrics, handle, indent=2, sort_keys=True)
     print("trace events:", events, "->", trace_path)
     print("core tracks:", sorted(tid for _pid, tid
                                  in tracer.core_tracks()))
@@ -90,7 +86,7 @@ def main():
         json.load(handle)  # the file is valid JSON
     print()
     print("metrics snapshot:")
-    print(render_metrics_text(result.metrics))
+    print(render_snapshot_text(result.metrics))
 
 
 if __name__ == "__main__":

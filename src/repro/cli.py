@@ -18,6 +18,7 @@ bench
 """
 
 import argparse
+import json
 import sys
 
 from repro.bench.figures import render_bars
@@ -26,7 +27,6 @@ from repro.cfront.errors import CFrontError
 from repro.core.framework import TranslationFramework
 from repro.core.reports import format_table, table_4_1, table_4_2
 from repro.faults import FaultSpecError, parse_fault_spec
-from repro.obs.export import write_chrome_trace, write_metrics_json
 from repro.obs.profile import PipelineProfiler
 from repro.obs.tracer import EventTracer
 from repro.rcce.api import RCCEAllocationError
@@ -83,9 +83,6 @@ def build_parser():
     analyze.add_argument("--ues", type=int, default=8,
                          help="RCCE cores for --bottlenecks "
                          "(default 8)")
-    analyze.add_argument("--json", default=None, metavar="FILE",
-                         help="write the attribution + critical-path "
-                         "report as JSON (--bottlenecks only)")
     analyze.add_argument("--trace", default=None, metavar="FILE",
                          help="write a Chrome trace annotated with "
                          "attribution counters and the critical path "
@@ -99,15 +96,6 @@ def build_parser():
         "checks and the lockset race audit "
         "(docs/static_analysis.md)")
     check.add_argument("source", help="input C file ('-' for stdin)")
-    check.add_argument("--json", action="store_true",
-                       help="machine-readable findings on stdout")
-    check.add_argument("--report", default=None, metavar="FILE",
-                       help="write the findings (with file/line/"
-                       "variable and per-site lockset provenance) "
-                       "as JSON")
-    check.add_argument("--metrics", default=None, metavar="FILE",
-                       help="write the per-check counters as a "
-                       "metrics-registry snapshot JSON")
     check.add_argument("--ues", type=int, default=48,
                        help="cores assumed for the stage-5 mutex/"
                        "register mapping (default 48)")
@@ -124,8 +112,6 @@ def build_parser():
     run.add_argument("--trace", default=None, metavar="FILE",
                      help="write a Chrome trace-event JSON of the "
                      "simulation (load in chrome://tracing / Perfetto)")
-    run.add_argument("--metrics", default=None, metavar="FILE",
-                     help="write the metrics-registry snapshots as JSON")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
                      help="shard the RCCE cores across N host worker "
                      "processes with Graphite-style relaxed clock "
@@ -166,17 +152,11 @@ def build_parser():
                      "detector and HSM coherence checker (see "
                      "docs/race_detection.md); findings print as "
                      "diagnostics and, with --strict, fail the run")
-    run.add_argument("--race-report", default=None, metavar="FILE",
-                     help="write the race audit (findings with "
-                     "core/pc/variable/epoch provenance) as JSON")
     run.add_argument("--static-check", action="store_true",
                      help="audit the program at translation time "
                      "with the static analysis stage (see "
                      "docs/static_analysis.md); findings print as "
                      "diagnostics and, with --strict, fail the run")
-    run.add_argument("--static-report", default=None, metavar="FILE",
-                     help="write the static audit (findings with "
-                     "file/line/variable provenance) as JSON")
     run.add_argument("--max-steps", type=int, default=200_000_000,
                      help="per-core step budget before the run is "
                      "aborted with a SimulationTimeout")
@@ -188,6 +168,13 @@ def build_parser():
                      help="wall-clock bound for any single lock or "
                      "barrier wait (default: 30s locks, 600s barriers)")
     _framework_args(run)
+
+    for command in (analyze, check, run):
+        command.add_argument(
+            "--report", default=None, metavar="FILE",
+            help="write the command's diagnostics, metrics and "
+            "analyzer findings as one JSON document ('-' for stdout, "
+            "which then carries the document alone)")
 
     bench = sub.add_parser("bench", help="regenerate a paper figure")
     bench.add_argument("figure", choices=["6.1", "6.2", "6.3"])
@@ -234,20 +221,64 @@ def _framework(args):
     return TranslationFramework(**kwargs)
 
 
-def _report_diagnostics(result, err):
-    """Render the pipeline report to ``err``; True when it has errors
-    (the caller should stop and exit ``EXIT_PARSE``)."""
+def _report_diagnostics(result, err, doc):
+    """Render the pipeline report to ``err`` and keep its diagnostics
+    for ``doc``; True when it has errors (the caller should stop and
+    exit ``EXIT_PARSE``)."""
     report = result.report
     if len(report):
         err.write(report.render() + "\n")
+        doc["diagnostics"].extend(d.as_dict() for d in report.diagnostics)
     return report.has_errors
 
 
-def cmd_translate(args, out, err):
+def _print_diagnostics(diagnostics, err, doc):
+    """Print a simulation's diagnostics to ``err`` and keep them for
+    ``doc``."""
+    for diagnostic in diagnostics:
+        err.write(diagnostic.format() + "\n")
+        doc["diagnostics"].append(diagnostic.as_dict())
+
+
+def _print_profile(framework, out, doc, prefix=""):
+    """Print the ``--profile`` stage times and keep their spans for
+    ``doc``."""
+    if framework.profiler is not None:
+        out.write(framework.profiler.render(prefix) + "\n")
+        doc["profile"] = framework.profiler.report()
+
+
+def _too_few_ues(result, ues, err):
+    """Print why and return True when Stage 5's 1:1 mapping needs more
+    UEs than ``--ues`` (the missing threads would never run); the
+    caller exits ``EXIT_PARSE``."""
+    needed = result.ues_needed
+    if needed <= ues:
+        return False
+    err.write("repro: too few UEs: the program launches %d threads but "
+              "--ues is %d; rerun with --fold (several threads per UE) "
+              "or with --ues %d\n" % (needed, ues, needed))
+    return True
+
+
+def _write_report(doc, path, out, text):
+    """Write the one ``--report`` document; ``-`` writes it to ``out``
+    (stdout), whose text lines the caller has sent to ``err``."""
+    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if path == "-":
+        out.write(payload)
+    else:
+        with open(path, "w") as handle:
+            handle.write(payload)
+    text.write("report written to %s\n"
+               % ("stdout" if path == "-" else path))
+
+
+def cmd_translate(args, out, err, doc):
     source = _read_source(args.source)
     framework = _framework(args)
     result = framework.translate(source)
-    if _report_diagnostics(result, err):
+    if _report_diagnostics(result, err, doc):
         return EXIT_PARSE
     if args.output:
         with open(args.output, "w") as handle:
@@ -255,22 +286,22 @@ def cmd_translate(args, out, err):
         out.write("wrote %s\n" % args.output)
     else:
         out.write(result.rcce_source)
-    if framework.profiler is not None:
-        # '// ' prefix keeps stdout a valid C translation unit
-        out.write(framework.profiler.render("// ") + "\n")
+    # '// ' prefix keeps stdout a valid C translation unit
+    _print_profile(framework, out, doc, "// ")
     return EXIT_OK
 
 
-def cmd_analyze(args, out, err):
-    if getattr(args, "bottlenecks", False):
-        return _analyze_bottlenecks(args, out, err)
+def cmd_analyze(args, out, err, doc):
+    if args.bottlenecks:
+        return _analyze_bottlenecks(args, out, err, doc)
     source = _read_source(args.source)
     framework = _framework(args)
     result = framework.partition(source)
-    if _report_diagnostics(result, err):
+    if _report_diagnostics(result, err, doc):
         return EXIT_PARSE
     if framework.profiler is not None:
-        out.write(framework.profiler.render() + "\n\n")
+        _print_profile(framework, out, doc)
+        out.write("\n")
     out.write(format_table(
         table_4_1(result),
         title="Per-variable information (post Stage 3)") + "\n\n")
@@ -287,12 +318,10 @@ def cmd_analyze(args, out, err):
     return EXIT_OK
 
 
-def _analyze_bottlenecks(args, out, err):
+def _analyze_bottlenecks(args, out, err, doc):
     """``repro analyze --bottlenecks``: run the RCCE program with full
     cycle attribution, then report the breakdown, the critical path,
     and the mesh/MPB utilization heatmaps."""
-    import json
-
     from repro.obs.attribution import (
         AttributionEngine,
         annotate_chrome_trace,
@@ -302,14 +331,14 @@ def _analyze_bottlenecks(args, out, err):
     from repro.scc.report import chip_report, render_report
 
     source = _read_source(args.source)
-    translated = None
     if "RCCE_APP" in source:
         from repro.cfront.frontend import parse_program
         unit = parse_program(source)
     else:
-        framework = _framework(args)
-        translated = framework.translate(source)
-        if _report_diagnostics(translated, err):
+        translated = _framework(args).translate(source)
+        if _report_diagnostics(translated, err, doc):
+            return EXIT_PARSE
+        if _too_few_ues(translated, args.ues, err):
             return EXIT_PARSE
         unit = translated.unit
     chip = SCCChip(Table61Config())
@@ -318,41 +347,34 @@ def _analyze_bottlenecks(args, out, err):
     chip.mesh.enable_traffic_recording()
     chip.mpb.enable_owner_tracking()
     tracer = None
-    if getattr(args, "trace", None):
+    if args.trace:
         tracer = EventTracer()
         chip.attach_events(tracer, pid=0,
                            name="rcce x%d cores" % args.ues)
     engine = AttributionEngine()
     result = run_rcce(unit, args.ues, chip.config, chip,
                       max_steps=args.max_steps, attribution=engine)
-    for diagnostic in result.diagnostics:
-        err.write(diagnostic.format() + "\n")
+    _print_diagnostics(result.diagnostics, err, doc)
     report = result.attribution
-    if translated is not None:
-        # surface the profile on the pipeline result too
-        translated.context.facts["attribution"] = report
+    doc["metrics"] = {"rcce": result.metrics}
+    doc["attribution"] = report.as_dict()
     out.write(report.render() + "\n\n")
     out.write(report.critical_path.render() + "\n\n")
     out.write(render_report(chip_report(chip)) + "\n")
-    if getattr(args, "json", None):
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2)
-            handle.write("\n")
-        out.write("attribution report written to %s\n" % args.json)
     if tracer is not None:
         emitted = annotate_chrome_trace(tracer, engine, report)
-        write_chrome_trace(tracer, args.trace, chip.config)
+        tracer.write_chrome(args.trace, chip.config.core_freq_mhz)
         out.write("annotated trace written to %s (%d events, "
                   "%d annotations)\n"
                   % (args.trace, len(tracer), emitted))
     return EXIT_OK
 
 
-def cmd_check(args, out, err):
+def cmd_check(args, out, err, doc):
     """``repro check``: stages 1-3 plus the static-analysis stage,
     no simulation.  Findings exit ``EXIT_SIM`` under ``--strict``,
     mirroring the dynamic race detector."""
-    import json
+    from repro.obs.metrics import MetricsRegistry
 
     source = _read_source(args.source)
     framework = _framework(args)
@@ -364,68 +386,47 @@ def cmd_check(args, out, err):
         err.write(report.render() + "\n")
         return EXIT_PARSE
     static = result.static_report
-    # Under --json stdout is a machine-readable payload: everything
-    # else (profiler, written-to notices) moves to stderr.
-    notice = err if args.json else out
-    if args.json:
-        out.write(json.dumps(static.as_dict(), indent=2,
-                             sort_keys=True) + "\n")
-    else:
-        out.write(static.render() + "\n")
-    if framework.profiler is not None:
-        notice.write(framework.profiler.render() + "\n")
-    if args.report:
-        with open(args.report, "w") as handle:
-            json.dump(static.as_dict(), handle, indent=2)
-            handle.write("\n")
-        notice.write("static report written to %s\n" % args.report)
-    if args.metrics:
-        from repro.obs.metrics import MetricsRegistry
-        registry = MetricsRegistry()
-        static.register_metrics(registry)
-        write_metrics_json({"static": registry.snapshot()},
-                           args.metrics)
-        notice.write("metrics written to %s\n" % args.metrics)
-    if static.has_findings and getattr(args, "strict", False):
+    out.write(static.render() + "\n")
+    _print_profile(framework, out, doc)
+    registry = MetricsRegistry()
+    static.register_metrics(registry)
+    doc["metrics"] = {"static": registry.snapshot()}
+    doc["static"] = static.as_dict()
+    if static.has_findings and args.strict:
         return EXIT_SIM
     return EXIT_OK
 
 
-def cmd_run(args, out, err):
+def cmd_run(args, out, err, doc):
     from repro.scc.chip import SCCChip
     from repro.scc.config import Table61Config
 
     source = _read_source(args.source)
-    faults = getattr(args, "faults", None)
+    faults = args.faults
     if faults:
         parse_fault_spec(faults)  # fail early, before any simulation
-    jobs = getattr(args, "jobs", 1)
+    jobs = args.jobs
     if jobs < 1:
         err.write("repro: --jobs must be a positive worker count "
                   "(got %d)\n" % jobs)
         return EXIT_USAGE
-    quantum = getattr(args, "quantum", None)
+    quantum = args.quantum
     if quantum is not None and quantum < 1:
         err.write("repro: --quantum must be a positive cycle count "
                   "(got %d)\n" % quantum)
         return EXIT_USAGE
-    recover_on = getattr(args, "recover", False)
-    max_restarts = getattr(args, "max_restarts", 0)
-    checkpoint_every = getattr(args, "checkpoint_every", 0)
-    restore = getattr(args, "restore", None)
-    want_checkpoint = checkpoint_every > 0 or max_restarts > 0 \
-        or getattr(args, "checkpoint", None) is not None
-    race_on = getattr(args, "race", False) \
-        or getattr(args, "race_report", None) is not None
-    if jobs > 1 and getattr(args, "strict", False):
+    max_restarts = args.max_restarts
+    want_checkpoint = args.checkpoint_every > 0 or max_restarts > 0 \
+        or args.checkpoint is not None
+    if jobs > 1 and args.strict:
         blocker = None
         if faults:
             blocker = "--faults"
-        elif recover_on or want_checkpoint or restore is not None:
+        elif args.recover or want_checkpoint or args.restore is not None:
             blocker = "--recover/--checkpoint/--restore"
-        elif race_on:
+        elif args.race:
             blocker = "--race"
-        elif getattr(args, "trace", None):
+        elif args.trace:
             blocker = "--trace"
         if blocker is not None:
             err.write("repro: --jobs %d cannot honour %s: the process "
@@ -434,60 +435,37 @@ def cmd_run(args, out, err):
                       "--strict\n" % (jobs, blocker, blocker))
             return EXIT_USAGE
     recovery = None
-    if recover_on or want_checkpoint or restore is not None:
+    if args.recover or want_checkpoint or args.restore is not None:
         recovery = RecoveryOptions(
-            ecc=recover_on, retry=recover_on,
-            checkpoint_path=(getattr(args, "checkpoint", None)
-                             or "repro.ckpt")
+            ecc=args.recover, retry=args.recover,
+            checkpoint_path=(args.checkpoint or "repro.ckpt")
             if want_checkpoint else None,
-            checkpoint_every=checkpoint_every or 1,
-            restore=restore)
+            checkpoint_every=args.checkpoint_every or 1,
+            restore=args.restore)
     watchdog = None
-    if args.mode in ("rcce", "compare") and \
-            not getattr(args, "no_watchdog", False):
+    if args.mode in ("rcce", "compare") and not args.no_watchdog:
         # the watchdog does not force a sequential run: the parallel
         # coordinator maps its lock/barrier timeouts onto the
         # parked-rank and wall-clock supervision bounds
-        if getattr(args, "watchdog_timeout", None) is not None:
+        if args.watchdog_timeout is not None:
             watchdog = Watchdog(lock_timeout=args.watchdog_timeout,
                                 barrier_timeout=args.watchdog_timeout)
         else:
             watchdog = Watchdog()
-    tracer = EventTracer() if getattr(args, "trace", None) else None
+    tracer = EventTracer() if args.trace else None
     static_report = None
-    if getattr(args, "static_check", False) \
-            or getattr(args, "static_report", None) is not None:
+    if args.static_check:
         checked = _framework(args).check(
             source, filename=args.source if args.source != "-"
             else "<stdin>")
-        if _report_diagnostics(checked, err):
+        if _report_diagnostics(checked, err, doc):
             return EXIT_PARSE
         static_report = checked.static_report
+        doc["static"] = static_report.as_dict()
         out.write(static_report.render().splitlines()[0] + "\n")
-    race_reports = {}
-    snapshots = {}
-    baseline = None
-    if args.mode in ("pthread", "compare"):
-        pthread_chip = SCCChip(Table61Config())
-        if tracer is not None:
-            pthread_chip.attach_events(tracer, pid=0,
-                                       name="pthread x1 core")
-        baseline = run_pthread_single_core(source, pthread_chip.config,
-                                           pthread_chip,
-                                           max_steps=args.max_steps,
-                                           faults=faults,
-                                           race=race_on,
-                                           jobs=jobs)
-        snapshots["pthread"] = baseline.metrics
-        for diagnostic in baseline.diagnostics:
-            err.write(diagnostic.format() + "\n")
-        if baseline.race is not None:
-            race_reports["pthread"] = baseline.race
-            out.write(baseline.race.render().splitlines()[0] + "\n")
-        out.write("pthread x1 core : %12d cycles  %s\n"
-                  % (baseline.cycles,
-                     baseline.stdout().strip().splitlines()[:1]))
+    unit = framework = None
     if args.mode in ("rcce", "compare"):
+        # translate, and check the thread count, before simulating
         if "RCCE_APP" in source:
             if jobs > 1:
                 # the process backend needs the raw source so each
@@ -499,11 +477,36 @@ def cmd_run(args, out, err):
         else:
             framework = _framework(args)
             result = framework.translate(source)
-            if _report_diagnostics(result, err):
+            if _report_diagnostics(result, err, doc):
+                return EXIT_PARSE
+            if _too_few_ues(result, args.ues, err):
                 return EXIT_PARSE
             unit = result.rcce_source if jobs > 1 else result.unit
-            if framework.profiler is not None:
-                out.write(framework.profiler.render() + "\n")
+    race_reports = {}
+    doc["metrics"] = snapshots = {}
+    baseline = None
+    if args.mode in ("pthread", "compare"):
+        pthread_chip = SCCChip(Table61Config())
+        if tracer is not None:
+            pthread_chip.attach_events(tracer, pid=0,
+                                       name="pthread x1 core")
+        baseline = run_pthread_single_core(source, pthread_chip.config,
+                                           pthread_chip,
+                                           max_steps=args.max_steps,
+                                           faults=faults,
+                                           race=args.race,
+                                           jobs=jobs)
+        snapshots["pthread"] = baseline.metrics
+        _print_diagnostics(baseline.diagnostics, err, doc)
+        if baseline.race is not None:
+            race_reports["pthread"] = baseline.race
+            out.write(baseline.race.render().splitlines()[0] + "\n")
+        out.write("pthread x1 core : %12d cycles  %s\n"
+                  % (baseline.cycles,
+                     baseline.stdout().strip().splitlines()[:1]))
+    if unit is not None:
+        if framework is not None:
+            _print_profile(framework, out, doc)
         if max_restarts > 0:
             chips = []
 
@@ -517,7 +520,7 @@ def cmd_run(args, out, err):
 
             watchdog_factory = None
             if watchdog is not None:
-                timeout = getattr(args, "watchdog_timeout", None)
+                timeout = args.watchdog_timeout
 
                 def watchdog_factory():
                     if timeout is not None:
@@ -532,7 +535,7 @@ def cmd_run(args, out, err):
                 max_restarts=max_restarts,
                 chip_factory=chip_factory,
                 watchdog_factory=watchdog_factory,
-                race=race_on, jobs=jobs)
+                race=args.race, jobs=jobs)
             chip = chips[-1]
         else:
             chip = SCCChip(Table61Config())
@@ -542,11 +545,10 @@ def cmd_run(args, out, err):
             rcce = run_rcce(unit, args.ues, chip.config, chip,
                             max_steps=args.max_steps, faults=faults,
                             watchdog=watchdog, recovery=recovery,
-                            race=race_on, jobs=jobs, quantum=quantum)
+                            race=args.race, jobs=jobs, quantum=quantum)
         snapshots["rcce"] = rcce.metrics
-        for diagnostic in rcce.diagnostics:
-            err.write(diagnostic.format() + "\n")
-        if getattr(args, "strict", False) and any(
+        _print_diagnostics(rcce.diagnostics, err, doc)
+        if args.strict and any(
                 "degraded to sequential" in d.message
                 for d in rcce.diagnostics if d.severity == "warning"):
             # a worker process died or stalled mid-run; the
@@ -565,42 +567,27 @@ def cmd_run(args, out, err):
                   % (args.ues, rcce.cycles, first))
         if baseline is not None:
             out.write("speedup: %.2fx\n" % (baseline.cycles / rcce.cycles))
-        if getattr(args, "stats", False):
+        if args.stats:
             from repro.scc.report import chip_report, render_report
             out.write(render_report(chip_report(chip)) + "\n")
     if tracer is not None:
-        write_chrome_trace(tracer, args.trace, Table61Config())
+        tracer.write_chrome(args.trace, Table61Config().core_freq_mhz)
         out.write("trace written to %s (%d events)\n"
                   % (args.trace, len(tracer)))
-    if getattr(args, "metrics", None):
-        write_metrics_json(snapshots, args.metrics)
-        out.write("metrics written to %s\n" % args.metrics)
-    if getattr(args, "race_report", None) and race_reports:
-        import json
-        with open(args.race_report, "w") as handle:
-            json.dump({mode: report.as_dict()
-                       for mode, report in race_reports.items()},
-                      handle, indent=2)
-            handle.write("\n")
-        out.write("race report written to %s\n" % args.race_report)
-    if getattr(args, "static_report", None) \
-            and static_report is not None:
-        import json
-        with open(args.static_report, "w") as handle:
-            json.dump(static_report.as_dict(), handle, indent=2)
-            handle.write("\n")
-        out.write("static report written to %s\n" % args.static_report)
+    if race_reports:
+        doc["race"] = {mode: report.as_dict()
+                       for mode, report in race_reports.items()}
     findings = any(report.has_findings
                    for report in race_reports.values()) \
         or (static_report is not None and static_report.has_findings)
-    if findings and getattr(args, "strict", False):
+    if findings and args.strict:
         # the soundness audit failed: the translated program can race
         # or read stale cacheable lines on the real chip
         return EXIT_SIM
     return EXIT_OK
 
 
-def cmd_bench(args, out, err):
+def cmd_bench(args, out, err, doc):
     harness = ExperimentHarness(num_ues=args.ues)
     if args.figure == "6.1":
         rows = harness.figure_6_1()
@@ -641,8 +628,15 @@ def main(argv=None, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     args = build_parser().parse_args(argv)
+    report = getattr(args, "report", None)
+    # the one machine-readable output of run/check/analyze: the
+    # commands add the diagnostics they print and their sections
+    doc = {"format": "repro-report", "version": 1,
+           "command": args.command, "diagnostics": []}
+    # `--report -` keeps stdout for the document: text goes to stderr
+    text = err if report == "-" else out
     try:
-        return COMMANDS[args.command](args, out, err)
+        code = COMMANDS[args.command](args, text, err, doc)
     except FileNotFoundError as exc:
         return _fail(err, EXIT_NOINPUT,
                      "cannot read input", exc)
@@ -663,6 +657,11 @@ def main(argv=None, out=None, err=None):
         return _fail(err, EXIT_INTERRUPT, "interrupted",
                      exc if str(exc) else "interrupted; unwound "
                      "cleanly (no orphaned workers)")
+    # a finished run, or --strict failing it on findings (70), is
+    # reported; usage and translation failures are not
+    if report is not None and code in (EXIT_OK, EXIT_SIM):
+        _write_report(doc, report, out, text)
+    return code
 
 
 if __name__ == "__main__":

@@ -78,11 +78,11 @@ class FrameworkResult:
         return self.context.facts.get("static_report")
 
     @property
-    def attribution(self):
-        """The translated program's :class:`~repro.obs.attribution.
-        AttributionReport` once a profiled simulation stored one (the
-        ``repro analyze --bottlenecks`` flow); None otherwise."""
-        return self.context.facts.get("attribution")
+    def ues_needed(self):
+        """The UEs Stage 5's 1:1 thread-to-UE mapping needs (0 before
+        Stage 5 ran): thread k runs on UE k, so a run on fewer UEs
+        would drop threads."""
+        return self.context.facts.get("ues_needed", 0)
 
     @property
     def rcce_source(self):

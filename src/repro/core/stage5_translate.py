@@ -24,6 +24,7 @@ Converts the multithreaded program into the multiprocess RCCE program:
 
 from repro.cfront import c_ast, ctypes
 from repro.cfront.visitor import NodeTransformer, find_all
+from repro.ir.loops import estimate_trip_count
 from repro.ir.passes import TransformPass
 from repro.core.insertion import RCCE_ENTRY, make_call
 from repro.core.stage2_interthread import thread_function_name
@@ -115,6 +116,7 @@ class ThreadsToProcesses(TransformPass):
 
     name = "stage5-threads-to-processes"
     requires = ("thread_launches", "thread_pointer_args")
+    provides = ("ues_needed",)
 
     FOLD_INDEX_VAR = "tIdx"
 
@@ -125,6 +127,9 @@ class ThreadsToProcesses(TransformPass):
         self.thread_id_args = set(thread_id_args or [])
         self.fold_threads = fold_threads
         self.launch_order = {}   # function name -> order of appearance
+        # the 1:1 mapping runs thread k on UE k, so a run on fewer UEs
+        # drops threads: the UEs it needs, for the caller to check
+        self.ues_needed = 0
 
     def run(self, context):
         unit = context.unit
@@ -140,15 +145,18 @@ class ThreadsToProcesses(TransformPass):
             # still a valid single-process RCCE program: convert main
             # so RCCE_init's &argc/&argv resolve on every core
             self._convert_main(unit)
+            context.provide("ues_needed", self.ues_needed)
             return self.launch_order
         standalone = [l for l in launches if not l.in_loop]
         for index, launch in enumerate(standalone):
             if launch.function_name is not None:
                 self.launch_order.setdefault(launch.function_name, index)
+        self.ues_needed = max(self.launch_order.values(), default=-1) + 1
         for func in unit.functions():
             func.body.items = self._transform_block(func.body.items)
             self._collapse_barriers(func.body)
         self._convert_main(unit)
+        context.provide("ues_needed", self.ues_needed)
         return self.launch_order
 
     # -- statement rewriting -----------------------------------------------------
@@ -242,17 +250,20 @@ class ThreadsToProcesses(TransformPass):
 
     def _convert_create_loop(self, loop):
         loop_var = _loop_induction_var(loop)
+        trips, constant = estimate_trip_count(loop)
+        if not constant or trips <= 0:
+            trips = None  # unknown thread count: no fold, no UE check
         creates = find_all(loop, c_ast.FuncCall,
                            lambda c: c.callee_name == "pthread_create")
         out = []
         for call in creates:
             arg = call.args[3] if len(call.args) > 3 else None
             use_core_id = self._arg_is_thread_id(arg, loop_var)
-            if self.fold_threads and use_core_id:
-                folded = self._folded_call(call, loop)
-                if folded is not None:
-                    out.append(folded)
-                    continue
+            if self.fold_threads and use_core_id and trips is not None:
+                out.append(self._folded_call(call, trips))
+                continue
+            if trips is not None:
+                self.ues_needed = max(self.ues_needed, trips)
             out.append(self._new_function_call(call, use_core_id))
         remnant = self._strip_calls(loop.body, {"pthread_create"})
         if remnant:
@@ -262,13 +273,8 @@ class ThreadsToProcesses(TransformPass):
             out.extend(hoisted.items)
         return out
 
-    def _folded_call(self, launch_call, loop):
+    def _folded_call(self, launch_call, trips):
         """§7.2: one call per thread index assigned to this core."""
-        from repro.ir.loops import estimate_trip_count
-
-        trips, constant = estimate_trip_count(loop)
-        if not constant or trips <= 0:
-            return None  # unknown thread count: fall back to 1:1
         proc_name = thread_function_name(launch_call.args[2])
         index = self.FOLD_INDEX_VAR
         call = make_call(proc_name,

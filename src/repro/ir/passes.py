@@ -139,11 +139,10 @@ class Driver:
             context = unit_or_context
         else:
             context = ProgramContext(unit_or_context)
-        profiling = self.profiler is not None and self.profiler.enabled
         for pass_ in self.passes:
             if self.verbose:
                 print("[driver] running %s" % pass_.name)
-            if profiling:
+            if self.profiler is not None:
                 with self.profiler.span(pass_.name):
                     self._run_pass(pass_, context)
                     self.profiler.annotate(

@@ -19,8 +19,9 @@ caller opts in:
   class) feeding the critical-path analyzer in
   ``repro.obs.critpath`` and the ``repro analyze`` bottleneck report.
 
-``repro.obs.export`` writes the machine-readable files the CLI's
-``--trace`` / ``--metrics`` flags produce.
+The CLI's ``--report`` document carries registry snapshots, profiler
+spans and attribution reports; ``EventTracer.write_chrome`` writes the
+``--trace`` file.
 """
 
 from repro.obs.attribution import (
@@ -39,17 +40,11 @@ from repro.obs.metrics import (
     Histogram,
     MetricsError,
     MetricsRegistry,
-    NULL_INSTRUMENT,
     render_snapshot_text,
     series_value,
 )
 from repro.obs.profile import PipelineProfiler, Span
 from repro.obs.tracer import EventTracer, NULL_EVENTS
-from repro.obs.export import (
-    render_metrics_text,
-    write_chrome_trace,
-    write_metrics_json,
-)
 
 __all__ = [
     "AttributionEngine",
@@ -65,14 +60,10 @@ __all__ = [
     "Histogram",
     "MetricsError",
     "MetricsRegistry",
-    "NULL_INSTRUMENT",
     "render_snapshot_text",
     "series_value",
     "PipelineProfiler",
     "Span",
     "EventTracer",
     "NULL_EVENTS",
-    "render_metrics_text",
-    "write_chrome_trace",
-    "write_metrics_json",
 ]

@@ -141,33 +141,6 @@ class Histogram:
         self._next = 0
 
 
-class _NullInstrument:
-    """Shared no-op instrument returned by a disabled registry."""
-
-    __slots__ = ()
-
-    def inc(self, amount=1):
-        pass
-
-    def dec(self, amount=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-    def reset(self):
-        pass
-
-    def labels(self, **_labels):
-        return self
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
 class Family:
     """All series of one metric name: either a single unlabeled
     instrument or one child instrument per label-value combination."""
@@ -249,14 +222,9 @@ class MetricsRegistry:
       reset)`` — for components that already keep cheap private
       accumulators; ``collect()`` returns ``(kind, name, labels,
       value)`` samples and is only called at snapshot time.
-
-    A registry constructed with ``enabled=False`` hands out a shared
-    no-op instrument and snapshots empty: the disabled mode is a true
-    no-op, verified by ``benchmarks/bench_obs_overhead.py``.
     """
 
-    def __init__(self, enabled=True):
-        self.enabled = enabled
+    def __init__(self):
         self._families = {}
         self._collectors = {}
         self._lock = threading.Lock()
@@ -273,8 +241,6 @@ class MetricsRegistry:
         return self._family(name, HISTOGRAM, help_text, labels)
 
     def _family(self, name, kind, help_text, labels):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         with self._lock:
             family = self._families.get(name)
             if family is None:
@@ -297,8 +263,6 @@ class MetricsRegistry:
         """Register (or replace) a pull-style source.  ``collect()``
         yields ``(kind, metric_name, labels_dict, value)`` samples;
         ``reset()``, when given, zeroes the underlying accumulators."""
-        if not self.enabled:
-            return
         with self._lock:
             self._collectors[name] = (collect, reset)
 
@@ -311,8 +275,6 @@ class MetricsRegistry:
     def reset(self):
         """Zero every direct instrument and every collector's source —
         the counter-reset hygiene hook the runners call between runs."""
-        if not self.enabled:
-            return
         with self._lock:
             families = list(self._families.values())
             collectors = list(self._collectors.values())
@@ -327,8 +289,6 @@ class MetricsRegistry:
     def snapshot(self):
         """A JSON-safe dict of every series currently non-trivial."""
         result = {"counters": {}, "gauges": {}, "histograms": {}}
-        if not self.enabled:
-            return result
         with self._lock:
             families = list(self._families.values())
             collectors = list(self._collectors.values())

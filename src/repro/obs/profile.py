@@ -60,28 +60,11 @@ class _SpanContext:
         return False
 
 
-class _NullSpanContext:
-    __slots__ = ()
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
-
-
 class PipelineProfiler:
-    """Collects a forest of wall-time spans.
+    """Collects a forest of wall-time spans.  Call sites that may run
+    unprofiled hold ``profiler=None`` and skip the span."""
 
-    Disabled profilers (``enabled=False``) hand out a shared no-op
-    context so instrumented call sites cost one attribute check.
-    """
-
-    def __init__(self, enabled=True, clock=None):
-        self.enabled = enabled
+    def __init__(self, clock=None):
         self.clock = clock or time.perf_counter
         self.spans = []      # top-level spans, in order
         self._stack = []
@@ -91,8 +74,6 @@ class PipelineProfiler:
 
     def span(self, name, **stats):
         """Open a span: ``with profiler.span("stage1-..."): ...``"""
-        if not self.enabled:
-            return _NULL_SPAN_CONTEXT
         span = Span(name, self.clock())
         span.stats.update(stats)
         if self._stack:
@@ -109,7 +90,7 @@ class PipelineProfiler:
 
     def annotate(self, **stats):
         """Attach statistics to the innermost open span."""
-        if self.enabled and self._stack:
+        if self._stack:
             self._stack[-1].stats.update(stats)
 
     def reset(self):

@@ -175,6 +175,15 @@ def _source_sha(program):
     return None
 
 
+def _file_identity(path):
+    """``(inode, mtime_ns, size)`` of ``path``, or None when absent."""
+    try:
+        stat = os.stat(path)
+    except FileNotFoundError:
+        return None
+    return stat.st_ino, stat.st_mtime_ns, stat.st_size
+
+
 def _resolve_host_path(jobs, program, injector, detector, attr,
                        recovery, chip):
     """Pick the run's one host path — the process backend or a
@@ -526,12 +535,13 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
     The run checkpoints at barrier rounds
     (``recovery.checkpoint_path`` is required); when it dies from a
     :data:`RESTARTABLE_ERRORS` failure, the supervisor reloads the
-    newest snapshot and re-runs on a fresh chip — keeping the *same*
-    fault injector, with its RNG streams reset, so the replayed prefix
-    reproduces the original injection schedule and one-shot faults
-    stay fired.  After ``max_restarts`` restarts the last error
-    propagates with the :class:`RecoveryReport` attached as
-    ``recovery_report``.
+    newest snapshot this run wrote (before the first one, it starts
+    over from where the run began) and re-runs on a fresh chip —
+    keeping the *same* fault injector, with its RNG streams reset, so
+    the replayed prefix reproduces the original injection schedule
+    and one-shot faults stay fired.  After ``max_restarts`` restarts
+    the last error propagates with the :class:`RecoveryReport`
+    attached as ``recovery_report``.
 
     ``chip_factory``/``watchdog_factory`` build one chip/watchdog per
     attempt (both are stateful across a failed run: a watchdog's abort
@@ -545,6 +555,10 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
     injector = _as_injector(faults)
     report = RecoveryReport(max_restarts)
     source_sha = _source_sha(program)
+    # a file already at the checkpoint path belongs to an earlier run
+    # (a pre-parsed unit carries no source hash to reject it by);
+    # every checkpoint write replaces the file, changing this identity
+    stale = _file_identity(recovery.checkpoint_path)
     options = recovery
     attempt = 0
     while True:
@@ -571,18 +585,19 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
             if attempt >= max_restarts:
                 exc.recovery_report = report
                 raise
-            snapshot = None
             restored = None
-            if os.path.exists(recovery.checkpoint_path):
+            options = recovery
+            if _file_identity(recovery.checkpoint_path) \
+                    not in (None, stale):
                 snapshot = load_snapshot(recovery.checkpoint_path,
                                          config=config,
                                          source_sha=source_sha)
                 restored = snapshot.round
+                options = recovery.with_restore(snapshot)
             report.record_failure(
                 attempt, exc, restored,
                 audit=attempt_race.report()
                 if attempt_race is not None else None)
-            options = recovery.with_restore(snapshot)
             if injector is not None:
                 injector.reset_streams()
             attempt += 1

@@ -141,6 +141,52 @@ class TestThreadsToProcesses:
         assert result.rcce_source.count("RCCE_barrier") == 1
 
 
+class TestUesNeeded:
+    """The 1:1 mapping runs thread k on UE k; stage 5 reports how many
+    UEs that takes so a run on fewer can be refused."""
+
+    def test_create_loop_needs_its_trip_count(self):
+        assert translate(PTHREAD_PROGRAM).ues_needed == 8
+
+    def test_folded_loop_needs_no_ue_count(self):
+        folded = translate(PTHREAD_PROGRAM, fold_threads=True)
+        assert "tIdx" in folded.rcce_source
+        assert folded.ues_needed == 0
+
+    def test_unknown_trip_count_is_not_checked(self):
+        source = PTHREAD_PROGRAM.replace(
+            "int main(void) {", "int n = 8;\nint main(void) {").replace(
+            "for (i = 0; i < 8; i++) {\n        pthread_create",
+            "for (i = 0; i < n; i++) {\n        pthread_create")
+        result = translate(source)
+        assert result.ok
+        assert result.ues_needed == 0
+
+    def test_standalone_launches_need_one_ue_each(self):
+        source = """
+        #include <pthread.h>
+        int x;
+        void *taskA(void *a) { x = 1; return 0; }
+        void *taskB(void *a) { x = 2; return 0; }
+        void *taskC(void *a) { x = 3; return 0; }
+        int main(void) {
+            pthread_t t1, t2, t3;
+            pthread_create(&t1, 0, taskA, 0);
+            pthread_create(&t2, 0, taskB, 0);
+            pthread_create(&t3, 0, taskC, 0);
+            pthread_join(t1, 0);
+            pthread_join(t2, 0);
+            pthread_join(t3, 0);
+            return 0;
+        }
+        """
+        assert translate(source).ues_needed == 3
+
+    def test_no_threads_needs_no_ue_count(self):
+        source = "int main(void) { return 0; }"
+        assert translate(source).ues_needed == 0
+
+
 class TestSharedVariableConversion:
     def test_shared_array_becomes_pointer_with_shmalloc(self):
         result = translate(PTHREAD_PROGRAM,

@@ -414,36 +414,30 @@ def test_mpb_owner_heatmap_counts_message_traffic():
 # -- surfacing ----------------------------------------------------------------
 
 
-def test_framework_result_attribution_property():
-    framework = TranslationFramework(
-        on_chip_capacity=SCALED_ON_CHIP_CAPACITY)
-    result = framework.translate(
-        benchmark_source("dot", NUM_UES, **SIZES["dot"]))
-    assert result.attribution is None
-    sentinel = object()
-    result.context.facts["attribution"] = sentinel
-    assert result.attribution is sentinel
-
-
 def test_cli_analyze_bottlenecks(tmp_path):
     from repro.cli import main
     source = tmp_path / "dot.c"
     source.write_text(
         benchmark_source("dot", NUM_UES, **SIZES["dot"]))
-    json_path = tmp_path / "attr.json"
+    report_path = tmp_path / "report.json"
     trace_path = tmp_path / "trace.json"
     out, err = io.StringIO(), io.StringIO()
     code = main(["analyze", str(source), "--bottlenecks",
-                 "--ues", str(NUM_UES),
-                 "--json", str(json_path), "--trace", str(trace_path)],
+                 "--ues", str(NUM_UES), "--report", str(report_path),
+                 "--trace", str(trace_path)],
                 out, err)
     assert code == 0
     text = out.getvalue()
     assert "cycle attribution:" in text
     assert "critical path:" in text
     assert "mesh link traffic by segment" in text
-    payload = json.loads(json_path.read_text())
+    payload = json.loads(report_path.read_text())["attribution"]
     assert payload["critical_path"]["makespan"] == payload["makespan"]
+    assert payload["critical_path"]["path_length"] == payload["makespan"]
+    # conservation, read back from the file: each core's classes sum
+    # to its cycles
+    for core, classes in payload["per_core"].items():
+        assert sum(classes.values()) == payload["per_core_cycles"][core]
     trace = json.loads(trace_path.read_text())
     events = trace["traceEvents"] if isinstance(trace, dict) else trace
     assert any(event.get("name") == "critical_path"

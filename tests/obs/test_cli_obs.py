@@ -1,4 +1,4 @@
-"""Observability through the CLI: --profile, --trace, --metrics."""
+"""Observability through the CLI: --profile, --trace, --report."""
 
 import io
 import json
@@ -12,7 +12,8 @@ from repro.cli import main
 @pytest.fixture
 def pi_file(tmp_path):
     path = tmp_path / "pi.c"
-    path.write_text(benchmark_source("pi", 4, steps=64))
+    # two threads: the RCCE runs below use --ues 2
+    path.write_text(benchmark_source("pi", 2, steps=64))
     return str(path)
 
 
@@ -60,14 +61,14 @@ class TestTranslateProfile:
 class TestRunTrace:
     def test_trace_and_metrics_files(self, pi_file, tmp_path):
         trace_path = tmp_path / "trace.json"
-        metrics_path = tmp_path / "metrics.json"
+        report_path = tmp_path / "report.json"
         code, output = run_cli(
             ["run", pi_file, "--ues", "2",
              "--trace", str(trace_path),
-             "--metrics", str(metrics_path)])
+             "--report", str(report_path)])
         assert code == 0
         assert "trace written to" in output
-        assert "metrics written to" in output
+        assert "report written to" in output
 
         doc = json.loads(trace_path.read_text())
         tracks = {(event["pid"], event["tid"])
@@ -77,7 +78,7 @@ class TestRunTrace:
         assert len(tracks) >= 3
         assert {pid for pid, _tid in tracks} == {0, 1}
 
-        metrics = json.loads(metrics_path.read_text())
+        metrics = json.loads(report_path.read_text())["metrics"]
         assert set(metrics) == {"pthread", "rcce"}
         assert "scc_cache_hits" in metrics["rcce"]["counters"]
         assert "rcce_barrier_rounds" in metrics["rcce"]["counters"]

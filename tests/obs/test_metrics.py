@@ -1,4 +1,4 @@
-"""Metrics registry semantics: labels, histograms, reset, disabled."""
+"""Metrics registry semantics: labels, histograms, reset."""
 
 import json
 
@@ -7,7 +7,6 @@ import pytest
 from repro.obs.metrics import (
     MetricsError,
     MetricsRegistry,
-    NULL_INSTRUMENT,
     series_value,
 )
 
@@ -130,21 +129,6 @@ class TestReset:
         snapshot = registry.snapshot()
         assert "a" not in snapshot["counters"]
         assert series_value(snapshot["counters"], "b") == 2
-
-
-class TestDisabled:
-    def test_disabled_registry_hands_out_null_instrument(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("requests", "total")
-        assert counter is NULL_INSTRUMENT
-        counter.inc()          # all no-ops
-        counter.set(5)
-        counter.observe(1.0)
-        assert registry.snapshot() == {"counters": {}, "gauges": {},
-                                       "histograms": {}}
-
-    def test_null_instrument_labels_returns_itself(self):
-        assert NULL_INSTRUMENT.labels(core=0) is NULL_INSTRUMENT
 
 
 class TestSnapshot:

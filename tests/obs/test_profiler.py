@@ -1,6 +1,6 @@
-"""Pipeline profiler: spans, annotations, stage summary, disabled."""
+"""Pipeline profiler: spans, annotations, stage summary."""
 
-from repro.obs.profile import PipelineProfiler, _NULL_SPAN_CONTEXT
+from repro.obs.profile import PipelineProfiler
 
 
 class FakeClock:
@@ -99,15 +99,3 @@ class TestReports:
         assert all(line.startswith("// ")
                    for line in text.splitlines())
 
-
-class TestDisabled:
-    def test_disabled_profiler_records_nothing(self):
-        profiler = PipelineProfiler(enabled=False)
-        with profiler.span("a"):
-            profiler.annotate(x=1)
-        assert profiler.spans == []
-
-    def test_disabled_span_is_shared_singleton(self):
-        profiler = PipelineProfiler(enabled=False)
-        assert profiler.span("a") is _NULL_SPAN_CONTEXT
-        assert profiler.span("b") is _NULL_SPAN_CONTEXT

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from repro.core.framework import TranslationFramework
-from repro.obs.export import write_chrome_trace
 from repro.obs.tracer import NULL_EVENTS, EventTracer
 from repro.scc.chip import SCCChip
 from repro.scc.config import Table61Config
@@ -111,7 +110,7 @@ class TestRCCERunTrace:
         chip.attach_events(tracer, pid=0, name="rcce x4 cores")
         run_rcce(translated.unit, 4, chip.config, chip)
         path = tmp_path_factory.mktemp("trace") / "trace.json"
-        write_chrome_trace(tracer, str(path), chip.config)
+        tracer.write_chrome(str(path), chip.config.core_freq_mhz)
         with open(path) as handle:
             return json.load(handle)
 

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cfront.frontend import parse_program
 from repro.faults import CoreCrashFault
 from repro.rcce.comm import Channel
 from repro.recovery import (
@@ -120,6 +121,23 @@ int RCCE_APP(int argc, char **argv) {
         RCCE_barrier(&RCCE_COMM_WORLD);
     }
     printf("ue %d sum %f msg %f\\n", me, sum, msg[7]);
+    RCCE_finalize();
+    return 0;
+}
+"""
+
+
+# One compute phase, then the first barrier: a crash in that phase
+# comes before the run's first checkpoint.
+LATE_BARRIER_KERNEL = """
+int RCCE_APP(int argc, char **argv) {
+    int i;
+    double s;
+    RCCE_init(&argc, &argv);
+    s = 0.0;
+    for (i = 0; i < 400; i++) { s = s + i; }
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    printf("ue %d s %f\\n", RCCE_ue(), s);
     RCCE_finalize();
     return 0;
 }
@@ -445,6 +463,27 @@ class TestSupervisor:
         assert report.max_restarts == 1
         assert len(report.failures) == 1
         assert not report.recovered
+
+    def test_stale_checkpoint_is_not_restored(self, tmp_path):
+        """A snapshot an earlier run of another program left at the
+        checkpoint path is not this run's: a crash before this run's
+        first checkpoint restarts from the beginning.  (A pre-parsed
+        unit, as ``repro run`` passes, has no source hash to reject
+        the stale file by.)"""
+        path = str(tmp_path / "repro.ckpt")
+        _checkpointed(path)
+        clean = run_rcce(LATE_BARRIER_KERNEL, 2)
+        result = run_rcce_supervised(
+            parse_program(LATE_BARRIER_KERNEL), 2,
+            faults="core_crash:core=1,at=100",
+            recovery=RecoveryOptions(checkpoint_path=path,
+                                     checkpoint_every=1),
+            max_restarts=1)
+        assert result.stdout() == clean.stdout()
+        assert result.recovery.restarts == 1
+        assert result.recovery.failures[0]["restored_from_round"] is None
+        assert any("restarted from the beginning" in d.message
+                   for d in result.diagnostics)
 
     def test_clean_supervised_run_matches_plain(self, tmp_path):
         path = str(tmp_path / "clean.ckpt")

@@ -63,9 +63,9 @@ class TestCheckExitCodes:
 class TestCheckOutputs:
     def test_json_on_stdout(self):
         code, out, _ = run_cli(["check", fixture("oob_write.c"),
-                                "--json"])
+                                "--report", "-"])
         assert code == EXIT_OK
-        payload = json.loads(out)
+        payload = json.loads(out)["static"]
         assert payload["counts"] == {"out-of-bounds": 1}
         finding = payload["findings"][0]
         assert finding["file"].endswith("oob_write.c")
@@ -76,19 +76,19 @@ class TestCheckOutputs:
         code, out, _ = run_cli(["check", fixture("race_counter.c"),
                                 "--report", path])
         assert code == EXIT_OK
-        assert "static report written to" in out
+        assert "report written to" in out
         with open(path) as handle:
-            payload = json.load(handle)
+            payload = json.load(handle)["static"]
         assert {f["variable"] for f in payload["findings"]} \
             == {"hits", "misses"}
 
     def test_metrics_file(self, tmp_path):
         path = str(tmp_path / "metrics.json")
         code, out, _ = run_cli(["check", fixture("uninit_read.c"),
-                                "--metrics", path])
+                                "--report", path])
         assert code == EXIT_OK
         with open(path) as handle:
-            counters = json.load(handle)["static"]["counters"]
+            counters = json.load(handle)["metrics"]["static"]["counters"]
         assert "static_checks_total" in counters
         assert "static_findings_total" in counters
 
@@ -112,11 +112,12 @@ class TestRunIntegration:
         path = str(tmp_path / "static.json")
         code, out, _ = run_cli(["run", fixture("locked_clean.c"),
                                 "--ues", "2", "--mode", "rcce",
-                                "--static-report", path])
+                                "--static-check", "--report", path])
         assert code == EXIT_OK
         assert "static audit: clean" in out
         with open(path) as handle:
-            assert json.load(handle)["lockset_suppressed"] == 2
+            assert json.load(handle)["static"]["lockset_suppressed"] \
+                == 2
 
     def test_off_by_default_output_is_unchanged(self):
         code, out, err = run_cli(["run", fixture("locked_clean.c"),

@@ -1,12 +1,16 @@
 """CLI tests (python -m repro)."""
 
 import io
+import json
 import signal
 
 import pytest
 
-from repro.bench.programs import EXAMPLE_4_1
+from repro.bench.programs import EXAMPLE_4_1, benchmark_source
 from repro.cli import build_parser, main
+from repro.core.framework import TranslationFramework
+from repro.diagnostics import Diagnostic
+from repro.sim.runner import run_rcce
 from tests.sim.test_parallel_recovery import (
     RING_SOURCE,
     live_workers,
@@ -152,7 +156,6 @@ class TestRun:
         assert "x2 cores" in output
 
     def test_fold_flag(self, tmp_path):
-        from repro.bench.programs import benchmark_source
         path = tmp_path / "pi.c"
         path.write_text(benchmark_source("pi", nthreads=8, steps=128))
         code, output = run_cli(["run", str(path), "--ues", "2",
@@ -253,17 +256,18 @@ class TestErrorHandling:
 class TestFaultFlags:
     def test_faulted_run_smoke_with_metrics(self, example_file,
                                             tmp_path):
-        metrics_path = str(tmp_path / "metrics.json")
+        report_path = tmp_path / "report.json"
         code, output, _ = run_cli_err(
-            ["run", example_file, "--ues", "2", "--mode", "rcce",
+            ["run", example_file, "--ues", "3", "--mode", "rcce",
              "--faults", "mesh_delay:p=0.2,seed=5",
-             "--metrics", metrics_path])
+             "--report", str(report_path)])
         assert code == 0
-        with open(metrics_path) as handle:
-            assert "fault_injections" in handle.read()
+        counters = json.loads(report_path.read_text())[
+            "metrics"]["rcce"]["counters"]
+        assert "fault_injections" in counters
 
     def test_no_watchdog_flag_accepted(self, example_file):
-        code, output = run_cli(["run", example_file, "--ues", "2",
+        code, output = run_cli(["run", example_file, "--ues", "3",
                                 "--mode", "rcce", "--no-watchdog"])
         assert code == 0
 
@@ -326,19 +330,21 @@ class TestRecoveryFlags:
     def test_supervised_recovery_exits_0(self, recovery_file,
                                          tmp_path):
         ckpt = str(tmp_path / "run.ckpt")
-        metrics_path = str(tmp_path / "metrics.json")
+        report_path = tmp_path / "report.json"
         code, output, err = run_cli_err(
             ["run", recovery_file, "--mode", "rcce", "--ues", "2",
              "--faults",
              "mpb_flip:p=0.02,seed=3;core_crash:core=1,at=6000",
              "--recover", "--max-restarts", "2",
-             "--checkpoint", ckpt, "--metrics", metrics_path])
+             "--checkpoint", ckpt, "--report", str(report_path)])
         assert code == 0
         assert "restart" in err
-        with open(metrics_path) as handle:
-            payload = handle.read()
-        assert "ecc_corrected" in payload
-        assert "checkpoints_captured" in payload
+        doc = json.loads(report_path.read_text())
+        counters = doc["metrics"]["rcce"]["counters"]
+        assert "ecc_corrected" in counters
+        assert "checkpoints_captured" in counters
+        # the recovery warnings printed on stderr are in the report too
+        assert any(d["stage"] == "recovery" for d in doc["diagnostics"])
 
     def test_checkpoint_then_restore(self, recovery_file, tmp_path):
         ckpt = str(tmp_path / "run.ckpt")
@@ -395,7 +401,7 @@ class TestParallelFlags:
     def test_incompatible_feature_warns_without_strict(
             self, example_file):
         code, _, err = run_cli_err(
-            ["run", example_file, "--mode", "rcce", "--ues", "2",
+            ["run", example_file, "--mode", "rcce", "--ues", "3",
              "--jobs", "2", "--race"])
         assert code == 0
         assert "warning" in err
@@ -494,7 +500,7 @@ FIXTURES = __import__("os").path.join(
 class TestRaceFlags:
     def test_clean_compare_run(self, example_file):
         code, output, err = run_cli_err(
-            ["run", example_file, "--ues", "2", "--race"])
+            ["run", example_file, "--ues", "3", "--race"])
         assert code == 0
         # one audit line per mode (pthread baseline + rcce run)
         assert output.count("race audit: clean") == 2
@@ -536,17 +542,219 @@ class TestRaceFlags:
         assert "race audit: clean" in output
 
     def test_race_report_file(self, tmp_path):
-        import json
         fixture = FIXTURES + "/race_unprotected_counter.c"
         report_path = str(tmp_path / "race.json")
         code, output, _ = run_cli_err(
             ["run", fixture, "--mode", "rcce", "--ues", "2",
-             "--race-report", report_path])
+             "--race", "--report", report_path])
         assert code == 0
-        assert "race report written to" in output
+        assert "report written to" in output
         with open(report_path) as handle:
             payload = json.load(handle)
-        findings = payload["rcce"]["findings"]
+        findings = payload["race"]["rcce"]["findings"]
         assert findings
         assert findings[0]["category"] == "race"
         assert findings[0]["current"]["epoch"]
+
+
+STATIC_FIXTURES = FIXTURES + "/static"
+
+
+@pytest.fixture
+def pi_files(tmp_path):
+    """Pi with 4 threads and with 2 (the answer is 3.141613 either
+    way)."""
+    paths = {}
+    for threads in (2, 4):
+        path = tmp_path / ("pi%d.c" % threads)
+        path.write_text(benchmark_source("pi", threads, steps=64))
+        paths[threads] = str(path)
+    return paths
+
+
+def roundtrip(payload):
+    """``payload`` as it reads back from a JSON file."""
+    return json.loads(json.dumps(payload, sort_keys=True))
+
+
+class TestThreadCount:
+    """Stage 5 maps thread k to UE k: a program that launches more
+    threads than ``--ues`` is refused instead of dropping threads."""
+
+    @pytest.mark.parametrize("mode", ["rcce", "compare"])
+    def test_more_threads_than_ues_exits_65(self, pi_files, mode):
+        code, output, err = run_cli_err(
+            ["run", pi_files[4], "--ues", "2", "--mode", mode])
+        assert code == 65
+        assert output == ""  # refused before anything was simulated
+        assert err.startswith("repro: too few UEs: ")
+        assert "launches 4 threads but --ues is 2" in err
+        assert "--fold" in err and "--ues 4" in err
+
+    def test_analyze_bottlenecks_checks_too(self, pi_files):
+        code, _, err = run_cli_err(
+            ["analyze", pi_files[4], "--bottlenecks", "--ues", "2"])
+        assert code == 65
+        assert "launches 4 threads but --ues is 2" in err
+
+    def test_fold_runs_every_thread(self, pi_files):
+        code, output, _ = run_cli_err(
+            ["run", pi_files[4], "--ues", "2", "--fold"])
+        assert code == 0
+        lines = [line for line in output.splitlines()
+                 if "cycles" in line]
+        assert len(lines) == 2
+        assert all("pi = 3.141613" in line for line in lines)
+
+
+def printed_in_order(diagnostics, err):
+    """True when every report diagnostic is a line of ``err``, in
+    order."""
+    lines = err.splitlines()
+    position = 0
+    for entry in diagnostics:
+        text = Diagnostic(**entry).format()
+        while position < len(lines) and text not in lines[position]:
+            position += 1
+        if position == len(lines):
+            return False
+        position += 1
+    return True
+
+
+HEADER = {"format", "version", "command", "diagnostics"}
+
+
+class TestReport:
+    """``--report FILE``: one versioned document per command, holding
+    only the sections of the features that ran."""
+
+    def test_run_sections(self, tmp_path):
+        path = STATIC_FIXTURES + "/race_counter.c"
+        report_path = tmp_path / "run.json"
+        code, output, err = run_cli_err(
+            ["run", path, "--ues", "2", "--race", "--static-check",
+             "--report", str(report_path)])
+        assert code == 0
+        assert output.endswith("report written to %s\n" % report_path)
+        doc = json.loads(report_path.read_text())
+        assert set(doc) == HEADER | {"metrics", "race", "static"}
+        assert (doc["format"], doc["version"], doc["command"]) \
+            == ("repro-report", 1, "run")
+        assert set(doc["metrics"]) == {"pthread", "rcce"}
+        assert set(doc["race"]) == {"pthread", "rcce"}
+        assert doc["race"]["rcce"]["checks"] > 0
+        with open(path) as handle:
+            checked = TranslationFramework(strict=False).check(
+                handle.read(), filename=path)
+        assert doc["static"] == roundtrip(checked.static_report.as_dict())
+        # the static findings printed as warnings, and the report
+        # keeps them in print order
+        assert doc["diagnostics"]
+        assert printed_in_order(doc["diagnostics"], err)
+
+    def test_report_turns_no_feature_on(self, pi_files, tmp_path):
+        report_path = tmp_path / "run.json"
+        code, _, _ = run_cli_err(
+            ["run", pi_files[2], "--ues", "2", "--mode", "rcce",
+             "--report", str(report_path)])
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        assert set(doc) == HEADER | {"metrics"}
+        assert set(doc["metrics"]) == {"rcce"}
+        assert doc["diagnostics"] == []
+
+    def test_check_sections(self, tmp_path):
+        path = STATIC_FIXTURES + "/race_counter.c"
+        report_path = tmp_path / "check.json"
+        code, _, _ = run_cli_err(["check", path, "--report",
+                                  str(report_path)])
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        assert set(doc) == HEADER | {"metrics", "static"}
+        assert doc["command"] == "check"
+        assert doc["diagnostics"] == []  # findings print as the audit
+        assert set(doc["metrics"]) == {"static"}
+        with open(path) as handle:
+            checked = TranslationFramework(strict=False).check(
+                handle.read(), filename=path)
+        assert doc["static"] == roundtrip(checked.static_report.as_dict())
+
+    def test_profile_section(self, tmp_path):
+        report_path = tmp_path / "check.json"
+        code, output, _ = run_cli_err(
+            ["check", STATIC_FIXTURES + "/locked_clean.c", "--profile",
+             "--report", str(report_path)])
+        assert code == 0
+        assert "pipeline profile" in output
+        doc = json.loads(report_path.read_text())
+        assert set(doc) == HEADER | {"metrics", "static", "profile"}
+        names = [span["name"] for span in doc["profile"]]
+        assert names[0].startswith("stage1")
+
+    def test_analyze_sections(self, pi_files, tmp_path):
+        report_path = tmp_path / "analyze.json"
+        code, _, _ = run_cli_err(
+            ["analyze", pi_files[2], "--bottlenecks", "--ues", "2",
+             "--report", str(report_path)])
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        assert set(doc) == HEADER | {"metrics", "attribution"}
+        assert doc["command"] == "analyze"
+        assert set(doc["metrics"]) == {"rcce"}
+        with open(pi_files[2]) as handle:
+            unit = TranslationFramework().translate(handle.read()).unit
+        result = run_rcce(unit, 2, attribution=True)
+        assert doc["attribution"] == roundtrip(
+            result.attribution.as_dict())
+
+    def test_analyze_tables_report_has_header_only(self, tmp_path,
+                                                   example_file):
+        report_path = tmp_path / "analyze.json"
+        code, _, _ = run_cli_err(["analyze", example_file, "--report",
+                                  str(report_path)])
+        assert code == 0
+        assert set(json.loads(report_path.read_text())) == HEADER
+
+    def test_stdout_carries_the_document_alone(self, pi_files):
+        code, output, err = run_cli_err(
+            ["run", pi_files[2], "--ues", "2", "--report", "-"])
+        assert code == 0
+        doc = json.loads(output)  # exactly one JSON document
+        assert doc["command"] == "run"
+        assert "pthread x1 core" in err
+        assert "rcce    x2 cores" in err
+        assert "speedup:" in err
+        assert "report written to stdout" in err
+
+    def test_strict_findings_exit_70_with_report(self, tmp_path):
+        report_path = tmp_path / "check.json"
+        code, _, _ = run_cli_err(
+            ["check", STATIC_FIXTURES + "/race_counter.c", "--strict",
+             "--report", str(report_path)])
+        assert code == 70
+        assert json.loads(report_path.read_text())["static"]["findings"]
+
+    def test_no_report_on_exit_65(self, pi_files, tmp_path):
+        report_path = tmp_path / "run.json"
+        code, output, _ = run_cli_err(
+            ["run", pi_files[4], "--ues", "2", "--report", "-"])
+        assert code == 65
+        assert output == ""
+        code, _, _ = run_cli_err(
+            ["run", pi_files[4], "--ues", "2",
+             "--report", str(report_path)])
+        assert code == 65
+        assert not report_path.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "x.c", "--metrics", "m.json"],
+        ["run", "x.c", "--race-report", "r.json"],
+        ["run", "x.c", "--static-report", "s.json"],
+        ["check", "x.c", "--json"],
+        ["check", "x.c", "--metrics", "m.json"],
+        ["analyze", "x.c", "--json", "a.json"],
+    ])
+    def test_deleted_flags_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(argv)
