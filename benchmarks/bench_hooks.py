@@ -1,0 +1,439 @@
+"""Hook-overhead contracts: one row per hook, one timing protocol.
+
+The race detector, the event tracer and cycle attribution stay wired
+into every simulated memory access on one promise: their hooks cost at
+most 1.05x.  Each row times the code runs execute, hooked against a
+baseline:
+
+* ``race_detached`` -- ``repro.sim.compile._ld``/``_st`` with no
+  detector attached, against the same two functions with the race
+  branch deleted;
+* ``events_detached`` -- the ``SCCChip.access_fastpath`` entries with
+  no tracer attached, against a chip whose methods have every event
+  branch deleted;
+* ``attribution_enabled`` -- a single-core pthread run with full cycle
+  attribution, against the plain run.
+
+The detached rows drive one access mix (private L1 hits, private
+misses, shared DRAM, MPB; a quarter of each segment stores) through a
+live ``Interpreter``'s site cache.  Their baselines are not
+hand-copied: ``_unhooked`` recompiles the live source with the hook's
+``if`` branches deleted, so a baseline differs from the live code in
+the hook alone.  The attribution row keeps its functional checks on an
+RCCE ``dot`` run: identical cycles and output, exact conservation, and
+a critical path equal to the makespan.
+
+Protocol, for every row: the median hooked/baseline ratio of
+``time.process_time`` over ``PAIRS`` alternating pairs, GC off.  The
+workloads run on one host thread, so CPU time is wall time minus
+preemption by unrelated load.  The detached rows time each segment of
+a pair separately and also report the per-segment medians.
+
+Usage::
+
+    PYTHONPATH=src python benchmarks/bench_hooks.py   # BENCH_hooks.json
+    pytest benchmarks/bench_hooks.py                  # gates + checks
+"""
+
+import ast
+import gc
+import inspect
+import json
+import os
+import statistics
+import sys
+import textwrap
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if os.path.join(ROOT, "src") not in sys.path:
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+
+from repro.bench.harness import SCALED_ON_CHIP_CAPACITY  # noqa: E402
+from repro.bench.programs import benchmark_source  # noqa: E402
+from repro.bench.workloads import scaled_config  # noqa: E402
+from repro.cfront.frontend import parse_program  # noqa: E402
+from repro.core.framework import TranslationFramework  # noqa: E402
+from repro.scc.chip import SCCChip  # noqa: E402
+from repro.scc.config import SCCConfig, Table61Config  # noqa: E402
+from repro.sim import compile as sim_compile  # noqa: E402
+from repro.sim.interpreter import Interpreter  # noqa: E402
+from repro.sim.runner import run_pthread_single_core, run_rcce  # noqa: E402
+
+PAIRS = 31
+CEILING = 1.05
+OUTPUT = os.path.join(ROOT, "BENCH_hooks.json")
+ACCESSES = 1024         # per segment of the detached rows' mix
+SIDES = ("hooked", "baseline")
+RACE_HOOK = {"_race"}
+EVENT_HOOK = {"events", "_events"}
+MEASURES = {
+    "race_detached": "compile._ld/_st with no detector attached vs the "
+                     "same functions minus the race branch, %d accesses "
+                     "per segment" % ACCESSES,
+    "events_detached": "SCCChip.access_fastpath entries with no tracer "
+                       "attached vs a chip with every event branch "
+                       "deleted, %d accesses per segment" % ACCESSES,
+    "attribution_enabled": "run_pthread_single_core (4 threads, mutex + "
+                           "hot array) with full attribution vs the "
+                           "plain run",
+}
+
+# Single-core pthread workload for the attribution row: a hot cached
+# private array (the L1-hit fast path), a contended mutex (lock_spin
+# hooks), thread create/join and context switches (sched_overhead
+# hooks) -- every hook the single-core runner can fire.
+PTHREAD_SOURCE = """
+#include <stdio.h>
+#include <pthread.h>
+
+#define NTHREADS 4
+#define N 256
+#define ROUNDS 24
+
+double hot[256];
+double partial[4];
+int counter;
+pthread_mutex_t lock;
+
+void *worker(void *tid) {
+    int id = (int)tid;
+    int chunk = N / NTHREADS;
+    int lo = id * chunk;
+    int j;
+    int r;
+    double local = 0.0;
+    for (j = lo; j < lo + chunk; j++)
+        hot[j] = 1.0 + j;
+    for (r = 0; r < ROUNDS; r++) {
+        for (j = lo; j < lo + chunk; j++)
+            local += hot[j] * 0.5;
+        pthread_mutex_lock(&lock);
+        counter = counter + 1;
+        pthread_mutex_unlock(&lock);
+    }
+    partial[id] = local;
+    pthread_exit(NULL);
+}
+
+int main(void) {
+    pthread_t th[4];
+    int t;
+    double total = 0.0;
+    pthread_mutex_init(&lock, NULL);
+    for (t = 0; t < NTHREADS; t++)
+        pthread_create(&th[t], NULL, worker, (void *)t);
+    for (t = 0; t < NTHREADS; t++)
+        pthread_join(th[t], NULL);
+    for (t = 0; t < NTHREADS; t++)
+        total += partial[t];
+    printf("%.1f %d\\n", total, counter);
+    return 0;
+}
+"""
+
+
+# -- baselines: the live source minus the hook --------------------------------
+
+
+class _DeleteHook(ast.NodeTransformer):
+    """Delete every ``if`` whose test reads one of ``names``, and drop
+    such reads from an ``or`` test; leave everything else as is."""
+
+    def __init__(self, names):
+        self.names = names
+
+    def _reads(self, node):
+        return any(getattr(sub, "id", None) in self.names
+                   or getattr(sub, "attr", None) in self.names
+                   for sub in ast.walk(node))
+
+    def visit_If(self, node):
+        self.generic_visit(node)
+        test = node.test
+        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
+            kept = [value for value in test.values
+                    if not self._reads(value)]
+            if kept:
+                node.test = (kept[0] if len(kept) == 1
+                             else ast.BoolOp(ast.Or(), kept))
+        if self._reads(node.test):
+            return node.orelse or None
+        return node
+
+
+def _unhooked(fn, names):
+    """``fn`` recompiled from its own source with the hook deleted, or
+    None when ``fn`` has no branch on ``names``."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+    before = ast.dump(tree)
+    tree = ast.fix_missing_locations(_DeleteHook(names).visit(tree))
+    if ast.dump(tree) == before:
+        return None
+    namespace = dict(fn.__globals__)
+    exec(compile(tree, inspect.getsourcefile(fn), "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def _unhooked_chip():
+    """``SCCChip`` with every method that branches on the event sink
+    replaced by its unhooked recompilation."""
+    methods = {}
+    for name, member in vars(SCCChip).items():
+        if inspect.isfunction(member):
+            replica = _unhooked(member, EVENT_HOOK)
+            if replica is not None:
+                methods[name] = replica
+    assert "access_fastpath" in methods
+    return type("UnhookedChip", (SCCChip,), methods)
+
+
+# -- the detached rows: one access mix through a live site cache --------------
+
+
+def _mix(chip):
+    """``{segment: [(addr, site, is_store)]}`` laid out in ``chip``.
+
+    Private misses cycle eight lines through each of four L2 sets
+    (4-way), so every access misses L1 and L2; the hit lines sit in
+    other sets and stay in L1."""
+    config = chip.config
+    line = config.l2_line_size
+    set_stride = config.l2_size // config.l2_assoc
+    space = chip.address_space
+    private = space.alloc_private(0, 8 * set_stride)
+    shared = space.alloc_shared(4096)
+    mpb = space.alloc_mpb(256)
+    addresses = {
+        "private_hit": lambda i: private.base + 4 * (i % 256),
+        "private_miss": lambda i: (private.base + 2048 + line * (i % 4)
+                                   + set_stride * (i // 4 % 8)),
+        "shared": lambda i: shared.base + 4 * (i % 1024),
+        "mpb": lambda i: mpb.base + 4 * (i % 64),
+    }
+    return {name: [(addr(i), 2 * index + (i % 4 == 3), i % 4 == 3)
+                   for i in range(ACCESSES)]
+            for index, (name, addr) in enumerate(addresses.items())}
+
+
+class _Side:
+    """A live interpreter on a fresh ``chip_class`` chip, with one
+    runner per mix segment that loads through ``ld`` and stores
+    through ``st``."""
+
+    def __init__(self, chip_class, ld, st):
+        self.chip = chip_class(SCCConfig())
+        self.interp = Interpreter(
+            parse_program("int main(void) { return 0; }"), self.chip)
+        self.runners = {name: self._runner(accesses, ld, st)
+                        for name, accesses in _mix(self.chip).items()}
+
+    def _runner(self, accesses, ld, st):
+        interp = self.interp
+
+        def run():
+            for addr, site, store in accesses:
+                if store:
+                    st(interp, addr, 1, site, None)
+                else:
+                    ld(interp, addr, site)
+        return run
+
+
+def _race_specs():
+    ld = _unhooked(sim_compile._ld, RACE_HOOK)
+    st = _unhooked(sim_compile._st, RACE_HOOK)
+    assert ld is not None and st is not None
+    return {"hooked": (SCCChip, sim_compile._ld, sim_compile._st),
+            "baseline": (SCCChip, ld, st)}
+
+
+def _event_specs():
+    return {"hooked": (SCCChip, sim_compile._ld, sim_compile._st),
+            "baseline": (_unhooked_chip(), sim_compile._ld,
+                         sim_compile._st)}
+
+
+DETACHED = {"race_detached": _race_specs, "events_detached": _event_specs}
+
+
+def _detached_build(specs):
+    """Fresh warmed sides for every pair, built in the pair's order:
+    where an object lands in memory moves a path's time by a few
+    percent, so no one layout may favour either side."""
+    def build(order):
+        sides = {side: _Side(*specs[side]) for side in order}
+        for side in sides.values():
+            for run in side.runners.values():
+                run()
+        return {name: side.runners for name, side in sides.items()}
+    return build
+
+
+# -- the attribution row ------------------------------------------------------
+
+
+def _run_pthread(unit, attribution):
+    chip = SCCChip(Table61Config())
+    return run_pthread_single_core(unit, chip.config, chip,
+                                   attribution=attribution)
+
+
+def _attribution_build():
+    """Check attribution on RCCE ``dot`` x4 and on the pthread
+    workload; time the pthread run with attribution on (hooked) and
+    off (baseline)."""
+    unit = TranslationFramework(
+        on_chip_capacity=SCALED_ON_CHIP_CAPACITY,
+        partition_policy="size").translate(
+            benchmark_source("dot", 4, n=192)).unit
+
+    def rcce(attribution):
+        chip = SCCChip(scaled_config())
+        return run_rcce(unit, 4, chip.config, chip,
+                        max_steps=100_000_000, attribution=attribution)
+
+    plain, attributed = rcce(False), rcce(True)
+    assert attributed.cycles == plain.cycles
+    assert attributed.per_core_cycles == plain.per_core_cycles
+    assert attributed.stdout() == plain.stdout()
+    report = attributed.attribution
+    for core, classes in report.per_core.items():
+        assert sum(classes.values()) == attributed.per_core_cycles[core]
+    assert report.critical_path.path_length == report.makespan
+
+    unit = parse_program(PTHREAD_SOURCE)
+    plain = _run_pthread(unit, attribution=False)
+    attributed = _run_pthread(unit, attribution=True)
+    assert attributed.cycles == plain.cycles
+    assert attributed.stdout() == plain.stdout()
+    runners = {"hooked": {"run": lambda: _run_pthread(unit, True)},
+               "baseline": {"run": lambda: _run_pthread(unit, False)}}
+    return lambda order: runners
+
+
+# -- the protocol -------------------------------------------------------------
+
+
+def _timed_row(build):
+    """Median hooked/baseline ``process_time`` ratios over ``PAIRS``
+    pairs, overall and per segment.  ``build(order)`` returns
+    ``{side: {segment: runner}}`` for both ``SIDES``.  Each segment
+    runs hooked first in even pairs and baseline first in odd ones, so
+    load drift hits both sides alike; the median shrugs off a pair a
+    load spike hit."""
+    ratios = {}
+    totals = []
+    for pair in range(PAIRS):
+        order = SIDES if pair % 2 == 0 else SIDES[::-1]
+        runners = build(order)
+        spent = dict.fromkeys(SIDES, 0.0)
+        gc.collect()
+        gc.disable()
+        try:
+            for name in runners["hooked"]:
+                times = {}
+                for side in order:
+                    start = time.process_time()
+                    runners[side][name]()
+                    times[side] = time.process_time() - start
+                    spent[side] += times[side]
+                ratios.setdefault(name, []).append(
+                    times["hooked"] / times["baseline"])
+        finally:
+            gc.enable()
+        totals.append((spent["hooked"], spent["baseline"]))
+    return {
+        "ratio": statistics.median(h / b for h, b in totals),
+        "hooked_us": statistics.median(h for h, _ in totals) * 1e6,
+        "baseline_us": statistics.median(b for _, b in totals) * 1e6,
+        "segments": {name: statistics.median(values)
+                     for name, values in ratios.items()},
+    }
+
+
+def measure():
+    rows = {name: _timed_row(_detached_build(specs()))
+            for name, specs in DETACHED.items()}
+    row = _timed_row(_attribution_build())
+    del row["segments"]
+    row["checked"] = ("identical cycles and stdout on RCCE dot x4 and "
+                      "the pthread run; exact conservation; critical "
+                      "path == makespan")
+    rows["attribution_enabled"] = row
+    for name, text in MEASURES.items():
+        rows[name]["measure"] = text
+    return {
+        "host_cpus": os.cpu_count() or 1,
+        "ceiling": CEILING,
+        "pairs": PAIRS,
+        "protocol": "median hooked/baseline time.process_time ratio "
+                    "over alternating pairs, GC off",
+        "rows": rows,
+    }
+
+
+def _summary(report):
+    parts = []
+    for name, row in report["rows"].items():
+        segments = row.get("segments")
+        parts.append("%s %.3f" % (name, row["ratio"]) + (
+            " (%s)" % ", ".join("%s %.3f" % item
+                                for item in segments.items())
+            if segments else ""))
+    return "; ".join(parts) + " [host_cpus=%d]" % report["host_cpus"]
+
+
+# -- pytest entry -------------------------------------------------------------
+
+
+def test_hook_overhead_within_ceiling(results_dir):
+    from conftest import write_result
+    report = measure()
+    write_result(results_dir, "hooks.txt", _summary(report))
+    for name, row in report["rows"].items():
+        assert row["ratio"] <= CEILING, (
+            "%s overhead %.1f%% exceeds 5%%"
+            % (name, (row["ratio"] - 1.0) * 100.0))
+
+
+def test_baselines_do_the_live_work():
+    """Each baseline charges the cycles and leaves the chip counters
+    of the live path; otherwise a row would time different work."""
+    for specs in DETACHED.values():
+        hooked, baseline = (_Side(*spec) for spec in specs().values())
+        for side in (hooked, baseline):
+            for run in side.runners.values():
+                run()
+        assert hooked.interp.cycles == baseline.interp.cycles
+        assert hooked.chip.counter_state() == \
+            baseline.chip.counter_state()
+
+
+def test_mix_segments_take_their_paths():
+    side = _Side(SCCChip, sim_compile._ld, sim_compile._st)
+    for run in side.runners.values():
+        run()
+    core = side.chip.cores[0]
+    hits, misses = core.l1.stats.hits, core.l2.stats.misses
+    side.runners["private_hit"]()
+    side.runners["private_miss"]()
+    assert core.l1.stats.hits - hits == ACCESSES
+    assert core.l2.stats.misses - misses == ACCESSES
+
+
+# -- script entry -------------------------------------------------------------
+
+
+def main():
+    report = measure()
+    with open(OUTPUT, "w") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print("%s (ceiling %.2f) -> %s" % (_summary(report), CEILING, OUTPUT))
+    return 0 if all(row["ratio"] <= CEILING
+                    for row in report["rows"].values()) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

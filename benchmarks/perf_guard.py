@@ -1,19 +1,18 @@
 """Perf-regression guard over the committed benchmark reports.
 
-Re-runs the workloads behind the committed ``BENCH_race.json``,
-``BENCH_attr.json`` and ``BENCH_parallel.json`` and fails when any of
-them regresses: the hook ratios by more than 15% against their
-committed numbers, the parallel backend below its fixed speedup
-gate.  Interpreter dispatch speed is tracked end to end by
-``sim_steps_per_s`` on the ``compute`` workload of ``BENCHMARK.json``.  Raw
-wall seconds are not portable across machines, so each guard compares
-the machine-relative quantity its report pins:
+Re-runs the workloads behind the committed ``BENCH_hooks.json`` and
+``BENCH_parallel.json`` and fails when any of them regresses: a hook
+ratio by more than 15% against its committed number, the parallel
+backend below its fixed speedup gate.  Interpreter dispatch speed is
+tracked end to end by ``sim_steps_per_s`` on the ``compute`` workload
+of ``BENCHMARK.json``.  Raw wall seconds are not portable across
+machines, so each guard compares the machine-relative quantity its
+report pins:
 
-* ``BENCH_race.json`` — the disabled-mode hook ratio (hooked/plain
-  load-store wall time).  Guard: current ratio <= committed x 1.15.
-* ``BENCH_attr.json`` — the enabled-mode attribution ratio.  Guard:
-  current ratio <= committed x 1.15.
-* ``BENCH_parallel.json`` — the process backend's byte-identity flag
+* ``BENCH_hooks.json`` -- each row's hooked/baseline ratio (race and
+  event hooks detached, attribution enabled).  Guard: current ratio
+  <= committed x 1.15.
+* ``BENCH_parallel.json`` -- the process backend's byte-identity flag
   (guarded on every host, on the scaled smoke subset) and its
   wall-clock speedup: full-size LU at 2 workers, median of
   alternating passes, must reach 1.3x on hosts with >= 2 CPUs (a
@@ -35,9 +34,8 @@ for path in (os.path.join(ROOT, "src"), os.path.dirname(os.path.abspath(__file__
     if path not in sys.path:
         sys.path.insert(0, path)
 
-import bench_attr_overhead  # noqa: E402
+import bench_hooks  # noqa: E402
 import bench_parallel_speedup  # noqa: E402
-import bench_race_overhead  # noqa: E402
 
 SLACK = 1.15  # fail on >15% slowdown against the committed number
 SMOKE_UES = 8
@@ -58,29 +56,18 @@ def _host_note():
     return " [host_cpus=%d]" % _host_cpus()
 
 
-def guard_race():
-    committed = _committed("BENCH_race.json")
-    # the race bench times ~2000 accesses (sub-millisecond), so any
-    # single measure() can catch a load spike; noise on this clock is
-    # strictly additive, so the best of a few full measurements is
-    # the faithful estimate
-    ratio = min(bench_race_overhead.measure()["ratio"]
-                for _ in range(3))
-    bound = committed["ratio"] * SLACK
-    ok = ratio <= bound
-    return ok, ("race disabled-mode ratio %.3f (committed %.3f, "
-                "bound %.3f)" % (ratio, committed["ratio"], bound)
-                + _host_note())
-
-
-def guard_attr():
-    committed = _committed("BENCH_attr.json")
-    current = bench_attr_overhead.measure()
-    bound = committed["ratio"] * SLACK
-    ok = current["ratio"] <= bound
-    return ok, ("attr enabled-mode ratio %.3f (committed %.3f, "
-                "bound %.3f)" % (current["ratio"], committed["ratio"],
-                                 bound) + _host_note())
+def guard_hooks():
+    committed = _committed("BENCH_hooks.json")["rows"]
+    current = bench_hooks.measure()["rows"]
+    ok = True
+    parts = []
+    for name, row in committed.items():
+        ratio = current[name]["ratio"]
+        bound = row["ratio"] * SLACK
+        ok = ok and ratio <= bound
+        parts.append("%s %.3f (committed %.3f, bound %.3f)"
+                     % (name, ratio, row["ratio"], bound))
+    return ok, "hook ratios: " + "; ".join(parts) + _host_note()
 
 
 def guard_parallel():
@@ -124,17 +111,10 @@ def guard_parallel():
 # -- pytest entry ---------------------------------------------------------------
 
 
-def test_race_overhead_has_not_regressed(results_dir):
+def test_hook_overhead_has_not_regressed(results_dir):
     from conftest import write_result
-    ok, message = guard_race()
-    write_result(results_dir, "perf_guard_race.txt", message)
-    assert ok, message
-
-
-def test_attr_overhead_has_not_regressed(results_dir):
-    from conftest import write_result
-    ok, message = guard_attr()
-    write_result(results_dir, "perf_guard_attr.txt", message)
+    ok, message = guard_hooks()
+    write_result(results_dir, "perf_guard_hooks.txt", message)
     assert ok, message
 
 
@@ -150,7 +130,7 @@ def test_parallel_speedup_has_not_regressed(results_dir):
 
 def main(argv=None):
     failures = 0
-    for guard in (guard_race, guard_attr, guard_parallel):
+    for guard in (guard_hooks, guard_parallel):
         ok, message = guard()
         print(("PASS: " if ok else "FAIL: ") + message)
         failures += 0 if ok else 1

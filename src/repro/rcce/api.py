@@ -118,7 +118,6 @@ class RCCEWorld:
         self.put_bytes = 0
         self.get_bytes = 0
         self.send_bytes = 0
-        self.lock_contentions = 0
         chip.metrics.register_collector(
             "rcce.world", self._collect_metrics, self._reset_counters)
         # barriers are low-frequency: a direct histogram is fine
@@ -168,8 +167,6 @@ class RCCEWorld:
             ("counter", "rcce_put_bytes", {}, self.put_bytes),
             ("counter", "rcce_get_bytes", {}, self.get_bytes),
             ("counter", "rcce_send_bytes", {}, self.send_bytes),
-            ("counter", "rcce_lock_contentions", {},
-             self.lock_contentions),
         ]
         for register, count in enumerate(self.registers.acquisitions):
             if count:
@@ -195,7 +192,6 @@ class RCCEWorld:
         self.put_bytes = 0
         self.get_bytes = 0
         self.send_bytes = 0
-        self.lock_contentions = 0
         self.registers.reset_counts()
         if self.retrier is not None:
             self.retrier.reset_counts()
@@ -376,16 +372,12 @@ class RCCECoreRuntime:
         interp.charge(cost)
         if self.attr is not None:
             self.attr.add(self.core_id, "lock_spin", cost)
-        contended = self.world.registers.contended(register)
-        if contended:
-            self.world.lock_contentions += 1
         entry = interp.cycles
         self.world.registers.acquire(register, self.rank)
         events = self.world.chip.events
         if events.enabled:
             events.instant(self.core_id, entry, "lock_acquire", "sync",
-                           {"register": register,
-                            "contended": contended},
+                           {"register": register},
                            pid=self.world.chip.trace_pid)
         return 0
 
@@ -436,7 +428,8 @@ class RCCECoreRuntime:
         count = max(nbytes // stride, 1)
         interp.memory.memcpy(dst.addr, src.addr, count, stride)
         if self.race is not None:
-            # the bulk copy bypasses interp.load/store, so audit it here
+            # the bulk copy bypasses the compiled loads and stores, so
+            # audit it here
             self.race.record_range(interp, src.addr, count, stride,
                                    "read")
             self.race.record_range(interp, dst.addr, count, stride,

@@ -206,11 +206,6 @@ class TestAndSetRegisters:
         # race detector (repro.race): release->acquire ordering edges
         self.race = None
 
-    def contended(self, register):
-        """Whether register ``register`` is currently held (the
-        would-be acquirer would spin)."""
-        return self._locks[register % self.num_cores].locked()
-
     def reset_counts(self):
         self.acquisitions = [0] * self.num_cores
 

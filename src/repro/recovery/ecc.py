@@ -111,9 +111,9 @@ class ECCScrubber:
     # -- the read filter ---------------------------------------------------
 
     def scrub(self, interp, addr, corrupted, stored):
-        """Called by ``Interpreter.load`` after the fault layer flipped
-        a read: correct or condemn it.  Returns the value the program
-        sees."""
+        """Called by ``Interpreter._faulty_get`` after the fault layer
+        flipped a read: correct or condemn it.  Returns the value the
+        program sees."""
         chip = interp.chip
         core = interp.core_id
         weight = syndrome_weight(corrupted, stored)

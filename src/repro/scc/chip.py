@@ -98,14 +98,17 @@ class SCCChip:
     def attach_events(self, tracer, pid=0, name=None):
         """Route simulator events (cache misses, mesh routes, MPB
         traffic) into ``tracer``, tagged with Chrome-trace process
-        ``pid``."""
+        ``pid``.  The fast-path entries bind the sink when they are
+        built, so attaching invalidates them."""
         self.events = tracer
         self.trace_pid = pid
         if name is not None:
             tracer.set_process(pid, name)
+        self._bump_mem_epoch()
 
     def detach_events(self):
         self.events = NULL_EVENTS
+        self._bump_mem_epoch()
 
     def _collect_metrics(self):
         """Publish every component counter as registry samples."""
@@ -454,8 +457,9 @@ class SCCChip:
                 return _slow(_core, _state, addr, ts)
         elif segment is SegmentKind.SHARED:
             # routing is static per core: controller id, hop count, and
-            # route endpoints are baked in; queue depth and the event
-            # sink stay live reads
+            # route endpoints are baked in, and so are the attribution
+            # cells and the event sink (attaching either bumps
+            # mem_epoch); only the queue depth stays a live read
             controller_id = self.mesh.controller_of(core)
             hops = self.mesh.hops_to_controller(core, controller_id)
 
@@ -464,8 +468,9 @@ class SCCChip:
                    _src=self.mesh.coords_of(core),
                    _dst=self.mesh.controller_coords(controller_id),
                    _cycles=self.controllers[controller_id].access_cycles,
-                   _hops=hops, _chip=self, _core=core,
-                   _mc="MC%d" % controller_id,
+                   _hops=hops, _core=core, _mc="MC%d" % controller_id,
+                   _events=self.events if self.events.enabled else None,
+                   _pid=self.trace_pid,
                    _penalty=self.config.uncached_shared_penalty,
                    _hop_part=hops * self.config.mesh_cycles_per_hop,
                    _attr=self.attribution,
@@ -481,12 +486,11 @@ class SCCChip:
                 if _attr is not None:
                     _attr_hop[0] += _hop_part
                     _attr_dram[0] += cost - _hop_part + _penalty
-                events = _chip.events
-                if events.enabled:
-                    events.instant(
+                if _events is not None:
+                    _events.instant(
                         _core, ts, "mesh_route", "mesh",
                         {"to": _mc, "hops": _hops, "kind": kind,
-                         "segment": "shared"}, pid=_chip.trace_pid)
+                         "segment": "shared"}, pid=_pid)
                 return cost + _penalty
         else:
             # same inline L1 hit probe as the private entry; read

@@ -52,6 +52,7 @@ from repro.sim.interpreter import (
     _Break,
     _Continue,
     _Return,
+    const_value,
 )
 from repro.sim.values import (
     NULL,
@@ -359,95 +360,6 @@ def _static_flt(ct):
     """Does a load at this statically-typed site convert int->float?"""
     return isinstance(ct, ctypes.PrimitiveType) and \
         ct.name in _FLOAT_NAMES
-
-
-# ---------------------------------------------------------------------------
-# compile-time constant evaluation (switch case labels)
-# ---------------------------------------------------------------------------
-
-def _const_value(expr):
-    """Pure mirror of ``Interpreter._const_expr`` (no cycle charges)."""
-    if isinstance(expr, c_ast.Constant):
-        return expr.value
-    if isinstance(expr, c_ast.UnaryOp) and expr.op == "-":
-        return -_const_value(expr.operand)
-    if isinstance(expr, c_ast.StringLiteral):
-        return expr.value
-    if isinstance(expr, c_ast.Cast):
-        return coerce(expr.ctype, _const_value(expr.expr))
-    if isinstance(expr, c_ast.SizeofType):
-        return expr.ctype.sizeof()
-    if isinstance(expr, c_ast.BinaryOp):
-        return _pure_binop(expr.op, _const_value(expr.left),
-                           _const_value(expr.right))
-    raise InterpreterError("unsupported constant initializer: %r" % expr)
-
-
-def _pure_binop(op, left, right):
-    """``Interpreter._apply_binop(op, left, right, charge=False)``
-    without an interpreter (used only at compile time)."""
-    import math
-    if isinstance(left, Pointer) or isinstance(right, Pointer):
-        if op == "+":
-            return left.offset(int(right)) if isinstance(left, Pointer) \
-                else right.offset(int(left))
-        if op == "-":
-            if isinstance(left, Pointer) and isinstance(right, Pointer):
-                return (left.addr - right.addr) // left.stride
-            if isinstance(left, Pointer):
-                return left.offset(-int(right))
-            raise InterpreterError("cannot subtract pointer from int")
-        lk = left.addr if isinstance(left, Pointer) else left
-        rk = right.addr if isinstance(right, Pointer) else right
-        cmps = {"==": lk == rk, "!=": lk != rk, "<": lk < rk,
-                ">": lk > rk, "<=": lk <= rk, ">=": lk >= rk}
-        if op in cmps:
-            return 1 if cmps[op] else 0
-        raise InterpreterError("unsupported pointer operator %r" % op)
-    is_float = isinstance(left, float) or isinstance(right, float)
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
-    if op == "/":
-        if right == 0:
-            raise InterpreterError("division by zero")
-        if is_float:
-            return left / right
-        quotient = abs(left) // abs(right)
-        return quotient if (left < 0) == (right < 0) else -quotient
-    if op == "%":
-        if right == 0:
-            raise InterpreterError("modulo by zero")
-        if is_float:
-            return math.fmod(left, right)
-        remainder = abs(left) % abs(right)
-        return remainder if left >= 0 else -remainder
-    if op == "<":
-        return 1 if left < right else 0
-    if op == ">":
-        return 1 if left > right else 0
-    if op == "<=":
-        return 1 if left <= right else 0
-    if op == ">=":
-        return 1 if left >= right else 0
-    if op == "==":
-        return 1 if left == right else 0
-    if op == "!=":
-        return 1 if left != right else 0
-    if op == "&":
-        return int(left) & int(right)
-    if op == "|":
-        return int(left) | int(right)
-    if op == "^":
-        return int(left) ^ int(right)
-    if op == "<<":
-        return int(left) << int(right)
-    if op == ">>":
-        return int(left) >> int(right)
-    raise InterpreterError("unsupported binary operator %r" % op)
 
 
 # ---------------------------------------------------------------------------
@@ -1085,7 +997,7 @@ def _make_mul(left_c, right_c):
         ca = a.__class__
         cb = b.__class__
         if ca is _P or cb is _P:
-            return I._pointer_binop("*", a, b, True)
+            return I._pointer_binop("*", a, b)
         if ca is float or cb is float:
             I.cycles += _C_FMUL
         else:
@@ -1107,7 +1019,7 @@ def _make_div(left_c, right_c):
         ca = a.__class__
         cb = b.__class__
         if ca is _P or cb is _P:
-            return I._pointer_binop("/", a, b, True)
+            return I._pointer_binop("/", a, b)
         if ca is float or cb is float:
             I.cycles += _C_FDIV
             if b == 0:
@@ -1134,7 +1046,7 @@ def _make_mod(left_c, right_c):
         ca = a.__class__
         cb = b.__class__
         if ca is _P or cb is _P:
-            return I._pointer_binop("%", a, b, True)
+            return I._pointer_binop("%", a, b)
         if ca is float or cb is float:
             I.cycles += _C_FDIV
             if b == 0:
@@ -1184,7 +1096,7 @@ def _make_intop(op, left_c, right_c, fn):
         a = left_c(I, F)
         b = right_c(I, F)
         if a.__class__ is _P or b.__class__ is _P:
-            return I._pointer_binop(op, a, b, True)
+            return I._pointer_binop(op, a, b)
         if a.__class__ is float or b.__class__ is float:
             I.cycles += _C_FALU
         else:
@@ -1201,8 +1113,7 @@ def _make_binop_generic(op, left_c, right_c):
             _ovf(I)
         if not s & _M:
             I._tick()
-        return I._apply_binop(op, left_c(I, F), right_c(I, F),
-                              charge=True)
+        return I._apply_binop(op, left_c(I, F), right_c(I, F))
     return run
 
 
@@ -1475,7 +1386,7 @@ def _make_augassign_static(lv, rhs_c, subop, ct):
         if flt and isinstance(old, int):
             old = float(old)
         rhs = rhs_c(I, F)
-        v = I._apply_binop(subop, old, rhs, charge=True)
+        v = I._apply_binop(subop, old, rhs)
         return _st(I, addr, v, site_w, co)
     return run
 
@@ -1507,7 +1418,7 @@ def _make_augassign_dyn(lv, rhs_c, subop):
         addr, ct = lv(I, F)
         old = _flt_load_conv(_ld(I, addr, site_r), ct)
         rhs = rhs_c(I, F)
-        v = I._apply_binop(subop, old, rhs, charge=True)
+        v = I._apply_binop(subop, old, rhs)
         return _st_dyn(I, addr, v, site_w, ct)
     return run
 
@@ -1965,7 +1876,7 @@ class _FunctionCompiler:
         groups = []
         for item in stmt.body.items:
             if isinstance(item, c_ast.Case):
-                groups.append((False, _const_value(item.expr),
+                groups.append((False, const_value(item.expr),
                                tuple(self.compile_stmt(s)
                                      for s in item.stmts)))
             elif isinstance(item, c_ast.Default):

@@ -71,6 +71,103 @@ class ThreadExit(Exception):
         self.value = value
 
 
+# The simulator's one copy of the C value rules for binary operators.
+# Neither function charges cycles: ``Interpreter._apply_binop`` and
+# ``_pointer_binop`` charge the operation and then call them, and
+# ``const_value`` folds constants with them.
+def _pointer_value(op, left, right):
+    """``left op right`` where at least one side is a Pointer."""
+    if op == "+":
+        if isinstance(left, Pointer):
+            return left.offset(int(right))
+        return right.offset(int(left))
+    if op == "-":
+        if isinstance(left, Pointer) and isinstance(right, Pointer):
+            return (left.addr - right.addr) // left.stride
+        if isinstance(left, Pointer):
+            return left.offset(-int(right))
+        raise InterpreterError("cannot subtract pointer from int")
+    left_key = left.addr if isinstance(left, Pointer) else left
+    right_key = right.addr if isinstance(right, Pointer) else right
+    comparisons = {
+        "==": left_key == right_key, "!=": left_key != right_key,
+        "<": left_key < right_key, ">": left_key > right_key,
+        "<=": left_key <= right_key, ">=": left_key >= right_key,
+    }
+    if op in comparisons:
+        return 1 if comparisons[op] else 0
+    raise InterpreterError("unsupported pointer operator %r" % op)
+
+
+def _arith_value(op, left, right):
+    """``left op right`` on ints and floats."""
+    if op == "+":
+        return left + right
+    if op == "-":
+        return left - right
+    if op == "*":
+        return left * right
+    if op == "/":
+        if right == 0:
+            raise InterpreterError("division by zero")
+        if isinstance(left, float) or isinstance(right, float):
+            return left / right
+        quotient = abs(left) // abs(right)
+        return quotient if (left < 0) == (right < 0) else -quotient
+    if op == "%":
+        if right == 0:
+            raise InterpreterError("modulo by zero")
+        if isinstance(left, float) or isinstance(right, float):
+            return math.fmod(left, right)
+        remainder = abs(left) % abs(right)
+        return remainder if left >= 0 else -remainder
+    if op == "<":
+        return 1 if left < right else 0
+    if op == ">":
+        return 1 if left > right else 0
+    if op == "<=":
+        return 1 if left <= right else 0
+    if op == ">=":
+        return 1 if left >= right else 0
+    if op == "==":
+        return 1 if left == right else 0
+    if op == "!=":
+        return 1 if left != right else 0
+    if op == "&":
+        return int(left) & int(right)
+    if op == "|":
+        return int(left) | int(right)
+    if op == "^":
+        return int(left) ^ int(right)
+    if op == "<<":
+        return int(left) << int(right)
+    if op == ">>":
+        return int(left) >> int(right)
+    raise InterpreterError("unsupported binary operator %r" % op)
+
+
+def const_value(expr):
+    """Evaluate a constant expression (a static initializer or a
+    ``case`` label) without charging cycles."""
+    if isinstance(expr, c_ast.Constant):
+        return expr.value
+    if isinstance(expr, c_ast.UnaryOp) and expr.op == "-":
+        return -const_value(expr.operand)
+    if isinstance(expr, c_ast.StringLiteral):
+        return expr.value
+    if isinstance(expr, c_ast.Cast):
+        return coerce(expr.ctype, const_value(expr.expr))
+    if isinstance(expr, c_ast.SizeofType):
+        return expr.ctype.sizeof()
+    if isinstance(expr, c_ast.BinaryOp):
+        left = const_value(expr.left)
+        right = const_value(expr.right)
+        if isinstance(left, Pointer) or isinstance(right, Pointer):
+            return _pointer_value(expr.op, left, right)
+        return _arith_value(expr.op, left, right)
+    raise InterpreterError("unsupported constant initializer: %r" % expr)
+
+
 # Stack size reserved per core inside its private window.
 STACK_BYTES = 1024 * 1024
 
@@ -178,7 +275,7 @@ class Interpreter:
             length = ctype.length or 0
             values = []
             if isinstance(init, c_ast.InitList):
-                values = [self._const_expr(e) for e in init.exprs]
+                values = [const_value(e) for e in init.exprs]
             for index in range(length):
                 if index < len(values):
                     value = coerce(element, values[index])
@@ -193,26 +290,7 @@ class Interpreter:
         if init is None:
             self.memory.store(addr, default_value(ctype))
         else:
-            self.memory.store(addr, coerce(ctype, self._const_expr(init)))
-
-    def _const_expr(self, expr):
-        """Evaluate a constant initializer without charging cycles."""
-        if isinstance(expr, c_ast.Constant):
-            return expr.value
-        if isinstance(expr, c_ast.UnaryOp) and expr.op == "-":
-            return -self._const_expr(expr.operand)
-        if isinstance(expr, c_ast.StringLiteral):
-            return expr.value
-        if isinstance(expr, c_ast.Cast):
-            return coerce(expr.ctype, self._const_expr(expr.expr))
-        if isinstance(expr, c_ast.SizeofType):
-            return expr.ctype.sizeof()
-        if isinstance(expr, c_ast.BinaryOp):
-            left = self._const_expr(expr.left)
-            right = self._const_expr(expr.right)
-            return self._apply_binop(expr.op, left, right, charge=False)
-        raise InterpreterError(
-            "unsupported constant initializer: %r" % expr)
+            self.memory.store(addr, coerce(ctype, const_value(init)))
 
     # -- cycle accounting helpers ------------------------------------------------
 
@@ -221,18 +299,6 @@ class Interpreter:
 
     def charge_op(self, kind):
         self.cycles += OP_COSTS[kind]
-
-    def load(self, addr, ctype=None):
-        self.cycles += self.chip.access_cost(self.core_id, addr, "read",
-                                             4, self.cycles)
-        if self._race is not None:
-            self._race.record(self, addr, "read")
-        value = self._mem_get(addr, 0)
-        if ctype is not None and isinstance(value, int) and \
-                isinstance(ctype, ctypes.PrimitiveType) and \
-                ctype.is_floating:
-            return float(value)
-        return value
 
     def _faulty_get(self, addr, default=0):
         """``memory.get`` under fault injection: the stored value,
@@ -334,87 +400,23 @@ class Interpreter:
 
     # -- arithmetic ------------------------------------------------------------
 
-    def _apply_binop(self, op, left, right, charge=True):
-        # pointer arithmetic
+    def _apply_binop(self, op, left, right):
+        """Charge one binary operation, then compute it."""
         if isinstance(left, Pointer) or isinstance(right, Pointer):
-            return self._pointer_binop(op, left, right, charge)
+            return self._pointer_binop(op, left, right)
         is_float = isinstance(left, float) or isinstance(right, float)
-        if charge:
-            if op in _INT_DIV_OPS:
-                self.charge_op("float_div" if is_float else "int_div")
-            elif op in _MUL_OPS:
-                self.charge_op("float_mul" if is_float else "int_mul")
-            elif is_float:
-                self.charge_op("float_alu")
-            else:
-                self.charge_op("int_alu")
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if op == "/":
-            if right == 0:
-                raise InterpreterError("division by zero")
-            if is_float:
-                return left / right
-            quotient = abs(left) // abs(right)
-            return quotient if (left < 0) == (right < 0) else -quotient
-        if op == "%":
-            if right == 0:
-                raise InterpreterError("modulo by zero")
-            if is_float:
-                return math.fmod(left, right)
-            remainder = abs(left) % abs(right)
-            return remainder if left >= 0 else -remainder
-        if op == "<":
-            return 1 if left < right else 0
-        if op == ">":
-            return 1 if left > right else 0
-        if op == "<=":
-            return 1 if left <= right else 0
-        if op == ">=":
-            return 1 if left >= right else 0
-        if op == "==":
-            return 1 if left == right else 0
-        if op == "!=":
-            return 1 if left != right else 0
-        if op == "&":
-            return int(left) & int(right)
-        if op == "|":
-            return int(left) | int(right)
-        if op == "^":
-            return int(left) ^ int(right)
-        if op == "<<":
-            return int(left) << int(right)
-        if op == ">>":
-            return int(left) >> int(right)
-        raise InterpreterError("unsupported binary operator %r" % op)
+        if op in _INT_DIV_OPS:
+            self.cycles += OP_COSTS["float_div" if is_float else "int_div"]
+        elif op in _MUL_OPS:
+            self.cycles += OP_COSTS["float_mul" if is_float else "int_mul"]
+        else:
+            self.cycles += OP_COSTS["float_alu" if is_float else "int_alu"]
+        return _arith_value(op, left, right)
 
-    def _pointer_binop(self, op, left, right, charge):
-        if charge:
-            self.charge_op("int_alu")
-        if op == "+":
-            if isinstance(left, Pointer):
-                return left.offset(int(right))
-            return right.offset(int(left))
-        if op == "-":
-            if isinstance(left, Pointer) and isinstance(right, Pointer):
-                return (left.addr - right.addr) // left.stride
-            if isinstance(left, Pointer):
-                return left.offset(-int(right))
-            raise InterpreterError("cannot subtract pointer from int")
-        left_key = left.addr if isinstance(left, Pointer) else left
-        right_key = right.addr if isinstance(right, Pointer) else right
-        comparisons = {
-            "==": left_key == right_key, "!=": left_key != right_key,
-            "<": left_key < right_key, ">": left_key > right_key,
-            "<=": left_key <= right_key, ">=": left_key >= right_key,
-        }
-        if op in comparisons:
-            return 1 if comparisons[op] else 0
-        raise InterpreterError("unsupported pointer operator %r" % op)
+    def _pointer_binop(self, op, left, right):
+        """Charge one pointer operation, then compute it."""
+        self.cycles += OP_COSTS["int_alu"]
+        return _pointer_value(op, left, right)
 
     # -- misc ----------------------------------------------------------------------------------------
 

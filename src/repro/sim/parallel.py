@@ -451,10 +451,6 @@ class _ProxyRegisters:
         self.race = None
         self.watchdog = None
 
-    def contended(self, register):
-        return self.client.request("lock_contended",
-                                   register % self.num_cores)
-
     def reset_counts(self):
         self.acquisitions = [0] * self.num_cores
 
@@ -665,7 +661,6 @@ def _worker_main(shard, ranks, source, num_ues, core_map, config,
                 "put_bytes": world.put_bytes,
                 "get_bytes": world.get_bytes,
                 "send_bytes": world.send_bytes,
-                "lock_contentions": world.lock_contentions,
                 "mpb_fallbacks": world.mpb_fallbacks,
                 "acquisitions": list(world.registers.acquisitions),
             },
@@ -874,9 +869,6 @@ class _Coordinator:
                     del self.readers[round_id]
                 self.reply(waiter, (snapshot, aligned))
 
-    def _op_lock_contended(self, rank, index):
-        self.reply(rank, index in self.lock_owner)
-
     def _op_lock_acquire(self, rank, index):
         if index not in self.lock_owner:
             self.lock_owner[index] = rank
@@ -1002,8 +994,7 @@ class _Coordinator:
     # messages (the satellite contract: name the rank AND the site)
     SYNC_SITE_KINDS = {
         "barrier": "barrier", "exchange": "barrier",
-        "lock_contended": "lock", "lock_acquire": "lock",
-        "lock_release": "lock",
+        "lock_acquire": "lock", "lock_release": "lock",
         "flag_alloc": "flag", "flag_free": "flag",
         "flag_write": "flag", "flag_read": "flag", "flag_wait": "flag",
         "send": "send", "recv": "recv",
@@ -1321,7 +1312,6 @@ def run_rcce_parallel(source, num_ues, config, chip, core_map,
         world.put_bytes += state["put_bytes"]
         world.get_bytes += state["get_bytes"]
         world.send_bytes += state["send_bytes"]
-        world.lock_contentions += state["lock_contentions"]
         world.mpb_fallbacks += state["mpb_fallbacks"]
         for index, count in enumerate(state["acquisitions"]):
             world.registers.acquisitions[index] += count

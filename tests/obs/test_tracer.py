@@ -5,11 +5,14 @@ import json
 
 import pytest
 
+from repro.cfront.frontend import parse_program
 from repro.core.framework import TranslationFramework
 from repro.obs.tracer import NULL_EVENTS, EventTracer
 from repro.scc.chip import SCCChip
-from repro.scc.config import Table61Config
+from repro.scc.config import SCCConfig, Table61Config
+from repro.sim.interpreter import Interpreter
 from repro.sim.runner import run_rcce
+from repro.sim.values import Pointer
 
 # Four threads contending on one mutex: after translation this
 # exercises every traced subsystem — caches, mesh, MPB allocation,
@@ -157,4 +160,24 @@ class TestRCCERunTrace:
         assert locks
         for event in locks:
             assert "register" in event["args"]
-            assert "contended" in event["args"]
+
+
+class TestEventSinkBinding:
+    """The shared-DRAM fast-path entry binds the event sink when it is
+    built, so attaching and detaching must invalidate site caches that
+    are already filled."""
+
+    def test_shared_routes_follow_attach_and_detach(self):
+        chip = SCCChip(SCCConfig())
+        interp = Interpreter(
+            parse_program("int peek(int *p) { return *p; }"), chip)
+        shared = Pointer(chip.address_space.alloc_shared(64).base)
+        interp.call_function("peek", [shared])
+        assert interp._site_cache  # filled while nothing was attached
+        tracer = EventTracer()
+        chip.attach_events(tracer)
+        interp.call_function("peek", [shared])
+        assert len(tracer.events_named("mesh_route")) == 1
+        chip.detach_events()
+        interp.call_function("peek", [shared])
+        assert len(tracer.events_named("mesh_route")) == 1
