@@ -12,7 +12,8 @@ check
     static lockset race audit, without simulating anything.
 run
     Simulate a program on the SCC model — the Pthreads original on one
-    core, the translated RCCE variant on N cores, or both side by side.
+    core, the translated RCCE variant on N cores, or both side by side;
+    ``--bottlenecks`` reports where the RCCE run's cycles went.
 bench
     Regenerate a figure of the paper's evaluation.
 """
@@ -27,6 +28,7 @@ from repro.cfront.errors import CFrontError
 from repro.core.framework import TranslationFramework
 from repro.core.reports import format_table, table_4_1, table_4_2
 from repro.faults import FaultSpecError, parse_fault_spec
+from repro.obs.attribution import AttributionEngine, annotate_chrome_trace
 from repro.obs.profile import PipelineProfiler
 from repro.obs.tracer import EventTracer
 from repro.rcce.api import RCCEAllocationError
@@ -37,6 +39,7 @@ from repro.sim.runner import (
     run_pthread_single_core,
     run_rcce,
     run_rcce_supervised,
+    unshardable,
 )
 from repro.sim.watchdog import (
     SimulationTimeout,
@@ -70,25 +73,10 @@ def build_parser():
     _framework_args(translate)
 
     analyze = sub.add_parser("analyze",
-                             help="print the analysis tables, or — "
-                             "with --bottlenecks — run the program "
-                             "under cycle attribution and report "
-                             "where the time goes")
+                             help="print the analysis tables and the "
+                             "partition plan (run --bottlenecks "
+                             "explains where a run's cycles go)")
     analyze.add_argument("source", help="input C file ('-' for stdin)")
-    analyze.add_argument("--bottlenecks", action="store_true",
-                         help="simulate the RCCE program with "
-                         "per-cycle attribution and critical-path "
-                         "analysis; print the breakdown, the path, "
-                         "and mesh/MPB utilization heatmaps")
-    analyze.add_argument("--ues", type=int, default=8,
-                         help="RCCE cores for --bottlenecks "
-                         "(default 8)")
-    analyze.add_argument("--trace", default=None, metavar="FILE",
-                         help="write a Chrome trace annotated with "
-                         "attribution counters and the critical path "
-                         "(--bottlenecks only)")
-    analyze.add_argument("--max-steps", type=int, default=200_000_000,
-                         help="per-core step budget for --bottlenecks")
     _framework_args(analyze)
 
     check = sub.add_parser(
@@ -109,6 +97,12 @@ def build_parser():
                      default="compare")
     run.add_argument("--stats", action="store_true",
                      help="print chip counters after the RCCE run")
+    run.add_argument("--bottlenecks", action="store_true",
+                     help="attribute every cycle of the RCCE run: "
+                     "print the breakdown, the critical path and the "
+                     "chip counters with mesh/MPB heatmaps; --report "
+                     "gains an \"attribution\" section, --trace the "
+                     "attribution counters and critical-path spans")
     run.add_argument("--trace", default=None, metavar="FILE",
                      help="write a Chrome trace-event JSON of the "
                      "simulation (load in chrome://tracing / Perfetto)")
@@ -117,10 +111,6 @@ def build_parser():
                      "processes with Graphite-style relaxed clock "
                      "sync; cycles and outputs stay byte-identical "
                      "to --jobs 1 (see docs/performance.md)")
-    run.add_argument("--quantum", type=int, default=None,
-                     metavar="CYCLES",
-                     help="simulated cycles a shard may run between "
-                     "clock publications (--jobs only; default 50000)")
     run.add_argument("--faults", default=None, metavar="SPEC",
                      help="inject deterministic faults, e.g. "
                      "'mpb_flip:p=1e-6,seed=7;mesh_drop:p=1e-4' "
@@ -292,8 +282,6 @@ def cmd_translate(args, out, err, doc):
 
 
 def cmd_analyze(args, out, err, doc):
-    if args.bottlenecks:
-        return _analyze_bottlenecks(args, out, err, doc)
     source = _read_source(args.source)
     framework = _framework(args)
     result = framework.partition(source)
@@ -315,58 +303,6 @@ def cmd_analyze(args, out, err, doc):
         out.write("  %-12s %6d B  -> %s\n"
                   % (placement.info.name, placement.info.mem_size,
                      placement.bank))
-    return EXIT_OK
-
-
-def _analyze_bottlenecks(args, out, err, doc):
-    """``repro analyze --bottlenecks``: run the RCCE program with full
-    cycle attribution, then report the breakdown, the critical path,
-    and the mesh/MPB utilization heatmaps."""
-    from repro.obs.attribution import (
-        AttributionEngine,
-        annotate_chrome_trace,
-    )
-    from repro.scc.chip import SCCChip
-    from repro.scc.config import Table61Config
-    from repro.scc.report import chip_report, render_report
-
-    source = _read_source(args.source)
-    if "RCCE_APP" in source:
-        from repro.cfront.frontend import parse_program
-        unit = parse_program(source)
-    else:
-        translated = _framework(args).translate(source)
-        if _report_diagnostics(translated, err, doc):
-            return EXIT_PARSE
-        if _too_few_ues(translated, args.ues, err):
-            return EXIT_PARSE
-        unit = translated.unit
-    chip = SCCChip(Table61Config())
-    # heatmap inputs are opt-in recordings (each costs a lock or a
-    # dict bump on the hot path), so only this command enables them
-    chip.mesh.enable_traffic_recording()
-    chip.mpb.enable_owner_tracking()
-    tracer = None
-    if args.trace:
-        tracer = EventTracer()
-        chip.attach_events(tracer, pid=0,
-                           name="rcce x%d cores" % args.ues)
-    engine = AttributionEngine()
-    result = run_rcce(unit, args.ues, chip.config, chip,
-                      max_steps=args.max_steps, attribution=engine)
-    _print_diagnostics(result.diagnostics, err, doc)
-    report = result.attribution
-    doc["metrics"] = {"rcce": result.metrics}
-    doc["attribution"] = report.as_dict()
-    out.write(report.render() + "\n\n")
-    out.write(report.critical_path.render() + "\n\n")
-    out.write(render_report(chip_report(chip)) + "\n")
-    if tracer is not None:
-        emitted = annotate_chrome_trace(tracer, engine, report)
-        tracer.write_chrome(args.trace, chip.config.core_freq_mhz)
-        out.write("annotated trace written to %s (%d events, "
-                  "%d annotations)\n"
-                  % (args.trace, len(tracer), emitted))
     return EXIT_OK
 
 
@@ -400,6 +336,7 @@ def cmd_check(args, out, err, doc):
 def cmd_run(args, out, err, doc):
     from repro.scc.chip import SCCChip
     from repro.scc.config import Table61Config
+    from repro.scc.report import chip_report, render_report
 
     source = _read_source(args.source)
     faults = args.faults
@@ -410,30 +347,13 @@ def cmd_run(args, out, err, doc):
         err.write("repro: --jobs must be a positive worker count "
                   "(got %d)\n" % jobs)
         return EXIT_USAGE
-    quantum = args.quantum
-    if quantum is not None and quantum < 1:
-        err.write("repro: --quantum must be a positive cycle count "
-                  "(got %d)\n" % quantum)
+    if args.bottlenecks and args.mode == "pthread":
+        err.write("repro: --bottlenecks attributes the RCCE run; use "
+                  "--mode rcce or compare\n")
         return EXIT_USAGE
     max_restarts = args.max_restarts
     want_checkpoint = args.checkpoint_every > 0 or max_restarts > 0 \
         or args.checkpoint is not None
-    if jobs > 1 and args.strict:
-        blocker = None
-        if faults:
-            blocker = "--faults"
-        elif args.recover or want_checkpoint or args.restore is not None:
-            blocker = "--recover/--checkpoint/--restore"
-        elif args.race:
-            blocker = "--race"
-        elif args.trace:
-            blocker = "--trace"
-        if blocker is not None:
-            err.write("repro: --jobs %d cannot honour %s: the process "
-                      "backend cannot shard it, so the run would go "
-                      "sequential (jobs=1); rerun without %s or drop "
-                      "--strict\n" % (jobs, blocker, blocker))
-            return EXIT_USAGE
     recovery = None
     if args.recover or want_checkpoint or args.restore is not None:
         recovery = RecoveryOptions(
@@ -442,16 +362,16 @@ def cmd_run(args, out, err, doc):
             if want_checkpoint else None,
             checkpoint_every=args.checkpoint_every or 1,
             restore=args.restore)
-    watchdog = None
-    if args.mode in ("rcce", "compare") and not args.no_watchdog:
-        # the watchdog does not force a sequential run: the parallel
-        # coordinator maps its lock/barrier timeouts onto the
-        # parked-rank and wall-clock supervision bounds
-        if args.watchdog_timeout is not None:
-            watchdog = Watchdog(lock_timeout=args.watchdog_timeout,
-                                barrier_timeout=args.watchdog_timeout)
-        else:
-            watchdog = Watchdog()
+    if jobs > 1 and args.strict:
+        blockers = " and ".join(flag for _, flag in unshardable(
+            source, faults, args.race, args.bottlenecks, recovery,
+            args.trace))
+        if blockers:
+            err.write("repro: --jobs %d cannot honour %s: the process "
+                      "backend cannot shard such a run, so it would go "
+                      "sequential (jobs=1); rerun without %s or drop "
+                      "--strict\n" % (jobs, blockers, blockers))
+            return EXIT_USAGE
     tracer = EventTracer() if args.trace else None
     static_report = None
     if args.static_check:
@@ -507,45 +427,49 @@ def cmd_run(args, out, err, doc):
     if unit is not None:
         if framework is not None:
             _print_profile(framework, out, doc)
-        if max_restarts > 0:
-            chips = []
+        # a supervised run takes a fresh chip and watchdog per attempt
+        # (a chip's address space and a watchdog's abort latch outlive
+        # a failed attempt); the last chip is the one that finished
+        chips = []
 
-            def chip_factory():
-                chip = SCCChip(Table61Config())
-                if tracer is not None:
-                    chip.attach_events(tracer, pid=1,
-                                       name="rcce x%d cores" % args.ues)
-                chips.append(chip)
-                return chip
-
-            watchdog_factory = None
-            if watchdog is not None:
-                timeout = args.watchdog_timeout
-
-                def watchdog_factory():
-                    if timeout is not None:
-                        return Watchdog(lock_timeout=timeout,
-                                        barrier_timeout=timeout)
-                    return Watchdog()
-
-            rcce = run_rcce_supervised(
-                unit, args.ues, config=Table61Config(),
-                max_steps=args.max_steps,
-                faults=faults, recovery=recovery,
-                max_restarts=max_restarts,
-                chip_factory=chip_factory,
-                watchdog_factory=watchdog_factory,
-                race=args.race, jobs=jobs)
-            chip = chips[-1]
-        else:
+        def new_chip():
             chip = SCCChip(Table61Config())
+            if args.bottlenecks:
+                # the heatmap inputs are opt-in recordings (each costs
+                # a lock or a dict bump on the hot path)
+                chip.mesh.enable_traffic_recording()
+                chip.mpb.enable_owner_tracking()
             if tracer is not None:
                 chip.attach_events(tracer, pid=1,
                                    name="rcce x%d cores" % args.ues)
-            rcce = run_rcce(unit, args.ues, chip.config, chip,
-                            max_steps=args.max_steps, faults=faults,
-                            watchdog=watchdog, recovery=recovery,
-                            race=args.race, jobs=jobs, quantum=quantum)
+            chips.append(chip)
+            return chip
+
+        def new_watchdog():
+            # the watchdog does not force a sequential run: the
+            # parallel coordinator maps its lock/barrier timeouts onto
+            # the parked-rank and wall-clock supervision bounds
+            if args.no_watchdog:
+                return None
+            timeout = args.watchdog_timeout
+            if timeout is None:
+                return Watchdog()
+            return Watchdog(lock_timeout=timeout, barrier_timeout=timeout)
+
+        # one engine serves every attempt: each run's metrics reset
+        # clears it, so it ends up holding the run that finished
+        engine = AttributionEngine() if args.bottlenecks else None
+        options = dict(max_steps=args.max_steps, faults=faults,
+                       recovery=recovery, race=args.race,
+                       attribution=engine, jobs=jobs)
+        if max_restarts > 0:
+            rcce = run_rcce_supervised(
+                unit, args.ues, max_restarts=max_restarts,
+                chip_factory=new_chip, watchdog_factory=new_watchdog,
+                **options)
+        else:
+            rcce = run_rcce(unit, args.ues, chip=new_chip(),
+                            watchdog=new_watchdog(), **options)
         snapshots["rcce"] = rcce.metrics
         _print_diagnostics(rcce.diagnostics, err, doc)
         if args.strict and any(
@@ -567,9 +491,15 @@ def cmd_run(args, out, err, doc):
                   % (args.ues, rcce.cycles, first))
         if baseline is not None:
             out.write("speedup: %.2fx\n" % (baseline.cycles / rcce.cycles))
-        if args.stats:
-            from repro.scc.report import chip_report, render_report
-            out.write(render_report(chip_report(chip)) + "\n")
+        if engine is not None:
+            report = rcce.attribution
+            doc["attribution"] = report.as_dict()
+            out.write(report.render() + "\n\n")
+            out.write(report.critical_path.render() + "\n\n")
+            if tracer is not None:
+                annotate_chrome_trace(tracer, engine, report, pid=1)
+        if args.stats or engine is not None:
+            out.write(render_report(chip_report(chips[-1])) + "\n")
     if tracer is not None:
         tracer.write_chrome(args.trace, Table61Config().core_freq_mhz)
         out.write("trace written to %s (%d events)\n"

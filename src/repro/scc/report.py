@@ -62,7 +62,7 @@ def chip_report(chip, active_cores=None):
         report["cores"][core] = stats
 
     # per-segment mesh-link traffic and per-owner MPB traffic: both
-    # opt-in recordings (`repro analyze --bottlenecks` turns them on),
+    # opt-in recordings (`repro run --bottlenecks` turns them on),
     # so these tables are empty — and render nothing — on normal runs
     mesh_segments = {}
     for row in counters.get("scc_mesh_segment_traffic", ()):

@@ -184,43 +184,46 @@ def _file_identity(path):
     return stat.st_ino, stat.st_mtime_ns, stat.st_size
 
 
+def unshardable(program, faults=None, race=None, attribution=None,
+                recovery=None, tracing=False):
+    """The parts of a run the process backend cannot shard, as
+    ``(reason, flag)`` pairs: ``reason`` words the downgrade warning
+    and ``flag`` names the ``repro run`` option that asks for the part
+    (None for a pre-parsed program unit, which only library callers
+    pass: workers re-parse source).  Every other part needs one shared
+    live world.  Each argument is truthy when its feature is on."""
+    return [(reason, flag) for reason, flag, wanted in (
+        ("a pre-parsed program unit", None, not isinstance(program, str)),
+        ("fault injection", "--faults", faults),
+        ("race detection", "--race", race),
+        ("cycle attribution", "--bottlenecks", attribution),
+        ("recovery", "--recover/--checkpoint/--restore", recovery),
+        ("event tracing", "--trace", tracing),
+    ) if wanted]
+
+
 def _resolve_host_path(jobs, program, injector, detector, attr,
                        recovery, chip):
     """Pick the run's one host path — the process backend or a
     sequential run; returns ``(use_process, warning)``.
 
-    The process backend shards chip replicas across worker processes,
-    so every feature that needs one shared live world — fault
-    injection, the race detector, cycle attribution, recovery,
-    event tracing — and pre-parsed program units (workers re-parse
-    source) force a sequential run instead.  This happens loudly: a
-    warning :class:`Diagnostic` the CLI prints (and refuses under
-    ``--strict``), never silently.  The watchdog does not force a
-    downgrade: the parallel coordinator sees every sync wait, so it
-    maps the watchdog's lock/barrier timeouts onto its own
-    parked/wall-clock supervision."""
+    A run with anything :func:`unshardable` names runs sequentially.
+    This happens loudly: a warning :class:`Diagnostic` the CLI prints
+    (and refuses under ``--strict``), never silently.  The watchdog
+    does not force a downgrade: the parallel coordinator sees every
+    sync wait, so it maps the watchdog's lock/barrier timeouts onto
+    its own parked/wall-clock supervision."""
     if jobs <= 1:
         return False, None
-    reasons = []
-    if not isinstance(program, str):
-        reasons.append("a pre-parsed program unit")
-    if injector is not None:
-        reasons.append("fault injection")
-    if detector is not None:
-        reasons.append("race detection")
-    if attr is not None:
-        reasons.append("cycle attribution")
-    if recovery is not None:
-        reasons.append("recovery")
-    if chip.events.enabled:
-        reasons.append("event tracing")
+    reasons = unshardable(program, injector, detector, attr, recovery,
+                          chip.events.enabled)
     if not reasons:
         return True, None
     return False, Diagnostic.warning(
         "simulate",
         "jobs=%d requested but the process backend cannot shard a run "
         "with %s; running sequentially (jobs=1)"
-        % (jobs, " and ".join(reasons)))
+        % (jobs, " and ".join(reason for reason, _ in reasons)))
 
 
 def _timeout_from(exc, interpreters, ranks=None):

@@ -415,6 +415,9 @@ def test_mpb_owner_heatmap_counts_message_traffic():
 
 
 def test_cli_analyze_bottlenecks(tmp_path):
+    """``repro run --bottlenecks`` explains the run it simulated: the
+    breakdown, the critical path and the heatmaps print after the
+    result line, and the report and the trace carry them."""
     from repro.cli import main
     source = tmp_path / "dot.c"
     source.write_text(
@@ -422,15 +425,16 @@ def test_cli_analyze_bottlenecks(tmp_path):
     report_path = tmp_path / "report.json"
     trace_path = tmp_path / "trace.json"
     out, err = io.StringIO(), io.StringIO()
-    code = main(["analyze", str(source), "--bottlenecks",
+    code = main(["run", str(source), "--mode", "rcce", "--bottlenecks",
                  "--ues", str(NUM_UES), "--report", str(report_path),
                  "--trace", str(trace_path)],
                 out, err)
     assert code == 0
     text = out.getvalue()
-    assert "cycle attribution:" in text
-    assert "critical path:" in text
-    assert "mesh link traffic by segment" in text
+    result_line = text.index("rcce    x%d cores:" % NUM_UES)
+    assert result_line < text.index("cycle attribution:") \
+        < text.index("critical path:") \
+        < text.index("mesh link traffic by segment")
     payload = json.loads(report_path.read_text())["attribution"]
     assert payload["critical_path"]["makespan"] == payload["makespan"]
     assert payload["critical_path"]["path_length"] == payload["makespan"]
@@ -442,3 +446,27 @@ def test_cli_analyze_bottlenecks(tmp_path):
     events = trace["traceEvents"] if isinstance(trace, dict) else trace
     assert any(event.get("name") == "critical_path"
                for event in events)
+
+
+def test_cli_bottlenecks_trace_annotates_the_rcce_track(tmp_path):
+    """In a compare run the trace's pthread run is pid 0 and the RCCE
+    run pid 1; the attribution annotations belong to the RCCE run."""
+    from repro.cli import main
+    source = tmp_path / "dot.c"
+    source.write_text(
+        benchmark_source("dot", NUM_UES, **SIZES["dot"]))
+    trace_path = tmp_path / "trace.json"
+    code = main(["run", str(source), "--bottlenecks",
+                 "--ues", str(NUM_UES), "--trace", str(trace_path)],
+                io.StringIO(), io.StringIO())
+    assert code == 0
+    trace = json.loads(trace_path.read_text())
+    events = trace["traceEvents"] if isinstance(trace, dict) else trace
+    spans = {event["pid"] for event in events
+             if event.get("name") == "critical_path"}
+    counters = {(event["pid"], event["name"]) for event in events
+                if event.get("name", "").startswith("attribution core")}
+    assert spans == {1}
+    assert counters == {(1, "attribution core %d" % core)
+                        for core in range(NUM_UES)}
+    assert {event["pid"] for event in events} == {0, 1}

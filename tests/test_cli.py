@@ -386,11 +386,14 @@ class TestParallelFlags:
                                     "--jobs", "-2"])
         assert code == 2
 
-    def test_quantum_zero_exits_2(self, example_file):
-        code, _, err = run_cli_err(["run", example_file,
-                                    "--jobs", "2", "--quantum", "0"])
-        assert code == 2
-        assert "--quantum" in err
+    def test_quantum_zero_exits_2(self, example_file, capsys):
+        """``--quantum`` is gone: the process backend keeps its
+        50 000-cycle quantum, and argparse refuses the option."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", example_file, "--jobs", "2", "--quantum", "0"],
+                 io.StringIO(), io.StringIO())
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --quantum" in capsys.readouterr().err
 
     def test_jobs_output_is_byte_identical(self, example_file):
         sequential = run_cli(["run", example_file, "--ues", "3"])
@@ -592,9 +595,11 @@ class TestThreadCount:
         assert "--fold" in err and "--ues 4" in err
 
     def test_analyze_bottlenecks_checks_too(self, pi_files):
-        code, _, err = run_cli_err(
-            ["analyze", pi_files[4], "--bottlenecks", "--ues", "2"])
+        code, output, err = run_cli_err(
+            ["run", pi_files[4], "--mode", "rcce", "--bottlenecks",
+             "--ues", "2"])
         assert code == 65
+        assert output == ""
         assert "launches 4 threads but --ues is 2" in err
 
     def test_fold_runs_every_thread(self, pi_files):
@@ -605,6 +610,57 @@ class TestThreadCount:
                  if "cycles" in line]
         assert len(lines) == 2
         assert all("pi = 3.141613" in line for line in lines)
+
+
+class TestBottlenecks:
+    """``run --bottlenecks`` attributes the RCCE run it simulates, so
+    it shares that run's watchdog, supervisor and --jobs rules."""
+
+    def test_pthread_mode_exits_2(self, pi_files):
+        code, output, err = run_cli_err(
+            ["run", pi_files[2], "--mode", "pthread", "--bottlenecks"])
+        assert code == 2
+        assert output == ""
+        assert "--bottlenecks" in err
+
+    def test_deadlock_exits_75(self, tmp_path):
+        path = tmp_path / "deadlock.c"
+        path.write_text(DEADLOCK_KERNEL)
+        code, _, err = run_cli_err(
+            ["run", str(path), "--mode", "rcce", "--ues", "2",
+             "--bottlenecks"])
+        assert code == 75
+        assert "deadlock detected" in err
+
+    def test_jobs_exits_2_under_strict(self, pi_files):
+        code, output, err = run_cli_err(
+            ["run", pi_files[2], "--ues", "2", "--jobs", "2",
+             "--bottlenecks", "--strict"])
+        assert code == 2
+        assert output == ""  # refused before anything was simulated
+        assert "cannot honour --bottlenecks" in err
+        assert "sequential (jobs=1)" in err
+
+    def test_supervised_crash_matches_fault_free(self, recovery_file,
+                                                 tmp_path):
+        """The restarted run replays from the beginning, so its
+        attribution is the fault-free one, and it conserves."""
+        reports = {}
+        for name, extra in (("clean", []), ("crash", [
+                "--faults", "core_crash:core=1,at=11000",
+                "--max-restarts", "1",
+                "--checkpoint", str(tmp_path / "run.ckpt")])):
+            path = tmp_path / (name + ".json")
+            code, _, err = run_cli_err(
+                ["run", recovery_file, "--mode", "rcce", "--ues", "2",
+                 "--bottlenecks", "--report", str(path)] + extra)
+            assert code == 0
+            reports[name] = json.loads(path.read_text())["attribution"]
+        assert "restarted from checkpoint round" in err
+        crash = reports["crash"]
+        for core, classes in crash["per_core"].items():
+            assert sum(classes.values()) == crash["per_core_cycles"][core]
+        assert crash == reports["clean"]
 
 
 def printed_in_order(diagnostics, err):
@@ -693,15 +749,40 @@ class TestReport:
         assert names[0].startswith("stage1")
 
     def test_analyze_sections(self, pi_files, tmp_path):
-        report_path = tmp_path / "analyze.json"
+        """``run --bottlenecks`` writes the ``attribution`` section:
+        the same breakdown an in-process attributed run builds."""
+        report_path = tmp_path / "run.json"
         code, _, _ = run_cli_err(
-            ["analyze", pi_files[2], "--bottlenecks", "--ues", "2",
-             "--report", str(report_path)])
+            ["run", pi_files[2], "--mode", "rcce", "--bottlenecks",
+             "--ues", "2", "--report", str(report_path)])
         assert code == 0
         doc = json.loads(report_path.read_text())
         assert set(doc) == HEADER | {"metrics", "attribution"}
-        assert doc["command"] == "analyze"
+        assert doc["command"] == "run"
         assert set(doc["metrics"]) == {"rcce"}
+        # the heatmap inputs travel as chip counters (two UEs share a
+        # tile, so only the MPB owners see traffic)
+        assert "scc_mpb_owner_bytes" in doc["metrics"]["rcce"]["counters"]
+        with open(pi_files[2]) as handle:
+            unit = TranslationFramework().translate(handle.read()).unit
+        result = run_rcce(unit, 2, attribution=True)
+        assert doc["attribution"] == roundtrip(
+            result.attribution.as_dict())
+
+    def test_one_run_explains_itself(self, pi_files, tmp_path):
+        """The dynamic audit, the static audit and the attribution of
+        one compare run land in one document."""
+        report_path = tmp_path / "run.json"
+        code, _, _ = run_cli_err(
+            ["run", pi_files[2], "--ues", "2", "--race",
+             "--static-check", "--bottlenecks",
+             "--report", str(report_path)])
+        assert code == 0
+        doc = json.loads(report_path.read_text())
+        assert set(doc) == HEADER | {"metrics", "race", "static",
+                                     "attribution"}
+        assert set(doc["metrics"]) == {"pthread", "rcce"}
+        assert set(doc["race"]) == {"pthread", "rcce"}
         with open(pi_files[2]) as handle:
             unit = TranslationFramework().translate(handle.read()).unit
         result = run_rcce(unit, 2, attribution=True)
@@ -754,7 +835,13 @@ class TestReport:
         ["check", "x.c", "--json"],
         ["check", "x.c", "--metrics", "m.json"],
         ["analyze", "x.c", "--json", "a.json"],
+        # only `run` simulates: `run --bottlenecks` replaced these
+        ["analyze", "x.c", "--bottlenecks"],
+        ["analyze", "x.c", "--ues", "4"],
+        ["analyze", "x.c", "--trace", "t.json"],
+        ["analyze", "x.c", "--max-steps", "1000"],
     ])
     def test_deleted_flags_are_rejected(self, argv):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
+        assert exc.value.code == 2
