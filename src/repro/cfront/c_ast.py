@@ -6,6 +6,8 @@ Type information is carried by :mod:`repro.cfront.ctypes` objects attached
 to declarations, not by type AST nodes.
 """
 
+from repro.cfront.ctypes import CType
+
 
 class Coord:
     """Source coordinate (filename, line, column)."""
@@ -27,6 +29,12 @@ class Coord:
 
     def __deepcopy__(self, memo):
         return self  # immutable; shared freely across AST copies
+
+
+# leaf types whose values an AST copy shares with its master, as it
+# shares CTypes: none of them can change in place
+_SHARED_LEAVES = frozenset((str, int, float, bool, type(None), tuple,
+                            Coord))
 
 
 class Node:
@@ -91,6 +99,44 @@ def link_parents(root):
         children.reverse()
         stack += children
     return hole
+
+
+def clone(root):
+    """A structural copy of the tree under ``root``.
+
+    Every node and every list is new; immutable leaves (C types,
+    :class:`Coord`, strings, numbers, tuples) are shared with ``root``.
+    Each copy's ``parent`` is the copy that holds it, and the root
+    copy's is None.  Attributes are written into each copy's own
+    ``__dict__`` in the master's key order, so the copies' instance
+    dicts stay key-shared.  Any other mutable value raises
+    ``TypeError``, so nothing is aliased silently."""
+    top = root.__class__.__new__(root.__class__)
+    stack = [(root, top, None)]
+    while stack:
+        node, copy, parent = stack.pop()
+        attrs = copy.__dict__
+        for key, value in node.__dict__.items():
+            if key == "parent":
+                attrs[key] = parent
+            else:
+                attrs[key] = _clone_value(value, copy, stack)
+    return top
+
+
+def _clone_value(value, holder, stack):
+    """``value``'s copy for the clone of its holding node; a node's
+    copy is filled in when ``clone`` pops it from ``stack``."""
+    if type(value) in _SHARED_LEAVES or isinstance(value, CType):
+        return value
+    if isinstance(value, Node):
+        copy = value.__class__.__new__(value.__class__)
+        stack.append((value, copy, holder))
+        return copy
+    if type(value) is list:
+        return [_clone_value(item, holder, stack) for item in value]
+    raise TypeError("cannot clone a %s attribute of %s"
+                    % (type(value).__name__, type(holder).__name__))
 
 
 def walk(root):

@@ -51,8 +51,8 @@ class CType:
 
     def __deepcopy__(self, memo):
         # types are immutable value objects (see module docstring):
-        # deep copies of ASTs can safely share them, which keeps the
-        # frontend's parse-cache copies cheap
+        # deep copies of ASTs can safely share them, as c_ast.clone's
+        # copies do
         return self
 
     def __repr__(self):

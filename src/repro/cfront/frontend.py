@@ -2,16 +2,19 @@
 
 ``parse_program`` memoizes on a hash of the source (plus the
 preprocessor inputs), so benchmark harnesses and test suites that parse
-the same program repeatedly skip re-lexing and re-parsing.  Cache hits
-return a deep copy by default — callers (the translation framework's
-passes) mutate their units freely — while read-only consumers can pass
-``share=True`` to receive the pristine cached master itself.
+the same program repeatedly skip re-lexing and re-parsing.  Every call
+returns a structural clone of the cached master by default
+(:func:`repro.cfront.c_ast.clone`: new nodes and lists, shared
+immutable types, coordinates and strings), so callers (the translation
+framework's passes) mutate their units freely, while read-only
+consumers can pass ``share=True`` to receive the pristine cached master
+itself.
 """
 
-import copy
 import hashlib
 from collections import OrderedDict
 
+from repro.cfront.c_ast import clone
 from repro.cfront.parser import parse
 from repro.cfront.preprocessor import preprocess
 
@@ -45,8 +48,10 @@ def parse_program(source, filename="<source>", predefined=None,
     ``includes`` records the headers the program asked for.
 
     Results are memoized on (source hash, filename, preprocessor
-    inputs).  By default every call gets its own deep copy of the
-    cached unit; ``share=True`` returns the cached master directly —
+    inputs).  By default every call, hit or miss, gets its own
+    structural clone of the cached unit (every node and list new,
+    immutable leaves shared, see :func:`repro.cfront.c_ast.clone`);
+    ``share=True`` returns the cached master directly —
     only for callers that will never mutate the AST (this also lets
     repeat runs share downstream per-unit caches, e.g. the compiled
     closures in ``repro.sim.compile``).
@@ -63,7 +68,7 @@ def parse_program(source, filename="<source>", predefined=None,
     if unit is not None:
         _PARSE_CACHE.move_to_end(key)
         _HITS += 1
-        return unit if share else copy.deepcopy(unit)
+        return unit if share else clone(unit)
     _MISSES += 1
     unit = parse_program_uncached(source, filename, predefined,
                                   header_map)
@@ -71,8 +76,8 @@ def parse_program(source, filename="<source>", predefined=None,
     while len(_PARSE_CACHE) > _PARSE_CACHE_MAX:
         _PARSE_CACHE.popitem(last=False)
     # the master just cached is what we hand out on this miss too: a
-    # non-sharing caller gets a copy so it cannot poison the cache
-    return unit if share else copy.deepcopy(unit)
+    # non-sharing caller gets a clone so it cannot poison the cache
+    return unit if share else clone(unit)
 
 
 def parse_program_uncached(source, filename="<source>", predefined=None,

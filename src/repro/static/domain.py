@@ -10,10 +10,14 @@ reads of uninitialized locals without a separate pass.
 Soundness convention: every operation over-approximates — the concrete
 result of any C expression always lies inside the abstract interval
 (property-tested in ``tests/static/test_property.py``).  Integer
-arithmetic is modeled over the mathematical integers; wrap-around is
-*reported* (the overflow check) rather than modeled, matching Miné's
-treatment of run-time errors as check-and-continue.
+arithmetic is modeled over the mathematical integers, with C's
+truncating division; wrap-around is *reported* (the overflow check)
+rather than modeled, matching Miné's treatment of run-time errors as
+check-and-continue.
 """
+
+import math
+from collections import namedtuple
 
 from repro.cfront import ctypes
 
@@ -121,20 +125,28 @@ class Interval:
                    for b in (other.lo, other.hi)]
         return Interval(min(corners), max(corners))
 
-    def divide(self, other):
-        """Conservative quotient (used for both / and C's truncating
-        integer division).  A divisor interval containing zero yields
-        top — the division-by-zero *check* fires separately."""
+    def divide(self, other, truncate=False):
+        """Conservative quotient; ``truncate`` gives C's integer
+        division, which rounds toward zero.  Truncation is monotone,
+        so truncating each corner truncates the hull.  A divisor
+        interval containing zero yields top — the division-by-zero
+        *check* fires separately."""
         if other.contains_zero():
             return Interval.top()
-        corners = [_ext_div(a, b)
+        quotient = _ext_trunc_div if truncate else _ext_div
+        corners = [quotient(a, b)
                    for a in (self.lo, self.hi)
                    for b in (other.lo, other.hi)]
         return Interval(min(corners), max(corners))
 
     def mod(self, other):
         """C remainder: result has the dividend's sign and magnitude
-        strictly below the divisor's."""
+        strictly below the divisor's (exact for two int constants)."""
+        if self.is_const and other.is_const and other.lo != 0 and \
+                isinstance(self.lo, int) and isinstance(other.lo, int):
+            remainder = abs(self.lo) % abs(other.lo)
+            return Interval.const(remainder if self.lo >= 0
+                                  else -remainder)
         bound = max(abs(other.lo), abs(other.hi))
         if bound == INF or bound == 0:
             return Interval.top()
@@ -194,11 +206,16 @@ def _ext_div(a, b):
         return 0
     if a in (INF, -INF):
         return INF if (a > 0) == (b > 0) else -INF
-    quotient = a / b
+    return a / b
+
+
+def _ext_trunc_div(a, b):
+    """``a / b`` rounded toward zero, exactly for int bounds."""
     if isinstance(a, int) and isinstance(b, int):
-        # bound C's truncation from both sides
-        return quotient
-    return quotient
+        quotient = abs(a) // abs(b)
+        return quotient if (a < 0) == (b < 0) else -quotient
+    quotient = _ext_div(a, b)
+    return quotient if quotient in (INF, -INF) else math.trunc(quotient)
 
 
 class PtrVal:
@@ -229,26 +246,20 @@ class PtrVal:
                                              self.base[1]), self.offset)
 
 
-class VarState:
+class VarState(namedtuple("VarState", "value init",
+                           defaults=(None, INIT))):
     """One variable's abstract state: a value (Interval, PtrVal, or
-    None for untracked) and an initialization status."""
+    None for untracked) and an initialization status.
 
-    __slots__ = ("value", "init")
+    Immutable, like the Interval and PtrVal it holds, so environments
+    share states instead of copying them: an update replaces the
+    state, and assigning a field raises ``AttributeError``."""
 
-    def __init__(self, value=None, init=INIT):
-        self.value = value
-        self.init = init
-
-    def copy(self):
-        return VarState(self.value, self.init)
+    __slots__ = ()
 
     def join(self, other, widen=False):
         value = _join_values(self.value, other.value, widen)
         return VarState(value, join_init(self.init, other.init))
-
-    def __eq__(self, other):
-        return isinstance(other, VarState) and self.value == other.value \
-            and self.init == other.init
 
     def __repr__(self):
         return "VarState(%r, %s)" % (self.value, self.init)
@@ -269,15 +280,15 @@ class AbstractEnv:
 
     A key that is absent is unknown-but-initialized (top) — globals and
     escaped storage live in the engine's flow-insensitive summary, not
-    here.
+    here.  States are immutable, so a copy is one shallow dict copy
+    and a join keeps every state both sides share.
     """
 
     def __init__(self, states=None):
         self.states = dict(states) if states else {}
 
     def copy(self):
-        return AbstractEnv({key: state.copy()
-                            for key, state in self.states.items()})
+        return AbstractEnv(self.states)
 
     def get(self, key):
         return self.states.get(key)
@@ -287,15 +298,18 @@ class AbstractEnv:
 
     def join(self, other, widen=False):
         merged = {}
-        for key in set(self.states) | set(other.states):
-            mine = self.states.get(key)
+        for key, mine in self.states.items():
             theirs = other.states.get(key)
-            if mine is None or theirs is None:
+            if theirs is None:
                 # declared on one path only: out of scope afterwards
-                survivor = mine or theirs
-                merged[key] = VarState(None, survivor.init)
+                merged[key] = VarState(None, mine.init)
+            elif mine is theirs:
+                merged[key] = mine   # joining or widening a state with itself
             else:
                 merged[key] = mine.join(theirs, widen)
+        for key, theirs in other.states.items():
+            if key not in merged:
+                merged[key] = VarState(None, theirs.init)
         return AbstractEnv(merged)
 
     def __eq__(self, other):

@@ -85,6 +85,7 @@ class IntervalEngine:
         self.returns = {}       # func -> value | _TOP_SEED
         self.solutions = {}     # func -> {block index: in env}
         self.havoc = False      # an unknown store may clobber anything
+        self._refinable = {}    # branch condition -> free of side effects
         self._round = 0
         self._checker = None
         self._current = None    # function being interpreted
@@ -288,17 +289,26 @@ class IntervalEngine:
                 self._eval(branch_cond, env)
             else:
                 self._exec(stmt, env)
+        refinable = branch_cond is not None and \
+            self._is_refinable(branch_cond)
         results = []
         for succ, label in block.successors:
-            if branch_cond is not None and \
-                    label in ("true", "false", "back") and \
-                    not _has_side_effects(branch_cond):
+            if refinable and label in ("true", "false", "back"):
                 sense = label != "false"
                 results.append((succ, self._refine(env.copy(),
                                                    branch_cond, sense)))
             else:
                 results.append((succ, env.copy()))
         return results
+
+    def _is_refinable(self, cond):
+        """A branch condition refines its edges unless evaluating it
+        has side effects; decided once per condition."""
+        refinable = self._refinable.get(cond)
+        if refinable is None:
+            refinable = self._refinable[cond] = \
+                not _has_side_effects(cond)
+        return refinable
 
     # -- statements --------------------------------------------------------
 
@@ -471,7 +481,8 @@ class IntervalEngine:
         elif op == "*":
             value = left.mul(right)
         elif op == "/":
-            value = left.divide(right)
+            value = left.divide(right,
+                                truncate=not self._is_float_op(node))
         elif op == "%":
             value = left.mod(right)
         elif op == "<<":
@@ -483,7 +494,8 @@ class IntervalEngine:
         elif op == ">>":
             if left.lo >= 0 and right.is_const and \
                     isinstance(right.lo, int) and 0 <= right.lo < 64:
-                value = left.divide(Interval.const(1 << right.lo))
+                value = left.divide(Interval.const(1 << right.lo),
+                                    truncate=True)
             else:
                 value = Interval.top()
         elif op == "&":

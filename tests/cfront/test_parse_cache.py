@@ -2,15 +2,49 @@
 from cache, callers must get independent (or explicitly shared) ASTs,
 and differing predefines/headers must not collide."""
 
+import copy
+import glob
+import os
+
 import pytest
 
+from repro.bench.programs import EXAMPLE_4_1, STREAM_KERNELS, \
+    benchmark_names, benchmark_source, stream_kernel
+from repro.cfront import c_ast, codegen
 from repro.cfront.frontend import (
     parse_cache_clear,
     parse_cache_info,
     parse_program,
 )
+from repro.core import TranslationFramework
 
 SOURCE = "int x = 3;\nint main(void) { return x; }"
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+
+
+def _corpus():
+    yield "example_4_1", EXAMPLE_4_1
+    for name in benchmark_names():
+        for nthreads in (2, 4, 8):
+            yield "%s/%d" % (name, nthreads), \
+                benchmark_source(name, nthreads)
+    for kernel in STREAM_KERNELS:
+        yield "stream_kernel/%s" % kernel, stream_kernel(kernel, 4)
+
+
+def _fixtures():
+    for path in sorted(glob.glob(os.path.join(FIXTURES, "**", "*.c"),
+                                 recursive=True)):
+        with open(path) as handle:
+            yield os.path.relpath(path, FIXTURES), handle.read()
+
+
+CORPUS = list(_corpus())
+PROGRAMS = CORPUS + list(_fixtures())
+
+
+def _ids(programs):
+    return [label for label, _ in programs]
 
 
 @pytest.fixture(autouse=True)
@@ -58,3 +92,56 @@ def test_cache_is_bounded():
         parse_program("int main(void) { return %d; }" % index)
     info = parse_cache_info()
     assert info["entries"] <= info["max"]
+
+
+def _assert_clone_of(copied, reference, master):
+    """``copied`` matches ``reference`` (a deep copy of ``master``)
+    node for node, and shares no node or list with ``master``."""
+    pending = [(copied, reference, master, None)]
+    while pending:
+        node, ref, orig, holder = pending.pop()
+        assert type(node) is type(ref)
+        assert node is not orig
+        assert list(node.__dict__) == list(ref.__dict__)
+        assert node.parent is holder
+        for key, value in node.__dict__.items():
+            if key == "parent":
+                continue
+            values = [(value, ref.__dict__[key], orig.__dict__[key])]
+            while values:
+                value, ref_value, orig_value = values.pop()
+                if isinstance(value, c_ast.Node):
+                    pending.append((value, ref_value, orig_value, node))
+                elif isinstance(value, list):
+                    assert value is not orig_value
+                    assert len(value) == len(ref_value)
+                    values += zip(value, ref_value, orig_value)
+                else:
+                    # immutable leaves are shared with the master
+                    assert value == ref_value
+                    assert value is orig_value
+
+
+@pytest.mark.parametrize("label,source", PROGRAMS, ids=_ids(PROGRAMS))
+def test_clone_matches_deepcopy_of_master(label, source):
+    missed = parse_program(source)
+    hit = parse_program(source)
+    master = parse_program(source, share=True)
+    reference = copy.deepcopy(master)
+    for copied in (missed, hit):
+        _assert_clone_of(copied, reference, master)
+
+
+@pytest.mark.parametrize("label,source", CORPUS, ids=_ids(CORPUS))
+def test_translating_a_clone_leaves_the_master_intact(label, source):
+    master = parse_program(source, share=True)
+    before = codegen.generate(master)
+    TranslationFramework().translate(parse_program(source))
+    assert codegen.generate(master) == before
+
+
+def test_clone_refuses_to_alias_a_mutable_attribute():
+    unit = parse_program(SOURCE)
+    unit.decls[0].notes = {"shared": True}
+    with pytest.raises(TypeError):
+        c_ast.clone(unit)

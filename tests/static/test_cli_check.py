@@ -54,6 +54,13 @@ class TestCheckExitCodes:
         assert "static audit: clean" in out
         assert "lockset-suppressed" in out
 
+    def test_truncating_division_exits_zero_under_strict(self):
+        # arr[a / 2] and arr[a >> 1] with a = 7 both index arr[3]
+        code, out, _ = run_cli(["check", fixture("div_index_clean.c"),
+                                "--strict"])
+        assert code == EXIT_OK
+        assert "static audit: clean" in out
+
     def test_race_counter_reports_both_counters_with_sites(self):
         _, out, _ = run_cli(["check", fixture("race_counter.c")])
         assert "'hits'" in out and "'misses'" in out

@@ -60,11 +60,31 @@ class TestInterval:
         # divisor straddling zero: top (the DbZ check fires separately)
         assert Interval(4, 8).divide(Interval(-1, 1)).is_top
 
+    def test_truncating_divide(self):
+        half = Interval.const(2)
+        assert Interval(7, 9).divide(half, truncate=True) == Interval(3, 4)
+        assert Interval(-9, -7).divide(half, truncate=True) == \
+            Interval(-4, -3)
+        assert Interval(-7, 7).divide(Interval.const(-2),
+                                      truncate=True) == Interval(-3, 3)
+        assert Interval(1, INF).divide(half, truncate=True) == \
+            Interval(0, INF)
+        # exact on ints: a float quotient would round 2**60 + 1 away
+        big = Interval.const(2 ** 60 + 1)
+        assert big.divide(Interval.const(1), truncate=True) == big
+
     def test_mod(self):
         assert Interval(0, 100).mod(Interval(3, 3)) == Interval(0, 2)
         # C remainder keeps the dividend's sign
         assert Interval(-7, 7).mod(Interval(4, 4)) == Interval(-3, 3)
         assert Interval(0, 5).mod(Interval(0, 0)).is_top
+
+    def test_mod_of_constants_is_exact(self):
+        # the C remainder of two ints, signed like the dividend
+        assert Interval.const(-7).mod(Interval.const(4)) == \
+            Interval.const(-3)
+        assert Interval.const(7).mod(Interval.const(-4)) == \
+            Interval.const(3)
 
     def test_clamps(self):
         box = Interval(0, 100)
@@ -115,8 +135,23 @@ class TestAbstractEnv:
 
     def test_copy_is_deep_enough(self):
         env = AbstractEnv({("f", "x"): VarState(Interval.const(1))})
-        env.copy().get(("f", "x")).init = UNINIT
+        copied = env.copy()
+        # states are shared, so they cannot be changed in place
+        with pytest.raises(AttributeError):
+            copied.get(("f", "x")).init = UNINIT
+        copied.set(("f", "x"), VarState(Interval.const(1), UNINIT))
         assert env.get(("f", "x")).init == INIT
+
+    def test_join_keeps_shared_states(self):
+        shared = VarState(Interval(0, 3))
+        left = AbstractEnv({("f", "x"): shared,
+                            ("f", "y"): VarState(Interval.const(1))})
+        right = left.copy()
+        right.set(("f", "y"), VarState(Interval.const(5)))
+        for widen in (False, True):
+            merged = left.join(right, widen=widen)
+            assert merged.get(("f", "x")) is shared
+        assert left.join(right).get(("f", "y")).value == Interval(1, 5)
 
 
 class TestIntTypeRange:

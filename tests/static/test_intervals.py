@@ -121,6 +121,54 @@ class TestDivByZero:
         """) == []
 
 
+class TestIntegerDivision:
+    """C's integer ``/`` truncates toward zero; so does ``>>`` on a
+    non-negative left operand."""
+
+    def test_truncated_quotient_indexes_in_bounds(self):
+        assert rte("""
+        int main() {
+            int arr[4];
+            int a = 7;
+            arr[a / 2] = 1;
+            return 0;
+        }
+        """) == []
+
+    def test_shift_exits_truncated(self):
+        boxes = exit_intervals("""
+        int main() {
+            int a = 7;
+            int b = a >> 1;
+            return b;
+        }
+        """)
+        assert boxes["b"] == Interval.const(3)
+
+    def test_negative_quotient_truncates_toward_zero(self):
+        boxes = exit_intervals("""
+        int main() {
+            int a = -7;
+            int b = a / 2;
+            int c = 7 / -2;
+            return b + c;
+        }
+        """)
+        assert boxes["b"] == Interval.const(-3)
+        assert boxes["c"] == Interval.const(-3)
+
+    def test_floating_division_decided_by_type(self):
+        # x holds int bounds, but x / 2 is a double division
+        boxes = exit_intervals("""
+        int main() {
+            double x = 7;
+            double y = x / 2;
+            return 0;
+        }
+        """)
+        assert boxes["y"] == Interval.const(3.5)
+
+
 class TestOverflow:
     def test_definite_in_loop(self):
         findings = rte("""

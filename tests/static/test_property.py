@@ -5,8 +5,9 @@ result of any C expression lies inside the abstract interval.  These
 tests generate small integer kernels — straight-line assignment
 sequences and bounded accumulation loops — run them concretely in
 Python (the engine models mathematical integers, so Python arithmetic
-*is* the reference semantics), and require every final variable value
-to be contained in the engine's exit interval."""
+*is* the reference semantics, with ``/`` and ``%`` following C), and
+require every final variable value to be contained in the engine's
+exit interval."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,12 @@ const = st.integers(min_value=-50, max_value=50)
 var = st.sampled_from(VARS)
 op = st.sampled_from(("+", "-", "*"))
 
-# x = y op (z | constant)
-assignment = st.tuples(var, var, op,
-                       st.one_of(var, const))
+# x = y op (z | constant), or x = y / c and x = y % c for a nonzero
+# constant c
+assignment = st.one_of(
+    st.tuples(var, var, op, st.one_of(var, const)),
+    st.tuples(var, var, st.sampled_from(("/", "%")),
+              const.filter(lambda value: value != 0)))
 
 
 def build_straight_line(inits, statements):
@@ -40,6 +44,12 @@ def assume_fits_int(value):
     assume(-2 ** 31 <= value < 2 ** 31)
 
 
+def c_divide(lhs, rhs):
+    """C's quotient truncates toward zero; Python's ``//`` floors."""
+    quotient = abs(lhs) // abs(rhs)
+    return quotient if (lhs < 0) == (rhs < 0) else -quotient
+
+
 def run_concrete(inits, statements):
     env = dict(zip(VARS, inits))
     for target, left, operator, right in statements:
@@ -49,6 +59,12 @@ def run_concrete(inits, statements):
             env[target] = lhs + rhs
         elif operator == "-":
             env[target] = lhs - rhs
+        elif operator == "/":
+            env[target] = c_divide(lhs, rhs)
+        elif operator == "%":
+            # C's remainder takes the dividend's sign; Python's % takes
+            # the divisor's
+            env[target] = lhs - rhs * c_divide(lhs, rhs)
         else:
             env[target] = lhs * rhs
         assume_fits_int(env[target])
