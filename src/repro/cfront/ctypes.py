@@ -120,11 +120,28 @@ class PrimitiveType(CType):
 
 
 class NamedType(CType):
-    """A typedef-name (including the opaque pthread/RCCE types)."""
+    """A typedef-name (including the opaque pthread/RCCE types).
+
+    ``underlying`` is the type a program's ``typedef`` gave the name;
+    the environment's opaque types have none.  Size and the arithmetic
+    predicates resolve through it, so a typedef'd ``double`` divides,
+    converts and is sized as a double."""
 
     def __init__(self, name, underlying=None):
         self.name = name
         self.underlying = underlying
+
+    @property
+    def is_void(self):
+        return self.underlying is not None and self.underlying.is_void
+
+    @property
+    def is_floating(self):
+        return self.underlying is not None and self.underlying.is_floating
+
+    @property
+    def is_integral(self):
+        return self.underlying is not None and self.underlying.is_integral
 
     def sizeof(self):
         if self.underlying is not None:
@@ -270,10 +287,17 @@ def strip_arrays(ctype):
     return ctype
 
 
+def resolve(ctype):
+    """``ctype`` with typedef-names peeled off down to the type they
+    name; opaque environment types come back unchanged."""
+    while isinstance(ctype, NamedType) and ctype.underlying is not None:
+        ctype = ctype.underlying
+    return ctype
+
+
 def pointee(ctype):
-    """The type pointed at (arrays decay); None for non-pointers."""
-    if isinstance(ctype, PointerType):
-        return ctype.base
-    if isinstance(ctype, ArrayType):
-        return ctype.base
+    """The type pointed at (arrays decay), typedef-names resolved;
+    None for non-pointers."""
+    if isinstance(ctype, (PointerType, ArrayType)):
+        return resolve(ctype.base)
     return None

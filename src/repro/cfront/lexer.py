@@ -1,18 +1,17 @@
-"""Hand-written lexer for the C subset.
+"""Lexer for the C subset: one compiled master regex.
 
-Skips whitespace and both comment styles, tracks line/column, and leaves
-preprocessor directives (lines starting with ``#``) to the preprocessor —
-when the lexer is handed already-preprocessed text it treats a stray ``#``
-as an error.
+Every token is one match of ``_TOKEN_RE``.  The ``SKIP`` alternative
+swallows whitespace, both comment styles and line splices; line and
+column come from the newline offsets in what it swallowed.
+Preprocessor directives (lines starting with ``#``) are left to the
+preprocessor — when the lexer is handed already-preprocessed text it
+treats a stray ``#`` as an error.
 """
+
+import re
 
 from repro.cfront.errors import LexError
 from repro.cfront.tokens import KEYWORDS, PUNCTUATORS, Token, TokenKind
-
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789")
-_DIGITS = set("0123456789")
-_HEX_DIGITS = set("0123456789abcdefABCDEF")
 
 _SIMPLE_ESCAPES = {
     "n": "\n",
@@ -28,204 +27,175 @@ _SIMPLE_ESCAPES = {
     "v": "\v",
 }
 
+# One named group per token class, tried in order: the first that
+# matches wins, so hex comes before the decimal classes, floats before
+# ints, and the punctuators (already longest first) after both
+# comment openers.  A string or character constant the STRING/CHAR
+# patterns reject falls to OTHER, whose scan names the error.
+_TOKEN_RE = re.compile("|".join("(?P<%s>%s)" % pair for pair in (
+    ("SKIP", r"(?:[ \t\r\n\f\v]+|//[^\n]*|/\*.*?\*/|\\\n)+"),
+    ("IDENT", r"[A-Za-z_][A-Za-z0-9_]*"),
+    ("HEX", r"0[xX][0-9a-fA-F]+[uUlL]*"),
+    ("BADHEX", r"0[xX]"),
+    ("FLOAT", r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?[fFlL]?"
+              r"|[0-9]+[eE][+-]?[0-9]+[fFlL]?"),
+    ("INT", r"[0-9]+[uUlL]*"),
+    ("STRING", r'"(?:[^"\\\n]|\\[^\n])*"'),
+    ("CHAR", r"'(?:[^'\\]|\\(?:x[0-9a-fA-F]+|[^x\n]))'"),
+    ("OPENCOMMENT", r"/\*"),
+    ("PUNCT", "|".join(re.escape(text) for text, _ in PUNCTUATORS)),
+    ("OTHER", r"."),
+)), re.DOTALL)
+
+_HEX_RUN = re.compile(r"[0-9a-fA-F]*")
+_PUNCT_KINDS = dict(PUNCTUATORS)
+
+
+def _error(message, source, offset, filename):
+    """Raise a LexError at ``offset``, placed by its newline count."""
+    line = source.count("\n", 0, offset) + 1
+    column = offset - source.rfind("\n", 0, offset)
+    raise LexError(message, line, column, filename)
+
+
+def tokenize(source, filename="<source>"):
+    """Tokenize ``source``; the list ends with an EOF token."""
+    tokens = []
+    append = tokens.append
+    ident = TokenKind.IDENT
+    keywords = KEYWORDS
+    puncts = _PUNCT_KINDS
+    line = 1
+    line_start = 0          # offset of the current line's first char
+    for match in _TOKEN_RE.finditer(source):
+        group = match.lastgroup
+        text = match.group()
+        if group == "SKIP":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = match.start() + text.rindex("\n") + 1
+            continue
+        start = match.start()
+        column = start - line_start + 1
+        if group == "PUNCT":
+            append(Token(puncts[text], text, line, column))
+        elif group == "IDENT":
+            append(Token(keywords.get(text, ident), text, line, column))
+        elif group == "INT":
+            value = text.rstrip("uUlL")
+            # a leading 0 makes the constant octal
+            bad = value[0] == "0" and value.lstrip("01234567")
+            if bad:
+                _error("invalid digit %r in octal constant" % bad[0],
+                       source, start, filename)
+            append(Token(TokenKind.INT_CONST, value, line, column))
+        elif group == "FLOAT":
+            append(Token(TokenKind.FLOAT_CONST, text.rstrip("fFlL"),
+                         line, column))
+        elif group == "HEX":
+            append(Token(TokenKind.INT_CONST, text.rstrip("uUlL"),
+                         line, column))
+        elif group == "STRING":
+            value = text[1:-1]
+            if "\\" in value:
+                value = _scan_string(source, start, filename)
+            append(Token(TokenKind.STRING, value, line, column))
+        elif group == "CHAR":
+            if text[1] == "\\":
+                value = _scan_char(source, start, filename)
+            else:
+                value = text[1]
+            append(Token(TokenKind.CHAR_CONST, value, line, column))
+            if text[1] == "\n":        # a raw newline between the quotes
+                line += 1
+                line_start = start + 2
+        elif group == "BADHEX":
+            _error("malformed hex constant", source, start + 2, filename)
+        elif group == "OPENCOMMENT":
+            _error("unterminated block comment", source, len(source),
+                   filename)
+        elif text == '"':
+            _scan_string(source, start, filename)
+        elif text == "'":
+            _scan_char(source, start, filename)
+        elif text == "#":
+            _error("preprocessor directive reached the lexer; "
+                   "run the Preprocessor first", source, start, filename)
+        else:
+            _error("unexpected character %r" % text, source, start,
+                   filename)
+    append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens
+
 
 class Lexer:
-    """Tokenizes a C source string into a list of :class:`Token`."""
+    """Tokenizes a C source string; :func:`tokenize` does the work."""
 
     def __init__(self, source, filename="<source>"):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def error(self, message):
-        raise LexError(message, self.line, self.column, self.filename)
 
     def tokenize(self):
         """Return the full token list, terminated by an EOF token."""
-        tokens = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.kind is TokenKind.EOF:
-                return tokens
+        return tokenize(self.source, self.filename)
 
-    # -- internals ---------------------------------------------------------
 
-    def _peek(self, offset=0):
-        """Next character, or "\\0" at end of input.  The NUL sentinel
-        (never present in source text) keeps ``peek() in "uUlL"``-style
-        membership tests from matching the empty string."""
-        index = self.pos + offset
-        if index < len(self.source):
-            return self.source[index]
-        return "\0"
+# -- string and character constants -------------------------------------------
+#
+# Cursor scans, used to decode escapes and to place the error of a
+# literal the master regex rejected.
 
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self.pos >= len(self.source):
-                return
-            if self.source[self.pos] == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-            self.pos += 1
 
-    def _skip_whitespace_and_comments(self):
-        while self.pos < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n\f\v":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self.pos < len(self.source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self.pos < len(self.source):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    self.error("unterminated block comment")
-            elif ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-            else:
-                return
-
-    def _next_token(self):
-        self._skip_whitespace_and_comments()
-        line, column = self.line, self.column
-        if self.pos >= len(self.source):
-            return Token(TokenKind.EOF, "", line, column)
-
-        ch = self._peek()
-        if ch in _IDENT_START:
-            return self._lex_ident(line, column)
-        if ch in _DIGITS or (ch == "." and self._peek(1) in _DIGITS):
-            return self._lex_number(line, column)
+def _scan_string(source, start, filename):
+    """The value of the string literal whose quote is at ``start``."""
+    pos = start + 1
+    end = len(source)
+    chars = []
+    while True:
+        if pos >= end:
+            _error("unterminated string literal", source, pos, filename)
+        ch = source[pos]
         if ch == '"':
-            return self._lex_string(line, column)
-        if ch == "'":
-            return self._lex_char(line, column)
-        if ch == "#":
-            self.error("preprocessor directive reached the lexer; "
-                       "run the Preprocessor first")
-
-        for text, kind in PUNCTUATORS:
-            if self.source.startswith(text, self.pos):
-                self._advance(len(text))
-                return Token(kind, text, line, column)
-
-        self.error("unexpected character %r" % ch)
-
-    def _lex_ident(self, line, column):
-        start = self.pos
-        while self.pos < len(self.source) and self._peek() in _IDENT_CONT:
-            self._advance()
-        text = self.source[start:self.pos]
-        kind = KEYWORDS.get(text, TokenKind.IDENT)
-        return Token(kind, text, line, column)
-
-    def _lex_number(self, line, column):
-        start = self.pos
-        is_float = False
-        if self._peek() == "0" and self._peek(1) in "xX":
-            self._advance(2)
-            if self._peek() not in _HEX_DIGITS:
-                self.error("malformed hex constant")
-            while self._peek() in _HEX_DIGITS:
-                self._advance()
-            text = self.source[start:self.pos]
-            self._skip_int_suffix()
-            return Token(TokenKind.INT_CONST, text, line, column)
-
-        while self._peek() in _DIGITS:
-            self._advance()
-        if self._peek() == ".":
-            is_float = True
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1) in _DIGITS
-            or (self._peek(1) in "+-" and self._peek(2) in _DIGITS)
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-        text = self.source[start:self.pos]
-        if is_float:
-            if self._peek() in "fFlL":
-                self._advance()
-            return Token(TokenKind.FLOAT_CONST, text, line, column)
-        self._skip_int_suffix()
-        return Token(TokenKind.INT_CONST, text, line, column)
-
-    def _skip_int_suffix(self):
-        while self._peek() in "uUlL":
-            self._advance()
-
-    def _lex_string(self, line, column):
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            if self.pos >= len(self.source):
-                self.error("unterminated string literal")
-            ch = self._peek()
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\n":
-                self.error("newline in string literal")
-            if ch == "\\":
-                self._advance()
-                chars.append(self._read_escape())
-            else:
-                chars.append(ch)
-                self._advance()
-        return Token(TokenKind.STRING, "".join(chars), line, column)
-
-    def _lex_char(self, line, column):
-        self._advance()  # opening quote
-        if self.pos >= len(self.source):
-            self.error("unterminated character constant")
-        ch = self._peek()
+            return "".join(chars)
+        if ch == "\n":
+            _error("newline in string literal", source, pos, filename)
         if ch == "\\":
-            self._advance()
-            value = self._read_escape()
-        elif ch == "'":
-            self.error("empty character constant")
+            ch, pos = _read_escape(source, pos + 1, filename)
         else:
-            value = ch
-            self._advance()
-        if self._peek() != "'":
-            self.error("unterminated character constant")
-        self._advance()
-        return Token(TokenKind.CHAR_CONST, value, line, column)
-
-    def _read_escape(self):
-        ch = self._peek()
-        if ch in _SIMPLE_ESCAPES:
-            self._advance()
-            return _SIMPLE_ESCAPES[ch]
-        if ch == "x":
-            self._advance()
-            digits = []
-            while self._peek() in _HEX_DIGITS:
-                digits.append(self._peek())
-                self._advance()
-            if not digits:
-                self.error("malformed hex escape")
-            return chr(int("".join(digits), 16))
-        self.error("unknown escape sequence \\%s" % ch)
+            pos += 1
+        chars.append(ch)
 
 
-def tokenize(source, filename="<source>"):
-    """Convenience wrapper: tokenize ``source`` and return the token list."""
-    return Lexer(source, filename).tokenize()
+def _scan_char(source, start, filename):
+    """The value of the character constant whose quote is at
+    ``start``."""
+    pos = start + 1
+    if pos >= len(source):
+        _error("unterminated character constant", source, pos, filename)
+    ch = source[pos]
+    if ch == "\\":
+        value, pos = _read_escape(source, pos + 1, filename)
+    elif ch == "'":
+        _error("empty character constant", source, pos, filename)
+    else:
+        value = ch
+        pos += 1
+    if source[pos:pos + 1] != "'":
+        _error("unterminated character constant", source, pos, filename)
+    return value
+
+
+def _read_escape(source, pos, filename):
+    """Decode the escape whose backslash is at ``pos - 1``; returns the
+    character and the offset after the escape.  Past the end of the
+    input it reads "\\0", a character source text never holds."""
+    ch = source[pos] if pos < len(source) else "\0"
+    if ch in _SIMPLE_ESCAPES:
+        return _SIMPLE_ESCAPES[ch], pos + 1
+    if ch == "x":
+        digits = _HEX_RUN.match(source, pos + 1).group()
+        if not digits:
+            _error("malformed hex escape", source, pos + 1, filename)
+        return chr(int(digits, 16)), pos + 1 + len(digits)
+    _error("unknown escape sequence \\%s" % ch, source, pos, filename)

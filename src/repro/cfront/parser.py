@@ -2,9 +2,10 @@
 
 Handles declarations (scalars, pointers, arrays, structs, typedefs,
 function prototypes), function definitions, the full statement set, and
-the complete expression grammar with standard precedence.  Typedef names
-(including the pthread/RCCE opaque types) are tracked so the classic
-"lexer hack" ambiguity is resolved in the parser.
+the complete expression grammar with standard precedence (binary
+operators by precedence climbing).  Typedef names (including the
+pthread/RCCE opaque types) are tracked, each with the type its typedef
+gave it, so the classic "lexer hack" ambiguity is resolved in the parser.
 """
 
 from repro.cfront import c_ast, ctypes
@@ -64,6 +65,22 @@ _BINARY_LEVELS = [
     [(K.PLUS, "+"), (K.MINUS, "-")],
     [(K.STAR, "*"), (K.SLASH, "/"), (K.PERCENT, "%")],
 ]
+# token kind -> (precedence level, operator), for precedence climbing
+_BINARY_OPS = {kind: (level, op)
+               for level, ops in enumerate(_BINARY_LEVELS)
+               for kind, op in ops}
+
+_UNARY_OPS = {
+    K.PLUS: "+", K.MINUS: "-", K.BANG: "!", K.TILDE: "~",
+    K.STAR: "*", K.AMP: "&",
+}
+_POSTFIX_KINDS = {K.LBRACKET, K.LPAREN, K.DOT, K.ARROW, K.PLUSPLUS,
+                  K.MINUSMINUS}
+
+# tokens after which a typedef-name is a type specifier: a declarator
+# starts, or a type-name ends (casts, sizeof, unnamed parameters)
+_AFTER_TYPEDEF_NAME = {K.IDENT, K.STAR, K.LPAREN, K.RPAREN, K.COMMA,
+                       K.LBRACKET}
 
 
 class Parser:
@@ -73,16 +90,20 @@ class Parser:
         self.tokens = tokens
         self.filename = filename
         self.pos = 0
-        self.typedef_names = set(DEFAULT_TYPEDEFS)
+        # typedef-name -> its type; None for the environment's opaque
+        # types and for names passed in ``typedefs``
+        self.typedefs = dict.fromkeys(DEFAULT_TYPEDEFS)
         if typedefs:
-            self.typedef_names.update(typedefs)
+            self.typedefs.update(dict.fromkeys(typedefs))
         self.struct_tags = {}
 
     # -- token stream helpers ------------------------------------------------
 
     def _peek(self, offset=0):
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        # pos never passes the EOF token, which ends the list
+        if not offset:
+            return self.tokens[self.pos]
+        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
 
     def _advance(self):
         token = self.tokens[self.pos]
@@ -91,10 +112,10 @@ class Parser:
         return token
 
     def _check(self, kind):
-        return self._peek().kind is kind
+        return self.tokens[self.pos].kind is kind
 
     def _accept(self, kind):
-        if self._check(kind):
+        if self.tokens[self.pos].kind is kind:
             return self._advance()
         return None
 
@@ -140,7 +161,7 @@ class Parser:
             if name is None:
                 self.error("declarator without a name")
             if storage == "typedef":
-                self.typedef_names.add(name)
+                self.typedefs[name] = ctype
                 decls.append(c_ast.Decl(name, ctype, storage="typedef",
                                         quals=quals, coord=self._coord(start)))
             elif ctype.is_function and self._check(K.LBRACE):
@@ -168,7 +189,7 @@ class Parser:
         if token.kind in _TYPE_KEYWORDS or token.kind in _QUALIFIER_KEYWORDS \
                 or token.kind in _STORAGE_KEYWORDS:
             return True
-        return token.kind is K.IDENT and token.value in self.typedef_names
+        return token.kind is K.IDENT and token.value in self.typedefs
 
     def _declaration_specifiers(self):
         storage = None
@@ -195,12 +216,13 @@ class Parser:
             elif token.kind in _TYPE_KEYWORDS:
                 prim_words.append(token.value)
                 self._advance()
-            elif (token.kind is K.IDENT and token.value in self.typedef_names
+            elif (token.kind is K.IDENT and token.value in self.typedefs
                     and not prim_words and named is None and struct is None):
                 # a typedef-name only counts as a type if we have no type yet
-                # and the *next* token can start a declarator
-                if self._peek(1).kind in (K.IDENT, K.STAR, K.LPAREN):
-                    named = ctypes.NamedType(token.value)
+                # and the *next* token can follow a type specifier
+                if self._peek(1).kind in _AFTER_TYPEDEF_NAME:
+                    named = ctypes.NamedType(
+                        token.value, self.typedefs[token.value])
                     self._advance()
                 else:
                     break
@@ -335,7 +357,7 @@ class Parser:
         than a parameter list?  Look at the token after '('."""
         nxt = self._peek(1)
         return nxt.kind in (K.STAR, K.IDENT, K.LPAREN) and not \
-            (nxt.kind is K.IDENT and nxt.value in self.typedef_names) and not \
+            (nxt.kind is K.IDENT and nxt.value in self.typedefs) and not \
             (nxt.kind is K.IDENT and self._peek(2).kind in
              (K.COMMA, K.RPAREN) and self._looks_like_param_list())
 
@@ -424,7 +446,7 @@ class Parser:
             if name is None:
                 self.error("declarator without a name")
             if storage == "typedef":
-                self.typedef_names.add(name)
+                self.typedefs[name] = ctype
             init = None
             if self._accept(K.ASSIGN):
                 init = self._initializer()
@@ -577,10 +599,14 @@ class Parser:
 
     # -- expressions ------------------------------------------------------------
 
+    # The expression chain runs once per operand, so it reads the
+    # current token as self.tokens[self.pos] and steps past a token it
+    # has matched (never EOF) with self.pos += 1.
+
     def _expression(self):
-        start = self._peek()
+        start = self.tokens[self.pos]
         expr = self._assignment_expr()
-        if self._check(K.COMMA):
+        if self.tokens[self.pos].kind is K.COMMA:
             exprs = [expr]
             while self._accept(K.COMMA):
                 exprs.append(self._assignment_expr())
@@ -588,18 +614,18 @@ class Parser:
         return expr
 
     def _assignment_expr(self):
-        start = self._peek()
+        start = self.tokens[self.pos]
         left = self._conditional_expr()
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind in _ASSIGN_OPS:
-            self._advance()
+            self.pos += 1
             right = self._assignment_expr()
             return c_ast.Assignment(_ASSIGN_OPS[token.kind], left, right,
                                     self._coord(start))
         return left
 
     def _conditional_expr(self):
-        start = self._peek()
+        start = self.tokens[self.pos]
         cond = self._binary_expr(0)
         if self._accept(K.QUESTION):
             then = self._expression()
@@ -608,26 +634,26 @@ class Parser:
             return c_ast.TernaryOp(cond, then, els, self._coord(start))
         return cond
 
-    def _binary_expr(self, level):
-        if level >= len(_BINARY_LEVELS):
-            return self._cast_expr()
-        start = self._peek()
-        left = self._binary_expr(level + 1)
+    def _binary_expr(self, min_level):
+        """Precedence climbing: a cast expression, then every binary
+        operator of ``min_level`` or above with its right operand
+        (which binds only tighter operators).  All levels associate
+        to the left; each BinaryOp's coord is its left operand's first
+        token."""
+        tokens = self.tokens
+        start = tokens[self.pos]
+        left = self._cast_expr()
         while True:
-            matched = False
-            for kind, op in _BINARY_LEVELS[level]:
-                if self._check(kind):
-                    self._advance()
-                    right = self._binary_expr(level + 1)
-                    left = c_ast.BinaryOp(op, left, right,
-                                          self._coord(start))
-                    matched = True
-                    break
-            if not matched:
+            entry = _BINARY_OPS.get(tokens[self.pos].kind)
+            if entry is None or entry[0] < min_level:
                 return left
+            self.pos += 1
+            right = self._binary_expr(entry[0] + 1)
+            left = c_ast.BinaryOp(entry[1], left, right,
+                                  self._coord(start))
 
     def _cast_expr(self):
-        if self._check(K.LPAREN) and self._starts_type(1):
+        if self.tokens[self.pos].kind is K.LPAREN and self._starts_type(1):
             start = self._advance()
             ctype = self._type_name()
             self._expect(K.RPAREN, "')'")
@@ -636,26 +662,22 @@ class Parser:
         return self._unary_expr()
 
     def _unary_expr(self):
-        token = self._peek()
+        token = self.tokens[self.pos]
         kind = token.kind
         if kind is K.PLUSPLUS:
-            self._advance()
+            self.pos += 1
             return c_ast.UnaryOp("++", self._unary_expr(),
                                  self._coord(token))
         if kind is K.MINUSMINUS:
-            self._advance()
+            self.pos += 1
             return c_ast.UnaryOp("--", self._unary_expr(),
                                  self._coord(token))
-        unary_map = {
-            K.PLUS: "+", K.MINUS: "-", K.BANG: "!", K.TILDE: "~",
-            K.STAR: "*", K.AMP: "&",
-        }
-        if kind in unary_map:
-            self._advance()
-            return c_ast.UnaryOp(unary_map[kind], self._cast_expr(),
+        if kind in _UNARY_OPS:
+            self.pos += 1
+            return c_ast.UnaryOp(_UNARY_OPS[kind], self._cast_expr(),
                                  self._coord(token))
         if kind is K.KW_SIZEOF:
-            self._advance()
+            self.pos += 1
             if self._check(K.LPAREN) and self._starts_type(1):
                 self._advance()
                 ctype = self._type_name()
@@ -668,14 +690,15 @@ class Parser:
     def _postfix_expr(self):
         expr = self._primary_expr()
         while True:
-            token = self._peek()
+            token = self.tokens[self.pos]
+            if token.kind not in _POSTFIX_KINDS:
+                return expr
+            self.pos += 1
             if token.kind is K.LBRACKET:
-                self._advance()
                 index = self._expression()
                 self._expect(K.RBRACKET, "']'")
                 expr = c_ast.ArrayRef(expr, index, self._coord(token))
             elif token.kind is K.LPAREN:
-                self._advance()
                 args = []
                 if not self._check(K.RPAREN):
                     args.append(self._assignment_expr())
@@ -684,50 +707,44 @@ class Parser:
                 self._expect(K.RPAREN, "')'")
                 expr = c_ast.FuncCall(expr, args, self._coord(token))
             elif token.kind is K.DOT:
-                self._advance()
                 member = self._expect(K.IDENT, "member name").value
                 expr = c_ast.MemberRef(expr, member, False,
                                        self._coord(token))
             elif token.kind is K.ARROW:
-                self._advance()
                 member = self._expect(K.IDENT, "member name").value
                 expr = c_ast.MemberRef(expr, member, True,
                                        self._coord(token))
             elif token.kind is K.PLUSPLUS:
-                self._advance()
                 expr = c_ast.UnaryOp("p++", expr, self._coord(token))
-            elif token.kind is K.MINUSMINUS:
-                self._advance()
-                expr = c_ast.UnaryOp("p--", expr, self._coord(token))
             else:
-                return expr
+                expr = c_ast.UnaryOp("p--", expr, self._coord(token))
 
     def _primary_expr(self):
-        token = self._peek()
+        token = self.tokens[self.pos]
         kind = token.kind
         if kind is K.IDENT:
-            self._advance()
+            self.pos += 1
             return c_ast.Id(token.value, self._coord(token))
         if kind is K.INT_CONST:
-            self._advance()
-            return c_ast.Constant("int", int(token.value, 0), token.value,
-                                  self._coord(token))
+            self.pos += 1
+            return c_ast.Constant("int", _int_value(token.value),
+                                  token.value, self._coord(token))
         if kind is K.FLOAT_CONST:
-            self._advance()
+            self.pos += 1
             return c_ast.Constant("float", float(token.value), token.value,
                                   self._coord(token))
         if kind is K.CHAR_CONST:
-            self._advance()
+            self.pos += 1
             return c_ast.Constant("char", ord(token.value),
                                   "'%s'" % token.value, self._coord(token))
         if kind is K.STRING:
-            self._advance()
+            self.pos += 1
             value = token.value
             while self._check(K.STRING):  # adjacent literal concatenation
                 value += self._advance().value
             return c_ast.StringLiteral(value, self._coord(token))
         if kind is K.LPAREN:
-            self._advance()
+            self.pos += 1
             expr = self._expression()
             self._expect(K.RPAREN, "')'")
             return expr
@@ -758,6 +775,14 @@ def _fill_hole(ctype, replacement):
         return ctypes.FunctionType(_fill_hole(ctype.ret, replacement),
                                    ctype.params, ctype.varargs)
     return ctype
+
+
+def _int_value(text):
+    """The value of an integer constant's text (suffix already gone):
+    hex after 0x, octal after a leading 0, else decimal."""
+    if text[:2] in ("0x", "0X"):
+        return int(text, 16)
+    return int(text, 8 if text[0] == "0" else 10)
 
 
 def _const_int(expr):

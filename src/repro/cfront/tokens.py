@@ -99,6 +99,11 @@ class TokenKind(Enum):
 
     EOF = auto()
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash serves; Enum's own __hash__ is a Python call on
+    # every dict and set lookup the parser makes.
+    __hash__ = object.__hash__
+
 
 KEYWORDS = {
     "auto": TokenKind.KW_AUTO,

@@ -25,6 +25,7 @@ import sys
 from repro.bench.figures import render_bars
 from repro.bench.harness import ExperimentHarness
 from repro.cfront.errors import CFrontError
+from repro.cfront.frontend import parse_program
 from repro.core.framework import TranslationFramework
 from repro.core.reports import format_table, table_4_1, table_4_2
 from repro.faults import FaultSpecError, parse_fault_spec
@@ -197,6 +198,11 @@ def _read_source(path):
         return handle.read()
 
 
+def _source_name(path):
+    """The file name front-end errors and diagnostics carry."""
+    return "<stdin>" if path == "-" else path
+
+
 def _framework(args):
     kwargs = {"partition_policy": args.policy,
               "fold_threads": args.fold,
@@ -267,7 +273,7 @@ def _write_report(doc, path, out, text):
 def cmd_translate(args, out, err, doc):
     source = _read_source(args.source)
     framework = _framework(args)
-    result = framework.translate(source)
+    result = framework.translate(source, _source_name(args.source))
     if _report_diagnostics(result, err, doc):
         return EXIT_PARSE
     if args.output:
@@ -284,7 +290,7 @@ def cmd_translate(args, out, err, doc):
 def cmd_analyze(args, out, err, doc):
     source = _read_source(args.source)
     framework = _framework(args)
-    result = framework.partition(source)
+    result = framework.partition(source, _source_name(args.source))
     if _report_diagnostics(result, err, doc):
         return EXIT_PARSE
     if framework.profiler is not None:
@@ -315,8 +321,7 @@ def cmd_check(args, out, err, doc):
     source = _read_source(args.source)
     framework = _framework(args)
     framework.num_cores = args.ues
-    filename = args.source if args.source != "-" else "<stdin>"
-    result = framework.check(source, filename=filename)
+    result = framework.check(source, _source_name(args.source))
     report = result.report
     if report.has_errors:
         err.write(report.render() + "\n")
@@ -339,6 +344,7 @@ def cmd_run(args, out, err, doc):
     from repro.scc.report import chip_report, render_report
 
     source = _read_source(args.source)
+    filename = _source_name(args.source)
     faults = args.faults
     if faults:
         parse_fault_spec(faults)  # fail early, before any simulation
@@ -375,9 +381,7 @@ def cmd_run(args, out, err, doc):
     tracer = EventTracer() if args.trace else None
     static_report = None
     if args.static_check:
-        checked = _framework(args).check(
-            source, filename=args.source if args.source != "-"
-            else "<stdin>")
+        checked = _framework(args).check(source, filename)
         if _report_diagnostics(checked, err, doc):
             return EXIT_PARSE
         static_report = checked.static_report
@@ -387,16 +391,16 @@ def cmd_run(args, out, err, doc):
     if args.mode in ("rcce", "compare"):
         # translate, and check the thread count, before simulating
         if "RCCE_APP" in source:
+            # parsed here even for the process backend, so a parse
+            # error names the file
+            unit = parse_program(source, filename, share=True)
             if jobs > 1:
                 # the process backend needs the raw source so each
                 # worker can parse/compile its own replica
                 unit = source
-            else:
-                from repro.cfront.frontend import parse_program
-                unit = parse_program(source)
         else:
             framework = _framework(args)
-            result = framework.translate(source)
+            result = framework.translate(source, filename)
             if _report_diagnostics(result, err, doc):
                 return EXIT_PARSE
             if _too_few_ues(result, args.ues, err):
@@ -410,7 +414,10 @@ def cmd_run(args, out, err, doc):
         if tracer is not None:
             pthread_chip.attach_events(tracer, pid=0,
                                        name="pthread x1 core")
-        baseline = run_pthread_single_core(source, pthread_chip.config,
+        # parsed here, not in the runner, so a parse error names the file
+        baseline = run_pthread_single_core(parse_program(source, filename,
+                                                         share=True),
+                                           pthread_chip.config,
                                            pthread_chip,
                                            max_steps=args.max_steps,
                                            faults=faults,

@@ -1,10 +1,12 @@
 """AnalysisPass / TransformPass / Driver — the paper's CETUS pass model.
 
 Each pass operates on a :class:`ProgramContext` that wraps the translation
-unit plus all facts accumulated by earlier passes.  ``TransformPass``
-instances get a consistency check after they run (the paper notes CETUS's
-pass classes "perform some consistency checking to ensure that the IR
-remains in a self-consistent state").
+unit plus all facts accumulated by earlier passes.  The IR gets a
+consistency check after transforms (the paper notes CETUS's pass classes
+"perform some consistency checking to ensure that the IR remains in a
+self-consistent state"): each ``TransformPass`` checks that no function
+lost its body, and the :class:`Driver` relinks parents and looks for
+``None`` holes once after each run of consecutive transforms.
 """
 
 from repro.cfront import c_ast
@@ -81,17 +83,12 @@ class AnalysisPass(Pass):
 
 
 class TransformPass(Pass):
-    """A pass that mutates the IR; re-links parents and re-checks shape."""
+    """A pass that mutates the IR.  It checks that every function kept
+    its body; the :class:`Driver` relinks parents after the run of
+    transforms it belongs to."""
 
     def __call__(self, context):
         result = super().__call__(context)
-        # cheap structural invariants; the relinking walk itself
-        # reports a None left in a list field
-        hole = c_ast.link_parents(context.unit)
-        if hole is not None:
-            field, node = hole
-            raise PassError("None left inside list field %r of %s"
-                            % (field, type(node).__name__))
         for func in context.unit.functions():
             if func.body is None or \
                     not isinstance(func.body, c_ast.Compound):
@@ -111,6 +108,14 @@ class Driver:
     context and the remaining passes still run (graceful degradation —
     the caller inspects ``context.diagnostics`` / the resulting
     :class:`repro.diagnostics.PipelineReport` instead of a traceback).
+
+    After each run of consecutive transforms (:class:`TransformPass`)
+    the driver relinks parents in one walk, which also finds a
+    ``None`` a transform left in a list field.  Such a hole is a
+    :class:`PassError` naming the run's transforms: raised under
+    ``strict``, one error diagnostic otherwise.  Under ``strict`` a
+    transform that raises while the run holds a hole (say, one that
+    tripped over it) gets that PassError instead.
     """
 
     def __init__(self, passes=None, verbose=False, profiler=None,
@@ -124,9 +129,14 @@ class Driver:
         self.passes.append(pass_)
         return self
 
-    def _run_pass(self, pass_, context):
+    def _run_pass(self, pass_, context, transforms):
         if self.strict:
-            pass_(context)
+            try:
+                pass_(context)
+            except Exception:
+                if transforms:
+                    self._relink(context, transforms + [pass_])
+                raise
             return
         try:
             pass_(context)
@@ -134,19 +144,43 @@ class Driver:
             context.diagnostics.append(
                 Diagnostic.from_exception(pass_.name, exc))
 
+    def _relink(self, context, transforms):
+        """Relink parents after the run ``transforms``; a hole in a
+        list field is a PassError (a diagnostic unless strict)."""
+        hole = c_ast.link_parents(context.unit)
+        if hole is None:
+            return
+        field, node = hole
+        names = [pass_.name for pass_ in transforms]
+        exc = PassError("None left inside list field %r of %s by one of "
+                        "the transforms %s"
+                        % (field, type(node).__name__, ", ".join(names)))
+        if self.strict:
+            raise exc
+        context.diagnostics.append(
+            Diagnostic.from_exception(names[-1], exc))
+
     def run(self, unit_or_context):
         if isinstance(unit_or_context, ProgramContext):
             context = unit_or_context
         else:
             context = ProgramContext(unit_or_context)
+        transforms = []         # the current run of TransformPasses
         for pass_ in self.passes:
+            if transforms and not isinstance(pass_, TransformPass):
+                self._relink(context, transforms)
+                transforms = []
             if self.verbose:
                 print("[driver] running %s" % pass_.name)
             if self.profiler is not None:
                 with self.profiler.span(pass_.name):
-                    self._run_pass(pass_, context)
+                    self._run_pass(pass_, context, transforms)
                     self.profiler.annotate(
                         **pass_.profile_stats(context))
             else:
-                self._run_pass(pass_, context)
+                self._run_pass(pass_, context, transforms)
+            if isinstance(pass_, TransformPass):
+                transforms.append(pass_)
+        if transforms:
+            self._relink(context, transforms)
         return context

@@ -290,6 +290,7 @@ def invoke(I, cf, args):
 def make_coercer(ct):
     """A specialized ``lambda value: coerce(ct, value)`` with the type
     dispatch done once, at compile time."""
+    ct = ctypes.resolve(ct)
     if isinstance(ct, ctypes.PrimitiveType):
         if ct.is_floating:
             def co_float(value):
@@ -358,6 +359,7 @@ def make_coercer(ct):
 
 def _static_flt(ct):
     """Does a load at this statically-typed site convert int->float?"""
+    ct = ctypes.resolve(ct)
     return isinstance(ct, ctypes.PrimitiveType) and \
         ct.name in _FLOAT_NAMES
 
@@ -1178,6 +1180,7 @@ def _make_cast(inner_c, co):
 
 
 def _make_addrof(lv, ct):
+    ct = ctypes.resolve(ct)
     stride = ct.sizeof() or 4
 
     def run(I, F, _ovf=_overflow, _P=Pointer):

@@ -71,6 +71,7 @@ def pointer_for(ctype, addr):
 
 def default_value(ctype):
     """The zero value of a C type."""
+    ctype = ctypes.resolve(ctype)
     if isinstance(ctype, ctypes.PrimitiveType) and ctype.is_floating:
         return 0.0
     if isinstance(ctype, (ctypes.PointerType, ctypes.ArrayType)):
@@ -106,6 +107,8 @@ def coerce(ctype, value):
             pointee = ctypes.pointee(ctype)
             stride = (pointee.sizeof() or 1) if pointee else 1
             return Pointer(int(value), stride, pointee)
+    if isinstance(ctype, ctypes.NamedType) and ctype.underlying is not None:
+        return coerce(ctype.underlying, value)
     return value
 
 

@@ -134,6 +134,21 @@ class TestPredicates:
             ctypes.INT
         assert ctypes.pointee(ctypes.INT) is None
 
+    def test_named_type_resolves_arithmetic_predicates(self):
+        real = ctypes.NamedType("real", ctypes.DOUBLE)
+        count = ctypes.NamedType("count", ctypes.UINT)
+        assert real.is_floating and not real.is_integral
+        assert count.is_integral and not count.is_floating
+        assert ctypes.resolve(real) == ctypes.DOUBLE
+        assert ctypes.pointee(ctypes.PointerType(real)) == ctypes.DOUBLE
+
+    def test_opaque_named_type_stays_opaque(self):
+        handle = ctypes.NamedType("pthread_t")
+        assert not (handle.is_floating or handle.is_integral
+                    or handle.is_void)
+        assert ctypes.resolve(handle) is handle
+        assert handle.sizeof() == 4
+
     def test_equality(self):
         assert ctypes.PointerType(ctypes.INT) == \
             ctypes.PointerType(ctypes.INT)

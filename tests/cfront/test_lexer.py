@@ -79,6 +79,26 @@ class TestNumbers:
         with pytest.raises(LexError):
             tokenize("0x")
 
+    @pytest.mark.parametrize("literal, digit", [
+        ("08", "8"), ("09", "9"), ("0189", "8"), ("0791L", "9")])
+    def test_octal_rejects_8_and_9_at_the_literal(self, literal, digit):
+        with pytest.raises(LexError) as info:
+            tokenize("int x =\n  %s;" % literal, "oct.c")
+        assert info.value.message == \
+            "invalid digit '%s' in octal constant" % digit
+        assert (info.value.line, info.value.column) == (2, 3)
+        assert info.value.filename == "oct.c"
+
+    def test_only_integer_constants_are_octal(self):
+        # a leading zero makes an integer octal; floats stay decimal
+        tokens = tokenize("017u 00 010.5 09.5 08e1")[:-1]
+        assert [(t.kind, t.value) for t in tokens] == [
+            (K.INT_CONST, "017"), (K.INT_CONST, "00"),
+            (K.FLOAT_CONST, "010.5"), (K.FLOAT_CONST, "09.5"),
+            (K.FLOAT_CONST, "08e1")]
+        with pytest.raises(LexError):
+            tokenize("08u")
+
 
 class TestStringsAndChars:
     def test_string(self):

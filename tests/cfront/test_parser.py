@@ -92,11 +92,42 @@ class TestDeclarations:
         unit = parse("typedef int myint; myint x;")
         assert unit.decls[1].ctype.name == "myint"
 
+    def test_typedef_records_underlying_type(self):
+        unit = parse("typedef double real; real x; real part[2];")
+        ctype = unit.decls[1].ctype
+        assert ctype.underlying == ctypes.DOUBLE
+        assert ctype.is_floating and not ctype.is_integral
+        assert ctype.sizeof() == 8
+        assert unit.decls[2].ctype.sizeof() == 16
+
+    def test_typedef_of_typedef_resolves(self):
+        unit = parse("typedef unsigned char byte; typedef byte octet;"
+                     "octet b;")
+        ctype = unit.decls[2].ctype
+        assert ctypes.resolve(ctype) == ctypes.PrimitiveType(
+            "unsigned char")
+        assert ctype.is_integral and ctype.sizeof() == 1
+
+    def test_typedef_name_in_cast_sizeof_and_prototype(self):
+        unit = parse("typedef double real;"
+                     "real f(real, int);"
+                     "int g(int i) { return sizeof(real) + (real)i; }")
+        proto = unit.decls[1].ctype
+        assert [p.name for p in proto.params[:1]] == ["real"]
+        assert proto.params[0].underlying == ctypes.DOUBLE
+        ret = unit.functions()[0].body.items[0].expr
+        assert isinstance(ret.left, c_ast.SizeofType)
+        assert ret.left.ctype.name == "real"
+        assert isinstance(ret.right, c_ast.Cast)
+        assert ret.right.ctype.underlying == ctypes.DOUBLE
+
     def test_pthread_t_known(self):
         unit = parse("pthread_t threads[3];")
         ctype = unit.decls[0].ctype
         assert isinstance(ctype, ctypes.ArrayType)
         assert ctype.base.name == "pthread_t"
+        # the environment's opaque types name no underlying type
+        assert ctype.base.underlying is None
 
     def test_struct_definition(self):
         unit = parse("struct point { int x; int y; };")
@@ -304,6 +335,18 @@ class TestExpressions:
         assert len(expr.args) == 4
         assert isinstance(expr.args[0], c_ast.UnaryOp)
         assert isinstance(expr.args[3], c_ast.Cast)
+
+
+class TestIntegerConstants:
+    def test_value_by_base(self):
+        for text, value in (("017", 15), ("00", 0), ("0x1F", 31),
+                            ("42", 42)):
+            init = parse("int x = %s;" % text).decls[0].init
+            assert (init.value, init.text) == (value, text)
+
+    def test_octal_suffix_dropped_from_text(self):
+        init = parse("long x = 017L;").decls[0].init
+        assert (init.value, init.text) == (15, "017")
 
 
 class TestErrors:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cfront import c_ast
+from repro.cfront import c_ast, ctypes
 from repro.cfront.parser import parse
 from repro.ir.passes import (
     AnalysisPass,
@@ -105,3 +105,61 @@ class TestTransformConsistency:
 
         with pytest.raises(PassError):
             Driver([LoseBody()]).run(parse("void f(void) { }"))
+
+
+class _LeaveHole(TransformPass):
+    name = "leave-hole"
+
+    def run(self, context):
+        context.unit.decls.append(None)
+
+
+class _AddGlobal(TransformPass):
+    name = "add-global"
+
+    def run(self, context):
+        context.unit.decls.append(c_ast.Decl("added", ctypes.INT))
+
+
+class _ReadNames(TransformPass):
+    name = "read-names"
+
+    def run(self, context):
+        [decl.name for decl in context.unit.decls]
+
+
+class TestTransformRuns:
+    """Parents are relinked, and holes looked for, once per run of
+    consecutive transforms."""
+
+    def test_hole_raises_after_a_following_transform(self):
+        with pytest.raises(PassError) as info:
+            Driver([_LeaveHole(), _AddGlobal()]).run(parse("int x;"))
+        assert "leave-hole, add-global" in str(info.value)
+
+    def test_hole_is_one_diagnostic_when_lenient(self):
+        context = Driver([_LeaveHole(), _AddGlobal()],
+                         strict=False).run(parse("int x;"))
+        errors = [d for d in context.diagnostics if d.severity == "error"]
+        assert len(errors) == 1
+        assert "None left inside list field 'decls'" in \
+            errors[0].message
+        assert "leave-hole, add-global" in errors[0].message
+        assert context.pass_log == ["leave-hole", "add-global"]
+
+    def test_transform_tripping_on_a_hole_raises_pass_error(self):
+        with pytest.raises(PassError, match="leave-hole, read-names"):
+            Driver([_LeaveHole(), _ReadNames()]).run(parse("int x;"))
+
+    def test_one_relink_per_run(self, monkeypatch):
+        unit = parse("int x;")
+        calls = []
+        relink = c_ast.link_parents
+        monkeypatch.setattr(c_ast, "link_parents",
+                            lambda root: calls.append(root) or
+                            relink(root))
+        context = Driver([_AddGlobal(), _AddGlobal(), _Recorder(),
+                          _AddGlobal()]).run(unit)
+        assert len(calls) == 2
+        assert all(decl.parent is context.unit
+                   for decl in context.unit.decls)

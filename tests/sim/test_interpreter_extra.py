@@ -152,3 +152,37 @@ class TestCornerSemantics:
 
     def test_early_return_skips_rest(self):
         assert result_of("return 1; return 2;") == 1
+
+
+class TestTypedefArithmetic:
+    """A typedef'd arithmetic type converts, divides and is sized as
+    the type it names."""
+
+    DECLS = "typedef double real; typedef unsigned char byte;"
+
+    def test_initializer_converts_to_double(self):
+        value = result_of("real x = 7; return x / 2 == 3.5;",
+                          decls=self.DECLS)
+        assert value == 1
+
+    def test_global_array_element_is_double(self):
+        value = result_of("part[1] = 7; return part[1] / 2 * 2;",
+                          decls=self.DECLS + " real part[2];")
+        assert value == 7
+
+    def test_zeroed_global_reads_as_double(self):
+        # an integer 0 would make (z + 1) / 2 truncate to 0
+        assert result_of("return (z + 1) / 2 * 2;",
+                         decls=self.DECLS + " real z;") == 1
+
+    def test_pointer_stride_and_cast(self):
+        assert result_of("""
+            real pair[2];
+            real *p = pair;
+            p[1] = (real)5 / 2;
+            return (int)(pair[1] * 2) + sizeof(real);""",
+            decls=self.DECLS) == 13
+
+    def test_integral_typedef_wraps(self):
+        assert result_of("byte b = 250; b = b + 10; return b;",
+                         decls=self.DECLS) == 4

@@ -168,6 +168,21 @@ class TestIntegerDivision:
         """)
         assert boxes["y"] == Interval.const(3.5)
 
+    def test_typedef_names_resolve_to_their_type(self):
+        boxes = exit_intervals("""
+        typedef double real;
+        typedef int count;
+        int main() {
+            real x = 7;
+            real y = x / 2;
+            count n = 7;
+            count m = n / 2;
+            return 0;
+        }
+        """)
+        assert boxes["y"] == Interval.const(3.5)
+        assert boxes["m"] == Interval.const(3)
+
 
 class TestOverflow:
     def test_definite_in_loop(self):

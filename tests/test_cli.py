@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import signal
 
 import pytest
@@ -845,3 +846,65 @@ class TestReport:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
+
+
+OCTAL_TYPEDEF = __import__("os").path.join(FIXTURES, "frontend",
+                                           "octal_typedef.c")
+
+
+class TestFrontEnd:
+    """Octal constants, typedef'd arithmetic types and file names in
+    front-end errors, through every command."""
+
+    def test_octal_constant_translates_and_runs(self, tmp_path):
+        path = tmp_path / "octal.c"
+        path.write_text('#include <stdio.h>\n'
+                        'int main() { int x = 017;'
+                        ' printf("%d\\n", x); return 0; }\n')
+        code, output = run_cli(["translate", str(path)])
+        assert code == 0
+        assert "= 017;" in output
+        code, output = run_cli(["check", str(path)])
+        assert code == 0
+        code, output = run_cli(["run", str(path), "--mode", "pthread"])
+        assert code == 0
+        assert "['15']" in output
+
+    @pytest.mark.parametrize("command", ["translate", "check", "run"])
+    def test_bad_octal_digit_is_a_parse_error(self, tmp_path, command):
+        path = tmp_path / "octal8.c"
+        path.write_text("int main() {\n    int x = 08;\n    return x; }\n")
+        code, _, err = run_cli_err([command, str(path)])
+        assert code == 65
+        assert "invalid digit '8' in octal constant (%s, line 2, col 13)" \
+            % path in err
+
+    def test_typedef_double_computes_the_c_answer(self):
+        code, output = run_cli(["run", OCTAL_TYPEDEF, "--ues", "2",
+                                "--mode", "compare"])
+        assert code == 0
+        results = [line for line in output.splitlines()
+                   if "cycles" in line]
+        assert len(results) == 2
+        assert all("['7.000000']" in line for line in results)
+
+    def test_typedef_double_array_is_planned_at_its_size(self):
+        code, output = run_cli(["analyze", OCTAL_TYPEDEF])
+        assert code == 0
+        assert re.search(r"part\s+16 B", output)
+
+    @pytest.mark.parametrize("argv", [
+        ["translate"], ["analyze"], ["check"], ["run", "--mode", "pthread"],
+        ["run", "--ues", "2"]], ids=lambda argv: " ".join(argv))
+    def test_parse_error_names_the_file(self, tmp_path, argv):
+        path = tmp_path / "bad.c"
+        path.write_text("int main() { int x = 1 +; return 0; }\n")
+        code, _, err = run_cli_err(argv[:1] + [str(path)] + argv[1:])
+        assert code == 65
+        assert "(%s, line 1, col 25)" % path in err
+
+    def test_stdin_is_named_stdin(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("int x = ;\n"))
+        code, _, err = run_cli_err(["translate", "-"])
+        assert code == 65
+        assert "(<stdin>, line 1, col 9)" in err
