@@ -406,8 +406,8 @@ def test_baselines_do_the_live_work():
             for run in side.runners.values():
                 run()
         assert hooked.interp.cycles == baseline.interp.cycles
-        assert hooked.chip.counter_state() == \
-            baseline.chip.counter_state()
+        assert hooked.chip.metrics.snapshot() == \
+            baseline.chip.metrics.snapshot()
 
 
 def test_mix_segments_take_their_paths():

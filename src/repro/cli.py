@@ -40,7 +40,6 @@ from repro.sim.runner import (
     run_pthread_single_core,
     run_rcce,
     run_rcce_supervised,
-    unshardable,
 )
 from repro.sim.watchdog import (
     SimulationTimeout,
@@ -107,11 +106,6 @@ def build_parser():
     run.add_argument("--trace", default=None, metavar="FILE",
                      help="write a Chrome trace-event JSON of the "
                      "simulation (load in chrome://tracing / Perfetto)")
-    run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="shard the RCCE cores across N host worker "
-                     "processes with Graphite-style relaxed clock "
-                     "sync; cycles and outputs stay byte-identical "
-                     "to --jobs 1 (see docs/performance.md)")
     run.add_argument("--faults", default=None, metavar="SPEC",
                      help="inject deterministic faults, e.g. "
                      "'mpb_flip:p=1e-6,seed=7;mesh_drop:p=1e-4' "
@@ -348,11 +342,6 @@ def cmd_run(args, out, err, doc):
     faults = args.faults
     if faults:
         parse_fault_spec(faults)  # fail early, before any simulation
-    jobs = args.jobs
-    if jobs < 1:
-        err.write("repro: --jobs must be a positive worker count "
-                  "(got %d)\n" % jobs)
-        return EXIT_USAGE
     if args.bottlenecks and args.mode == "pthread":
         err.write("repro: --bottlenecks attributes the RCCE run; use "
                   "--mode rcce or compare\n")
@@ -368,16 +357,6 @@ def cmd_run(args, out, err, doc):
             if want_checkpoint else None,
             checkpoint_every=args.checkpoint_every or 1,
             restore=args.restore)
-    if jobs > 1 and args.strict:
-        blockers = " and ".join(flag for _, flag in unshardable(
-            source, faults, args.race, args.bottlenecks, recovery,
-            args.trace))
-        if blockers:
-            err.write("repro: --jobs %d cannot honour %s: the process "
-                      "backend cannot shard such a run, so it would go "
-                      "sequential (jobs=1); rerun without %s or drop "
-                      "--strict\n" % (jobs, blockers, blockers))
-            return EXIT_USAGE
     tracer = EventTracer() if args.trace else None
     static_report = None
     if args.static_check:
@@ -391,13 +370,9 @@ def cmd_run(args, out, err, doc):
     if args.mode in ("rcce", "compare"):
         # translate, and check the thread count, before simulating
         if "RCCE_APP" in source:
-            # parsed here even for the process backend, so a parse
-            # error names the file
+            # parsed here, not in the runner, so a parse error names
+            # the file
             unit = parse_program(source, filename, share=True)
-            if jobs > 1:
-                # the process backend needs the raw source so each
-                # worker can parse/compile its own replica
-                unit = source
         else:
             framework = _framework(args)
             result = framework.translate(source, filename)
@@ -405,7 +380,7 @@ def cmd_run(args, out, err, doc):
                 return EXIT_PARSE
             if _too_few_ues(result, args.ues, err):
                 return EXIT_PARSE
-            unit = result.rcce_source if jobs > 1 else result.unit
+            unit = result.unit
     race_reports = {}
     doc["metrics"] = snapshots = {}
     baseline = None
@@ -421,8 +396,7 @@ def cmd_run(args, out, err, doc):
                                            pthread_chip,
                                            max_steps=args.max_steps,
                                            faults=faults,
-                                           race=args.race,
-                                           jobs=jobs)
+                                           race=args.race)
         snapshots["pthread"] = baseline.metrics
         _print_diagnostics(baseline.diagnostics, err, doc)
         if baseline.race is not None:
@@ -453,9 +427,6 @@ def cmd_run(args, out, err, doc):
             return chip
 
         def new_watchdog():
-            # the watchdog does not force a sequential run: the
-            # parallel coordinator maps its lock/barrier timeouts onto
-            # the parked-rank and wall-clock supervision bounds
             if args.no_watchdog:
                 return None
             timeout = args.watchdog_timeout
@@ -468,7 +439,7 @@ def cmd_run(args, out, err, doc):
         engine = AttributionEngine() if args.bottlenecks else None
         options = dict(max_steps=args.max_steps, faults=faults,
                        recovery=recovery, race=args.race,
-                       attribution=engine, jobs=jobs)
+                       attribution=engine)
         if max_restarts > 0:
             rcce = run_rcce_supervised(
                 unit, args.ues, max_restarts=max_restarts,
@@ -479,17 +450,6 @@ def cmd_run(args, out, err, doc):
                             watchdog=new_watchdog(), **options)
         snapshots["rcce"] = rcce.metrics
         _print_diagnostics(rcce.diagnostics, err, doc)
-        if args.strict and any(
-                "degraded to sequential" in d.message
-                for d in rcce.diagnostics if d.severity == "warning"):
-            # a worker process died or stalled mid-run; the
-            # sequential rerun succeeded, but under --strict a backend
-            # swap is a usage failure
-            err.write("repro: --strict: --jobs %d degraded to "
-                      "sequential (jobs=1) after a worker process died "
-                      "or stalled; drop --strict to accept the "
-                      "sequential rerun\n" % jobs)
-            return EXIT_USAGE
         if rcce.race is not None:
             race_reports["rcce"] = rcce.race
             out.write(rcce.race.render().splitlines()[0] + "\n")
@@ -589,11 +549,11 @@ def main(argv=None, out=None, err=None):
     except (InterpreterError, RCCEAllocationError) as exc:
         return _fail(err, EXIT_SIM, "simulated program failed", exc)
     except KeyboardInterrupt as exc:
-        # ParallelInterrupted (and a bare Ctrl-C): workers are
-        # already terminated and joined; one line, then 128+SIGINT
+        # Ctrl-C: run_rcce has already stopped and joined every
+        # simulated core; one line, then 128+SIGINT
         return _fail(err, EXIT_INTERRUPT, "interrupted",
-                     exc if str(exc) else "interrupted; unwound "
-                     "cleanly (no orphaned workers)")
+                     exc if str(exc) else "every simulated core "
+                     "stopped")
     # a finished run, or --strict failing it on findings (70), is
     # reported; usage and translation failures are not
     if report is not None and code in (EXIT_OK, EXIT_SIM):

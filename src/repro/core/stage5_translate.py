@@ -19,11 +19,12 @@ Converts the multithreaded program into the multiprocess RCCE program:
   and broadcast is an error diagnostic, never passed through; so is a
   ``pthread_create`` whose thread argument is a pointer (Stage 3
   reports what it points at), since each UE would receive only its
-  own copy of the pointee.
+  own copy of the pointee, and a ``pthread_join`` that asks for the
+  thread's return value, since the join becomes a barrier.
 """
 
 from repro.cfront import c_ast, ctypes
-from repro.cfront.visitor import NodeTransformer, find_all
+from repro.cfront.visitor import NodeTransformer, find_all, find_calls
 from repro.ir.loops import estimate_trip_count
 from repro.ir.passes import TransformPass
 from repro.core.insertion import RCCE_ENTRY, make_call
@@ -77,16 +78,10 @@ def rename_in(node, old, new):
     return _Renamer(old, new).visit(node)
 
 
-def mutex_name(call):
-    """The mutex a ``pthread_mutex_*`` call names: ``m`` for ``&m``,
-    ``m``, ``&m[i]`` or ``m[i]``; ``"<anonymous>"`` for any other
-    expression and ``"<none>"`` for a call without arguments.  Stage 5
-    assigns test-and-set registers by this name and the static lockset
-    audit reads locks by it, so the two agree on which calls share a
-    register."""
-    if not call.args:
-        return "<none>"
-    arg = call.args[0]
+def _variable_name(arg):
+    """The variable an argument names: ``v`` for ``&v``, ``v``,
+    ``&v[i]`` or ``v[i]``; ``"<anonymous>"`` for any other
+    expression."""
     if isinstance(arg, c_ast.UnaryOp) and arg.op == "&":
         arg = arg.operand
     if isinstance(arg, c_ast.ArrayRef):
@@ -94,6 +89,26 @@ def mutex_name(call):
     if isinstance(arg, c_ast.Id):
         return arg.name
     return "<anonymous>"
+
+
+def mutex_name(call):
+    """The mutex a ``pthread_mutex_*`` call names (see
+    :func:`_variable_name`); ``"<none>"`` for a call without
+    arguments.  Stage 5 assigns test-and-set registers by this name
+    and the static lockset audit reads locks by it, so the two agree
+    on which calls share a register."""
+    if not call.args:
+        return "<none>"
+    return _variable_name(call.args[0])
+
+
+def _is_null(expr):
+    """``NULL``, ``0``, or either one cast."""
+    while isinstance(expr, c_ast.Cast):
+        expr = expr.expr
+    if isinstance(expr, c_ast.Id):
+        return expr.name == "NULL"
+    return isinstance(expr, c_ast.Constant) and expr.value == 0
 
 
 def make_barrier(coord=None):
@@ -141,6 +156,16 @@ class ThreadsToProcesses(TransformPass):
                 "argument: pointer thread arguments have no RCCE "
                 "translation; pass an integer id instead" % names,
                 coord)
+        # every join becomes (part of) a barrier or is removed, so a
+        # join that asks for the thread's return value has no source
+        for join in find_calls(unit, "pthread_join"):
+            if len(join.args) > 1 and not _is_null(join.args[1]):
+                context.diagnose(
+                    self.name, "error",
+                    "pthread_join stores the thread's return value in "
+                    "%r: join results have no RCCE translation (the "
+                    "join becomes a barrier); pass NULL instead"
+                    % _variable_name(join.args[1]), join.coord)
         if not launches:
             # still a valid single-process RCCE program: convert main
             # so RCCE_init's &argc/&argv resolve on every core

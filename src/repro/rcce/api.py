@@ -14,9 +14,12 @@ symmetric heap.
 import threading
 
 from repro.sim.values import NULL, Pointer
+from repro.sim.watchdog import BarrierTimeoutError, LockTimeoutError
 from repro.rcce.comm import (
+    DEADLOCK_TIMEOUT_SECONDS,
     REDUCE_OPS,
     CollectiveArea,
+    CommDeadlockError,
     FlagTable,
     MessageFabric,
 )
@@ -64,9 +67,13 @@ class RCCEWorld:
 
     ``watchdog`` (a :class:`repro.sim.watchdog.Watchdog`) supervises
     lock and barrier waits: wait-for-graph deadlock detection on the
-    test-and-set registers and wall-clock bounds on the barrier.
-    Without one, the primitives behave exactly as before (modulo the
-    barrier's default dead-peer timeout).
+    test-and-set registers and wall-clock bounds on the barrier; its
+    lock timeout also shortens the send/recv/flag bound
+    (``DEADLOCK_TIMEOUT_SECONDS``).  Without one, the primitives keep
+    their default dead-peer timeouts.
+
+    Every blocking wait runs through :meth:`wait_at`, so the first wait
+    to time out names every rank blocked at that moment and where.
     """
 
     def __init__(self, chip, num_ues, core_map=None, watchdog=None):
@@ -104,8 +111,16 @@ class RCCEWorld:
         self.mpb_heap = _SymmetricHeap(
             chip.address_space.alloc_mpb, "mpbmalloc")
         self.mpb_fallbacks = 0  # RCCE_malloc calls that spilled to DRAM
-        self.fabric = MessageFabric()
-        self.flags = FlagTable()
+        comm_timeout = DEADLOCK_TIMEOUT_SECONDS
+        if watchdog is not None:
+            comm_timeout = min(comm_timeout, watchdog.lock_timeout)
+        self.fabric = MessageFabric(comm_timeout)
+        self.flags = FlagTable(comm_timeout)
+        # rank -> the sync site it is blocked at (see wait_at), and the
+        # rendering of that table when the first wait timed out
+        self.blocked = {}
+        self.blocked_at_timeout = None
+        self._blocked_lock = threading.Lock()
         # recovery-layer send retrier (repro.recovery.retry), installed
         # by the runner when retry is enabled; None keeps RCCE_send on
         # the exact pre-recovery path
@@ -149,13 +164,38 @@ class RCCEWorld:
     def runtime_for(self, rank):
         return RCCECoreRuntime(self, rank)
 
-    def abort(self, failure=None):
+    def abort(self, failure):
         """Fail-fast propagation: break the barrier for every waiter
-        (carrying ``failure`` as the cause) and cancel every
-        watchdog-supervised lock wait."""
+        and wake every send/recv/flag waiter (each carrying ``failure``
+        as the cause), and cancel every lock wait."""
         self.barrier.abort(failure)
+        self.fabric.abort(failure)
+        self.flags.abort(failure)
+        self.registers.abort()
         if self.watchdog is not None:
             self.watchdog.abort()
+
+    def wait_at(self, rank, site, wait, *args):
+        """Run the blocking ``wait(*args)`` with ``rank`` listed as
+        blocked at ``site`` (e.g. ``"RCCE_recv from rank 1"``).  When a
+        wait times out, the first one to do so renders the table, and
+        every timeout error gets that line appended."""
+        blocked = self.blocked
+        blocked[rank] = site
+        try:
+            return wait(*args)
+        except (CommDeadlockError, BarrierTimeoutError,
+                LockTimeoutError) as exc:
+            with self._blocked_lock:
+                if self.blocked_at_timeout is None:
+                    self.blocked_at_timeout = "; ".join(
+                        "rank %d in %s" % item
+                        for item in sorted(blocked.items()))
+            exc.args = ("%s\nblocked when the first wait timed out: "
+                        "%s" % (exc, self.blocked_at_timeout),)
+            raise
+        finally:
+            del blocked[rank]
 
     # -- observability ------------------------------------------------------
 
@@ -267,19 +307,20 @@ class RCCECoreRuntime:
 
     def _finalize(self, interp, arg_nodes):
         self._eval(interp, arg_nodes)
-        self._barrier_wait(interp, "finalize_barrier")
+        self._barrier_wait(interp, "finalize_barrier", "RCCE_finalize")
         return 0
 
-    def _barrier_wait(self, interp, label):
+    def _barrier_wait(self, interp, label, site):
         """Align clocks at the barrier, tracing entry/exit as one
-        span per core."""
+        span per core; ``site`` names the call for deadlock reports."""
         entry = interp.cycles
         attr = self.attr
         # snapshot before the wait so phase deltas see only the
         # phase's own work
         snapshot = attr.core_snapshot(self.core_id) \
             if attr is not None else None
-        interp.cycles = self.world.barrier.wait(self.rank, entry)
+        interp.cycles = self.world.wait_at(
+            self.rank, site, self.world.barrier.wait, self.rank, entry)
         self.world.barrier_wait.observe(interp.cycles - entry)
         if attr is not None:
             attr.add(self.core_id, "barrier_wait",
@@ -361,7 +402,7 @@ class RCCECoreRuntime:
 
     def _barrier(self, interp, arg_nodes):
         self._eval(interp, arg_nodes)
-        self._barrier_wait(interp, "barrier")
+        self._barrier_wait(interp, "barrier", "RCCE_barrier")
         return 0
 
     def _acquire_lock(self, interp, arg_nodes):
@@ -373,7 +414,9 @@ class RCCECoreRuntime:
         if self.attr is not None:
             self.attr.add(self.core_id, "lock_spin", cost)
         entry = interp.cycles
-        self.world.registers.acquire(register, self.rank)
+        self.world.wait_at(self.rank, "RCCE_acquire_lock(%d)" % register,
+                           self.world.registers.acquire, register,
+                           self.rank)
         events = self.world.chip.events
         if events.enabled:
             events.instant(self.core_id, entry, "lock_acquire", "sync",
@@ -506,9 +549,9 @@ class RCCECoreRuntime:
             if self.attr is not None:
                 self.attr.add(self.core_id, "retry_backoff", extra)
         posted = interp.cycles + cost
-        interp.cycles = channel.send(values, posted,
-                                     seq=seq, race=self.race,
-                                     tid=self.rank)
+        interp.cycles = self.world.wait_at(
+            self.rank, "RCCE_send to rank %d" % dest, channel.send,
+            values, posted, seq, self.race, self.rank)
         if self.attr is not None:
             self._attr_transfer(cost, hop_part)
             self.attr.add(self.core_id, "comm_wait",
@@ -535,8 +578,9 @@ class RCCECoreRuntime:
         cost, hop_part = self._transfer_parts(source, nbytes)
         channel = self.world.fabric.channel(source, self.rank)
         entry = interp.cycles
-        values, clock = channel.recv(interp.cycles, cost,
-                                     race=self.race, tid=self.rank)
+        values, clock = self.world.wait_at(
+            self.rank, "RCCE_recv from rank %d" % source, channel.recv,
+            interp.cycles, cost, self.race, self.rank)
         interp.cycles = clock
         if self.attr is not None:
             # clock = max(entry, sender_clock) + cost: the transfer is
@@ -623,9 +667,10 @@ class RCCECoreRuntime:
         flag_id = self._flag_id(interp, args[0])
         interp.charge(self.world.chip.config.mpb_base_cycles)
         entry = interp.cycles
-        interp.cycles = self.world.flags.wait_until(
-            flag_id, int(args[1]), interp.cycles, race=self.race,
-            tid=self.rank)
+        interp.cycles = self.world.wait_at(
+            self.rank, "RCCE_wait_until on flag %s" % flag_id,
+            self.world.flags.wait_until, flag_id, int(args[1]),
+            interp.cycles, self.race, self.rank)
         if self.attr is not None:
             self.attr.add(self.core_id, "mpb",
                           self.world.chip.config.mpb_base_cycles)
@@ -663,7 +708,8 @@ class RCCECoreRuntime:
         snapshot = attr.core_snapshot(self.core_id) \
             if attr is not None else None
         entry = interp.cycles
-        deposits, clock = self.world.collectives.exchange(
+        deposits, clock = self.world.wait_at(
+            self.rank, "RCCE_bcast", self.world.collectives.exchange,
             self.rank, interp.cycles, values, self._next_round())
         interp.cycles = clock
         if attr is not None:
@@ -710,7 +756,10 @@ class RCCECoreRuntime:
         snapshot = attr.core_snapshot(self.core_id) \
             if attr is not None else None
         entry = interp.cycles
-        deposits, clock = self.world.collectives.exchange(
+        deposits, clock = self.world.wait_at(
+            self.rank,
+            "RCCE_allreduce" if all_ranks else "RCCE_reduce",
+            self.world.collectives.exchange,
             self.rank, interp.cycles, values, self._next_round())
         interp.cycles = clock
         if attr is not None:

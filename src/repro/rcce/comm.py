@@ -17,10 +17,15 @@ emulation keeps that structure:
 
 Deadlocks in the *simulated* program (send without a matching recv,
 wait on a flag nobody writes) surface as :class:`CommDeadlockError`
-after a wall-clock timeout instead of hanging the host process.
+after a wall-clock timeout instead of hanging the host process.  Both
+the fabric and the flag table take that timeout from the world (a
+watchdog shortens it), and a world abort wakes every waiter at once
+with the abort's cause.
 """
 
 import threading
+
+from repro.sim.watchdog import WatchdogAborted
 
 DEADLOCK_TIMEOUT_SECONDS = 10.0
 
@@ -39,6 +44,25 @@ class CommDeadlockError(Exception):
     """A blocking RCCE operation was never matched."""
 
 
+def _wait(condition, owner, what):
+    """One wait on ``condition`` (held by the caller) for a peer,
+    bounded by ``owner.timeout`` wall seconds; ``what`` words the
+    :class:`CommDeadlockError` when the bound passes.  ``owner`` is the
+    fabric or flag table; once its ``abort`` has run, the wait ends
+    at once with :class:`WatchdogAborted` caused by the failure."""
+    if owner.failure is None:
+        notified = condition.wait(owner.timeout)
+        if owner.failure is None:
+            if notified:
+                return
+            raise CommDeadlockError("%s within %gs"
+                                    % (what, owner.timeout))
+    raise WatchdogAborted(
+        "RCCE wait cancelled: another core already failed (%s: %s)"
+        % (type(owner.failure).__name__, owner.failure)) \
+        from owner.failure
+
+
 class FlagTable:
     """MPB synchronization flags.
 
@@ -47,7 +71,9 @@ class FlagTable:
     lands at ``max(own, writer's clock at the satisfying write)``.
     """
 
-    def __init__(self):
+    def __init__(self, timeout=DEADLOCK_TIMEOUT_SECONDS):
+        self.timeout = timeout
+        self.failure = None      # the world's abort cause, once set
         self._lock = threading.Lock()
         self._condition = threading.Condition(self._lock)
         self._values = {}        # flag id -> value
@@ -102,18 +128,22 @@ class FlagTable:
     def wait_until(self, flag_id, value, clock, race=None, tid=None):
         """Block until the flag holds ``value``; returns the waiter's
         new simulated clock."""
-        deadline = DEADLOCK_TIMEOUT_SECONDS
         with self._condition:
             while self._values.get(flag_id) != value:
                 if flag_id not in self._values:
                     raise CommDeadlockError(
                         "wait on unallocated flag %r" % flag_id)
-                if not self._condition.wait(timeout=deadline):
-                    raise CommDeadlockError(
-                        "flag %r never reached %r" % (flag_id, value))
+                _wait(self._condition, self,
+                      "flag %r never reached %r" % (flag_id, value))
             if race is not None:
                 race.flag_sync(tid, flag_id)
             return max(clock, self._write_clocks.get(flag_id, 0))
+
+    def abort(self, failure):
+        """Wake every flag waiter with ``failure`` as the cause."""
+        with self._condition:
+            self.failure = failure
+            self._condition.notify_all()
 
 
 class Channel:
@@ -124,7 +154,9 @@ class Channel:
     The receiver acknowledges but does not re-deliver a duplicate
     sequence number, so a retransmitted message is idempotent."""
 
-    def __init__(self):
+    def __init__(self, fabric=None):
+        # the fabric holds the wait timeout and the world's abort cause
+        self.fabric = fabric if fabric is not None else MessageFabric()
         self.condition = threading.Condition()
         self.payload = None       # (values, sender_clock, seq, vc)
         self.consumed_clock = None
@@ -136,15 +168,14 @@ class Channel:
         returns the sender's new clock (receive-completion time)."""
         with self.condition:
             while self.payload is not None:
-                if not self.condition.wait(DEADLOCK_TIMEOUT_SECONDS):
-                    raise CommDeadlockError("send never matched")
+                _wait(self.condition, self.fabric, "send never matched")
             sender_vc = race.channel_send(tid) \
                 if race is not None else None
             self.payload = (list(values), clock, seq, sender_vc)
             self.condition.notify_all()
             while self.consumed_clock is None:
-                if not self.condition.wait(DEADLOCK_TIMEOUT_SECONDS):
-                    raise CommDeadlockError("send never completed")
+                _wait(self.condition, self.fabric,
+                      "send never completed")
             done = self.consumed_clock
             self.consumed_clock = None
             if race is not None:
@@ -158,8 +189,8 @@ class Channel:
         with self.condition:
             while True:
                 while self.payload is None:
-                    if not self.condition.wait(DEADLOCK_TIMEOUT_SECONDS):
-                        raise CommDeadlockError("recv never matched")
+                    _wait(self.condition, self.fabric,
+                          "recv never matched")
                 values, sender_clock, seq, sender_vc = self.payload
                 self.payload = None
                 if seq is not None and seq == self.delivered_seq:
@@ -181,9 +212,12 @@ class Channel:
 
 
 class MessageFabric:
-    """All channels of one RCCE world."""
+    """All channels of one RCCE world.  ``timeout`` bounds every
+    send/recv wait in wall seconds."""
 
-    def __init__(self):
+    def __init__(self, timeout=DEADLOCK_TIMEOUT_SECONDS):
+        self.timeout = timeout
+        self.failure = None      # the world's abort cause, once set
         self._channels = {}
         self._lock = threading.Lock()
 
@@ -191,8 +225,18 @@ class MessageFabric:
         key = (source, dest)
         with self._lock:
             if key not in self._channels:
-                self._channels[key] = Channel()
+                self._channels[key] = Channel(self)
             return self._channels[key]
+
+    def abort(self, failure):
+        """Wake every send/recv waiter with ``failure`` as the cause
+        (a channel opened later fails its first wait)."""
+        self.failure = failure
+        with self._lock:
+            channels = list(self._channels.values())
+        for channel in channels:
+            with channel.condition:
+                channel.condition.notify_all()
 
 
 class CollectiveArea:

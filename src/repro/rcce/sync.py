@@ -21,8 +21,10 @@ import threading
 
 from repro.sim.watchdog import (
     DEFAULT_BARRIER_TIMEOUT,
+    DEFAULT_SPIN_SLICE,
     BarrierAbortedError,
     BarrierTimeoutError,
+    WatchdogAborted,
 )
 
 
@@ -120,79 +122,13 @@ class ClockBarrier:
         self._phase2.abort()
 
 
-class SkewBarrier:
-    """Graphite-style lax clock synchronization bookkeeping.
-
-    The parallel backend (``repro.sim.parallel``) lets each shard of
-    simulated cores run ahead under its own clock, reconciling at
-    **quantum** boundaries (every ``quantum`` simulated cycles) and —
-    early — at every true sync point (:class:`ClockBarrier` rounds,
-    test-and-set registers, MPB flags, send/recv rendezvous).  Because
-    every cross-shard value and every cross-shard clock comparison in
-    this simulator already flows through those sync primitives, the
-    quantum checkpoint is pure *bookkeeping*: shards publish their
-    clocks here (never blocking — a shard parked inside ``recv`` must
-    not be waited on), and the recorded skew shows how far the lax
-    clocks drifted between reconciliations.  Results are byte-identical
-    to the sequential engine by construction, for any quantum.
-    """
-
-    DEFAULT_QUANTUM = 50_000  # simulated cycles between checkpoints
-
-    def __init__(self, num_shards, quantum=DEFAULT_QUANTUM):
-        if num_shards < 1:
-            raise ValueError("num_shards must be >= 1")
-        if quantum < 1:
-            raise ValueError("quantum must be >= 1 cycle")
-        self.num_shards = num_shards
-        self.quantum = quantum
-        self._lock = threading.Lock()
-        self._clocks = {}              # shard -> last published clock
-        self.quantum_reconciliations = [0] * num_shards
-        self.sync_reconciliations = [0] * num_shards
-        self.max_skew = 0              # widest clock spread observed
-
-    def _publish(self, shard, clock):
-        self._clocks[shard] = clock
-        if len(self._clocks) > 1:
-            spread = max(self._clocks.values()) - min(
-                self._clocks.values())
-            if spread > self.max_skew:
-                self.max_skew = spread
-
-    def note_quantum(self, shard, clock):
-        """A shard crossed a quantum boundary: publish its clock and
-        return the next quantum deadline.  Never blocks."""
-        with self._lock:
-            self.quantum_reconciliations[shard] += 1
-            self._publish(shard, clock)
-        return clock + self.quantum
-
-    def note_sync(self, shard, clock=None):
-        """A shard reached a true sync point (barrier, lock, flag,
-        send/recv): an early reconciliation.  ``clock`` is optional —
-        some sync ops (lock acquire/release) carry no clock."""
-        with self._lock:
-            self.sync_reconciliations[shard] += 1
-            if clock is not None:
-                self._publish(shard, clock)
-
-    def reconciliations(self, shard):
-        return (self.quantum_reconciliations[shard]
-                + self.sync_reconciliations[shard])
-
-    def total_reconciliations(self):
-        return (sum(self.quantum_reconciliations)
-                + sum(self.sync_reconciliations))
-
-
 class TestAndSetRegisters:
     """One atomic test-and-set register per core.
 
     ``owners`` tracks which rank currently holds each register — the
     input to the watchdog's wait-for-graph deadlock detection.  With no
-    watchdog, ``acquire`` blocks indefinitely exactly as the hardware
-    register spin would.
+    watchdog, ``acquire`` spins until the register frees, as the
+    hardware would, or until :meth:`abort` cancels the run.
     """
 
     __test__ = False  # not a pytest class, despite the hardware's name
@@ -200,6 +136,7 @@ class TestAndSetRegisters:
     def __init__(self, num_cores, watchdog=None):
         self.num_cores = num_cores
         self.watchdog = watchdog
+        self.aborted = False
         self._locks = [threading.Lock() for _ in range(num_cores)]
         self.acquisitions = [0] * num_cores
         self.owners = {}  # register index -> holding rank
@@ -213,13 +150,22 @@ class TestAndSetRegisters:
         index = register % self.num_cores
         lock = self._locks[index]
         if self.watchdog is None:
-            lock.acquire()
+            while not lock.acquire(timeout=DEFAULT_SPIN_SLICE):
+                if self.aborted:
+                    raise WatchdogAborted(
+                        "lock wait on register %d cancelled: another "
+                        "core already failed" % index)
         else:
             self.watchdog.acquire_lock(lock, index, rank, self.owners)
         self.owners[index] = rank
         self.acquisitions[index] += 1
         if self.race is not None and rank is not None:
             self.race.lock_acquire(rank, ("reg", index))
+
+    def abort(self):
+        """Cancel every unsupervised lock wait (a core failed, or the
+        run was interrupted, possibly while holding a register)."""
+        self.aborted = True
 
     def release(self, register, rank=None):
         index = register % self.num_cores

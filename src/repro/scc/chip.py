@@ -202,99 +202,6 @@ class SCCChip:
         self.mpb.owner_traffic.clear()
         self.mesh.reset_traffic()
 
-    # -- parallel backend: counter shipping --------------------------------
-
-    def counter_state(self):
-        """Every component accumulator as plain picklable data.
-
-        The parallel backend (``repro.sim.parallel``) runs each shard on
-        a full chip replica in a worker process; at shutdown the worker
-        ships this dict home and the coordinator folds it into the
-        parent chip with :meth:`merge_counter_state`, so one parent
-        snapshot reports exactly what the sequential run would."""
-        cores = []
-        for state in self.cores:
-            cores.append({
-                "l1": state.l1.stats.snapshot(),
-                "l2": state.l2.stats.snapshot(),
-                "accesses": {kind.value: count
-                             for kind, count in state.accesses.items()
-                             if count},
-            })
-        controllers = {}
-        for controller in self.controllers:
-            stats = controller.stats
-            controllers[controller.index] = {
-                "reads": stats.reads, "writes": stats.writes,
-                "busy_cycles": stats.busy_cycles,
-                "ecc_corrected": stats.ecc_corrected,
-            }
-        mpb = self.mpb.stats
-        return {
-            "cores": cores,
-            "controllers": controllers,
-            "mpb": {"reads": mpb.reads, "writes": mpb.writes,
-                    "bytes_moved": mpb.bytes_moved,
-                    "corrupted_reads": mpb.corrupted_reads,
-                    "ecc_corrected": mpb.ecc_corrected},
-            "mpb_owner_traffic": [
-                (owner, requester, counts[0], counts[1], counts[2])
-                for (owner, requester), counts
-                in self.mpb.owner_traffic.items()],
-            "mesh": {
-                "drops": self.mesh.drops,
-                "retries": self.mesh.retries,
-                "link_traffic": list(self.mesh.link_traffic.items()),
-                "segment_traffic": list(
-                    self.mesh.segment_traffic.items()),
-            },
-        }
-
-    def merge_counter_state(self, shipped):
-        """Fold a worker replica's :meth:`counter_state` into this chip.
-
-        Strictly additive: per-core cache/access counters come from the
-        single worker that ran the core (every other replica leaves them
-        zero), while chip-wide MPB/DRAM/mesh accumulators sum across
-        workers."""
-        for state, row in zip(self.cores, shipped["cores"]):
-            for level, stats in (("l1", state.l1.stats),
-                                 ("l2", state.l2.stats)):
-                delta = row[level]
-                stats.hits += delta["hits"]
-                stats.misses += delta["misses"]
-                stats.evictions += delta["evictions"]
-            for value, count in row["accesses"].items():
-                state.accesses[SegmentKind(value)] += count
-        for index, delta in shipped["controllers"].items():
-            stats = self.controllers[index].stats
-            stats.reads += delta["reads"]
-            stats.writes += delta["writes"]
-            stats.busy_cycles += delta["busy_cycles"]
-            stats.ecc_corrected += delta["ecc_corrected"]
-        mpb = self.mpb.stats
-        delta = shipped["mpb"]
-        mpb.reads += delta["reads"]
-        mpb.writes += delta["writes"]
-        mpb.bytes_moved += delta["bytes_moved"]
-        mpb.corrupted_reads += delta["corrupted_reads"]
-        mpb.ecc_corrected += delta["ecc_corrected"]
-        for owner, requester, reads, writes, nbytes in \
-                shipped["mpb_owner_traffic"]:
-            cell = self.mpb._owner_cell(owner, requester)
-            cell[0] += reads
-            cell[1] += writes
-            cell[2] += nbytes
-        mesh = shipped["mesh"]
-        self.mesh.drops += mesh["drops"]
-        self.mesh.retries += mesh["retries"]
-        for link, count in mesh["link_traffic"]:
-            self.mesh.link_traffic[link] = \
-                self.mesh.link_traffic.get(link, 0) + count
-        for key, count in mesh["segment_traffic"]:
-            self.mesh.segment_traffic[key] = \
-                self.mesh.segment_traffic.get(key, 0) + count
-
     # -- requester registration (contention model input) -----------------------
 
     def activate_core(self, core):

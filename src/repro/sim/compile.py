@@ -64,8 +64,7 @@ from repro.sim.values import (
 )
 
 __all__ = ["BoundArg", "CompiledFunction", "CompiledUnit",
-           "compile_unit", "invoke", "make_coercer",
-           "warm_process_cache"]
+           "compile_unit", "invoke", "make_coercer"]
 
 # Pre-bound operation costs (builtins and the generic binop path read
 # OP_COSTS per charge; sourcing the constants from the same table keeps
@@ -150,19 +149,6 @@ def compile_unit(unit):
             cu = _compile_unit(unit)
             _UNIT_CACHE[unit] = cu
         return cu
-
-
-def warm_process_cache(source):
-    """Parse + compile ``source`` once in *this* process and return the
-    shared unit.  The parallel backend's worker processes call this at
-    startup: both the sha256-keyed parse memo and the per-unit compile
-    cache are per-process state, so warming them before the shard's
-    rank threads start means every rank binds the same compiled unit
-    instead of racing to build it."""
-    from repro.cfront.frontend import parse_program
-    unit = parse_program(source, share=True)
-    compile_unit(unit)
-    return unit
 
 
 def _compile_unit(unit):

@@ -227,12 +227,6 @@ class Interpreter:
         # The load/store hot path carries NO per-op hook — memory-op
         # counts come from the chip's own per-core access counters
         self._attr = getattr(chip, "attribution", None)
-        # lax clock sync (repro.sim.parallel): a quantum hook fires at
-        # the next retire-batch boundary after ``cycles`` crosses
-        # ``_quantum_deadline``; None costs one attribute check per
-        # RETIRE_BATCH steps, keeping un-sharded runs byte-identical
-        self._quantum_hook = None
-        self._quantum_deadline = 0
 
         stack_segment = chip.address_space.alloc_private(
             core_id, STACK_BYTES, "stack-core%d" % core_id)
@@ -324,16 +318,11 @@ class Interpreter:
         the mask check).  Delivers scheduled core stalls and crashes,
         then, every RETIRE_BATCH steps, flushes one retire batch:
         cycles accumulated since the last batch boundary become a
-        traced "retire_batch" span.  The parallel backend's quantum
-        checkpoint also anchors there: the hook publishes this core's
-        clock (never blocking) and returns the next quantum deadline."""
+        traced "retire_batch" span."""
         if self._faults is not None:
             self._faults.core_tick(self)
         if self.steps & (RETIRE_BATCH - 1):
             return
-        hook = self._quantum_hook
-        if hook is not None and self.cycles >= self._quantum_deadline:
-            self._quantum_deadline = hook(self)
         events = self.chip.events
         if events.enabled:
             events.complete(

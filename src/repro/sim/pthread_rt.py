@@ -28,7 +28,7 @@ missed-signal hangs to the case where no signaller exists at all.
 """
 
 from repro.sim.interpreter import ThreadExit
-from repro.sim.values import FunctionRef, Pointer
+from repro.sim.values import NULL, FunctionRef, Pointer
 
 THREAD_CREATE_COST = 6000   # clone + setup on a P54C-class core
 THREAD_JOIN_COST = 2000
@@ -136,8 +136,8 @@ class PthreadRuntime:
         if not arg_nodes:
             return 22
         tid = interp.eval_expr(arg_nodes[0])
-        for node in arg_nodes[1:]:
-            interp.eval_expr(node)
+        result = interp.eval_expr(arg_nodes[1]) \
+            if len(arg_nodes) > 1 else None
         record = self.threads.get(int(tid) if not isinstance(
             tid, Pointer) else tid.addr)
         interp.charge(THREAD_JOIN_COST)
@@ -150,6 +150,11 @@ class PthreadRuntime:
         race = interp._race
         if race is not None:
             race.thread_join(self._current_tid[-1], record.tid)
+        if isinstance(result, Pointer) and result.addr:
+            # pthread_join(t, &rv): the joiner stores the thread's
+            # return value (NULL when it returned none) through rv
+            interp.store(result.addr, NULL if record.retval is None
+                         else record.retval)
         return 0
 
     def _run_thread(self, interp, record):

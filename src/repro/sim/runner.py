@@ -4,9 +4,11 @@
 multithreaded program on one SCC core, threads time-sliced.
 
 ``run_rcce`` runs a translated program on N cores: one Python thread
-per simulated core, a shared memory object, a shared RCCE world, and
-per-core cycle clocks aligned at every barrier.  The reported runtime
-is the slowest core's final clock — wall time, as the paper measures.
+per simulated core, all in one process, with a shared memory object, a
+shared RCCE world, and per-core cycle clocks aligned at every barrier.
+The reported runtime is the slowest core's final clock — wall time, as
+the paper measures.  A Ctrl-C (or any exception) in the calling thread
+stops every simulated core at its next step before it propagates.
 
 Both runners accept an optional ``faults`` spec (see ``repro.faults``)
 and — for ``run_rcce`` — an optional ``watchdog`` (see
@@ -29,7 +31,6 @@ import os
 import threading
 
 from repro.cfront.frontend import parse_program
-from repro.diagnostics import Diagnostic
 from repro.faults import FaultInjector
 from repro.obs.attribution import AttributionEngine
 from repro.race import RaceDetector
@@ -60,18 +61,21 @@ from repro.sim.machine import Memory
 from repro.sim.pthread_rt import PthreadRuntime
 from repro.sim.watchdog import (
     BarrierAbortedError,
-    HostFaultError,
     SimulationTimeout,
     WatchdogError,
     core_dumps,
 )
 
+# how often run_rcce, waiting for the core threads, wakes to notice a
+# Ctrl-C
+_JOIN_POLL_SECONDS = 0.1
+
+
 class RunResult:
     """Outcome of one simulated program run."""
 
     def __init__(self, cycles, config, output, per_core_cycles=None,
-                 exit_value=None, stats=None, metrics=None,
-                 diagnostics=None):
+                 exit_value=None, stats=None, metrics=None):
         self.cycles = cycles
         self.config = config
         self.output = output
@@ -80,8 +84,8 @@ class RunResult:
         self.stats = stats or {}
         # the chip's metrics-registry snapshot taken at run end
         self.metrics = metrics or {}
-        # runner-level findings (backend downgrades, recovery events)
-        self.diagnostics = list(diagnostics) if diagnostics else []
+        # runner-level findings (race audit, recovery events)
+        self.diagnostics = []
         # RecoveryReport when the run went through the supervisor
         self.recovery = None
         # RaceReport when the run was audited (race=...)
@@ -120,8 +124,8 @@ def _prepare_chip(chip, interpreters, cores):
 
     def collect():
         samples = []
-        # rank order, as the process backend reports it: core threads
-        # append their interpreters in host start order, which varies
+        # rank order: core threads append their interpreters in host
+        # start order, which varies
         for interp in sorted(interpreters,
                              key=lambda i: position[i.core_id]):
             labels = {"core": interp.core_id}
@@ -184,48 +188,6 @@ def _file_identity(path):
     return stat.st_ino, stat.st_mtime_ns, stat.st_size
 
 
-def unshardable(program, faults=None, race=None, attribution=None,
-                recovery=None, tracing=False):
-    """The parts of a run the process backend cannot shard, as
-    ``(reason, flag)`` pairs: ``reason`` words the downgrade warning
-    and ``flag`` names the ``repro run`` option that asks for the part
-    (None for a pre-parsed program unit, which only library callers
-    pass: workers re-parse source).  Every other part needs one shared
-    live world.  Each argument is truthy when its feature is on."""
-    return [(reason, flag) for reason, flag, wanted in (
-        ("a pre-parsed program unit", None, not isinstance(program, str)),
-        ("fault injection", "--faults", faults),
-        ("race detection", "--race", race),
-        ("cycle attribution", "--bottlenecks", attribution),
-        ("recovery", "--recover/--checkpoint/--restore", recovery),
-        ("event tracing", "--trace", tracing),
-    ) if wanted]
-
-
-def _resolve_host_path(jobs, program, injector, detector, attr,
-                       recovery, chip):
-    """Pick the run's one host path — the process backend or a
-    sequential run; returns ``(use_process, warning)``.
-
-    A run with anything :func:`unshardable` names runs sequentially.
-    This happens loudly: a warning :class:`Diagnostic` the CLI prints
-    (and refuses under ``--strict``), never silently.  The watchdog
-    does not force a downgrade: the parallel coordinator sees every
-    sync wait, so it maps the watchdog's lock/barrier timeouts onto
-    its own parked/wall-clock supervision."""
-    if jobs <= 1:
-        return False, None
-    reasons = unshardable(program, injector, detector, attr, recovery,
-                          chip.events.enabled)
-    if not reasons:
-        return True, None
-    return False, Diagnostic.warning(
-        "simulate",
-        "jobs=%d requested but the process backend cannot shard a run "
-        "with %s; running sequentially (jobs=1)"
-        % (jobs, " and ".join(reason for reason, _ in reasons)))
-
-
 def _timeout_from(exc, interpreters, ranks=None):
     """Convert a step-budget overrun into a SimulationTimeout carrying
     per-core state dumps; attach dumps to watchdog errors too."""
@@ -241,7 +203,7 @@ def _timeout_from(exc, interpreters, ranks=None):
 
 def run_pthread_single_core(program, config=None, chip=None, core=0,
                             max_steps=200_000_000, faults=None, race=None,
-                            attribution=None, jobs=1):
+                            attribution=None):
     """Run a Pthreads program with all threads on one core."""
     unit = _as_unit(program)
     config = config or Table61Config()
@@ -249,17 +211,6 @@ def run_pthread_single_core(program, config=None, chip=None, core=0,
     injector = _as_injector(faults)
     detector = _as_detector(race)
     attr = _as_attribution(attribution)
-    diagnostics = []
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    if jobs > 1:
-        # the paper's baseline time-slices every thread on ONE core —
-        # there is nothing to shard; decline loudly, never silently
-        diagnostics.append(Diagnostic.warning(
-            "simulate",
-            "jobs=%d requested but the pthread baseline time-slices "
-            "all threads on a single core; running sequentially"
-            % jobs))
     if injector is not None:
         injector.attach(chip)
     if detector is not None:
@@ -308,8 +259,7 @@ def run_pthread_single_core(program, config=None, chip=None, core=0,
             "scheduling_overhead_cycles": overhead,
             "cache": chip.cache_stats(core),
         },
-        metrics=metrics,
-        diagnostics=diagnostics)
+        metrics=metrics)
     if detector is not None:
         result.race = detector.report()
         result.diagnostics.extend(result.race.diagnostics())
@@ -338,53 +288,23 @@ class _CoreError:
 
 def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
              max_steps=200_000_000, faults=None,
-             watchdog=None, recovery=None, race=None, attribution=None,
-             jobs=1, quantum=None):
-    """Run a translated RCCE program on ``num_ues`` simulated cores.
+             watchdog=None, recovery=None, race=None, attribution=None):
+    """Run a translated RCCE program on ``num_ues`` simulated cores,
+    one host thread per core.
 
-    ``jobs > 1`` shards the simulated cores over host worker processes
-    with Graphite-style lax clock sync (see ``repro.sim.parallel``);
-    ``quantum`` is the lax-sync reconciliation interval in simulated
-    cycles.  Cycles and outputs are byte-identical to ``jobs=1`` for
-    any shard count and any quantum.  A run the process backend cannot
-    take (see :func:`_resolve_host_path`) runs sequentially,
-    with one warning diagnostic.  So does a sharded run whose worker
-    process dies or stalls: the attempt is abandoned and the program
-    reruns at ``jobs=1`` from the beginning, with one warning.
+    When the calling thread is interrupted while it waits for the cores
+    (Ctrl-C, or any other exception), the world is aborted, every core
+    stops at its next step or wakes from its sync wait, and the
+    exception propagates only once every core thread has exited.
     """
     unit = _as_unit(program)
     config = config or Table61Config()
     chip = chip or SCCChip(config)
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     injector = _as_injector(faults)
     detector = _as_detector(race)
     attr = _as_attribution(attribution)
     if recovery is not None and not recovery.active:
         recovery = None
-    diagnostics = []
-    use_process, parallel_downgrade = _resolve_host_path(
-        jobs, program, injector, detector, attr, recovery, chip)
-    if parallel_downgrade is not None:
-        diagnostics.append(parallel_downgrade)
-    if use_process:
-        # nothing below composes with sharded worker processes (that
-        # is exactly what _resolve_host_path just checked), so
-        # hand the whole run to the process backend; the parse above
-        # already surfaced any front-end error in this process
-        from repro.sim.parallel import run_rcce_parallel
-        try:
-            return run_rcce_parallel(
-                program, num_ues, config, chip, core_map, max_steps,
-                jobs, quantum=quantum,
-                diagnostics=diagnostics, watchdog=watchdog)
-        except HostFaultError as exc:
-            # a worker died or stalled: rerun the whole program
-            # sequentially, from the beginning
-            diagnostics.append(Diagnostic.warning(
-                "simulate",
-                "%s: %s; degraded to sequential (jobs=1) and re-ran "
-                "from the beginning" % (type(exc).__name__, exc)))
     if injector is not None:
         injector.attach(chip)
     if detector is not None:
@@ -444,6 +364,19 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                     hook(round_id)
             world.barrier.on_round = barrier_round
 
+    halted = []  # non-empty once the caller stopped the cores
+    exited = threading.Condition()
+    finished = []  # one entry per core_main that has returned
+
+    def halt_cores():
+        """Stop every core at its next step.  The compiled closures
+        check ``steps > max_steps`` on every step, so a zero budget
+        stops a running core with no new hot-path check; a core that
+        has not built its interpreter yet sees ``halted`` instead."""
+        halted.append(True)
+        for interp in list(interpreters):
+            interp.max_steps = 0
+
     def core_main(rank):
         try:
             runtime = world.runtime_for(rank)
@@ -451,16 +384,35 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                                  runtime, max_steps)
             ranks[interp.core_id] = rank
             interpreters.append(interp)
+            if halted:
+                interp.max_steps = 0
             try:
                 interp.run_main()
             except ThreadExit:
                 pass
         except Exception as exc:  # noqa: BLE001 - surfaced to caller
             error.record(exc)
-            # unblock every peer parked at the clock barrier or inside
-            # a watchdog-supervised lock wait; the originating
-            # exception rides along so peers report the real cause
+            # unblock every peer waiting at the clock barrier, a lock,
+            # a send/recv or a flag; the originating exception rides
+            # along so peers report the real cause
             world.abort(exc)
+        finally:
+            with exited:
+                finished.append(rank)
+                exited.notify()
+
+    def wait_for_cores(count):
+        """Wait until the first ``count`` core threads have exited.
+        The waits are timed: a Ctrl-C that lands on a core thread (or
+        comes from ``_thread.interrupt_main``) reaches this thread only
+        when its wait returns.  They are not ``Thread.join`` calls,
+        because an interrupted join can mark a running thread
+        stopped."""
+        with exited:
+            while len(finished) < count:
+                exited.wait(_JOIN_POLL_SECONDS)
+        for thread in threads[:count]:
+            thread.join()  # core_main has returned: this is quick
 
     # register every core with its memory controller BEFORE any core
     # starts executing: the contention model must not depend on host
@@ -470,11 +422,19 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     threads = [threading.Thread(target=core_main, args=(rank,),
                                 name="scc-ue%d" % rank)
                for rank in range(num_ues)]
+    started = 0
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        try:
+            for thread in threads:
+                thread.start()
+                started += 1
+            wait_for_cores(started)
+        except BaseException as exc:
+            # Ctrl-C (or any error) here: no core may outlive the run
+            world.abort(exc)
+            halt_cores()
+            wait_for_cores(started)
+            raise
     finally:
         for rank in range(num_ues):
             chip.deactivate_core(world.core_map[rank])
@@ -517,8 +477,7 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
         total, config, outputs,
         per_core_cycles=per_core,
         stats=stats,
-        metrics=metrics,
-        diagnostics=diagnostics)
+        metrics=metrics)
     if detector is not None:
         result.race = detector.report()
         result.diagnostics.extend(result.race.diagnostics())
@@ -532,7 +491,7 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
                         max_steps=200_000_000,
                         faults=None, recovery=None, max_restarts=1,
                         chip_factory=None, watchdog_factory=None,
-                        race=None, attribution=None, jobs=1):
+                        race=None, attribution=None):
     """Run an RCCE program under a restarting supervisor.
 
     The run checkpoints at barrier rounds
@@ -582,8 +541,7 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
                 program, num_ues, config=config, chip=chip,
                 core_map=core_map, max_steps=max_steps,
                 faults=injector, watchdog=watchdog, recovery=options,
-                race=attempt_race, attribution=attribution,
-                jobs=jobs)
+                race=attempt_race, attribution=attribution)
         except RESTARTABLE_ERRORS as exc:
             if attempt >= max_restarts:
                 exc.recovery_report = report

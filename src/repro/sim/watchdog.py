@@ -67,30 +67,9 @@ class BarrierAbortedError(WatchdogError):
 
 
 class WatchdogAborted(WatchdogError):
-    """A watchdog-supervised wait was cancelled because another core
-    already failed."""
-
-
-class HostFaultError(WatchdogError):
-    """Base class for host-level failures in the process backend: a
-    worker *process* (not a simulated core) died or hung.  ``shard``
-    names the affected shard; ``run_rcce`` catches it and reruns the
-    program sequentially (``jobs=1``)."""
-
-    def __init__(self, message, shard=None):
-        super().__init__(message)
-        self.shard = shard
-
-
-class WorkerDeathError(HostFaultError):
-    """A shard's worker process exited without reporting a simulated
-    failure (killed, crashed, or OOM-reaped)."""
-
-
-class WorkerStallError(HostFaultError):
-    """A shard's worker process made no quantum progress within the
-    heartbeat bound while at least one of its ranks was still
-    runnable (hung host process, not a simulated deadlock)."""
+    """A lock, send/recv or flag wait was cancelled because another
+    core already failed or the run was interrupted (the world
+    aborted)."""
 
 
 class SimulationTimeout(StepLimitExceeded):

@@ -50,6 +50,21 @@ class TestThreadsToProcesses:
             error.message
         assert translate(PTHREAD_PROGRAM).ok
 
+    def test_join_result_is_an_error(self):
+        """The joins become one barrier, so a join result has no
+        source: the call is an error naming the variable; a NULL or 0
+        result is translated."""
+        source = PTHREAD_PROGRAM.replace(
+            "pthread_join(th[i], NULL);", "pthread_join(th[i], &rv[i]);")
+        source = source.replace("int data[8];", "int data[8];\nvoid *rv[8];")
+        result = translate(source)
+        [error] = [d for d in result.diagnostics if d.is_error]
+        assert error.stage == "stage5-threads-to-processes"
+        assert "return value in 'rv'" in error.message
+        zero = PTHREAD_PROGRAM.replace("pthread_join(th[i], NULL);",
+                                       "pthread_join(th[i], (void **)0);")
+        assert translate(zero).ok
+
     def test_main_renamed_to_rcce_app(self):
         result = translate(PTHREAD_PROGRAM)
         assert result.unit.find_function("RCCE_APP") is not None

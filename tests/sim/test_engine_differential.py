@@ -416,96 +416,6 @@ def test_attribution_is_cycle_invisible_rcce(baseline):
     assert _timing(on) == _timing(_baseline_rcce(baseline))
 
 
-# -- parallel backend: sharding must never move a cycle -----------------------
-#
-# The contract (docs/performance.md): cycles, per-core cycles, and
-# program stdout are byte-identical for every worker count and every
-# quantum length.  Metrics are NOT part of the contract — histogram
-# bucketing of host-side wait times is nondeterministic even
-# sequentially — so these signatures deliberately exclude them.
-
-_PARALLEL_BASELINES = {}
-
-
-def _parallel_source(name):
-    """Translated RCCE source for a scaled workload (the process
-    backend replicates the program from source in each worker)."""
-    return translated(name)[1]
-
-
-def _parallel_signature(result):
-    return (result.cycles, dict(result.per_core_cycles),
-            result.stdout())
-
-
-def _parallel_baseline(name):
-    """jobs=1 run of the same source string, cached per workload."""
-    if name not in _PARALLEL_BASELINES:
-        chip = tiny_chip()
-        result = run_rcce(_parallel_source(name), 4, chip.config, chip,
-                          max_steps=50_000_000)
-        _PARALLEL_BASELINES[name] = _parallel_signature(result)
-    return _PARALLEL_BASELINES[name]
-
-
-@pytest.mark.parametrize("jobs", [2, 4, 8])
-@pytest.mark.parametrize("name", sorted(SMALL_WORKLOADS))
-def test_process_backend_matches_sequential(name, jobs):
-    """The process backend is byte-identical to the sequential engine
-    for every shard count (jobs > num_ues clamps to num_ues)."""
-    chip = tiny_chip()
-    result = run_rcce(_parallel_source(name), 4, chip.config, chip,
-                      max_steps=50_000_000, jobs=jobs)
-    assert _parallel_signature(result) == _parallel_baseline(name)
-    assert result.stats["parallel"]["backend"] == "process"
-
-
-@pytest.mark.parametrize("quantum", [1_000, 50_000, 10_000_000])
-def test_process_backend_quantum_invariant(quantum):
-    """The quantum is a non-blocking publication deadline, never a
-    barrier — its length cannot change a single cycle."""
-    chip = tiny_chip()
-    result = run_rcce(_parallel_source("dot"), 4, chip.config, chip,
-                      max_steps=50_000_000, jobs=2, quantum=quantum)
-    assert _parallel_signature(result) == _parallel_baseline("dot")
-    assert result.stats["parallel"]["quantum"] == quantum
-
-
-@given(name=st.sampled_from(sorted(SMALL_WORKLOADS)),
-       jobs=st.integers(1, 8),
-       quantum=st.sampled_from([1_000, 7_919, 50_000, 1_000_000]))
-@settings(max_examples=12, deadline=None)
-def test_parallel_invariance_property(name, jobs, quantum):
-    """Property: no (jobs, quantum) point changes cycles or outputs;
-    every jobs > 1 point runs on the process backend."""
-    chip = tiny_chip()
-    result = run_rcce(_parallel_source(name), 4, chip.config, chip,
-                      max_steps=50_000_000, jobs=jobs, quantum=quantum)
-    assert _parallel_signature(result) == _parallel_baseline(name)
-    if jobs > 1:
-        assert result.stats["parallel"]["backend"] == "process"
-        assert result.stats["parallel"]["quantum"] == quantum
-        assert not result.diagnostics
-
-
-def test_parallel_attribution_runs_sequentially():
-    """Attribution needs one shared world: a jobs > 1 request runs
-    sequentially with one warning, and the breakdown still conserves
-    every core's cycles."""
-    chip = tiny_chip()
-    result = run_rcce(_parallel_source("dot"), 4, chip.config, chip,
-                      max_steps=50_000_000, jobs=2, attribution=True)
-    assert _parallel_signature(result) == _parallel_baseline("dot")
-    assert "parallel" not in result.stats
-    for core, classes in result.attribution.per_core.items():
-        assert sum(classes.values()) == result.per_core_cycles[core]
-    warnings = [d.format() for d in result.diagnostics
-                if d.severity == "warning"]
-    assert len(warnings) == 1
-    assert "cycle attribution" in warnings[0]
-    assert "running sequentially (jobs=1)" in warnings[0]
-
-
 def test_attribution_identical_across_engines():
     """Enabled-mode parity: the attribution breakdown, the per-core
     memory-op counts, and the critical path all match the ones the
@@ -513,24 +423,3 @@ def test_attribution_identical_across_engines():
     the tree-walker bumped."""
     case = "attribution/rcce_dot"
     assert run_case(case) == golden(case)
-
-
-@pytest.mark.parametrize("method", ["fork", "spawn"])
-def test_process_backend_start_method_invariant(method):
-    """ISSUE 8 satellite: the process backend is byte-identical under
-    both start methods — spawn workers inherit nothing from the
-    parent, so this pins the 'everything the worker needs travels in
-    the pickled job' property that verified-replay recovery also
-    relies on."""
-    import multiprocessing
-
-    from repro.sim.parallel import run_rcce_parallel
-
-    if method not in multiprocessing.get_all_start_methods():
-        pytest.skip("start method %r unavailable" % method)
-    chip = tiny_chip()
-    result = run_rcce_parallel(
-        _parallel_source("dot"), 4, chip.config, chip, None,
-        50_000_000, 2, start_method=method)
-    assert _parallel_signature(result) == _parallel_baseline("dot")
-    assert result.stats["parallel"]["start_method"] == method

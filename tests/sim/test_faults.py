@@ -239,3 +239,13 @@ class TestObservability:
         # a clean follow-up run on the same chip reports no faults
         clean = run_rcce(RCCE_COMPUTE, 2, chip=chip)
         assert "fault_injections" not in clean.metrics["counters"]
+
+
+class TestHostFaultSpecs:
+    def test_injector_rejects_host_kinds(self):
+        # worker failure is exercised with real signals, not --faults:
+        # the former host kinds are unknown to the chip injector
+        for kind in ("worker_kill", "worker_stall", "ipc_delay"):
+            with pytest.raises(FaultSpecError) as excinfo:
+                FaultInjector(parse_fault_spec(kind))
+            assert "unknown fault kind %r" % kind in str(excinfo.value)

@@ -1,4 +1,8 @@
-"""Runner-level tests (RunResult, core maps, chip reuse)."""
+"""Runner-level tests (RunResult, core maps, chip reuse, Ctrl-C)."""
+
+import _thread
+import threading
+import time
 
 import pytest
 
@@ -90,3 +94,48 @@ class TestRunPthread:
     def test_cache_stats_present(self):
         result = run_pthread_single_core(self.SRC)
         assert "l1" in result.stats["cache"]
+
+
+# rank 0 computes for tens of seconds holding lock 0; rank 1 waits at
+# the barrier, rank 2 in RCCE_recv and rank 3 for the lock: an
+# interrupt finds a core in each state
+LONG_RUN = """
+int RCCE_APP(int argc, char **argv) {
+    int i;
+    int acc = 0;
+    int buf[1];
+    RCCE_init(&argc, &argv);
+    if (RCCE_ue() == 0) {
+        RCCE_acquire_lock(0);
+        for (i = 0; i < 3000000; i++) { acc += i; }
+        RCCE_release_lock(0);
+        buf[0] = acc;
+        RCCE_send(buf, sizeof(int), 2);
+    } else if (RCCE_ue() == 2) {
+        RCCE_recv(buf, sizeof(int), 0);
+    } else if (RCCE_ue() == 3) {
+        for (i = 0; i < 1000; i++) { acc += i; }
+        RCCE_acquire_lock(0);
+        RCCE_release_lock(0);
+    }
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    RCCE_finalize();
+    return 0;
+}
+"""
+
+
+class TestInterrupt:
+    def test_ctrl_c_stops_every_core(self):
+        timer = threading.Timer(1.0, _thread.interrupt_main)
+        started = time.monotonic()
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_rcce(LONG_RUN, 4)
+        finally:
+            timer.cancel()
+        # within 2 s of the timer, and no simulated core outlives it
+        assert time.monotonic() - started < 3.0
+        assert not [thread for thread in threading.enumerate()
+                    if thread.name.startswith("scc-ue")]

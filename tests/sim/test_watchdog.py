@@ -72,6 +72,24 @@ int RCCE_APP(int argc, char **argv) {
 }
 """
 
+# rank 1 dies while rank 0 waits in RCCE_recv for its message: the
+# abort must wake the recv long before its 10 s dead-peer bound
+RECV_DEAD_PEER = """
+int RCCE_APP(int argc, char **argv) {
+    int i;
+    int buf[1];
+    RCCE_init(&argc, &argv);
+    if (RCCE_ue() == 0) {
+        RCCE_recv(buf, sizeof(int), 1);
+    } else {
+        for (i = 0; i < 20000; i++) { }
+        no_such_function(i);
+    }
+    RCCE_finalize();
+    return 0;
+}
+"""
+
 SPIN_FOREVER = """
 int RCCE_APP(int argc, char **argv) {
     int i;
@@ -140,6 +158,14 @@ class TestDeadPeer:
         # the *originating* error surfaces, not a barrier timeout
         assert "no_such_function" in str(info.value)
         assert time.monotonic() - start < 5.0
+
+    def test_peer_failure_wakes_a_recv(self):
+        from repro.sim.interpreter import InterpreterError
+        start = time.monotonic()
+        with pytest.raises(InterpreterError) as info:
+            run_rcce(RECV_DEAD_PEER, 2)
+        assert "no_such_function" in str(info.value)
+        assert time.monotonic() - start < 3.0
 
     def test_peer_failure_without_watchdog_still_bounded(self):
         # the barrier's built-in default timeout plus abort propagation

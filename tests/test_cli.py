@@ -3,7 +3,7 @@
 import io
 import json
 import re
-import signal
+import time
 
 import pytest
 
@@ -12,11 +12,6 @@ from repro.cli import build_parser, main
 from repro.core.framework import TranslationFramework
 from repro.diagnostics import Diagnostic
 from repro.sim.runner import run_rcce
-from tests.sim.test_parallel_recovery import (
-    RING_SOURCE,
-    live_workers,
-    signal_worker,
-)
 
 
 @pytest.fixture
@@ -51,6 +46,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["translate", "x.c", "--policy", "magic"])
+
+    def test_jobs_and_quantum_exit_2(self, example_file, capsys):
+        """Every RCCE run takes the one sequential host path: argparse
+        refuses the removed process-backend options."""
+        for flag, value in (("--jobs", "2"), ("--quantum", "0")):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", example_file, flag, value],
+                     io.StringIO(), io.StringIO())
+            assert exc.value.code == 2
+            assert "unrecognized arguments: %s" % flag \
+                in capsys.readouterr().err
 
 
 class TestTranslate:
@@ -110,6 +116,20 @@ class TestTranslate:
         assert code == 65
         assert variable in err
         assert run_cli_err(["analyze", path])[0] == 0
+
+    def test_join_results_fail_loudly(self):
+        """The simulator stores a joined thread's return value; the
+        translation, whose joins become a barrier, rejects the call
+        naming the variable."""
+        path = FIXTURES + "/join_retval.c"
+        code, output, _ = run_cli_err(["run", path, "--mode", "pthread"])
+        assert code == 0
+        assert "['s = 18']" in output
+        code, output, err = run_cli_err(["translate", path])
+        assert code == 65
+        assert output == ""
+        assert "pthread_join stores the thread's return value in " \
+            "'rv'" in err
 
 
 class TestAnalyze:
@@ -184,6 +204,21 @@ int RCCE_APP(int argc, char **argv) {
 """
 
 
+RECV_DEADLOCK_KERNEL = """
+#include <RCCE.h>
+int RCCE_APP(int argc, char **argv) {
+    int buf[1];
+    RCCE_init(&argc, &argv);
+    if (RCCE_ue() == 0) {
+        RCCE_recv(buf, sizeof(int), 1);  /* nobody ever sends */
+    }
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    RCCE_finalize();
+    return 0;
+}
+"""
+
+
 class TestErrorHandling:
     def test_missing_input_exits_66(self):
         code, _, err = run_cli_err(["translate", "/no/such/file.c"])
@@ -215,6 +250,20 @@ class TestErrorHandling:
         assert code == 75
         assert "simulation timed out" in err
         assert "deadlock" in err
+
+    def test_recv_deadlock_names_rank_and_site(self, tmp_path):
+        """The watchdog's 2 s bound covers RCCE_recv too, and the
+        first wait to time out names every blocked rank and where."""
+        path = tmp_path / "recv_deadlock.c"
+        path.write_text(RECV_DEADLOCK_KERNEL)
+        started = time.monotonic()
+        code, _, err = run_cli_err(
+            ["run", str(path), "--mode", "rcce", "--ues", "2",
+             "--watchdog-timeout", "2"])
+        assert time.monotonic() - started < 5.0
+        assert code == 75
+        assert "rank 0 in RCCE_recv from rank 1" in err
+        assert "rank 1 in RCCE_barrier" in err
 
     def test_step_budget_exits_75(self, tmp_path):
         path = tmp_path / "spin.c"
@@ -375,128 +424,6 @@ class TestRecoveryFlags:
              "--restore", str(tmp_path / "absent.ckpt")])
         assert code == 66
 
-class TestParallelFlags:
-    def test_jobs_zero_exits_2(self, example_file):
-        code, _, err = run_cli_err(["run", example_file,
-                                    "--jobs", "0"])
-        assert code == 2
-        assert "--jobs" in err
-
-    def test_jobs_negative_exits_2(self, example_file):
-        code, _, err = run_cli_err(["run", example_file,
-                                    "--jobs", "-2"])
-        assert code == 2
-
-    def test_quantum_zero_exits_2(self, example_file, capsys):
-        """``--quantum`` is gone: the process backend keeps its
-        50 000-cycle quantum, and argparse refuses the option."""
-        with pytest.raises(SystemExit) as exc:
-            main(["run", example_file, "--jobs", "2", "--quantum", "0"],
-                 io.StringIO(), io.StringIO())
-        assert exc.value.code == 2
-        assert "unrecognized arguments: --quantum" in capsys.readouterr().err
-
-    def test_jobs_output_is_byte_identical(self, example_file):
-        sequential = run_cli(["run", example_file, "--ues", "3"])
-        parallel = run_cli(["run", example_file, "--ues", "3",
-                            "--jobs", "2"])
-        assert parallel == sequential
-
-    def test_incompatible_feature_warns_without_strict(
-            self, example_file):
-        code, _, err = run_cli_err(
-            ["run", example_file, "--mode", "rcce", "--ues", "3",
-             "--jobs", "2", "--race"])
-        assert code == 0
-        assert "warning" in err
-        assert "race detection" in err
-        assert "running sequentially (jobs=1)" in err
-
-    def test_incompatible_feature_exits_2_under_strict(
-            self, example_file):
-        code, _, err = run_cli_err(
-            ["run", example_file, "--mode", "rcce", "--ues", "2",
-             "--jobs", "2", "--race", "--strict"])
-        assert code == 2
-        assert "--race" in err
-        assert "sequential (jobs=1)" in err
-
-    def test_native_program_runs_sharded(self, tmp_path):
-        path = tmp_path / "native.c"
-        path.write_text("""
-        #include <stdio.h>
-        #include <RCCE.h>
-        int RCCE_APP(int argc, char **argv) {
-            RCCE_init(&argc, &argv);
-            printf("ue %d\\n", RCCE_ue());
-            return 0;
-        }
-        """)
-        sequential = run_cli(["run", str(path), "--mode", "rcce",
-                              "--ues", "4"])
-        parallel = run_cli(["run", str(path), "--mode", "rcce",
-                            "--ues", "4", "--jobs", "2"])
-        assert parallel == sequential
-        assert parallel[0] == 0
-
-
-RECV_DEADLOCK_KERNEL = """
-#include <RCCE.h>
-int RCCE_APP(int argc, char **argv) {
-    int buf[1];
-    RCCE_init(&argc, &argv);
-    if (RCCE_ue() == 0) {
-        RCCE_recv(buf, sizeof(int), 1);  /* nobody ever sends */
-    }
-    RCCE_barrier(&RCCE_COMM_WORLD);
-    RCCE_finalize();
-    return 0;
-}
-"""
-
-
-class TestChaosFlags:
-    """``--jobs`` runs that go wrong: a dead worker, a watchdog, a
-    simulated deadlock."""
-
-    @pytest.fixture
-    def ring_file(self, tmp_path):
-        path = tmp_path / "ring.c"
-        path.write_text(RING_SOURCE)
-        return str(path)
-
-    def test_killed_worker_exits_2_under_strict(self, ring_file):
-        thread, signalled = signal_worker(signal.SIGKILL)
-        code, _, err = run_cli_err(
-            ["run", ring_file, "--mode", "rcce", "--ues", "4",
-             "--jobs", "2", "--strict"])
-        thread.join(timeout=30.0)
-        assert signalled
-        assert code == 2
-        assert "--strict" in err
-        assert "degraded to sequential (jobs=1)" in err
-        assert "shard 1" in err
-        assert live_workers() == []
-
-    def test_watchdog_with_jobs_no_longer_downgrades(
-            self, ring_file):
-        code, _, err = run_cli_err(
-            ["run", ring_file, "--mode", "rcce", "--ues", "4",
-             "--jobs", "2", "--watchdog-timeout", "30", "--strict"])
-        assert code == 0
-        assert "sequential" not in err
-
-    def test_parallel_deadlock_names_rank_and_site(self, tmp_path):
-        path = tmp_path / "recv_deadlock.c"
-        path.write_text(RECV_DEADLOCK_KERNEL)
-        code, _, err = run_cli_err(
-            ["run", str(path), "--mode", "rcce", "--ues", "2",
-             "--jobs", "2", "--watchdog-timeout", "2"])
-        assert code == 75
-        assert "rank 0 parked at recv sync site" in err
-        assert "rank 1 parked at barrier sync site" in err
-
-
 FIXTURES = __import__("os").path.join(
     __import__("os").path.dirname(__file__), "fixtures")
 
@@ -615,7 +542,7 @@ class TestThreadCount:
 
 class TestBottlenecks:
     """``run --bottlenecks`` attributes the RCCE run it simulates, so
-    it shares that run's watchdog, supervisor and --jobs rules."""
+    it shares that run's watchdog and supervisor rules."""
 
     def test_pthread_mode_exits_2(self, pi_files):
         code, output, err = run_cli_err(
@@ -632,15 +559,6 @@ class TestBottlenecks:
              "--bottlenecks"])
         assert code == 75
         assert "deadlock detected" in err
-
-    def test_jobs_exits_2_under_strict(self, pi_files):
-        code, output, err = run_cli_err(
-            ["run", pi_files[2], "--ues", "2", "--jobs", "2",
-             "--bottlenecks", "--strict"])
-        assert code == 2
-        assert output == ""  # refused before anything was simulated
-        assert "cannot honour --bottlenecks" in err
-        assert "sequential (jobs=1)" in err
 
     def test_supervised_crash_matches_fault_free(self, recovery_file,
                                                  tmp_path):
