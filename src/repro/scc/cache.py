@@ -59,6 +59,13 @@ class Cache:
         # so building a 48-core chip does not allocate ~100k empty sets
         self.sets = {}
         self.stats = CacheStats()
+        # The line number (``addr // line_size``) of the last probe, or
+        # -1.  That line is resident and most recently used in its set,
+        # so probing it again is a hit whose move_to_end changes
+        # nothing (a reuse distance of zero).  Every probe, here and in
+        # the chip's inlined L1 probes, refreshes it; invalidate_all
+        # clears it.
+        self.last_line = -1
 
     def _locate(self, addr):
         line = addr // self.line_size
@@ -69,9 +76,12 @@ class Cache:
         fills the line, evicting LRU if needed)."""
         # _locate() is inlined here: this is the single hottest call in
         # the whole simulator (every private/MPB access, twice on L1
-        # misses), and the hit path below is already just one dict
-        # probe plus an LRU move_to_end
+        # misses); a repeat of the last line skips the set lookup
         line = addr // self.line_size
+        if line == self.last_line:
+            self.stats.hits += 1
+            return True
+        self.last_line = line
         index = line % self.num_sets
         tag = line // self.num_sets
         cache_set = self.sets.get(index)
@@ -95,6 +105,7 @@ class Cache:
 
     def invalidate_all(self):
         self.sets.clear()
+        self.last_line = -1
 
     def __repr__(self):
         return "Cache(%s: %dB, %d-way, %dB lines)" % (

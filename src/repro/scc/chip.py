@@ -333,20 +333,22 @@ class SCCChip:
 
         state = self.cores[core]
         if segment is SegmentKind.PRIVATE:
-            # the L1 hit probe is fully inlined (one dict lookup plus
-            # an LRU move_to_end): cache internals are never replaced —
-            # configure_window clears ``sets`` in place and counter
-            # resets mutate the same CacheStats — so the bound dict and
-            # stats objects stay valid for the life of the entry.  The
-            # miss branch touches nothing and delegates to
-            # _private_cost, whose own L1 probe records the miss.
-            # Attribution adds no code here at all: every L1/L2 hit
-            # costs a constant, so the engine derives the hit classes
-            # from the caches' own hit counters.
+            # the L1 hit probe is fully inlined: a repeat of the cache's
+            # last line is a hit with nothing to reorder, any other hit
+            # is one dict lookup plus an LRU move_to_end, and both
+            # refresh ``last_line`` as Cache.access does.  Cache
+            # internals are never replaced — configure_window clears
+            # ``sets`` in place and counter resets mutate the same
+            # CacheStats — so the bound dict and stats objects stay
+            # valid for the life of the entry.  The miss branch touches
+            # nothing and delegates to _private_cost, whose own L1
+            # probe records the miss.  Attribution adds no code here at
+            # all: every L1/L2 hit costs a constant, so the engine
+            # derives the hit classes from the caches' own hit counters.
             l1 = state.l1
 
             def fn(addr, kind, ts, _acc=state.accesses,
-                   _seg=SegmentKind.PRIVATE, _ls=l1.line_size,
+                   _seg=SegmentKind.PRIVATE, _l1=l1, _ls=l1.line_size,
                    _ns=l1.num_sets, _sets=l1.sets, _stats=l1.stats,
                    _l1_hit=self.config.l1_hit_cycles,
                    _slow=self._private_cost, _state=state,
@@ -354,11 +356,15 @@ class SCCChip:
                 _acc[_seg] += 1
                 addr += _delta
                 line = addr // _ls
+                if line == _l1.last_line:
+                    _stats.hits += 1
+                    return _l1_hit
                 cache_set = _sets.get(line % _ns)
                 if cache_set is not None:
                     tag = line // _ns
                     if tag in cache_set:
                         cache_set.move_to_end(tag)
+                        _l1.last_line = line
                         _stats.hits += 1
                         return _l1_hit
                 return _slow(_core, _state, addr, ts)
@@ -406,7 +412,7 @@ class SCCChip:
             l1 = state.l1
 
             def fn(addr, kind, ts, _acc=state.accesses,
-                   _seg=SegmentKind.MPB, _l1=l1.access, _ls=l1.line_size,
+                   _seg=SegmentKind.MPB, _l1=l1, _ls=l1.line_size,
                    _ns=l1.num_sets, _sets=l1.sets, _stats=l1.stats,
                    _l1_hit=self.config.l1_hit_cycles,
                    _tail=self._mpb_tail, _core=core, _delta=delta,
@@ -416,19 +422,23 @@ class SCCChip:
                 addr += _delta
                 if kind == "read":
                     line = addr // _ls
+                    if line == _l1.last_line:
+                        _stats.hits += 1
+                        return _l1_hit
                     cache_set = _sets.get(line % _ns)
                     if cache_set is not None:
                         tag = line // _ns
                         if tag in cache_set:
                             cache_set.move_to_end(tag)
+                            _l1.last_line = line
                             _stats.hits += 1
                             return _l1_hit
-                    _l1(addr)  # records the miss and fills the line
+                    _l1.access(addr)  # records the miss, fills the line
                 else:
                     # write-through: the probe fills the line but the
                     # charged cycles are the MPB tail's, so attribution
                     # must not count this hit as l1_hit
-                    if _l1(addr) and _probe is not None:
+                    if _l1.access(addr) and _probe is not None:
                         _probe[0] += 1
                 return _tail(_core, addr, kind, 4, ts)
         return lo, hi, fn

@@ -23,9 +23,12 @@ The timing contract is fixed by the goldens in ``tests/golden/sim.json``
 step, every cycle charge in its order, and every chip/memory side
 effect is reproduced, so cycle counts, stdout, metrics and trace events
 match them byte for byte.  Each statement, expression and loop
-iteration is one step; the step prologue inlined in every closure
-checks the step budget and calls ``I._tick()`` every ``TICK_STEPS``
-steps.
+iteration is one step.  The step prologue inlined in every closure
+counts the step and makes one compare, ``steps >= I._stop``; the
+interpreter keeps ``_stop`` at its next step event (the next multiple
+of ``TICK_STEPS``, or the step past the budget), and
+``I._step_event()`` raises past the budget, ticks, and sets the next
+one.
 
 Constructs the simulator does not support compile to closures that
 raise :class:`InterpreterError` when (and only when) executed: ``goto``,
@@ -39,16 +42,15 @@ then the builtins.
 """
 
 import itertools
+import math
 import threading
 import weakref
 
 from repro.cfront import c_ast, ctypes
 from repro.sim.interpreter import (
     OP_COSTS,
-    TICK_STEPS,
     Interpreter,
     InterpreterError,
-    StepLimitExceeded,
     _Break,
     _Continue,
     _Return,
@@ -79,7 +81,6 @@ _C_BRANCH = OP_COSTS["branch"]
 _C_CALL = OP_COSTS["call"]
 _C_CAST = OP_COSTS["cast"]
 
-_M = TICK_STEPS - 1            # tick mask, inlined in prologues
 _ENV = Interpreter.ENV_CONSTANTS
 _FLOAT_NAMES = ("float", "double", "long double")
 
@@ -168,12 +169,6 @@ def _compile_unit(unit):
 # ---------------------------------------------------------------------------
 # runtime helpers (shared by the generated closures)
 # ---------------------------------------------------------------------------
-
-def _overflow(I):
-    raise StepLimitExceeded(
-        "exceeded %d interpreter steps on core %d"
-        % (I.max_steps, I.core_id))
-
 
 def _undefined(name):
     raise InterpreterError("undefined identifier %r" % name)
@@ -389,90 +384,76 @@ def _can_escape(stmt, want_break):
 # closure builders — statements
 #
 # Every builder inlines the step prologue:
-#     steps += 1; check the budget; call I._tick() every TICK_STEPS.
+#     steps += 1; at I._stop, call I._step_event().
 # ---------------------------------------------------------------------------
 
 def _make_seq(items):
     n = len(items)
     if n == 0:
-        def run0(I, F, _ovf=_overflow):
+        def run0(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
         return run0
     if n == 1:
         c0, = items
 
-        def run1(I, F, _ovf=_overflow):
+        def run1(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             c0(I, F)
         return run1
     if n == 2:
         c0, c1 = items
 
-        def run2(I, F, _ovf=_overflow):
+        def run2(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             c0(I, F)
             c1(I, F)
         return run2
 
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         for c in items:
             c(I, F)
     return run
 
 
 def _make_raise_stmt(message):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         raise InterpreterError(message)
     return run
 
 
 def _make_exprstmt(expr_c):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         expr_c(I, F)
     return run
 
 
 def _make_if(cond_c, then_c, else_c):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         I.cycles += _C_BRANCH
         v = cond_c(I, F)
         if v.__class__ is _P:
@@ -486,20 +467,16 @@ def _make_if(cond_c, then_c, else_c):
 
 def _make_while(cond_c, body_c, protect):
     if protect:
-        def run(I, F, _ovf=_overflow, _P=Pointer):
+        def run(I, F, _P=Pointer):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             while True:
                 s = I.steps + 1
                 I.steps = s
-                if s > I.max_steps:
-                    _ovf(I)
-                if not s & _M:
-                    I._tick()
+                if s >= I._stop:
+                    I._step_event()
                 I.cycles += _C_BRANCH
                 v = cond_c(I, F)
                 if v.__class__ is _P:
@@ -514,20 +491,16 @@ def _make_while(cond_c, body_c, protect):
                     continue
         return run
 
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         while True:
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             I.cycles += _C_BRANCH
             v = cond_c(I, F)
             if v.__class__ is _P:
@@ -539,20 +512,16 @@ def _make_while(cond_c, body_c, protect):
 
 
 def _make_dowhile(body_c, cond_c, protect):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         while True:
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             if protect:
                 try:
                     body_c(I, F)
@@ -572,22 +541,18 @@ def _make_dowhile(body_c, cond_c, protect):
 
 
 def _make_for(init_c, cond_c, step_c, body_c, protect):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         if init_c is not None:
             init_c(I, F)
         while True:
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             if cond_c is not None:
                 I.cycles += _C_BRANCH
                 v = cond_c(I, F)
@@ -611,59 +576,49 @@ def _make_for(init_c, cond_c, step_c, body_c, protect):
 
 def _make_return(expr_c):
     if expr_c is None:
-        def run_void(I, F, _ovf=_overflow):
+        def run_void(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             raise _Return(None)
         return run_void
 
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         raise _Return(expr_c(I, F))
     return run
 
 
 def _make_break():
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         raise _Break()
     return run
 
 
 def _make_continue():
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         raise _Continue()
     return run
 
 
 def _make_switch(cond_c, groups):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         I.cycles += _C_BRANCH
         value = cond_c(I, F)
         matched = False
@@ -723,25 +678,21 @@ def _make_decl_array(slot, name, size, init_cs, length, stride, dv, co,
 # ---------------------------------------------------------------------------
 
 def _make_const(value):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         return value
     return run
 
 
 def _make_raise_expr(message):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         raise InterpreterError(message)
     return run
 
@@ -750,13 +701,11 @@ def _make_id_late(name):
     """Identifier unresolvable at compile time: builtin FunctionRef or
     environment constant, decided at run time (builtins depend on the
     attached runtime)."""
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         if name in I.builtins:
             return FunctionRef(name)
         if name in _ENV:
@@ -767,13 +716,11 @@ def _make_id_late(name):
 
 def _make_id_load_local(slot, name, flt, site):
     if flt:
-        def run_f(I, F, _ovf=_overflow):
+        def run_f(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             addr = F[slot]
             if not addr:
                 _undefined(name)
@@ -789,13 +736,11 @@ def _make_id_load_local(slot, name, flt, site):
             return v
         return run_f
 
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr = F[slot]
         if not addr:
             _undefined(name)
@@ -811,13 +756,11 @@ def _make_id_load_local(slot, name, flt, site):
 
 def _make_id_load_global(name, flt, site):
     if flt:
-        def run_f(I, F, _ovf=_overflow):
+        def run_f(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             addr = I._global_addr[name]
             e = I._site_cache.get(site)
             if e is None or not e[0] <= addr < e[1]:
@@ -831,13 +774,11 @@ def _make_id_load_global(name, flt, site):
             return v
         return run_f
 
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr = I._global_addr[name]
         e = I._site_cache.get(site)
         if e is None or not e[0] <= addr < e[1]:
@@ -850,13 +791,11 @@ def _make_id_load_global(name, flt, site):
 
 
 def _make_id_decay_local(slot, name, stride, pointee):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr = F[slot]
         if not addr:
             _undefined(name)
@@ -865,25 +804,21 @@ def _make_id_decay_local(slot, name, stride, pointee):
 
 
 def _make_id_decay_global(name, stride, pointee):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         return _P(I._global_addr[name], stride, pointee)
     return run
 
 
 def _make_land(left_c, right_c):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         I.cycles += _C_BRANCH
         v = left_c(I, F)
         if v.__class__ is _P:
@@ -898,13 +833,11 @@ def _make_land(left_c, right_c):
 
 
 def _make_lor(left_c, right_c):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         I.cycles += _C_BRANCH
         v = left_c(I, F)
         if v.__class__ is _P:
@@ -919,13 +852,11 @@ def _make_lor(left_c, right_c):
 
 
 def _make_add(left_c, right_c):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -945,13 +876,11 @@ def _make_add(left_c, right_c):
 
 
 def _make_sub(left_c, right_c):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -973,13 +902,11 @@ def _make_sub(left_c, right_c):
 
 
 def _make_mul(left_c, right_c):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -995,13 +922,11 @@ def _make_mul(left_c, right_c):
 
 
 def _make_div(left_c, right_c):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -1022,13 +947,11 @@ def _make_div(left_c, right_c):
 
 
 def _make_mod(left_c, right_c):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -1039,7 +962,6 @@ def _make_mod(left_c, right_c):
             I.cycles += _C_FDIV
             if b == 0:
                 raise InterpreterError("modulo by zero")
-            import math
             return math.fmod(a, b)
         I.cycles += _C_IDIV
         if b == 0:
@@ -1050,13 +972,11 @@ def _make_mod(left_c, right_c):
 
 
 def _make_cmp(left_c, right_c, cmp):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         a = left_c(I, F)
         b = right_c(I, F)
         ca = a.__class__
@@ -1074,13 +994,11 @@ def _make_cmp(left_c, right_c, cmp):
 
 
 def _make_intop(op, left_c, right_c, fn):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         a = left_c(I, F)
         b = right_c(I, F)
         if a.__class__ is _P or b.__class__ is _P:
@@ -1094,13 +1012,11 @@ def _make_intop(op, left_c, right_c, fn):
 
 
 def _make_binop_generic(op, left_c, right_c):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         return I._apply_binop(op, left_c(I, F), right_c(I, F))
     return run
 
@@ -1119,13 +1035,11 @@ _INT_FNS = {
 
 
 def _make_ternary(cond_c, then_c, else_c):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         I.cycles += _C_BRANCH
         v = cond_c(I, F)
         if v.__class__ is _P:
@@ -1137,13 +1051,11 @@ def _make_ternary(cond_c, then_c, else_c):
 
 
 def _make_comma(item_cs):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         value = None
         for c in item_cs:
             value = c(I, F)
@@ -1152,13 +1064,11 @@ def _make_comma(item_cs):
 
 
 def _make_cast(inner_c, co):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         v = inner_c(I, F)
         I.cycles += _C_CAST
         return co(v)
@@ -1169,38 +1079,32 @@ def _make_addrof(lv, ct):
     ct = ctypes.resolve(ct)
     stride = ct.sizeof() or 4
 
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         return _P(lv(I, F), stride, ct)
     return run
 
 
 def _make_addrof_dyn(lv):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr, ct = lv(I, F)
         return _P(addr, ct.sizeof() or 4, ct)
     return run
 
 
 def _make_deref(operand_c, site):
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         p = operand_c(I, F)
         if p.__class__ is not _P:
             raise InterpreterError("dereference of non-pointer")
@@ -1224,13 +1128,11 @@ def _make_incdec(lv, ct, delta, postfix):
     site_r = _new_site()
     site_w = _new_site()
 
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr = lv(I, F)
         old = _ld(I, addr, site_r)
         if flt and isinstance(old, int):
@@ -1250,13 +1152,11 @@ def _make_incdec_dyn(lv, delta, postfix):
     site_r = _new_site()
     site_w = _new_site()
 
-    def run(I, F, _ovf=_overflow, _P=Pointer):
+    def run(I, F, _P=Pointer):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr, ct = lv(I, F)
         old = _flt_load_conv(_ld(I, addr, site_r), ct)
         I.cycles += _C_IALU
@@ -1272,37 +1172,31 @@ def _make_incdec_dyn(lv, delta, postfix):
 
 def _make_unary_simple(op, operand_c):
     if op == "-":
-        def run_neg(I, F, _ovf=_overflow):
+        def run_neg(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             v = operand_c(I, F)
             I.cycles += _C_IALU
             return -v
         return run_neg
     if op == "+":
-        def run_pos(I, F, _ovf=_overflow):
+        def run_pos(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             v = operand_c(I, F)
             I.cycles += _C_IALU
             return v
         return run_pos
     if op == "!":
-        def run_not(I, F, _ovf=_overflow, _P=Pointer):
+        def run_not(I, F, _P=Pointer):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             v = operand_c(I, F)
             I.cycles += _C_IALU
             if v.__class__ is _P:
@@ -1310,25 +1204,21 @@ def _make_unary_simple(op, operand_c):
             return 0 if v else 1
         return run_not
     if op == "~":
-        def run_inv(I, F, _ovf=_overflow):
+        def run_inv(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             v = operand_c(I, F)
             I.cycles += _C_IALU
             return ~int(v)
         return run_inv
 
-    def run(I, F, _ovf=_overflow):   # unknown unary: charge, then fail
+    def run(I, F):   # unknown unary: charge, then fail
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         operand_c(I, F)
         I.cycles += _C_IALU
         raise InterpreterError("unsupported unary operator %r" % op)
@@ -1336,13 +1226,11 @@ def _make_unary_simple(op, operand_c):
 
 
 def _make_assign_static(lv, rhs_c, co, site):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr = lv(I, F)
         v = rhs_c(I, F)
         e = I._site_cache.get(site)
@@ -1363,13 +1251,11 @@ def _make_augassign_static(lv, rhs_c, subop, ct):
     site_r = _new_site()
     site_w = _new_site()
 
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr = lv(I, F)
         old = _ld(I, addr, site_r)
         if flt and isinstance(old, int):
@@ -1381,13 +1267,11 @@ def _make_augassign_static(lv, rhs_c, subop, ct):
 
 
 def _make_assign_dyn(lv, rhs_c, site):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr, ct = lv(I, F)
         return _st_dyn(I, addr, rhs_c(I, F), site, ct)
     return run
@@ -1397,13 +1281,11 @@ def _make_augassign_dyn(lv, rhs_c, subop):
     site_r = _new_site()
     site_w = _new_site()
 
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr, ct = lv(I, F)
         old = _flt_load_conv(_ld(I, addr, site_r), ct)
         rhs = rhs_c(I, F)
@@ -1420,50 +1302,42 @@ def _make_lvalue_load(lv, ct):
             pe = ctypes.pointee(ct)
             stride = (pe.sizeof() or 4) if pe is not None else 4
 
-            def run_decay(I, F, _ovf=_overflow, _P=Pointer):
+            def run_decay(I, F, _P=Pointer):
                 s = I.steps + 1
                 I.steps = s
-                if s > I.max_steps:
-                    _ovf(I)
-                if not s & _M:
-                    I._tick()
+                if s >= I._stop:
+                    I._step_event()
                 return _P(lv(I, F), stride, pe)
             return run_decay
         flt = _static_flt(ct)
         site = _new_site()
         if flt:
-            def run_f(I, F, _ovf=_overflow):
+            def run_f(I, F):
                 s = I.steps + 1
                 I.steps = s
-                if s > I.max_steps:
-                    _ovf(I)
-                if not s & _M:
-                    I._tick()
+                if s >= I._stop:
+                    I._step_event()
                 v = _ld(I, lv(I, F), site)
                 if isinstance(v, int):
                     return float(v)
                 return v
             return run_f
 
-        def run(I, F, _ovf=_overflow):
+        def run(I, F):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             return _ld(I, lv(I, F), site)
         return run
 
     site = _new_site()
 
-    def run_dyn(I, F, _ovf=_overflow):
+    def run_dyn(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr, ct2 = lv(I, F)
         if isinstance(ct2, ctypes.ArrayType):
             return pointer_for(ct2, addr)
@@ -1474,48 +1348,40 @@ def _make_lvalue_load(lv, ct):
 def _make_call_static(cf, arg_cs):
     n = len(arg_cs)
     if n == 0:
-        def run0(I, F, _ovf=_overflow, _inv=invoke):
+        def run0(I, F, _inv=invoke):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             return _inv(I, cf, ())
         return run0
     if n == 1:
         a0, = arg_cs
 
-        def run1(I, F, _ovf=_overflow, _inv=invoke):
+        def run1(I, F, _inv=invoke):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             return _inv(I, cf, (a0(I, F),))
         return run1
     if n == 2:
         a0, a1 = arg_cs
 
-        def run2(I, F, _ovf=_overflow, _inv=invoke):
+        def run2(I, F, _inv=invoke):
             s = I.steps + 1
             I.steps = s
-            if s > I.max_steps:
-                _ovf(I)
-            if not s & _M:
-                I._tick()
+            if s >= I._stop:
+                I._step_event()
             v0 = a0(I, F)
             return _inv(I, cf, (v0, a1(I, F)))
         return run2
 
-    def run(I, F, _ovf=_overflow, _inv=invoke):
+    def run(I, F, _inv=invoke):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         return _inv(I, cf, [c(I, F) for c in arg_cs])
     return run
 
@@ -1524,14 +1390,11 @@ def _make_call_named(name, arg_cs, binding):
     """Call of a statically-known name that is NOT a unit function:
     usually a builtin, possibly a variable holding a function pointer
     (``binding`` is the variable's lexical spec)."""
-    def run(I, F, _ovf=_overflow, _inv=invoke, _BA=BoundArg,
-            _FR=FunctionRef):
+    def run(I, F, _inv=invoke, _BA=BoundArg, _FR=FunctionRef):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         name2 = name
         if name2 not in I.builtins:
             if binding is not None:
@@ -1557,14 +1420,11 @@ def _make_call_named(name, arg_cs, binding):
 
 
 def _make_call_indirect(func_c, arg_cs):
-    def run(I, F, _ovf=_overflow, _inv=invoke, _BA=BoundArg,
-            _FR=FunctionRef):
+    def run(I, F, _inv=invoke, _BA=BoundArg, _FR=FunctionRef):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         target = func_c(I, F)
         if target.__class__ is not _FR:
             raise InterpreterError("call through non-function value")
@@ -1580,13 +1440,11 @@ def _make_call_indirect(func_c, arg_cs):
 
 
 def _make_sizeof_local(slot, size):
-    def run(I, F, _ovf=_overflow):
+    def run(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         return size if F[slot] else 4
     return run
 
@@ -1626,13 +1484,11 @@ def _make_lv_deref(operand_c):
 
 
 def _make_lv_array_static_local(slot, name, index_c, stride):
-    def lv(I, F, _ovf=_overflow):
+    def lv(I, F):
         s = I.steps + 1              # the base Id's evaluation step
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr = F[slot]
         if not addr:
             _undefined(name)
@@ -1643,13 +1499,11 @@ def _make_lv_array_static_local(slot, name, index_c, stride):
 
 
 def _make_lv_array_static_global(name, index_c, stride):
-    def lv(I, F, _ovf=_overflow):
+    def lv(I, F):
         s = I.steps + 1
         I.steps = s
-        if s > I.max_steps:
-            _ovf(I)
-        if not s & _M:
-            I._tick()
+        if s >= I._stop:
+            I._step_event()
         addr = I._global_addr[name]
         i = index_c(I, F)
         I.cycles += _C_IALU

@@ -172,8 +172,9 @@ def const_value(expr):
 STACK_BYTES = 1024 * 1024
 
 # Interpreter steps between periodic ticks, and per traced
-# "retire_batch" span (powers of two: each check is a single mask on
-# the hot path).  Scheduled core faults are delivered on ticks.
+# "retire_batch" span (powers of two, so RETIRE_BATCH is a multiple of
+# TICK_STEPS and _tick finds a batch boundary with one mask).
+# Scheduled core faults are delivered on ticks.
 TICK_STEPS = 256
 RETIRE_BATCH = 4096
 
@@ -195,6 +196,10 @@ class Interpreter:
 
         self.cycles = 0
         self.steps = 0
+        # the step count at which the compiled closures next call
+        # _step_event: the next multiple of TICK_STEPS or the first
+        # step past the budget, whichever comes first
+        self._stop = min(TICK_STEPS, max_steps + 1)
         self._batch_start_cycles = 0
         self.output = []
         self.current_function = None
@@ -313,12 +318,38 @@ class Interpreter:
         self.memory.store(addr, value)
         return value
 
+    def _step_event(self):
+        """Called by the compiled closures' step prologue once
+        ``steps`` reaches ``_stop``: past the budget, raise
+        StepLimitExceeded; on a multiple of TICK_STEPS, tick; then set
+        ``_stop`` to the next event."""
+        steps = self.steps
+        if steps > self.max_steps:
+            raise StepLimitExceeded(
+                "exceeded %d interpreter steps on core %d"
+                % (self.max_steps, self.core_id))
+        if not steps % TICK_STEPS:
+            self._tick()
+        # store the next tick before reading the budget: a halt from
+        # another thread in between then still lands
+        stop = self._stop = steps - steps % TICK_STEPS + TICK_STEPS
+        if self.max_steps < stop:
+            self._stop = self.max_steps + 1
+
+    def halt(self):
+        """Stop this core at its next step, which raises
+        StepLimitExceeded.  Safe to call from another thread: the
+        budget drops to zero before the next step event does, the
+        order :meth:`_step_event` relies on."""
+        self.max_steps = 0
+        self._stop = 0
+
     def _tick(self):
-        """Called every TICK_STEPS steps (the compiled closures inline
-        the mask check).  Delivers scheduled core stalls and crashes,
-        then, every RETIRE_BATCH steps, flushes one retire batch:
-        cycles accumulated since the last batch boundary become a
-        traced "retire_batch" span."""
+        """Called every TICK_STEPS steps by :meth:`_step_event`.
+        Delivers scheduled core stalls and crashes, then, every
+        RETIRE_BATCH steps, flushes one retire batch: cycles
+        accumulated since the last batch boundary become a traced
+        "retire_batch" span."""
         if self._faults is not None:
             self._faults.core_tick(self)
         if self.steps & (RETIRE_BATCH - 1):

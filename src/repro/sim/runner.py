@@ -369,13 +369,14 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     finished = []  # one entry per core_main that has returned
 
     def halt_cores():
-        """Stop every core at its next step.  The compiled closures
-        check ``steps > max_steps`` on every step, so a zero budget
-        stops a running core with no new hot-path check; a core that
-        has not built its interpreter yet sees ``halted`` instead."""
+        """Stop every core at its next step.  ``Interpreter.halt``
+        zeroes the budget and the next step event that the compiled
+        closures compare against on every step, so it stops a running
+        core with no new hot-path check; a core that has not built its
+        interpreter yet sees ``halted`` instead."""
         halted.append(True)
         for interp in list(interpreters):
-            interp.max_steps = 0
+            interp.halt()
 
     def core_main(rank):
         try:
@@ -385,7 +386,7 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
             ranks[interp.core_id] = rank
             interpreters.append(interp)
             if halted:
-                interp.max_steps = 0
+                interp.halt()
             try:
                 interp.run_main()
             except ThreadExit:

@@ -3,11 +3,25 @@ now each terminates quickly with a structured error.  All timeouts are
 small so the whole module stays wall-clock bounded.
 """
 
+import _thread
+import random
+import sys
+import threading
 import time
 
 import pytest
 
-from repro.sim.runner import run_rcce
+from repro.bench.programs import benchmark_source
+from repro.cfront.frontend import parse_program
+from repro.faults import FaultInjector
+from repro.scc.chip import SCCChip
+from repro.scc.config import SCCConfig
+from repro.sim.interpreter import (
+    TICK_STEPS,
+    Interpreter,
+    StepLimitExceeded,
+)
+from repro.sim.runner import run_pthread_single_core, run_rcce
 from repro.sim.watchdog import (
     BarrierTimeoutError,
     DeadlockError,
@@ -177,6 +191,45 @@ class TestDeadPeer:
         assert time.monotonic() - start < 30.0
 
 
+class _TickRecorder(FaultInjector):
+    """A fault injector that never fires and records the step count
+    of every tick."""
+
+    def __init__(self):
+        super().__init__("core_stall:core=0,p=0")
+        self.ticks = []
+        self.interp = None
+
+    def core_tick(self, interp):
+        self.ticks.append(interp.steps)
+        self.interp = interp
+        super().core_tick(interp)
+
+
+class _HaltInsideLoad(FaultInjector):
+    """A fault injector that never fires.  Inside the first load past
+    step 1000 it interrupts the caller, as Ctrl-C would, and waits
+    there until the runner's halt has zeroed the core's budget.  The
+    pause before the interrupt lets the caller reach its wait for the
+    cores first."""
+
+    def __init__(self):
+        super().__init__("dram_flip:p=0,seed=1")
+        self.halted_at = None
+        self.interp = None
+
+    def filter_load(self, interp, addr, value):
+        if self.halted_at is None and interp.steps >= 1000:
+            self.interp = interp
+            time.sleep(0.2)
+            _thread.interrupt_main()
+            deadline = time.monotonic() + 10.0
+            while interp.max_steps and time.monotonic() < deadline:
+                time.sleep(0.01)
+            self.halted_at = interp.steps
+        return super().filter_load(interp, addr, value)
+
+
 class TestStepBudget:
     def test_budget_raises_simulation_timeout_with_dumps(self):
         with pytest.raises(SimulationTimeout) as info:
@@ -184,13 +237,13 @@ class TestStepBudget:
         dumps = info.value.dumps
         assert len(dumps) == 2
         for dump in dumps:
-            assert dump["steps"] > 0
+            # the step past the budget raises; none runs beyond it
+            assert dump["steps"] == 20_001
             assert "rank" in dump
         # the rendered message carries the per-core state
         assert "steps" in str(info.value)
 
     def test_pthread_budget_carries_thread_table(self):
-        from repro.sim.runner import run_pthread_single_core
         source = """
         #include <pthread.h>
         void *spin(void *arg) {
@@ -211,6 +264,68 @@ class TestStepBudget:
         threads = info.value.threads
         assert any(t["function"] == "spin" and not t["finished"]
                    for t in threads)
+
+    def test_ticks_fall_on_multiples_of_tick_steps(self):
+        recorder = _TickRecorder()
+        run_pthread_single_core(benchmark_source("pi", 4, steps=512),
+                                faults=recorder)
+        steps = recorder.interp.steps
+        assert len(recorder.ticks) == steps // TICK_STEPS
+        assert recorder.ticks == [TICK_STEPS * (index + 1)
+                                  for index in range(len(recorder.ticks))]
+
+    def test_halt_stops_a_running_core_at_its_next_step(self):
+        injector = _HaltInsideLoad()
+        with pytest.raises(KeyboardInterrupt):
+            run_rcce(SPIN_FOREVER, 1, faults=injector)
+        for thread in threading.enumerate():
+            if thread.name.startswith("scc-ue"):
+                thread.join(10.0)
+                assert not thread.is_alive()
+        assert injector.interp.max_steps == 0
+        assert injector.interp.steps == injector.halted_at + 1
+
+    def test_halt_from_another_thread_is_never_lost(self):
+        """Stress: four spinning cores, more than this host's CPUs, are
+        halted from the main thread at random moments with a tiny
+        thread switch interval; each stops at most one step after
+        its halt returned, wherever in the step loop it landed."""
+        unit = parse_program(
+            "int main(void) { int i; for (i = 0; i >= 0; i++) { } "
+            "return 0; }")
+        rng = random.Random(5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(25):
+                chip = SCCChip(SCCConfig())
+                interps = [Interpreter(unit, chip, core)
+                           for core in range(4)]
+                stopped = []
+
+                def spin(interp):
+                    try:
+                        interp.run_main()
+                    except StepLimitExceeded:
+                        stopped.append(interp.core_id)
+
+                threads = [threading.Thread(target=spin, args=(interp,))
+                           for interp in interps]
+                for thread in threads:
+                    thread.start()
+                time.sleep(rng.uniform(0.0, 0.005))
+                seen = []
+                for interp in interps:
+                    interp.halt()
+                    seen.append(interp.steps)
+                for thread in threads:
+                    thread.join(10.0)
+                    assert not thread.is_alive()
+                assert sorted(stopped) == [0, 1, 2, 3]
+                for interp, steps in zip(interps, seen):
+                    assert interp.steps <= steps + 1
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_budget_error_is_interpreter_error(self):
         # backward compatibility: existing callers catch
