@@ -5,9 +5,10 @@ into every simulated memory access on one promise: their hooks cost at
 most 1.05x.  Each row times the code runs execute, hooked against a
 baseline:
 
-* ``race_detached`` -- ``repro.sim.compile._ld``/``_st`` with no
-  detector attached, against the same two functions with the race
-  branch deleted;
+* ``race_detached`` -- ``repro.sim.compile._ld``/``_st`` and the
+  local-load and local-store shapes the compiler generates for
+  ``x`` and ``x = 1``, with no detector attached, against the same
+  code with the race branch deleted;
 * ``events_detached`` -- the ``SCCChip.access_fastpath`` entries with
   no tracer attached, against a chip whose methods have every event
   branch deleted;
@@ -16,12 +17,15 @@ baseline:
 
 The detached rows drive one access mix (private L1 hits, private
 misses, shared DRAM, MPB; a quarter of each segment stores) through a
-live ``Interpreter``'s site cache.  Their baselines are not
+live ``Interpreter``'s site cache, alternating blocks of four
+accesses between the helpers and the shapes.  Their baselines are not
 hand-copied: ``_unhooked`` recompiles the live source with the hook's
-``if`` branches deleted, so a baseline differs from the live code in
-the hook alone.  The attribution row keeps its functional checks on an
-RCCE ``dot`` run: identical cycles and output, exact conservation, and
-a critical path equal to the makespan.
+``if`` branches deleted (``_unhooked_shape`` recompiles a generated
+closure's shape source the same way), so a baseline differs from the
+live code in the hook alone.  The attribution row keeps its
+functional checks on an RCCE ``dot`` run: identical cycles and
+output, exact conservation, and a critical path equal to the
+makespan.
 
 Protocol, for every row: the median hooked/baseline ratio of
 ``time.process_time`` over ``PAIRS`` alternating pairs, GC off.  The
@@ -52,6 +56,7 @@ if os.path.join(ROOT, "src") not in sys.path:
 from repro.bench.harness import SCALED_ON_CHIP_CAPACITY  # noqa: E402
 from repro.bench.programs import benchmark_source  # noqa: E402
 from repro.bench.workloads import scaled_config  # noqa: E402
+from repro.cfront import ctypes  # noqa: E402
 from repro.cfront.frontend import parse_program  # noqa: E402
 from repro.core.framework import TranslationFramework  # noqa: E402
 from repro.scc.chip import SCCChip  # noqa: E402
@@ -68,9 +73,10 @@ SIDES = ("hooked", "baseline")
 RACE_HOOK = {"_race"}
 EVENT_HOOK = {"events", "_events"}
 MEASURES = {
-    "race_detached": "compile._ld/_st with no detector attached vs the "
-                     "same functions minus the race branch, %d accesses "
-                     "per segment" % ACCESSES,
+    "race_detached": "compile._ld/_st and the local load and store "
+                     "shapes with no detector attached vs the same code "
+                     "minus the race branch, %d accesses per segment"
+                     % ACCESSES,
     "events_detached": "SCCChip.access_fastpath entries with no tracer "
                        "attached vs a chip with every event branch "
                        "deleted, %d accesses per segment" % ACCESSES,
@@ -162,17 +168,40 @@ class _DeleteHook(ast.NodeTransformer):
         return node
 
 
-def _unhooked(fn, names):
-    """``fn`` recompiled from its own source with the hook deleted, or
-    None when ``fn`` has no branch on ``names``."""
-    tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+def _recompiled(source, filename, namespace, names, name):
+    """``name`` from ``source`` recompiled with the hook deleted, or
+    None when the source has no branch on ``names``."""
+    tree = ast.parse(source)
     before = ast.dump(tree)
     tree = ast.fix_missing_locations(_DeleteHook(names).visit(tree))
     if ast.dump(tree) == before:
         return None
-    namespace = dict(fn.__globals__)
-    exec(compile(tree, inspect.getsourcefile(fn), "exec"), namespace)
-    return namespace[fn.__name__]
+    namespace = dict(namespace)
+    exec(compile(tree, filename, "exec"), namespace)
+    return namespace[name]
+
+
+def _unhooked(fn, names):
+    """``fn`` recompiled from its own source with the hook deleted, or
+    None when ``fn`` has no branch on ``names``."""
+    return _recompiled(textwrap.dedent(inspect.getsource(fn)),
+                       inspect.getsourcefile(fn), fn.__globals__, names,
+                       fn.__name__)
+
+
+def _unhooked_shape(fn, names):
+    """A closure generated from a ``repro.sim.compile`` shape, rebuilt
+    from the shape's source with the hook deleted and bound to the
+    same values."""
+    make = next(make for make in sim_compile._SHAPES.values()
+                if fn.__code__ in make.__code__.co_consts)
+    twin = _recompiled(make.source, sim_compile.__file__,
+                       make.__globals__, names, "make")
+    values = dict(zip(fn.__code__.co_freevars,
+                      (cell.cell_contents for cell in fn.__closure__)))
+    code = make.__code__
+    return twin(*(values[name]
+                  for name in code.co_varnames[:code.co_argcount]))
 
 
 def _unhooked_chip():
@@ -216,42 +245,85 @@ def _mix(chip):
             for index, (name, addr) in enumerate(addresses.items())}
 
 
+SHAPE_SITES = 8          # the shapes' sites follow the helpers' 0-7
+_CO_INT = sim_compile.make_coercer(ctypes.INT)
+
+
+def _load_shape(site):
+    """The closure compiled for ``x``, an ``int`` local in slot 0."""
+    with sim_compile._UNIT_CACHE_LOCK:
+        return sim_compile._make_expr(("l", 0, "x", False, site))
+
+
+def _store_shape(site):
+    """The closure compiled for ``x = 1``, ``x`` an ``int`` local in
+    slot 0."""
+    with sim_compile._UNIT_CACHE_LOCK:
+        return sim_compile._make_expr(
+            ("set", ("l", 0, "x", False, _CO_INT), ("k", 1), site))
+
+
 class _Side:
     """A live interpreter on a fresh ``chip_class`` chip, with one
-    runner per mix segment that loads through ``ld`` and stores
-    through ``st``."""
+    runner per mix segment.  Alternate blocks of four accesses load
+    through ``ld`` and store through ``st``, or run the shapes that
+    ``load(site)`` and ``store(site)`` build on a frame whose slot 0
+    holds the address."""
 
-    def __init__(self, chip_class, ld, st):
+    def __init__(self, chip_class, ld, st, load, store):
         self.chip = chip_class(SCCConfig())
         self.interp = Interpreter(
             parse_program("int main(void) { return 0; }"), self.chip)
-        self.runners = {name: self._runner(accesses, ld, st)
+        self.runners = {name: self._runner(accesses, ld, st, load, store)
                         for name, accesses in _mix(self.chip).items()}
 
-    def _runner(self, accesses, ld, st):
+    def _runner(self, accesses, ld, st, load, store):
         interp = self.interp
+        frame = [0]
+        shapes = {}
+        plan = []
+        for index, (addr, site, is_store) in enumerate(accesses):
+            shape = None
+            if index // 4 % 2:
+                if site not in shapes:
+                    shapes[site] = (store if is_store else load)(
+                        SHAPE_SITES + site)
+                shape = shapes[site]
+            plan.append((addr, site, is_store, shape))
 
         def run():
-            for addr, site, store in accesses:
-                if store:
+            for addr, site, is_store, shape in plan:
+                if shape is not None:
+                    frame[0] = addr
+                    shape(interp, frame)
+                elif is_store:
                     st(interp, addr, 1, site, None)
                 else:
                     ld(interp, addr, site)
         return run
 
 
+_LIVE = (sim_compile._ld, sim_compile._st, _load_shape, _store_shape)
+
+
 def _race_specs():
     ld = _unhooked(sim_compile._ld, RACE_HOOK)
     st = _unhooked(sim_compile._st, RACE_HOOK)
     assert ld is not None and st is not None
-    return {"hooked": (SCCChip, sim_compile._ld, sim_compile._st),
-            "baseline": (SCCChip, ld, st)}
+
+    def load(site):
+        return _unhooked_shape(_load_shape(site), RACE_HOOK)
+
+    def store(site):
+        return _unhooked_shape(_store_shape(site), RACE_HOOK)
+
+    return {"hooked": (SCCChip,) + _LIVE,
+            "baseline": (SCCChip, ld, st, load, store)}
 
 
 def _event_specs():
-    return {"hooked": (SCCChip, sim_compile._ld, sim_compile._st),
-            "baseline": (_unhooked_chip(), sim_compile._ld,
-                         sim_compile._st)}
+    return {"hooked": (SCCChip,) + _LIVE,
+            "baseline": (_unhooked_chip(),) + _LIVE}
 
 
 DETACHED = {"race_detached": _race_specs, "events_detached": _event_specs}
@@ -411,15 +483,19 @@ def test_baselines_do_the_live_work():
 
 
 def test_mix_segments_take_their_paths():
-    side = _Side(SCCChip, sim_compile._ld, sim_compile._st)
+    side = _Side(SCCChip, *_LIVE)
     for run in side.runners.values():
         run()
     core = side.chip.cores[0]
     hits, misses = core.l1.stats.hits, core.l2.stats.misses
+    steps = side.interp.steps
     side.runners["private_hit"]()
     side.runners["private_miss"]()
     assert core.l1.stats.hits - hits == ACCESSES
     assert core.l2.stats.misses - misses == ACCESSES
+    # every other block of three loads and a store ran the shapes: a
+    # load is one step, a store two (the assignment and its constant)
+    assert side.interp.steps - steps == 2 * (ACCESSES // 8) * 5
 
 
 # -- script entry -------------------------------------------------------------

@@ -18,6 +18,16 @@ Interpreter`, ``F`` the flat frame of local-variable addresses), with
   reconfiguration, new split window), so a present entry is always
   valid and the hot path never checks an epoch stamp.
 
+Binary operators, scalar updates (``=``, ``op=``, ``++``/``--``), and
+the expression statements, ``if`` conditions and ``for`` conditions
+and steps that consume them are **operand-specialized**: each operator
+is written once as a source template, instantiated per *shape*, where
+each leaf operand is a constant, a local scalar load or any compiled
+child.  A constant's or a local's step, site-cache probe, charge, race
+record and load then run inline in the operator instead of behind a
+call.  A shape is compiled once per process and shared by every
+program; see "operand-specialized closures" below.
+
 The timing contract is fixed by the goldens in ``tests/golden/sim.json``
 (taken from the tree-walking interpreter this engine replaced): every
 step, every cycle charge in its order, and every chip/memory side
@@ -41,8 +51,12 @@ pointer resolves the target's name among the unit's functions first,
 then the builtins.
 """
 
+# The generated shapes run in this module's globals: math,
+# _arith_value and _pointer_value are read only by template source.
 import itertools
+import linecache
 import math
+import os
 import threading
 import weakref
 
@@ -51,8 +65,10 @@ from repro.sim.interpreter import (
     OP_COSTS,
     Interpreter,
     InterpreterError,
+    _arith_value,
     _Break,
     _Continue,
+    _pointer_value,
     _Return,
     const_value,
 )
@@ -197,20 +213,6 @@ def _st(I, addr, value, site, co):
         I._race.record(I, addr, "write")
     if co is not None:
         value = co(value)
-    I._mem_set(addr, value)
-    return value
-
-
-def _st_dyn(I, addr, value, site, ct):
-    """Charged store where the target C type is only known at run time
-    (pointer dereference, dynamic subscripts, member access)."""
-    e = I._site_cache.get(site)
-    if e is None or not e[0] <= addr < e[1]:
-        e = I._fill_site(site, addr)
-    I.cycles += e[2](addr, "write", I.cycles)
-    if I._race is not None:
-        I._race.record(I, addr, "write")
-    value = coerce(ct, value)
     I._mem_set(addr, value)
     return value
 
@@ -381,6 +383,430 @@ def _can_escape(stmt, want_break):
 
 
 # ---------------------------------------------------------------------------
+# operand-specialized closures
+#
+# Binary operators, scalar updates (``=``, ``op=``, ``++``/``--``) and
+# the expression statements, ``if`` conditions and ``for`` conditions
+# and steps that consume them are generated from source templates.  A
+# template takes each leaf operand in one of three modes:
+#
+#     ("k", value)                     a constant
+#     ("l", slot, name, flt, site)     a local scalar load
+#     ("c", closure)                   any compiled child
+#
+# and an update's lvalue as ("l", slot, name, flt, co), a local scalar;
+# ("v", closure, flt, co), any lvalue of static type; or ("d",
+# closure), one typed at run time.  A constant's or a local's step
+# prologue, site-cache probe, charge, race record and load run inline
+# in the consumer instead of behind a call.  Each node still counts
+# its own step where its closure would have, so ticks, the budget and
+# a halt land on the same step, and charges keep their order.
+#
+# The source of a *shape* (one combination of templates and modes)
+# names no constant, slot, site or closure: those are its factory's
+# parameters.  So programs share shapes, and each shape is compiled
+# once per process, under _UNIT_CACHE_LOCK.  A shape's file name,
+# ``sim/<shape>-<n>/../compile.py``, resolves to this file, so host
+# profiles charge generated code to the dispatch layer; linecache
+# holds its source, so a traceback quotes the generated line.
+# ---------------------------------------------------------------------------
+
+# (name, blocks), which spell a shape's source -> the shape's factory,
+# which carries that source as ``make.source``
+_SHAPES = {}
+
+_STEP = """\
+s = I.steps + 1
+I.steps = s
+if s >= I._stop:
+    I._step_event()"""
+
+# one charged access through the site's inline cache
+_ACCESS = """\
+e = I._site_cache.get({site})
+if e is None or not e[0] <= {addr} < e[1]:
+    e = I._fill_site({site}, {addr})
+I.cycles += e[2]({addr}, "{kind}", I.cycles)
+if I._race is not None:
+    I._race.record(I, {addr}, "{kind}")"""
+
+_LOCAL_ADDR = """\
+{addr} = F[{slot}]
+if not {addr}:
+    _undefined({name})"""
+
+_LOAD = _ACCESS.replace("{kind}", "read") + """
+{var} = I._mem_get({addr}, 0)"""
+_LOCAL_LOAD = _LOCAL_ADDR + "\n" + _LOAD
+_STORE = _ACCESS.replace("{kind}", "write") + """
+{out} = {value}
+I._mem_set({addr}, {out})"""
+
+_TO_FLOAT = """\
+if isinstance({var}, int):
+    {var} = float({var})"""
+
+# binary operators: charge ``a op b`` and leave its value in ``r``
+_ADD = """\
+ca = a.__class__
+cb = b.__class__
+if ca is _P or cb is _P:
+    I.cycles += _C_IALU
+    if ca is _P:
+        r = _P(a.addr + int(b) * a.stride, a.stride, a.pointee)
+    else:
+        r = _P(b.addr + int(a) * b.stride, b.stride, b.pointee)
+elif ca is float or cb is float:
+    I.cycles += _C_FALU
+    r = a + b
+else:
+    I.cycles += _C_IALU
+    r = a + b"""
+
+_SUB = """\
+ca = a.__class__
+cb = b.__class__
+if ca is _P or cb is _P:
+    I.cycles += _C_IALU
+    if cb is not _P:
+        r = _P(a.addr - int(b) * a.stride, a.stride, a.pointee)
+    elif ca is _P:
+        r = (a.addr - b.addr) // a.stride
+    else:
+        raise InterpreterError("cannot subtract pointer from int")
+elif ca is float or cb is float:
+    I.cycles += _C_FALU
+    r = a - b
+else:
+    I.cycles += _C_IALU
+    r = a - b"""
+
+_MUL = """\
+ca = a.__class__
+cb = b.__class__
+if ca is _P or cb is _P:
+    I.cycles += _C_IALU
+    r = _pointer_value("*", a, b)
+elif ca is float or cb is float:
+    I.cycles += _C_FMUL
+    r = a * b
+else:
+    I.cycles += _C_IMUL
+    r = a * b"""
+
+_DIV = """\
+ca = a.__class__
+cb = b.__class__
+if ca is _P or cb is _P:
+    I.cycles += _C_IALU
+    r = _pointer_value("/", a, b)
+elif ca is float or cb is float:
+    I.cycles += _C_FDIV
+    if b == 0:
+        raise InterpreterError("division by zero")
+    r = a / b
+else:
+    I.cycles += _C_IDIV
+    if b == 0:
+        raise InterpreterError("division by zero")
+    r = abs(a) // abs(b)
+    if (a < 0) != (b < 0):
+        r = -r"""
+
+_MOD = """\
+ca = a.__class__
+cb = b.__class__
+if ca is _P or cb is _P:
+    I.cycles += _C_IALU
+    r = _pointer_value("%", a, b)
+elif ca is float or cb is float:
+    I.cycles += _C_FDIV
+    if b == 0:
+        raise InterpreterError("modulo by zero")
+    r = math.fmod(a, b)
+else:
+    I.cycles += _C_IDIV
+    if b == 0:
+        raise InterpreterError("modulo by zero")
+    r = abs(a) % abs(b)
+    if a < 0:
+        r = -r"""
+
+_CMP = """\
+ca = a.__class__
+cb = b.__class__
+if ca is _P or cb is _P:
+    I.cycles += _C_IALU
+    r = 1 if (a.addr if ca is _P else a) {op} \\
+        (b.addr if cb is _P else b) else 0
+elif ca is float or cb is float:
+    I.cycles += _C_FALU
+    r = 1 if a {op} b else 0
+else:
+    I.cycles += _C_IALU
+    r = 1 if a {op} b else 0"""
+
+_BITS = """\
+if a.__class__ is _P or b.__class__ is _P:
+    I.cycles += _C_IALU
+    r = _pointer_value("{op}", a, b)
+elif a.__class__ is float or b.__class__ is float:
+    I.cycles += _C_FALU
+    r = int(a) {op} int(b)
+else:
+    I.cycles += _C_IALU
+    r = int(a) {op} int(b)"""
+
+# an operator the parser never produces: charged, then rejected
+_OTHER = """\
+if a.__class__ is _P or b.__class__ is _P:
+    I.cycles += _C_IALU
+    r = _pointer_value({op}, a, b)
+elif a.__class__ is float or b.__class__ is float:
+    I.cycles += _C_FALU
+    r = _arith_value({op}, a, b)
+else:
+    I.cycles += _C_IALU
+    r = _arith_value({op}, a, b)"""
+
+_COMPARISONS = ("<", ">", "<=", ">=", "==", "!=")
+_BINOPS = {"+": ("add", _ADD), "-": ("sub", _SUB), "*": ("mul", _MUL),
+           "/": ("div", _DIV), "%": ("mod", _MOD)}
+for _name, _op in zip(("lt", "gt", "le", "ge", "eq", "ne"), _COMPARISONS):
+    _BINOPS[_op] = (_name, _CMP.format(op=_op))
+for _name, _op in zip(("and", "or", "xor", "shl", "shr"),
+                      ("&", "|", "^", "<<", ">>")):
+    _BINOPS[_op] = (_name, _BITS.format(op=_op))
+
+# ++/--: the old value is in ``a``
+_INCDEC = """\
+I.cycles += _C_IALU
+if a.__class__ is _P:
+    r = _P(a.addr + {delta} * a.stride, a.stride, a.pointee)
+else:
+    r = a + {delta}"""
+
+
+class _Shape:
+    """The source of one generated closure, built a block at a time,
+    and the values of its factory's parameters."""
+
+    __slots__ = ("blocks", "names", "values")
+
+    def __init__(self):
+        self.blocks = []
+        self.names = []
+        self.values = []
+
+    def arg(self, stem, value):
+        """A factory parameter bound to ``value``; returns its name."""
+        name = "%s%d" % (stem, len(self.names))
+        self.names.append(name)
+        self.values.append(value)
+        return name
+
+    def emit(self, depth, block):
+        self.blocks.append((depth, block))
+
+    def source(self, name):
+        lines = ["def make(%s):" % ", ".join(self.names),
+                 "    def %s(I, F, _P=Pointer):" % name]
+        for depth, block in self.blocks:
+            pad = "    " * (depth + 2)
+            lines.extend(pad + line for line in block.split("\n"))
+        lines.append("    return %s\n" % name)
+        return "\n".join(lines)
+
+    def build(self, name):
+        """The closure: the shape's factory (compiled on first use)
+        applied to this node's values.  The blocks and the name spell
+        the source, so they key the factory without rendering it."""
+        key = (name, tuple(self.blocks))
+        make = _SHAPES.get(key)
+        if make is None:
+            source = self.source(name)
+            # a name of its own that resolves to this file: tracebacks
+            # quote the shape's lines, profiles see compile.py
+            filename = os.path.join(os.path.dirname(__file__), "%s-%d"
+                                    % (name, len(_SHAPES)), os.pardir,
+                                    os.path.basename(__file__))
+            linecache.cache[filename] = (len(source), None,
+                                         source.splitlines(True), filename)
+            namespace = {}
+            exec(compile(source, filename, "exec"), globals(), namespace)
+            make = _SHAPES[key] = namespace["make"]
+            make.source = source
+        return make(*self.values)
+
+
+def _emit_operand(shape, depth, var, operand):
+    """Leave a leaf operand's value in ``var``; returns its mode letter
+    (``f`` for a local with the int->float load conversion)."""
+    mode = operand[0]
+    if mode == "c":
+        shape.emit(depth, "%s = %s(I, F)"
+                   % (var, shape.arg("fn", operand[1])))
+        return "c"
+    shape.emit(depth, _STEP)
+    if mode == "k":
+        shape.emit(depth, "%s = %s" % (var, shape.arg("k", operand[1])))
+        return "k"
+    _, slot, name, flt, site = operand
+    shape.emit(depth, _LOCAL_LOAD.format(
+        addr="p" + var, var=var, slot=shape.arg("slot", slot),
+        name=shape.arg("name", name), site=shape.arg("site", site)))
+    if flt:
+        shape.emit(depth, _TO_FLOAT.format(var=var))
+        return "f"
+    return "l"
+
+
+def _emit_op_body(shape, depth, op):
+    entry = _BINOPS.get(op)
+    if entry is None:
+        shape.emit(depth, _OTHER.format(op=shape.arg("op", op)))
+        return "op"
+    shape.emit(depth, entry[1])
+    return entry[0]
+
+
+def _emit_lvalue(shape, depth, lv):
+    """Leave an update's target address in ``addr`` (and, typed at
+    run time, its type in ``ct``)."""
+    mode = lv[0]
+    if mode == "l":
+        shape.emit(depth, _LOCAL_ADDR.format(
+            addr="addr", slot=shape.arg("slot", lv[1]),
+            name=shape.arg("name", lv[2])))
+    elif mode == "v":
+        shape.emit(depth, "addr = %s(I, F)" % shape.arg("lv", lv[1]))
+    else:
+        shape.emit(depth, "addr, ct = %s(I, F)" % shape.arg("lv", lv[1]))
+    return mode
+
+
+def _emit_load_old(shape, depth, lv, site):
+    """Load the target's old value into ``a``."""
+    shape.emit(depth, _LOAD.format(site=shape.arg("site", site),
+                                   addr="addr", var="a"))
+    if lv[0] == "d":
+        shape.emit(depth, "a = _flt_load_conv(a, ct)")
+    elif lv[-2]:
+        shape.emit(depth, _TO_FLOAT.format(var="a"))
+
+
+def _emit_store(shape, depth, lv, site, var, out):
+    """Store ``var``, coerced to the target's type, as ``out``."""
+    site = shape.arg("site", site)
+    if lv[0] == "d":
+        value = "coerce(ct, %s)" % var
+    else:
+        value = "%s(%s)" % (shape.arg("co", lv[-1]), var)
+    shape.emit(depth, _STORE.format(site=site, addr="addr", out=out,
+                                    value=value))
+
+
+def _emit(shape, depth, form, var="v"):
+    """Emit ``form``, a leaf operand or one of
+        ("op", op, left, right)
+        ("set", lvalue, rhs, site)
+        ("upd", op, lvalue, rhs, read site, write site)
+        ("incdec", lvalue, delta, postfix, read site, write site);
+    returns the variable left holding its value and a tag naming it."""
+    kind = form[0]
+    if kind in ("k", "l", "c"):
+        return var, _emit_operand(shape, depth, var, form)
+    shape.emit(depth, _STEP)
+    if kind == "op":
+        _, op, left, right = form
+        tags = (_emit_operand(shape, depth, "a", left)
+                + _emit_operand(shape, depth, "b", right))
+        return "r", "%s_%s" % (_emit_op_body(shape, depth, op), tags)
+    if kind == "set":
+        _, lv, rhs, site = form
+        tags = _emit_lvalue(shape, depth, lv) \
+            + _emit_operand(shape, depth, "b", rhs)
+        _emit_store(shape, depth, lv, site, "b", "r")
+        return "r", "set_" + tags
+    if kind == "upd":
+        _, op, lv, rhs, site_r, site_w = form
+        tags = _emit_lvalue(shape, depth, lv)
+        _emit_load_old(shape, depth, lv, site_r)
+        tags += _emit_operand(shape, depth, "b", rhs)
+        name = _emit_op_body(shape, depth, op)
+        _emit_store(shape, depth, lv, site_w, "r", "r")
+        return "r", "%s_set_%s" % (name, tags)
+    _, lv, delta, postfix, site_r, site_w = form
+    tag = _emit_lvalue(shape, depth, lv)
+    _emit_load_old(shape, depth, lv, site_r)
+    shape.emit(depth, _INCDEC.format(delta=shape.arg("delta", delta)))
+    _emit_store(shape, depth, lv, site_w, "r", "w")
+    if postfix:
+        return "a", "post_incdec_" + tag
+    return "r", "incdec_" + tag
+
+
+def _emit_test(shape, depth, var, form):
+    """C truth of a condition's value: a pointer tests its address
+    (a comparison always yields 0 or 1)."""
+    if form[0] != "op" or form[1] not in _COMPARISONS:
+        shape.emit(depth, "if {0}.__class__ is _P:\n"
+                          "    {0} = {0}.addr != 0".format(var))
+
+
+def _make_expr(form):
+    shape = _Shape()
+    var, tag = _emit(shape, 0, form)
+    shape.emit(0, "return " + var)
+    return shape.build(tag if len(tag) > 1 else "load_" + tag)
+
+
+def _make_exprstmt(form):
+    shape = _Shape()
+    shape.emit(0, _STEP)
+    tag = _emit(shape, 0, form)[1]
+    return shape.build("stmt_" + tag)
+
+
+def _make_if(cond, then_c, else_c):
+    shape = _Shape()
+    shape.emit(0, _STEP)
+    shape.emit(0, "I.cycles += _C_BRANCH")
+    var, tag = _emit(shape, 0, cond)
+    _emit_test(shape, 0, var, cond)
+    shape.emit(0, "if %s:\n    %s(I, F)"
+               % (var, shape.arg("then", then_c)))
+    if else_c is not None:
+        shape.emit(0, "else:\n    %s(I, F)" % shape.arg("els", else_c))
+    return shape.build("if_" + tag)
+
+
+def _make_for(init_c, cond, step, body_c, protect):
+    shape = _Shape()
+    tags = ["for"]
+    shape.emit(0, _STEP)
+    if init_c is not None:
+        shape.emit(0, "%s(I, F)" % shape.arg("init", init_c))
+    shape.emit(0, "while True:")
+    shape.emit(1, _STEP)
+    if cond is not None:
+        shape.emit(1, "I.cycles += _C_BRANCH")
+        var, tag = _emit(shape, 1, cond)
+        _emit_test(shape, 1, var, cond)
+        shape.emit(1, "if not %s:\n    break" % var)
+        tags.append(tag)
+    body = shape.arg("body", body_c)
+    if protect:
+        shape.emit(1, "try:\n    %s(I, F)\nexcept _Break:\n    break\n"
+                      "except _Continue:\n    pass" % body)
+    else:
+        shape.emit(1, "%s(I, F)" % body)
+    if step is not None:
+        tags.append(_emit(shape, 1, step)[1])
+    return shape.build("_".join(tags))
+
+
+# ---------------------------------------------------------------------------
 # closure builders — statements
 #
 # Every builder inlines the step prologue:
@@ -435,33 +861,6 @@ def _make_raise_stmt(message):
         if s >= I._stop:
             I._step_event()
         raise InterpreterError(message)
-    return run
-
-
-def _make_exprstmt(expr_c):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        expr_c(I, F)
-    return run
-
-
-def _make_if(cond_c, then_c, else_c):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        I.cycles += _C_BRANCH
-        v = cond_c(I, F)
-        if v.__class__ is _P:
-            v = v.addr != 0
-        if v:
-            then_c(I, F)
-        elif else_c is not None:
-            else_c(I, F)
     return run
 
 
@@ -537,40 +936,6 @@ def _make_dowhile(body_c, cond_c, protect):
                 v = v.addr != 0
             if not v:
                 break
-    return run
-
-
-def _make_for(init_c, cond_c, step_c, body_c, protect):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        if init_c is not None:
-            init_c(I, F)
-        while True:
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            if cond_c is not None:
-                I.cycles += _C_BRANCH
-                v = cond_c(I, F)
-                if v.__class__ is _P:
-                    v = v.addr != 0
-                if not v:
-                    break
-            if protect:
-                try:
-                    body_c(I, F)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-            else:
-                body_c(I, F)
-            if step_c is not None:
-                step_c(I, F)
     return run
 
 
@@ -714,46 +1079,6 @@ def _make_id_late(name):
     return run
 
 
-def _make_id_load_local(slot, name, flt, site):
-    if flt:
-        def run_f(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            addr = F[slot]
-            if not addr:
-                _undefined(name)
-            e = I._site_cache.get(site)
-            if e is None or not e[0] <= addr < e[1]:
-                e = I._fill_site(site, addr)
-            I.cycles += e[2](addr, "read", I.cycles)
-            if I._race is not None:
-                I._race.record(I, addr, "read")
-            v = I._mem_get(addr, 0)
-            if isinstance(v, int):
-                return float(v)
-            return v
-        return run_f
-
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr = F[slot]
-        if not addr:
-            _undefined(name)
-        e = I._site_cache.get(site)
-        if e is None or not e[0] <= addr < e[1]:
-            e = I._fill_site(site, addr)
-        I.cycles += e[2](addr, "read", I.cycles)
-        if I._race is not None:
-            I._race.record(I, addr, "read")
-        return I._mem_get(addr, 0)
-    return run
-
-
 def _make_id_load_global(name, flt, site):
     if flt:
         def run_f(I, F):
@@ -851,189 +1176,6 @@ def _make_lor(left_c, right_c):
     return run
 
 
-def _make_add(left_c, right_c):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        a = left_c(I, F)
-        b = right_c(I, F)
-        ca = a.__class__
-        cb = b.__class__
-        if ca is _P or cb is _P:
-            I.cycles += _C_IALU
-            if ca is _P:
-                return _P(a.addr + int(b) * a.stride, a.stride,
-                          a.pointee)
-            return _P(b.addr + int(a) * b.stride, b.stride, b.pointee)
-        if ca is float or cb is float:
-            I.cycles += _C_FALU
-        else:
-            I.cycles += _C_IALU
-        return a + b
-    return run
-
-
-def _make_sub(left_c, right_c):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        a = left_c(I, F)
-        b = right_c(I, F)
-        ca = a.__class__
-        cb = b.__class__
-        if ca is _P or cb is _P:
-            I.cycles += _C_IALU
-            if ca is _P and cb is _P:
-                return (a.addr - b.addr) // a.stride
-            if ca is _P:
-                return _P(a.addr - int(b) * a.stride, a.stride,
-                          a.pointee)
-            raise InterpreterError("cannot subtract pointer from int")
-        if ca is float or cb is float:
-            I.cycles += _C_FALU
-        else:
-            I.cycles += _C_IALU
-        return a - b
-    return run
-
-
-def _make_mul(left_c, right_c):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        a = left_c(I, F)
-        b = right_c(I, F)
-        ca = a.__class__
-        cb = b.__class__
-        if ca is _P or cb is _P:
-            return I._pointer_binop("*", a, b)
-        if ca is float or cb is float:
-            I.cycles += _C_FMUL
-        else:
-            I.cycles += _C_IMUL
-        return a * b
-    return run
-
-
-def _make_div(left_c, right_c):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        a = left_c(I, F)
-        b = right_c(I, F)
-        ca = a.__class__
-        cb = b.__class__
-        if ca is _P or cb is _P:
-            return I._pointer_binop("/", a, b)
-        if ca is float or cb is float:
-            I.cycles += _C_FDIV
-            if b == 0:
-                raise InterpreterError("division by zero")
-            return a / b
-        I.cycles += _C_IDIV
-        if b == 0:
-            raise InterpreterError("division by zero")
-        quotient = abs(a) // abs(b)
-        return quotient if (a < 0) == (b < 0) else -quotient
-    return run
-
-
-def _make_mod(left_c, right_c):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        a = left_c(I, F)
-        b = right_c(I, F)
-        ca = a.__class__
-        cb = b.__class__
-        if ca is _P or cb is _P:
-            return I._pointer_binop("%", a, b)
-        if ca is float or cb is float:
-            I.cycles += _C_FDIV
-            if b == 0:
-                raise InterpreterError("modulo by zero")
-            return math.fmod(a, b)
-        I.cycles += _C_IDIV
-        if b == 0:
-            raise InterpreterError("modulo by zero")
-        remainder = abs(a) % abs(b)
-        return remainder if a >= 0 else -remainder
-    return run
-
-
-def _make_cmp(left_c, right_c, cmp):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        a = left_c(I, F)
-        b = right_c(I, F)
-        ca = a.__class__
-        cb = b.__class__
-        if ca is _P or cb is _P:
-            I.cycles += _C_IALU
-            return 1 if cmp(a.addr if ca is _P else a,
-                            b.addr if cb is _P else b) else 0
-        if ca is float or cb is float:
-            I.cycles += _C_FALU
-        else:
-            I.cycles += _C_IALU
-        return 1 if cmp(a, b) else 0
-    return run
-
-
-def _make_intop(op, left_c, right_c, fn):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        a = left_c(I, F)
-        b = right_c(I, F)
-        if a.__class__ is _P or b.__class__ is _P:
-            return I._pointer_binop(op, a, b)
-        if a.__class__ is float or b.__class__ is float:
-            I.cycles += _C_FALU
-        else:
-            I.cycles += _C_IALU
-        return fn(a, b)
-    return run
-
-
-def _make_binop_generic(op, left_c, right_c):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        return I._apply_binop(op, left_c(I, F), right_c(I, F))
-    return run
-
-
-import operator as _op  # noqa: E402  (local helper table below)
-
-_CMP_FNS = {"<": _op.lt, ">": _op.gt, "<=": _op.le, ">=": _op.ge,
-            "==": _op.eq, "!=": _op.ne}
-_INT_FNS = {
-    "&": lambda a, b: int(a) & int(b),
-    "|": lambda a, b: int(a) | int(b),
-    "^": lambda a, b: int(a) ^ int(b),
-    "<<": lambda a, b: int(a) << int(b),
-    ">>": lambda a, b: int(a) >> int(b),
-}
-
-
 def _make_ternary(cond_c, then_c, else_c):
     def run(I, F, _P=Pointer):
         s = I.steps + 1
@@ -1121,55 +1263,6 @@ def _make_deref(operand_c, site):
     return run
 
 
-def _make_incdec(lv, ct, delta, postfix):
-    """++x / --x / x++ / x-- with a statically-typed lvalue."""
-    flt = _static_flt(ct)
-    co = make_coercer(ct)
-    site_r = _new_site()
-    site_w = _new_site()
-
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr = lv(I, F)
-        old = _ld(I, addr, site_r)
-        if flt and isinstance(old, int):
-            old = float(old)
-        I.cycles += _C_IALU
-        if old.__class__ is _P:
-            new = _P(old.addr + delta * old.stride, old.stride,
-                     old.pointee)
-        else:
-            new = old + delta
-        _st(I, addr, new, site_w, co)
-        return old if postfix else new
-    return run
-
-
-def _make_incdec_dyn(lv, delta, postfix):
-    site_r = _new_site()
-    site_w = _new_site()
-
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr, ct = lv(I, F)
-        old = _flt_load_conv(_ld(I, addr, site_r), ct)
-        I.cycles += _C_IALU
-        if old.__class__ is _P:
-            new = _P(old.addr + delta * old.stride, old.stride,
-                     old.pointee)
-        else:
-            new = old + delta
-        _st_dyn(I, addr, new, site_w, ct)
-        return old if postfix else new
-    return run
-
-
 def _make_unary_simple(op, operand_c):
     if op == "-":
         def run_neg(I, F):
@@ -1222,75 +1315,6 @@ def _make_unary_simple(op, operand_c):
         operand_c(I, F)
         I.cycles += _C_IALU
         raise InterpreterError("unsupported unary operator %r" % op)
-    return run
-
-
-def _make_assign_static(lv, rhs_c, co, site):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr = lv(I, F)
-        v = rhs_c(I, F)
-        e = I._site_cache.get(site)
-        if e is None or not e[0] <= addr < e[1]:
-            e = I._fill_site(site, addr)
-        I.cycles += e[2](addr, "write", I.cycles)
-        if I._race is not None:
-            I._race.record(I, addr, "write")
-        v = co(v)
-        I._mem_set(addr, v)
-        return v
-    return run
-
-
-def _make_augassign_static(lv, rhs_c, subop, ct):
-    flt = _static_flt(ct)
-    co = make_coercer(ct)
-    site_r = _new_site()
-    site_w = _new_site()
-
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr = lv(I, F)
-        old = _ld(I, addr, site_r)
-        if flt and isinstance(old, int):
-            old = float(old)
-        rhs = rhs_c(I, F)
-        v = I._apply_binop(subop, old, rhs)
-        return _st(I, addr, v, site_w, co)
-    return run
-
-
-def _make_assign_dyn(lv, rhs_c, site):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr, ct = lv(I, F)
-        return _st_dyn(I, addr, rhs_c(I, F), site, ct)
-    return run
-
-
-def _make_augassign_dyn(lv, rhs_c, subop):
-    site_r = _new_site()
-    site_w = _new_site()
-
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr, ct = lv(I, F)
-        old = _flt_load_conv(_ld(I, addr, site_r), ct)
-        rhs = rhs_c(I, F)
-        v = I._apply_binop(subop, old, rhs)
-        return _st_dyn(I, addr, v, site_w, ct)
     return run
 
 
@@ -1571,6 +1595,30 @@ def _make_lv_member_dyn(inner_lv, member):
 # the per-function compiler
 # ---------------------------------------------------------------------------
 
+_INCDEC_OPS = ("++", "--", "p++", "p--")
+
+
+def _operand_mode(fc, expr):
+    """How a template takes ``expr``: "k", a constant; "l", a local
+    scalar load; "e", an operator or update a statement inlines; "c",
+    any compiled child."""
+    cls = expr.__class__
+    if cls is c_ast.Constant:
+        return "k"
+    if cls is c_ast.Id:
+        res = fc.resolve(expr.name)
+        if res is not None and res[0] == "local" \
+                and not isinstance(res[2], ctypes.ArrayType):
+            return "l"
+    elif cls is c_ast.BinaryOp:
+        if expr.op != "&&" and expr.op != "||":
+            return "e"
+    elif cls is c_ast.Assignment or (cls is c_ast.UnaryOp
+                                     and expr.op in _INCDEC_OPS):
+        return "e"
+    return "c"
+
+
 class _FunctionCompiler:
     """Lowers one FuncDef into closures with compile-time scoping."""
 
@@ -1663,11 +1711,11 @@ class _FunctionCompiler:
         return _make_seq(tuple(actions))
 
     def _c_exprstmt(self, stmt):
-        return _make_exprstmt(self.compile_expr(stmt.expr))
+        return _make_exprstmt(self.inline(stmt.expr))
 
     def _c_if(self, stmt):
         return _make_if(
-            self.compile_expr(stmt.cond),
+            self.inline(stmt.cond),
             self.compile_stmt(stmt.then),
             self.compile_stmt(stmt.els) if stmt.els is not None
             else None)
@@ -1690,16 +1738,16 @@ class _FunctionCompiler:
         try:
             init_c = self.compile_stmt(stmt.init) \
                 if stmt.init is not None else None
-            cond_c = self.compile_expr(stmt.cond) \
+            cond = self.inline(stmt.cond) \
                 if stmt.cond is not None else None
             body_c = self.compile_stmt(stmt.body)
-            step_c = self.compile_expr(stmt.step) \
+            step = self.inline(stmt.step) \
                 if stmt.step is not None else None
         finally:
             self.scopes.pop()
         protect = _can_escape(stmt.body, True) \
             or _can_escape(stmt.body, False)
-        return _make_for(init_c, cond_c, step_c, body_c, protect)
+        return _make_for(init_c, cond, step, body_c, protect)
 
     def _c_return(self, stmt):
         return _make_return(self.compile_expr(stmt.expr)
@@ -1739,6 +1787,54 @@ class _FunctionCompiler:
     def _c_structdecl(self, stmt):
         return _make_seq(())
 
+    # -- template operands ---------------------------------------------------
+
+    def operand(self, expr):
+        """``expr`` as a template's leaf operand."""
+        mode = _operand_mode(self, expr)
+        if mode == "k":
+            return ("k", expr.value)
+        if mode == "l":
+            _, slot, ct = self.resolve(expr.name)
+            return ("l", slot, expr.name, _static_flt(ct), _new_site())
+        return ("c", self.compile_expr(expr))
+
+    def inline(self, expr):
+        """``expr`` as a statement's template takes it: an operator or
+        update inline, else a leaf operand."""
+        if _operand_mode(self, expr) == "e":
+            return self.form(expr)
+        return self.operand(expr)
+
+    def form(self, expr):
+        """The template form of an operator or update (see _emit)."""
+        cls = expr.__class__
+        if cls is c_ast.BinaryOp:
+            return ("op", expr.op, self.operand(expr.left),
+                    self.operand(expr.right))
+        if cls is c_ast.Assignment:
+            lv = self.lvalue(expr.lvalue)
+            rhs = self.operand(expr.rvalue)
+            if expr.op == "=":
+                return ("set", lv, rhs, _new_site())
+            return ("upd", expr.op[:-1], lv, rhs, _new_site(),
+                    _new_site())
+        op = expr.op
+        return ("incdec", self.lvalue(expr.operand),
+                1 if "+" in op else -1, op.startswith("p"),
+                _new_site(), _new_site())
+
+    def lvalue(self, expr):
+        """An update's target as a template takes it."""
+        if _operand_mode(self, expr) == "l":
+            _, slot, ct = self.resolve(expr.name)
+            return ("l", slot, expr.name, _static_flt(ct),
+                    make_coercer(ct))
+        lv, ct = self.compile_lvalue(expr)
+        if ct is None:
+            return ("d", lv)
+        return ("v", lv, _static_flt(ct), make_coercer(ct))
+
     # -- expressions ---------------------------------------------------------
 
     def compile_expr(self, expr):
@@ -1764,7 +1860,7 @@ class _FunctionCompiler:
             return _make_id_decay_global(name, stride, pe)
         flt = _static_flt(ct)
         if kind == "local":
-            return _make_id_load_local(where, name, flt, _new_site())
+            return _make_expr(("l", where, name, flt, _new_site()))
         return _make_id_load_global(name, flt, _new_site())
 
     def _c_constant(self, expr):
@@ -1781,25 +1877,7 @@ class _FunctionCompiler:
         if op == "||":
             return _make_lor(self.compile_expr(expr.left),
                              self.compile_expr(expr.right))
-        left_c = self.compile_expr(expr.left)
-        right_c = self.compile_expr(expr.right)
-        if op == "+":
-            return _make_add(left_c, right_c)
-        if op == "-":
-            return _make_sub(left_c, right_c)
-        if op == "*":
-            return _make_mul(left_c, right_c)
-        if op == "/":
-            return _make_div(left_c, right_c)
-        if op == "%":
-            return _make_mod(left_c, right_c)
-        cmp = _CMP_FNS.get(op)
-        if cmp is not None:
-            return _make_cmp(left_c, right_c, cmp)
-        fn = _INT_FNS.get(op)
-        if fn is not None:
-            return _make_intop(op, left_c, right_c, fn)
-        return _make_binop_generic(op, left_c, right_c)
+        return _make_expr(self.form(expr))
 
     def _c_unary(self, expr):
         op = expr.op
@@ -1820,13 +1898,8 @@ class _FunctionCompiler:
         if op == "*":
             return _make_deref(self.compile_expr(expr.operand),
                                _new_site())
-        if op in ("++", "--", "p++", "p--"):
-            lv, ct = self.compile_lvalue(expr.operand)
-            delta = 1 if "+" in op else -1
-            postfix = op.startswith("p")
-            if ct is not None:
-                return _make_incdec(lv, ct, delta, postfix)
-            return _make_incdec_dyn(lv, delta, postfix)
+        if op in _INCDEC_OPS:
+            return _make_expr(self.form(expr))
         if op == "sizeof":
             operand = expr.operand
             if isinstance(operand, c_ast.Id):
@@ -1840,17 +1913,7 @@ class _FunctionCompiler:
         return _make_unary_simple(op, self.compile_expr(expr.operand))
 
     def _c_assign(self, expr):
-        lv, ct = self.compile_lvalue(expr.lvalue)
-        rhs_c = self.compile_expr(expr.rvalue)
-        op = expr.op
-        if ct is not None:
-            if op == "=":
-                return _make_assign_static(lv, rhs_c, make_coercer(ct),
-                                           _new_site())
-            return _make_augassign_static(lv, rhs_c, op[:-1], ct)
-        if op == "=":
-            return _make_assign_dyn(lv, rhs_c, _new_site())
-        return _make_augassign_dyn(lv, rhs_c, op[:-1])
+        return _make_expr(self.form(expr))
 
     def _c_ternary(self, expr):
         return _make_ternary(self.compile_expr(expr.cond),

@@ -38,10 +38,6 @@ OP_COSTS = {
     "cast": 1,
 }
 
-_INT_DIV_OPS = {"/", "%"}
-_MUL_OPS = {"*"}
-
-
 class InterpreterError(Exception):
     """Runtime error inside the simulated program."""
 
@@ -71,10 +67,11 @@ class ThreadExit(Exception):
         self.value = value
 
 
-# The simulator's one copy of the C value rules for binary operators.
-# Neither function charges cycles: ``Interpreter._apply_binop`` and
-# ``_pointer_binop`` charge the operation and then call them, and
-# ``const_value`` folds constants with them.
+# The C value rules for binary operators where no compiled template
+# has them inline.  Neither function charges cycles: ``const_value``
+# folds constants with them, and the templates of
+# ``repro.sim.compile`` charge an operation, then call
+# ``_pointer_value`` for the pointer operators they reject.
 def _pointer_value(op, left, right):
     """``left op right`` where at least one side is a Pointer."""
     if op == "+":
@@ -417,26 +414,6 @@ class Interpreter:
         "RCCE_FLAG_SET": 1,
         "RCCE_FLAG_UNSET": 0,
     }
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _apply_binop(self, op, left, right):
-        """Charge one binary operation, then compute it."""
-        if isinstance(left, Pointer) or isinstance(right, Pointer):
-            return self._pointer_binop(op, left, right)
-        is_float = isinstance(left, float) or isinstance(right, float)
-        if op in _INT_DIV_OPS:
-            self.cycles += OP_COSTS["float_div" if is_float else "int_div"]
-        elif op in _MUL_OPS:
-            self.cycles += OP_COSTS["float_mul" if is_float else "int_mul"]
-        else:
-            self.cycles += OP_COSTS["float_alu" if is_float else "int_alu"]
-        return _arith_value(op, left, right)
-
-    def _pointer_binop(self, op, left, right):
-        """Charge one pointer operation, then compute it."""
-        self.cycles += OP_COSTS["int_alu"]
-        return _pointer_value(op, left, right)
 
     # -- misc ----------------------------------------------------------------------------------------
 

@@ -423,18 +423,20 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     threads = [threading.Thread(target=core_main, args=(rank,),
                                 name="scc-ue%d" % rank)
                for rank in range(num_ues)]
-    started = 0
     try:
         try:
             for thread in threads:
                 thread.start()
-                started += 1
-            wait_for_cores(started)
+            wait_for_cores(num_ues)
         except BaseException as exc:
-            # Ctrl-C (or any error) here: no core may outlive the run
+            # Ctrl-C (or any error) here: no core may outlive the run.
+            # Wait for every thread that started (threads start in
+            # order, so those with an ident lead the list), including
+            # one whose start() returned just as the interrupt landed
             world.abort(exc)
             halt_cores()
-            wait_for_cores(started)
+            wait_for_cores(sum(thread.ident is not None
+                               for thread in threads))
             raise
     finally:
         for rank in range(num_ues):

@@ -139,3 +139,33 @@ class TestInterrupt:
         assert time.monotonic() - started < 3.0
         assert not [thread for thread in threading.enumerate()
                     if thread.name.startswith("scc-ue")]
+
+    def test_interrupt_as_a_start_returns_waits_for_that_core(
+            self, monkeypatch):
+        """A Ctrl-C that lands just as rank 1's ``start()`` returns:
+        the thread is held a moment before it runs ``core_main``, yet
+        run_rcce re-raises only once that thread has stopped."""
+        real_start = threading.Thread.start
+        real_run = threading.Thread.run
+
+        def start(thread):
+            real_start(thread)
+            if thread.name == "scc-ue1":
+                raise KeyboardInterrupt
+
+        def run(thread):
+            if thread.name == "scc-ue1":
+                time.sleep(0.3)
+            real_run(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(threading.Thread, "run", run)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_rcce(RCCE_PROGRAM, 4)
+            assert not [thread for thread in threading.enumerate()
+                        if thread.name.startswith("scc-ue")]
+        finally:
+            for thread in threading.enumerate():
+                if thread.name.startswith("scc-ue"):
+                    thread.join(10.0)

@@ -2,7 +2,10 @@
 semantics.  Random integer expressions are rendered to C, run through
 the interpreter, and compared against a Python oracle implementing the
 C rules (truncating division, sign-following modulo, in-range shifts).
-The main property also routes each result through pointer stores."""
+The main property also routes each result through pointer stores.
+Every property runs with its variables declared at file scope and
+again as ``main`` locals, which the compiled engine's operator
+templates take inline."""
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,24 +22,32 @@ _TINY_CONFIG = SCCConfig(num_cores=2, mesh_columns=1, mesh_rows=1,
                          cores_per_tile=2, num_memory_controllers=1)
 
 
-def _run_main(bindings, body):
+# where the bindings are declared
+SCOPES = ("global", "local")
+
+
+def _run_main(bindings, body, scope):
     decls = "".join("int %s = %d;\n" % (name, value)
                     for name, value in bindings.items())
-    source = "%sint out[2];\nint main(void) { %s }" % (decls, body)
+    if scope == "global":
+        source = "%sint out[2];\nint main(void) { %s }" % (decls, body)
+    else:
+        source = "int out[2];\nint main(void) {\n%s%s }" % (decls, body)
     unit = parse_program(source)
     interp = Interpreter(unit, SCCChip(_TINY_CONFIG), 0, Memory())
     return interp.call_function("main", [])
 
 
-def interpret(expr_text, bindings):
-    return _run_main(bindings, "return %s;" % expr_text)
+def interpret(expr_text, bindings, scope):
+    return _run_main(bindings, "return %s;" % expr_text, scope)
 
 
-def interpret_stored(expr_text, bindings):
+def interpret_stored(expr_text, bindings, scope):
     """The value of ``expr_text`` after an indexed and a dereferenced
     pointer store, read back from the array."""
     return _run_main(bindings, "int *p = out; p[0] = %s; "
-                     "*(p + 1) = p[0]; return out[1];" % expr_text)
+                     "*(p + 1) = p[0]; return out[1];" % expr_text,
+                     scope)
 
 
 def c_div(a, b):
@@ -145,10 +156,11 @@ _env = st.fixed_dictionaries({
 })
 
 
+@pytest.mark.parametrize("scope", SCOPES)
 class TestExpressionSemantics:
     @settings(max_examples=200, deadline=None)
     @given(_exprs, _env)
-    def test_interpreter_matches_c_oracle(self, tree, env):
+    def test_interpreter_matches_c_oracle(self, scope, tree, env):
         try:
             expected = tree.evaluate(env)
         except ZeroDivisionError:
@@ -157,20 +169,20 @@ class TestExpressionSemantics:
         assume(-2 ** 31 <= expected < 2 ** 31)  # stay in int range
         # leaf constants render negatives with parens via unary minus
         text = tree.render()
-        result = interpret_stored(text, env)
+        result = interpret_stored(text, env, scope)
         assert result == expected, text
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=-99, max_value=99),
            st.integers(min_value=-99, max_value=99))
-    def test_division_identity(self, a, b):
+    def test_division_identity(self, scope, a, b):
         """C guarantees (a/b)*b + a%b == a."""
         assume(b != 0)
-        quotient = interpret("a / b", {"a": a, "b": b})
-        remainder = interpret("a % b", {"a": a, "b": b})
+        quotient = interpret("a / b", {"a": a, "b": b}, scope)
+        remainder = interpret("a % b", {"a": a, "b": b}, scope)
         assert quotient * b + remainder == a
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=30))
-    def test_shift_powers(self, n):
-        assert interpret("1 << a", {"a": n}) == 2 ** n
+    def test_shift_powers(self, scope, n):
+        assert interpret("1 << a", {"a": n}, scope) == 2 ** n

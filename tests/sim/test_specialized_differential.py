@@ -1,0 +1,192 @@
+"""Differential check of the operand-specialized closures.
+
+``repro.sim.compile`` generates every binary operator, scalar update,
+expression statement, ``if`` and ``for`` from a source template that
+takes a constant or a local scalar inline.  Hypothesis generates
+functions whose expressions and updates mix constant, local and global
+operands of ``int``, ``long``, ``double`` and pointer type, with zero
+divisors, reads of a local whose declaration was skipped, and pointer
+comparisons against non-pointers.  Each program runs twice: compiled
+as it always is, and with the operand classifier answering "any
+compiled child" for every operand, so that every node runs behind a
+closure of its own.  Both runs must give the same stdout, cycles,
+per-core cycles, steps and chip metrics, or fail with the same
+exception, message and step count.
+"""
+
+import contextlib
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cfront.frontend import parse_program
+from repro.sim import compile as sim_compile
+from repro.sim.runner import run_pthread_single_core
+from tests.sim.goldens import signature, tiny_chip
+
+PROGRAM = """
+#include <stdio.h>
+
+int gi = 7;
+long gl = -5;
+double gd = 2.5;
+int garr[8];
+int *gp;
+
+int f(int n, long m, double x, int *q) {
+    int li = n;
+    int lj = 3;
+    long ll = m;
+    double ld = x;
+    int *lp = q;
+    int k;
+    switch (n & 3) {
+    case 0:
+        lj = 4;
+        int lu = lj + n;
+    default:
+%s
+    }
+    printf("%%d %%d %%ld %%f %%d %%ld %%f\\n", li, lj, ll, ld, gi, gl, gd);
+    return li;
+}
+
+int main(void) {
+    int r;
+    gp = garr;
+    for (r = 0; r < 8; r++)
+        garr[r] = r - 3;
+    for (r = 0; r < 4; r++)
+        printf("%%d\\n", f(r - 1, 3 * r - 2, r * 0.75, garr + r));
+    return 0;
+}
+"""
+
+# ``lu`` is declared only when ``f`` enters its switch at case 0
+_LEAVES = ("0", "1", "2", "3", "(-2)", "7", "0.5", "2.0", "0.0",
+           "li", "lj", "k", "ll", "ld", "lp",
+           "gi", "gl", "gd", "gp", "garr[2]", "lu")
+_OPS = ("+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!=",
+        "&", "|", "^", "<<", ">>")
+_UPDATES = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
+            "<<=", ">>=")
+_TARGETS = ("li", "lj", "ll", "ld", "lp", "gi", "gl", "gd", "gp",
+            "garr[1]", "*lp", "lp[1]", "lu")
+_STEPS = ("++", "--")
+
+
+@st.composite
+def _expr(draw, depth=0):
+    if depth >= 2 or draw(st.booleans()):
+        return draw(st.sampled_from(_LEAVES))
+    op = draw(st.sampled_from(_OPS))
+    left = draw(_expr(depth=depth + 1))
+    right = draw(_expr(depth=depth + 1))
+    if op in ("<<", ">>"):
+        right = "(%s & 7)" % right      # shift counts stay small
+    return "(%s %s %s)" % (left, op, right)
+
+
+@st.composite
+def _update(draw):
+    target = draw(st.sampled_from(_TARGETS))
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        op = draw(st.sampled_from(_UPDATES))
+        value = draw(_expr())
+        if op in ("<<=", ">>="):
+            value = "(%s & 7)" % value
+        return "%s %s %s" % (target, op, value)
+    step = draw(st.sampled_from(_STEPS))
+    return target + step if kind == 1 else step + target
+
+
+@st.composite
+def _stmt(draw, depth=0):
+    kind = draw(st.integers(0, 5 if depth < 2 else 2))
+    if kind <= 1:
+        return draw(_update()) + ";"
+    if kind == 2:
+        return "li = %s;" % draw(st.one_of(_expr(), _update()))
+    body = " ".join(draw(st.lists(_stmt(depth=depth + 1), min_size=1,
+                                  max_size=3)))
+    if kind == 3:
+        cond = draw(st.one_of(_expr(), _update()))
+        if draw(st.booleans()):
+            other = draw(_stmt(depth=depth + 1))
+            return "if (%s) { %s } else { %s }" % (cond, body, other)
+        return "if (%s) { %s }" % (cond, body)
+    if kind == 4:
+        bound = draw(st.sampled_from(("3", "lj", "(li & 3)")))
+        step = draw(st.sampled_from(("k++", "++k", "k += 1", "k = k + 1")))
+        init = draw(st.sampled_from(("k = 0", "")))
+        return "for (%s; k < %s; %s) { %s }" % (init, bound, step, body)
+    return "%s;" % draw(_expr())
+
+
+_bodies = st.lists(_stmt(), min_size=1, max_size=6)
+
+
+def _generic():
+    """Every operand, lvalue and statement expression a compiled
+    child: the closure tree the templates stand in for."""
+    return mock.patch.object(sim_compile, "_operand_mode",
+                             lambda fc, expr: "c")
+
+
+def _run(source, generic, max_steps):
+    """The outcome of one run: its signature, or the exception with
+    the chip's metrics (which hold each core's steps and cycles)."""
+    unit = parse_program(source)    # a fresh unit: a fresh compile
+    with _generic() if generic else contextlib.nullcontext():
+        sim_compile.compile_unit(unit)
+    chip = tiny_chip()
+    try:
+        result = run_pthread_single_core(unit, chip=chip,
+                                         max_steps=max_steps)
+    except Exception as exc:  # noqa: BLE001 - compared below
+        return ("error", type(exc), str(exc), chip.metrics.snapshot())
+    return ("ok", signature(result))
+
+
+@given(body=_bodies, max_steps=st.sampled_from((50_000, 700, 333)))
+@settings(max_examples=60, deadline=None)
+def test_specialized_matches_generic(body, max_steps):
+    source = PROGRAM % "\n".join("        " + line for line in body)
+    assert _run(source, False, max_steps) == _run(source, True, max_steps)
+
+
+def test_generic_mode_takes_no_operand_inline():
+    """The classifier patch reaches every template, so the property
+    above compares two different closure trees."""
+    source = """
+        int main(void) {
+            int i;
+            int s = 0;
+            for (i = 0; i < 10; i++) s += i;
+            return s;
+        }
+    """
+    real_build = sim_compile._Shape.build
+    built = {}
+    for generic in (False, True):
+        names = built[generic] = []
+
+        def build(shape, name, names=names):
+            names.append(name)
+            return real_build(shape, name)
+
+        unit = parse_program(source)
+        with mock.patch.object(sim_compile._Shape, "build", build), \
+                _generic() if generic else contextlib.nullcontext():
+            sim_compile.compile_unit(unit)
+        assert run_pthread_single_core(unit, chip=tiny_chip()) \
+            .exit_value == 45
+    assert "for_lt_lk_post_incdec_l" in built[False]
+    assert "stmt_add_set_ll" in built[False]
+    assert "for_c_c" in built[True]
+    for name in built[True]:
+        # operand tags: k constant, l/f local, c child, v/d lvalue
+        assert name.startswith("load_") \
+            or not set(name.rsplit("_", 1)[1]) & set("klf"), name
