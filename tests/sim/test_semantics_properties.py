@@ -3,11 +3,10 @@ semantics.  Random integer expressions are rendered to C, run through
 the interpreter, and compared against a Python oracle implementing the
 C rules (truncating division, sign-following modulo, in-range shifts).
 The main property also routes each result through pointer stores.
-Every property runs with its variables declared at file scope and
-again as ``main`` locals, which the compiled engine's operator
-templates take inline."""
+Every property runs with its variables declared at file scope and,
+in ``TestExpressionSemanticsLocals``, again as ``main`` locals, which
+the compiled engine's operator templates take inline."""
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,10 +19,6 @@ from repro.sim.machine import Memory
 
 _TINY_CONFIG = SCCConfig(num_cores=2, mesh_columns=1, mesh_rows=1,
                          cores_per_tile=2, num_memory_controllers=1)
-
-
-# where the bindings are declared
-SCOPES = ("global", "local")
 
 
 def _run_main(bindings, body, scope):
@@ -156,33 +151,47 @@ _env = st.fixed_dictionaries({
 })
 
 
-@pytest.mark.parametrize("scope", SCOPES)
-class TestExpressionSemantics:
-    @settings(max_examples=200, deadline=None)
-    @given(_exprs, _env)
-    def test_interpreter_matches_c_oracle(self, scope, tree, env):
-        try:
-            expected = tree.evaluate(env)
-        except ZeroDivisionError:
-            assume(False)  # skip expressions that divide by zero
-            return
-        assume(-2 ** 31 <= expected < 2 ** 31)  # stay in int range
-        # leaf constants render negatives with parens via unary minus
-        text = tree.render()
-        result = interpret_stored(text, env, scope)
-        assert result == expected, text
+def _expression_properties(scope):
+    """The properties with the bindings declared at ``scope``:
+    "global" (file scope) or "local" (``main`` locals).  Each call
+    makes fresh test functions, so hypothesis sees one executor each."""
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=-99, max_value=99),
-           st.integers(min_value=-99, max_value=99))
-    def test_division_identity(self, scope, a, b):
-        """C guarantees (a/b)*b + a%b == a."""
-        assume(b != 0)
-        quotient = interpret("a / b", {"a": a, "b": b}, scope)
-        remainder = interpret("a % b", {"a": a, "b": b}, scope)
-        assert quotient * b + remainder == a
+    class Properties:
+        @settings(max_examples=200, deadline=None)
+        @given(_exprs, _env)
+        def test_interpreter_matches_c_oracle(self, tree, env):
+            try:
+                expected = tree.evaluate(env)
+            except ZeroDivisionError:
+                assume(False)  # skip expressions that divide by zero
+                return
+            assume(-2 ** 31 <= expected < 2 ** 31)  # stay in int range
+            # leaf constants render negatives with parens via unary minus
+            text = tree.render()
+            result = interpret_stored(text, env, scope)
+            assert result == expected, text
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(min_value=0, max_value=30))
-    def test_shift_powers(self, scope, n):
-        assert interpret("1 << a", {"a": n}, scope) == 2 ** n
+        @settings(max_examples=60, deadline=None)
+        @given(st.integers(min_value=-99, max_value=99),
+               st.integers(min_value=-99, max_value=99))
+        def test_division_identity(self, a, b):
+            """C guarantees (a/b)*b + a%b == a."""
+            assume(b != 0)
+            quotient = interpret("a / b", {"a": a, "b": b}, scope)
+            remainder = interpret("a % b", {"a": a, "b": b}, scope)
+            assert quotient * b + remainder == a
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.integers(min_value=0, max_value=30))
+        def test_shift_powers(self, n):
+            assert interpret("1 << a", {"a": n}, scope) == 2 ** n
+
+    return Properties
+
+
+class TestExpressionSemantics(_expression_properties("global")):
+    """The bindings as file-scope ``int``s."""
+
+
+class TestExpressionSemanticsLocals(_expression_properties("local")):
+    """The same bindings as ``main`` locals."""
