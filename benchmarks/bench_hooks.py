@@ -5,10 +5,12 @@ into every simulated memory access on one promise: their hooks cost at
 most 1.05x.  Each row times the code runs execute, hooked against a
 baseline:
 
-* ``race_detached`` -- ``repro.sim.compile._ld``/``_st`` and the
-  local-load and local-store shapes the compiler generates for
-  ``x`` and ``x = 1``, with no detector attached, against the same
-  code with the race branch deleted;
+* ``race_detached`` -- the load and store shapes the compiler
+  generates for a local (``x``, ``x = 1``), a global (``g``,
+  ``g = 1``), a pointer (``*p``, ``*p = 1``, the store through an
+  lvalue closure) and an array element (``g[0]``, ``g[0] = 1``), with
+  no detector attached, against the same shapes with the race branch
+  deleted;
 * ``events_detached`` -- the ``SCCChip.access_fastpath`` entries with
   no tracer attached, against a chip whose methods have every event
   branch deleted;
@@ -17,11 +19,11 @@ baseline:
 
 The detached rows drive one access mix (private L1 hits, private
 misses, shared DRAM, MPB; a quarter of each segment stores) through a
-live ``Interpreter``'s site cache, alternating blocks of four
-accesses between the helpers and the shapes.  Their baselines are not
-hand-copied: ``_unhooked`` recompiles the live source with the hook's
-``if`` branches deleted (``_unhooked_shape`` recompiles a generated
-closure's shape source the same way), so a baseline differs from the
+live ``Interpreter``'s site cache, rotating blocks of four accesses
+among the four kinds of shape.  Their baselines are not hand-copied:
+``_unhooked_shape`` recompiles a generated closure's shape source with
+the hook's ``if`` branches deleted (``_unhooked`` recompiles a
+function's own source the same way), so a baseline differs from the
 live code in the hook alone.  The attribution row keeps its
 functional checks on an RCCE ``dot`` run: identical cycles and
 output, exact conservation, and a critical path equal to the
@@ -64,6 +66,7 @@ from repro.scc.config import SCCConfig, Table61Config  # noqa: E402
 from repro.sim import compile as sim_compile  # noqa: E402
 from repro.sim.interpreter import Interpreter  # noqa: E402
 from repro.sim.runner import run_pthread_single_core, run_rcce  # noqa: E402
+from repro.sim.values import Pointer  # noqa: E402
 
 PAIRS = 31
 CEILING = 1.05
@@ -73,10 +76,10 @@ SIDES = ("hooked", "baseline")
 RACE_HOOK = {"_race"}
 EVENT_HOOK = {"events", "_events"}
 MEASURES = {
-    "race_detached": "compile._ld/_st and the local load and store "
-                     "shapes with no detector attached vs the same code "
-                     "minus the race branch, %d accesses per segment"
-                     % ACCESSES,
+    "race_detached": "the load and store shapes of a local, a global, "
+                     "*p and an array element with no detector attached "
+                     "vs the same shapes minus the race branch, %d "
+                     "accesses per segment" % ACCESSES,
     "events_detached": "SCCChip.access_fastpath entries with no tracer "
                        "attached vs a chip with every event branch "
                        "deleted, %d accesses per segment" % ACCESSES,
@@ -245,85 +248,90 @@ def _mix(chip):
             for index, (name, addr) in enumerate(addresses.items())}
 
 
-SHAPE_SITES = 8          # the shapes' sites follow the helpers' 0-7
 _CO_INT = sim_compile.make_coercer(ctypes.INT)
+_ONE = ("k", 1)
+KINDS = ("local", "global", "pointer", "element")
 
 
-def _load_shape(site):
-    """The closure compiled for ``x``, an ``int`` local in slot 0."""
+def _pointer(I, F):
+    """``p``, a compiled child: the pointer frame slot 1 holds."""
+    return F[1]
+
+
+def _shape(kind, is_store, site):
+    """The closure compiled for a load or a store of 1 through ``x``,
+    an ``int`` local in frame slot 0; ``g``, an ``int`` global; ``*p``,
+    ``p`` an ``int *``; or ``g[0]``, ``g`` an ``int`` array."""
     with sim_compile._UNIT_CACHE_LOCK:
-        return sim_compile._make_expr(("l", 0, "x", False, site))
-
-
-def _store_shape(site):
-    """The closure compiled for ``x = 1``, ``x`` an ``int`` local in
-    slot 0."""
-    with sim_compile._UNIT_CACHE_LOCK:
-        return sim_compile._make_expr(
-            ("set", ("l", 0, "x", False, _CO_INT), ("k", 1), site))
+        if kind == "local":
+            lv = ("l", 0, "x", False)
+        elif kind == "global":
+            lv = ("g", "g", False)
+        elif kind == "element":
+            lv = ("v", sim_compile._make_elem(("g", "g"), ("k", 0), 4),
+                  False)
+        elif is_store:
+            lv = ("d", sim_compile._make_lv_deref(_pointer))
+        else:
+            return sim_compile._make_deref(("c", _pointer), site)
+        if not is_store:
+            return sim_compile._make_expr(lv + (site,))
+        if lv[0] != "d":
+            lv += (_CO_INT,)
+        return sim_compile._make_expr(("set", lv, _ONE, site))
 
 
 class _Side:
     """A live interpreter on a fresh ``chip_class`` chip, with one
-    runner per mix segment.  Alternate blocks of four accesses load
-    through ``ld`` and store through ``st``, or run the shapes that
-    ``load(site)`` and ``store(site)`` build on a frame whose slot 0
-    holds the address."""
+    runner per mix segment.  Each access runs the shape that
+    ``shape(kind, is_store, site)`` builds, after storing its address
+    where the shape looks: frame slot 0 for a local, the interpreter's
+    address of ``g`` for a global or an element, a pointer in frame
+    slot 1 for ``*p``."""
 
-    def __init__(self, chip_class, ld, st, load, store):
+    def __init__(self, chip_class, shape):
         self.chip = chip_class(SCCConfig())
         self.interp = Interpreter(
             parse_program("int main(void) { return 0; }"), self.chip)
-        self.runners = {name: self._runner(accesses, ld, st, load, store)
+        self.runners = {name: self._runner(accesses, shape)
                         for name, accesses in _mix(self.chip).items()}
 
-    def _runner(self, accesses, ld, st, load, store):
+    def _runner(self, accesses, shape):
         interp = self.interp
-        frame = [0]
+        frame = [0, None]
         shapes = {}
         plan = []
         for index, (addr, site, is_store) in enumerate(accesses):
-            shape = None
-            if index // 4 % 2:
-                if site not in shapes:
-                    shapes[site] = (store if is_store else load)(
-                        SHAPE_SITES + site)
-                shape = shapes[site]
-            plan.append((addr, site, is_store, shape))
+            kind = KINDS[index // 4 % len(KINDS)]
+            key = (kind, site)
+            if key not in shapes:
+                shapes[key] = shape(kind, is_store,
+                                    site * len(KINDS) + KINDS.index(kind))
+            if kind == "local":
+                target, slot, value = frame, 0, addr
+            elif kind == "pointer":
+                target, slot, value = frame, 1, Pointer(addr, 4, ctypes.INT)
+            else:
+                target, slot, value = interp._global_addr, "g", addr
+            plan.append((target, slot, value, shapes[key]))
 
         def run():
-            for addr, site, is_store, shape in plan:
-                if shape is not None:
-                    frame[0] = addr
-                    shape(interp, frame)
-                elif is_store:
-                    st(interp, addr, 1, site, None)
-                else:
-                    ld(interp, addr, site)
+            for target, slot, value, closure in plan:
+                target[slot] = value
+                closure(interp, frame)
         return run
 
 
-_LIVE = (sim_compile._ld, sim_compile._st, _load_shape, _store_shape)
-
-
 def _race_specs():
-    ld = _unhooked(sim_compile._ld, RACE_HOOK)
-    st = _unhooked(sim_compile._st, RACE_HOOK)
-    assert ld is not None and st is not None
+    def unhooked(kind, is_store, site):
+        return _unhooked_shape(_shape(kind, is_store, site), RACE_HOOK)
 
-    def load(site):
-        return _unhooked_shape(_load_shape(site), RACE_HOOK)
-
-    def store(site):
-        return _unhooked_shape(_store_shape(site), RACE_HOOK)
-
-    return {"hooked": (SCCChip,) + _LIVE,
-            "baseline": (SCCChip, ld, st, load, store)}
+    return {"hooked": (SCCChip, _shape), "baseline": (SCCChip, unhooked)}
 
 
 def _event_specs():
-    return {"hooked": (SCCChip,) + _LIVE,
-            "baseline": (_unhooked_chip(),) + _LIVE}
+    return {"hooked": (SCCChip, _shape),
+            "baseline": (_unhooked_chip(), _shape)}
 
 
 DETACHED = {"race_detached": _race_specs, "events_detached": _event_specs}
@@ -483,7 +491,7 @@ def test_baselines_do_the_live_work():
 
 
 def test_mix_segments_take_their_paths():
-    side = _Side(SCCChip, *_LIVE)
+    side = _Side(SCCChip, _shape)
     for run in side.runners.values():
         run()
     core = side.chip.cores[0]
@@ -493,9 +501,10 @@ def test_mix_segments_take_their_paths():
     side.runners["private_miss"]()
     assert core.l1.stats.hits - hits == ACCESSES
     assert core.l2.stats.misses - misses == ACCESSES
-    # every other block of three loads and a store ran the shapes: a
-    # load is one step, a store two (the assignment and its constant)
-    assert side.interp.steps - steps == 2 * (ACCESSES // 8) * 5
+    # a block of three loads and a store is five steps (a load is one,
+    # a store two: the assignment and its constant), thirteen for an
+    # array element (its name and index count two more per access)
+    assert side.interp.steps - steps == 2 * (ACCESSES // 16) * (3 * 5 + 13)
 
 
 # -- script entry -------------------------------------------------------------

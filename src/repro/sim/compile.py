@@ -18,15 +18,14 @@ Interpreter`, ``F`` the flat frame of local-variable addresses), with
   reconfiguration, new split window), so a present entry is always
   valid and the hot path never checks an epoch stamp.
 
-Binary operators, scalar updates (``=``, ``op=``, ``++``/``--``), and
-the expression statements, ``if`` conditions and ``for`` conditions
-and steps that consume them are **operand-specialized**: each operator
-is written once as a source template, instantiated per *shape*, where
-each leaf operand is a constant, a local scalar load or any compiled
-child.  A constant's or a local's step, site-cache probe, charge, race
-record and load then run inline in the operator instead of behind a
-call.  A shape is compiled once per process and shared by every
-program; see "operand-specialized closures" below.
+Every node is a *shape*: its closure is generated from source
+templates, one block per piece of work (the step prologue, a charged
+access, an operator, a branch), where each leaf operand is a constant,
+a local or global scalar load, or any compiled child.  A constant's or
+a scalar's step, site-cache probe, charge, race record and load then
+run inline in the node that consumes it instead of behind a call.  A
+shape is compiled once per process and shared by every program; see
+"shapes" below.
 
 The timing contract is fixed by the goldens in ``tests/golden/sim.json``
 (taken from the tree-walking interpreter this engine replaced): every
@@ -42,21 +41,25 @@ one.
 
 Constructs the simulator does not support compile to closures that
 raise :class:`InterpreterError` when (and only when) executed: ``goto``,
-unknown AST nodes, a member the struct does not have.  A non-constant
-``case`` label is rejected when its function is compiled.  An item
-ahead of a switch body's first label is dead code and is skipped.
-A ``break`` or ``continue`` that escapes its function raises
-:class:`InterpreterError` at the call.  A call through a function
-pointer resolves the target's name among the unit's functions first,
-then the builtins.
+unknown AST nodes, a member the struct does not have.  So do operators
+on operands the C subset rejects (two pointers added, a pointer
+negated or complemented, a negative shift count), after the
+operation's charge.  A non-constant ``case`` label is rejected when
+its function is compiled.  An item ahead of a switch body's first
+label is dead code and is skipped.  A ``break`` or ``continue`` that
+escapes its function raises :class:`InterpreterError` at the call.  A
+call through a function pointer resolves the target's name among the
+unit's functions first, then the builtins.
 """
 
-# The generated shapes run in this module's globals: math,
-# _arith_value and _pointer_value are read only by template source.
+# The generated shapes run in this module's globals: math, ctypes,
+# _arith_value, _pointer_value, pointer_for and the exceptions are
+# read only by template source.
 import itertools
 import linecache
 import math
 import os
+import string
 import threading
 import weakref
 
@@ -84,9 +87,8 @@ from repro.sim.values import (
 __all__ = ["BoundArg", "CompiledFunction", "CompiledUnit",
            "compile_unit", "invoke", "make_coercer"]
 
-# Pre-bound operation costs (builtins and the generic binop path read
-# OP_COSTS per charge; sourcing the constants from the same table keeps
-# them aligned).
+# Pre-bound operation costs (builtins read OP_COSTS per charge;
+# sourcing the constants from the same table keeps them aligned).
 _C_IALU = OP_COSTS["int_alu"]
 _C_IMUL = OP_COSTS["int_mul"]
 _C_IDIV = OP_COSTS["int_div"]
@@ -118,9 +120,6 @@ class BoundArg:
         self.fn = fn
         self.I = I
         self.F = F
-
-    def __call__(self):
-        return self.fn(self.I, self.F)
 
 
 class CompiledFunction:
@@ -188,41 +187,6 @@ def _compile_unit(unit):
 
 def _undefined(name):
     raise InterpreterError("undefined identifier %r" % name)
-
-
-def _ld(I, addr, site):
-    """Charged load through the per-site inline cache (no float
-    conversion; callers apply their statically-known conversion)."""
-    e = I._site_cache.get(site)
-    if e is None or not e[0] <= addr < e[1]:
-        e = I._fill_site(site, addr)
-    I.cycles += e[2](addr, "read", I.cycles)
-    if I._race is not None:
-        I._race.record(I, addr, "read")
-    return I._mem_get(addr, 0)
-
-
-def _st(I, addr, value, site, co):
-    """Charged store through the per-site inline cache; ``co`` is the
-    pre-built coercer for the target's C type (or None)."""
-    e = I._site_cache.get(site)
-    if e is None or not e[0] <= addr < e[1]:
-        e = I._fill_site(site, addr)
-    I.cycles += e[2](addr, "write", I.cycles)
-    if I._race is not None:
-        I._race.record(I, addr, "write")
-    if co is not None:
-        value = co(value)
-    I._mem_set(addr, value)
-    return value
-
-
-def _flt_load_conv(value, ct):
-    """The int->float load conversion for a runtime-known type."""
-    if isinstance(value, int) and ct.__class__ is ctypes.PrimitiveType \
-            and ct.name in _FLOAT_NAMES:
-        return float(value)
-    return value
 
 
 def invoke(I, cf, args):
@@ -382,44 +346,76 @@ def _can_escape(stmt, want_break):
     return False
 
 
+def _protect(body):
+    """Must a loop catch _Break/_Continue around ``body``?"""
+    return _can_escape(body, True) or _can_escape(body, False)
+
+
 # ---------------------------------------------------------------------------
-# operand-specialized closures
+# shapes
 #
-# Binary operators, scalar updates (``=``, ``op=``, ``++``/``--``) and
-# the expression statements, ``if`` conditions and ``for`` conditions
-# and steps that consume them are generated from source templates.  A
-# template takes each leaf operand in one of three modes:
+# Every node is a shape: every closure that counts a step is generated
+# from source templates.  A template takes each leaf operand in one of
+# these modes:
 #
-#     ("k", value)                     a constant
-#     ("l", slot, name, flt, site)     a local scalar load
-#     ("c", closure)                   any compiled child
+#     ("k", value)                       a constant
+#     ("l", slot, name, flt, site)       a local scalar load
+#     ("g", name, flt, site)             a global scalar load
+#     ("c", closure)                     any compiled child
 #
-# and an update's lvalue as ("l", slot, name, flt, co), a local scalar;
-# ("v", closure, flt, co), any lvalue of static type; or ("d",
-# closure), one typed at run time.  A constant's or a local's step
+# (and, standing alone, ("v", closure, flt, site) or ("d", closure,
+# flt, site): a load through an lvalue closure).  A target or an
+# address is an lvalue in one of the modes ("l", slot, name, ...), a
+# local scalar; ("g", name, ...), a global scalar; ("v", closure,
+# ...), any lvalue of static type; or ("d", closure), one typed at run
+# time.  An update's lvalue carries the load's float conversion and
+# the store's coercer: ("l", slot, name, flt, co), ("g", name, flt,
+# co), ("v", closure, flt, co).  A constant's or a scalar's step
 # prologue, site-cache probe, charge, race record and load run inline
 # in the consumer instead of behind a call.  Each node still counts
 # its own step where its closure would have, so ticks, the budget and
 # a halt land on the same step, and charges keep their order.
 #
-# The source of a *shape* (one combination of templates and modes)
-# names no constant, slot, site or closure: those are its factory's
-# parameters.  So programs share shapes, and each shape is compiled
+# A shape is its name and its blocks; a block is a template, its
+# depth, and its fields' values: a variable name of the generated code,
+# or the index of a parameter of the shape's factory.  That tuple keys
+# the factory, so finding it renders nothing.  The source names no
+# constant, slot, site or closure: those are the factory's parameters.
+# So programs share shapes, and each shape is rendered and compiled
 # once per process, under _UNIT_CACHE_LOCK.  A shape's file name,
 # ``sim/<shape>-<n>/../compile.py``, resolves to this file, so host
 # profiles charge generated code to the dispatch layer; linecache
 # holds its source, so a traceback quotes the generated line.
 # ---------------------------------------------------------------------------
 
-# (name, blocks), which spell a shape's source -> the shape's factory,
-# which carries that source as ``make.source``
+class _Template:
+    """Source text with named fields.  A field in ``names`` is a
+    variable of the generated code, named per block; one in ``params``
+    is a parameter of the shape's factory, numbered in the order the
+    shape's blocks are emitted and bound to the node's values."""
+
+    __slots__ = ("text", "names", "params")
+
+    def __init__(self, text, names=(), params=()):
+        found = {field for _, field, _, _ in string.Formatter().parse(text)
+                 if field}
+        if found != set(names) | set(params) or set(names) & set(params):
+            raise ValueError("template fields %s, declared %s and %s"
+                             % (sorted(found), names, params))
+        self.text = text
+        self.names = names
+        self.params = params
+
+
+# (name, blocks) -> the shape's factory, which carries its rendered
+# source as ``make.source``
 _SHAPES = {}
 
-_STEP = """\
+_STEP = _Template("""\
 s = I.steps + 1
 I.steps = s
 if s >= I._stop:
-    I._step_event()"""
+    I._step_event()""")
 
 # one charged access through the site's inline cache
 _ACCESS = """\
@@ -430,21 +426,50 @@ I.cycles += e[2]({addr}, "{kind}", I.cycles)
 if I._race is not None:
     I._race.record(I, {addr}, "{kind}")"""
 
-_LOCAL_ADDR = """\
+_LOAD = _Template(_ACCESS.replace("{kind}", "read") + """
+{var} = I._mem_get({addr}, 0)""", ("addr", "var"), ("site",))
+_STORE_TEXT = _ACCESS.replace("{kind}", "write") + """
+{out} = {co}({var})
+I._mem_set({addr}, {out})"""
+_STORE = _Template(_STORE_TEXT, ("addr", "out", "var"), ("site", "co"))
+_STORE_DYN = _Template(_STORE_TEXT.replace("{co}({var})",
+                                           "coerce(ct, {var})"),
+                       ("addr", "out", "var"), ("site",))
+
+_LOCAL_ADDR = _Template("""\
 {addr} = F[{slot}]
 if not {addr}:
-    _undefined({name})"""
+    _undefined({name})""", ("addr",), ("slot", "name"))
+_GLOBAL_ADDR = _Template("{addr} = I._global_addr[{name}]", ("addr",),
+                         ("name",))
+_LV_ADDR = _Template("{addr} = {lv}(I, F)", ("addr",), ("lv",))
+_LV_ADDR_DYN = _Template("{addr}, ct = {lv}(I, F)", ("addr",), ("lv",))
+# an array typed at run time decays instead of loading
+_DYN_DECAY = _Template("""\
+if isinstance(ct, ctypes.ArrayType):
+    {var} = pointer_for(ct, {addr})
+else:""", ("var", "addr"))
 
-_LOAD = _ACCESS.replace("{kind}", "read") + """
-{var} = I._mem_get({addr}, 0)"""
-_LOCAL_LOAD = _LOCAL_ADDR + "\n" + _LOAD
-_STORE = _ACCESS.replace("{kind}", "write") + """
-{out} = {value}
-I._mem_set({addr}, {out})"""
-
-_TO_FLOAT = """\
+_TO_FLOAT = _Template("""\
 if isinstance({var}, int):
-    {var} = float({var})"""
+    {var} = float({var})""", ("var",))
+# the int->float load conversion for a type known at run time
+_DYN_FLOAT = _Template("""\
+if isinstance({var}, int) and ct.__class__ is ctypes.PrimitiveType \\
+        and ct.name in _FLOAT_NAMES:
+    {var} = float({var})""", ("var",))
+
+_CONST = _Template("{var} = {k}", ("var",), ("k",))
+_CALL = _Template("{var} = {fn}(I, F)", ("var",), ("fn",))
+_RUN = _Template("{fn}(I, F)", (), ("fn",))
+_RUN_ALL = _Template("for c in {fns}:\n    c(I, F)", (), ("fns",))
+_RETURN = _Template("return {var}", ("var",))
+_RAISE = _Template("raise {exc}", ("exc",))
+_BRANCH = _Template("I.cycles += _C_BRANCH")
+_TRUTH_TEXT = """\
+if {var}.__class__ is _P:
+    {var} = {var}.addr != 0"""
+_TRUTH = _Template(_TRUTH_TEXT, ("var",))
 
 # binary operators: charge ``a op b`` and leave its value in ``r``
 _ADD = """\
@@ -452,10 +477,12 @@ ca = a.__class__
 cb = b.__class__
 if ca is _P or cb is _P:
     I.cycles += _C_IALU
-    if ca is _P:
+    if cb is not _P:
         r = _P(a.addr + int(b) * a.stride, a.stride, a.pointee)
-    else:
+    elif ca is not _P:
         r = _P(b.addr + int(a) * b.stride, b.stride, b.pointee)
+    else:
+        raise InterpreterError("cannot add two pointers")
 elif ca is float or cb is float:
     I.cycles += _C_FALU
     r = a + b
@@ -557,8 +584,16 @@ else:
     I.cycles += _C_IALU
     r = int(a) {op} int(b)"""
 
+# a shift: its count is checked after the charge
+_SHIFT = _BITS.replace("    r = int(a) {op} int(b)", """\
+    r = int(a)
+    n = int(b)
+    if n < 0:
+        raise InterpreterError("negative shift count")
+    r = r {op} n""")
+
 # an operator the parser never produces: charged, then rejected
-_OTHER = """\
+_OTHER = _Template("""\
 if a.__class__ is _P or b.__class__ is _P:
     I.cycles += _C_IALU
     r = _pointer_value({op}, a, b)
@@ -567,60 +602,178 @@ elif a.__class__ is float or b.__class__ is float:
     r = _arith_value({op}, a, b)
 else:
     I.cycles += _C_IALU
-    r = _arith_value({op}, a, b)"""
+    r = _arith_value({op}, a, b)""", (), ("op",))
 
 _COMPARISONS = ("<", ">", "<=", ">=", "==", "!=")
 _BINOPS = {"+": ("add", _ADD), "-": ("sub", _SUB), "*": ("mul", _MUL),
            "/": ("div", _DIV), "%": ("mod", _MOD)}
 for _name, _op in zip(("lt", "gt", "le", "ge", "eq", "ne"), _COMPARISONS):
-    _BINOPS[_op] = (_name, _CMP.format(op=_op))
-for _name, _op in zip(("and", "or", "xor", "shl", "shr"),
-                      ("&", "|", "^", "<<", ">>")):
-    _BINOPS[_op] = (_name, _BITS.format(op=_op))
+    _BINOPS[_op] = (_name, _CMP.replace("{op}", _op))
+for _name, _op in zip(("and", "or", "xor"), ("&", "|", "^")):
+    _BINOPS[_op] = (_name, _BITS.replace("{op}", _op))
+for _name, _op in zip(("shl", "shr"), ("<<", ">>")):
+    _BINOPS[_op] = (_name, _SHIFT.replace("{op}", _op))
+_BINOPS = {op: (name, _Template(text))
+           for op, (name, text) in _BINOPS.items()}
 
 # ++/--: the old value is in ``a``
-_INCDEC = """\
+_INCDEC = _Template("""\
 I.cycles += _C_IALU
 if a.__class__ is _P:
     r = _P(a.addr + {delta} * a.stride, a.stride, a.pointee)
 else:
-    r = a + {delta}"""
+    r = a + {delta}""", (), ("delta",))
+
+# unary operators: the operand is in ``v``, charged; the value in ``r``
+_CHARGE_IALU = _Template("I.cycles += _C_IALU")
+_UNARY = {
+    "-": ("neg", _Template("""\
+if v.__class__ is _P:
+    raise InterpreterError("unary - on a pointer")
+r = -v""")),
+    "+": ("pos", _Template("r = v")),
+    "!": ("not", _Template(_TRUTH_TEXT.format(var="v")
+                           + "\nr = 0 if v else 1")),
+    "~": ("inv", _Template("""\
+if v.__class__ is _P:
+    raise InterpreterError("unary ~ on a pointer")
+r = ~int(v)""")),
+}
+_UNARY_OTHER = _Template(
+    'raise InterpreterError("unsupported unary operator %r" % {op})', (),
+    ("op",))
+
+_CAST = _Template("I.cycles += _C_CAST\nreturn {co}(v)", (), ("co",))
+_ELEM = _Template("I.cycles += _C_IALU\nreturn addr + int(i) * {stride}",
+                  (), ("stride",))
+_POINTER = _Template("return _P(addr, {stride}, {pe})", (),
+                     ("stride", "pe"))
+_POINTER_DYN = _Template("return _P(addr, ct.sizeof() or 4, ct)")
+_DEREF = _Template("""\
+if p.__class__ is not _P:
+    raise InterpreterError("dereference of non-pointer")
+addr = p.addr
+if addr == 0:
+    raise InterpreterError("NULL pointer dereference")""")
+_POINTEE = _Template("ct = p.pointee")
+_SHORT_AND = _Template("if not {var}:\n    return 0", ("var",))
+_SHORT_OR = _Template("if {var}:\n    return 1", ("var",))
+_BOOL = _Template("return 1 if {var} else 0", ("var",))
+_IF = _Template("if {var}:", ("var",))
+_ELSE = _Template("else:")
+
+_LOOP = _Template("while True:")
+_EXIT_UNLESS = _Template("if not {var}:\n    break", ("var",))
+_PROTECTED = _Template("""\
+try:
+    {body}(I, F)
+except _Break:
+    break
+except _Continue:
+    pass""", (), ("body",))
+
+_ALLOC = _Template("""\
+addr = I.stack.alloc({size})
+F[{slot}] = addr
+if I._race is not None:
+    I._race.register({name}, addr, {size}, "local", I.current_function)""",
+                   (), ("size", "slot", "name"))
+# an array's initializer list: every element stored, charged, in order
+_ARRAY_INIT = _Template("""\
+values = [c(I, F) for c in {inits}]
+for k in range({length}):
+    p = addr + k * {stride}
+""" + "\n".join("    " + line for line in _STORE_TEXT.format(
+    site="{site}", addr="p", out="w", co="{co}",
+    var="values[k] if k < {count} else {default}").split("\n")),
+    (), ("inits", "length", "stride", "site", "co", "count", "default"))
+
+_SWITCH = _Template("""\
+matched = False
+try:
+    for is_default, marker, stmts in {groups}:
+        if not matched:
+            if is_default or marker == {var}:
+                matched = True
+        if matched:
+            for c in stmts:
+                c(I, F)
+except _Break:
+    pass""", ("var",), ("groups",))
+
+_CALL_ARGS = _Template("return invoke(I, {cf}, ({args}))", ("args",),
+                       ("cf",))
+# a call resolved at run time: a unit function gets its arguments
+# evaluated, a builtin gets them as lazy thunks
+_CALLEE = _Template("callee = {name}", (), ("name",))
+_IF_NOT_BUILTIN = _Template("if callee not in I.builtins:")
+_LOCAL_BINDING = _Template("addr = F[{slot}]", (), ("slot",))
+_IF_ADDR = _Template("if addr:")
+_FUNCTION_VALUE = _Template(
+    "if v.__class__ is FunctionRef:\n    callee = v.name")
+_IF_RENAMED = _Template("if callee is not {name}:", (), ("name",))
+_FUNCTION_CHECK = _Template("""\
+if t.__class__ is not FunctionRef:
+    raise InterpreterError("call through non-function value")""")
+_DISPATCH = _Template("""\
+cf = I._compiled.functions.get({callee})
+if cf is not None:
+    return invoke(I, cf, [c(I, F) for c in {args}])""", ("callee",),
+                      ("args",))
+_BUILTIN = _Template("""\
+b = I.builtins.get({callee})
+if b is None:
+    raise InterpreterError("call to unknown function %r" % {callee})
+return b(I, [BoundArg(c, I, F) for c in {args}])""", ("callee",),
+                     ("args",))
+
+_LATE = _Template("""\
+if {name} in I.builtins:
+    return FunctionRef({name})
+if {name} in _ENV:
+    return _ENV[{name}]
+raise InterpreterError("undefined identifier %r" % {name})""", (),
+                  ("name",))
+_SIZEOF = _Template("return {size} if F[{slot}] else 4", (),
+                    ("size", "slot"))
+_FAIL = _Template("raise InterpreterError({message})", (), ("message",))
 
 
 class _Shape:
-    """The source of one generated closure, built a block at a time,
-    and the values of its factory's parameters."""
+    """One generated closure under construction: its blocks, each a
+    template at a depth with the names of its variables, and the
+    values of its factory's parameters, in emission order."""
 
-    __slots__ = ("blocks", "names", "values")
+    __slots__ = ("blocks", "values")
 
-    def __init__(self):
-        self.blocks = []
-        self.names = []
+    def __init__(self, step=True):
+        self.blocks = [(0, _STEP, ())] if step else []
         self.values = []
 
-    def arg(self, stem, value):
-        """A factory parameter bound to ``value``; returns its name."""
-        name = "%s%d" % (stem, len(self.names))
-        self.names.append(name)
-        self.values.append(value)
-        return name
-
-    def emit(self, depth, block):
-        self.blocks.append((depth, block))
+    def emit(self, depth, template, names=(), *values):
+        """Add a block: ``names`` fill the template's ``names``,
+        ``values`` bind its ``params``."""
+        self.blocks.append((depth, template, names))
+        self.values += values
 
     def source(self, name):
-        lines = ["def make(%s):" % ", ".join(self.names),
-                 "    def %s(I, F, _P=Pointer):" % name]
-        for depth, block in self.blocks:
+        params = []
+        lines = [None, "    def %s(I, F, _P=Pointer):" % name]
+        for depth, template, names in self.blocks:
+            fields = dict(zip(template.names, names))
+            for field in template.params:
+                fields[field] = "%s%d" % (field, len(params))
+                params.append(fields[field])
             pad = "    " * (depth + 2)
-            lines.extend(pad + line for line in block.split("\n"))
+            lines.extend(pad + line for line in
+                         template.text.format(**fields).split("\n"))
+        lines[0] = "def make(%s):" % ", ".join(params)
         lines.append("    return %s\n" % name)
         return "\n".join(lines)
 
     def build(self, name):
-        """The closure: the shape's factory (compiled on first use)
-        applied to this node's values.  The blocks and the name spell
-        the source, so they key the factory without rendering it."""
+        """The closure: the shape's factory (rendered and compiled on
+        first use) applied to this node's values."""
         key = (name, tuple(self.blocks))
         make = _SHAPES.get(key)
         if make is None:
@@ -639,71 +792,68 @@ class _Shape:
         return make(*self.values)
 
 
+def _emit_addr(shape, depth, lv, addr):
+    """Leave an lvalue's address in ``addr`` (and, typed at run time,
+    its type in ``ct``); returns its mode letter."""
+    mode = lv[0]
+    if mode == "l":
+        shape.emit(depth, _LOCAL_ADDR, (addr,), lv[1], lv[2])
+    elif mode == "g":
+        shape.emit(depth, _GLOBAL_ADDR, (addr,), lv[1])
+    else:
+        shape.emit(depth, _LV_ADDR_DYN if mode == "d" else _LV_ADDR,
+                   (addr,), lv[1])
+    return mode
+
+
+def _emit_read(shape, depth, lv, site, addr, var):
+    """Charged load of ``addr`` into ``var``, with the lvalue's
+    int->float conversion."""
+    shape.emit(depth, _LOAD, (addr, var), site)
+    if lv[0] == "d":
+        shape.emit(depth, _DYN_FLOAT, (var,))
+    elif lv[-2]:
+        shape.emit(depth, _TO_FLOAT, (var,))
+
+
+def _emit_store(shape, depth, co, site, addr, var, out):
+    """Store ``var`` at ``addr`` as ``out``, coerced by ``co`` (None:
+    by ``ct``, the target's type known at run time)."""
+    if co is None:
+        shape.emit(depth, _STORE_DYN, (addr, out, var), site)
+    else:
+        shape.emit(depth, _STORE, (addr, out, var), site, co)
+
+
 def _emit_operand(shape, depth, var, operand):
     """Leave a leaf operand's value in ``var``; returns its mode letter
     (``f`` for a local with the int->float load conversion)."""
     mode = operand[0]
     if mode == "c":
-        shape.emit(depth, "%s = %s(I, F)"
-                   % (var, shape.arg("fn", operand[1])))
+        shape.emit(depth, _CALL, (var,), operand[1])
         return "c"
     shape.emit(depth, _STEP)
     if mode == "k":
-        shape.emit(depth, "%s = %s" % (var, shape.arg("k", operand[1])))
+        shape.emit(depth, _CONST, (var,), operand[1])
         return "k"
-    _, slot, name, flt, site = operand
-    shape.emit(depth, _LOCAL_LOAD.format(
-        addr="p" + var, var=var, slot=shape.arg("slot", slot),
-        name=shape.arg("name", name), site=shape.arg("site", site)))
-    if flt:
-        shape.emit(depth, _TO_FLOAT.format(var=var))
+    addr = "p" + var
+    _emit_addr(shape, depth, operand, addr)
+    if mode == "d":
+        shape.emit(depth, _DYN_DECAY, (var, addr))
+        depth += 1
+    _emit_read(shape, depth, operand, operand[-1], addr, var)
+    if mode == "l" and operand[-2]:
         return "f"
-    return "l"
+    return mode
 
 
 def _emit_op_body(shape, depth, op):
     entry = _BINOPS.get(op)
     if entry is None:
-        shape.emit(depth, _OTHER.format(op=shape.arg("op", op)))
+        shape.emit(depth, _OTHER, (), op)
         return "op"
     shape.emit(depth, entry[1])
     return entry[0]
-
-
-def _emit_lvalue(shape, depth, lv):
-    """Leave an update's target address in ``addr`` (and, typed at
-    run time, its type in ``ct``)."""
-    mode = lv[0]
-    if mode == "l":
-        shape.emit(depth, _LOCAL_ADDR.format(
-            addr="addr", slot=shape.arg("slot", lv[1]),
-            name=shape.arg("name", lv[2])))
-    elif mode == "v":
-        shape.emit(depth, "addr = %s(I, F)" % shape.arg("lv", lv[1]))
-    else:
-        shape.emit(depth, "addr, ct = %s(I, F)" % shape.arg("lv", lv[1]))
-    return mode
-
-
-def _emit_load_old(shape, depth, lv, site):
-    """Load the target's old value into ``a``."""
-    shape.emit(depth, _LOAD.format(site=shape.arg("site", site),
-                                   addr="addr", var="a"))
-    if lv[0] == "d":
-        shape.emit(depth, "a = _flt_load_conv(a, ct)")
-    elif lv[-2]:
-        shape.emit(depth, _TO_FLOAT.format(var="a"))
-
-
-def _emit_store(shape, depth, lv, site, var, out):
-    """Store ``var``, coerced to the target's type, as ``out``."""
-    site = shape.arg("site", site)
-    if lv[0] == "d":
-        value = "coerce(ct, %s)" % var
-    else:
-        value = "%s(%s)" % (shape.arg("co", lv[-1]), var)
-    shape.emit(depth, _STORE.format(site=site, addr="addr", out=out,
-                                    value=value))
 
 
 def _emit(shape, depth, form, var="v"):
@@ -714,7 +864,7 @@ def _emit(shape, depth, form, var="v"):
         ("incdec", lvalue, delta, postfix, read site, write site);
     returns the variable left holding its value and a tag naming it."""
     kind = form[0]
-    if kind in ("k", "l", "c"):
+    if len(kind) == 1:
         return var, _emit_operand(shape, depth, var, form)
     shape.emit(depth, _STEP)
     if kind == "op":
@@ -722,759 +872,298 @@ def _emit(shape, depth, form, var="v"):
         tags = (_emit_operand(shape, depth, "a", left)
                 + _emit_operand(shape, depth, "b", right))
         return "r", "%s_%s" % (_emit_op_body(shape, depth, op), tags)
+    lv = form[2] if kind == "upd" else form[1]
+    tags = _emit_addr(shape, depth, lv, "addr")
+    co = None if lv[0] == "d" else lv[-1]
     if kind == "set":
-        _, lv, rhs, site = form
-        tags = _emit_lvalue(shape, depth, lv) \
-            + _emit_operand(shape, depth, "b", rhs)
-        _emit_store(shape, depth, lv, site, "b", "r")
+        tags += _emit_operand(shape, depth, "b", form[2])
+        _emit_store(shape, depth, co, form[3], "addr", "b", "r")
         return "r", "set_" + tags
     if kind == "upd":
         _, op, lv, rhs, site_r, site_w = form
-        tags = _emit_lvalue(shape, depth, lv)
-        _emit_load_old(shape, depth, lv, site_r)
+        _emit_read(shape, depth, lv, site_r, "addr", "a")
         tags += _emit_operand(shape, depth, "b", rhs)
         name = _emit_op_body(shape, depth, op)
-        _emit_store(shape, depth, lv, site_w, "r", "r")
+        _emit_store(shape, depth, co, site_w, "addr", "r", "r")
         return "r", "%s_set_%s" % (name, tags)
     _, lv, delta, postfix, site_r, site_w = form
-    tag = _emit_lvalue(shape, depth, lv)
-    _emit_load_old(shape, depth, lv, site_r)
-    shape.emit(depth, _INCDEC.format(delta=shape.arg("delta", delta)))
-    _emit_store(shape, depth, lv, site_w, "r", "w")
+    _emit_read(shape, depth, lv, site_r, "addr", "a")
+    shape.emit(depth, _INCDEC, (), delta)
+    _emit_store(shape, depth, co, site_w, "addr", "r", "w")
     if postfix:
-        return "a", "post_incdec_" + tag
-    return "r", "incdec_" + tag
+        return "a", "post_incdec_" + tags
+    return "r", "incdec_" + tags
 
 
-def _emit_test(shape, depth, var, form):
-    """C truth of a condition's value: a pointer tests its address
-    (a comparison always yields 0 or 1)."""
+def _emit_cond(shape, depth, form):
+    """Emit a condition and leave its C truth in the returned variable:
+    a pointer tests its address (a comparison always yields 0 or 1)."""
+    var, tag = _emit(shape, depth, form)
     if form[0] != "op" or form[1] not in _COMPARISONS:
-        shape.emit(depth, "if {0}.__class__ is _P:\n"
-                          "    {0} = {0}.addr != 0".format(var))
+        shape.emit(depth, _TRUTH, (var,))
+    return var, tag
 
+
+# -- expressions --------------------------------------------------------------
+#
+# Each builder's _Shape starts with the node's own step prologue.
 
 def _make_expr(form):
-    shape = _Shape()
+    """A leaf operand, operator or update as a closure of its own."""
+    shape = _Shape(step=False)      # the form counts its own step
     var, tag = _emit(shape, 0, form)
-    shape.emit(0, "return " + var)
+    shape.emit(0, _RETURN, (var,))
     return shape.build(tag if len(tag) > 1 else "load_" + tag)
 
 
-def _make_exprstmt(form):
+def _make_addr(lv, stride, pointee):
+    """``&x``, or an array decaying to a pointer to its first element:
+    a pointer to the lvalue's address."""
     shape = _Shape()
-    shape.emit(0, _STEP)
-    tag = _emit(shape, 0, form)[1]
-    return shape.build("stmt_" + tag)
-
-
-def _make_if(cond, then_c, else_c):
-    shape = _Shape()
-    shape.emit(0, _STEP)
-    shape.emit(0, "I.cycles += _C_BRANCH")
-    var, tag = _emit(shape, 0, cond)
-    _emit_test(shape, 0, var, cond)
-    shape.emit(0, "if %s:\n    %s(I, F)"
-               % (var, shape.arg("then", then_c)))
-    if else_c is not None:
-        shape.emit(0, "else:\n    %s(I, F)" % shape.arg("els", else_c))
-    return shape.build("if_" + tag)
-
-
-def _make_for(init_c, cond, step, body_c, protect):
-    shape = _Shape()
-    tags = ["for"]
-    shape.emit(0, _STEP)
-    if init_c is not None:
-        shape.emit(0, "%s(I, F)" % shape.arg("init", init_c))
-    shape.emit(0, "while True:")
-    shape.emit(1, _STEP)
-    if cond is not None:
-        shape.emit(1, "I.cycles += _C_BRANCH")
-        var, tag = _emit(shape, 1, cond)
-        _emit_test(shape, 1, var, cond)
-        shape.emit(1, "if not %s:\n    break" % var)
-        tags.append(tag)
-    body = shape.arg("body", body_c)
-    if protect:
-        shape.emit(1, "try:\n    %s(I, F)\nexcept _Break:\n    break\n"
-                      "except _Continue:\n    pass" % body)
+    mode = _emit_addr(shape, 0, lv, "addr")
+    if mode == "d":
+        shape.emit(0, _POINTER_DYN)
     else:
-        shape.emit(1, "%s(I, F)" % body)
-    if step is not None:
-        tags.append(_emit(shape, 1, step)[1])
-    return shape.build("_".join(tags))
-
-
-# ---------------------------------------------------------------------------
-# closure builders — statements
-#
-# Every builder inlines the step prologue:
-#     steps += 1; at I._stop, call I._step_event().
-# ---------------------------------------------------------------------------
-
-def _make_seq(items):
-    n = len(items)
-    if n == 0:
-        def run0(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-        return run0
-    if n == 1:
-        c0, = items
-
-        def run1(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            c0(I, F)
-        return run1
-    if n == 2:
-        c0, c1 = items
-
-        def run2(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            c0(I, F)
-            c1(I, F)
-        return run2
-
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        for c in items:
-            c(I, F)
-    return run
-
-
-def _make_raise_stmt(message):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        raise InterpreterError(message)
-    return run
-
-
-def _make_while(cond_c, body_c, protect):
-    if protect:
-        def run(I, F, _P=Pointer):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            while True:
-                s = I.steps + 1
-                I.steps = s
-                if s >= I._stop:
-                    I._step_event()
-                I.cycles += _C_BRANCH
-                v = cond_c(I, F)
-                if v.__class__ is _P:
-                    v = v.addr != 0
-                if not v:
-                    break
-                try:
-                    body_c(I, F)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-        return run
-
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        while True:
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            I.cycles += _C_BRANCH
-            v = cond_c(I, F)
-            if v.__class__ is _P:
-                v = v.addr != 0
-            if not v:
-                break
-            body_c(I, F)
-    return run
-
-
-def _make_dowhile(body_c, cond_c, protect):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        while True:
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            if protect:
-                try:
-                    body_c(I, F)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-            else:
-                body_c(I, F)
-            I.cycles += _C_BRANCH
-            v = cond_c(I, F)
-            if v.__class__ is _P:
-                v = v.addr != 0
-            if not v:
-                break
-    return run
-
-
-def _make_return(expr_c):
-    if expr_c is None:
-        def run_void(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            raise _Return(None)
-        return run_void
-
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        raise _Return(expr_c(I, F))
-    return run
-
-
-def _make_break():
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        raise _Break()
-    return run
-
-
-def _make_continue():
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        raise _Continue()
-    return run
-
-
-def _make_switch(cond_c, groups):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        I.cycles += _C_BRANCH
-        value = cond_c(I, F)
-        matched = False
-        try:
-            for is_default, marker, stmts in groups:
-                if not matched:
-                    if is_default or marker == value:
-                        matched = True
-                if matched:
-                    for c in stmts:
-                        c(I, F)
-        except _Break:
-            pass
-    return run
-
-
-def _make_decl_plain(slot, name, size):
-    def run(I, F):
-        addr = I.stack.alloc(size)
-        F[slot] = addr
-        if I._race is not None:
-            I._race.register(name, addr, size, "local",
-                             I.current_function)
-    return run
-
-
-def _make_decl_scalar(slot, name, size, init_c, co, site):
-    def run(I, F):
-        addr = I.stack.alloc(size)
-        F[slot] = addr
-        if I._race is not None:
-            I._race.register(name, addr, size, "local",
-                             I.current_function)
-        _st(I, addr, init_c(I, F), site, co)
-    return run
-
-
-def _make_decl_array(slot, name, size, init_cs, length, stride, dv, co,
-                     site):
-    n = len(init_cs)
-
-    def run(I, F):
-        addr = I.stack.alloc(size)
-        F[slot] = addr
-        if I._race is not None:
-            I._race.register(name, addr, size, "local",
-                             I.current_function)
-        values = [c(I, F) for c in init_cs]
-        for k in range(length):
-            _st(I, addr + k * stride, values[k] if k < n else dv,
-                site, co)
-    return run
-
-
-# ---------------------------------------------------------------------------
-# closure builders — expressions
-# ---------------------------------------------------------------------------
-
-def _make_const(value):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        return value
-    return run
-
-
-def _make_raise_expr(message):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        raise InterpreterError(message)
-    return run
-
-
-def _make_id_late(name):
-    """Identifier unresolvable at compile time: builtin FunctionRef or
-    environment constant, decided at run time (builtins depend on the
-    attached runtime)."""
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        if name in I.builtins:
-            return FunctionRef(name)
-        if name in _ENV:
-            return _ENV[name]
-        raise InterpreterError("undefined identifier %r" % name)
-    return run
-
-
-def _make_id_load_global(name, flt, site):
-    if flt:
-        def run_f(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            addr = I._global_addr[name]
-            e = I._site_cache.get(site)
-            if e is None or not e[0] <= addr < e[1]:
-                e = I._fill_site(site, addr)
-            I.cycles += e[2](addr, "read", I.cycles)
-            if I._race is not None:
-                I._race.record(I, addr, "read")
-            v = I._mem_get(addr, 0)
-            if isinstance(v, int):
-                return float(v)
-            return v
-        return run_f
-
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr = I._global_addr[name]
-        e = I._site_cache.get(site)
-        if e is None or not e[0] <= addr < e[1]:
-            e = I._fill_site(site, addr)
-        I.cycles += e[2](addr, "read", I.cycles)
-        if I._race is not None:
-            I._race.record(I, addr, "read")
-        return I._mem_get(addr, 0)
-    return run
-
-
-def _make_id_decay_local(slot, name, stride, pointee):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr = F[slot]
-        if not addr:
-            _undefined(name)
-        return _P(addr, stride, pointee)
-    return run
-
-
-def _make_id_decay_global(name, stride, pointee):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        return _P(I._global_addr[name], stride, pointee)
-    return run
-
-
-def _make_land(left_c, right_c):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        I.cycles += _C_BRANCH
-        v = left_c(I, F)
-        if v.__class__ is _P:
-            v = v.addr != 0
-        if not v:
-            return 0
-        v = right_c(I, F)
-        if v.__class__ is _P:
-            v = v.addr != 0
-        return 1 if v else 0
-    return run
-
-
-def _make_lor(left_c, right_c):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        I.cycles += _C_BRANCH
-        v = left_c(I, F)
-        if v.__class__ is _P:
-            v = v.addr != 0
-        if v:
-            return 1
-        v = right_c(I, F)
-        if v.__class__ is _P:
-            v = v.addr != 0
-        return 1 if v else 0
-    return run
-
-
-def _make_ternary(cond_c, then_c, else_c):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        I.cycles += _C_BRANCH
-        v = cond_c(I, F)
-        if v.__class__ is _P:
-            v = v.addr != 0
-        if v:
-            return then_c(I, F)
-        return else_c(I, F)
-    return run
-
-
-def _make_comma(item_cs):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        value = None
-        for c in item_cs:
-            value = c(I, F)
-        return value
-    return run
-
-
-def _make_cast(inner_c, co):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        v = inner_c(I, F)
-        I.cycles += _C_CAST
-        return co(v)
-    return run
-
-
-def _make_addrof(lv, ct):
-    ct = ctypes.resolve(ct)
-    stride = ct.sizeof() or 4
-
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        return _P(lv(I, F), stride, ct)
-    return run
-
-
-def _make_addrof_dyn(lv):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr, ct = lv(I, F)
-        return _P(addr, ct.sizeof() or 4, ct)
-    return run
-
-
-def _make_deref(operand_c, site):
-    def run(I, F, _P=Pointer):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        p = operand_c(I, F)
-        if p.__class__ is not _P:
-            raise InterpreterError("dereference of non-pointer")
-        addr = p.addr
-        if addr == 0:
-            raise InterpreterError("NULL pointer dereference")
-        v = _ld(I, addr, site)
-        if isinstance(v, int):
-            pe = p.pointee
-            if pe is not None and pe.__class__ is ctypes.PrimitiveType \
-                    and pe.name in _FLOAT_NAMES:
-                return float(v)
-        return v
-    return run
-
-
-def _make_unary_simple(op, operand_c):
-    if op == "-":
-        def run_neg(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            v = operand_c(I, F)
-            I.cycles += _C_IALU
-            return -v
-        return run_neg
-    if op == "+":
-        def run_pos(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            v = operand_c(I, F)
-            I.cycles += _C_IALU
-            return v
-        return run_pos
-    if op == "!":
-        def run_not(I, F, _P=Pointer):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            v = operand_c(I, F)
-            I.cycles += _C_IALU
-            if v.__class__ is _P:
-                v = v.addr != 0
-            return 0 if v else 1
-        return run_not
-    if op == "~":
-        def run_inv(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            v = operand_c(I, F)
-            I.cycles += _C_IALU
-            return ~int(v)
-        return run_inv
-
-    def run(I, F):   # unknown unary: charge, then fail
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        operand_c(I, F)
-        I.cycles += _C_IALU
-        raise InterpreterError("unsupported unary operator %r" % op)
-    return run
-
-
-def _make_lvalue_load(lv, ct):
-    """Rvalue use of ArrayRef / MemberRef: resolve, then decay or
-    load, mirroring _eval_arrayref/_eval_memberref."""
-    if ct is not None:
-        if isinstance(ct, ctypes.ArrayType):
-            pe = ctypes.pointee(ct)
-            stride = (pe.sizeof() or 4) if pe is not None else 4
-
-            def run_decay(I, F, _P=Pointer):
-                s = I.steps + 1
-                I.steps = s
-                if s >= I._stop:
-                    I._step_event()
-                return _P(lv(I, F), stride, pe)
-            return run_decay
-        flt = _static_flt(ct)
-        site = _new_site()
-        if flt:
-            def run_f(I, F):
-                s = I.steps + 1
-                I.steps = s
-                if s >= I._stop:
-                    I._step_event()
-                v = _ld(I, lv(I, F), site)
-                if isinstance(v, int):
-                    return float(v)
-                return v
-            return run_f
-
-        def run(I, F):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            return _ld(I, lv(I, F), site)
-        return run
-
-    site = _new_site()
-
-    def run_dyn(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr, ct2 = lv(I, F)
-        if isinstance(ct2, ctypes.ArrayType):
-            return pointer_for(ct2, addr)
-        return _flt_load_conv(_ld(I, addr, site), ct2)
-    return run_dyn
-
-
-def _make_call_static(cf, arg_cs):
-    n = len(arg_cs)
-    if n == 0:
-        def run0(I, F, _inv=invoke):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            return _inv(I, cf, ())
-        return run0
-    if n == 1:
-        a0, = arg_cs
-
-        def run1(I, F, _inv=invoke):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            return _inv(I, cf, (a0(I, F),))
-        return run1
-    if n == 2:
-        a0, a1 = arg_cs
-
-        def run2(I, F, _inv=invoke):
-            s = I.steps + 1
-            I.steps = s
-            if s >= I._stop:
-                I._step_event()
-            v0 = a0(I, F)
-            return _inv(I, cf, (v0, a1(I, F)))
-        return run2
-
-    def run(I, F, _inv=invoke):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        return _inv(I, cf, [c(I, F) for c in arg_cs])
-    return run
+        shape.emit(0, _POINTER, (), stride, pointee)
+    return shape.build("addr_" + mode)
+
+
+def _make_elem(base, index, stride):
+    """The address of an element of a local or global array: the step
+    of the array's name, then the index, then the address arithmetic
+    (an lvalue)."""
+    shape = _Shape()
+    _emit_addr(shape, 0, base, "addr")
+    tag = _emit_operand(shape, 0, "i", index)
+    shape.emit(0, _ELEM, (), stride)
+    return shape.build("elem_%s_%s" % (base[0], tag))
+
+
+def _make_deref(operand, site):
+    shape = _Shape()
+    tag = _emit_operand(shape, 0, "p", operand)
+    shape.emit(0, _DEREF)
+    shape.emit(0, _LOAD, ("addr", "v"), site)
+    shape.emit(0, _POINTEE)
+    shape.emit(0, _DYN_FLOAT, ("v",))
+    shape.emit(0, _RETURN, ("v",))
+    return shape.build("deref_" + tag)
+
+
+def _make_unary(op, operand):
+    """``- + ! ~``: the operand's steps, then the integer-ALU charge."""
+    shape = _Shape()
+    tag = _emit_operand(shape, 0, "v", operand)
+    shape.emit(0, _CHARGE_IALU)
+    entry = _UNARY.get(op)
+    if entry is None:
+        shape.emit(0, _UNARY_OTHER, (), op)
+        return shape.build("unary_" + tag)
+    shape.emit(0, entry[1])
+    shape.emit(0, _RETURN, ("r",))
+    return shape.build("%s_%s" % (entry[0], tag))
+
+
+def _make_cast(operand, co):
+    shape = _Shape()
+    tag = _emit_operand(shape, 0, "v", operand)
+    shape.emit(0, _CAST, (), co)
+    return shape.build("cast_" + tag)
+
+
+def _make_logic(op, left, right):
+    """``&&``/``||``: the branch charge, then the left condition, then,
+    unless it decides, the right one."""
+    shape = _Shape()
+    shape.emit(0, _BRANCH)
+    var, ltag = _emit_cond(shape, 0, left)
+    shape.emit(0, _SHORT_AND if op == "&&" else _SHORT_OR, (var,))
+    var, rtag = _emit_cond(shape, 0, right)
+    shape.emit(0, _BOOL, (var,))
+    return shape.build("%s_%s_%s" % ("land" if op == "&&" else "lor",
+                                     ltag, rtag))
+
+
+def _make_ternary(cond, then, els):
+    shape = _Shape()
+    shape.emit(0, _BRANCH)
+    var, tag = _emit_cond(shape, 0, cond)
+    shape.emit(0, _IF, (var,))
+    tags = _emit_operand(shape, 1, "r", then)
+    shape.emit(0, _ELSE)
+    tags += _emit_operand(shape, 1, "r", els)
+    shape.emit(0, _RETURN, ("r",))
+    return shape.build("ternary_%s_%s" % (tag, tags))
+
+
+def _make_comma(items):
+    shape = _Shape()
+    tags = "".join(_emit_operand(shape, 0, "v", item) for item in items)
+    shape.emit(0, _RETURN, ("v",))
+    return shape.build("comma_" + tags)
+
+
+def _make_call(cf, args):
+    """A call of a unit function: the arguments left to right, then
+    the call."""
+    shape = _Shape()
+    names = ["a%d" % index for index in range(len(args))]
+    tags = "".join(_emit_operand(shape, 0, var, arg)
+                   for var, arg in zip(names, args))
+    shape.emit(0, _CALL_ARGS, ("".join(var + ", " for var in names),), cf)
+    return shape.build("call_" + tags if tags else "call")
 
 
 def _make_call_named(name, arg_cs, binding):
     """Call of a statically-known name that is NOT a unit function:
     usually a builtin, possibly a variable holding a function pointer
-    (``binding`` is the variable's lexical spec)."""
-    def run(I, F, _inv=invoke, _BA=BoundArg, _FR=FunctionRef):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        name2 = name
-        if name2 not in I.builtins:
-            if binding is not None:
-                kind, where, flt, site = binding
-                addr = F[where] if kind == "local" \
-                    else I._global_addr[where]
-                if addr:
-                    v = _ld(I, addr, site)
-                    if flt and isinstance(v, int):
-                        v = float(v)
-                    if v.__class__ is _FR:
-                        name2 = v.name
-            if name2 is not name:
-                cf = I._compiled.functions.get(name2)
-                if cf is not None:
-                    return _inv(I, cf, [c(I, F) for c in arg_cs])
-        b = I.builtins.get(name2)
-        if b is None:
-            raise InterpreterError("call to unknown function %r"
-                                   % name2)
-        return b(I, [_BA(c, I, F) for c in arg_cs])
-    return run
+    (``binding``, the variable as a load operand, which names a unit
+    function or a builtin at run time)."""
+    shape = _Shape()
+    shape.emit(0, _CALLEE, (), name)
+    if binding is None:
+        shape.emit(0, _BUILTIN, ("callee",), arg_cs)
+        return shape.build("builtin")
+    shape.emit(0, _IF_NOT_BUILTIN)
+    if binding[0] == "l":
+        shape.emit(1, _LOCAL_BINDING, (), binding[1])
+    else:
+        _emit_addr(shape, 1, binding, "addr")
+    shape.emit(1, _IF_ADDR)
+    _emit_read(shape, 2, binding, binding[-1], "addr", "v")
+    shape.emit(2, _FUNCTION_VALUE)
+    shape.emit(1, _IF_RENAMED, (), name)
+    shape.emit(2, _DISPATCH, ("callee",), arg_cs)
+    shape.emit(0, _BUILTIN, ("callee",), arg_cs)
+    return shape.build("fnvar")
 
 
-def _make_call_indirect(func_c, arg_cs):
-    def run(I, F, _inv=invoke, _BA=BoundArg, _FR=FunctionRef):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        target = func_c(I, F)
-        if target.__class__ is not _FR:
-            raise InterpreterError("call through non-function value")
-        name = target.name
-        cf = I._compiled.functions.get(name)
-        if cf is not None:
-            return _inv(I, cf, [c(I, F) for c in arg_cs])
-        b = I.builtins.get(name)
-        if b is None:
-            raise InterpreterError("call to unknown function %r" % name)
-        return b(I, [_BA(c, I, F) for c in arg_cs])
-    return run
+def _make_call_ptr(func, arg_cs):
+    shape = _Shape()
+    tag = _emit_operand(shape, 0, "t", func)
+    shape.emit(0, _FUNCTION_CHECK)
+    shape.emit(0, _DISPATCH, ("t.name",), arg_cs)
+    shape.emit(0, _BUILTIN, ("t.name",), arg_cs)
+    return shape.build("call_ptr_" + tag)
 
 
-def _make_sizeof_local(slot, size):
-    def run(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        return size if F[slot] else 4
-    return run
+def _make_late(name):
+    """An identifier unresolvable at compile time: a builtin's
+    FunctionRef or an environment constant, decided at run time
+    (builtins depend on the attached runtime)."""
+    shape = _Shape()
+    shape.emit(0, _LATE, (), name)
+    return shape.build("late")
+
+
+def _make_sizeof(slot, size):
+    """``sizeof x`` of a local: its size once its declaration ran."""
+    shape = _Shape()
+    shape.emit(0, _SIZEOF, (), size, slot)
+    return shape.build("sizeof")
+
+
+def _make_fail(message):
+    """A construct the simulator does not support: fails when reached."""
+    shape = _Shape()
+    shape.emit(0, _FAIL, (), message)
+    return shape.build("fail")
+
+
+# -- statements ---------------------------------------------------------------
+
+def _make_seq(items):
+    """A block: up to three statements called in line, a longer one in
+    a loop (so few shapes cover every length)."""
+    shape = _Shape()
+    if len(items) > 3:
+        shape.emit(0, _RUN_ALL, (), items)
+    else:
+        for item in items:
+            shape.emit(0, _RUN, (), item)
+    return shape.build("seq")
+
+
+def _make_exprstmt(form):
+    shape = _Shape()
+    return shape.build("stmt_" + _emit(shape, 0, form)[1])
+
+
+def _make_if(cond, then_c, else_c):
+    shape = _Shape()
+    shape.emit(0, _BRANCH)
+    var, tag = _emit_cond(shape, 0, cond)
+    shape.emit(0, _IF, (var,))
+    shape.emit(1, _RUN, (), then_c)
+    if else_c is not None:
+        shape.emit(0, _ELSE)
+        shape.emit(1, _RUN, (), else_c)
+    return shape.build("if_" + tag)
+
+
+def _emit_body(shape, depth, body_c, protect):
+    """Run a loop body, catching break and continue when it may raise
+    them."""
+    shape.emit(depth, _PROTECTED if protect else _RUN, (), body_c)
+
+
+def _make_for(init_c, cond, step, body_c, protect):
+    """``for``, and ``while`` (no init, no step)."""
+    shape = _Shape()
+    tags = ["for"]
+    if init_c is not None:
+        shape.emit(0, _RUN, (), init_c)
+    shape.emit(0, _LOOP)
+    shape.emit(1, _STEP)
+    if cond is not None:
+        shape.emit(1, _BRANCH)
+        var, tag = _emit_cond(shape, 1, cond)
+        shape.emit(1, _EXIT_UNLESS, (var,))
+        tags.append(tag)
+    _emit_body(shape, 1, body_c, protect)
+    if step is not None:
+        tags.append(_emit(shape, 1, step)[1])
+    return shape.build("_".join(tags))
+
+
+def _make_do(body_c, cond, protect):
+    shape = _Shape()
+    shape.emit(0, _LOOP)
+    shape.emit(1, _STEP)
+    _emit_body(shape, 1, body_c, protect)
+    shape.emit(1, _BRANCH)
+    var, tag = _emit_cond(shape, 1, cond)
+    shape.emit(1, _EXIT_UNLESS, (var,))
+    return shape.build("do_" + tag)
+
+
+def _make_return(value):
+    shape = _Shape()
+    tag = _emit_operand(shape, 0, "v", value)
+    shape.emit(0, _RAISE, ("_Return(v)",))
+    return shape.build("ret_" + tag)
+
+
+def _make_raise(exc, name):
+    """``break``, ``continue`` or ``return;``: its step, then ``exc``
+    (source text) raised."""
+    shape = _Shape()
+    shape.emit(0, _RAISE, (exc,))
+    return shape.build(name)
+
+
+def _make_switch(value, groups):
+    shape = _Shape()
+    shape.emit(0, _BRANCH)
+    var, tag = _emit(shape, 0, value)
+    shape.emit(0, _SWITCH, (var,), groups)
+    return shape.build("switch_" + tag)
 
 
 # ---------------------------------------------------------------------------
-# lvalue builders (no step of their own, like resolve_lvalue)
+# lvalue closures (no step of their own, like resolve_lvalue; an
+# element of a named array is the shape _make_elem, which counts the
+# step of the array's name)
 # ---------------------------------------------------------------------------
 
 def _make_lv_local(slot, name):
@@ -1504,34 +1193,6 @@ def _make_lv_deref(operand_c):
         if p.__class__ is not _P:
             raise InterpreterError("dereference of non-pointer")
         return p.addr, (p.pointee or _INT)
-    return lv
-
-
-def _make_lv_array_static_local(slot, name, index_c, stride):
-    def lv(I, F):
-        s = I.steps + 1              # the base Id's evaluation step
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr = F[slot]
-        if not addr:
-            _undefined(name)
-        i = index_c(I, F)
-        I.cycles += _C_IALU          # address computation
-        return addr + int(i) * stride
-    return lv
-
-
-def _make_lv_array_static_global(name, index_c, stride):
-    def lv(I, F):
-        s = I.steps + 1
-        I.steps = s
-        if s >= I._stop:
-            I._step_event()
-        addr = I._global_addr[name]
-        i = index_c(I, F)
-        I.cycles += _C_IALU
-        return addr + int(i) * stride
     return lv
 
 
@@ -1599,17 +1260,16 @@ _INCDEC_OPS = ("++", "--", "p++", "p--")
 
 
 def _operand_mode(fc, expr):
-    """How a template takes ``expr``: "k", a constant; "l", a local
-    scalar load; "e", an operator or update a statement inlines; "c",
-    any compiled child."""
+    """How a template takes ``expr``: "k", a constant; "l" or "g", a
+    local or global scalar load; "e", an operator or update a statement
+    inlines; "c", any compiled child."""
     cls = expr.__class__
     if cls is c_ast.Constant:
         return "k"
     if cls is c_ast.Id:
         res = fc.resolve(expr.name)
-        if res is not None and res[0] == "local" \
-                and not isinstance(res[2], ctypes.ArrayType):
-            return "l"
+        if res is not None and not isinstance(res[2], ctypes.ArrayType):
+            return "l" if res[0] == "local" else "g"
     elif cls is c_ast.BinaryOp:
         if expr.op != "&&" and expr.op != "||":
             return "e"
@@ -1617,6 +1277,20 @@ def _operand_mode(fc, expr):
                                      and expr.op in _INCDEC_OPS):
         return "e"
     return "c"
+
+
+def _scalar(name, res):
+    """The lvalue of a resolved variable, without its conversion and
+    coercer."""
+    if res[0] == "local":
+        return ("l", res[1], name)
+    return ("g", name)
+
+
+def _pointee_stride(ct):
+    """``(stride, pointee)`` of a pointer to an array's element."""
+    pe = ctypes.pointee(ct)
+    return ((pe.sizeof() or 4) if pe is not None else 4), pe
 
 
 class _FunctionCompiler:
@@ -1670,8 +1344,7 @@ class _FunctionCompiler:
     def compile_stmt(self, stmt):
         method = self._STMT.get(stmt.__class__)
         if method is None:
-            return _make_raise_stmt("cannot execute %s"
-                                    % type(stmt).__name__)
+            return _make_fail("cannot execute %s" % type(stmt).__name__)
         return method(self, stmt)
 
     def _c_compound(self, stmt):
@@ -1683,32 +1356,35 @@ class _FunctionCompiler:
         return _make_seq(items)
 
     def _c_declstmt(self, stmt):
-        actions = []
+        """One step, then each declaration in order: its stack slot,
+        then its initializer, stored."""
+        shape = _Shape()
+        tags = ""
         for decl in stmt.decls:
             if decl.is_typedef:
                 continue
-            slot = self.declare(decl.name, decl.ctype)
-            size = max(decl.ctype.sizeof(), 4)
-            if isinstance(decl.ctype, ctypes.ArrayType):
-                if isinstance(decl.init, c_ast.InitList):
-                    element = decl.ctype.base
-                    init_cs = tuple(self.compile_expr(e)
-                                    for e in decl.init.exprs)
-                    actions.append(_make_decl_array(
-                        slot, decl.name, size, init_cs,
-                        decl.ctype.length or len(init_cs),
-                        element.sizeof() or 4, default_value(element),
-                        make_coercer(element), _new_site()))
-                else:
-                    actions.append(_make_decl_plain(slot, decl.name,
-                                                    size))
+            ct = decl.ctype
+            slot = self.declare(decl.name, ct)
+            shape.emit(0, _ALLOC, (), max(ct.sizeof(), 4), slot, decl.name)
+            if isinstance(ct, ctypes.ArrayType):
+                if not isinstance(decl.init, c_ast.InitList):
+                    tags += "p"
+                    continue
+                element = ct.base
+                inits = tuple(self.compile_expr(e) for e in decl.init.exprs)
+                shape.emit(0, _ARRAY_INIT, (), inits, ct.length or len(inits),
+                           element.sizeof() or 4, _new_site(),
+                           make_coercer(element), len(inits),
+                           default_value(element))
+                tags += "a"
             elif decl.init is not None:
-                actions.append(_make_decl_scalar(
-                    slot, decl.name, size, self.compile_expr(decl.init),
-                    make_coercer(decl.ctype), _new_site()))
+                tags += _emit_operand(shape, 0, "v",
+                                      self.operand(decl.init))
+                _emit_store(shape, 0, make_coercer(ct), _new_site(),
+                            "addr", "v", "v")
             else:
-                actions.append(_make_decl_plain(slot, decl.name, size))
-        return _make_seq(tuple(actions))
+                tags += "p"
+        return shape.build("decl_" + tags)
 
     def _c_exprstmt(self, stmt):
         return _make_exprstmt(self.inline(stmt.expr))
@@ -1722,16 +1398,12 @@ class _FunctionCompiler:
 
     def _c_while(self, stmt):
         body = self.compile_stmt(stmt.body)
-        protect = _can_escape(stmt.body, True) \
-            or _can_escape(stmt.body, False)
-        return _make_while(self.compile_expr(stmt.cond), body, protect)
+        return _make_for(None, self.inline(stmt.cond), None, body,
+                         _protect(stmt.body))
 
     def _c_dowhile(self, stmt):
         body = self.compile_stmt(stmt.body)
-        protect = _can_escape(stmt.body, True) \
-            or _can_escape(stmt.body, False)
-        return _make_dowhile(body, self.compile_expr(stmt.cond),
-                             protect)
+        return _make_do(body, self.inline(stmt.cond), _protect(stmt.body))
 
     def _c_for(self, stmt):
         self.scopes.append({})
@@ -1745,25 +1417,24 @@ class _FunctionCompiler:
                 if stmt.step is not None else None
         finally:
             self.scopes.pop()
-        protect = _can_escape(stmt.body, True) \
-            or _can_escape(stmt.body, False)
-        return _make_for(init_c, cond, step, body_c, protect)
+        return _make_for(init_c, cond, step, body_c, _protect(stmt.body))
 
     def _c_return(self, stmt):
-        return _make_return(self.compile_expr(stmt.expr)
-                            if stmt.expr is not None else None)
+        if stmt.expr is None:
+            return _make_raise("_Return(None)", "ret")
+        return _make_return(self.operand(stmt.expr))
 
     def _c_break(self, stmt):
-        return _make_break()
+        return _make_raise("_Break()", "brk")
 
     def _c_continue(self, stmt):
-        return _make_continue()
+        return _make_raise("_Continue()", "cont")
 
     def _c_empty(self, stmt):
         return _make_seq(())
 
     def _c_switch(self, stmt):
-        cond_c = self.compile_expr(stmt.cond)
+        value = self.inline(stmt.cond)
         groups = []
         for item in stmt.body.items:
             if isinstance(item, c_ast.Case):
@@ -1775,14 +1446,13 @@ class _FunctionCompiler:
                                tuple(self.compile_stmt(s)
                                      for s in item.stmts)))
             # anything else precedes every label: dead code, skipped
-        return _make_switch(cond_c, tuple(groups))
+        return _make_switch(value, tuple(groups))
 
     def _c_label(self, stmt):
-        inner = self.compile_stmt(stmt.stmt)
-        return _make_seq((inner,))
+        return _make_seq((self.compile_stmt(stmt.stmt),))
 
     def _c_goto(self, stmt):
-        return _make_raise_stmt("goto is not supported by the simulator")
+        return _make_fail("goto is not supported by the simulator")
 
     def _c_structdecl(self, stmt):
         return _make_seq(())
@@ -1794,14 +1464,15 @@ class _FunctionCompiler:
         mode = _operand_mode(self, expr)
         if mode == "k":
             return ("k", expr.value)
-        if mode == "l":
-            _, slot, ct = self.resolve(expr.name)
-            return ("l", slot, expr.name, _static_flt(ct), _new_site())
+        if mode == "l" or mode == "g":
+            res = self.resolve(expr.name)
+            return _scalar(expr.name, res) + (_static_flt(res[2]),
+                                                  _new_site())
         return ("c", self.compile_expr(expr))
 
     def inline(self, expr):
-        """``expr`` as a statement's template takes it: an operator or
-        update inline, else a leaf operand."""
+        """``expr`` as a statement's or a condition's template takes
+        it: an operator or update inline, else a leaf operand."""
         if _operand_mode(self, expr) == "e":
             return self.form(expr)
         return self.operand(expr)
@@ -1824,24 +1495,30 @@ class _FunctionCompiler:
                 1 if "+" in op else -1, op.startswith("p"),
                 _new_site(), _new_site())
 
+    def address(self, expr):
+        """``expr``'s address as a template takes it (a scalar
+        variable inline, else its lvalue closure), and its static type
+        (None when known only at run time)."""
+        mode = _operand_mode(self, expr)
+        if mode == "l" or mode == "g":
+            res = self.resolve(expr.name)
+            return _scalar(expr.name, res), res[2]
+        lv, ct = self.compile_lvalue(expr)
+        return ("d" if ct is None else "v", lv), ct
+
     def lvalue(self, expr):
         """An update's target as a template takes it."""
-        if _operand_mode(self, expr) == "l":
-            _, slot, ct = self.resolve(expr.name)
-            return ("l", slot, expr.name, _static_flt(ct),
-                    make_coercer(ct))
-        lv, ct = self.compile_lvalue(expr)
+        lv, ct = self.address(expr)
         if ct is None:
-            return ("d", lv)
-        return ("v", lv, _static_flt(ct), make_coercer(ct))
+            return lv
+        return lv + (_static_flt(ct), make_coercer(ct))
 
     # -- expressions ---------------------------------------------------------
 
     def compile_expr(self, expr):
         method = self._EXPR.get(expr.__class__)
         if method is None:
-            return _make_raise_expr("cannot evaluate %s"
-                                    % type(expr).__name__)
+            return _make_fail("cannot evaluate %s" % type(expr).__name__)
         return method(self, expr)
 
     def _c_id(self, expr):
@@ -1849,111 +1526,99 @@ class _FunctionCompiler:
         res = self.resolve(name)
         if res is None:
             if name in self.cu.functions:
-                return _make_const(FunctionRef(name))
-            return _make_id_late(name)
-        kind, where, ct = res
-        if isinstance(ct, ctypes.ArrayType):
-            pe = ctypes.pointee(ct)
-            stride = (pe.sizeof() or 4) if pe is not None else 4
-            if kind == "local":
-                return _make_id_decay_local(where, name, stride, pe)
-            return _make_id_decay_global(name, stride, pe)
-        flt = _static_flt(ct)
-        if kind == "local":
-            return _make_expr(("l", where, name, flt, _new_site()))
-        return _make_id_load_global(name, flt, _new_site())
+                return _make_expr(("k", FunctionRef(name)))
+            return _make_late(name)
+        if isinstance(res[2], ctypes.ArrayType):
+            return _make_addr(_scalar(name, res), *_pointee_stride(res[2]))
+        return self.load(expr)
 
     def _c_constant(self, expr):
-        return _make_const(expr.value)
+        return _make_expr(("k", expr.value))
 
-    def _c_string(self, expr):
-        return _make_const(expr.value)
+    _c_string = _c_constant
 
     def _c_binop(self, expr):
         op = expr.op
-        if op == "&&":
-            return _make_land(self.compile_expr(expr.left),
-                              self.compile_expr(expr.right))
-        if op == "||":
-            return _make_lor(self.compile_expr(expr.left),
-                             self.compile_expr(expr.right))
+        if op == "&&" or op == "||":
+            return _make_logic(op, self.inline(expr.left),
+                               self.inline(expr.right))
         return _make_expr(self.form(expr))
 
     def _c_unary(self, expr):
         op = expr.op
+        operand = expr.operand
         if op == "&":
-            operand = expr.operand
             if isinstance(operand, c_ast.Id) \
                     and self.resolve(operand.name) is None:
                 if operand.name in self.cu.functions:
-                    return _make_const(FunctionRef(operand.name))
+                    return _make_expr(("k", FunctionRef(operand.name)))
                 if operand.name in _ENV:
-                    return _make_const(NULL)
-                return _make_raise_expr("undefined identifier %r"
-                                        % operand.name)
-            lv, ct = self.compile_lvalue(operand)
-            if ct is not None:
-                return _make_addrof(lv, ct)
-            return _make_addrof_dyn(lv)
+                    return _make_expr(("k", NULL))
+                return _make_fail("undefined identifier %r" % operand.name)
+            lv, ct = self.address(operand)
+            if ct is None:
+                return _make_addr(lv, None, None)
+            ct = ctypes.resolve(ct)
+            return _make_addr(lv, ct.sizeof() or 4, ct)
         if op == "*":
-            return _make_deref(self.compile_expr(expr.operand),
-                               _new_site())
+            return _make_deref(self.operand(operand), _new_site())
         if op in _INCDEC_OPS:
             return _make_expr(self.form(expr))
         if op == "sizeof":
-            operand = expr.operand
             if isinstance(operand, c_ast.Id):
                 res = self.resolve(operand.name)
                 if res is not None:
                     size = res[2].sizeof() or 4
                     if res[0] == "local":
-                        return _make_sizeof_local(res[1], size)
-                    return _make_const(size)
-            return _make_const(4)
-        return _make_unary_simple(op, self.compile_expr(expr.operand))
+                        return _make_sizeof(res[1], size)
+                    return _make_expr(("k", size))
+            return _make_expr(("k", 4))
+        return _make_unary(op, self.operand(operand))
 
     def _c_assign(self, expr):
         return _make_expr(self.form(expr))
 
     def _c_ternary(self, expr):
-        return _make_ternary(self.compile_expr(expr.cond),
-                             self.compile_expr(expr.then),
-                             self.compile_expr(expr.els))
+        return _make_ternary(self.inline(expr.cond),
+                             self.operand(expr.then),
+                             self.operand(expr.els))
 
     def _c_funccall(self, expr):
-        arg_cs = tuple(self.compile_expr(a) for a in expr.args)
         name = expr.callee_name
-        if name is None:
-            return _make_call_indirect(self.compile_expr(expr.func),
-                                       arg_cs)
-        cf = self.cu.functions.get(name)
+        cf = self.cu.functions.get(name) if name is not None else None
         if cf is not None:
-            return _make_call_static(cf, arg_cs)
+            return _make_call(cf, tuple(self.operand(a) for a in expr.args))
+        arg_cs = tuple(self.compile_expr(a) for a in expr.args)
+        if name is None:
+            return _make_call_ptr(self.operand(expr.func), arg_cs)
         res = self.resolve(name)
         binding = None
         if res is not None:
-            kind, where, ct = res
-            binding = (kind, where, _static_flt(ct), _new_site())
+            binding = _scalar(name, res) + (_static_flt(res[2]),
+                                                _new_site())
         return _make_call_named(name, arg_cs, binding)
 
-    def _c_arrayref(self, expr):
-        lv, ct = self.compile_lvalue(expr)
-        return _make_lvalue_load(lv, ct)
+    def load(self, expr):
+        """A variable, array element or member as an rvalue: a load
+        through its address, or a pointer to it when it is itself an
+        array."""
+        lv, ct = self.address(expr)
+        if ct is None:
+            return _make_expr(lv + (False, _new_site()))
+        if isinstance(ct, ctypes.ArrayType):
+            return _make_addr(lv, *_pointee_stride(ct))
+        return _make_expr(lv + (_static_flt(ct), _new_site()))
 
-    def _c_memberref(self, expr):
-        lv, ct = self.compile_lvalue(expr)
-        return _make_lvalue_load(lv, ct)
+    _c_arrayref = _c_memberref = load
 
     def _c_cast(self, expr):
-        return _make_cast(self.compile_expr(expr.expr),
-                          make_coercer(expr.ctype))
+        return _make_cast(self.operand(expr.expr), make_coercer(expr.ctype))
 
     def _c_sizeoftype(self, expr):
-        return _make_const(expr.ctype.sizeof())
+        return _make_expr(("k", expr.ctype.sizeof()))
 
     def _c_comma(self, expr):
-        return _make_comma(tuple(self.compile_expr(e)
-                                 for e in expr.exprs))
+        return _make_comma(tuple(self.operand(e) for e in expr.exprs))
 
     # -- lvalues -------------------------------------------------------------
 
@@ -1978,17 +1643,10 @@ class _FunctionCompiler:
                 res = self.resolve(base.name)
                 if res is not None and isinstance(res[2],
                                                   ctypes.ArrayType):
-                    kind, where, ct = res
-                    element = ct.base
-                    stride = element.sizeof() or 4
-                    index_c = self.compile_expr(expr.index)
-                    if kind == "local":
-                        lv = _make_lv_array_static_local(
-                            where, base.name, index_c, stride)
-                    else:
-                        lv = _make_lv_array_static_global(
-                            base.name, index_c, stride)
-                    return lv, element
+                    element = res[2].base
+                    return (_make_elem(_scalar(base.name, res),
+                                       self.operand(expr.index),
+                                       element.sizeof() or 4), element)
             return (_make_lv_array_dyn(self.compile_expr(expr.base),
                                        self.compile_expr(expr.index)),
                     None)

@@ -75,6 +75,8 @@ class ThreadExit(Exception):
 def _pointer_value(op, left, right):
     """``left op right`` where at least one side is a Pointer."""
     if op == "+":
+        if isinstance(left, Pointer) and isinstance(right, Pointer):
+            raise InterpreterError("cannot add two pointers")
         if isinstance(left, Pointer):
             return left.offset(int(right))
         return right.offset(int(left))
@@ -136,10 +138,12 @@ def _arith_value(op, left, right):
         return int(left) | int(right)
     if op == "^":
         return int(left) ^ int(right)
-    if op == "<<":
-        return int(left) << int(right)
-    if op == ">>":
-        return int(left) >> int(right)
+    if op == "<<" or op == ">>":
+        left = int(left)
+        right = int(right)
+        if right < 0:
+            raise InterpreterError("negative shift count")
+        return left << right if op == "<<" else left >> right
     raise InterpreterError("unsupported binary operator %r" % op)
 
 

@@ -102,7 +102,8 @@ class TestRunTrace:
 class TestRunMetricsSnapshot:
     def test_run_results_carry_metrics(self, pi_file):
         from repro.sim.runner import run_pthread_single_core
-        source = open(pi_file).read()
+        with open(pi_file) as handle:
+            source = handle.read()
         result = run_pthread_single_core(source)
         counters = result.metrics["counters"]
         assert "scc_cache_hits" in counters
@@ -111,7 +112,8 @@ class TestRunMetricsSnapshot:
     def test_rcce_run_metrics_include_barrier_histogram(self, pi_file):
         from repro.core.framework import TranslationFramework
         from repro.sim.runner import run_rcce
-        source = open(pi_file).read()
+        with open(pi_file) as handle:
+            source = handle.read()
         translated = TranslationFramework().translate(source)
         result = run_rcce(translated.unit, 2)
         rows = result.metrics["histograms"]["rcce_barrier_wait_cycles"]

@@ -1,15 +1,20 @@
-"""Differential check of the operand-specialized closures.
+"""Differential check of the generated closures.
 
-``repro.sim.compile`` generates every binary operator, scalar update,
-expression statement, ``if`` and ``for`` from a source template that
-takes a constant or a local scalar inline.  Hypothesis generates
-functions whose expressions and updates mix constant, local and global
-operands of ``int``, ``long``, ``double`` and pointer type, with zero
-divisors, reads of a local whose declaration was skipped, and pointer
-comparisons against non-pointers.  Each program runs twice: compiled
-as it always is, and with the operand classifier answering "any
-compiled child" for every operand, so that every node runs behind a
-closure of its own.  Both runs must give the same stdout, cycles,
+``repro.sim.compile`` generates every statement and expression from
+source templates that take a constant, a local scalar or a global
+scalar inline.  Hypothesis generates functions whose expressions,
+conditions and updates mix constant, local and global operands of
+``int``, ``long``, ``double`` and pointer type: binary, unary,
+logical and conditional operators, casts, pointer and array loads,
+calls of a unit function, ``if``, ``for``, ``while``, ``do``-``while``,
+``switch``, ``break``, ``continue`` and ``return``, with zero
+divisors, reads of a local whose declaration was skipped, pointer
+comparisons against non-pointers, operators the C subset rejects on
+pointers, and ints stored into a double's memory.  Each program runs
+twice: compiled as it always is, and with the operand classifier
+answering "any compiled child" for every operand, so that every node
+runs behind a closure of its own and every variable loads through an
+lvalue closure.  Both runs must give the same stdout, cycles,
 per-core cycles, steps and chip metrics, or fail with the same
 exception, message and step count.
 """
@@ -34,6 +39,11 @@ double gd = 2.5;
 int garr[8];
 int *gp;
 
+long u(int a, long b, double c) {
+    gi = gi + a;
+    return a * 3 - b + (long)c;
+}
+
 int f(int n, long m, double x, int *q) {
     int li = n;
     int lj = 3;
@@ -41,6 +51,8 @@ int f(int n, long m, double x, int *q) {
     double ld = x;
     int *lp = q;
     int k;
+    if (n & 1)
+        *(int *)&gd = n;
     switch (n & 3) {
     case 0:
         lj = 4;
@@ -67,12 +79,17 @@ int main(void) {
 _LEAVES = ("0", "1", "2", "3", "(-2)", "7", "0.5", "2.0", "0.0",
            "li", "lj", "k", "ll", "ld", "lp",
            "gi", "gl", "gd", "gp", "garr[2]", "lu")
+_ARGS = ("0", "3", "0.5", "li", "ll", "ld", "k", "gi", "gl", "gd",
+         "lu")
 _OPS = ("+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!=",
-        "&", "|", "^", "<<", ">>")
+        "&", "|", "^", "<<", ">>", "&&", "||")
+_UNARY = ("-", "!", "~", "(int)", "(double)", "(long)")
 _UPDATES = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
             "<<=", ">>=")
+# an int stored through an alias of a double reads back converted
 _TARGETS = ("li", "lj", "ll", "ld", "lp", "gi", "gl", "gd", "gp",
-            "garr[1]", "*lp", "lp[1]", "lu")
+            "garr[1]", "*lp", "lp[1]", "lu", "(*(int *)&ld)",
+            "(*(int *)&gd)")
 _STEPS = ("++", "--")
 
 
@@ -80,6 +97,21 @@ _STEPS = ("++", "--")
 def _expr(draw, depth=0):
     if depth >= 2 or draw(st.booleans()):
         return draw(st.sampled_from(_LEAVES))
+    kind = draw(st.integers(0, 9))
+    if kind == 6:
+        return "%s(%s)" % (draw(st.sampled_from(_UNARY)),
+                           draw(_expr(depth=depth + 1)))
+    if kind == 7:
+        return "(%s ? %s : %s)" % (draw(_expr(depth=depth + 1)),
+                                   draw(_expr(depth=depth + 1)),
+                                   draw(_expr(depth=depth + 1)))
+    if kind == 8:
+        index = draw(_expr(depth=depth + 1))
+        return draw(st.sampled_from(("*lp", "lp[(%s) & 3]" % index,
+                                     "garr[(%s) & 7]" % index)))
+    if kind == 9:
+        return "u(%s, %s, %s)" % tuple(draw(st.sampled_from(_ARGS))
+                                       for _ in range(3))
     op = draw(st.sampled_from(_OPS))
     left = draw(_expr(depth=depth + 1))
     right = draw(_expr(depth=depth + 1))
@@ -103,25 +135,43 @@ def _update(draw):
 
 
 @st.composite
-def _stmt(draw, depth=0):
-    kind = draw(st.integers(0, 5 if depth < 2 else 2))
+def _stmt(draw, depth=0, loop=False):
+    kind = draw(st.integers(0, 9 if depth < 2 else 2))
     if kind <= 1:
         return draw(_update()) + ";"
     if kind == 2:
         return "li = %s;" % draw(st.one_of(_expr(), _update()))
-    body = " ".join(draw(st.lists(_stmt(depth=depth + 1), min_size=1,
-                                  max_size=3)))
+    if kind == 9:
+        if loop and draw(st.booleans()):
+            return "if (%s) %s;" % (draw(_expr()), draw(
+                st.sampled_from(("break", "continue"))))
+        return "if (%s) return %s;" % (draw(_expr()), draw(_expr()))
+    inner = loop or kind in (4, 5, 6)
+    body = " ".join(draw(st.lists(_stmt(depth=depth + 1, loop=inner),
+                                  min_size=1, max_size=3)))
+    cond = draw(st.one_of(_expr(), _update()))
+    bound = draw(st.sampled_from(("3", "lj", "(li & 3)")))
     if kind == 3:
-        cond = draw(st.one_of(_expr(), _update()))
         if draw(st.booleans()):
-            other = draw(_stmt(depth=depth + 1))
+            other = draw(_stmt(depth=depth + 1, loop=loop))
             return "if (%s) { %s } else { %s }" % (cond, body, other)
         return "if (%s) { %s }" % (cond, body)
     if kind == 4:
-        bound = draw(st.sampled_from(("3", "lj", "(li & 3)")))
         step = draw(st.sampled_from(("k++", "++k", "k += 1", "k = k + 1")))
         init = draw(st.sampled_from(("k = 0", "")))
         return "for (%s; k < %s; %s) { %s }" % (init, bound, step, body)
+    # the loop counter steps first, so ``continue`` cannot skip it
+    if kind == 5:
+        return "while (k < %s && (%s)) { k++; %s }" % (bound, cond, body) \
+            if draw(st.booleans()) else \
+            "while (k < %s) { k++; %s }" % (bound, body)
+    if kind == 6:
+        return "k = 0; do { k++; %s } while (k < %s);" % (body, bound)
+    if kind == 7:
+        return ("switch (%s) { case 0: %s break; case 1: li++; "
+                "default: %s }" % (draw(_expr()), body,
+                                   draw(_stmt(depth=depth + 1,
+                                              loop=loop))))
     return "%s;" % draw(_expr())
 
 
@@ -161,11 +211,16 @@ def test_generic_mode_takes_no_operand_inline():
     """The classifier patch reaches every template, so the property
     above compares two different closure trees."""
     source = """
+        #include <stdio.h>
+        int g = 10;
         int main(void) {
             int i;
             int s = 0;
             for (i = 0; i < 10; i++) s += i;
-            return s;
+            while (i > 0) { i--; if (i < 3) break; }
+            do s = s - g; while (s > 40);
+            printf("%d\\n", g);
+            return s + g;
         }
     """
     real_build = sim_compile._Shape.build
@@ -181,12 +236,20 @@ def test_generic_mode_takes_no_operand_inline():
         with mock.patch.object(sim_compile._Shape, "build", build), \
                 _generic() if generic else contextlib.nullcontext():
             sim_compile.compile_unit(unit)
-        assert run_pthread_single_core(unit, chip=tiny_chip()) \
-            .exit_value == 45
-    assert "for_lt_lk_post_incdec_l" in built[False]
-    assert "stmt_add_set_ll" in built[False]
-    assert "for_c_c" in built[True]
+        result = run_pthread_single_core(unit, chip=tiny_chip())
+        assert (result.exit_value, result.stdout()) == (45, "10\n")
+    for name in ("for_lt_lk_post_incdec_l", "stmt_add_set_ll",
+                 "for_gt_lk", "if_lt_lk", "do_gt_lk", "ret_c", "add_lg",
+                 "decl_k", "load_g", "brk", "seq"):
+        assert name in built[False], name
+    assert "load_l" not in built[True] and "load_g" not in built[True]
+    for name in ("for_c_c", "for_c", "do_c", "ret_c", "decl_c", "load_v",
+                 "load_k", "post_incdec_v", "add_set_vc"):
+        assert name in built[True], name
     for name in built[True]:
-        # operand tags: k constant, l/f local, c child, v/d lvalue
-        assert name.startswith("load_") \
-            or not set(name.rsplit("_", 1)[1]) & set("klf"), name
+        # a name ends in one letter per operand: k constant, l/f local,
+        # g global, c child, v/d lvalue; only a leaf (a constant, or an
+        # array's address) takes a constant or a variable
+        kind, _, tags = name.rpartition("_")
+        assert not kind or name.startswith(("load_", "addr_")) \
+            or not set(tags) & set("klfg"), name

@@ -282,6 +282,31 @@ class TestErrorHandling:
         assert code == 75
         assert "simulation timed out" in err
 
+    @pytest.mark.parametrize("globals_, body, message", [
+        ("int a[4];", "int *p = a; int *q = a + 1; p = p + q;",
+         "cannot add two pointers"),
+        ("int a[4];", "int *p = a; long x; x = -p;",
+         "unary - on a pointer"),
+        ("int a[4];", "int *p = a; long x; x = ~p;",
+         "unary ~ on a pointer"),
+        ("", "int s = -1; int x; x = 1 << s;", "negative shift count"),
+        ("", "int s = -2; long x = 8; x >>= s;", "negative shift count"),
+        ("int g = 1 << -1;", "int x; x = g;", "negative shift count"),
+    ], ids=["pointer_sum", "negated_pointer", "complemented_pointer",
+            "negative_shift", "negative_shift_update",
+            "negative_shift_static_initializer"])
+    def test_rejected_operand_exits_70(self, tmp_path, globals_, body,
+                                       message):
+        """An operator on operands the C subset rejects fails as the
+        simulated program, not as the simulator."""
+        path = tmp_path / "misuse.c"
+        path.write_text("%s\nint main(void) {\n    %s\n    return 0;\n}\n"
+                        % (globals_, body))
+        code, _, err = run_cli_err(["run", str(path), "--mode", "pthread"])
+        assert code == 70
+        assert err.startswith("repro: simulated program failed:")
+        assert message in err
+
     def test_injected_crash_exits_70(self, tmp_path):
         path = tmp_path / "victim.c"
         path.write_text("""
