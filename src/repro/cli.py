@@ -33,19 +33,15 @@ from repro.obs.attribution import AttributionEngine, annotate_chrome_trace
 from repro.obs.profile import PipelineProfiler
 from repro.obs.tracer import EventTracer
 from repro.rcce.api import RCCEAllocationError
-from repro.rcce.comm import CommDeadlockError
 from repro.recovery import RecoveryOptions, SnapshotError
+from repro.scc.memmap import UnmappedAddressError
 from repro.sim.interpreter import InterpreterError
 from repro.sim.runner import (
     run_pthread_single_core,
     run_rcce,
     run_rcce_supervised,
 )
-from repro.sim.watchdog import (
-    SimulationTimeout,
-    Watchdog,
-    WatchdogError,
-)
+from repro.sim.watchdog import SimulationTimeout, WatchdogError
 
 # sysexits.h-style exit codes so scripts and CI can tell failure
 # classes apart (docs/robustness.md)
@@ -145,13 +141,6 @@ def build_parser():
     run.add_argument("--max-steps", type=int, default=200_000_000,
                      help="per-core step budget before the run is "
                      "aborted with a SimulationTimeout")
-    run.add_argument("--no-watchdog", action="store_true",
-                     help="disable deadlock/livelock detection for "
-                     "the RCCE run")
-    run.add_argument("--watchdog-timeout", type=float, default=None,
-                     metavar="SECONDS",
-                     help="wall-clock bound for any single lock or "
-                     "barrier wait (default: 30s locks, 600s barriers)")
     _framework_args(run)
 
     for command in (analyze, check, run):
@@ -408,9 +397,9 @@ def cmd_run(args, out, err, doc):
     if unit is not None:
         if framework is not None:
             _print_profile(framework, out, doc)
-        # a supervised run takes a fresh chip and watchdog per attempt
-        # (a chip's address space and a watchdog's abort latch outlive
-        # a failed attempt); the last chip is the one that finished
+        # a supervised run takes a fresh chip per attempt (a chip's
+        # address space outlives a failed attempt); the last chip is
+        # the one that finished
         chips = []
 
         def new_chip():
@@ -426,14 +415,6 @@ def cmd_run(args, out, err, doc):
             chips.append(chip)
             return chip
 
-        def new_watchdog():
-            if args.no_watchdog:
-                return None
-            timeout = args.watchdog_timeout
-            if timeout is None:
-                return Watchdog()
-            return Watchdog(lock_timeout=timeout, barrier_timeout=timeout)
-
         # one engine serves every attempt: each run's metrics reset
         # clears it, so it ends up holding the run that finished
         engine = AttributionEngine() if args.bottlenecks else None
@@ -443,11 +424,9 @@ def cmd_run(args, out, err, doc):
         if max_restarts > 0:
             rcce = run_rcce_supervised(
                 unit, args.ues, max_restarts=max_restarts,
-                chip_factory=new_chip, watchdog_factory=new_watchdog,
-                **options)
+                chip_factory=new_chip, **options)
         else:
-            rcce = run_rcce(unit, args.ues, chip=new_chip(),
-                            watchdog=new_watchdog(), **options)
+            rcce = run_rcce(unit, args.ues, chip=new_chip(), **options)
         snapshots["rcce"] = rcce.metrics
         _print_diagnostics(rcce.diagnostics, err, doc)
         if rcce.race is not None:
@@ -543,10 +522,12 @@ def main(argv=None, out=None, err=None):
         return _fail(err, EXIT_PARSE, "parse error", exc)
     except SnapshotError as exc:
         return _fail(err, EXIT_PARSE, "bad snapshot", exc)
-    except (SimulationTimeout, WatchdogError,
-            CommDeadlockError) as exc:
+    except SimulationTimeout as exc:
         return _fail(err, EXIT_TIMEOUT, "simulation timed out", exc)
-    except (InterpreterError, RCCEAllocationError) as exc:
+    except WatchdogError as exc:
+        return _fail(err, EXIT_TIMEOUT, "simulation deadlocked", exc)
+    except (InterpreterError, RCCEAllocationError,
+            UnmappedAddressError) as exc:
         return _fail(err, EXIT_SIM, "simulated program failed", exc)
     except KeyboardInterrupt as exc:
         # Ctrl-C: run_rcce has already stopped and joined every

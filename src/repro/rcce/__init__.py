@@ -9,11 +9,12 @@ chip timing model.
 """
 
 from repro.rcce.api import RCCEWorld, RCCECoreRuntime
-from repro.rcce.sync import ClockBarrier, TestAndSetRegisters
+from repro.rcce.sync import ClockBarrier, Monitor, TestAndSetRegisters
 
 __all__ = [
     "RCCEWorld",
     "RCCECoreRuntime",
     "ClockBarrier",
+    "Monitor",
     "TestAndSetRegisters",
 ]

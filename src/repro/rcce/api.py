@@ -14,16 +14,13 @@ symmetric heap.
 import threading
 
 from repro.sim.values import NULL, Pointer
-from repro.sim.watchdog import BarrierTimeoutError, LockTimeoutError
 from repro.rcce.comm import (
-    DEADLOCK_TIMEOUT_SECONDS,
     REDUCE_OPS,
     CollectiveArea,
-    CommDeadlockError,
     FlagTable,
     MessageFabric,
 )
-from repro.rcce.sync import ClockBarrier, TestAndSetRegisters
+from repro.rcce.sync import ClockBarrier, Monitor, TestAndSetRegisters
 
 SHMALLOC_COST = 300
 MPB_MALLOC_COST = 120
@@ -65,36 +62,30 @@ class _SymmetricHeap:
 class RCCEWorld:
     """Shared state for one RCCE program run over ``num_ues`` cores.
 
-    ``watchdog`` (a :class:`repro.sim.watchdog.Watchdog`) supervises
-    lock and barrier waits: wait-for-graph deadlock detection on the
-    test-and-set registers and wall-clock bounds on the barrier; its
-    lock timeout also shortens the send/recv/flag bound
-    (``DEADLOCK_TIMEOUT_SECONDS``).  Without one, the primitives keep
-    their default dead-peer timeouts.
-
-    Every blocking wait runs through :meth:`wait_at`, so the first wait
-    to time out names every rank blocked at that moment and where.
+    Every primitive (barrier, test-and-set registers, flags, channels,
+    collectives) keeps its state under one :class:`Monitor`, and every
+    blocking RCCE call waits on it, so a deadlock raises
+    :class:`~repro.sim.watchdog.DeadlockError` naming each rank's call
+    site as soon as it forms.  The runner reports each rank's exit
+    (``monitor.exit``) and a failure or interrupt (``monitor.abort``).
     """
 
-    def __init__(self, chip, num_ues, core_map=None, watchdog=None):
+    def __init__(self, chip, num_ues, core_map=None):
         if num_ues < 1:
             raise ValueError("need at least one UE")
         if num_ues > chip.config.num_cores:
             raise ValueError("more UEs than cores")
         self.chip = chip
         self.num_ues = num_ues
-        self.watchdog = watchdog
         self.core_map = list(core_map) if core_map \
             else list(range(num_ues))
         if len(self.core_map) != num_ues:
             raise ValueError("core_map length must equal num_ues")
-        barrier_kwargs = {}
-        if watchdog is not None:
-            barrier_kwargs["timeout"] = watchdog.barrier_timeout
-        self.barrier = ClockBarrier(
-            num_ues, chip.barrier_cost(num_ues), **barrier_kwargs)
-        self.registers = TestAndSetRegisters(chip.config.num_cores,
-                                             watchdog)
+        self.monitor = monitor = Monitor(num_ues)
+        self.barrier = ClockBarrier(monitor, num_ues,
+                                    chip.barrier_cost(num_ues))
+        self.registers = TestAndSetRegisters(monitor,
+                                             chip.config.num_cores)
         # race detector (repro.race), installed on the chip by the
         # runner before the world is built; None = every hook dead
         self.race = getattr(chip, "race", None)
@@ -111,16 +102,8 @@ class RCCEWorld:
         self.mpb_heap = _SymmetricHeap(
             chip.address_space.alloc_mpb, "mpbmalloc")
         self.mpb_fallbacks = 0  # RCCE_malloc calls that spilled to DRAM
-        comm_timeout = DEADLOCK_TIMEOUT_SECONDS
-        if watchdog is not None:
-            comm_timeout = min(comm_timeout, watchdog.lock_timeout)
-        self.fabric = MessageFabric(comm_timeout)
-        self.flags = FlagTable(comm_timeout)
-        # rank -> the sync site it is blocked at (see wait_at), and the
-        # rendering of that table when the first wait timed out
-        self.blocked = {}
-        self.blocked_at_timeout = None
-        self._blocked_lock = threading.Lock()
+        self.fabric = MessageFabric(monitor)
+        self.flags = FlagTable(monitor)
         # recovery-layer send retrier (repro.recovery.retry), installed
         # by the runner when retry is enabled; None keeps RCCE_send on
         # the exact pre-recovery path
@@ -163,39 +146,6 @@ class RCCEWorld:
 
     def runtime_for(self, rank):
         return RCCECoreRuntime(self, rank)
-
-    def abort(self, failure):
-        """Fail-fast propagation: break the barrier for every waiter
-        and wake every send/recv/flag waiter (each carrying ``failure``
-        as the cause), and cancel every lock wait."""
-        self.barrier.abort(failure)
-        self.fabric.abort(failure)
-        self.flags.abort(failure)
-        self.registers.abort()
-        if self.watchdog is not None:
-            self.watchdog.abort()
-
-    def wait_at(self, rank, site, wait, *args):
-        """Run the blocking ``wait(*args)`` with ``rank`` listed as
-        blocked at ``site`` (e.g. ``"RCCE_recv from rank 1"``).  When a
-        wait times out, the first one to do so renders the table, and
-        every timeout error gets that line appended."""
-        blocked = self.blocked
-        blocked[rank] = site
-        try:
-            return wait(*args)
-        except (CommDeadlockError, BarrierTimeoutError,
-                LockTimeoutError) as exc:
-            with self._blocked_lock:
-                if self.blocked_at_timeout is None:
-                    self.blocked_at_timeout = "; ".join(
-                        "rank %d in %s" % item
-                        for item in sorted(blocked.items()))
-            exc.args = ("%s\nblocked when the first wait timed out: "
-                        "%s" % (exc, self.blocked_at_timeout),)
-            raise
-        finally:
-            del blocked[rank]
 
     # -- observability ------------------------------------------------------
 
@@ -319,8 +269,7 @@ class RCCECoreRuntime:
         # phase's own work
         snapshot = attr.core_snapshot(self.core_id) \
             if attr is not None else None
-        interp.cycles = self.world.wait_at(
-            self.rank, site, self.world.barrier.wait, self.rank, entry)
+        interp.cycles = self.world.barrier.wait(self.rank, entry, site)
         self.world.barrier_wait.observe(interp.cycles - entry)
         if attr is not None:
             attr.add(self.core_id, "barrier_wait",
@@ -414,9 +363,7 @@ class RCCECoreRuntime:
         if self.attr is not None:
             self.attr.add(self.core_id, "lock_spin", cost)
         entry = interp.cycles
-        self.world.wait_at(self.rank, "RCCE_acquire_lock(%d)" % register,
-                           self.world.registers.acquire, register,
-                           self.rank)
+        self.world.registers.acquire(register, self.rank)
         events = self.world.chip.events
         if events.enabled:
             events.instant(self.core_id, entry, "lock_acquire", "sync",
@@ -549,9 +496,7 @@ class RCCECoreRuntime:
             if self.attr is not None:
                 self.attr.add(self.core_id, "retry_backoff", extra)
         posted = interp.cycles + cost
-        interp.cycles = self.world.wait_at(
-            self.rank, "RCCE_send to rank %d" % dest, channel.send,
-            values, posted, seq, self.race, self.rank)
+        interp.cycles = channel.send(values, posted, seq, self.race)
         if self.attr is not None:
             self._attr_transfer(cost, hop_part)
             self.attr.add(self.core_id, "comm_wait",
@@ -578,9 +523,7 @@ class RCCECoreRuntime:
         cost, hop_part = self._transfer_parts(source, nbytes)
         channel = self.world.fabric.channel(source, self.rank)
         entry = interp.cycles
-        values, clock = self.world.wait_at(
-            self.rank, "RCCE_recv from rank %d" % source, channel.recv,
-            interp.cycles, cost, self.race, self.rank)
+        values, clock = channel.recv(interp.cycles, cost, self.race)
         interp.cycles = clock
         if self.attr is not None:
             # clock = max(entry, sender_clock) + cost: the transfer is
@@ -667,10 +610,8 @@ class RCCECoreRuntime:
         flag_id = self._flag_id(interp, args[0])
         interp.charge(self.world.chip.config.mpb_base_cycles)
         entry = interp.cycles
-        interp.cycles = self.world.wait_at(
-            self.rank, "RCCE_wait_until on flag %s" % flag_id,
-            self.world.flags.wait_until, flag_id, int(args[1]),
-            interp.cycles, self.race, self.rank)
+        interp.cycles = self.world.flags.wait_until(
+            self.rank, flag_id, int(args[1]), interp.cycles, self.race)
         if self.attr is not None:
             self.attr.add(self.core_id, "mpb",
                           self.world.chip.config.mpb_base_cycles)
@@ -708,9 +649,9 @@ class RCCECoreRuntime:
         snapshot = attr.core_snapshot(self.core_id) \
             if attr is not None else None
         entry = interp.cycles
-        deposits, clock = self.world.wait_at(
-            self.rank, "RCCE_bcast", self.world.collectives.exchange,
-            self.rank, interp.cycles, values, self._next_round())
+        deposits, clock = self.world.collectives.exchange(
+            self.rank, interp.cycles, values, self._next_round(),
+            "RCCE_bcast")
         interp.cycles = clock
         if attr is not None:
             # the exchange aligns clocks on the world barrier, so it
@@ -756,11 +697,9 @@ class RCCECoreRuntime:
         snapshot = attr.core_snapshot(self.core_id) \
             if attr is not None else None
         entry = interp.cycles
-        deposits, clock = self.world.wait_at(
-            self.rank,
-            "RCCE_allreduce" if all_ranks else "RCCE_reduce",
-            self.world.collectives.exchange,
-            self.rank, interp.cycles, values, self._next_round())
+        deposits, clock = self.world.collectives.exchange(
+            self.rank, interp.cycles, values, self._next_round(),
+            "RCCE_allreduce" if all_ranks else "RCCE_reduce")
         interp.cycles = clock
         if attr is not None:
             self._attr_transfer(cost, hop_part)

@@ -1,5 +1,10 @@
 """Synchronization primitives for the RCCE emulation.
 
+:class:`Monitor` is the one condition every wait of an RCCE world
+blocks on.  Every primitive keeps its state under it and notifies it
+on each change, so the monitor sees every rank that waits and detects
+a deadlock exactly and at once (see :meth:`Monitor.wait`).
+
 :class:`ClockBarrier` synchronizes the *simulated clocks* as well as
 the Python threads: every participant's cycle counter advances to the
 slowest participant's, plus the modelled barrier cost — exactly how a
@@ -8,173 +13,206 @@ real barrier serializes progress.
 :class:`TestAndSetRegisters` models the one test-and-set register each
 SCC core owns (§4.5): acquiring lock ``k`` spins on core ``k``'s
 register, so the cost depends on mesh distance to that tile.
-
-Robustness: a barrier participant that dies (or a run-level ``abort``)
-no longer strands the survivors — waits are wall-clock bounded and an
-abort carries the originating exception to every waiter
-(:class:`~repro.sim.watchdog.BarrierAbortedError`).  Lock acquisition
-optionally runs under a :class:`~repro.sim.watchdog.Watchdog`, which
-detects wait-for cycles (crossed mutexes) and never-released locks.
 """
 
 import threading
 
-from repro.sim.watchdog import (
-    DEFAULT_BARRIER_TIMEOUT,
-    DEFAULT_SPIN_SLICE,
-    BarrierAbortedError,
-    BarrierTimeoutError,
-    WatchdogAborted,
-)
+from repro.sim.watchdog import DeadlockError, WatchdogAborted
+
+
+class Monitor:
+    """The condition that guards the state of every RCCE primitive of
+    one world of ``parties`` ranks.
+
+    A blocking call holds :attr:`condition` and waits through
+    :meth:`wait` with its call site and a readiness test; every state
+    change notifies the condition.  When a rank starts to wait or
+    exits, and every rank has exited or waits with a false readiness
+    test, no rank can ever change the state again: that is a deadlock,
+    raised as :class:`DeadlockError` in the rank that completed it.
+    The tests of the waiting ranks are re-evaluated each time, so a
+    rank that was woken but has not run yet is not mistaken for a
+    stuck one; a rank whose thread has not started counts as running.
+    """
+
+    def __init__(self, parties):
+        self.parties = parties
+        self.condition = threading.Condition()
+        self.blocked = {}     # rank -> (site, ready, wanted register)
+        self.exited = set()
+        self.owners = {}      # test-and-set register -> holding rank
+        self.failure = None   # the abort's cause; every wait then fails
+
+    def wait(self, rank, site, ready, register=None):
+        """Block ``rank`` at ``site`` (e.g. ``"RCCE_recv from rank
+        1"``) until ``ready()`` holds; the caller holds
+        :attr:`condition`.  A lock wait names the ``register`` it
+        wants, which the deadlock report follows to a wait-for cycle.
+        Once the world is aborted, the wait raises
+        :class:`WatchdogAborted` caused by the original failure."""
+        if self.failure is None and ready():
+            return
+        self.blocked[rank] = (site, ready, register)
+        try:
+            self._detect()
+            while self.failure is None and not ready():
+                self.condition.wait()
+        finally:
+            del self.blocked[rank]
+        if self.failure is not None:
+            raise WatchdogAborted(
+                "%s cancelled: another core already failed (%s: %s)"
+                % (site, type(self.failure).__name__, self.failure)) \
+                from self.failure
+
+    def exit(self, rank):
+        """``rank``'s program returned; raises :class:`DeadlockError`
+        when that leaves every other rank stuck."""
+        with self.condition:
+            self.exited.add(rank)
+            self._detect()
+
+    def abort(self, failure):
+        """Wake every wait, now and later, with ``failure`` (the first
+        one reported) as the cause."""
+        with self.condition:
+            if self.failure is None:
+                self.failure = failure
+            self.condition.notify_all()
+
+    def _detect(self):
+        blocked = self.blocked
+        if self.failure is not None or not blocked or \
+                len(blocked) + len(self.exited) < self.parties:
+            return
+        for _site, ready, _register in blocked.values():
+            if ready():
+                return
+        message = "deadlock detected: " + "; ".join(
+            "rank %d in %s" % (rank, blocked[rank][0])
+            if rank in blocked else "rank %d has exited" % rank
+            for rank in range(self.parties))
+        cycle = self._cycle()
+        if cycle:
+            message += "\nlock wait-for cycle: %s -> back to rank %d" % (
+                " -> ".join("rank %d waits for register %d" % edge
+                            for edge in cycle), cycle[0][0])
+        raise DeadlockError(message, cycle)
+
+    def _cycle(self):
+        """The first cycle of lock waits, as ``(rank, register)``
+        edges from its lowest rank (rank -> wanted register -> its
+        holder -> ...), or ``[]``."""
+        wants = {rank: register
+                 for rank, (_site, _ready, register) in self.blocked.items()
+                 if register is not None}
+        for start in sorted(wants):
+            cycle, rank = [], start
+            while rank in wants and len(cycle) < len(wants):
+                cycle.append((rank, wants[rank]))
+                rank = self.owners.get(wants[rank])
+                if rank == start:
+                    return cycle
+        return []
 
 
 class ClockBarrier:
-    """A two-phase barrier that aligns simulated cycle counters.
+    """A barrier that aligns simulated cycle counters.
 
-    Phase 1: everyone publishes its clock and waits.  Phase 2 (after
-    the max is computed) keeps fast threads from racing ahead and
-    clobbering the published clocks of the next round.
-
-    ``timeout`` bounds each phase's wait in wall seconds; a peer that
-    never arrives (it crashed, or the program deadlocked elsewhere)
-    breaks the barrier for everyone with a
-    :class:`BarrierTimeoutError` instead of hanging the host process.
+    Each party publishes its clock; the last to arrive computes the
+    aligned clock, runs the round hook and releases the round.  A party
+    of round N+1 cannot complete that round before every party of
+    round N has left, so one aligned value serves every round.
     """
 
-    def __init__(self, parties, cost_cycles=0,
-                 timeout=DEFAULT_BARRIER_TIMEOUT):
+    def __init__(self, monitor, parties, cost_cycles=0):
+        self.monitor = monitor
         self.parties = parties
         self.cost_cycles = cost_cycles
-        self.timeout = timeout
-        self.failure = None      # originating exception, via abort()
-        self._aborted = False
         self._clocks = {}
-        self._max_holder = [0]
-        self._lock = threading.Lock()
-        self._phase1 = threading.Barrier(parties, action=self._compute_max)
-        self._phase2 = threading.Barrier(parties)
+        self._aligned = 0
+        self._released = 0       # rounds released; never reset
         self.rounds = 0
-        # quiesce-point hook (repro.recovery.checkpoint): called from
-        # the phase-1 action with every party parked; None costs one
-        # attribute check per round
+        # quiesce-point hook (repro.recovery.checkpoint): called by the
+        # last party to arrive, with every other party parked; None
+        # costs one attribute check per round
         self.on_round = None
         # race detector (repro.race): barrier entry/exit edges
         self.race = None
 
-    def _compute_max(self):
-        self._max_holder[0] = max(self._clocks.values())
-        self.rounds += 1
-        hook = self.on_round
-        if hook is not None:
-            try:
-                hook(self.rounds)
-            except BaseException as exc:
-                # the action's thread re-raises out of wait(); record
-                # the cause first so peers see a BarrierAbortedError
-                # naming it instead of a misleading timeout
-                if self.failure is None:
-                    self.failure = exc
-                raise
-
     def published_clocks(self):
         """rank -> entry clock for the round in flight.  Meaningful
-        from the phase-1 action, where every party has published and
-        none has resumed."""
+        from the round hook, where every party has published and none
+        has resumed."""
         return dict(self._clocks)
 
-    def wait(self, rank, clock):
+    def wait(self, rank, clock, site="RCCE_barrier"):
         """Synchronize; returns the new (aligned) clock value."""
         race = self.race
         if race is not None:
             race.barrier_enter(rank, self.parties, key=id(self))
-        with self._lock:
+        monitor = self.monitor
+        with monitor.condition:
             self._clocks[rank] = clock
-        try:
-            self._phase1.wait(self.timeout)
-            aligned = self._max_holder[0] + self.cost_cycles
-            self._phase2.wait(self.timeout)
-        except threading.BrokenBarrierError:
-            raise self._broken_error(rank) from self.failure
+            released = self._released
+            if len(self._clocks) == self.parties:
+                self.rounds += 1
+                hook = self.on_round
+                if hook is not None:
+                    hook(self.rounds)
+                self._aligned = max(self._clocks.values()) \
+                    + self.cost_cycles
+                self._clocks = {}
+                self._released += 1
+                monitor.condition.notify_all()
+            else:
+                monitor.wait(rank, site,
+                             lambda: self._released != released)
+            aligned = self._aligned
         if race is not None:
             race.barrier_exit(rank, key=id(self))
         return aligned
-
-    def _broken_error(self, rank):
-        if self.failure is not None:
-            return BarrierAbortedError(
-                "barrier aborted after a peer failed: %s: %s"
-                % (type(self.failure).__name__, self.failure))
-        if self._aborted:
-            return BarrierAbortedError("barrier aborted")
-        return BarrierTimeoutError(
-            "rank %s waited more than %gs at the barrier — a peer is "
-            "dead or stuck (deadlock/livelock elsewhere)"
-            % (rank, self.timeout))
-
-    def abort(self, failure=None):
-        """Break the barrier for every current and future waiter.
-        ``failure`` (the originating exception) is propagated to them
-        as the cause of their :class:`BarrierAbortedError`."""
-        if failure is not None and self.failure is None:
-            self.failure = failure
-        self._aborted = True
-        self._phase1.abort()
-        self._phase2.abort()
 
 
 class TestAndSetRegisters:
     """One atomic test-and-set register per core.
 
-    ``owners`` tracks which rank currently holds each register — the
-    input to the watchdog's wait-for-graph deadlock detection.  With no
-    watchdog, ``acquire`` spins until the register frees, as the
-    hardware would, or until :meth:`abort` cancels the run.
+    ``owners`` (the monitor's) tracks which rank holds each register;
+    ``acquire`` waits until the register is free, as the hardware spin
+    would.
     """
 
     __test__ = False  # not a pytest class, despite the hardware's name
 
-    def __init__(self, num_cores, watchdog=None):
+    def __init__(self, monitor, num_cores):
+        self.monitor = monitor
         self.num_cores = num_cores
-        self.watchdog = watchdog
-        self.aborted = False
-        self._locks = [threading.Lock() for _ in range(num_cores)]
         self.acquisitions = [0] * num_cores
-        self.owners = {}  # register index -> holding rank
+        self.owners = monitor.owners  # register index -> holding rank
         # race detector (repro.race): release->acquire ordering edges
         self.race = None
 
     def reset_counts(self):
         self.acquisitions = [0] * self.num_cores
 
-    def acquire(self, register, rank=None):
+    def acquire(self, register, rank):
         index = register % self.num_cores
-        lock = self._locks[index]
-        if self.watchdog is None:
-            while not lock.acquire(timeout=DEFAULT_SPIN_SLICE):
-                if self.aborted:
-                    raise WatchdogAborted(
-                        "lock wait on register %d cancelled: another "
-                        "core already failed" % index)
-        else:
-            self.watchdog.acquire_lock(lock, index, rank, self.owners)
-        self.owners[index] = rank
-        self.acquisitions[index] += 1
-        if self.race is not None and rank is not None:
+        owners = self.owners
+        monitor = self.monitor
+        with monitor.condition:
+            monitor.wait(rank, "RCCE_acquire_lock(%d)" % register,
+                         lambda: index not in owners, index)
+            owners[index] = rank
+            self.acquisitions[index] += 1
+        if self.race is not None:
             self.race.lock_acquire(rank, ("reg", index))
 
-    def abort(self):
-        """Cancel every unsupervised lock wait (a core failed, or the
-        run was interrupted, possibly while holding a register)."""
-        self.aborted = True
-
-    def release(self, register, rank=None):
+    def release(self, register, rank):
+        """Free the register; releasing a free one is a no-op, as on
+        the SCC register."""
         index = register % self.num_cores
-        if self.race is not None and rank is not None:
+        if self.race is not None:
             self.race.lock_release(rank, ("reg", index))
-        # clear ownership before freeing the lock so the watchdog never
-        # sees a free register with a stale owner
-        self.owners.pop(index, None)
-        try:
-            self._locks[index].release()
-        except RuntimeError:
-            pass  # releasing an unheld lock is a no-op on the SCC register
+        with self.monitor.condition:
+            self.owners.pop(index, None)
+            self.monitor.condition.notify_all()

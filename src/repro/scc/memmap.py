@@ -70,6 +70,11 @@ class OutOfMemoryError(Exception):
     """A bump allocator ran out of its segment."""
 
 
+class UnmappedAddressError(ValueError):
+    """An access to an address outside every segment: a wild pointer
+    in the simulated program."""
+
+
 class SplitSegment:
     """A virtually-contiguous allocation whose first ``on_chip_bytes``
     live in the MPB and whose tail lives in shared DRAM — §4.4's
@@ -156,7 +161,8 @@ class AddressSpace:
             segment = self._split_of(addr)
             if segment is not None:
                 return segment.resolve(addr)
-        raise ValueError("address 0x%x is outside every segment" % addr)
+        raise UnmappedAddressError(
+            "address 0x%x is outside every segment" % addr)
 
     def _split_of(self, addr):
         import bisect

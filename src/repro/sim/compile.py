@@ -644,7 +644,12 @@ _UNARY_OTHER = _Template(
     ("op",))
 
 _CAST = _Template("I.cycles += _C_CAST\nreturn {co}(v)", (), ("co",))
-_ELEM = _Template("I.cycles += _C_IALU\nreturn addr + int(i) * {stride}",
+_ELEM = _Template("""\
+I.cycles += _C_IALU
+try:
+    return addr + int(i) * {stride}
+except TypeError:
+    raise InterpreterError("array subscript is not an integer") from None""",
                   (), ("stride",))
 _POINTER = _Template("return _P(addr, {stride}, {pe})", (),
                      ("stride", "pe"))
@@ -1203,7 +1208,11 @@ def _make_lv_array_dyn(base_c, index_c):
         if b.__class__ is not _P:
             raise InterpreterError("subscript of non-pointer")
         I.cycles += _C_IALU
-        return b.addr + int(i) * b.stride, (b.pointee or _INT)
+        try:
+            return b.addr + int(i) * b.stride, (b.pointee or _INT)
+        except TypeError:
+            raise InterpreterError(
+                "array subscript is not an integer") from None
     return lv
 
 

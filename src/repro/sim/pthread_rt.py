@@ -20,7 +20,7 @@ deposits a signal.  When every other thread has already run to
 completion and the deposit never arrives, the wait can never be
 satisfied and the runtime raises
 :class:`~repro.sim.watchdog.DeadlockError` with the rendered wait
-chain, exactly like the watchdog's lock wait-for graph.  Note one
+chain, like the RCCE monitor's deadlock report.  Note one
 deliberate divergence from the POSIX race: a signal sent before the
 wait is *not* lost here — serial execution cannot reproduce lost-wakeup
 interleavings, so the model errs toward progress and leaves

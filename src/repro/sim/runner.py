@@ -7,12 +7,13 @@ multithreaded program on one SCC core, threads time-sliced.
 per simulated core, all in one process, with a shared memory object, a
 shared RCCE world, and per-core cycle clocks aligned at every barrier.
 The reported runtime is the slowest core's final clock — wall time, as
-the paper measures.  A Ctrl-C (or any exception) in the calling thread
-stops every simulated core at its next step before it propagates.
+the paper measures.  A deadlock raises ``DeadlockError`` as soon as it
+forms (see ``repro.rcce.sync.Monitor``).  A Ctrl-C (or any exception)
+in the calling thread stops every simulated core at its next step
+before it propagates.
 
 Both runners accept an optional ``faults`` spec (see ``repro.faults``)
-and — for ``run_rcce`` — an optional ``watchdog`` (see
-``repro.sim.watchdog``) and ``recovery``
+and — for ``run_rcce`` — an optional ``recovery``
 (:class:`repro.recovery.RecoveryOptions`).  Every run, faulted and
 checkpointed ones included, executes on the closure-compiled engine
 (``repro.sim.compile``).  With all left at ``None`` every hook is a
@@ -60,8 +61,8 @@ from repro.sim.interpreter import (
 from repro.sim.machine import Memory
 from repro.sim.pthread_rt import PthreadRuntime
 from repro.sim.watchdog import (
-    BarrierAbortedError,
     SimulationTimeout,
+    WatchdogAborted,
     WatchdogError,
     core_dumps,
 )
@@ -279,16 +280,16 @@ class _CoreError:
         with self.lock:
             if self.exc is None:
                 self.exc = exc
-            elif isinstance(self.exc, BarrierAbortedError) and \
-                    not isinstance(exc, BarrierAbortedError):
-                # a peer's secondary barrier abort won the race; the
-                # originating failure is the one worth reporting
+            elif isinstance(self.exc, WatchdogAborted) and \
+                    not isinstance(exc, WatchdogAborted):
+                # a peer's aborted wait won the race; the originating
+                # failure is the one worth reporting
                 self.exc = exc
 
 
 def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
              max_steps=200_000_000, faults=None,
-             watchdog=None, recovery=None, race=None, attribution=None):
+             recovery=None, race=None, attribution=None):
     """Run a translated RCCE program on ``num_ues`` simulated cores,
     one host thread per core.
 
@@ -318,7 +319,8 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     interpreters = []
     _prepare_chip(chip, interpreters,
                   list(core_map) if core_map else range(num_ues))
-    world = RCCEWorld(chip, num_ues, core_map, watchdog)
+    world = RCCEWorld(chip, num_ues, core_map)
+    monitor = world.monitor
     memory = Memory()
     error = _CoreError()
     ranks = {}
@@ -391,12 +393,15 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                 interp.run_main()
             except ThreadExit:
                 pass
+            # inside the try: a deadlock this exit completes is this
+            # core's error
+            monitor.exit(rank)
         except Exception as exc:  # noqa: BLE001 - surfaced to caller
             error.record(exc)
             # unblock every peer waiting at the clock barrier, a lock,
             # a send/recv or a flag; the originating exception rides
             # along so peers report the real cause
-            world.abort(exc)
+            monitor.abort(exc)
         finally:
             with exited:
                 finished.append(rank)
@@ -433,7 +438,7 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
             # Wait for every thread that started (threads start in
             # order, so those with an ident lead the list), including
             # one whose start() returned just as the interrupt landed
-            world.abort(exc)
+            monitor.abort(exc)
             halt_cores()
             wait_for_cores(sum(thread.ident is not None
                                for thread in threads))
@@ -493,8 +498,7 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
 def run_rcce_supervised(program, num_ues, config=None, core_map=None,
                         max_steps=200_000_000,
                         faults=None, recovery=None, max_restarts=1,
-                        chip_factory=None, watchdog_factory=None,
-                        race=None, attribution=None):
+                        chip_factory=None, race=None, attribution=None):
     """Run an RCCE program under a restarting supervisor.
 
     The run checkpoints at barrier rounds
@@ -508,9 +512,8 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
     the last error propagates with the :class:`RecoveryReport`
     attached as ``recovery_report``.
 
-    ``chip_factory``/``watchdog_factory`` build one chip/watchdog per
-    attempt (both are stateful across a failed run: a watchdog's abort
-    latch is sticky and a chip's address space accumulates).
+    ``chip_factory`` builds one chip per attempt (a chip's address
+    space accumulates across a failed run).
     """
     config = config or Table61Config()
     recovery = recovery if recovery is not None else RecoveryOptions()
@@ -529,8 +532,6 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
     while True:
         chip = chip_factory() if chip_factory is not None \
             else SCCChip(config)
-        watchdog = watchdog_factory() if watchdog_factory is not None \
-            else None
         # a fresh detector per attempt (race=True builds one here):
         # epochs must not leak between attempts, or replayed accesses
         # would look unordered against the dead run's.  Built
@@ -543,7 +544,7 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
             result = run_rcce(
                 program, num_ues, config=config, chip=chip,
                 core_map=core_map, max_steps=max_steps,
-                faults=injector, watchdog=watchdog, recovery=options,
+                faults=injector, recovery=options,
                 race=attempt_race, attribution=attribution)
         except RESTARTABLE_ERRORS as exc:
             if attempt >= max_restarts:

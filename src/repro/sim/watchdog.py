@@ -1,42 +1,32 @@
-"""Deadlock/livelock detection and bounded-failure machinery.
+"""The failure taxonomy of simulated runs that cannot finish.
 
-The simulated platform synchronizes with spin-on-test-and-set mutexes
-and software barriers (paper §4.5) — primitives with no timeout of
-their own.  A translated program with a crossed-lock cycle, a mutex
-that is never released, or a crashed peer therefore used to hang the
-*host* process.  The watchdog turns every such hang into a structured,
-bounded failure:
+The simulated platform synchronizes with spin-on-test-and-set mutexes,
+software barriers, MPB flags and synchronous send/recv (paper §4.5) —
+primitives with no timeout of their own.  A translated program with a
+crossed-lock cycle, a mutex that is never released, a recv nobody
+sends to, or a rank that returns before a barrier therefore used to
+hang the *host* process.  Every such case now ends in a structured
+error:
 
-* :meth:`Watchdog.acquire_lock` replaces the blind blocking acquire
-  with a sliced wait that builds the lock wait-for graph (rank → wanted
-  register → holding rank → …) and raises :class:`DeadlockError` with
-  the full cycle as soon as one closes; a non-cyclic starvation raises
-  :class:`LockTimeoutError` after ``lock_timeout`` wall seconds.
-* :class:`~repro.rcce.sync.ClockBarrier` takes wall-clock timeouts and
-  propagates ``abort()`` with the originating exception
-  (:class:`BarrierAbortedError` / :class:`BarrierTimeoutError`).
-* The runners convert a blown step budget into
+* every RCCE wait blocks on the world's one
+  :class:`~repro.rcce.sync.Monitor`, which raises
+  :class:`DeadlockError` — naming every rank's call site, and the lock
+  wait-for cycle when there is one — as soon as no rank can progress;
+* when a core fails or the run is interrupted, every wait ends at once
+  with :class:`WatchdogAborted`, caused by the original error;
+* the runners convert a blown step budget into
   :class:`SimulationTimeout`, which carries a per-core state dump
   (core, steps, cycles, current function) for every interpreter.
 
-With no watchdog installed every primitive behaves exactly as before —
-the cycle accounting never changes either way, so enabling the
-watchdog does not perturb simulated results.
+None of this touches simulated time.
 """
-
-import threading
-import time
 
 from repro.sim.interpreter import StepLimitExceeded
 
-DEFAULT_LOCK_TIMEOUT = 30.0
-DEFAULT_BARRIER_TIMEOUT = 600.0
-DEFAULT_SPIN_SLICE = 0.05
-
 
 class WatchdogError(Exception):
-    """Base class for watchdog-detected failures.  ``dumps`` holds
-    per-core state dumps when the runner attached them."""
+    """Base class for detected deadlocks and aborted waits.  ``dumps``
+    holds per-core state dumps when the runner attached them."""
 
     def __init__(self, message):
         super().__init__(message)
@@ -44,32 +34,19 @@ class WatchdogError(Exception):
 
 
 class DeadlockError(WatchdogError):
-    """A cycle in the lock wait-for graph."""
+    """No rank can make progress.  ``cycle`` lists the ``(rank,
+    register)`` edges of a lock wait-for cycle, when the waits form
+    one."""
 
     def __init__(self, message, cycle=()):
         super().__init__(message)
         self.cycle = list(cycle)
 
 
-class LockTimeoutError(WatchdogError):
-    """A lock wait exceeded the wall-clock bound without a detectable
-    cycle (e.g. the holder finished without releasing)."""
-
-
-class BarrierTimeoutError(WatchdogError):
-    """A barrier wait exceeded its wall-clock bound (dead peer or a
-    peer stuck elsewhere)."""
-
-
-class BarrierAbortedError(WatchdogError):
-    """The barrier was aborted, usually because a peer failed; the
-    originating exception, when known, is the ``__cause__``."""
-
-
 class WatchdogAborted(WatchdogError):
-    """A lock, send/recv or flag wait was cancelled because another
-    core already failed or the run was interrupted (the world
-    aborted)."""
+    """A wait was cancelled because another core already failed or the
+    run was interrupted (the world aborted); the originating exception
+    is the ``__cause__``."""
 
 
 class SimulationTimeout(StepLimitExceeded):
@@ -108,109 +85,3 @@ def core_dumps(interpreters, ranks=None):
             dump["rank"] = ranks[interp.core_id]
         dumps.append(dump)
     return dumps
-
-
-class Watchdog:
-    """Run-wide supervision of blocking synchronization waits.
-
-    One watchdog serves one run.  ``lock_timeout`` bounds any single
-    lock wait in wall seconds, ``barrier_timeout`` any barrier wait;
-    ``spin_slice`` is the poll interval for supervised lock waits (and
-    the cadence of deadlock-cycle checks).
-    """
-
-    def __init__(self, lock_timeout=DEFAULT_LOCK_TIMEOUT,
-                 barrier_timeout=DEFAULT_BARRIER_TIMEOUT,
-                 spin_slice=DEFAULT_SPIN_SLICE):
-        self.lock_timeout = lock_timeout
-        self.barrier_timeout = barrier_timeout
-        self.spin_slice = spin_slice
-        self.deadlocks_detected = 0
-        self._waiting = {}      # rank -> register it is blocked on
-        self._lock = threading.Lock()
-        self._aborted = False
-
-    def abort(self):
-        """Cancel every supervised wait (a peer already failed)."""
-        self._aborted = True
-
-    @property
-    def aborted(self):
-        return self._aborted
-
-    # -- supervised lock acquisition ---------------------------------------
-
-    def acquire_lock(self, lock, register, rank, owners):
-        """Acquire ``lock`` (test-and-set register ``register``) on
-        behalf of ``rank``, watching for deadlock.  ``owners`` is the
-        live register→holder map maintained by the caller."""
-        deadline = time.monotonic() + self.lock_timeout
-        if rank is not None:
-            with self._lock:
-                self._waiting[rank] = register
-        try:
-            while True:
-                if lock.acquire(timeout=self.spin_slice):
-                    return
-                if self._aborted:
-                    raise WatchdogAborted(
-                        "lock wait on register %d cancelled: another "
-                        "core already failed" % register)
-                cycle = self._find_cycle(rank, owners)
-                if cycle is not None:
-                    # One more chance: the cycle may be a transient
-                    # hand-off artefact.  Re-probe the lock, then
-                    # require the same cycle a second time.
-                    if lock.acquire(timeout=self.spin_slice):
-                        return
-                    if self._find_cycle(rank, owners) == cycle:
-                        self.deadlocks_detected += 1
-                        self._aborted = True
-                        raise DeadlockError(
-                            self._render_cycle(cycle), cycle=cycle)
-                if time.monotonic() > deadline:
-                    holder = owners.get(register)
-                    raise LockTimeoutError(
-                        "rank %s waited more than %gs for test-and-set "
-                        "register %d (held by %s) — mutex never "
-                        "released or holder dead"
-                        % (rank, self.lock_timeout, register,
-                           "rank %s" % holder if holder is not None
-                           else "an unknown owner"))
-        finally:
-            if rank is not None:
-                with self._lock:
-                    self._waiting.pop(rank, None)
-
-    def _find_cycle(self, start, owners):
-        """Follow start → wanted register → holder → … until the walk
-        returns to ``start`` (a deadlock cycle, returned as a list of
-        ``(rank, register)`` edges) or dead-ends (``None``)."""
-        if start is None:
-            return None
-        with self._lock:
-            waiting = dict(self._waiting)
-        cycle = []
-        rank = start
-        seen = set()
-        while True:
-            register = waiting.get(rank)
-            if register is None:
-                return None
-            cycle.append((rank, register))
-            holder = owners.get(register)
-            if holder is None or holder == rank:
-                return None
-            if holder == start:
-                return cycle
-            if holder in seen:
-                return None  # a cycle, but not through ``start``
-            seen.add(holder)
-            rank = holder
-
-    @staticmethod
-    def _render_cycle(cycle):
-        chain = " -> ".join(
-            "rank %s waits for register %d" % edge for edge in cycle)
-        return ("deadlock detected in the lock wait-for graph: %s -> "
-                "back to rank %s" % (chain, cycle[0][0]))

@@ -4,43 +4,49 @@ import pytest
 
 from repro.rcce.comm import (
     CollectiveArea,
-    CommDeadlockError,
     FlagTable,
     REDUCE_OPS,
 )
+from repro.rcce.sync import Monitor
+from repro.sim.interpreter import InterpreterError
 from repro.sim.runner import run_rcce
 
 
 class TestFlagTable:
     def test_alloc_write_read(self):
-        flags = FlagTable()
+        flags = FlagTable(Monitor(1))
         flag = flags.alloc()
         assert flags.read(flag) == 0
         flags.write(flag, 1, clock=500)
         assert flags.read(flag) == 1
 
     def test_wait_until_immediate(self):
-        flags = FlagTable()
+        flags = FlagTable(Monitor(1))
         flag = flags.alloc()
         flags.write(flag, 1, clock=900)
         # waiter's clock advances to the writer's
-        assert flags.wait_until(flag, 1, clock=100) == 900
+        assert flags.wait_until(0, flag, 1, clock=100) == 900
 
     def test_wait_keeps_later_clock(self):
-        flags = FlagTable()
+        flags = FlagTable(Monitor(1))
         flag = flags.alloc()
         flags.write(flag, 1, clock=100)
-        assert flags.wait_until(flag, 1, clock=5000) == 5000
+        assert flags.wait_until(0, flag, 1, clock=5000) == 5000
 
     def test_free_then_use_raises(self):
-        flags = FlagTable()
+        flags = FlagTable(Monitor(1))
         flag = flags.alloc()
         flags.free(flag)
-        with pytest.raises(CommDeadlockError):
+        # a program failure at once, for every use, not a hang
+        with pytest.raises(InterpreterError, match="read of unallocated"):
             flags.read(flag)
+        with pytest.raises(InterpreterError, match="write to unallocated"):
+            flags.write(flag, 1, clock=0)
+        with pytest.raises(InterpreterError, match="wait on unallocated"):
+            flags.wait_until(0, flag, 1, clock=0)
 
     def test_distinct_ids(self):
-        flags = FlagTable()
+        flags = FlagTable(Monitor(1))
         assert flags.alloc() != flags.alloc()
 
 

@@ -5,7 +5,8 @@ import threading
 import pytest
 
 from repro.rcce.api import RCCEAllocationError, RCCEWorld
-from repro.rcce.sync import ClockBarrier, TestAndSetRegisters
+from repro.rcce.sync import ClockBarrier, Monitor, TestAndSetRegisters
+from repro.sim.watchdog import DeadlockError
 from repro.scc.chip import SCCChip
 from repro.scc.config import SCCConfig
 from repro.sim.runner import run_rcce
@@ -63,7 +64,7 @@ class TestSymmetricHeap:
 
 class TestClockBarrier:
     def test_aligns_clocks_to_max(self):
-        barrier = ClockBarrier(3, cost_cycles=100)
+        barrier = ClockBarrier(Monitor(3), 3, cost_cycles=100)
         results = {}
 
         def participant(rank, clock):
@@ -78,7 +79,7 @@ class TestClockBarrier:
         assert set(results.values()) == {1000}
 
     def test_multiple_rounds(self):
-        barrier = ClockBarrier(2, cost_cycles=0)
+        barrier = ClockBarrier(Monitor(2), 2, cost_cycles=0)
         out = {0: [], 1: []}
 
         def participant(rank):
@@ -98,43 +99,53 @@ class TestClockBarrier:
         assert out[0][0] == 10 and out[1][0] == 11
 
     def test_single_party(self):
-        barrier = ClockBarrier(1, cost_cycles=5)
+        barrier = ClockBarrier(Monitor(1), 1, cost_cycles=5)
         assert barrier.wait(0, 10) == 15
 
 
 class TestTestAndSet:
     def test_acquire_release(self):
-        registers = TestAndSetRegisters(4)
-        registers.acquire(2)
-        registers.release(2)
+        registers = TestAndSetRegisters(Monitor(1), 4)
+        registers.acquire(2, 0)
+        assert registers.owners == {2: 0}
+        registers.release(2, 0)
+        assert registers.owners == {}
         assert registers.acquisitions[2] == 1
 
     def test_register_wraps_modulo_cores(self):
-        registers = TestAndSetRegisters(4)
-        registers.acquire(6)  # register 2
-        registers.release(6)
+        registers = TestAndSetRegisters(Monitor(1), 4)
+        registers.acquire(6, 0)  # register 2
+        registers.release(6, 0)
         assert registers.acquisitions[2] == 1
 
     def test_release_unheld_is_noop(self):
-        registers = TestAndSetRegisters(2)
-        registers.release(0)  # must not raise
+        registers = TestAndSetRegisters(Monitor(1), 2)
+        registers.release(0, 0)  # must not raise
 
     def test_mutual_exclusion(self):
-        registers = TestAndSetRegisters(1)
+        monitor = Monitor(4)
+        registers = TestAndSetRegisters(monitor, 1)
         counter = [0]
+        errors = []
 
-        def bump():
-            for _ in range(200):
-                registers.acquire(0)
-                value = counter[0]
-                counter[0] = value + 1
-                registers.release(0)
+        def bump(rank):
+            try:
+                for _ in range(200):
+                    registers.acquire(0, rank)
+                    value = counter[0]
+                    counter[0] = value + 1
+                    registers.release(0, rank)
+            except DeadlockError as exc:  # must never happen
+                errors.append(exc)
+            monitor.exit(rank)
 
-        threads = [threading.Thread(target=bump) for _ in range(4)]
+        threads = [threading.Thread(target=bump, args=(rank,))
+                   for rank in range(4)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
+        assert errors == []
         assert counter[0] == 800
 
 

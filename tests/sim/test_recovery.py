@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.cfront.frontend import parse_program
 from repro.faults import CoreCrashFault
 from repro.rcce.comm import Channel
+from repro.rcce.sync import Monitor
 from repro.recovery import (
     ECC_SCRUB_CYCLES,
     MeshRetryExhaustedError,
@@ -265,7 +266,7 @@ class TestSendRetry:
         assert info.value.attempts == RetryPolicy().max_attempts
 
     def test_channel_deduplicates_sequence_numbers(self):
-        channel = Channel()
+        channel = Channel(Monitor(2), 0, 1)
         done = []
 
         def sender():

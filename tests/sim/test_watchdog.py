@@ -1,6 +1,7 @@
-"""Watchdog tests: every kernel here used to hang the host process —
-now each terminates quickly with a structured error.  All timeouts are
-small so the whole module stays wall-clock bounded.
+"""Deadlock, dead-peer and step-budget tests: every kernel here used to
+hang the host process — now each ends at once with a structured error.
+No wait has a timeout: a deadlock is detected when it forms, so each
+bound below is on how fast that happens.
 """
 
 import _thread
@@ -14,21 +15,20 @@ import pytest
 from repro.bench.programs import benchmark_source
 from repro.cfront.frontend import parse_program
 from repro.faults import FaultInjector
+from repro.rcce.sync import ClockBarrier, Monitor
 from repro.scc.chip import SCCChip
 from repro.scc.config import SCCConfig
 from repro.sim.interpreter import (
     TICK_STEPS,
     Interpreter,
+    InterpreterError,
     StepLimitExceeded,
 )
 from repro.sim.runner import run_pthread_single_core, run_rcce
 from repro.sim.watchdog import (
-    BarrierTimeoutError,
     DeadlockError,
-    LockTimeoutError,
     SimulationTimeout,
-    Watchdog,
-    WatchdogError,
+    WatchdogAborted,
 )
 
 CROSSED_LOCKS = """
@@ -65,6 +65,33 @@ int RCCE_APP(int argc, char **argv) {
     RCCE_barrier(&RCCE_COMM_WORLD);
     RCCE_acquire_lock(3);
     RCCE_release_lock(3);
+    RCCE_finalize();
+    return 0;
+}
+"""
+
+# rank 0 waits for a message rank 1 never sends: rank 1 is at the
+# barrier, waiting for rank 0
+RECV_VERSUS_BARRIER = """
+int RCCE_APP(int argc, char **argv) {
+    int buf[1];
+    RCCE_init(&argc, &argv);
+    if (RCCE_ue() == 0) {
+        RCCE_recv(buf, sizeof(int), 1);
+    }
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    RCCE_finalize();
+    return 0;
+}
+"""
+
+# rank 1 returns before RCCE_finalize, whose barrier then never fills
+EARLY_RETURN = """
+int RCCE_APP(int argc, char **argv) {
+    RCCE_init(&argc, &argv);
+    if (RCCE_ue() == 1) {
+        return 0;
+    }
     RCCE_finalize();
     return 0;
 }
@@ -132,49 +159,55 @@ int RCCE_APP(int argc, char **argv) {
 """
 
 
-def fast_watchdog(**overrides):
-    kwargs = {"lock_timeout": 5.0, "barrier_timeout": 10.0,
-              "spin_slice": 0.02}
-    kwargs.update(overrides)
-    return Watchdog(**kwargs)
+def deadlock_of(source, num_ues=2):
+    """The DeadlockError ``source`` raises, which must come within 2 s
+    of wall time."""
+    start = time.monotonic()
+    with pytest.raises(DeadlockError) as info:
+        run_rcce(source, num_ues)
+    assert time.monotonic() - start < 2.0
+    return info.value
 
 
 class TestDeadlockDetection:
     def test_crossed_locks_raise_deadlock(self):
-        start = time.monotonic()
-        with pytest.raises(DeadlockError) as info:
-            run_rcce(CROSSED_LOCKS, 2, watchdog=fast_watchdog())
+        error = deadlock_of(CROSSED_LOCKS)
         # the wait-for cycle names both edges
-        assert len(info.value.cycle) == 2
-        assert {edge[1] for edge in info.value.cycle} == {0, 1}
-        # detection must come from the cycle check, not the timeout
-        assert time.monotonic() - start < 4.0
+        assert len(error.cycle) == 2
+        assert {edge[1] for edge in error.cycle} == {0, 1}
+        assert "rank 0 in RCCE_acquire_lock(1); " \
+            "rank 1 in RCCE_acquire_lock(0)" in str(error)
 
     def test_never_released_lock_times_out(self):
-        with pytest.raises(LockTimeoutError) as info:
-            run_rcce(NEVER_RELEASED, 2,
-                     watchdog=fast_watchdog(lock_timeout=1.0))
-        assert "register 3" in str(info.value)
+        # rank 0 asks again for the register it holds: a cycle of one
+        error = deadlock_of(NEVER_RELEASED)
+        assert error.cycle == [(0, 3)]
+        assert "rank 0 waits for register 3 -> back to rank 0" \
+            in str(error)
+        assert "rank 1 in RCCE_acquire_lock(3)" in str(error)
 
-    def test_deadlock_counts(self):
-        watchdog = fast_watchdog()
-        with pytest.raises(DeadlockError):
-            run_rcce(CROSSED_LOCKS, 2, watchdog=watchdog)
-        assert watchdog.deadlocks_detected == 1
+    def test_recv_while_peer_waits_at_barrier(self):
+        error = deadlock_of(RECV_VERSUS_BARRIER)
+        assert error.cycle == []
+        assert str(error) == ("deadlock detected: rank 0 in RCCE_recv "
+                              "from rank 1; rank 1 in RCCE_barrier")
+
+    def test_return_before_finalize(self):
+        error = deadlock_of(EARLY_RETURN)
+        assert str(error) == ("deadlock detected: rank 0 in "
+                              "RCCE_finalize; rank 1 has exited")
 
 
 class TestDeadPeer:
     def test_peer_failure_propagates_original_error(self):
-        from repro.sim.interpreter import InterpreterError
         start = time.monotonic()
         with pytest.raises(InterpreterError) as info:
-            run_rcce(DEAD_PEER, 3, watchdog=fast_watchdog())
+            run_rcce(DEAD_PEER, 3)
         # the *originating* error surfaces, not a barrier timeout
         assert "no_such_function" in str(info.value)
         assert time.monotonic() - start < 5.0
 
     def test_peer_failure_wakes_a_recv(self):
-        from repro.sim.interpreter import InterpreterError
         start = time.monotonic()
         with pytest.raises(InterpreterError) as info:
             run_rcce(RECV_DEAD_PEER, 2)
@@ -182,13 +215,13 @@ class TestDeadPeer:
         assert time.monotonic() - start < 3.0
 
     def test_peer_failure_without_watchdog_still_bounded(self):
-        # the barrier's built-in default timeout plus abort propagation
-        # must bound this even with no watchdog installed
-        from repro.sim.interpreter import InterpreterError
+        # abort propagation alone bounds it: the survivors' barrier
+        # waits end with the failure as their cause, not a deadlock
         start = time.monotonic()
-        with pytest.raises(InterpreterError):
+        with pytest.raises(InterpreterError) as info:
             run_rcce(DEAD_PEER, 3)
-        assert time.monotonic() - start < 30.0
+        assert not isinstance(info.value, DeadlockError)
+        assert time.monotonic() - start < 5.0
 
 
 class _TickRecorder(FaultInjector):
@@ -337,35 +370,107 @@ class TestStepBudget:
         assert issubclass(SimulationTimeout, InterpreterError)
 
 
+# every blocking RCCE call in one SPMD program: two contended locks,
+# barriers, a send/recv ring, a flag and a bcast
+MIXED_SYNC = """
+#include <stdio.h>
+#include <RCCE.h>
+int RCCE_APP(int argc, char **argv) {
+    int me;
+    int n;
+    int i;
+    int k;
+    int *counter;
+    int token[1];
+    int got[1];
+    double total[1];
+    RCCE_FLAG ready;
+    RCCE_init(&argc, &argv);
+    me = RCCE_ue();
+    n = RCCE_num_ues();
+    counter = (int *) RCCE_shmalloc(sizeof(int) * 2);
+    RCCE_flag_alloc(&ready);
+    if (me == 0) {
+        counter[0] = 0;
+        counter[1] = 0;
+    }
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    got[0] = 0;
+    for (k = 0; k < 3; k++) {
+        for (i = 0; i < 4; i++) {
+            RCCE_acquire_lock(k % 2);
+            counter[k % 2] = counter[k % 2] + me + 1;
+            RCCE_release_lock(k % 2);
+        }
+        RCCE_barrier(&RCCE_COMM_WORLD);
+        token[0] = got[0] + me;
+        if (me % 2 == 0) {
+            RCCE_send(token, sizeof(int), (me + 1) % n);
+            RCCE_recv(got, sizeof(int), (me + n - 1) % n);
+        } else {
+            RCCE_recv(got, sizeof(int), (me + n - 1) % n);
+            RCCE_send(token, sizeof(int), (me + 1) % n);
+        }
+    }
+    if (me == 0) {
+        RCCE_flag_write(&ready, RCCE_FLAG_SET, 0);
+    } else {
+        RCCE_wait_until(ready, RCCE_FLAG_SET);
+    }
+    total[0] = counter[0] + counter[1];
+    RCCE_bcast((char *) total, sizeof(double), 0, RCCE_COMM_WORLD);
+    printf("ue %d token %d total %d\\n", me, got[0], (int) total[0]);
+    RCCE_finalize();
+    return 0;
+}
+"""
+
+
 class TestNoPerturbation:
     def test_watchdog_does_not_change_cycles(self):
-        baseline = run_rcce(HEALTHY, 4)
-        watched = run_rcce(HEALTHY, 4, watchdog=fast_watchdog())
-        assert watched.cycles == baseline.cycles
-        assert watched.per_core_cycles == baseline.per_core_cycles
+        # deadlock detection never touches simulated time
+        result = run_rcce(HEALTHY, 4)
+        assert result.per_core_cycles == {core: 7081 for core in range(4)}
 
     def test_healthy_run_has_no_false_positives(self):
-        watchdog = fast_watchdog(lock_timeout=2.0)
-        result = run_rcce(HEALTHY, 8, watchdog=watchdog)
-        assert result.cycles > 0
-        assert watchdog.deadlocks_detected == 0
+        result = run_rcce(HEALTHY, 8)
+        assert result.cycles == 7609
+
+    def test_mixed_sync_stress_has_no_false_positives(self):
+        """Stress: 8 UEs, more threads than host CPUs, block in every
+        kind of RCCE wait under a tiny thread switch interval, so ranks
+        are often woken but not yet run when the last one blocks.  No
+        round may report a deadlock, and every round gives the same
+        cycles and stdout."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runs = {(result.cycles, tuple(sorted(
+                        result.per_core_cycles.items())),
+                     result.stdout())
+                    for result in (run_rcce(MIXED_SYNC, 8)
+                                   for _ in range(25))}
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(runs) == 1
+        (cycles, _per_core, stdout), = runs
+        assert cycles == 17782
+        assert stdout.splitlines()[0] == "ue 0 token 18 total 432"
 
 
 class TestBarrierTimeout:
-    def test_barrier_timeout_error_is_watchdog_error(self):
-        assert issubclass(BarrierTimeoutError, WatchdogError)
-
     def test_clock_barrier_times_out_on_missing_peer(self):
-        from repro.rcce.sync import ClockBarrier
-        barrier = ClockBarrier(2, timeout=0.3)
-        with pytest.raises(BarrierTimeoutError):
-            barrier.wait(0, 100)  # the second party never arrives
+        monitor = Monitor(2)
+        barrier = ClockBarrier(monitor, 2)
+        monitor.exit(1)  # the second party never arrives
+        with pytest.raises(DeadlockError) as info:
+            barrier.wait(0, 100)
+        assert str(info.value) == ("deadlock detected: rank 0 in "
+                                   "RCCE_barrier; rank 1 has exited")
 
     def test_clock_barrier_abort_carries_cause(self):
-        import threading
-        from repro.rcce.sync import ClockBarrier
-        from repro.sim.watchdog import BarrierAbortedError
-        barrier = ClockBarrier(2, timeout=5.0)
+        monitor = Monitor(2)
+        barrier = ClockBarrier(monitor, 2)
         failure = RuntimeError("peer died")
         caught = {}
 
@@ -378,8 +483,8 @@ class TestBarrierTimeout:
         thread = threading.Thread(target=waiter)
         thread.start()
         time.sleep(0.1)
-        barrier.abort(failure)
+        monitor.abort(failure)
         thread.join(timeout=5)
         assert not thread.is_alive()
-        assert isinstance(caught["exc"], BarrierAbortedError)
+        assert isinstance(caught["exc"], WatchdogAborted)
         assert caught["exc"].__cause__ is failure
