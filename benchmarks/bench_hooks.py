@@ -1,8 +1,8 @@
 """Hook-overhead contracts: one row per hook, one timing protocol.
 
-The race detector, the event tracer and cycle attribution stay wired
-into every simulated memory access on one promise: their hooks cost at
-most 1.05x.  Each row times the code runs execute, hooked against a
+The race detector and cycle attribution stay wired into every
+simulated memory access on one promise: their hooks cost at most
+1.05x.  Each row times the code runs execute, hooked against a
 baseline:
 
 * ``race_detached`` -- the load and store shapes the compiler
@@ -11,19 +11,15 @@ baseline:
   lvalue closure) and an array element (``g[0]``, ``g[0] = 1``), with
   no detector attached, against the same shapes with the race branch
   deleted;
-* ``events_detached`` -- the ``SCCChip.access_fastpath`` entries with
-  no tracer attached, against a chip whose methods have every event
-  branch deleted;
 * ``attribution_enabled`` -- a single-core pthread run with full cycle
   attribution, against the plain run.
 
-The detached rows drive one access mix (private L1 hits, private
+The detached row drives one access mix (private L1 hits, private
 misses, shared DRAM, MPB; a quarter of each segment stores) through a
 live ``Interpreter``'s site cache, rotating blocks of four accesses
-among the four kinds of shape.  Their baselines are not hand-copied:
+among the four kinds of shape.  Its baseline is not hand-copied:
 ``_unhooked_shape`` recompiles a generated closure's shape source with
-the hook's ``if`` branches deleted (``_unhooked`` recompiles a
-function's own source the same way), so a baseline differs from the
+the hook's ``if`` branches deleted, so the baseline differs from the
 live code in the hook alone.  The attribution row keeps its
 functional checks on an RCCE ``dot`` run: identical cycles and
 output, exact conservation, and a critical path equal to the
@@ -32,8 +28,8 @@ makespan.
 Protocol, for every row: the median hooked/baseline ratio of
 ``time.process_time`` over ``PAIRS`` alternating pairs, GC off.  The
 workloads run on one host thread, so CPU time is wall time minus
-preemption by unrelated load.  The detached rows time each segment of
-a pair separately and also report the per-segment medians.
+preemption by unrelated load.  The detached row times each segment of
+a pair separately and also reports the per-segment medians.
 
 Usage::
 
@@ -43,12 +39,10 @@ Usage::
 
 import ast
 import gc
-import inspect
 import json
 import os
 import statistics
 import sys
-import textwrap
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -71,18 +65,14 @@ from repro.sim.values import Pointer  # noqa: E402
 PAIRS = 31
 CEILING = 1.05
 OUTPUT = os.path.join(ROOT, "BENCH_hooks.json")
-ACCESSES = 1024         # per segment of the detached rows' mix
+ACCESSES = 1024         # per segment of the detached row's mix
 SIDES = ("hooked", "baseline")
 RACE_HOOK = {"_race"}
-EVENT_HOOK = {"events", "_events"}
 MEASURES = {
     "race_detached": "the load and store shapes of a local, a global, "
                      "*p and an array element with no detector attached "
                      "vs the same shapes minus the race branch, %d "
                      "accesses per segment" % ACCESSES,
-    "events_detached": "SCCChip.access_fastpath entries with no tracer "
-                       "attached vs a chip with every event branch "
-                       "deleted, %d accesses per segment" % ACCESSES,
     "attribution_enabled": "run_pthread_single_core (4 threads, mutex + "
                            "hot array) with full attribution vs the "
                            "plain run",
@@ -146,8 +136,8 @@ int main(void) {
 
 
 class _DeleteHook(ast.NodeTransformer):
-    """Delete every ``if`` whose test reads one of ``names``, and drop
-    such reads from an ``or`` test; leave everything else as is."""
+    """Delete every ``if`` whose test reads one of ``names``; leave
+    everything else as is."""
 
     def __init__(self, names):
         self.names = names
@@ -159,37 +149,9 @@ class _DeleteHook(ast.NodeTransformer):
 
     def visit_If(self, node):
         self.generic_visit(node)
-        test = node.test
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.Or):
-            kept = [value for value in test.values
-                    if not self._reads(value)]
-            if kept:
-                node.test = (kept[0] if len(kept) == 1
-                             else ast.BoolOp(ast.Or(), kept))
         if self._reads(node.test):
             return node.orelse or None
         return node
-
-
-def _recompiled(source, filename, namespace, names, name):
-    """``name`` from ``source`` recompiled with the hook deleted, or
-    None when the source has no branch on ``names``."""
-    tree = ast.parse(source)
-    before = ast.dump(tree)
-    tree = ast.fix_missing_locations(_DeleteHook(names).visit(tree))
-    if ast.dump(tree) == before:
-        return None
-    namespace = dict(namespace)
-    exec(compile(tree, filename, "exec"), namespace)
-    return namespace[name]
-
-
-def _unhooked(fn, names):
-    """``fn`` recompiled from its own source with the hook deleted, or
-    None when ``fn`` has no branch on ``names``."""
-    return _recompiled(textwrap.dedent(inspect.getsource(fn)),
-                       inspect.getsourcefile(fn), fn.__globals__, names,
-                       fn.__name__)
 
 
 def _unhooked_shape(fn, names):
@@ -198,8 +160,11 @@ def _unhooked_shape(fn, names):
     same values."""
     make = next(make for make in sim_compile._SHAPES.values()
                 if fn.__code__ in make.__code__.co_consts)
-    twin = _recompiled(make.source, sim_compile.__file__,
-                       make.__globals__, names, "make")
+    tree = ast.fix_missing_locations(
+        _DeleteHook(names).visit(ast.parse(make.source)))
+    namespace = dict(make.__globals__)
+    exec(compile(tree, sim_compile.__file__, "exec"), namespace)
+    twin = namespace["make"]
     values = dict(zip(fn.__code__.co_freevars,
                       (cell.cell_contents for cell in fn.__closure__)))
     code = make.__code__
@@ -207,20 +172,7 @@ def _unhooked_shape(fn, names):
                   for name in code.co_varnames[:code.co_argcount]))
 
 
-def _unhooked_chip():
-    """``SCCChip`` with every method that branches on the event sink
-    replaced by its unhooked recompilation."""
-    methods = {}
-    for name, member in vars(SCCChip).items():
-        if inspect.isfunction(member):
-            replica = _unhooked(member, EVENT_HOOK)
-            if replica is not None:
-                methods[name] = replica
-    assert "access_fastpath" in methods
-    return type("UnhookedChip", (SCCChip,), methods)
-
-
-# -- the detached rows: one access mix through a live site cache --------------
+# -- the detached row: one access mix through a live site cache ---------------
 
 
 def _mix(chip):
@@ -282,15 +234,14 @@ def _shape(kind, is_store, site):
 
 
 class _Side:
-    """A live interpreter on a fresh ``chip_class`` chip, with one
-    runner per mix segment.  Each access runs the shape that
-    ``shape(kind, is_store, site)`` builds, after storing its address
-    where the shape looks: frame slot 0 for a local, the interpreter's
-    address of ``g`` for a global or an element, a pointer in frame
-    slot 1 for ``*p``."""
+    """A live interpreter on a fresh chip, with one runner per mix
+    segment.  Each access runs the shape that ``shape(kind, is_store,
+    site)`` builds, after storing its address where the shape looks:
+    frame slot 0 for a local, the interpreter's address of ``g`` for a
+    global or an element, a pointer in frame slot 1 for ``*p``."""
 
-    def __init__(self, chip_class, shape):
-        self.chip = chip_class(SCCConfig())
+    def __init__(self, shape):
+        self.chip = SCCChip(SCCConfig())
         self.interp = Interpreter(
             parse_program("int main(void) { return 0; }"), self.chip)
         self.runners = {name: self._runner(accesses, shape)
@@ -322,27 +273,20 @@ class _Side:
         return run
 
 
-def _race_specs():
-    def unhooked(kind, is_store, site):
-        return _unhooked_shape(_shape(kind, is_store, site), RACE_HOOK)
-
-    return {"hooked": (SCCChip, _shape), "baseline": (SCCChip, unhooked)}
+def _unhooked_race_shape(kind, is_store, site):
+    return _unhooked_shape(_shape(kind, is_store, site), RACE_HOOK)
 
 
-def _event_specs():
-    return {"hooked": (SCCChip, _shape),
-            "baseline": (_unhooked_chip(), _shape)}
+# the shape builder each side of the detached row runs
+RACE_SHAPES = {"hooked": _shape, "baseline": _unhooked_race_shape}
 
 
-DETACHED = {"race_detached": _race_specs, "events_detached": _event_specs}
-
-
-def _detached_build(specs):
+def _detached_build():
     """Fresh warmed sides for every pair, built in the pair's order:
     where an object lands in memory moves a path's time by a few
     percent, so no one layout may favour either side."""
     def build(order):
-        sides = {side: _Side(*specs[side]) for side in order}
+        sides = {side: _Side(RACE_SHAPES[side]) for side in order}
         for side in sides.values():
             for run in side.runners.values():
                 run()
@@ -433,8 +377,7 @@ def _timed_row(build):
 
 
 def measure():
-    rows = {name: _timed_row(_detached_build(specs()))
-            for name, specs in DETACHED.items()}
+    rows = {"race_detached": _timed_row(_detached_build())}
     row = _timed_row(_attribution_build())
     del row["segments"]
     row["checked"] = ("identical cycles and stdout on RCCE dot x4 and "
@@ -478,20 +421,20 @@ def test_hook_overhead_within_ceiling(results_dir):
 
 
 def test_baselines_do_the_live_work():
-    """Each baseline charges the cycles and leaves the chip counters
-    of the live path; otherwise a row would time different work."""
-    for specs in DETACHED.values():
-        hooked, baseline = (_Side(*spec) for spec in specs().values())
-        for side in (hooked, baseline):
-            for run in side.runners.values():
-                run()
-        assert hooked.interp.cycles == baseline.interp.cycles
-        assert hooked.chip.metrics.snapshot() == \
-            baseline.chip.metrics.snapshot()
+    """The detached baseline charges the cycles and leaves the chip
+    counters of the live path; otherwise the row would time different
+    work."""
+    hooked, baseline = (_Side(shape) for shape in RACE_SHAPES.values())
+    for side in (hooked, baseline):
+        for run in side.runners.values():
+            run()
+    assert hooked.interp.cycles == baseline.interp.cycles
+    assert hooked.chip.metrics.snapshot() == \
+        baseline.chip.metrics.snapshot()
 
 
 def test_mix_segments_take_their_paths():
-    side = _Side(SCCChip, _shape)
+    side = _Side(_shape)
     for run in side.runners.values():
         run()
     core = side.chip.cores[0]

@@ -18,7 +18,7 @@ Public API tour::
 from repro.core.framework import FrameworkResult, TranslationFramework
 from repro.core.varinfo import Sharing, VariableInfo, VariableTable
 from repro.core.stage4_partition import MemoryBank, PartitionPlan
-from repro.obs import EventTracer, MetricsRegistry, PipelineProfiler
+from repro.obs import MetricsRegistry, PipelineProfiler
 from repro.scc.config import SCCConfig, Table61Config
 from repro.scc.chip import SCCChip
 from repro.sim.runner import (
@@ -48,6 +48,5 @@ __all__ = [
     "BenchmarkRun",
     "MetricsRegistry",
     "PipelineProfiler",
-    "EventTracer",
     "__version__",
 ]

@@ -29,11 +29,15 @@ from repro.cfront.frontend import parse_program
 from repro.core.framework import TranslationFramework
 from repro.core.reports import format_table, table_4_1, table_4_2
 from repro.faults import FaultSpecError, parse_fault_spec
-from repro.obs.attribution import AttributionEngine, annotate_chrome_trace
+from repro.obs.attribution import AttributionEngine
 from repro.obs.profile import PipelineProfiler
-from repro.obs.tracer import EventTracer
 from repro.rcce.api import RCCEAllocationError
-from repro.recovery import RecoveryOptions, SnapshotError
+from repro.recovery import (
+    CheckpointWriteError,
+    RecoveryOptions,
+    SnapshotError,
+)
+from repro.scc.config import Table61Config
 from repro.scc.memmap import UnmappedAddressError
 from repro.sim.interpreter import InterpreterError
 from repro.sim.runner import (
@@ -50,8 +54,29 @@ EXIT_USAGE = 2         # bad command line (argparse's own code)
 EXIT_PARSE = 65        # EX_DATAERR: C parse / translation failure
 EXIT_NOINPUT = 66      # EX_NOINPUT: input file missing/unreadable
 EXIT_SIM = 70          # EX_SOFTWARE: simulated program failed
+EXIT_CANTCREAT = 73    # EX_CANTCREAT: an output file cannot be written
 EXIT_TIMEOUT = 75      # EX_TEMPFAIL: deadlock / step-budget timeout
 EXIT_INTERRUPT = 130   # 128 + SIGINT: operator interrupt, unwound
+
+# --ues ranges over the cores of Table 6.1's chip
+MAX_UES = Table61Config().num_cores
+
+
+class OutputError(Exception):
+    """An output file could not be written (exit ``EXIT_CANTCREAT``)."""
+
+
+def _ues(text):
+    """Parse ``--ues``: a whole number of cores in 1..MAX_UES."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+    if not 1 <= value <= MAX_UES:
+        raise argparse.ArgumentTypeError(
+            "%d is outside 1..%d (the SCC's cores, Table 6.1)"
+            % (value, MAX_UES))
+    return value
 
 
 def build_parser():
@@ -80,15 +105,17 @@ def build_parser():
         "checks and the lockset race audit "
         "(docs/static_analysis.md)")
     check.add_argument("source", help="input C file ('-' for stdin)")
-    check.add_argument("--ues", type=int, default=48,
+    check.add_argument("--ues", type=_ues, default=MAX_UES,
                        help="cores assumed for the stage-5 mutex/"
-                       "register mapping (default 48)")
+                       "register mapping, 1..%d (default %d)"
+                       % (MAX_UES, MAX_UES))
     _framework_args(check)
 
     run = sub.add_parser("run", help="simulate on the SCC model")
     run.add_argument("source", help="input C file ('-' for stdin)")
-    run.add_argument("--ues", type=int, default=8,
-                     help="RCCE cores to simulate (default 8)")
+    run.add_argument("--ues", type=_ues, default=8,
+                     help="RCCE cores to simulate, 1..%d (default 8)"
+                     % MAX_UES)
     run.add_argument("--mode", choices=["pthread", "rcce", "compare"],
                      default="compare")
     run.add_argument("--stats", action="store_true",
@@ -97,11 +124,7 @@ def build_parser():
                      help="attribute every cycle of the RCCE run: "
                      "print the breakdown, the critical path and the "
                      "chip counters with mesh/MPB heatmaps; --report "
-                     "gains an \"attribution\" section, --trace the "
-                     "attribution counters and critical-path spans")
-    run.add_argument("--trace", default=None, metavar="FILE",
-                     help="write a Chrome trace-event JSON of the "
-                     "simulation (load in chrome://tracing / Perfetto)")
+                     "gains an \"attribution\" section")
     run.add_argument("--faults", default=None, metavar="SPEC",
                      help="inject deterministic faults, e.g. "
                      "'mpb_flip:p=1e-6,seed=7;mesh_drop:p=1e-4' "
@@ -152,7 +175,9 @@ def build_parser():
 
     bench = sub.add_parser("bench", help="regenerate a paper figure")
     bench.add_argument("figure", choices=["6.1", "6.2", "6.3"])
-    bench.add_argument("--ues", type=int, default=32)
+    bench.add_argument("--ues", type=_ues, default=32,
+                       help="RCCE cores per run, 1..%d (default 32)"
+                       % MAX_UES)
 
     return parser
 
@@ -240,6 +265,16 @@ def _too_few_ues(result, ues, err):
     return True
 
 
+def _write_output(path, text):
+    """Write ``text`` to the file ``path``; raise :class:`OutputError`
+    when it cannot be created or written."""
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise OutputError(exc) from exc
+
+
 def _write_report(doc, path, out, text):
     """Write the one ``--report`` document; ``-`` writes it to ``out``
     (stdout), whose text lines the caller has sent to ``err``."""
@@ -247,8 +282,7 @@ def _write_report(doc, path, out, text):
     if path == "-":
         out.write(payload)
     else:
-        with open(path, "w") as handle:
-            handle.write(payload)
+        _write_output(path, payload)
     text.write("report written to %s\n"
                % ("stdout" if path == "-" else path))
 
@@ -260,8 +294,7 @@ def cmd_translate(args, out, err, doc):
     if _report_diagnostics(result, err, doc):
         return EXIT_PARSE
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(result.rcce_source)
+        _write_output(args.output, result.rcce_source)
         out.write("wrote %s\n" % args.output)
     else:
         out.write(result.rcce_source)
@@ -323,7 +356,6 @@ def cmd_check(args, out, err, doc):
 
 def cmd_run(args, out, err, doc):
     from repro.scc.chip import SCCChip
-    from repro.scc.config import Table61Config
     from repro.scc.report import chip_report, render_report
 
     source = _read_source(args.source)
@@ -346,7 +378,6 @@ def cmd_run(args, out, err, doc):
             if want_checkpoint else None,
             checkpoint_every=args.checkpoint_every or 1,
             restore=args.restore)
-    tracer = EventTracer() if args.trace else None
     static_report = None
     if args.static_check:
         checked = _framework(args).check(source, filename)
@@ -375,9 +406,6 @@ def cmd_run(args, out, err, doc):
     baseline = None
     if args.mode in ("pthread", "compare"):
         pthread_chip = SCCChip(Table61Config())
-        if tracer is not None:
-            pthread_chip.attach_events(tracer, pid=0,
-                                       name="pthread x1 core")
         # parsed here, not in the runner, so a parse error names the file
         baseline = run_pthread_single_core(parse_program(source, filename,
                                                          share=True),
@@ -409,9 +437,6 @@ def cmd_run(args, out, err, doc):
                 # a lock or a dict bump on the hot path)
                 chip.mesh.enable_traffic_recording()
                 chip.mpb.enable_owner_tracking()
-            if tracer is not None:
-                chip.attach_events(tracer, pid=1,
-                                   name="rcce x%d cores" % args.ues)
             chips.append(chip)
             return chip
 
@@ -442,14 +467,8 @@ def cmd_run(args, out, err, doc):
             doc["attribution"] = report.as_dict()
             out.write(report.render() + "\n\n")
             out.write(report.critical_path.render() + "\n\n")
-            if tracer is not None:
-                annotate_chrome_trace(tracer, engine, report, pid=1)
         if args.stats or engine is not None:
             out.write(render_report(chip_report(chips[-1])) + "\n")
-    if tracer is not None:
-        tracer.write_chrome(args.trace, Table61Config().core_freq_mhz)
-        out.write("trace written to %s (%d events)\n"
-                  % (args.trace, len(tracer)))
     if race_reports:
         doc["race"] = {mode: report.as_dict()
                        for mode, report in race_reports.items()}
@@ -513,6 +532,12 @@ def main(argv=None, out=None, err=None):
     text = err if report == "-" else out
     try:
         code = COMMANDS[args.command](args, text, err, doc)
+        # a finished run, or --strict failing it on findings (70), is
+        # reported; usage and translation failures are not
+        if report is not None and code in (EXIT_OK, EXIT_SIM):
+            _write_report(doc, report, out, text)
+    except (OutputError, CheckpointWriteError) as exc:
+        return _fail(err, EXIT_CANTCREAT, "cannot write output", exc)
     except FileNotFoundError as exc:
         return _fail(err, EXIT_NOINPUT,
                      "cannot read input", exc)
@@ -535,10 +560,6 @@ def main(argv=None, out=None, err=None):
         return _fail(err, EXIT_INTERRUPT, "interrupted",
                      exc if str(exc) else "every simulated core "
                      "stopped")
-    # a finished run, or --strict failing it on findings (70), is
-    # reported; usage and translation failures are not
-    if report is not None and code in (EXIT_OK, EXIT_SIM):
-        _write_report(doc, report, out, text)
     return code
 
 

@@ -32,7 +32,7 @@ memory accesses happen in a deterministic order inside its own thread,
 so injection decisions are reproducible run-to-run regardless of how
 the host schedules the simulator threads.  With no rules active the
 injector is never consulted: the chip and interpreter hooks are single
-``is not None`` branches, keeping cycles and traces byte-identical to
+``is not None`` branches, keeping cycles and output byte-identical to
 an un-faulted build.
 
 Fault runs execute on the closure-compiled engine like every other
@@ -44,8 +44,7 @@ entries that price through ``access_cost`` (so ``mesh_delay`` and
 this.
 
 Every injection increments a ``fault_injections{kind,core}`` counter in
-the chip's metrics registry and, when a tracer is attached, emits a
-``fault_inject`` instant event on the victim core's track.
+the chip's metrics registry.
 """
 
 import random
@@ -300,15 +299,9 @@ class FaultInjector:
                 (seed * 1_000_003 + rule_index * 97 + core) & 0xFFFFFFFF)
         return rng
 
-    def _record(self, kind, core, ts, detail):
+    def _record(self, kind, core):
         key = (kind, core)
         self.counts[key] = self.counts.get(key, 0) + 1
-        chip = self.chip
-        if chip is not None and chip.events.enabled:
-            args = {"kind": kind}
-            args.update(detail)
-            chip.events.instant(core, ts, "fault_inject", "fault",
-                                args, pid=chip.trace_pid)
 
     # -- hooks --------------------------------------------------------------
 
@@ -328,34 +321,30 @@ class FaultInjector:
                                  rule.params.get("bits", 1))
             if flipped == value:
                 continue
-            self._record(rule.kind, interp.core_id, interp.cycles,
-                         {"addr": addr, "segment": str(segment)})
+            self._record(rule.kind, interp.core_id)
             if segment is SegmentKind.MPB:
                 chip.mpb.stats.corrupted_reads += 1
             value = flipped
         return value
 
-    def latency_extra(self, core, segment, kind, cost, ts):
-        """Chip pricing hook: extra cycles from link faults."""
+    def latency_extra(self, core, cost):
+        """Chip pricing hook: extra cycles from link faults on one
+        access that cost ``cost`` cycles."""
         extra = 0
         for index, rule in self.latency_rules:
             rng = self._rng(index, core)
             if rng.random() >= rule.p:
                 continue
             if rule.kind == MESH_DELAY:
-                add = rule.params.get("cycles", DEFAULT_DELAY_CYCLES)
-                detail = {"extra_cycles": add, "segment": str(segment)}
+                extra += rule.params.get("cycles", DEFAULT_DELAY_CYCLES)
             else:  # MESH_DROP: the message is retransmitted end-to-end
-                add = cost
-                detail = {"retransmit_cycles": add,
-                          "segment": str(segment)}
+                extra += cost
                 if self.chip is not None:
                     self.chip.mesh.record_drop()
-            extra += add
-            self._record(rule.kind, core, ts, detail)
+            self._record(rule.kind, core)
         return extra
 
-    def message_dropped(self, core, ts, seq=None):
+    def message_dropped(self, core):
         """Message-level drop decision for one RCCE_send transmission.
 
         Only consulted by the recovery layer's SendRetrier (never on
@@ -370,8 +359,7 @@ class FaultInjector:
             if rng.random() >= rule.p:
                 continue
             dropped = True
-            self._record(MESH_DROP, core, ts,
-                         {"message": 1, "seq": seq})
+            self._record(MESH_DROP, core)
             if self.chip is not None:
                 self.chip.mesh.record_drop()
         return dropped
@@ -394,13 +382,11 @@ class FaultInjector:
                 continue
             self._fired.add(key)
             if rule.kind == CORE_CRASH:
-                self._record(CORE_CRASH, interp.core_id, interp.cycles,
-                             {"cycle": interp.cycles})
+                self._record(CORE_CRASH, interp.core_id)
                 raise CoreCrashFault(
                     "injected crash on core %d at cycle %d"
                     % (interp.core_id, interp.cycles),
                     core=interp.core_id, cycle=interp.cycles)
             stall = rule.params.get("cycles", DEFAULT_STALL_CYCLES)
-            self._record(CORE_STALL, interp.core_id, interp.cycles,
-                         {"cycle": interp.cycles, "stall_cycles": stall})
+            self._record(CORE_STALL, interp.core_id)
             interp.charge(stall)

@@ -1,5 +1,5 @@
 """Unified instrumentation: metrics registry, pipeline profiler, and
-simulator event tracing.
+cycle attribution.
 
 Three cooperating pieces, all zero-dependency and all no-ops until a
 caller opts in:
@@ -11,17 +11,13 @@ caller opts in:
 * :class:`PipelineProfiler` (``repro.obs.profile``) — wall-time spans
   around the five framework stages and each IR pass, with
   stage-specific statistics.
-* :class:`EventTracer` (``repro.obs.tracer``) — a ring buffer of
-  timestamped simulator events with a Chrome trace-event exporter
-  (loadable in ``chrome://tracing`` / Perfetto, one track per core).
 * :class:`AttributionEngine` (``repro.obs.attribution``) — exhaustive
   per-core cycle accounting (every charged cycle lands in exactly one
   class) feeding the critical-path analyzer in
-  ``repro.obs.critpath`` and the ``repro analyze`` bottleneck report.
+  ``repro.obs.critpath`` and the ``repro run --bottlenecks`` report.
 
-The CLI's ``--report`` document carries registry snapshots, profiler
-spans and attribution reports; ``EventTracer.write_chrome`` writes the
-``--trace`` file.
+The CLI's ``--report`` document, a run's one machine-readable output,
+carries registry snapshots, profiler spans and attribution reports.
 """
 
 from repro.obs.attribution import (
@@ -29,7 +25,6 @@ from repro.obs.attribution import (
     AttributionReport,
     CLASSES,
     ConservationError,
-    annotate_chrome_trace,
 )
 from repro.obs.critpath import CriticalPathReport, analyze_critical_path
 
@@ -44,7 +39,6 @@ from repro.obs.metrics import (
     series_value,
 )
 from repro.obs.profile import PipelineProfiler, Span
-from repro.obs.tracer import EventTracer, NULL_EVENTS
 
 __all__ = [
     "AttributionEngine",
@@ -53,7 +47,6 @@ __all__ = [
     "ConservationError",
     "CriticalPathReport",
     "analyze_critical_path",
-    "annotate_chrome_trace",
     "Counter",
     "Family",
     "Gauge",
@@ -64,6 +57,4 @@ __all__ = [
     "series_value",
     "PipelineProfiler",
     "Span",
-    "EventTracer",
-    "NULL_EVENTS",
 ]

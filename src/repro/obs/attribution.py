@@ -45,7 +45,7 @@ core's total.  :meth:`AttributionEngine.report` raises
 The engine follows the same contract as ``repro.faults`` and
 ``repro.race``: it attaches as ``chip.attribution`` (default ``None``)
 and every hot-path hook is a single ``is not None`` probe — cycles,
-output, traces, and metrics are byte-identical with the engine absent.
+output, and metrics are byte-identical with the engine absent.
 The innermost hooks that remain (the shared-DRAM fast-path closure,
 the MPB write-probe) bake a *cell* — a one-element list — so an
 enabled run pays one list add, not a method call.  Constant-cost
@@ -428,34 +428,3 @@ class AttributionReport:
         return "AttributionReport(makespan=%d, cores=%d)" % (
             self.makespan, len(self.per_core))
 
-
-def annotate_chrome_trace(tracer, engine, report, pid=0):
-    """Append attribution annotations to an event trace: one counter
-    track per core sampled at each barrier entry (stacked cycle
-    classes), and the critical path as spans on the cores it crosses."""
-    emitted = 0
-    for rank, events in sorted(engine._events.items()):
-        core = engine.core_of[rank] if engine.core_of is not None \
-            else rank
-        for event in events:
-            if event[0] != "barrier":
-                continue
-            _, entry, _, snapshot = event
-            values = {cls: cycles for cls, cycles in snapshot.items()
-                      if not cls.startswith("_")}
-            if values:
-                tracer.counter(core, entry,
-                               "attribution core %d" % core, values,
-                               pid=pid)
-                emitted += 1
-    critical_path = report.critical_path
-    if critical_path is not None:
-        for segment in critical_path.segments:
-            if segment["end"] > segment["start"]:
-                tracer.complete(segment["core"], segment["start"],
-                                segment["end"] - segment["start"],
-                                "critical_path", "critpath",
-                                {"kind": segment["kind"],
-                                 "rank": segment["rank"]}, pid=pid)
-                emitted += 1
-    return emitted

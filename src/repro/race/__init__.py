@@ -32,7 +32,7 @@ runtime check:
 The detector is pure observation: it is consulted through single
 ``is not None`` probes on the interpreter/runtime hot paths (the same
 contract as :mod:`repro.faults`), never charges simulated cycles, and
-never touches program values — cycles, output, and traces are
+never touches program values — cycles and output are
 byte-identical with the detector absent.
 
 Thread ids are whatever the active runtime reports
@@ -430,11 +430,3 @@ class RaceDetector:
             self.findings.append(finding)
         else:
             self.dropped += 1
-        chip = self.chip
-        if chip is not None and chip.events.enabled:
-            chip.events.instant(
-                finding.current.core, finding.current.cycles,
-                "race_detected", "race",
-                {"category": category, "addr": addr,
-                 "variable": finding.variable,
-                 "segment": finding.segment}, pid=chip.trace_pid)

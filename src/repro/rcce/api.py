@@ -257,12 +257,12 @@ class RCCECoreRuntime:
 
     def _finalize(self, interp, arg_nodes):
         self._eval(interp, arg_nodes)
-        self._barrier_wait(interp, "finalize_barrier", "RCCE_finalize")
+        self._barrier_wait(interp, "RCCE_finalize")
         return 0
 
-    def _barrier_wait(self, interp, label, site):
-        """Align clocks at the barrier, tracing entry/exit as one
-        span per core; ``site`` names the call for deadlock reports."""
+    def _barrier_wait(self, interp, site):
+        """Align clocks at the barrier; ``site`` names the call for
+        deadlock reports."""
         entry = interp.cycles
         attr = self.attr
         # snapshot before the wait so phase deltas see only the
@@ -276,11 +276,6 @@ class RCCECoreRuntime:
                      interp.cycles - entry)
             attr.barrier_event(self.rank, entry, interp.cycles,
                                snapshot)
-        events = self.world.chip.events
-        if events.enabled:
-            events.complete(self.core_id, entry, interp.cycles - entry,
-                            label, "sync", {"rank": self.rank},
-                            pid=self.world.chip.trace_pid)
 
     def _ue(self, interp, arg_nodes):
         self._eval(interp, arg_nodes)
@@ -325,18 +320,11 @@ class RCCECoreRuntime:
         args = self._eval(interp, arg_nodes)
         interp.charge(MPB_MALLOC_COST)
         size = max(int(args[0]), 4)
-        fallback = False
         try:
             segment = self.world.mpb_heap.allocate(self.rank, size)
         except OutOfMemoryError:
-            fallback = True
             self.world.mpb_fallbacks += 1
             segment = self.world.shared_heap.allocate(self.rank, size)
-        events = self.world.chip.events
-        if events.enabled:
-            events.instant(self.core_id, interp.cycles, "mpb_alloc",
-                           "mem", {"size": size, "fallback": fallback},
-                           pid=self.world.chip.trace_pid)
         if self.race is not None:
             self.race.register(segment.label or "mpbmalloc",
                                segment.base, segment.size, "shared")
@@ -351,7 +339,7 @@ class RCCECoreRuntime:
 
     def _barrier(self, interp, arg_nodes):
         self._eval(interp, arg_nodes)
-        self._barrier_wait(interp, "barrier", "RCCE_barrier")
+        self._barrier_wait(interp, "RCCE_barrier")
         return 0
 
     def _acquire_lock(self, interp, arg_nodes):
@@ -362,13 +350,7 @@ class RCCECoreRuntime:
         interp.charge(cost)
         if self.attr is not None:
             self.attr.add(self.core_id, "lock_spin", cost)
-        entry = interp.cycles
         self.world.registers.acquire(register, self.rank)
-        events = self.world.chip.events
-        if events.enabled:
-            events.instant(self.core_id, entry, "lock_acquire", "sync",
-                           {"register": register},
-                           pid=self.world.chip.trace_pid)
         return 0
 
     def _release_lock(self, interp, arg_nodes):
@@ -400,7 +382,6 @@ class RCCECoreRuntime:
         if not isinstance(dst, Pointer) or not isinstance(src, Pointer):
             return -1
         mpb_side = dst if is_put else src
-        entry = interp.cycles
         interp.charge(PUT_GET_SETUP_COST)
         try:
             offset = self.world.chip.address_space.mpb_offset(
@@ -428,13 +409,6 @@ class RCCECoreRuntime:
             self.world.put_bytes += nbytes
         else:
             self.world.get_bytes += nbytes
-        events = self.world.chip.events
-        if events.enabled:
-            events.complete(self.core_id, entry,
-                            interp.cycles - entry,
-                            "put" if is_put else "get", "comm",
-                            {"bytes": nbytes},
-                            pid=self.world.chip.trace_pid)
         return 0
 
     def _wtime(self, interp, arg_nodes):
@@ -506,12 +480,6 @@ class RCCECoreRuntime:
                                  entry, posted, interp.cycles)
         self.world.messages_sent += 1
         self.world.send_bytes += nbytes
-        events = self.world.chip.events
-        if events.enabled:
-            events.complete(self.core_id, entry,
-                            interp.cycles - entry, "send", "comm",
-                            {"bytes": nbytes, "dest": dest},
-                            pid=self.world.chip.trace_pid)
         return 0
 
     def _recv(self, interp, arg_nodes):
@@ -534,11 +502,6 @@ class RCCECoreRuntime:
             self.attr.recv_event(self.rank,
                                  source % self.world.num_ues,
                                  entry, clock - cost, clock)
-        events = self.world.chip.events
-        if events.enabled:
-            events.complete(self.core_id, entry, clock - entry, "recv",
-                            "comm", {"bytes": nbytes, "source": source},
-                            pid=self.world.chip.trace_pid)
         stride = max(buf.stride, 1)
         for index, value in enumerate(values):
             interp.memory.store(buf.addr + index * stride, value)

@@ -21,6 +21,7 @@ without this package.
 from repro.recovery.checkpoint import (  # noqa: F401
     SNAPSHOT_VERSION,
     CheckpointManager,
+    CheckpointWriteError,
     ReplayVerifier,
     Snapshot,
     SnapshotDivergenceError,

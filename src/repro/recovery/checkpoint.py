@@ -55,6 +55,10 @@ class SnapshotDivergenceError(SnapshotError):
     """Replayed state did not match the snapshot at its barrier round."""
 
 
+class CheckpointWriteError(Exception):
+    """The snapshot file cannot be created or written."""
+
+
 def _encode_value(value):
     """One simulated memory word as a JSON-safe form.  Scalars stay
     native (JSON round-trips Python ints and reprs floats exactly);
@@ -271,17 +275,14 @@ class CheckpointManager:
         doc = probe.header()
         doc.update(probe.capture(round_id))
         tmp = "%s.tmp" % self.path
-        with open(tmp, "w") as handle:
-            json.dump(doc, handle, separators=(",", ":"))
-        os.replace(tmp, self.path)
+        try:
+            with open(tmp, "w") as handle:
+                json.dump(doc, handle, separators=(",", ":"))
+            os.replace(tmp, self.path)
+        except OSError as exc:
+            raise CheckpointWriteError(exc) from exc
         self.captured += 1
         self.last_round = round_id
-        chip = probe.chip
-        if chip.events.enabled:
-            chip.events.instant(
-                0, max(doc["clocks"].values() or [0]), "checkpoint",
-                "recovery", {"round": round_id, "path": self.path},
-                pid=chip.trace_pid)
 
 
 class ReplayVerifier:

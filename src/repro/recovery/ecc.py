@@ -10,7 +10,7 @@ and counts the differing bits — the syndrome weight.
 
 * weight 1 — corrected in place: the read returns the true value, the
   core pays :data:`ECC_SCRUB_CYCLES` for the correction write-back,
-  and ``ecc_corrected`` counters/trace events record the save;
+  and ``ecc_corrected`` counters record the save;
 * weight >= 2 — detected but uncorrectable:
   :class:`UncorrectableECCError` (an ``InterpreterError``, so the CLI
   exits 70 and the supervisor can restart from a checkpoint).
@@ -129,17 +129,8 @@ class ECCScrubber:
             interp.charge(self.scrub_cycles)
             if interp._attr is not None:
                 interp._attr.add(core, "ecc_scrub", self.scrub_cycles)
-            if chip.events.enabled:
-                chip.events.instant(
-                    core, interp.cycles, "ecc_correct", "recovery",
-                    {"addr": addr, "segment": str(segment)},
-                    pid=chip.trace_pid)
             return stored
         self.uncorrectable[core] = self.uncorrectable.get(core, 0) + 1
-        if chip.events.enabled:
-            chip.events.instant(
-                core, interp.cycles, "ecc_uncorrectable", "recovery",
-                {"addr": addr, "bits": weight}, pid=chip.trace_pid)
         raise UncorrectableECCError(
             "uncorrectable ECC error on core %d at address 0x%x "
             "(%s flipped bits)" % (core, addr,

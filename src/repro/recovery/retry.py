@@ -96,8 +96,7 @@ class SendRetrier:
         core = interp.core_id
         extra = 0
         attempt = 1
-        while injector.message_dropped(core, interp.cycles + extra,
-                                       seq):
+        while injector.message_dropped(core):
             if attempt >= self.policy.max_attempts:
                 self.exhausted += 1
                 raise MeshRetryExhaustedError(
@@ -109,11 +108,5 @@ class SendRetrier:
             extra += cost + backoff
             self.retries[core] = self.retries.get(core, 0) + 1
             chip.mesh.record_retry()
-            if chip.events.enabled:
-                chip.events.instant(
-                    core, interp.cycles + extra, "send_retry",
-                    "recovery",
-                    {"dest": dest, "seq": seq, "attempt": attempt,
-                     "backoff_cycles": backoff}, pid=chip.trace_pid)
             attempt += 1
         return extra

@@ -13,7 +13,6 @@ the interpreter uses.  Pricing:
 import threading
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import NULL_EVENTS
 from repro.scc.cache import Cache
 from repro.scc.dram import MemoryController
 from repro.scc.lut import WINDOW_BYTES, LookupTable
@@ -70,13 +69,10 @@ class SCCChip:
         self._site_cache_holders = []   # weakrefs to Interpreters
         self.address_space.on_layout_change(self._bump_mem_epoch)
         # observability: every component's counters surface through one
-        # registry; event tracing is a no-op until a run attaches a
-        # tracer (repro.obs) — both near-zero cost when idle
+        # registry (repro.obs)
         self.metrics = MetricsRegistry()
         self.metrics.register_collector(
             "scc.chip", self._collect_metrics, self._reset_counters)
-        self.events = NULL_EVENTS
-        self.trace_pid = 0
         # fault injection (repro.faults): ``None`` means no injector is
         # attached and every hook below is a single dead branch, so an
         # un-faulted run prices accesses byte-identically
@@ -94,21 +90,6 @@ class SCCChip:
         self.attribution = None
 
     # -- observability ----------------------------------------------------------
-
-    def attach_events(self, tracer, pid=0, name=None):
-        """Route simulator events (cache misses, mesh routes, MPB
-        traffic) into ``tracer``, tagged with Chrome-trace process
-        ``pid``.  The fast-path entries bind the sink when they are
-        built, so attaching invalidates them."""
-        self.events = tracer
-        self.trace_pid = pid
-        if name is not None:
-            tracer.set_process(pid, name)
-        self._bump_mem_epoch()
-
-    def detach_events(self):
-        self.events = NULL_EVENTS
-        self._bump_mem_epoch()
 
     def _collect_metrics(self):
         """Publish every component counter as registry samples."""
@@ -252,10 +233,8 @@ class SCCChip:
         import weakref
         self._site_cache_holders.append(weakref.ref(interp))
 
-    def access_cost(self, core, addr, kind="read", size=4, ts=0):
-        """Cycle cost of one memory access from ``core``.  ``ts`` is
-        the requester's simulated clock, used only to timestamp trace
-        events when a tracer is attached."""
+    def access_cost(self, core, addr, kind="read", size=4):
+        """Cycle cost of one memory access from ``core``."""
         state = self.cores[core]
         segment, physical = self.address_space.resolve(addr)
         if core in self._reconfigured_cores:
@@ -266,14 +245,13 @@ class SCCChip:
         state.accesses[segment] += 1
 
         if segment is SegmentKind.PRIVATE:
-            cost = self._private_cost(core, state, physical, ts)
+            cost = self._private_cost(core, state, physical)
         elif segment is SegmentKind.SHARED:
-            cost = self._shared_cost(core, kind, ts)
+            cost = self._shared_cost(core, kind)
         else:
-            cost = self._mpb_cost(core, physical, kind, size, ts)
+            cost = self._mpb_cost(core, physical, kind, size)
         if self.faults is not None:
-            extra = self.faults.latency_extra(core, segment, kind,
-                                              cost, ts)
+            extra = self.faults.latency_extra(core, cost)
             if extra and self.attribution is not None:
                 self.attribution.add(core, "fault_latency", extra)
             cost += extra
@@ -281,7 +259,7 @@ class SCCChip:
 
     def access_fastpath(self, core, addr):
         """Build one inline-cache entry for ``addr`` as seen by
-        ``core``: ``(lo, hi, fn)`` where ``fn(addr, kind, ts)`` prices
+        ``core``: ``(lo, hi, fn)`` where ``fn(addr, kind)`` prices
         any scalar (size-4) access with ``lo <= addr < hi``, with side
         effects identical to :meth:`access_cost`.
 
@@ -289,16 +267,16 @@ class SCCChip:
         classification, split-window translation (as an affine delta),
         and the LUT override for reconfigured cores — and delegates to
         the live ``_private_cost``/``_shared_cost``/``_mpb_cost`` so
-        cache state, DRAM queueing, traffic recording, and trace events
-        stay exact.  Entries are only valid for the ``mem_epoch`` at
-        build time; callers must rebuild when the epoch changes.
+        cache state, DRAM queueing and traffic recording stay exact.
+        Entries are only valid for the ``mem_epoch`` at build time;
+        callers must rebuild when the epoch changes.
 
         With a fault injector attached the entry covers every address
         and prices through :meth:`access_cost` itself, so link faults
         see each access exactly as on the slow path."""
         if self.faults is not None:
-            def slow(addr, kind, ts, _cost=self.access_cost, _core=core):
-                return _cost(_core, addr, kind, 4, ts)
+            def slow(addr, kind, _cost=self.access_cost, _core=core):
+                return _cost(_core, addr, kind, 4)
             return 0, 1 << 64, slow
         segment, physical = self.address_space.resolve(addr)
         delta = physical - addr
@@ -347,7 +325,7 @@ class SCCChip:
             # derives the hit classes from the caches' own hit counters.
             l1 = state.l1
 
-            def fn(addr, kind, ts, _acc=state.accesses,
+            def fn(addr, kind, _acc=state.accesses,
                    _seg=SegmentKind.PRIVATE, _l1=l1, _ls=l1.line_size,
                    _ns=l1.num_sets, _sets=l1.sets, _stats=l1.stats,
                    _l1_hit=self.config.l1_hit_cycles,
@@ -367,23 +345,21 @@ class SCCChip:
                         _l1.last_line = line
                         _stats.hits += 1
                         return _l1_hit
-                return _slow(_core, _state, addr, ts)
+                return _slow(_core, _state, addr)
         elif segment is SegmentKind.SHARED:
             # routing is static per core: controller id, hop count, and
             # route endpoints are baked in, and so are the attribution
-            # cells and the event sink (attaching either bumps
-            # mem_epoch); only the queue depth stays a live read
+            # cells (attaching an engine bumps mem_epoch); only the
+            # queue depth stays a live read
             controller_id = self.mesh.controller_of(core)
             hops = self.mesh.hops_to_controller(core, controller_id)
 
-            def fn(addr, kind, ts, _acc=state.accesses,
+            def fn(addr, kind, _acc=state.accesses,
                    _seg=SegmentKind.SHARED, _mesh=self.mesh,
                    _src=self.mesh.coords_of(core),
                    _dst=self.mesh.controller_coords(controller_id),
                    _cycles=self.controllers[controller_id].access_cycles,
-                   _hops=hops, _core=core, _mc="MC%d" % controller_id,
-                   _events=self.events if self.events.enabled else None,
-                   _pid=self.trace_pid,
+                   _hops=hops,
                    _penalty=self.config.uncached_shared_penalty,
                    _hop_part=hops * self.config.mesh_cycles_per_hop,
                    _attr=self.attribution,
@@ -399,11 +375,6 @@ class SCCChip:
                 if _attr is not None:
                     _attr_hop[0] += _hop_part
                     _attr_dram[0] += cost - _hop_part + _penalty
-                if _events is not None:
-                    _events.instant(
-                        _core, ts, "mesh_route", "mesh",
-                        {"to": _mc, "hops": _hops, "kind": kind,
-                         "segment": "shared"}, pid=_pid)
                 return cost + _penalty
         else:
             # same inline L1 hit probe as the private entry; read
@@ -411,7 +382,7 @@ class SCCChip:
             # records the miss before the tail runs
             l1 = state.l1
 
-            def fn(addr, kind, ts, _acc=state.accesses,
+            def fn(addr, kind, _acc=state.accesses,
                    _seg=SegmentKind.MPB, _l1=l1, _ls=l1.line_size,
                    _ns=l1.num_sets, _sets=l1.sets, _stats=l1.stats,
                    _l1_hit=self.config.l1_hit_cycles,
@@ -440,26 +411,21 @@ class SCCChip:
                     # must not count this hit as l1_hit
                     if _l1.access(addr) and _probe is not None:
                         _probe[0] += 1
-                return _tail(_core, addr, kind, 4, ts)
+                return _tail(_core, addr, kind, 4)
         return lo, hi, fn
 
-    def _private_cost(self, core, state, addr, ts=0):
+    def _private_cost(self, core, state, addr):
         # L1/L2 hits need no attribution hook: they cost a constant,
         # so the engine derives the hit classes from the cache stats
         if state.l1.access(addr):
             return self.config.l1_hit_cycles
         if state.l2.access(addr):
             return self.config.l2_hit_cycles
-        return self._private_miss(core, ts)
+        return self._private_miss(core)
 
-    def _private_miss(self, core, ts):
+    def _private_miss(self, core):
         controller_id = self.mesh.controller_of(core)
         hops = self.mesh.hops_to_controller(core, controller_id)
-        if self.events.enabled:
-            self.events.instant(
-                core, ts, "cache_miss", "cache",
-                {"level": "L2", "controller": controller_id,
-                 "hops": hops}, pid=self.trace_pid)
         cost = self.controllers[controller_id].access_cycles("read", hops)
         attr = self.attribution
         if attr is not None:
@@ -468,7 +434,7 @@ class SCCChip:
             attr.add(core, "dram_private", cost - hop_part)
         return cost
 
-    def _shared_cost(self, core, kind, ts=0):
+    def _shared_cost(self, core, kind):
         controller_id = self.mesh.controller_of(core)
         hops = self.mesh.hops_to_controller(core, controller_id)
         if self.mesh.record_traffic:
@@ -483,15 +449,9 @@ class SCCChip:
             attr.add(core, "dram_shared",
                      cost - hop_part
                      + self.config.uncached_shared_penalty)
-        if self.events.enabled:
-            self.events.instant(
-                core, ts, "mesh_route", "mesh",
-                {"to": "MC%d" % controller_id, "hops": hops,
-                 "kind": kind, "segment": "shared"},
-                pid=self.trace_pid)
         return cost + self.config.uncached_shared_penalty
 
-    def _mpb_cost(self, core, addr, kind, size, ts=0):
+    def _mpb_cost(self, core, addr, kind, size):
         # On the real SCC, MPB data is L1-cacheable under the special
         # MPBT tag (software invalidates when needed); reads mostly hit
         # L1, which is the bulk of the on-chip win in Figure 6.2.
@@ -504,22 +464,14 @@ class SCCChip:
             # this hit as l1_hit
             if state.l1.access(addr) and self.attribution is not None:
                 self.attribution.probe_cell(core)[0] += 1
-        return self._mpb_tail(core, addr, kind, size, ts)
+        return self._mpb_tail(core, addr, kind, size)
 
-    def _mpb_tail(self, core, addr, kind, size, ts):
+    def _mpb_tail(self, core, addr, kind, size):
         offset = self.address_space.mpb_offset(addr)
-        if self.mesh.record_traffic or self.events.enabled:
+        if self.mesh.record_traffic:
             owner = self.mpb.owner_of_offset(offset)
-            if self.mesh.record_traffic:
-                self.mesh.record_route(self.mesh.coords_of(core),
-                                       self.mesh.coords_of(owner),
-                                       "mpb")
-            if self.events.enabled:
-                self.events.instant(
-                    core, ts, "mesh_route", "mesh",
-                    {"to": "core%d-mpb" % owner,
-                     "hops": self.mesh.hops(core, owner), "kind": kind,
-                     "segment": "mpb"}, pid=self.trace_pid)
+            self.mesh.record_route(self.mesh.coords_of(core),
+                                   self.mesh.coords_of(owner), "mpb")
         return self.mpb.access_cycles(core, offset, kind, size)
 
     # -- synchronization costs -------------------------------------------------------

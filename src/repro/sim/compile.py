@@ -30,10 +30,10 @@ shape is compiled once per process and shared by every program; see
 The timing contract is fixed by the goldens in ``tests/golden/sim.json``
 (taken from the tree-walking interpreter this engine replaced): every
 step, every cycle charge in its order, and every chip/memory side
-effect is reproduced, so cycle counts, stdout, metrics and trace events
-match them byte for byte.  Each statement, expression and loop
-iteration is one step.  The step prologue inlined in every closure
-counts the step and makes one compare, ``steps >= I._stop``; the
+effect is reproduced, so cycle counts, stdout and metrics match them
+byte for byte.  Each statement, expression and loop iteration is one
+step.  The step prologue inlined in every closure counts the step and
+makes one compare, ``steps >= I._stop``; the
 interpreter keeps ``_stop`` at its next step event (the next multiple
 of ``TICK_STEPS``, or the step past the budget), and
 ``I._step_event()`` raises past the budget, ticks, and sets the next
@@ -422,7 +422,7 @@ _ACCESS = """\
 e = I._site_cache.get({site})
 if e is None or not e[0] <= {addr} < e[1]:
     e = I._fill_site({site}, {addr})
-I.cycles += e[2]({addr}, "{kind}", I.cycles)
+I.cycles += e[2]({addr}, "{kind}")
 if I._race is not None:
     I._race.record(I, {addr}, "{kind}")"""
 

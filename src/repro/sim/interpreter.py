@@ -172,12 +172,9 @@ def const_value(expr):
 # Stack size reserved per core inside its private window.
 STACK_BYTES = 1024 * 1024
 
-# Interpreter steps between periodic ticks, and per traced
-# "retire_batch" span (powers of two, so RETIRE_BATCH is a multiple of
-# TICK_STEPS and _tick finds a batch boundary with one mask).
-# Scheduled core faults are delivered on ticks.
+# Interpreter steps between periodic ticks; scheduled core faults are
+# delivered on ticks.
 TICK_STEPS = 256
-RETIRE_BATCH = 4096
 
 
 class Interpreter:
@@ -201,7 +198,6 @@ class Interpreter:
         # _step_event: the next multiple of TICK_STEPS or the first
         # step past the budget, whichever comes first
         self._stop = min(TICK_STEPS, max_steps + 1)
-        self._batch_start_cycles = 0
         self.output = []
         self.current_function = None
         self._rand_state = 12345 + core_id  # deterministic per core
@@ -226,8 +222,8 @@ class Interpreter:
             # and scrub hooks; runs without faults keep the bare dict
             self._mem_get = self._faulty_get
         # race detection (repro.race): the chip-attached detector, or
-        # None — in which case every hook is a dead branch and cycles,
-        # output, and traces are byte-identical to an unaudited run
+        # None — in which case every hook is a dead branch and cycles
+        # and output are byte-identical to an unaudited run
         self._race = getattr(chip, "race", None)
         # cycle attribution (repro.obs.attribution): same contract.
         # The load/store hot path carries NO per-op hook — memory-op
@@ -310,8 +306,7 @@ class Interpreter:
         return value
 
     def store(self, addr, value, ctype=None):
-        self.cycles += self.chip.access_cost(self.core_id, addr,
-                                             "write", 4, self.cycles)
+        self.cycles += self.chip.access_cost(self.core_id, addr, "write")
         if self._race is not None:
             self._race.record(self, addr, "write")
         if ctype is not None:
@@ -322,15 +317,15 @@ class Interpreter:
     def _step_event(self):
         """Called by the compiled closures' step prologue once
         ``steps`` reaches ``_stop``: past the budget, raise
-        StepLimitExceeded; on a multiple of TICK_STEPS, tick; then set
-        ``_stop`` to the next event."""
+        StepLimitExceeded; on a multiple of TICK_STEPS, deliver
+        scheduled core faults; then set ``_stop`` to the next event."""
         steps = self.steps
         if steps > self.max_steps:
             raise StepLimitExceeded(
                 "exceeded %d interpreter steps on core %d"
                 % (self.max_steps, self.core_id))
-        if not steps % TICK_STEPS:
-            self._tick()
+        if not steps % TICK_STEPS and self._faults is not None:
+            self._faults.core_tick(self)
         # store the next tick before reading the budget: a halt from
         # another thread in between then still lands
         stop = self._stop = steps - steps % TICK_STEPS + TICK_STEPS
@@ -344,25 +339,6 @@ class Interpreter:
         order :meth:`_step_event` relies on."""
         self.max_steps = 0
         self._stop = 0
-
-    def _tick(self):
-        """Called every TICK_STEPS steps by :meth:`_step_event`.
-        Delivers scheduled core stalls and crashes, then, every
-        RETIRE_BATCH steps, flushes one retire batch: cycles
-        accumulated since the last batch boundary become a traced
-        "retire_batch" span."""
-        if self._faults is not None:
-            self._faults.core_tick(self)
-        if self.steps & (RETIRE_BATCH - 1):
-            return
-        events = self.chip.events
-        if events.enabled:
-            events.complete(
-                self.core_id, self._batch_start_cycles,
-                self.cycles - self._batch_start_cycles,
-                "retire_batch", "cpu", {"steps": RETIRE_BATCH},
-                pid=self.chip.trace_pid)
-            self._batch_start_cycles = self.cycles
 
     def _fill_site(self, site, addr):
         """Inline-cache miss: rebuild one load/store site's entry from

@@ -117,9 +117,9 @@ def _as_unit(program):
 
 def _prepare_chip(chip, interpreters, cores):
     """Per-run observability setup: reset the metrics registry so a
-    reused chip does not bleed counters between runs, re-register the
-    interpreter collector, and name the trace tracks.  ``cores`` lists
-    the core ids in rank order."""
+    reused chip does not bleed counters between runs and re-register
+    the interpreter collector.  ``cores`` lists the core ids in rank
+    order."""
     chip.metrics.reset()
     position = {core: index for index, core in enumerate(cores)}
 
@@ -137,10 +137,6 @@ def _prepare_chip(chip, interpreters, cores):
         return samples
 
     chip.metrics.register_collector("sim.interpreters", collect)
-    if chip.events.enabled:
-        for core in cores:
-            chip.events.set_thread(chip.trace_pid, core,
-                                   "core %d" % core)
 
 
 def _as_injector(faults):

@@ -23,10 +23,8 @@ from repro.obs.attribution import (
     CLASSES,
     AttributionEngine,
     ConservationError,
-    annotate_chrome_trace,
 )
 from repro.obs.critpath import analyze_critical_path
-from repro.obs.tracer import EventTracer
 from repro.scc.chip import SCCChip
 from repro.sim.runner import (
     run_pthread_single_core,
@@ -241,22 +239,6 @@ def test_critical_path_respects_vector_clocks():
     assert profiled_run_result.attribution.critical_path.complete
 
 
-def test_annotated_chrome_trace():
-    engine = AttributionEngine()
-    chip = SCCChip(scaled_config())
-    tracer = EventTracer()
-    chip.attach_events(tracer, pid=0, name="attr test")
-    result = run_rcce(benchmark_unit("dot", "size"), NUM_UES,
-                      chip.config, chip, max_steps=100_000_000,
-                      attribution=engine)
-    emitted = annotate_chrome_trace(tracer, engine, result.attribution)
-    assert emitted > 0
-    names = [event[5] for event in tracer.events]
-    assert "critical_path" in names
-    assert any(name.startswith("attribution core")
-               for name in names)
-
-
 # -- supervised runs surface per-attempt audits (satellite) -------------------
 
 
@@ -417,17 +399,15 @@ def test_mpb_owner_heatmap_counts_message_traffic():
 def test_cli_analyze_bottlenecks(tmp_path):
     """``repro run --bottlenecks`` explains the run it simulated: the
     breakdown, the critical path and the heatmaps print after the
-    result line, and the report and the trace carry them."""
+    result line, and the report carries them."""
     from repro.cli import main
     source = tmp_path / "dot.c"
     source.write_text(
         benchmark_source("dot", NUM_UES, **SIZES["dot"]))
     report_path = tmp_path / "report.json"
-    trace_path = tmp_path / "trace.json"
     out, err = io.StringIO(), io.StringIO()
     code = main(["run", str(source), "--mode", "rcce", "--bottlenecks",
-                 "--ues", str(NUM_UES), "--report", str(report_path),
-                 "--trace", str(trace_path)],
+                 "--ues", str(NUM_UES), "--report", str(report_path)],
                 out, err)
     assert code == 0
     text = out.getvalue()
@@ -442,31 +422,3 @@ def test_cli_analyze_bottlenecks(tmp_path):
     # to its cycles
     for core, classes in payload["per_core"].items():
         assert sum(classes.values()) == payload["per_core_cycles"][core]
-    trace = json.loads(trace_path.read_text())
-    events = trace["traceEvents"] if isinstance(trace, dict) else trace
-    assert any(event.get("name") == "critical_path"
-               for event in events)
-
-
-def test_cli_bottlenecks_trace_annotates_the_rcce_track(tmp_path):
-    """In a compare run the trace's pthread run is pid 0 and the RCCE
-    run pid 1; the attribution annotations belong to the RCCE run."""
-    from repro.cli import main
-    source = tmp_path / "dot.c"
-    source.write_text(
-        benchmark_source("dot", NUM_UES, **SIZES["dot"]))
-    trace_path = tmp_path / "trace.json"
-    code = main(["run", str(source), "--bottlenecks",
-                 "--ues", str(NUM_UES), "--trace", str(trace_path)],
-                io.StringIO(), io.StringIO())
-    assert code == 0
-    trace = json.loads(trace_path.read_text())
-    events = trace["traceEvents"] if isinstance(trace, dict) else trace
-    spans = {event["pid"] for event in events
-             if event.get("name") == "critical_path"}
-    counters = {(event["pid"], event["name"]) for event in events
-                if event.get("name", "").startswith("attribution core")}
-    assert spans == {1}
-    assert counters == {(1, "attribution core %d" % core)
-                        for core in range(NUM_UES)}
-    assert {event["pid"] for event in events} == {0, 1}

@@ -12,7 +12,6 @@ import os
 import pytest
 
 from repro.bench.workloads import scaled_config
-from repro.obs import EventTracer
 from repro.race import COHERENCE, RACE, RaceDetector
 from repro.race.lockset import LockRegistry
 from repro.race.vectorclock import Epoch, VectorClock
@@ -322,17 +321,6 @@ class TestReporting:
         report = detector.report()
         assert report.ok
         assert "race audit: clean" in report.render()
-
-    def test_race_detected_trace_event(self, chip, detector):
-        tracer = EventTracer()
-        chip.attach_events(tracer, pid=1, name="rcce")
-        addr = shared_addr(chip)
-        detector.register("shared_var", addr, 8, "shared")
-        detector.record(FakeInterp(0, 0), addr, "write")
-        detector.record(FakeInterp(1, 1), addr, "write")
-        events = tracer.events_named("race_detected")
-        assert len(events) == 1
-        assert events[0][7]["variable"] == "shared_var"
 
 
 class TestFixtures:

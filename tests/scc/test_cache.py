@@ -193,7 +193,7 @@ class TestLastLineMemo:
                 l1.access(physical)
             else:
                 kind = "read" if op.endswith("read") else "write"
-                chip.access_fastpath(0, addr)[2](addr, kind, 0)
+                chip.access_fastpath(0, addr)[2](addr, kind)
             hit = ref1.access(physical)
             assert l1.stats.hits - before1["hits"] == int(hit)
             assert l1.stats.misses - before1["misses"] == int(not hit)

@@ -89,9 +89,9 @@ class _SilentInjector(FaultInjector):
         self.calls["load"] += 1
         return super().filter_load(interp, addr, value)
 
-    def latency_extra(self, core, segment, kind, cost, ts):
+    def latency_extra(self, core, cost):
         self.calls["access"] += 1
-        return super().latency_extra(core, segment, kind, cost, ts)
+        return super().latency_extra(core, cost)
 
     def core_tick(self, interp):
         self.calls["tick"] += 1
@@ -309,7 +309,7 @@ def test_access_fastpath_matches_access_cost():
         assert lo <= addr < hi
         for offset in (0, 4, 8):
             for kind in ("read", "write"):
-                assert (fn(addr + offset, kind, 0)
+                assert (fn(addr + offset, kind)
                         == slow_chip.access_cost(
                             0, addr + offset, kind))
         for attribute in ("hits", "misses", "evictions"):
@@ -328,7 +328,7 @@ def test_faulted_fastpath_entry_prices_through_access_cost():
     assert lo <= layout["private"].base and layout["mpb"].base < hi
     plain, _ = _chip_with_layout()
     for addr in (layout["shared"].base, layout["mpb"].base):
-        assert fn(addr, "read", 0) == plain.access_cost(0, addr) + 7
+        assert fn(addr, "read") == plain.access_cost(0, addr) + 7
     assert injector.total_injections() == 2
 
 

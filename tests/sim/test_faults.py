@@ -218,17 +218,6 @@ class TestObservability:
                    for row in rows)
         assert sum(row["value"] for row in rows) > 0
 
-    def test_trace_has_fault_events(self):
-        from repro.obs.tracer import EventTracer
-        from repro.scc.chip import SCCChip
-        from repro.scc.config import Table61Config
-        chip = SCCChip(Table61Config())
-        tracer = EventTracer()
-        chip.attach_events(tracer, pid=0, name="faulted")
-        run_rcce(RCCE_COMPUTE, 2, chip=chip,
-                 faults="mesh_delay:p=0.5,seed=3")
-        assert tracer.events_named("fault_inject")
-
     def test_collector_unregistered_after_run(self):
         from repro.scc.chip import SCCChip
         from repro.scc.config import Table61Config

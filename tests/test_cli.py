@@ -2,6 +2,7 @@
 
 import io
 import json
+import pathlib
 import re
 import time
 
@@ -12,6 +13,20 @@ from repro.cli import build_parser, main
 from repro.core.framework import TranslationFramework
 from repro.diagnostics import Diagnostic
 from repro.sim.runner import run_rcce
+
+
+NATIVE_RCCE = """
+#include <stdio.h>
+#include <RCCE.h>
+int RCCE_APP(int argc, char **argv) {
+    RCCE_init(&argc, &argv);
+    printf("ue %d\\n", RCCE_ue());
+    return 0;
+}
+"""
+
+LOCKED_CLEAN = (pathlib.Path(__file__).parent / "fixtures" / "static"
+                / "locked_clean.c")
 
 
 @pytest.fixture
@@ -46,6 +61,43 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(
                 ["translate", "x.c", "--policy", "magic"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "pi.c", "--ues", "49"],
+        ["run", "pi.c", "--ues", "0", "--mode", "pthread"],
+        ["run", "pi.c", "--ues", "-1", "--mode", "compare"],
+        ["run", "native.c", "--ues", "0", "--mode", "rcce"],
+        ["run", "native.c", "--ues", "49", "--mode", "rcce"],
+        ["check", "mutex.c", "--ues", "0"],
+        ["check", "mutex.c", "--ues", "-3"],
+        ["check", "mutex.c", "--ues", "49"],
+        ["bench", "6.1", "--ues", "0"],
+        ["bench", "6.3", "--ues", "49"],
+    ])
+    def test_ues_out_of_range_exits_2(self, tmp_path, capsys, argv):
+        """--ues counts the cores of Table 6.1's chip: a value outside
+        1..48 is a usage error, before any input is read."""
+        sources = {
+            "pi.c": benchmark_source("pi", 4, steps=64),
+            "native.c": NATIVE_RCCE,
+            "mutex.c": LOCKED_CLEAN.read_text(),
+        }
+        for name, text in sources.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / arg) if arg in sources else arg
+                for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv, io.StringIO(), io.StringIO())
+        assert exc.value.code == 2
+        assert "argument --ues: %s is outside 1..48" % argv[3] \
+            in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["run", "x.c"], ["check", "x.c"],
+                                         ["bench", "6.1"]])
+    def test_ues_bounds_are_accepted(self, command):
+        for ues in (1, 48):
+            args = build_parser().parse_args(command + ["--ues", str(ues)])
+            assert args.ues == ues
 
     def test_jobs_and_quantum_exit_2(self, example_file, capsys):
         """Every RCCE run takes the one sequential host path: argparse
@@ -162,15 +214,7 @@ class TestRun:
 
     def test_native_rcce_program(self, tmp_path):
         path = tmp_path / "native.c"
-        path.write_text("""
-        #include <stdio.h>
-        #include <RCCE.h>
-        int RCCE_APP(int argc, char **argv) {
-            RCCE_init(&argc, &argv);
-            printf("ue %d\\n", RCCE_ue());
-            return 0;
-        }
-        """)
+        path.write_text(NATIVE_RCCE)
         code, output = run_cli(["run", str(path), "--mode", "rcce",
                                 "--ues", "2"])
         assert code == 0
@@ -240,6 +284,28 @@ class TestErrorHandling:
         assert code == 66
         assert "cannot read input" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_unwritable_translation_exits_73(self, example_file,
+                                             tmp_path):
+        target = tmp_path / "missing" / "out.c"
+        code, out, err = run_cli_err(
+            ["translate", example_file, "-o", str(target)])
+        assert code == 73
+        assert out == ""
+        assert err == ("repro: cannot write output: [Errno 2] No such "
+                       "file or directory: '%s'\n" % target)
+
+    def test_unwritable_report_exits_73(self, tmp_path):
+        source = tmp_path / "pi.c"
+        source.write_text(benchmark_source("pi", 2, steps=64))
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli_err(
+            ["run", str(source), "--ues", "2", "--report", str(target)])
+        assert code == 73
+        assert "rcce    x2 cores:" in out
+        assert "report written" not in out
+        assert err == ("repro: cannot write output: [Errno 2] No such "
+                       "file or directory: '%s'\n" % target)
 
     def test_parse_error_exits_65(self, tmp_path):
         path = tmp_path / "bad.c"
@@ -496,6 +562,16 @@ class TestRecoveryFlags:
             ["run", recovery_file, "--mode", "rcce", "--ues", "2",
              "--restore", str(tmp_path / "absent.ckpt")])
         assert code == 66
+
+    def test_unwritable_checkpoint_exits_73(self, recovery_file,
+                                            tmp_path):
+        target = tmp_path / "missing" / "s.ckpt"
+        code, _, err = run_cli_err(
+            ["run", recovery_file, "--mode", "rcce", "--ues", "2",
+             "--checkpoint-every", "1", "--checkpoint", str(target)])
+        assert code == 73
+        assert err == ("repro: cannot write output: [Errno 2] No such "
+                       "file or directory: '%s.tmp'\n" % target)
 
 FIXTURES = __import__("os").path.join(
     __import__("os").path.dirname(__file__), "fixtures")
@@ -838,6 +914,8 @@ class TestReport:
         # deadlocks are detected exactly: there is nothing to tune
         ["run", "x.c", "--no-watchdog"],
         ["run", "x.c", "--watchdog-timeout", "5"],
+        # --report is a run's one machine-readable output
+        ["run", "x.c", "--trace", "t.json"],
     ])
     def test_deleted_flags_are_rejected(self, argv):
         with pytest.raises(SystemExit) as exc:

@@ -16,7 +16,6 @@ FAST_EXAMPLES = [
     "translate_example.py",
     "message_passing.py",
     "power_management.py",
-    "trace_capture.py",
 ]
 
 
@@ -53,22 +52,11 @@ def test_message_passing_answers(capsys):
     assert "read mailbox 777" in output
 
 
-def test_trace_capture_outputs(capsys):
-    runpy.run_path(os.path.join(EXAMPLES_DIR, "trace_capture.py"),
-                   run_name="__main__")
-    output = capsys.readouterr().out
-    assert "pipeline profile" in output
-    assert "counter = 32" in output
-    assert "trace events:" in output
-    assert "rcce_lock_acquisitions" in output
-
-
 def test_all_examples_exist():
     expected = {
         "quickstart.py", "translate_example.py", "benchmark_suite.py",
         "scaling_study.py", "partitioning_explorer.py",
         "message_passing.py", "power_management.py",
-        "trace_capture.py",
     }
     present = {name for name in os.listdir(EXAMPLES_DIR)
                if name.endswith(".py")}
