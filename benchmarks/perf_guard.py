@@ -7,9 +7,8 @@ committed number.  Interpreter dispatch speed is tracked end to end by
 Raw wall seconds are not portable across machines, so the guard
 compares the machine-relative quantity the report pins:
 
-* ``BENCH_hooks.json`` -- each row's hooked/baseline ratio (race hook
-  detached, attribution enabled).  Guard: current ratio <= committed
-  x 1.15.
+* ``BENCH_hooks.json`` -- each row's hooked/baseline ratio
+  (attribution enabled).  Guard: current ratio <= committed x 1.15.
 
 Usage::
 

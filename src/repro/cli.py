@@ -66,17 +66,27 @@ class OutputError(Exception):
     """An output file could not be written (exit ``EXIT_CANTCREAT``)."""
 
 
-def _ues(text):
-    """Parse ``--ues``: a whole number of cores in 1..MAX_UES."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % text)
-    if not 1 <= value <= MAX_UES:
-        raise argparse.ArgumentTypeError(
-            "%d is outside 1..%d (the SCC's cores, Table 6.1)"
-            % (value, MAX_UES))
-    return value
+def _int_range(low, high=None, note=""):
+    """An argparse type: a whole number from ``low`` to ``high`` (no
+    upper bound when ``high`` is None).  Out of range is a usage error
+    naming the range, with ``note`` appended."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+        if high is not None and not low <= value <= high:
+            raise argparse.ArgumentTypeError(
+                "%d is outside %d..%d%s" % (value, low, high, note))
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "%d is below the minimum, %d%s" % (value, low, note))
+        return value
+    return parse
+
+
+_ues = _int_range(1, MAX_UES, " (the SCC's cores, Table 6.1)")
+_count = _int_range(0)
 
 
 def build_parser():
@@ -134,13 +144,13 @@ def build_parser():
                      "run: ECC scrubbing of flipped reads and "
                      "retried RCCE_send messages "
                      "(see docs/robustness.md)")
-    run.add_argument("--max-restarts", type=int, default=0,
+    run.add_argument("--max-restarts", type=_count, default=0,
                      metavar="N",
                      help="supervise the RCCE run: after a core "
                      "crash, timeout, or uncorrectable ECC error, "
                      "restart from the newest checkpoint up to N "
                      "times")
-    run.add_argument("--checkpoint-every", type=int, default=0,
+    run.add_argument("--checkpoint-every", type=_count, default=0,
                      metavar="N",
                      help="write a snapshot every N barrier rounds "
                      "(default: every round when --max-restarts is "
@@ -161,7 +171,8 @@ def build_parser():
                      "with the static analysis stage (see "
                      "docs/static_analysis.md); findings print as "
                      "diagnostics and, with --strict, fail the run")
-    run.add_argument("--max-steps", type=int, default=200_000_000,
+    run.add_argument("--max-steps", type=_int_range(1),
+                     default=200_000_000,
                      help="per-core step budget before the run is "
                      "aborted with a SimulationTimeout")
     _framework_args(run)
@@ -186,7 +197,7 @@ def _framework_args(parser):
     parser.add_argument("--policy", default="size",
                         choices=["size", "frequency", "off-chip-only"],
                         help="Stage 4 partition policy")
-    parser.add_argument("--capacity", type=int, default=None,
+    parser.add_argument("--capacity", type=_count, default=None,
                         help="on-chip shared capacity in bytes")
     parser.add_argument("--fold", action="store_true",
                         help="enable many-to-one thread folding (§7.2)")

@@ -208,9 +208,10 @@ class AttributionEngine:
 
     def _mem_ops(self):
         """Per-core memory-operation totals.  These are *not* counted
-        on the hot path: the interpreter already bumps the chip's
-        per-core access counters, so the engine reads them while
-        attached and snapshots them on detach."""
+        on the hot path: the engine reads the chip's per-core access
+        counts (``CoreState.accesses``, derived from the L1 counters
+        for private accesses) while attached and snapshots them on
+        detach."""
         if self.chip is None:
             return dict(self._ops)
         ops = {}

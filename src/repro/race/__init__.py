@@ -318,12 +318,16 @@ class RaceDetector:
         with self._lock:
             return self._variables.shared_keys()
 
-    def record(self, interp, addr, kind):
-        """One simulated load (``kind="read"``) or store (``"write"``)."""
+    def record(self, interp, addr, kind, cycles=None):
+        """One simulated load (``kind="read"``) or store (``"write"``)
+        at ``cycles``: by default the interpreter's clock, which the
+        caller has already charged the access to."""
         tid = self._tid_of(interp)
+        if cycles is None:
+            cycles = interp.cycles
         with self._lock:
             self._record_locked(tid, interp.core_id,
-                                interp.current_function, interp.cycles,
+                                interp.current_function, cycles,
                                 addr, kind)
 
     def record_range(self, interp, base, count, stride, kind):

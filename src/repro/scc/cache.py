@@ -7,8 +7,6 @@ the shared pages are not").  The bypass decision is made by the chip
 model, not here — this class is a plain cache.
 """
 
-from collections import OrderedDict
-
 
 class CacheStats:
     __slots__ = ("hits", "misses", "evictions")
@@ -55,16 +53,18 @@ class Cache:
         self.assoc = assoc
         self.name = name
         self.num_sets = size // (line_size * assoc)
-        # sets materialize lazily: {index: OrderedDict tag -> True},
-        # so building a 48-core chip does not allocate ~100k empty sets
+        # sets materialize lazily: {index: [tag, ...]}, least recently
+        # used first, so building a 48-core chip does not allocate
+        # ~100k empty sets.  A set is never empty: it is created by the
+        # miss that fills its first way, and invalidate_all drops them
+        # all.
         self.sets = {}
         self.stats = CacheStats()
         # The line number (``addr // line_size``) of the last probe, or
         # -1.  That line is resident and most recently used in its set,
-        # so probing it again is a hit whose move_to_end changes
-        # nothing (a reuse distance of zero).  Every probe, here and in
-        # the chip's inlined L1 probes, refreshes it; invalidate_all
-        # clears it.
+        # so probing it again is a hit that reorders nothing (a reuse
+        # distance of zero).  Every probe, here and in the chip's
+        # inlined L1 probes, refreshes it; invalidate_all clears it.
         self.last_line = -1
 
     def _locate(self, addr):
@@ -76,7 +76,8 @@ class Cache:
         fills the line, evicting LRU if needed)."""
         # _locate() is inlined here: this is the single hottest call in
         # the whole simulator (every private/MPB access, twice on L1
-        # misses); a repeat of the last line skips the set lookup
+        # misses).  A repeat of the last line skips the set lookup, and
+        # a hit on the set's MRU way (``ways[-1]``) moves nothing.
         line = addr // self.line_size
         if line == self.last_line:
             self.stats.hits += 1
@@ -84,19 +85,23 @@ class Cache:
         self.last_line = line
         index = line % self.num_sets
         tag = line // self.num_sets
-        cache_set = self.sets.get(index)
-        if cache_set is None:
-            cache_set = self.sets[index] = OrderedDict()
-        elif tag in cache_set:
-            cache_set.move_to_end(tag)
+        ways = self.sets.get(index)
+        if ways is None:
+            ways = self.sets[index] = []
+        elif ways[-1] == tag:
+            self.stats.hits += 1
+            return True
+        elif tag in ways:
+            ways.remove(tag)
+            ways.append(tag)
             self.stats.hits += 1
             return True
         stats = self.stats
         stats.misses += 1
-        if len(cache_set) >= self.assoc:
-            cache_set.popitem(last=False)
+        if len(ways) >= self.assoc:
+            del ways[0]
             stats.evictions += 1
-        cache_set[tag] = True
+        ways.append(tag)
         return False
 
     def contains(self, addr):

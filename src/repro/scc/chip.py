@@ -39,7 +39,22 @@ class CoreState:
                         config.l1_assoc, "core%d-L1" % core_id)
         self.l2 = Cache(config.l2_size, config.l2_line_size,
                         config.l2_assoc, "core%d-L2" % core_id)
-        self.accesses = {kind: 0 for kind in SegmentKind}
+        # shared and MPB accesses, counted as they are priced; private
+        # ones are derived from the L1 counters (see ``accesses``)
+        self.counted = {SegmentKind.SHARED: 0, SegmentKind.MPB: 0}
+
+    @property
+    def accesses(self):
+        """``{segment kind: accesses}``.  Every private and every MPB
+        access probes L1 exactly once, so the private count is the L1
+        probes less the MPB accesses and the private hit path need not
+        count anything beyond the L1 hit."""
+        counted = self.counted
+        mpb = counted[SegmentKind.MPB]
+        stats = self.l1.stats
+        return {SegmentKind.PRIVATE: stats.hits + stats.misses - mpb,
+                SegmentKind.SHARED: counted[SegmentKind.SHARED],
+                SegmentKind.MPB: mpb}
 
     def __repr__(self):
         return "CoreState(%d, L1 %s)" % (self.core_id, self.l1.stats)
@@ -56,6 +71,15 @@ class SCCChip:
         self.cores = [CoreState(i, config) for i in range(config.num_cores)]
         self.controllers = [MemoryController(i, config)
                             for i in range(config.num_memory_controllers)]
+        # each core's memory controller and its hop count to it, fixed
+        # by the mesh layout
+        self._controller_of = []
+        self._hops_to_controller = []
+        for core in range(config.num_cores):
+            controller_id = self.mesh.controller_of(core)
+            self._controller_of.append(self.controllers[controller_id])
+            self._hops_to_controller.append(
+                self.mesh.hops_to_controller(core, controller_id))
         self.power = PowerModel(config)
         self.luts = [LookupTable(i, config, self.mesh)
                      for i in range(config.num_cores)]
@@ -175,8 +199,8 @@ class SCCChip:
         for state in self.cores:
             state.l1.stats.reset()
             state.l2.stats.reset()
-            for kind in state.accesses:
-                state.accesses[kind] = 0
+            for kind in state.counted:
+                state.counted[kind] = 0
         for controller in self.controllers:
             controller.stats.reset()
         self.mpb.stats.reset()
@@ -186,12 +210,12 @@ class SCCChip:
     # -- requester registration (contention model input) -----------------------
 
     def activate_core(self, core):
-        controller = self.controllers[self.mesh.controller_of(core)]
+        controller = self._controller_of[core]
         with self._lock:
             controller.register_requester(core)
 
     def deactivate_core(self, core):
-        controller = self.controllers[self.mesh.controller_of(core)]
+        controller = self._controller_of[core]
         with self._lock:
             controller.unregister_requester(core)
 
@@ -242,13 +266,15 @@ class SCCChip:
             if entry is not None and entry.kind in (
                     SegmentKind.PRIVATE, SegmentKind.SHARED):
                 segment = entry.kind
-        state.accesses[segment] += 1
 
         if segment is SegmentKind.PRIVATE:
+            # counted by its L1 probe (CoreState.accesses)
             cost = self._private_cost(core, state, physical)
         elif segment is SegmentKind.SHARED:
+            state.counted[segment] += 1
             cost = self._shared_cost(core, kind)
         else:
+            state.counted[segment] += 1
             cost = self._mpb_cost(core, physical, kind, size)
         if self.faults is not None:
             extra = self.faults.latency_extra(core, cost)
@@ -311,54 +337,60 @@ class SCCChip:
 
         state = self.cores[core]
         if segment is SegmentKind.PRIVATE:
-            # the L1 hit probe is fully inlined: a repeat of the cache's
-            # last line is a hit with nothing to reorder, any other hit
-            # is one dict lookup plus an LRU move_to_end, and both
-            # refresh ``last_line`` as Cache.access does.  Cache
-            # internals are never replaced — configure_window clears
-            # ``sets`` in place and counter resets mutate the same
-            # CacheStats — so the bound dict and stats objects stay
-            # valid for the life of the entry.  The miss branch touches
-            # nothing and delegates to _private_cost, whose own L1
-            # probe records the miss.  Attribution adds no code here at
-            # all: every L1/L2 hit costs a constant, so the engine
-            # derives the hit classes from the caches' own hit counters.
+            # the L1 hit probe is fully inlined, as Cache.access runs
+            # it: a repeat of the cache's last line or a hit on its
+            # set's MRU way reorders nothing, any other hit moves its
+            # tag to the end of the set's list, and every hit refreshes
+            # ``last_line``.  A hit costs the one L1 hit counter: the
+            # private access count is derived from the L1 counters
+            # (CoreState.accesses).  Cache internals are never replaced
+            # — configure_window clears ``sets`` in place and counter
+            # resets mutate the same CacheStats — so the bound dict and
+            # stats objects stay valid for the life of the entry.  The
+            # miss branch touches nothing and delegates to
+            # _private_cost, whose own L1 probe records the miss.
+            # Attribution adds no code here at all: every L1/L2 hit
+            # costs a constant, so the engine derives the hit classes
+            # from the caches' own hit counters.
             l1 = state.l1
 
-            def fn(addr, kind, _acc=state.accesses,
-                   _seg=SegmentKind.PRIVATE, _l1=l1, _ls=l1.line_size,
+            def fn(addr, kind, _l1=l1, _ls=l1.line_size,
                    _ns=l1.num_sets, _sets=l1.sets, _stats=l1.stats,
                    _l1_hit=self.config.l1_hit_cycles,
                    _slow=self._private_cost, _state=state,
                    _core=core, _delta=delta):
-                _acc[_seg] += 1
                 addr += _delta
                 line = addr // _ls
                 if line == _l1.last_line:
                     _stats.hits += 1
                     return _l1_hit
-                cache_set = _sets.get(line % _ns)
-                if cache_set is not None:
+                ways = _sets.get(line % _ns)
+                if ways is not None:
                     tag = line // _ns
-                    if tag in cache_set:
-                        cache_set.move_to_end(tag)
+                    if ways[-1] == tag:
+                        _l1.last_line = line
+                        _stats.hits += 1
+                        return _l1_hit
+                    if tag in ways:
+                        ways.remove(tag)
+                        ways.append(tag)
                         _l1.last_line = line
                         _stats.hits += 1
                         return _l1_hit
                 return _slow(_core, _state, addr)
         elif segment is SegmentKind.SHARED:
-            # routing is static per core: controller id, hop count, and
+            # routing is static per core: controller, hop count, and
             # route endpoints are baked in, and so are the attribution
             # cells (attaching an engine bumps mem_epoch); only the
             # queue depth stays a live read
-            controller_id = self.mesh.controller_of(core)
-            hops = self.mesh.hops_to_controller(core, controller_id)
+            controller = self._controller_of[core]
+            hops = self._hops_to_controller[core]
 
-            def fn(addr, kind, _acc=state.accesses,
+            def fn(addr, kind, _acc=state.counted,
                    _seg=SegmentKind.SHARED, _mesh=self.mesh,
                    _src=self.mesh.coords_of(core),
-                   _dst=self.mesh.controller_coords(controller_id),
-                   _cycles=self.controllers[controller_id].access_cycles,
+                   _dst=self.mesh.controller_coords(controller.index),
+                   _cycles=controller.access_cycles,
                    _hops=hops,
                    _penalty=self.config.uncached_shared_penalty,
                    _hop_part=hops * self.config.mesh_cycles_per_hop,
@@ -379,10 +411,11 @@ class SCCChip:
         else:
             # same inline L1 hit probe as the private entry; read
             # misses fall back to Cache.access, which re-probes and
-            # records the miss before the tail runs
+            # records the miss before the tail runs.  MPB accesses are
+            # counted: the private count is the L1 probes less these
             l1 = state.l1
 
-            def fn(addr, kind, _acc=state.accesses,
+            def fn(addr, kind, _acc=state.counted,
                    _seg=SegmentKind.MPB, _l1=l1, _ls=l1.line_size,
                    _ns=l1.num_sets, _sets=l1.sets, _stats=l1.stats,
                    _l1_hit=self.config.l1_hit_cycles,
@@ -396,11 +429,16 @@ class SCCChip:
                     if line == _l1.last_line:
                         _stats.hits += 1
                         return _l1_hit
-                    cache_set = _sets.get(line % _ns)
-                    if cache_set is not None:
+                    ways = _sets.get(line % _ns)
+                    if ways is not None:
                         tag = line // _ns
-                        if tag in cache_set:
-                            cache_set.move_to_end(tag)
+                        if ways[-1] == tag:
+                            _l1.last_line = line
+                            _stats.hits += 1
+                            return _l1_hit
+                        if tag in ways:
+                            ways.remove(tag)
+                            ways.append(tag)
                             _l1.last_line = line
                             _stats.hits += 1
                             return _l1_hit
@@ -424,9 +462,8 @@ class SCCChip:
         return self._private_miss(core)
 
     def _private_miss(self, core):
-        controller_id = self.mesh.controller_of(core)
-        hops = self.mesh.hops_to_controller(core, controller_id)
-        cost = self.controllers[controller_id].access_cycles("read", hops)
+        hops = self._hops_to_controller[core]
+        cost = self._controller_of[core].access_cycles("read", hops)
         attr = self.attribution
         if attr is not None:
             hop_part = hops * self.config.mesh_cycles_per_hop
@@ -435,13 +472,13 @@ class SCCChip:
         return cost
 
     def _shared_cost(self, core, kind):
-        controller_id = self.mesh.controller_of(core)
-        hops = self.mesh.hops_to_controller(core, controller_id)
+        controller = self._controller_of[core]
+        hops = self._hops_to_controller[core]
         if self.mesh.record_traffic:
             self.mesh.record_route(
                 self.mesh.coords_of(core),
-                self.mesh.controller_coords(controller_id), "shared")
-        cost = self.controllers[controller_id].access_cycles(kind, hops)
+                self.mesh.controller_coords(controller.index), "shared")
+        cost = controller.access_cycles(kind, hops)
         attr = self.attribution
         if attr is not None:
             hop_part = hops * self.config.mesh_cycles_per_hop

@@ -154,9 +154,8 @@ def render_report(report):
 
 def segment_mix(chip, core):
     """Fraction of the core's accesses hitting each segment kind."""
-    state = chip.cores[core]
-    total = sum(state.accesses.values())
+    accesses = chip.cores[core].accesses
+    total = sum(accesses.values())
     if total == 0:
         return {kind: 0.0 for kind in SegmentKind}
-    return {kind: count / total
-            for kind, count in state.accesses.items()}
+    return {kind: count / total for kind, count in accesses.items()}

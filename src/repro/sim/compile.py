@@ -22,10 +22,10 @@ Every node is a *shape*: its closure is generated from source
 templates, one block per piece of work (the step prologue, a charged
 access, an operator, a branch), where each leaf operand is a constant,
 a local or global scalar load, or any compiled child.  A constant's or
-a scalar's step, site-cache probe, charge, race record and load then
-run inline in the node that consumes it instead of behind a call.  A
-shape is compiled once per process and shared by every program; see
-"shapes" below.
+a scalar's step, site-cache probe, charge and load then run inline in
+the node that consumes it instead of behind a call.  A shape is
+compiled once per process and shared by every program; see "shapes"
+below.
 
 The timing contract is fixed by the goldens in ``tests/golden/sim.json``
 (taken from the tree-walking interpreter this engine replaced): every
@@ -371,10 +371,10 @@ def _protect(body):
 # time.  An update's lvalue carries the load's float conversion and
 # the store's coercer: ("l", slot, name, flt, co), ("g", name, flt,
 # co), ("v", closure, flt, co).  A constant's or a scalar's step
-# prologue, site-cache probe, charge, race record and load run inline
-# in the consumer instead of behind a call.  Each node still counts
-# its own step where its closure would have, so ticks, the budget and
-# a halt land on the same step, and charges keep their order.
+# prologue, site-cache probe, charge and load run inline in the
+# consumer instead of behind a call.  Each node still counts its own
+# step where its closure would have, so ticks, the budget and a halt
+# land on the same step, and charges keep their order.
 #
 # A shape is its name and its blocks; a block is a template, its
 # depth, and its fields' values: a variable name of the generated code,
@@ -417,14 +417,14 @@ I.steps = s
 if s >= I._stop:
     I._step_event()""")
 
-# one charged access through the site's inline cache
+# one charged access through the site's inline cache; with a race
+# detector attached, the entry's cost function also records the access
+# (Interpreter._fill_site)
 _ACCESS = """\
 e = I._site_cache.get({site})
 if e is None or not e[0] <= {addr} < e[1]:
     e = I._fill_site({site}, {addr})
-I.cycles += e[2]({addr}, "{kind}")
-if I._race is not None:
-    I._race.record(I, {addr}, "{kind}")"""
+I.cycles += e[2]({addr}, "{kind}")"""
 
 _LOAD = _Template(_ACCESS.replace("{kind}", "read") + """
 {var} = I._mem_get({addr}, 0)""", ("addr", "var"), ("site",))

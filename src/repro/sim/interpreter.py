@@ -344,11 +344,29 @@ class Interpreter:
         """Inline-cache miss: rebuild one load/store site's entry from
         the chip.  Entries carry no version stamp — the chip clears the
         whole ``_site_cache`` dict when address translation changes
-        (see ``SCCChip._bump_mem_epoch``), so presence means valid."""
+        (see ``SCCChip._bump_mem_epoch``), so presence means valid.
+        With a race detector attached, the entry's cost function
+        records each access too; without one it is the chip's own."""
         entry = self.chip.access_fastpath(self.core_id, addr)
+        if self._race is not None:
+            entry = entry[0], entry[1], self._recorded(entry[2])
         self._site_cache[site] = entry
         self.site_fills += 1
         return entry
+
+    def _recorded(self, price):
+        """``price`` with the race recorder bound in.  The recorder
+        sees the clock after the charge, but the generated
+        ``I.cycles += e[2](addr, kind)`` has read ``I.cycles`` before
+        the call and stores the sum after it, so this passes the
+        post-charge clock and never writes ``I.cycles`` itself."""
+        record = self._race.record
+
+        def recorded(addr, kind):
+            cost = price(addr, kind)
+            record(self, addr, kind, self.cycles + cost)
+            return cost
+        return recorded
 
     # -- function execution -----------------------------------------------------------
 

@@ -99,6 +99,42 @@ class TestParser:
             args = build_parser().parse_args(command + ["--ues", str(ues)])
             assert args.ues == ues
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "pi.c", "--capacity", "-100"],
+         "argument --capacity: -100 is below the minimum, 0"),
+        (["translate", "pi.c", "--capacity", "-1"],
+         "argument --capacity: -1 is below the minimum, 0"),
+        (["run", "pi.c", "--mode", "rcce", "--ues", "2",
+          "--max-restarts", "-1"],
+         "argument --max-restarts: -1 is below the minimum, 0"),
+        (["run", "pi.c", "--mode", "rcce", "--ues", "2",
+          "--checkpoint-every", "-1"],
+         "argument --checkpoint-every: -1 is below the minimum, 0"),
+        (["run", "pi.c", "--ues", "2", "--max-steps", "-5"],
+         "argument --max-steps: -5 is below the minimum, 1"),
+        (["run", "pi.c", "--ues", "2", "--max-steps", "0"],
+         "argument --max-steps: 0 is below the minimum, 1"),
+    ])
+    def test_numeric_option_out_of_range_exits_2(self, tmp_path, capsys,
+                                                 argv, message):
+        """A negative capacity, restart count or checkpoint interval,
+        or a step budget below one, is a usage error naming the option
+        and its range, before any input is read or simulated."""
+        (tmp_path / "pi.c").write_text(benchmark_source("pi", 2, steps=64))
+        argv = [str(tmp_path / arg) if arg == "pi.c" else arg
+                for arg in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv, io.StringIO(), io.StringIO())
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, low", [
+        ("--capacity", 0), ("--max-restarts", 0),
+        ("--checkpoint-every", 0), ("--max-steps", 1)])
+    def test_numeric_option_bounds_are_accepted(self, option, low):
+        args = build_parser().parse_args(["run", "x.c", option, str(low)])
+        assert getattr(args, option[2:].replace("-", "_")) == low
+
     def test_jobs_and_quantum_exit_2(self, example_file, capsys):
         """Every RCCE run takes the one sequential host path: argparse
         refuses the removed process-backend options."""
