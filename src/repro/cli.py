@@ -343,8 +343,6 @@ def cmd_check(args, out, err, doc):
     """``repro check``: stages 1-3 plus the static-analysis stage,
     no simulation.  Findings exit ``EXIT_SIM`` under ``--strict``,
     mirroring the dynamic race detector."""
-    from repro.obs.metrics import MetricsRegistry
-
     source = _read_source(args.source)
     framework = _framework(args)
     framework.num_cores = args.ues
@@ -356,9 +354,7 @@ def cmd_check(args, out, err, doc):
     static = result.static_report
     out.write(static.render() + "\n")
     _print_profile(framework, out, doc)
-    registry = MetricsRegistry()
-    static.register_metrics(registry)
-    doc["metrics"] = {"static": registry.snapshot()}
+    doc["metrics"] = {"static": static.metrics()}
     doc["static"] = static.as_dict()
     if static.has_findings and args.strict:
         return EXIT_SIM
@@ -377,6 +373,10 @@ def cmd_run(args, out, err, doc):
     if args.bottlenecks and args.mode == "pthread":
         err.write("repro: --bottlenecks attributes the RCCE run; use "
                   "--mode rcce or compare\n")
+        return EXIT_USAGE
+    if args.stats and args.mode == "pthread":
+        err.write("repro: --stats prints the RCCE run's chip counters; "
+                  "use --mode rcce or compare\n")
         return EXIT_USAGE
     max_restarts = args.max_restarts
     want_checkpoint = args.checkpoint_every > 0 or max_restarts > 0 \

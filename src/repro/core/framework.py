@@ -116,8 +116,7 @@ class TranslationFramework:
     def __init__(self, on_chip_capacity=DEFAULT_ON_CHIP_CAPACITY,
                  partition_policy="size", num_cores=48,
                  thread_id_args=None, fold_threads=False,
-                 allow_split=False, verbose=False, profiler=None,
-                 strict=True, static_check=False):
+                 allow_split=False, profiler=None, strict=True):
         self.on_chip_capacity = on_chip_capacity
         self.partition_policy = partition_policy
         self.num_cores = num_cores
@@ -127,32 +126,25 @@ class TranslationFramework:
         self.fold_threads = fold_threads
         # §4.4 extension: split oversized arrays between SRAM and DRAM
         self.allow_split = allow_split
-        self.verbose = verbose
         # optional repro.obs.profile.PipelineProfiler: spans around
         # every stage/pass of each pipeline run
         self.profiler = profiler
         # strict=False degrades gracefully: a failing pass becomes an
         # error Diagnostic on the result instead of an exception
         self.strict = strict
-        # opt-in translation-time checks (repro.static); off by
-        # default so the pipeline output is byte-identical without it
-        self.static_check = static_check
 
     def _driver(self, passes):
-        return Driver(passes, self.verbose, self.profiler, self.strict)
+        return Driver(passes, self.profiler, self.strict)
 
     # -- pipelines ------------------------------------------------------------
 
     def analysis_passes(self):
-        """Stages 1-3 (plus the optional static-analysis stage)."""
-        passes = [
+        """Stages 1-3."""
+        return [
             ScopeAnalysis(),
             InterThreadAnalysis(),
             AliasPointerAnalysis(),
         ]
-        if self.static_check:
-            passes.append(self._static_pass())
-        return passes
 
     def _static_pass(self):
         # imported lazily: repro.static is optional machinery and
@@ -191,16 +183,11 @@ class TranslationFramework:
         return FrameworkResult(context)
 
     def check(self, source, filename="<source>"):
-        """Run Stages 1-3 plus the static-analysis stage regardless of
-        the ``static_check`` flag; the result's ``static_report``
-        carries the findings."""
+        """Run Stages 1-3 plus the static-analysis stage; the result's
+        ``static_report`` carries the findings.  The translation never
+        runs the static stage, so it cannot change the RCCE program."""
         context = self._context(source, filename)
-        passes = [
-            ScopeAnalysis(),
-            InterThreadAnalysis(),
-            AliasPointerAnalysis(),
-            self._static_pass(),
-        ]
+        passes = self.analysis_passes() + [self._static_pass()]
         self._driver(passes).run(context)
         return FrameworkResult(context)
 

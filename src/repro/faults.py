@@ -276,10 +276,6 @@ class FaultInjector:
     def _reset_counts(self):
         self.counts.clear()
 
-    def total_injections(self, kind=None):
-        return sum(count for (k, _core), count in self.counts.items()
-                   if kind is None or k == kind)
-
     # -- deterministic randomness ------------------------------------------
 
     def reset_streams(self):

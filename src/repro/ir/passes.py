@@ -118,10 +118,8 @@ class Driver:
     tripped over it) gets that PassError instead.
     """
 
-    def __init__(self, passes=None, verbose=False, profiler=None,
-                 strict=True):
+    def __init__(self, passes=None, profiler=None, strict=True):
         self.passes = list(passes or [])
-        self.verbose = verbose
         self.profiler = profiler
         self.strict = strict
 
@@ -170,8 +168,6 @@ class Driver:
             if transforms and not isinstance(pass_, TransformPass):
                 self._relink(context, transforms)
                 transforms = []
-            if self.verbose:
-                print("[driver] running %s" % pass_.name)
             if self.profiler is not None:
                 with self.profiler.span(pass_.name):
                     self._run_pass(pass_, context, transforms)

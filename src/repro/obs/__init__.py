@@ -4,10 +4,10 @@ cycle attribution.
 Three cooperating pieces, all zero-dependency and all no-ops until a
 caller opts in:
 
-* :class:`MetricsRegistry` (``repro.obs.metrics``) — labeled counters,
-  gauges, and histograms that every chip component, the RCCE runtime,
-  and the runners publish into; one ``reset()`` restores a clean slate
-  between runs.
+* :class:`MetricsRegistry` (``repro.obs.metrics``) — the one counter
+  surface: every chip component, the RCCE runtime and the runners
+  register a collector, read only when a snapshot is taken; one
+  ``reset()`` restores a clean slate between runs.
 * :class:`PipelineProfiler` (``repro.obs.profile``) — wall-time spans
   around the five framework stages and each IR pass, with
   stage-specific statistics.
@@ -28,16 +28,7 @@ from repro.obs.attribution import (
 )
 from repro.obs.critpath import CriticalPathReport, analyze_critical_path
 
-from repro.obs.metrics import (
-    Counter,
-    Family,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-    render_snapshot_text,
-    series_value,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry, series_value
 from repro.obs.profile import PipelineProfiler, Span
 
 __all__ = [
@@ -47,13 +38,8 @@ __all__ = [
     "ConservationError",
     "CriticalPathReport",
     "analyze_critical_path",
-    "Counter",
-    "Family",
-    "Gauge",
     "Histogram",
-    "MetricsError",
     "MetricsRegistry",
-    "render_snapshot_text",
     "series_value",
     "PipelineProfiler",
     "Span",

@@ -13,6 +13,8 @@ symmetric heap.
 
 import threading
 
+from repro.obs.metrics import Histogram
+from repro.scc.memmap import OutOfMemoryError
 from repro.sim.values import NULL, Pointer
 from repro.rcce.comm import (
     REDUCE_OPS,
@@ -33,19 +35,22 @@ class RCCEAllocationError(Exception):
 
 
 class _SymmetricHeap:
-    """Sequence-matched collective allocator over one segment kind."""
+    """Sequence-matched collective allocator over one segment kind.
+
+    The first UE to make its n-th call runs ``alloc_fn``; its outcome
+    is recorded, and every other UE's n-th call returns it, ``None``
+    (the allocation did not fit) included."""
 
     def __init__(self, alloc_fn, label):
         self.alloc_fn = alloc_fn
         self.label = label
-        self.allocations = []   # [(size, segment)]
+        self.allocations = []   # [(size, segment or None)]
         self.sequence = {}      # rank -> next sequence index
         self.lock = threading.Lock()
 
     def allocate(self, rank, size):
         with self.lock:
             index = self.sequence.get(rank, 0)
-            self.sequence[rank] = index + 1
             if index < len(self.allocations):
                 recorded_size, segment = self.allocations[index]
                 if recorded_size != size:
@@ -53,9 +58,11 @@ class _SymmetricHeap:
                         "UE %d allocation #%d asked %d bytes where "
                         "another UE asked %d (%s)" % (
                             rank, index, size, recorded_size, self.label))
-                return segment
-            segment = self.alloc_fn(size, "%s#%d" % (self.label, index))
-            self.allocations.append((size, segment))
+            else:
+                segment = self.alloc_fn(size,
+                                        "%s#%d" % (self.label, index))
+                self.allocations.append((size, segment))
+            self.sequence[rank] = index + 1
             return segment
 
 
@@ -99,8 +106,8 @@ class RCCEWorld:
             self.attribution.bind_ranks(self.core_map)
         self.shared_heap = _SymmetricHeap(
             chip.address_space.alloc_shared, "shmalloc")
-        self.mpb_heap = _SymmetricHeap(
-            chip.address_space.alloc_mpb, "mpbmalloc")
+        self.mpb_heap = _SymmetricHeap(self._alloc_mpb_or_spill,
+                                       "mpbmalloc")
         self.mpb_fallbacks = 0  # RCCE_malloc calls that spilled to DRAM
         self.fabric = MessageFabric(monitor)
         self.flags = FlagTable(monitor)
@@ -116,12 +123,10 @@ class RCCEWorld:
         self.put_bytes = 0
         self.get_bytes = 0
         self.send_bytes = 0
+        # cycles each UE spent waiting at a barrier
+        self.barrier_wait = Histogram()
         chip.metrics.register_collector(
             "rcce.world", self._collect_metrics, self._reset_counters)
-        # barriers are low-frequency: a direct histogram is fine
-        self.barrier_wait = chip.metrics.histogram(
-            "rcce_barrier_wait_cycles",
-            "cycles each UE spent waiting at a barrier")
         # symmetric split allocations: sequence-matched (size, on-chip)
         self._split_lock = threading.Lock()
         self._split_allocs = []
@@ -143,6 +148,15 @@ class RCCEWorld:
                 size, on_chip_bytes, "split#%d" % index)
             self._split_allocs.append(((size, on_chip_bytes), segment))
             return segment
+
+    def _alloc_mpb_or_spill(self, size, label):
+        """An MPB segment, or None when the MPB is full: the caller
+        then spills to shared DRAM (like a runtime spilling oversized
+        data off-chip — the LU matrix case of Figure 6.2)."""
+        try:
+            return self.chip.address_space.alloc_mpb(size, label)
+        except OutOfMemoryError:
+            return None
 
     def runtime_for(self, rank):
         return RCCECoreRuntime(self, rank)
@@ -173,6 +187,9 @@ class RCCEWorld:
                 samples.append(("counter",
                                 "rcce_send_retries_exhausted", {},
                                 retrier.exhausted))
+        if self.barrier_wait.count:
+            samples.append(("histogram", "rcce_barrier_wait_cycles", {},
+                            self.barrier_wait.summary()))
         return samples
 
     def _reset_counters(self):
@@ -182,6 +199,7 @@ class RCCEWorld:
         self.put_bytes = 0
         self.get_bytes = 0
         self.send_bytes = 0
+        self.barrier_wait.reset()
         self.registers.reset_counts()
         if self.retrier is not None:
             self.retrier.reset_counts()
@@ -314,15 +332,13 @@ class RCCECoreRuntime:
 
     def _mpb_malloc(self, interp, arg_nodes):
         """On-chip allocation; falls back to shared DRAM when the MPB
-        is full (like a runtime spilling oversized data off-chip —
-        the LU matrix case of Figure 6.2)."""
-        from repro.scc.memmap import OutOfMemoryError
+        is full.  Every UE's n-th call spills when the first one did,
+        so the shared heap's sequence stays in step."""
         args = self._eval(interp, arg_nodes)
         interp.charge(MPB_MALLOC_COST)
         size = max(int(args[0]), 4)
-        try:
-            segment = self.world.mpb_heap.allocate(self.rank, size)
-        except OutOfMemoryError:
+        segment = self.world.mpb_heap.allocate(self.rank, size)
+        if segment is None:
             self.world.mpb_fallbacks += 1
             segment = self.world.shared_heap.allocate(self.rank, size)
         if self.race is not None:

@@ -105,9 +105,6 @@ class ECCScrubber:
         self.corrected.clear()
         self.uncorrectable.clear()
 
-    def total_corrected(self):
-        return sum(self.corrected.values())
-
     # -- the read filter ---------------------------------------------------
 
     def scrub(self, interp, addr, corrupted, stored):

@@ -82,9 +82,6 @@ class SendRetrier:
         self.retries.clear()
         self.exhausted = 0
 
-    def total_retries(self):
-        return sum(self.retries.values())
-
     def transmit(self, runtime, interp, dest, seq, cost):
         """Model the transmissions of one message; returns the extra
         cycles the sender burned on dropped attempts (zero on a clean

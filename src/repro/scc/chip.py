@@ -524,14 +524,5 @@ class SCCChip:
         return (self.config.mpb_base_cycles
                 + hops * self.config.mesh_cycles_per_hop)
 
-    # -- reporting --------------------------------------------------------------------
-
-    def cache_stats(self, core):
-        state = self.cores[core]
-        return {"l1": state.l1.stats, "l2": state.l2.stats}
-
-    def controller_stats(self):
-        return {c.index: c.stats for c in self.controllers}
-
     def __repr__(self):
         return "SCCChip(%r)" % (self.config,)

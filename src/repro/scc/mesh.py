@@ -12,8 +12,10 @@ class Mesh:
     """Geometry and routing-distance model.
 
     When ``record_traffic`` is enabled (it is opt-in: one lock per
-    recorded route), every priced route increments per-link counters so
-    :func:`hot_links` can show where the mesh is loaded.
+    recorded route), every priced route increments per-link counters,
+    which the chip publishes as the ``scc_mesh_link_traffic`` and
+    ``scc_mesh_segment_traffic`` series (the ``--bottlenecks`` mesh
+    heatmap).
     """
 
     def __init__(self, config):
@@ -74,11 +76,6 @@ class Mesh:
             self.segment_traffic.clear()
         self.drops = 0
         self.retries = 0
-
-    def hot_links(self, top=5):
-        """The ``top`` busiest links as ((from, to), count) pairs."""
-        return sorted(self.link_traffic.items(),
-                      key=lambda item: -item[1])[:top]
 
     def _coords_route(self, from_coords, to_coords):
         ax, ay = from_coords

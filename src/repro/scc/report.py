@@ -8,7 +8,6 @@ Steckermeier [3], Weissman [31]) builds on.
 """
 
 from repro.obs.metrics import series_value
-from repro.scc.memmap import SegmentKind
 
 
 def chip_report(chip, active_cores=None):
@@ -150,12 +149,3 @@ def render_report(report):
                          % (owner, stats["reads"], stats["writes"],
                             stats["bytes"]))
     return "\n".join(lines)
-
-
-def segment_mix(chip, core):
-    """Fraction of the core's accesses hitting each segment kind."""
-    accesses = chip.cores[core].accesses
-    total = sum(accesses.values())
-    if total == 0:
-        return {kind: 0.0 for kind in SegmentKind}
-    return {kind: count / total for kind, count in accesses.items()}

@@ -2,8 +2,8 @@
 
 :class:`Interpreter` holds one simulated core's view of a program:
 cycle and step counters, its stack, globals and output, and the chip
-hooks (faults, ECC, race detection, attribution, lax clock sync).  The
-program itself runs as closures lowered once per translation unit by
+hooks (faults, ECC, race detection, attribution).  The program itself
+runs as closures lowered once per translation unit by
 :mod:`repro.sim.compile`.
 
 Every arithmetic operation is charged from :data:`OP_COSTS` (P54C-class

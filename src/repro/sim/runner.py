@@ -82,6 +82,8 @@ class RunResult:
         self.output = output
         self.per_core_cycles = per_core_cycles or {}
         self.exit_value = exit_value
+        # counts no metrics series publishes (the pthread runner's
+        # thread count and scheduling overhead)
         self.stats = stats or {}
         # the chip's metrics-registry snapshot taken at run end
         self.metrics = metrics or {}
@@ -252,9 +254,7 @@ def run_pthread_single_core(program, config=None, chip=None, core=0,
         exit_value=exit_value,
         stats={
             "threads": len(runtime.order),
-            "compute_cycles": interp.cycles,
             "scheduling_overhead_cycles": overhead,
-            "cache": chip.cache_stats(core),
         },
         metrics=metrics)
     if detector is not None:
@@ -469,18 +469,9 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     outputs = []
     for interp in sorted(interpreters, key=lambda i: i.core_id):
         outputs.extend(interp.output)
-    stats = {
-        "num_ues": num_ues,
-        "barrier_rounds": world.barrier.rounds,
-        "mpb_fallbacks": world.mpb_fallbacks,
-        "controllers": {index: (stats.reads, stats.writes)
-                        for index, stats
-                        in chip.controller_stats().items()},
-    }
     result = RunResult(
         total, config, outputs,
         per_core_cycles=per_core,
-        stats=stats,
         metrics=metrics)
     if detector is not None:
         result.race = detector.report()

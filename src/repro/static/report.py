@@ -204,25 +204,28 @@ class StaticReport:
                 "counts": self.counts(),
                 "findings": [f.as_dict() for f in self.findings]}
 
-    def register_metrics(self, registry):
-        """Publish per-check counters into a
-        :class:`repro.obs.metrics.MetricsRegistry`."""
-        checks = registry.counter(
-            "static_checks_total",
-            "static checks evaluated, by check kind", ("check",))
-        for kind, amount in sorted(self.checks.items()):
-            checks.labels(check=kind).inc(amount)
-        found = registry.counter(
-            "static_findings_total",
-            "static findings reported, by check kind and severity",
-            ("check", "severity"))
+    def metrics(self):
+        """The per-check counters in the shape of a
+        :meth:`repro.obs.metrics.MetricsRegistry.snapshot` (rows sorted
+        by label values): the ``metrics.static`` section of ``repro
+        check --report``."""
+        found = {}
         for finding in self.findings:
-            found.labels(check=finding.check,
-                         severity=finding.severity).inc()
-        suppressed = registry.counter(
-            "static_lockset_suppressed_total",
-            "shared variables proven protected by a common lock")
-        suppressed.inc(self.lockset_suppressed)
+            key = (finding.check, finding.severity)
+            found[key] = found.get(key, 0) + 1
+        counters = {}
+        if self.checks:
+            counters["static_checks_total"] = [
+                {"labels": {"check": kind}, "value": amount}
+                for kind, amount in sorted(self.checks.items())]
+        if found:
+            counters["static_findings_total"] = [
+                {"labels": {"check": check, "severity": severity},
+                 "value": count}
+                for (check, severity), count in sorted(found.items())]
+        counters["static_lockset_suppressed_total"] = [
+            {"labels": {}, "value": self.lockset_suppressed}]
+        return {"counters": counters, "gauges": {}, "histograms": {}}
 
     def __len__(self):
         return len(self.findings)

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.obs.metrics import series_value
 from repro.rcce.api import RCCEAllocationError, RCCEWorld
 from repro.rcce.sync import ClockBarrier, Monitor, TestAndSetRegisters
 from repro.sim.watchdog import DeadlockError
@@ -53,6 +54,17 @@ class TestSymmetricHeap:
         world.shared_heap.allocate(0, 64)
         with pytest.raises(RCCEAllocationError):
             world.shared_heap.allocate(1, 128)
+
+    def test_spill_is_recorded_for_every_ue(self, chip):
+        """An allocation the MPB cannot hold is a spill (None) for
+        every UE's call at that index, and the calls after it stay
+        matched."""
+        world = RCCEWorld(chip, 2)
+        assert world.mpb_heap.allocate(0, 1_000_000) is None
+        small = world.mpb_heap.allocate(0, 16)
+        assert world.mpb_heap.allocate(1, 1_000_000) is None
+        assert world.mpb_heap.allocate(1, 16) is small
+        assert chip.address_space.classify(small.base).value == "mpb"
 
     def test_mpb_heap_separate(self, chip):
         world = RCCEWorld(chip, 2)
@@ -250,7 +262,35 @@ class TestRCCEPrograms:
         }
         """
         result = run_rcce(source, 2)
-        assert result.stats["mpb_fallbacks"] >= 1
+        assert series_value(result.metrics["counters"],
+                            "rcce_mpb_fallbacks") == 2
+
+    def test_malloc_after_a_spill_is_symmetric(self):
+        source = """
+        #include <stdio.h>
+        #include <RCCE.h>
+        int RCCE_APP(int argc, char **argv) {
+            int *big, *small, id, i, s;
+            RCCE_init(&argc, &argv);
+            id = RCCE_ue();
+            big = (int *)RCCE_malloc(1000000);
+            small = (int *)RCCE_malloc(16);
+            big[id] = id;
+            small[id] = id + 1;
+            RCCE_barrier(&RCCE_COMM_WORLD);
+            if (id == 0) {
+                s = 0;
+                for (i = 0; i < 4; i++) s += big[i] + small[i];
+                printf("s = %d\\n", s);
+            }
+            RCCE_finalize();
+            return 0;
+        }
+        """
+        result = run_rcce(source, 4)
+        assert result.stdout() == "s = 16\n"
+        assert series_value(result.metrics["counters"],
+                            "rcce_mpb_fallbacks") == 4
 
     def test_error_in_one_core_propagates(self):
         source = """

@@ -38,15 +38,18 @@ class TestRecording:
         assert chip.mesh.link_traffic == {}
 
     def test_hot_links_sorted(self):
-        mesh = Mesh(SCCConfig())
-        mesh.enable_traffic_recording()
+        """The chip publishes per-link traffic as the
+        ``scc_mesh_link_traffic`` series; ranked by count, the busiest
+        link leads."""
+        chip = SCCChip(SCCConfig())
+        chip.mesh.enable_traffic_recording()
         for _ in range(3):
-            mesh.record_route((0, 0), (2, 0))
-        mesh.record_route((0, 0), (1, 0))
-        hot = mesh.hot_links(top=2)
-        assert hot[0][0] == ((0, 0), (1, 0))
-        assert hot[0][1] == 4
-        assert hot[1][1] == 3
+            chip.mesh.record_route((0, 0), (2, 0))
+        chip.mesh.record_route((0, 0), (1, 0))
+        rows = chip.metrics.snapshot()["counters"]["scc_mesh_link_traffic"]
+        hot = sorted(((row["labels"]["link"], row["value"])
+                      for row in rows), key=lambda item: -item[1])
+        assert hot == [("(0, 0)->(1, 0)", 4), ("(1, 0)->(2, 0)", 3)]
 
     def test_route_links_are_adjacent(self):
         mesh = Mesh(SCCConfig())

@@ -4,8 +4,7 @@ import pytest
 
 from repro.scc.chip import SCCChip
 from repro.scc.config import SCCConfig
-from repro.scc.memmap import SegmentKind
-from repro.scc.report import chip_report, render_report, segment_mix
+from repro.scc.report import chip_report, render_report
 
 
 @pytest.fixture
@@ -70,12 +69,19 @@ class TestRendering:
         assert "cores:" not in text
 
 
+def _segment_counts(chip, core):
+    """The core's ``scc_core_accesses`` series, by segment."""
+    rows = chip.metrics.snapshot()["counters"]["scc_core_accesses"]
+    return {row["labels"]["segment"]: row["value"] for row in rows
+            if row["labels"]["core"] == core}
+
+
 class TestSegmentMix:
     def test_fractions_sum_to_one(self, busy_chip):
-        mix = segment_mix(busy_chip, 0)
-        assert sum(mix.values()) == pytest.approx(1.0)
-        assert mix[SegmentKind.PRIVATE] == pytest.approx(10 / 15)
+        counts = _segment_counts(busy_chip, 0)
+        total = sum(counts.values())
+        assert total == 15
+        assert counts["private"] / total == pytest.approx(10 / 15)
 
     def test_idle_core_all_zero(self, busy_chip):
-        mix = segment_mix(busy_chip, 7)
-        assert all(value == 0.0 for value in mix.values())
+        assert _segment_counts(busy_chip, 7) == {}

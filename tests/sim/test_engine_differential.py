@@ -153,7 +153,7 @@ def test_generated_kernel_differential(exprs, seed):
     assert hooked == plain
     assert all(injector.calls[hook] > 0
                for hook in ("load", "access", "tick")), injector.calls
-    assert injector.total_injections() == 0
+    assert "fault_injections" not in hooked["metrics"]["counters"]
 
 
 # -- unit tests: the machinery behind the engine -----------------------------
@@ -329,7 +329,8 @@ def test_faulted_fastpath_entry_prices_through_access_cost():
     plain, _ = _chip_with_layout()
     for addr in (layout["shared"].base, layout["mpb"].base):
         assert fn(addr, "read") == plain.access_cost(0, addr) + 7
-    assert injector.total_injections() == 2
+    assert chip.metrics.snapshot()["counters"]["fault_injections"] == [
+        {"labels": {"kind": "mesh_delay", "core": 0}, "value": 2}]
 
 
 # -- race detector: byte-identical timing, enabled or not ----------------------

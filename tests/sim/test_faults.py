@@ -202,8 +202,10 @@ class TestEffects:
         """
         chip = SCCChip(Table61Config())
         injector = FaultInjector("mpb_flip:p=1.0,seed=2")
-        run_rcce(source, 2, chip=chip, faults=injector)
-        assert injector.total_injections("mpb_flip") > 0
+        result = run_rcce(source, 2, chip=chip, faults=injector)
+        assert sum(row["value"]
+                   for row in result.metrics["counters"]["fault_injections"]
+                   if row["labels"]["kind"] == "mpb_flip") > 0
         assert chip.mpb.stats.corrupted_reads > 0
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.metrics import series_value
 from repro.scc.config import SCCConfig
 from repro.sim.runner import run_pthread_single_core
 
@@ -125,5 +126,7 @@ class TestTiming:
 
     def test_total_includes_overhead(self):
         result = run_pthread_single_core(PROGRAM)
-        assert result.cycles == result.stats["compute_cycles"] + \
+        compute = series_value(result.metrics["counters"], "sim_cycles",
+                               core=0)
+        assert result.cycles == compute + \
             result.stats["scheduling_overhead_cycles"]

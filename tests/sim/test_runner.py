@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.cfront.frontend import parse_program
+from repro.obs.metrics import series_value
 from repro.scc.chip import SCCChip
 from repro.scc.config import SCCConfig, Table61Config
 from repro.sim.runner import RunResult, run_pthread_single_core, run_rcce
@@ -47,7 +48,7 @@ class TestRunRcce:
     def test_accepts_parsed_unit(self):
         unit = parse_program(RCCE_PROGRAM)
         result = run_rcce(unit, 2)
-        assert result.stats["num_ues"] == 2
+        assert sorted(result.stdout().split()) == ["0", "1"]
 
     def test_custom_core_map_changes_physical_cores(self):
         result = run_rcce(RCCE_PROGRAM, 2, core_map=[10, 40])
@@ -59,7 +60,8 @@ class TestRunRcce:
 
     def test_stats_have_barrier_rounds(self):
         result = run_rcce(RCCE_PROGRAM, 2)
-        assert result.stats["barrier_rounds"] >= 1
+        assert series_value(result.metrics["counters"],
+                            "rcce_barrier_rounds") >= 1
 
     def test_explicit_chip_accumulates_state(self):
         chip = SCCChip(Table61Config())
@@ -92,8 +94,12 @@ class TestRunPthread:
         assert result.config.core_freq_mhz == 400
 
     def test_cache_stats_present(self):
-        result = run_pthread_single_core(self.SRC)
-        assert "l1" in result.stats["cache"]
+        result = run_pthread_single_core(
+            "int a[8]; int main(void) { int i; "
+            "for (i = 0; i < 8; i++) a[i] = i; return a[7]; }")
+        hits = result.metrics["counters"]["scc_cache_hits"]
+        assert {"core": 0, "level": "l1"} in [row["labels"]
+                                               for row in hits]
 
 
 # rank 0 computes for tens of seconds holding lock 0; rank 1 waits at

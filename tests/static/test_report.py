@@ -1,6 +1,5 @@
 """StaticReport rendering, JSON export, and metrics publication."""
 
-from repro.obs.metrics import MetricsRegistry, series_value, sum_series
 from repro.static.report import (
     DEFINITE,
     DIV_BY_ZERO,
@@ -85,25 +84,48 @@ class TestExport:
         assert diagnostic.line == 4
 
 
+def _possible_oob_finding():
+    return StaticFinding(
+        OUT_OF_BOUNDS, POSSIBLE, "b", "main",
+        "write of 'b[[0, 9]]' may exceed bound 3",
+        filename="prog.c", line=6, column=5)
+
+
 class TestMetrics:
-    def test_register_metrics(self):
+    def test_metrics_rows_sorted_by_labels(self):
         report = StaticReport()
         report.count_check(OUT_OF_BOUNDS, 5)
         report.count_check(DIV_BY_ZERO, 2)
-        report.add(_oob_finding())
+        report.count_check(RACE_CANDIDATE, 0)
+        # added out of label order: the rows come out sorted
         report.add(_race_finding())
+        report.add(_possible_oob_finding())
+        report.add(_oob_finding())
+        report.add(_oob_finding())
         report.lockset_suppressed = 4
-        registry = MetricsRegistry()
-        report.register_metrics(registry)
-        counters = registry.snapshot()["counters"]
-        assert series_value(counters, "static_checks_total",
-                            check=OUT_OF_BOUNDS) == 5
-        assert sum_series(counters, "static_checks_total") == 7
-        assert series_value(counters, "static_findings_total",
-                            check=OUT_OF_BOUNDS,
-                            severity=DEFINITE) == 1
-        assert sum_series(counters, "static_findings_total") == 2
-        assert sum_series(counters,
-                          "static_lockset_suppressed_total") == 4
-        assert sum_series(counters, "missing_family",
-                          default=-1) == -1
+        assert report.metrics() == {
+            "counters": {
+                "static_checks_total": [
+                    {"labels": {"check": DIV_BY_ZERO}, "value": 2},
+                    {"labels": {"check": OUT_OF_BOUNDS}, "value": 5},
+                    {"labels": {"check": RACE_CANDIDATE}, "value": 0}],
+                "static_findings_total": [
+                    {"labels": {"check": OUT_OF_BOUNDS,
+                                "severity": DEFINITE}, "value": 2},
+                    {"labels": {"check": OUT_OF_BOUNDS,
+                                "severity": POSSIBLE}, "value": 1},
+                    {"labels": {"check": RACE_CANDIDATE,
+                                "severity": POSSIBLE}, "value": 1}],
+                "static_lockset_suppressed_total": [
+                    {"labels": {}, "value": 4}]},
+            "gauges": {},
+            "histograms": {}}
+
+    def test_metrics_suppressed_row_at_zero(self):
+        """A report that checked nothing still carries the unlabelled
+        lockset-suppressed row."""
+        assert StaticReport().metrics() == {
+            "counters": {"static_lockset_suppressed_total": [
+                {"labels": {}, "value": 0}]},
+            "gauges": {},
+            "histograms": {}}

@@ -256,12 +256,52 @@ class TestRun:
         assert code == 0
         assert "x2 cores" in output
 
+    def test_on_chip_plan_past_the_mpb_spills(self, tmp_path):
+        """``--capacity`` lets Stage 4 put ``big`` on-chip, where it
+        does not fit: every UE's ``RCCE_malloc`` of it spills to DRAM,
+        and the one after it still gets the same segment on every
+        UE."""
+        path = tmp_path / "spill.c"
+        path.write_text(SPILL_PTHREADS)
+        code, output, err = run_cli_err(
+            ["run", str(path), "--ues", "4", "--mode", "rcce",
+             "--capacity", "1000000"])
+        assert (code, err) == (0, "")
+        assert output.endswith("cycles  ['s = 16']\n")
+
     def test_fold_flag(self, tmp_path):
         path = tmp_path / "pi.c"
         path.write_text(benchmark_source("pi", nthreads=8, steps=128))
         code, output = run_cli(["run", str(path), "--ues", "2",
                                 "--fold", "--mode", "rcce"])
         assert code == 0
+
+
+# each thread writes big[id] and small[id]; main sums them to 16
+SPILL_PTHREADS = """
+#include <stdio.h>
+#include <pthread.h>
+int big[120000];
+int small[4];
+void *work(void *arg) {
+    int id = (int)arg;
+    big[id] = id;
+    small[id] = id + 1;
+    return NULL;
+}
+int main(void) {
+    pthread_t threads[4];
+    int i, s = 0;
+    for (i = 0; i < 4; i++)
+        pthread_create(&threads[i], NULL, work, (void *)i);
+    for (i = 0; i < 4; i++)
+        pthread_join(threads[i], NULL);
+    for (i = 0; i < 4; i++)
+        s += big[i] + small[i];
+    printf("s = %d\\n", s);
+    return 0;
+}
+"""
 
 
 DEADLOCK_KERNEL = """
@@ -735,6 +775,16 @@ class TestBottlenecks:
         assert code == 2
         assert output == ""
         assert "--bottlenecks" in err
+
+    def test_stats_in_pthread_mode_exits_2(self, pi_files):
+        """``--stats`` prints the RCCE run's chip counters: with no
+        RCCE run it is a usage error, not silently ignored."""
+        code, output, err = run_cli_err(
+            ["run", pi_files[2], "--mode", "pthread", "--stats"])
+        assert code == 2
+        assert output == ""
+        assert err == ("repro: --stats prints the RCCE run's chip "
+                       "counters; use --mode rcce or compare\n")
 
     def test_deadlock_exits_75(self, tmp_path):
         path = tmp_path / "deadlock.c"
