@@ -2,7 +2,6 @@
 
 from conftest import write_result
 
-from repro.bench.tables import table_6_1
 from repro.core.reports import format_table
 from repro.scc.chip import SCCChip
 from repro.scc.config import Table61Config
@@ -15,7 +14,7 @@ def test_table_6_1(benchmark, results_dir):
         return config
 
     config = benchmark(build)
-    rows = table_6_1(config, execution_units=32)
+    rows = config.table_6_1(execution_units=32)
     write_result(results_dir, "table_6_1.txt", format_table(
         rows, columns=["parameter", "rcce", "pthreads"],
         title="Table 6.1: SCC configuration"))

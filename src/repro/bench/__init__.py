@@ -3,8 +3,8 @@
 ``programs`` holds the Pthreads C sources of the paper's six benchmarks
 (Appendix C); ``workloads`` the scaled problem sizes; ``harness`` runs
 the full experiment matrix (translate + simulate in each configuration);
-``figures``/``tables`` regenerate every figure and table of the paper's
-evaluation.
+``figures`` regenerates the paper's evaluation figures; ``tables``
+holds the paper's Tables 4.1 and 4.2 for comparison.
 """
 
 from repro.bench.programs import (

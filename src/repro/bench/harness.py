@@ -13,7 +13,6 @@ translation bug cannot silently produce a fast-but-wrong result.
 """
 
 from repro.core.framework import TranslationFramework
-from repro.obs.profile import PipelineProfiler
 from repro.scc.chip import SCCChip
 from repro.sim.runner import run_pthread_single_core, run_rcce
 from repro.bench.programs import benchmark_source
@@ -32,18 +31,13 @@ class VerificationError(Exception):
 class BenchmarkRun:
     """One (benchmark, configuration) measurement."""
 
-    __slots__ = ("benchmark", "configuration", "result", "num_ues",
-                 "instrumentation")
+    __slots__ = ("benchmark", "configuration", "result", "num_ues")
 
-    def __init__(self, benchmark, configuration, result, num_ues,
-                 instrumentation=None):
+    def __init__(self, benchmark, configuration, result, num_ues):
         self.benchmark = benchmark
         self.configuration = configuration
         self.result = result
         self.num_ues = num_ues
-        # observability snapshot: {"profile": stage spans,
-        # "stages": stage summary, "metrics": registry snapshot}
-        self.instrumentation = instrumentation or {}
 
     @property
     def cycles(self):
@@ -84,10 +78,10 @@ class ExperimentHarness:
         return benchmark_source(name, nthreads or self.num_ues,
                                 **workload.sizes)
 
-    def framework(self, policy, profiler=None):
+    def framework(self, policy):
         return TranslationFramework(
             on_chip_capacity=self.on_chip_capacity,
-            partition_policy=policy, profiler=profiler)
+            partition_policy=policy)
 
     def _fresh_chip(self):
         return SCCChip(self.config_factory())
@@ -105,33 +99,23 @@ class ExperimentHarness:
             return self._cache[key]
 
         source = self.source_for(name, nthreads=num_ues)
-        profiler = PipelineProfiler()
         if configuration == "pthread":
             chip = self._fresh_chip()
-            with profiler.span("simulate"):
-                result = run_pthread_single_core(
-                    source, chip.config, chip, max_steps=self.max_steps)
+            result = run_pthread_single_core(
+                source, chip.config, chip, max_steps=self.max_steps)
         elif configuration in ("rcce-off", "rcce-on"):
             policy = ("off-chip-only" if configuration == "rcce-off"
                       else "size")
-            translated = self.framework(policy, profiler).translate(
-                source)
+            translated = self.framework(policy).translate(source)
             chip = self._fresh_chip()
-            with profiler.span("simulate"):
-                result = run_rcce(translated.unit, num_ues, chip.config,
-                                  chip, max_steps=self.max_steps)
+            result = run_rcce(translated.unit, num_ues, chip.config,
+                              chip, max_steps=self.max_steps)
             if self.verify:
                 self._verify(name, result, num_ues)
         else:
             raise ValueError("unknown configuration %r" % configuration)
 
-        instrumentation = {
-            "profile": profiler.report(),
-            "stages": profiler.stage_summary(),
-            "metrics": result.metrics,
-        }
-        run = BenchmarkRun(name, configuration, result, num_ues,
-                           instrumentation)
+        run = BenchmarkRun(name, configuration, result, num_ues)
         self._cache[key] = run
         return run
 

@@ -1,9 +1,6 @@
-"""Table regenerators for the paper's Tables 4.1, 4.2 and 6.1."""
-
-from repro.core.framework import TranslationFramework
-from repro.core import reports
-from repro.scc.config import Table61Config
-from repro.bench.programs import EXAMPLE_4_1
+"""The paper's own Tables 4.1 and 4.2, the reference the regenerated
+rows (``repro.core.reports.table_4_1``/``table_4_2`` over an analysis
+of ``EXAMPLE_4_1``) are compared with."""
 
 # The paper's hand-made Table 4.1 (thesis page 19), for comparison.
 PAPER_TABLE_4_1 = {
@@ -31,29 +28,3 @@ PAPER_TABLE_4_2 = {
     "rc": ("null", "false", "false"),
 }
 
-
-def _analyzed_example():
-    framework = TranslationFramework()
-    return framework.analyze(EXAMPLE_4_1)
-
-
-def table_4_1(result=None):
-    """Table 4.1 rows for the running example (or any analysis)."""
-    result = result or _analyzed_example()
-    return reports.table_4_1(result)
-
-
-def table_4_2(result=None):
-    """Table 4.2 rows for the running example (or any analysis)."""
-    result = result or _analyzed_example()
-    return reports.table_4_2(result)
-
-
-def table_6_1(config=None, execution_units=32):
-    """Table 6.1 — the SCC configuration rows."""
-    config = config or Table61Config()
-    return config.table_6_1(execution_units)
-
-
-def format_table(rows, columns=None, title=None):
-    return reports.format_table(rows, columns, title)

@@ -34,8 +34,3 @@ class ParseError(CFrontError):
 
 class PreprocessError(CFrontError):
     """Raised for malformed preprocessor directives."""
-
-
-class TypeError_(CFrontError):
-    """Raised for C type system violations (named with underscore to avoid
-    shadowing the builtin)."""

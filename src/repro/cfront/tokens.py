@@ -219,7 +219,3 @@ class Token:
 
     def __hash__(self):
         return hash((self.kind, self.value))
-
-    @property
-    def is_keyword(self):
-        return self.kind.name.startswith("KW_")

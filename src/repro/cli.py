@@ -29,7 +29,6 @@ from repro.cfront.frontend import parse_program
 from repro.core.framework import TranslationFramework
 from repro.core.reports import format_table, table_4_1, table_4_2
 from repro.faults import FaultSpecError, parse_fault_spec
-from repro.obs.attribution import AttributionEngine
 from repro.obs.profile import PipelineProfiler
 from repro.rcce.api import RCCEAllocationError
 from repro.recovery import (
@@ -451,12 +450,9 @@ def cmd_run(args, out, err, doc):
             chips.append(chip)
             return chip
 
-        # one engine serves every attempt: each run's metrics reset
-        # clears it, so it ends up holding the run that finished
-        engine = AttributionEngine() if args.bottlenecks else None
         options = dict(max_steps=args.max_steps, faults=faults,
                        recovery=recovery, race=args.race,
-                       attribution=engine)
+                       attribution=args.bottlenecks)
         if max_restarts > 0:
             rcce = run_rcce_supervised(
                 unit, args.ues, max_restarts=max_restarts,
@@ -473,12 +469,12 @@ def cmd_run(args, out, err, doc):
                   % (args.ues, rcce.cycles, first))
         if baseline is not None:
             out.write("speedup: %.2fx\n" % (baseline.cycles / rcce.cycles))
-        if engine is not None:
+        if args.bottlenecks:
             report = rcce.attribution
             doc["attribution"] = report.as_dict()
             out.write(report.render() + "\n\n")
             out.write(report.critical_path.render() + "\n\n")
-        if args.stats or engine is not None:
+        if args.stats or args.bottlenecks:
             out.write(render_report(chip_report(chips[-1])) + "\n")
     if race_reports:
         doc["race"] = {mode: report.as_dict()

@@ -256,9 +256,8 @@ class FaultInjector:
         counters through the chip's metrics registry."""
         self.chip = chip
         chip.faults = self
-        chip.metrics.register_collector(
-            self.COLLECTOR_NAME, self._collect_metrics,
-            self._reset_counts)
+        chip.metrics.register_collector(self.COLLECTOR_NAME,
+                                        self._collect_metrics)
         return self
 
     def detach(self):
@@ -273,18 +272,18 @@ class FaultInjector:
                  {"kind": kind, "core": core}, count)
                 for (kind, core), count in sorted(self.counts.items())]
 
-    def _reset_counts(self):
-        self.counts.clear()
-
     # -- deterministic randomness ------------------------------------------
 
     def reset_streams(self):
-        """Restart every per-(rule, core) stream from its seed while
-        keeping one-shot delivery state (``_fired``).  The supervisor
-        calls this between restart attempts so the replayed prefix
-        reproduces the original run's injection schedule exactly —
-        without re-firing a crash that already fired."""
+        """Restart every per-(rule, core) stream from its seed and zero
+        the injection counts while keeping one-shot delivery state
+        (``_fired``).  The supervisor calls this between restart
+        attempts so the replayed prefix reproduces the original run's
+        injection schedule exactly — without re-firing a crash that
+        already fired — and each attempt publishes only its own
+        injections."""
         self._rngs.clear()
+        self.counts.clear()
 
     def _rng(self, rule_index, core):
         key = (rule_index, core)

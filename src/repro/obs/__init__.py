@@ -6,8 +6,8 @@ caller opts in:
 
 * :class:`MetricsRegistry` (``repro.obs.metrics``) — the one counter
   surface: every chip component, the RCCE runtime and the runners
-  register a collector, read only when a snapshot is taken; one
-  ``reset()`` restores a clean slate between runs.
+  register a collector, read only when a snapshot is taken.  A chip,
+  and with it its registry, serves one run, so nothing is reset.
 * :class:`PipelineProfiler` (``repro.obs.profile``) — wall-time spans
   around the five framework stages and each IR pass, with
   stage-specific statistics.

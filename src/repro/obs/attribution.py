@@ -120,8 +120,8 @@ class AttributionEngine:
         chip.attribution = self
         chip.mpb.attribution = self
         chip.mpb._attr_cells.clear()
-        chip.metrics.register_collector(
-            self.COLLECTOR_NAME, self._collect_metrics, self._reset)
+        chip.metrics.register_collector(self.COLLECTOR_NAME,
+                                        self._collect_metrics)
         chip._bump_mem_epoch()
         return self
 
@@ -170,14 +170,6 @@ class AttributionEngine:
                 if state.l1.stats.hits or state.l2.stats.hits:
                     cores.add(core)
         return sorted(cores)
-
-    def _reset(self):
-        for cell in self._cells.values():
-            cell[0] = 0
-        for cell in self._probes.values():
-            cell[0] = 0
-        self._ops.clear()
-        self._events.clear()
 
     def _derived(self, core):
         """Cycle classes derived from the chip's own counters rather

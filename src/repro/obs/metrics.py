@@ -14,9 +14,9 @@ Design constraints, in order:
   ``__slots__`` accumulator objects; the registry pulls from them only
   at snapshot time, so pricing a memory access costs the same whether
   or not anyone is watching;
-* **one reset** — :meth:`MetricsRegistry.reset` invokes every
-  collector's reset hook, so a reused chip does not bleed statistics
-  between runs;
+* **one run per registry** — a chip, and with it its registry,
+  serves one run (the runners refuse a second), so no count needs a
+  reset and a snapshot holds exactly one run;
 * **machine-readable** — :meth:`MetricsRegistry.snapshot` is a plain
   JSON-safe dict, the ``metrics`` section of the ``--report``
   document.
@@ -39,7 +39,12 @@ class Histogram:
     __slots__ = ("count", "total", "min", "max", "samples", "_next")
 
     def __init__(self):
-        self.reset()
+        self.count = 0
+        self.total = 0
+        self.min = None
+        self.max = None
+        self.samples = []
+        self._next = 0
 
     def observe(self, value):
         self.count += 1
@@ -76,20 +81,12 @@ class Histogram:
             "p99": self.percentile(0.99),
         }
 
-    def reset(self):
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-        self.samples = []
-        self._next = 0
-
 
 class MetricsRegistry:
     """The single place every subsystem publishes measurements.
 
     A component registers a collector, ``register_collector(name,
-    collect, reset)``: ``collect()`` returns ``(kind, name, labels,
+    collect)``: ``collect()`` returns ``(kind, name, labels,
     value)`` samples and is only called at snapshot time; ``kind`` is
     ``"counter"``, ``"gauge"`` or ``"histogram"`` (whose value is a
     :meth:`Histogram.summary`).
@@ -99,27 +96,15 @@ class MetricsRegistry:
         self._collectors = {}
         self._lock = threading.Lock()
 
-    def register_collector(self, name, collect, reset=None):
+    def register_collector(self, name, collect):
         """Register (or replace) a pull-style source.  ``collect()``
-        yields ``(kind, metric_name, labels_dict, value)`` samples;
-        ``reset()``, when given, zeroes the underlying accumulators."""
+        yields ``(kind, metric_name, labels_dict, value)`` samples."""
         with self._lock:
-            self._collectors[name] = (collect, reset)
+            self._collectors[name] = collect
 
     def unregister_collector(self, name):
         with self._lock:
             self._collectors.pop(name, None)
-
-    def _registered(self):
-        with self._lock:
-            return list(self._collectors.values())
-
-    def reset(self):
-        """Zero every collector's source — the counter-reset hygiene
-        hook the runners call between runs."""
-        for _collect, reset in self._registered():
-            if reset is not None:
-                reset()
 
     def snapshot(self):
         """A JSON-safe dict with one row per sample, in collector
@@ -129,7 +114,9 @@ class MetricsRegistry:
         section = {"counter": result["counters"],
                    "gauge": result["gauges"],
                    "histogram": result["histograms"]}
-        for collect, _reset in self._registered():
+        with self._lock:
+            collectors = list(self._collectors.values())
+        for collect in collectors:
             for kind, name, labels, value in collect():
                 row = {"labels": dict(labels)}
                 row["summary" if kind == "histogram" else "value"] = value

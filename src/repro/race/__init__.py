@@ -106,8 +106,8 @@ class RaceDetector:
         self.chip = chip
         self._space = chip.address_space
         chip.race = self
-        chip.metrics.register_collector(
-            self.COLLECTOR_NAME, self._collect_metrics, self._reset)
+        chip.metrics.register_collector(self.COLLECTOR_NAME,
+                                        self._collect_metrics)
         return self
 
     def detach(self):
@@ -129,12 +129,6 @@ class RaceDetector:
                             {"category": category},
                             self.finding_counts.get(category, 0)))
         return samples
-
-    def _reset(self):
-        self.checks = 0
-        self.sync_edges = 0
-        self.lockset_suppressed = 0
-        self.finding_counts = {RACE: 0, COHERENCE: 0}
 
     def report(self):
         with self._lock:

@@ -118,15 +118,14 @@ class RCCEWorld:
         self.collectives = CollectiveArea(self.barrier, num_ues)
         self.messages_sent = 0
         # communication/synchronization accumulators, published through
-        # the chip's metrics registry (repro.obs); the collector
-        # replaces any previous world's on a reused chip
+        # the chip's metrics registry (repro.obs)
         self.put_bytes = 0
         self.get_bytes = 0
         self.send_bytes = 0
         # cycles each UE spent waiting at a barrier
         self.barrier_wait = Histogram()
-        chip.metrics.register_collector(
-            "rcce.world", self._collect_metrics, self._reset_counters)
+        chip.metrics.register_collector("rcce.world",
+                                        self._collect_metrics)
         # symmetric split allocations: sequence-matched (size, on-chip)
         self._split_lock = threading.Lock()
         self._split_allocs = []
@@ -191,18 +190,6 @@ class RCCEWorld:
             samples.append(("histogram", "rcce_barrier_wait_cycles", {},
                             self.barrier_wait.summary()))
         return samples
-
-    def _reset_counters(self):
-        self.barrier.rounds = 0
-        self.messages_sent = 0
-        self.mpb_fallbacks = 0
-        self.put_bytes = 0
-        self.get_bytes = 0
-        self.send_bytes = 0
-        self.barrier_wait.reset()
-        self.registers.reset_counts()
-        if self.retrier is not None:
-            self.retrier.reset_counts()
 
 
 class RCCECoreRuntime:
@@ -454,9 +441,6 @@ class RCCECoreRuntime:
         hop_part = hops * config.mesh_cycles_per_hop
         return (2 * config.mpb_base_cycles + hop_part + words,
                 hop_part)
-
-    def _transfer_cost(self, peer_rank, nbytes):
-        return self._transfer_parts(peer_rank, nbytes)[0]
 
     def _attr_transfer(self, total, hop_part):
         """Attribute one charged message-transfer cost (MPB round

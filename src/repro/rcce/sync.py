@@ -192,9 +192,6 @@ class TestAndSetRegisters:
         # race detector (repro.race): release->acquire ordering edges
         self.race = None
 
-    def reset_counts(self):
-        self.acquisitions = [0] * self.num_cores
-
     def acquire(self, register, rank):
         index = register % self.num_cores
         owners = self.owners

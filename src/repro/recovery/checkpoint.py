@@ -251,8 +251,8 @@ class CheckpointManager:
 
     def bind(self, probe):
         self._probe = probe
-        probe.chip.metrics.register_collector(
-            self.COLLECTOR_NAME, self._collect_metrics, self._reset)
+        probe.chip.metrics.register_collector(self.COLLECTOR_NAME,
+                                              self._collect_metrics)
         return self
 
     def unbind(self):
@@ -263,9 +263,6 @@ class CheckpointManager:
 
     def _collect_metrics(self):
         return [("counter", "checkpoints_captured", {}, self.captured)]
-
-    def _reset(self):
-        self.captured = 0
 
     def on_round(self, round_id):
         """Barrier phase-1 action hook: every party is parked."""

@@ -82,8 +82,8 @@ class ECCScrubber:
     def attach(self, chip):
         self.chip = chip
         chip.ecc = self
-        chip.metrics.register_collector(
-            self.COLLECTOR_NAME, self._collect_metrics, self._reset)
+        chip.metrics.register_collector(self.COLLECTOR_NAME,
+                                        self._collect_metrics)
         return self
 
     def detach(self):
@@ -100,10 +100,6 @@ class ECCScrubber:
             ("counter", "ecc_uncorrectable", {"core": core}, count)
             for core, count in sorted(self.uncorrectable.items()))
         return samples
-
-    def _reset(self):
-        self.corrected.clear()
-        self.uncorrectable.clear()
 
     # -- the read filter ---------------------------------------------------
 

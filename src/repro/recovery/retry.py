@@ -78,10 +78,6 @@ class SendRetrier:
             self._seq[key] = seq + 1
         return seq
 
-    def reset_counts(self):
-        self.retries.clear()
-        self.exhausted = 0
-
     def transmit(self, runtime, interp, dest, seq, cost):
         """Model the transmissions of one message; returns the extra
         cycles the sender burned on dropped attempts (zero on a clean

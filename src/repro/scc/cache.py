@@ -26,11 +26,6 @@ class CacheStats:
             return 0.0
         return self.hits / self.accesses
 
-    def reset(self):
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
     def snapshot(self):
         """Plain-dict copy, cheap enough for the attribution engine
         to take at every barrier entry (per-phase hit-rate deltas)."""

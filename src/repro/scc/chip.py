@@ -95,8 +95,9 @@ class SCCChip:
         # observability: every component's counters surface through one
         # registry (repro.obs)
         self.metrics = MetricsRegistry()
-        self.metrics.register_collector(
-            "scc.chip", self._collect_metrics, self._reset_counters)
+        self.metrics.register_collector("scc.chip", self._collect_metrics)
+        # set by the run this chip serves (see ``claim``)
+        self.claimed = False
         # fault injection (repro.faults): ``None`` means no injector is
         # attached and every hook below is a single dead branch, so an
         # un-faulted run prices accesses byte-identically
@@ -194,18 +195,15 @@ class SCCChip:
         samples.append(("gauge", "scc_mem_epoch", {}, self.mem_epoch))
         return samples
 
-    def _reset_counters(self):
-        """Zero every component accumulator (registry reset hook)."""
-        for state in self.cores:
-            state.l1.stats.reset()
-            state.l2.stats.reset()
-            for kind in state.counted:
-                state.counted[kind] = 0
-        for controller in self.controllers:
-            controller.stats.reset()
-        self.mpb.stats.reset()
-        self.mpb.owner_traffic.clear()
-        self.mesh.reset_traffic()
+    def claim(self):
+        """Take the chip for one run.  A chip serves one run: its
+        counters, caches, address space and hooks keep that run's
+        state, so a second run on it would mix two runs' counts."""
+        if self.claimed:
+            raise ValueError(
+                "this SCCChip already served a run; a chip serves one "
+                "run, so build a fresh SCCChip for each run")
+        self.claimed = True
 
     # -- requester registration (contention model input) -----------------------
 
@@ -344,11 +342,10 @@ class SCCChip:
             # ``last_line``.  A hit costs the one L1 hit counter: the
             # private access count is derived from the L1 counters
             # (CoreState.accesses).  Cache internals are never replaced
-            # — configure_window clears ``sets`` in place and counter
-            # resets mutate the same CacheStats — so the bound dict and
-            # stats objects stay valid for the life of the entry.  The
-            # miss branch touches nothing and delegates to
-            # _private_cost, whose own L1 probe records the miss.
+            # — configure_window clears ``sets`` in place — so the
+            # bound dict and stats objects stay valid for the life of
+            # the entry.  The miss branch touches nothing and delegates
+            # to _private_cost, whose own L1 probe records the miss.
             # Attribution adds no code here at all: every L1/L2 hit
             # costs a constant, so the engine derives the hit classes
             # from the caches' own hit counters.

@@ -27,12 +27,6 @@ class MemoryControllerStats:
     def accesses(self):
         return self.reads + self.writes
 
-    def reset(self):
-        self.reads = 0
-        self.writes = 0
-        self.busy_cycles = 0
-        self.ecc_corrected = 0
-
     def __repr__(self):
         return "MemoryControllerStats(r=%d, w=%d, busy=%d)" % (
             self.reads, self.writes, self.busy_cycles)

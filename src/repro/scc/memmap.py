@@ -84,6 +84,9 @@ class SplitSegment:
     __slots__ = ("base", "size", "on_chip_bytes", "mpb_segment",
                  "shared_segment", "label")
 
+    # no core owns it, as none owns a shared segment
+    owner = None
+
     def __init__(self, base, size, on_chip_bytes, mpb_segment,
                  shared_segment, label=None):
         self.base = base
@@ -242,6 +245,3 @@ class AddressSpace:
 
     def mpb_free_bytes(self):
         return MPB_BASE + self.config.mpb_total_bytes - self._mpb_next
-
-    def shared_free_bytes(self):
-        return SHARED_BASE + SHARED_SIZE - self._shared_next

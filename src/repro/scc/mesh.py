@@ -65,18 +65,6 @@ class Mesh:
                     self.segment_traffic[key] = \
                         self.segment_traffic.get(key, 0) + 1
 
-    def reset_traffic(self):
-        """Clear the per-link counters (recording stays as-is)."""
-        if self._traffic_lock is not None:
-            with self._traffic_lock:
-                self.link_traffic.clear()
-                self.segment_traffic.clear()
-        else:
-            self.link_traffic.clear()
-            self.segment_traffic.clear()
-        self.drops = 0
-        self.retries = 0
-
     def _coords_route(self, from_coords, to_coords):
         ax, ay = from_coords
         bx, by = to_coords

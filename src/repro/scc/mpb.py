@@ -21,13 +21,6 @@ class MPBStats:
         # flipped reads the scrubber repaired (repro.recovery.ecc)
         self.ecc_corrected = 0
 
-    def reset(self):
-        self.reads = 0
-        self.writes = 0
-        self.bytes_moved = 0
-        self.corrupted_reads = 0
-        self.ecc_corrected = 0
-
     def __repr__(self):
         return "MPBStats(r=%d, w=%d, bytes=%d, corrupted=%d, ecc=%d)" \
             % (self.reads, self.writes, self.bytes_moved,
@@ -44,9 +37,9 @@ class MessagePassingBuffer:
         # cycle attribution (repro.obs.attribution): the MPB knows the
         # hop/SRAM split of every cost it prices, so the engine hooks
         # here; ``None`` keeps both cost methods branch-free.  The
-        # (mesh_hop, mpb) cell pair is cached per requester — cells
-        # are zeroed in place on reset, so entries never go stale
-        # while one engine is attached (attach/detach clears them)
+        # (mesh_hop, mpb) cell pair is cached per requester; the
+        # entries stay valid while one engine is attached
+        # (attach/detach clears them)
         self.attribution = None
         self._attr_cells = {}
         # opt-in per-owner-segment utilization for the chip report's

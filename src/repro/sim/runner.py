@@ -12,6 +12,11 @@ forms (see ``repro.rcce.sync.Monitor``).  A Ctrl-C (or any exception)
 in the calling thread stops every simulated core at its next step
 before it propagates.
 
+A chip serves one run: each runner claims the chip it is given
+(``SCCChip.claim``) before it attaches any hook, so a second run on a
+used chip raises ``ValueError`` and the run's metrics snapshot holds
+exactly its own counts.
+
 Both runners accept an optional ``faults`` spec (see ``repro.faults``)
 and — for ``run_rcce`` — an optional ``recovery``
 (:class:`repro.recovery.RecoveryOptions`).  Every run, faulted and
@@ -117,12 +122,10 @@ def _as_unit(program):
     return program
 
 
-def _prepare_chip(chip, interpreters, cores):
-    """Per-run observability setup: reset the metrics registry so a
-    reused chip does not bleed counters between runs and re-register
-    the interpreter collector.  ``cores`` lists the core ids in rank
-    order."""
-    chip.metrics.reset()
+def _register_interpreters(chip, interpreters, cores):
+    """Publish the run's interpreter progress (steps and cycles per
+    core) through the chip's metrics registry.  ``cores`` lists the
+    core ids in rank order."""
     position = {core: index for index, core in enumerate(cores)}
 
     def collect():
@@ -210,16 +213,17 @@ def run_pthread_single_core(program, config=None, chip=None, core=0,
     injector = _as_injector(faults)
     detector = _as_detector(race)
     attr = _as_attribution(attribution)
+    chip.claim()
     if injector is not None:
         injector.attach(chip)
     if detector is not None:
         detector.attach(chip)
     if attr is not None:
-        attr.attach(chip)  # before _prepare_chip: its reset hooks in
+        attr.attach(chip)
     memory = Memory()
     runtime = PthreadRuntime()
     interpreters = []
-    _prepare_chip(chip, interpreters, [core])
+    _register_interpreters(chip, interpreters, [core])
     interp = Interpreter(unit, chip, core, memory, runtime, max_steps)
     interpreters.append(interp)
     chip.activate_core(core)
@@ -302,6 +306,7 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     attr = _as_attribution(attribution)
     if recovery is not None and not recovery.active:
         recovery = None
+    chip.claim()
     if injector is not None:
         injector.attach(chip)
     if detector is not None:
@@ -313,8 +318,8 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
     # deterministic and contention-free
     compile_unit(unit)
     interpreters = []
-    _prepare_chip(chip, interpreters,
-                  list(core_map) if core_map else range(num_ues))
+    _register_interpreters(chip, interpreters,
+                           list(core_map) if core_map else range(num_ues))
     world = RCCEWorld(chip, num_ues, core_map)
     monitor = world.monitor
     memory = Memory()
@@ -499,8 +504,10 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
     the last error propagates with the :class:`RecoveryReport`
     attached as ``recovery_report``.
 
-    ``chip_factory`` builds one chip per attempt (a chip's address
-    space accumulates across a failed run).
+    ``chip_factory`` builds one chip per attempt: a chip serves one
+    run.  Each attempt also gets its own race detector and attribution
+    engine (``race``/``attribution`` only ask for one), so the result
+    holds the audit and the attribution of the attempt that finished.
     """
     config = config or Table61Config()
     recovery = recovery if recovery is not None else RecoveryOptions()
@@ -523,7 +530,9 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
         # epochs must not leak between attempts, or replayed accesses
         # would look unordered against the dead run's.  Built
         # explicitly — not inside run_rcce — so a failed attempt's
-        # audit can still be reported per attempt.
+        # audit can still be reported per attempt.  run_rcce builds
+        # the attempt's attribution engine, whose cells likewise
+        # start empty.
         attempt_race = _as_detector(
             race if not isinstance(race, RaceDetector)
             else RaceDetector(race.max_findings))
@@ -532,7 +541,7 @@ def run_rcce_supervised(program, num_ues, config=None, core_map=None,
                 program, num_ues, config=config, chip=chip,
                 core_map=core_map, max_steps=max_steps,
                 faults=injector, recovery=options,
-                race=attempt_race, attribution=attribution)
+                race=attempt_race, attribution=bool(attribution))
         except RESTARTABLE_ERRORS as exc:
             if attempt >= max_restarts:
                 exc.recovery_report = report

@@ -3,18 +3,16 @@
 import pytest
 
 from repro.bench.figures import render_bars
-from repro.bench.tables import (
-    PAPER_TABLE_4_1,
-    PAPER_TABLE_4_2,
-    table_4_1,
-    table_4_2,
-    table_6_1,
-)
+from repro.bench.programs import EXAMPLE_4_1
+from repro.bench.tables import PAPER_TABLE_4_1, PAPER_TABLE_4_2
 from repro.bench.workloads import (
     SCALED_ON_CHIP_CAPACITY,
     default_workloads,
     scaled_config,
 )
+from repro.core.framework import TranslationFramework
+from repro.core.reports import table_4_1, table_4_2
+from repro.scc.config import Table61Config
 
 
 class TestRenderBars:
@@ -53,19 +51,24 @@ class TestRenderBars:
         assert all("#" in line for line in chart.splitlines())
 
 
+@pytest.fixture(scope="module")
+def running_example():
+    return TranslationFramework().analyze(EXAMPLE_4_1)
+
+
 class TestTables:
-    def test_table_4_1_default_uses_running_example(self):
-        rows = table_4_1()
+    def test_table_4_1_default_uses_running_example(self, running_example):
+        rows = table_4_1(running_example)
         assert {row["name"] for row in rows} == set(PAPER_TABLE_4_1)
 
-    def test_table_4_2_matches_paper_reference(self):
-        rows = {row["variable"]: row for row in table_4_2()}
+    def test_table_4_2_matches_paper_reference(self, running_example):
+        rows = {row["variable"]: row for row in table_4_2(running_example)}
         for name, stages in PAPER_TABLE_4_2.items():
             assert (rows[name]["stage1"], rows[name]["stage2"],
                     rows[name]["stage3"]) == stages
 
     def test_table_6_1_custom_units(self):
-        rows = table_6_1(execution_units=48)
+        rows = Table61Config().table_6_1(execution_units=48)
         units = [r for r in rows if r["parameter"] == "Execution Units"]
         assert units[0]["rcce"] == "48 cores"
 

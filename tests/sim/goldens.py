@@ -240,7 +240,7 @@ def _corpus(configuration, name):
             "per_core": {str(core): cycles for core, cycles in sorted(
                 outcome.result.per_core_cycles.items())},
             "stdout": outcome.result.stdout(),
-            "metrics": outcome.instrumentation["metrics"],
+            "metrics": outcome.result.metrics,
         })
     return run
 

@@ -224,12 +224,14 @@ class TestObservability:
         from repro.scc.chip import SCCChip
         from repro.scc.config import Table61Config
         chip = SCCChip(Table61Config())
-        run_rcce(RCCE_COMPUTE, 2, chip=chip,
-                 faults="mesh_delay:p=0.5,seed=3")
+        result = run_rcce(RCCE_COMPUTE, 2, chip=chip,
+                          faults="mesh_delay:p=0.5,seed=3")
+        assert "fault_injections" in result.metrics["counters"]
         assert chip.faults is None
-        # a clean follow-up run on the same chip reports no faults
-        clean = run_rcce(RCCE_COMPUTE, 2, chip=chip)
-        assert "fault_injections" not in clean.metrics["counters"]
+        # the run's snapshot kept the injections; the chip's registry
+        # no longer publishes them
+        assert "fault_injections" not in \
+            chip.metrics.snapshot()["counters"]
 
 
 class TestHostFaultSpecs:

@@ -441,6 +441,26 @@ class TestSupervisor:
         stages = [d.stage for d in result.diagnostics]
         assert "recovery" in stages
 
+    def test_injections_count_the_final_attempt(self, tmp_path):
+        """The supervisor zeroes the injection counts with the fault
+        streams between attempts, so the result publishes the final
+        attempt's injections alone: the replayed delays, without the
+        crash that killed the first attempt."""
+        delay = "mesh_delay:p=0.2,seed=3"
+        recovery = RecoveryOptions(
+            checkpoint_path=str(tmp_path / "count.ckpt"),
+            checkpoint_every=1)
+        result = run_rcce_supervised(
+            CAMPAIGN_KERNEL, 2,
+            faults=delay + ";core_crash:core=1,at=11000",
+            recovery=recovery, max_restarts=1)
+        assert result.recovery.restarts == 1
+        single = run_rcce(CAMPAIGN_KERNEL, 2, faults=delay)
+        injections = result.metrics["counters"]["fault_injections"]
+        assert injections == single.metrics["counters"]["fault_injections"]
+        assert {row["labels"]["kind"] for row in injections} == \
+            {"mesh_delay"}
+
     def test_same_spec_unsupervised_fails_deterministically(self):
         outcomes = []
         for _ in range(2):

@@ -1,4 +1,5 @@
-"""Runner-level tests (RunResult, core maps, chip reuse, Ctrl-C)."""
+"""Runner-level tests (RunResult, core maps, one run per chip,
+Ctrl-C)."""
 
 import _thread
 import threading
@@ -10,7 +11,13 @@ from repro.cfront.frontend import parse_program
 from repro.obs.metrics import series_value
 from repro.scc.chip import SCCChip
 from repro.scc.config import SCCConfig, Table61Config
-from repro.sim.runner import RunResult, run_pthread_single_core, run_rcce
+from repro.recovery import RecoveryOptions
+from repro.sim.runner import (
+    RunResult,
+    run_pthread_single_core,
+    run_rcce,
+    run_rcce_supervised,
+)
 
 RCCE_PROGRAM = """
 #include <stdio.h>
@@ -72,6 +79,57 @@ class TestRunRcce:
     def test_single_ue(self):
         result = run_rcce(RCCE_PROGRAM, 1)
         assert result.stdout() == "0\n"
+
+
+class TestOneRunPerChip:
+    """A chip serves one run: a second run on it is refused before it
+    touches the chip, instead of mixing two runs' counts."""
+
+    @staticmethod
+    def _run(kind, chip, **hooks):
+        if kind == "rcce":
+            return run_rcce(RCCE_PROGRAM, 2, chip=chip, **hooks)
+        return run_pthread_single_core("int main(void) { return 0; }",
+                                       chip=chip, **hooks)
+
+    @pytest.mark.parametrize("first, second", [
+        ("rcce", "rcce"), ("rcce", "pthread"), ("pthread", "pthread")])
+    def test_second_run_on_a_chip_is_refused(self, first, second):
+        chip = SCCChip(Table61Config())
+        self._run(first, chip)
+        with pytest.raises(ValueError, match="a chip serves one run"):
+            self._run(second, chip)
+
+    @pytest.mark.parametrize("second", ["rcce", "pthread"])
+    def test_refused_run_attaches_nothing(self, second):
+        chip = SCCChip(Table61Config())
+        self._run("rcce", chip)
+        before = chip.metrics.snapshot()
+        with pytest.raises(ValueError):
+            self._run(second, chip, race=True, attribution=True,
+                      faults="mesh_delay:p=0.5")
+        assert chip.race is None
+        assert chip.attribution is None
+        assert chip.faults is None
+        assert chip.metrics.snapshot() == before
+
+    def test_supervisor_needs_a_fresh_chip_per_attempt(self, tmp_path):
+        chip = SCCChip(Table61Config())
+        options = RecoveryOptions(
+            checkpoint_path=str(tmp_path / "run.ckpt"),
+            checkpoint_every=1)
+        crash = "core_crash:core=1,at=100"
+        # the first attempt crashes, the second gets the used chip
+        with pytest.raises(ValueError, match="a chip serves one run"):
+            run_rcce_supervised(RCCE_PROGRAM, 2, faults=crash,
+                                recovery=options, max_restarts=1,
+                                chip_factory=lambda: chip)
+        # a fresh chip per attempt recovers
+        result = run_rcce_supervised(
+            RCCE_PROGRAM, 2, faults=crash, recovery=options,
+            max_restarts=1, chip_factory=lambda: SCCChip(Table61Config()))
+        assert result.recovery.restarts == 1
+        assert result.stdout() == "0\n1\n"
 
 
 class TestRunPthread:

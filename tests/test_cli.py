@@ -12,6 +12,7 @@ from repro.bench.programs import EXAMPLE_4_1, benchmark_source
 from repro.cli import build_parser, main
 from repro.core.framework import TranslationFramework
 from repro.diagnostics import Diagnostic
+from repro.scc.memmap import SPLIT_BASE
 from repro.sim.runner import run_rcce
 
 
@@ -572,6 +573,20 @@ def recovery_file(tmp_path):
     return str(path)
 
 
+# an LU batch whose shared matrices overflow a 1 KB on-chip capacity:
+# with --split, Stage 4 puts their head in the MPB and the tail in
+# shared DRAM
+SPLIT_ARGS = ["--ues", "2", "--mode", "rcce", "--split",
+              "--capacity", "1024"]
+
+
+@pytest.fixture
+def split_file(tmp_path):
+    path = tmp_path / "lu2.c"
+    path.write_text(benchmark_source("lu", 2, batch=4, dim=8))
+    return str(path)
+
+
 class TestRecoveryFlags:
     def test_faults_and_checkpoints_run_without_downgrade(
             self, recovery_file, tmp_path):
@@ -622,6 +637,34 @@ class TestRecoveryFlags:
              "--restore", ckpt])
         assert code == 0
         assert first == second
+
+    def test_split_run_checkpoints_and_restores(self, split_file,
+                                                tmp_path):
+        """A split window (§4.4: part MPB, part shared DRAM) is in the
+        snapshot's allocation rows, and a restore verifies it."""
+        ckpt = tmp_path / "split.ckpt"
+        code, first, err = run_cli_err(
+            ["run", split_file, *SPLIT_ARGS, "--checkpoint-every", "1",
+             "--checkpoint", str(ckpt)])
+        assert (code, err) == (0, "")
+        rows = json.loads(ckpt.read_text())["lut"]
+        assert ["shared", SPLIT_BASE, 2048, None, "split#0"] in rows
+        code, second, err = run_cli_err(
+            ["run", split_file, *SPLIT_ARGS, "--restore", str(ckpt)])
+        assert (code, err) == (0, "")
+        assert second == first
+
+    def test_supervised_split_run_recovers(self, split_file, tmp_path):
+        code, clean, _ = run_cli_err(["run", split_file, *SPLIT_ARGS])
+        assert code == 0
+        code, output, err = run_cli_err(
+            ["run", split_file, *SPLIT_ARGS,
+             "--faults", "core_crash:core=1,at=5000",
+             "--max-restarts", "1",
+             "--checkpoint", str(tmp_path / "split.ckpt")])
+        assert code == 0
+        assert "run completed after 1 restart" in err
+        assert output == clean
 
     def test_bad_snapshot_exits_65(self, recovery_file, tmp_path):
         bad = tmp_path / "bad.ckpt"
@@ -818,6 +861,30 @@ class TestBottlenecks:
         for core, classes in crash["per_core"].items():
             assert sum(classes.values()) == crash["per_core_cycles"][core]
         assert crash == reports["clean"]
+
+    def test_restart_from_the_beginning_conserves(self, tmp_path):
+        """A crash before the first checkpoint restarts the run from
+        the beginning; the attribution is the final attempt's alone:
+        the fault-free one, each core's classes summing to its
+        cycles."""
+        path = tmp_path / "pi4.c"
+        path.write_text(benchmark_source("pi", 4, steps=256))
+        argv = ["run", str(path), "--mode", "rcce", "--ues", "4",
+                "--bottlenecks", "--report", "-"]
+        code, clean, _ = run_cli_err(argv)
+        assert code == 0
+        code, output, err = run_cli_err(argv + [
+            "--faults", "core_crash:core=1,at=5000",
+            "--max-restarts", "1",
+            "--checkpoint", str(tmp_path / "run.ckpt")])
+        assert code == 0
+        assert "restarted from the beginning" in err
+        assert "run completed after 1 restart" in err
+        report = json.loads(output)["attribution"]
+        for core, classes in report["per_core"].items():
+            assert sum(classes.values()) == \
+                report["per_core_cycles"][core]
+        assert report == json.loads(clean)["attribution"]
 
 
 def printed_in_order(diagnostics, err):
