@@ -12,8 +12,9 @@ cycles and output, exact conservation, and a critical path equal to
 the makespan.
 
 The race detector has no row: when none is attached, its recorder is
-not on the load/store path at all (``Interpreter._fill_site`` binds it
-into the site-cache entry only when a detector is attached), so a
+not on the load/store path at all (``Interpreter._fill_site`` and
+``_fill_scalar`` bind it into the site-cache and scalar entries only
+when a detector is attached), so a
 detached run executes the same code as one without the hook.
 ``tests/race/test_detached.py`` pins that.
 

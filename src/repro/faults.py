@@ -40,8 +40,10 @@ run.  With an injector attached, the chip hands out inline-cache
 entries that price through ``access_cost`` (so ``mesh_delay`` and
 ``mesh_drop`` see every access), the interpreter reads memory through
 :meth:`filter_load` and the ECC scrubber, and the step tick calls
-:meth:`core_tick` every 256 steps.  Runs without faults pay none of
-this.
+:meth:`core_tick` every 256 steps; each runner calls
+:meth:`core_exit` once a core's program returns, so a core fault
+scheduled after its last tick still fires.  Runs without faults pay
+none of this.
 
 Every injection increments a ``fault_injections{kind,core}`` counter in
 the chip's metrics registry.
@@ -362,6 +364,15 @@ class FaultInjector:
     def core_tick(self, interp):
         """Periodic per-core hook (every few hundred interpreter
         steps): deliver scheduled stalls and crashes."""
+        self._deliver_core_faults(interp)
+
+    def core_exit(self, interp):
+        """A core's program returned: deliver the stalls and crashes
+        whose cycle it passed after its last tick, which would
+        otherwise never fire.  Both runners call this once per core."""
+        self._deliver_core_faults(interp)
+
+    def _deliver_core_faults(self, interp):
         for index, rule in self.core_rules:
             victim = rule.params.get("core", 0)
             if victim != interp.core_id:

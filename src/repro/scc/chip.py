@@ -85,12 +85,13 @@ class SCCChip:
                      for i in range(config.num_cores)]
         self._reconfigured_cores = set()
         self._lock = threading.Lock()
-        # Epoch for the interpreter's per-site memory-access inline
-        # caches: any change to address translation (LUT reprogramming,
-        # a new split window) bumps it, invalidating every cached
-        # (window, cost-function) entry.  Increments are GIL-atomic.
+        # Epoch for the interpreters' fast-path entries (per-site
+        # inline caches and the scalar entry): any change to address
+        # translation (LUT reprogramming, a new split window) bumps it,
+        # invalidating every cached (window, cost-function) entry.
+        # Increments are GIL-atomic.
         self.mem_epoch = 0
-        self._site_cache_holders = []   # weakrefs to Interpreters
+        self._entry_holders = []   # weakrefs to Interpreters
         self.address_space.on_layout_change(self._bump_mem_epoch)
         # observability: every component's counters surface through one
         # registry (repro.obs)
@@ -233,27 +234,29 @@ class SCCChip:
         return entry
 
     def _bump_mem_epoch(self):
-        """Invalidate every interpreter's memory-access inline caches.
+        """Invalidate every interpreter's fast-path entries.
 
         Push-style invalidation: entries carry no epoch stamp and pay
-        no versioning check per access; instead each registered holder's
-        cache dict is cleared here, on the (rare) LUT/layout change."""
+        no versioning check per access; instead each registered holder
+        drops its entries here (``drop_fastpath_entries``: the site
+        caches and the scalar entry), on the (rare) LUT/layout
+        change."""
         self.mem_epoch += 1
-        holders = self._site_cache_holders
+        holders = self._entry_holders
         if holders:
             live = []
             for ref in holders:
                 holder = ref()
                 if holder is not None:
-                    holder._site_cache.clear()
+                    holder.drop_fastpath_entries()
                     live.append(ref)
-            self._site_cache_holders = live
+            self._entry_holders = live
 
-    def register_site_cache_holder(self, interp):
-        """Register ``interp`` (weakly) for inline-cache invalidation
+    def register_entry_holder(self, interp):
+        """Register ``interp`` (weakly) to drop its fast-path entries
         on ``mem_epoch`` bumps."""
         import weakref
-        self._site_cache_holders.append(weakref.ref(interp))
+        self._entry_holders.append(weakref.ref(interp))
 
     def access_cost(self, core, addr, kind="read", size=4):
         """Cycle cost of one memory access from ``core``."""

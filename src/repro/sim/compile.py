@@ -8,24 +8,36 @@ Interpreter`, ``F`` the flat frame of local-variable addresses), with
 * dispatch resolved at compile time (no ``isinstance``/dict lookups on
   the hot path),
 * lexical scoping resolved to integer frame slots,
-* operation costs folded into pre-bound integer constants, and
-* one **inline cache** per memory-access site: the site remembers the
-  last resolved (window, cost-function) entry from
+* operation costs folded into pre-bound integer constants,
+* one **inline cache** per access site of an array element, a member
+  or a dereference: the site remembers the last resolved (window,
+  cost-function) entry from
   :meth:`~repro.scc.chip.SCCChip.access_fastpath`, so repeated
-  accesses to the same region skip the full address-space resolution.
-  Invalidation is push-style: the chip clears every registered
-  interpreter's site-cache dict whenever ``mem_epoch`` bumps (LUT
-  reconfiguration, new split window), so a present entry is always
-  valid and the hot path never checks an epoch stamp.
+  accesses to the same region skip the full address-space resolution,
+* one **scalar entry** per core for every local and global scalar,
+  which all lie in the core's private window: their loads and stores
+  call ``I._price_scalar`` (``Interpreter._fill_scalar``) with no site
+  and no window test.  Invalidation is push-style: the chip drops
+  every registered interpreter's entries whenever ``mem_epoch`` bumps
+  (LUT reconfiguration, new split window), so a present entry is
+  always valid and the hot path never checks an epoch stamp, and
+* ``p[i]`` typed at compile time when ``p`` is a local or global
+  scalar declared as a pointer to a non-void primitive or to a
+  pointer: one shape takes ``p`` and ``i`` inline, checks, charges and
+  computes the address as ``_make_lv_array_dyn`` does, and loads or
+  stores with the pointee's static conversion and coercer while ``p``
+  carries the pointee its declaration gives it.  A pointer that
+  carries another (a NULL left by static initialization, a store
+  through a differently typed alias) takes the run-time-typed access
+  at the same site.
 
 Every node is a *shape*: its closure is generated from source
 templates, one block per piece of work (the step prologue, a charged
 access, an operator, a branch), where each leaf operand is a constant,
 a local or global scalar load, or any compiled child.  A constant's or
-a scalar's step, site-cache probe, charge and load then run inline in
-the node that consumes it instead of behind a call.  A shape is
-compiled once per process and shared by every program; see "shapes"
-below.
+a scalar's step, charge and load then run inline in the node that
+consumes it instead of behind a call.  A shape is compiled once per
+process and shared by every program; see "shapes" below.
 
 The timing contract is fixed by the goldens in ``tests/golden/sim.json``
 (taken from the tree-walking interpreter this engine replaced): every
@@ -100,6 +112,7 @@ _C_CALL = OP_COSTS["call"]
 _C_CAST = OP_COSTS["cast"]
 
 _ENV = Interpreter.ENV_CONSTANTS
+_INT = ctypes.INT
 _FLOAT_NAMES = ("float", "double", "long double")
 
 _new_site = itertools.count(1).__next__
@@ -359,22 +372,26 @@ def _protect(body):
 # these modes:
 #
 #     ("k", value)                       a constant
-#     ("l", slot, name, flt, site)       a local scalar load
-#     ("g", name, flt, site)             a global scalar load
+#     ("l", slot, name, flt, None)       a local scalar load
+#     ("g", name, flt, None)             a global scalar load
 #     ("c", closure)                     any compiled child
 #
 # (and, standing alone, ("v", closure, flt, site) or ("d", closure,
-# flt, site): a load through an lvalue closure).  A target or an
-# address is an lvalue in one of the modes ("l", slot, name, ...), a
-# local scalar; ("g", name, ...), a global scalar; ("v", closure,
-# ...), any lvalue of static type; or ("d", closure), one typed at run
-# time.  An update's lvalue carries the load's float conversion and
-# the store's coercer: ("l", slot, name, flt, co), ("g", name, flt,
-# co), ("v", closure, flt, co).  A constant's or a scalar's step
-# prologue, site-cache probe, charge and load run inline in the
-# consumer instead of behind a call.  Each node still counts its own
-# step where its closure would have, so ticks, the budget and a halt
-# land on the same step, and charges keep their order.
+# flt, site): a load through an lvalue closure; ("s", p, i, pe, flt,
+# site): ``p[i]`` typed at compile time, ``p`` and ``i`` operands and
+# ``pe`` the pointee ``p`` is declared with).  A target or an address
+# is an lvalue in one of the modes ("l", slot, name, ...), a local
+# scalar; ("g", name, ...), a global scalar; ("s", p, i, pe, ...), a
+# typed subscript; ("v", closure, ...), any lvalue of static type; or
+# ("d", closure), one typed at run time.  An update's lvalue carries
+# the load's float conversion and the store's coercer: ("l", slot,
+# name, flt, co), ("g", name, flt, co), ("s", p, i, pe, flt, co),
+# ("v", closure, flt, co).  A scalar has no site: the core's scalar
+# entry prices it.  A constant's or a scalar's step prologue, charge
+# and load run inline in the consumer instead of behind a call.  Each
+# node still counts its own step where its closure would have, so
+# ticks, the budget and a halt land on the same step, and charges
+# keep their order.
 #
 # A shape is its name and its blocks; a block is a template, its
 # depth, and its fields' values: a variable name of the generated code,
@@ -425,16 +442,27 @@ e = I._site_cache.get({site})
 if e is None or not e[0] <= {addr} < e[1]:
     e = I._fill_site({site}, {addr})
 I.cycles += e[2]({addr}, "{kind}")"""
+# a local or global scalar's access: every one lies in the core's
+# private window, which the core's one scalar entry prices
+# (Interpreter._fill_scalar), so it has no site and no window test
+_SCALAR_ACCESS = 'I.cycles += I._price_scalar({addr}, "{kind}")'
 
-_LOAD = _Template(_ACCESS.replace("{kind}", "read") + """
-{var} = I._mem_get({addr}, 0)""", ("addr", "var"), ("site",))
-_STORE_TEXT = _ACCESS.replace("{kind}", "write") + """
+_LOAD_TEXT = """
+{var} = I._mem_get({addr}, 0)"""
+_STORE_TEXT = """
 {out} = {co}({var})
 I._mem_set({addr}, {out})"""
-_STORE = _Template(_STORE_TEXT, ("addr", "out", "var"), ("site", "co"))
-_STORE_DYN = _Template(_STORE_TEXT.replace("{co}({var})",
+_LOAD = _Template(_ACCESS.replace("{kind}", "read") + _LOAD_TEXT,
+                  ("addr", "var"), ("site",))
+_STORE = _Template(_ACCESS.replace("{kind}", "write") + _STORE_TEXT,
+                   ("addr", "out", "var"), ("site", "co"))
+_STORE_DYN = _Template(_STORE.text.replace("{co}({var})",
                                            "coerce(ct, {var})"),
                        ("addr", "out", "var"), ("site",))
+_SCALAR_LOAD = _Template(_SCALAR_ACCESS.replace("{kind}", "read")
+                         + _LOAD_TEXT, ("addr", "var"))
+_SCALAR_STORE = _Template(_SCALAR_ACCESS.replace("{kind}", "write")
+                          + _STORE_TEXT, ("addr", "out", "var"), ("co",))
 
 _LOCAL_ADDR = _Template("""\
 {addr} = F[{slot}]
@@ -660,7 +688,25 @@ if p.__class__ is not _P:
 addr = p.addr
 if addr == 0:
     raise InterpreterError("NULL pointer dereference")""")
-_POINTEE = _Template("ct = p.pointee")
+# the pointee's type, known at run time; a pointer without one is
+# taken as an int's, as _make_lv_deref takes it
+_POINTEE = _Template("ct = p.pointee or _INT")
+# ``p[i]`` with ``p`` and ``i`` inline: the checks, the charge and the
+# address arithmetic of _make_lv_array_dyn
+_SUBSCRIPT = _Template("""\
+if p.__class__ is not _P:
+    raise InterpreterError("subscript of non-pointer")
+I.cycles += _C_IALU
+try:
+    {addr} = p.addr + int(i) * p.stride
+except TypeError:
+    raise InterpreterError("array subscript is not an integer") from None""",
+                       ("addr",))
+# ``p`` holds the pointee its declaration gives it (every coerced store
+# into ``p`` carries that ctype object), so the element has its static
+# type; otherwise the pointee decides at run time, as in
+# _make_lv_array_dyn
+_TYPED = _Template("if p.pointee is {pe}:", (), ("pe",))
 _SHORT_AND = _Template("if not {var}:\n    return 0", ("var",))
 _SHORT_OR = _Template("if {var}:\n    return 1", ("var",))
 _BOOL = _Template("return 1 if {var} else 0", ("var",))
@@ -688,7 +734,7 @@ _ARRAY_INIT = _Template("""\
 values = [c(I, F) for c in {inits}]
 for k in range({length}):
     p = addr + k * {stride}
-""" + "\n".join("    " + line for line in _STORE_TEXT.format(
+""" + "\n".join("    " + line for line in _STORE.text.format(
     site="{site}", addr="p", out="w", co="{co}",
     var="values[k] if k < {count} else {default}").split("\n")),
     (), ("inits", "length", "stride", "site", "co", "count", "default"))
@@ -799,35 +845,70 @@ class _Shape:
 
 def _emit_addr(shape, depth, lv, addr):
     """Leave an lvalue's address in ``addr`` (and, typed at run time,
-    its type in ``ct``); returns its mode letter."""
+    its type in ``ct``); returns its mode letter (a typed subscript's
+    is followed by its two operands' letters)."""
     mode = lv[0]
     if mode == "l":
         shape.emit(depth, _LOCAL_ADDR, (addr,), lv[1], lv[2])
     elif mode == "g":
         shape.emit(depth, _GLOBAL_ADDR, (addr,), lv[1])
+    elif mode == "s":
+        mode += (_emit_operand(shape, depth, "p", lv[1])
+                 + _emit_operand(shape, depth, "i", lv[2]))
+        shape.emit(depth, _SUBSCRIPT, (addr,))
     else:
         shape.emit(depth, _LV_ADDR_DYN if mode == "d" else _LV_ADDR,
                    (addr,), lv[1])
     return mode
 
 
-def _emit_read(shape, depth, lv, site, addr, var):
+def _emit_guarded(shape, depth, lv, emit):
+    """A typed subscript's access: ``emit(depth, lvalue)`` with the
+    static type, ``("v", ...)``, when ``p`` carries its declared
+    pointee, else with the type known at run time, ``("d",)``."""
+    shape.emit(depth, _TYPED, (), lv[3])
+    emit(depth + 1, ("v",) + lv[-2:])
+    shape.emit(depth, _ELSE)
+    shape.emit(depth + 1, _POINTEE)
+    emit(depth + 1, ("d",))
+
+
+def _emit_read(shape, depth, lv, site, addr, var, decay=False):
     """Charged load of ``addr`` into ``var``, with the lvalue's
-    int->float conversion."""
-    shape.emit(depth, _LOAD, (addr, var), site)
-    if lv[0] == "d":
+    int->float conversion (a leaf operand typed at run time decays
+    when it is an array: ``decay``)."""
+    mode = lv[0]
+    if mode == "s":
+        _emit_guarded(shape, depth, lv, lambda depth, lv: _emit_read(
+            shape, depth, lv, site, addr, var, decay))
+        return
+    if mode == "l" or mode == "g":
+        shape.emit(depth, _SCALAR_LOAD, (addr, var))
+    else:
+        if mode == "d" and decay:
+            shape.emit(depth, _DYN_DECAY, (var, addr))
+            depth += 1
+        shape.emit(depth, _LOAD, (addr, var), site)
+    if mode == "d":
         shape.emit(depth, _DYN_FLOAT, (var,))
     elif lv[-2]:
         shape.emit(depth, _TO_FLOAT, (var,))
 
 
-def _emit_store(shape, depth, co, site, addr, var, out):
-    """Store ``var`` at ``addr`` as ``out``, coerced by ``co`` (None:
-    by ``ct``, the target's type known at run time)."""
-    if co is None:
+def _emit_store(shape, depth, lv, site, addr, var, out):
+    """Store ``var`` at ``addr`` as ``out``, coerced by the lvalue's
+    coercer, or by ``ct``, the target's type known at run time, for a
+    "d" lvalue."""
+    mode = lv[0]
+    if mode == "s":
+        _emit_guarded(shape, depth, lv, lambda depth, lv: _emit_store(
+            shape, depth, lv, site, addr, var, out))
+    elif mode == "l" or mode == "g":
+        shape.emit(depth, _SCALAR_STORE, (addr, out, var), lv[-1])
+    elif mode == "d":
         shape.emit(depth, _STORE_DYN, (addr, out, var), site)
     else:
-        shape.emit(depth, _STORE, (addr, out, var), site, co)
+        shape.emit(depth, _STORE, (addr, out, var), site, lv[-1])
 
 
 def _emit_operand(shape, depth, var, operand):
@@ -842,14 +923,11 @@ def _emit_operand(shape, depth, var, operand):
         shape.emit(depth, _CONST, (var,), operand[1])
         return "k"
     addr = "p" + var
-    _emit_addr(shape, depth, operand, addr)
-    if mode == "d":
-        shape.emit(depth, _DYN_DECAY, (var, addr))
-        depth += 1
-    _emit_read(shape, depth, operand, operand[-1], addr, var)
+    tag = _emit_addr(shape, depth, operand, addr)
+    _emit_read(shape, depth, operand, operand[-1], addr, var, decay=True)
     if mode == "l" and operand[-2]:
         return "f"
-    return mode
+    return tag
 
 
 def _emit_op_body(shape, depth, op):
@@ -879,22 +957,21 @@ def _emit(shape, depth, form, var="v"):
         return "r", "%s_%s" % (_emit_op_body(shape, depth, op), tags)
     lv = form[2] if kind == "upd" else form[1]
     tags = _emit_addr(shape, depth, lv, "addr")
-    co = None if lv[0] == "d" else lv[-1]
     if kind == "set":
         tags += _emit_operand(shape, depth, "b", form[2])
-        _emit_store(shape, depth, co, form[3], "addr", "b", "r")
+        _emit_store(shape, depth, lv, form[3], "addr", "b", "r")
         return "r", "set_" + tags
     if kind == "upd":
         _, op, lv, rhs, site_r, site_w = form
         _emit_read(shape, depth, lv, site_r, "addr", "a")
         tags += _emit_operand(shape, depth, "b", rhs)
         name = _emit_op_body(shape, depth, op)
-        _emit_store(shape, depth, co, site_w, "addr", "r", "r")
+        _emit_store(shape, depth, lv, site_w, "addr", "r", "r")
         return "r", "%s_set_%s" % (name, tags)
     _, lv, delta, postfix, site_r, site_w = form
     _emit_read(shape, depth, lv, site_r, "addr", "a")
     shape.emit(depth, _INCDEC, (), delta)
-    _emit_store(shape, depth, co, site_w, "addr", "r", "w")
+    _emit_store(shape, depth, lv, site_w, "addr", "r", "w")
     if postfix:
         return "a", "post_incdec_" + tags
     return "r", "incdec_" + tags
@@ -918,7 +995,7 @@ def _make_expr(form):
     shape = _Shape(step=False)      # the form counts its own step
     var, tag = _emit(shape, 0, form)
     shape.emit(0, _RETURN, (var,))
-    return shape.build(tag if len(tag) > 1 else "load_" + tag)
+    return shape.build("load_" + tag if len(form[0]) == 1 else tag)
 
 
 def _make_addr(lv, stride, pointee):
@@ -1296,6 +1373,14 @@ def _scalar(name, res):
     return ("g", name)
 
 
+def _site(lv):
+    """A new access site for an lvalue's load or store; None for a
+    local or global scalar, which the core's scalar entry prices."""
+    if lv[0] == "l" or lv[0] == "g":
+        return None
+    return _new_site()
+
+
 def _pointee_stride(ct):
     """``(stride, pointee)`` of a pointer to an array's element."""
     pe = ctypes.pointee(ct)
@@ -1389,8 +1474,8 @@ class _FunctionCompiler:
             elif decl.init is not None:
                 tags += _emit_operand(shape, 0, "v",
                                       self.operand(decl.init))
-                _emit_store(shape, 0, make_coercer(ct), _new_site(),
-                            "addr", "v", "v")
+                shape.emit(0, _SCALAR_STORE, ("addr", "v", "v"),
+                           make_coercer(ct))
             else:
                 tags += "p"
         return shape.build("decl_" + tags)
@@ -1475,8 +1560,7 @@ class _FunctionCompiler:
             return ("k", expr.value)
         if mode == "l" or mode == "g":
             res = self.resolve(expr.name)
-            return _scalar(expr.name, res) + (_static_flt(res[2]),
-                                                  _new_site())
+            return _scalar(expr.name, res) + (_static_flt(res[2]), None)
         return ("c", self.compile_expr(expr))
 
     def inline(self, expr):
@@ -1496,13 +1580,12 @@ class _FunctionCompiler:
             lv = self.lvalue(expr.lvalue)
             rhs = self.operand(expr.rvalue)
             if expr.op == "=":
-                return ("set", lv, rhs, _new_site())
-            return ("upd", expr.op[:-1], lv, rhs, _new_site(),
-                    _new_site())
+                return ("set", lv, rhs, _site(lv))
+            return ("upd", expr.op[:-1], lv, rhs, _site(lv), _site(lv))
         op = expr.op
-        return ("incdec", self.lvalue(expr.operand),
-                1 if "+" in op else -1, op.startswith("p"),
-                _new_site(), _new_site())
+        lv = self.lvalue(expr.operand)
+        return ("incdec", lv, 1 if "+" in op else -1, op.startswith("p"),
+                _site(lv), _site(lv))
 
     def address(self, expr):
         """``expr``'s address as a template takes it (a scalar
@@ -1517,10 +1600,32 @@ class _FunctionCompiler:
 
     def lvalue(self, expr):
         """An update's target as a template takes it."""
+        sub = self.subscript(expr)
+        if sub is not None:
+            return sub + (_static_flt(sub[3]), make_coercer(sub[3]))
         lv, ct = self.address(expr)
         if ct is None:
             return lv
         return lv + (_static_flt(ct), make_coercer(ct))
+
+    def subscript(self, expr):
+        """``p[i]`` typed at compile time, ("s", p, i, pointee) with
+        ``p`` and ``i`` as operands, when ``p`` is a local or global
+        scalar declared as a pointer to a non-void primitive or to a
+        pointer; else None.  ``&p[i]`` keeps the run-time-typed
+        lvalue."""
+        if expr.__class__ is not c_ast.ArrayRef:
+            return None
+        mode = _operand_mode(self, expr.base)
+        if mode != "l" and mode != "g":
+            return None
+        ct = ctypes.resolve(self.resolve(expr.base.name)[2])
+        pe = ctypes.pointee(ct) if isinstance(ct, ctypes.PointerType) \
+            else None
+        if not isinstance(pe, ctypes.PointerType) and not (
+                isinstance(pe, ctypes.PrimitiveType) and not pe.is_void):
+            return None
+        return ("s", self.operand(expr.base), self.operand(expr.index), pe)
 
     # -- expressions ---------------------------------------------------------
 
@@ -1603,14 +1708,16 @@ class _FunctionCompiler:
         res = self.resolve(name)
         binding = None
         if res is not None:
-            binding = _scalar(name, res) + (_static_flt(res[2]),
-                                                _new_site())
+            binding = _scalar(name, res) + (_static_flt(res[2]), None)
         return _make_call_named(name, arg_cs, binding)
 
     def load(self, expr):
         """A variable, array element or member as an rvalue: a load
         through its address, or a pointer to it when it is itself an
         array."""
+        sub = self.subscript(expr)
+        if sub is not None:
+            return _make_expr(sub + (_static_flt(sub[3]), _new_site()))
         lv, ct = self.address(expr)
         if ct is None:
             return _make_expr(lv + (False, _new_site()))

@@ -16,6 +16,7 @@ uncacheable DRAM, or on-die MPB.
 import math
 
 from repro.cfront import c_ast, ctypes
+from repro.scc.memmap import PRIVATE_BASE, PRIVATE_WINDOW
 from repro.sim import builtins as sim_builtins
 from repro.sim.machine import StackAllocator
 from repro.sim.values import (
@@ -207,7 +208,9 @@ class Interpreter:
         self._mem_set = memory.put
         self._global_addr = {}
         self._site_cache = {}   # site id -> (lo, hi, cost fn)
-        self.site_fills = 0     # inline-cache misses (diagnostics)
+        # prices every local and global scalar (see _fill_scalar)
+        self._price_scalar = self._fill_scalar
+        self.site_fills = 0     # fast-path entries built (diagnostics)
         # fault injection (repro.faults): the chip-attached injector,
         # or None — in which case the read/tick hooks are dead branches
         faults = getattr(chip, "faults", None)
@@ -243,7 +246,7 @@ class Interpreter:
         from repro.sim import compile as sim_compile
         self._compiled = sim_compile.compile_unit(unit)
         self._invoke = sim_compile.invoke
-        chip.register_site_cache_holder(self)
+        chip.register_entry_holder(self)
 
     # -- setup --------------------------------------------------------------
 
@@ -266,22 +269,25 @@ class Interpreter:
     def _static_init(self, addr, ctype, init):
         """Static initialization: free of cycle charges, zero default."""
         if isinstance(ctype, ctypes.ArrayType):
+            # the element type's work is done once per array: each
+            # initializer is coerced once, and the elements past them
+            # share one value
             element = ctype.base
             stride = element.sizeof() or 4
             length = ctype.length or 0
             values = []
             if isinstance(init, c_ast.InitList):
                 values = [const_value(e) for e in init.exprs]
-            for index in range(length):
-                if index < len(values):
-                    value = coerce(element, values[index])
-                else:
-                    value = (coerce(element, values[-1])
-                             if values and len(values) == 1 and length > 1
-                             and isinstance(init, c_ast.InitList)
-                             and len(init.exprs) == 1
-                             else default_value(element))
-                self.memory.store(addr + index * stride, value)
+                values = [coerce(element, value)
+                          for value in values[:length]]
+            # a one-value list fills the whole array
+            fill = values[0] if len(values) == 1 and length > 1 \
+                else default_value(element)
+            store = self.memory.store
+            for index, value in enumerate(values):
+                store(addr + index * stride, value)
+            for index in range(len(values), length):
+                store(addr + index * stride, fill)
             return
         if init is None:
             self.memory.store(addr, default_value(ctype))
@@ -342,9 +348,9 @@ class Interpreter:
 
     def _fill_site(self, site, addr):
         """Inline-cache miss: rebuild one load/store site's entry from
-        the chip.  Entries carry no version stamp — the chip clears the
-        whole ``_site_cache`` dict when address translation changes
-        (see ``SCCChip._bump_mem_epoch``), so presence means valid.
+        the chip.  Entries carry no version stamp — the chip drops
+        every entry when address translation changes (see
+        :meth:`drop_fastpath_entries`), so presence means valid.
         With a race detector attached, the entry's cost function
         records each access too; without one it is the chip's own."""
         entry = self.chip.access_fastpath(self.core_id, addr)
@@ -353,6 +359,37 @@ class Interpreter:
         self._site_cache[site] = entry
         self.site_fills += 1
         return entry
+
+    def _fill_scalar(self, addr, kind):
+        """``_price_scalar`` until its first call after a fill or a
+        drop: build the scalar entry, then price this access with it.
+
+        Every local scalar lives on this core's stack and every global
+        scalar in its :meth:`load_globals` allocation, both in the
+        core's private window.  That window is one LUT window, so one
+        fast-path entry prices all of them, a reconfigured core's too,
+        and the generated scalar loads and stores call it with no site
+        and no window test.  It is wrapped like a site's entry: with
+        the race recorder when a detector is attached; under faults it
+        is the chip's whole-range ``access_cost`` entry."""
+        entry = self.chip.access_fastpath(self.core_id, addr)
+        lo = PRIVATE_BASE + self.core_id * PRIVATE_WINDOW
+        assert entry[0] <= lo and lo + PRIVATE_WINDOW <= entry[1], \
+            "the scalar entry must cover core %d's private window" \
+            % self.core_id
+        price = entry[2]
+        if self._race is not None:
+            price = self._recorded(price)
+        self._price_scalar = price
+        self.site_fills += 1
+        return price(addr, kind)
+
+    def drop_fastpath_entries(self):
+        """Forget every fast-path entry, the site caches' and the
+        scalar one; the chip calls this when address translation
+        changes (``SCCChip._bump_mem_epoch``)."""
+        self._site_cache.clear()
+        self._price_scalar = self._fill_scalar
 
     def _recorded(self, price):
         """``price`` with the race recorder bound in.  The recorder

@@ -237,6 +237,8 @@ def run_pthread_single_core(program, config=None, chip=None, core=0,
             timeout.threads = runtime.state_dump()
             raise timeout from None
         runtime.run_pending(interp)
+        if injector is not None:
+            injector.core_exit(interp)
     finally:
         chip.deactivate_core(core)
         metrics = chip.metrics.snapshot()
@@ -394,6 +396,8 @@ def run_rcce(program, num_ues, config=None, chip=None, core_map=None,
                 interp.run_main()
             except ThreadExit:
                 pass
+            if injector is not None:
+                injector.core_exit(interp)
             # inside the try: a deadlock this exit completes is this
             # core's error
             monitor.exit(rank)

@@ -1,9 +1,10 @@
 """The race recorder is off the load/store path unless it is attached.
 
 ``Interpreter._fill_site`` binds the recorder into a site's inline-cache
-entry only when a detector is attached, so the generated access code
-has no race branch, and a run without a detector executes the chip's
-entries themselves.
+entry, and ``Interpreter._fill_scalar`` into the core's scalar entry,
+only when a detector is attached, so the generated access code has no
+race branch, and a run without a detector executes the chip's entries
+themselves.
 """
 
 from repro.cfront.frontend import parse_program
@@ -49,7 +50,9 @@ def _interpreter(race=None):
 class TestGeneratedCode:
     def test_load_and_store_blocks_name_no_race_hook(self):
         for template in (sim_compile._LOAD, sim_compile._STORE,
-                         sim_compile._STORE_DYN, sim_compile._ARRAY_INIT):
+                         sim_compile._STORE_DYN, sim_compile._ARRAY_INIT,
+                         sim_compile._SCALAR_LOAD,
+                         sim_compile._SCALAR_STORE):
             assert "_race" not in template.text
 
     def test_no_generated_shape_records_an_access(self):
@@ -81,6 +84,30 @@ class TestFillSite:
             # the generated access: I.cycles += e[2](addr, kind)
             interp.cycles += entry[2](addr, kind)
             plain.cycles += plain._fill_site(1, addr)[2](addr, kind)
+            assert interp.cycles == plain.cycles
+            assert recorder.calls == [(addr, kind, interp.cycles, before)]
+
+    def test_detector_free_scalar_entry_is_the_chips_own(self):
+        interp = _interpreter()
+
+        def price(addr, kind):
+            return 7
+        interp.chip.access_fastpath = lambda core, addr: (0, 1 << 64,
+                                                          price)
+        assert interp._price_scalar(64, "read") == 7
+        assert interp._price_scalar is price
+
+    def test_attached_scalar_entry_records_at_the_post_charge_clock(self):
+        recorder = _Recorder()
+        interp = _interpreter(recorder)
+        plain = _interpreter()
+        addr = interp._global_addr["g"]
+        for kind in ("write", "read", "read"):
+            recorder.calls.clear()
+            before = interp.cycles
+            # the generated access: I.cycles += I._price_scalar(...)
+            interp.cycles += interp._price_scalar(addr, kind)
+            plain.cycles += plain._price_scalar(addr, kind)
             assert interp.cycles == plain.cycles
             assert recorder.calls == [(addr, kind, interp.cycles, before)]
 

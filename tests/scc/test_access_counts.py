@@ -29,11 +29,14 @@ _OPS = st.lists(st.one_of(_ACCESS, _ACCESS, _ACCESS, _ACCESS, _WINDOW),
 
 class _SiteCache:
     """An access site's inline cache, as the interpreter keeps one:
-    the chip clears it whenever address translation changes."""
+    the chip drops it whenever address translation changes."""
 
     def __init__(self, chip):
         self._site_cache = {}
-        chip.register_site_cache_holder(self)
+        chip.register_entry_holder(self)
+
+    def drop_fastpath_entries(self):
+        self._site_cache.clear()
 
 
 def _published(chip):

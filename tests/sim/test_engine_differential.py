@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from repro.bench.programs import benchmark_source
 from repro.cfront.frontend import parse_program
 from repro.faults import FaultInjector
+from repro.scc.lut import WINDOW_BYTES
+from repro.scc.memmap import SegmentKind
 from repro.sim.compile import compile_unit
 from repro.sim.interpreter import Interpreter, InterpreterError
 from repro.sim.machine import Memory
@@ -247,25 +249,121 @@ def test_break_escaping_its_function_raises():
 
 
 def test_site_cache_filled_and_invalidated():
+    """An array element's load and store fill their sites' entries;
+    every local and global scalar shares the core's one scalar entry.
+    A layout/LUT change drops both."""
     source = """
         int counter = 0;
+        int hist[4];
         int main(void) {
             int i;
-            for (i = 0; i < 50; i++) counter += i;
+            for (i = 0; i < 50; i++) {
+                counter += i;
+                hist[i & 3] += i;
+            }
             return counter;
         }
     """
     unit = parse_program(source)
     chip = tiny_chip()
     interp = Interpreter(unit, chip, 0, Memory())
-    interp.run_main()
-    assert interp.site_fills > 0
-    assert interp._site_cache
-    fills_before = interp.site_fills
-    # a layout/LUT change must drop every cached site entry
+    assert interp._price_scalar == interp._fill_scalar
+    assert interp.run_main() == 1225
+    assert len(interp._site_cache) == 2
+    assert interp._price_scalar != interp._fill_scalar
+    assert interp.site_fills == 3
+    # a layout/LUT change must drop every entry
     chip._bump_mem_epoch()
     assert not interp._site_cache
-    assert interp.site_fills == fills_before
+    assert interp._price_scalar == interp._fill_scalar
+    assert interp.site_fills == 3
+
+
+SCALAR_PROGRAM = """
+    int g;
+    double gd;
+    int arr[8];
+    int main(void) {
+        int i;
+        int s = 0;
+        double d = 0.5;
+        for (i = 0; i < 24; i++) { s += i; g = s; gd = gd + d; }
+        phase(1);
+        for (i = 0; i < 24; i++) { s += g; arr[i & 7] = s; g++; }
+        phase(0);
+        s = s + g;
+        split();
+        for (i = 0; i < 24; i++) { s -= arr[i & 7]; gd *= 0.5; }
+        return s;
+    }
+"""
+
+
+class _PhaseRuntime:
+    """Builtins that change address translation mid-run: ``phase(1)``
+    remaps the core's own private window to shared-uncacheable DRAM,
+    ``phase(0)`` maps it back, ``split()`` adds a split window.  Each
+    records the core's cycles when it is called."""
+
+    def __init__(self):
+        self.marks = []
+
+    def builtins(self):
+        return {"phase": self.phase, "split": self.split}
+
+    def phase(self, interp, args):
+        shared = interp.eval_expr(args[0])
+        self.marks.append(interp.cycles)
+        window = interp.stack.base - interp.stack.base % WINDOW_BYTES
+        interp.chip.configure_window(interp.core_id, window,
+                                     shared=bool(shared))
+        return 0
+
+    def split(self, interp, args):
+        self.marks.append(interp.cycles)
+        interp.chip.address_space.alloc_split(4096, 1024, label="mid-run")
+        return 0
+
+
+def _scalar_run(reference):
+    """Run SCALAR_PROGRAM on core 3; with ``reference``, the chip hands
+    out entries that price every access through ``access_cost``."""
+    chip = tiny_chip()
+    if reference:
+        def access_fastpath(core, addr):
+            return 0, 1 << 64, lambda addr, kind: chip.access_cost(
+                core, addr, kind, 4)
+        chip.access_fastpath = access_fastpath
+    runtime = _PhaseRuntime()
+    interp = Interpreter(parse_program(SCALAR_PROGRAM), chip, 3, Memory(),
+                         runtime)
+    value = interp.run_main()
+    state = chip.cores[3]
+    return {"value": value, "steps": interp.steps,
+            "cycles": runtime.marks + [interp.cycles],
+            "accesses": state.accesses,
+            "caches": [(cache.stats.hits, cache.stats.misses,
+                        cache.stats.evictions)
+                       for cache in (state.l1, state.l2)],
+            "dram": [(c.stats.reads, c.stats.writes, c.stats.busy_cycles)
+                     for c in chip.controllers]}, interp
+
+
+def test_scalar_entry_matches_access_cost():
+    """The core's one scalar entry prices each local and global scalar
+    as ``access_cost`` does, across a remap of the core's own window to
+    shared and back and a new split window, each of which drops the
+    entry."""
+    fast, interp = _scalar_run(reference=False)
+    slow, _ = _scalar_run(reference=True)
+    assert fast == slow
+    # the shared phase priced the scalars as shared DRAM
+    assert fast["accesses"][SegmentKind.SHARED] > 0
+    assert fast["accesses"][SegmentKind.PRIVATE] > 0
+    # the scalar entry is built four times: at the start and after
+    # each of the three changes; each array-element site once, in the
+    # loop that holds it
+    assert interp.site_fills == 4 + 2
 
 
 def test_configure_window_invalidates_site_caches():

@@ -209,6 +209,106 @@ class TestEffects:
         assert chip.mpb.stats.corrupted_reads > 0
 
 
+# each core returns long before its first tick (TICK_STEPS steps), so
+# only the exit check can deliver a core fault
+SHORT_RCCE = """
+#include <stdio.h>
+int RCCE_APP(int argc, char **argv) {
+    int i;
+    int s;
+    RCCE_init(&argc, &argv);
+    s = 0;
+    for (i = 0; i < 8; i++) { s = s + i * RCCE_ue(); }
+    RCCE_barrier(&RCCE_COMM_WORLD);
+    printf("ue %d s %d\\n", RCCE_ue(), s);
+    RCCE_finalize();
+    return 0;
+}
+"""
+
+SHORT_PTHREAD = """
+int main() {
+    int i;
+    int s;
+    s = 0;
+    for (i = 0; i < 8; i++) { s = s + i; }
+    return s;
+}
+"""
+
+
+def _injections(result, kind):
+    return {row["labels"]["core"]: row["value"]
+            for row in result.metrics["counters"].get(
+                "fault_injections", ())
+            if row["labels"]["kind"] == kind}
+
+
+class TestFaultsAfterTheLastTick:
+    """A core fault whose cycle a core reaches after its last tick
+    fires when the core's program returns (FaultInjector.core_exit),
+    once."""
+
+    def test_rcce_crash_fires_at_exit(self):
+        clean = run_rcce(SHORT_RCCE, 2)
+        end = clean.per_core_cycles[1]
+        with pytest.raises(CoreCrashFault) as info:
+            run_rcce(SHORT_RCCE, 2, faults="core_crash:core=1,at=%d" % end)
+        assert (info.value.core, info.value.cycle) == (1, end)
+
+    def test_rcce_stall_fires_at_exit(self):
+        clean = run_rcce(SHORT_RCCE, 2)
+        stalled = run_rcce(
+            SHORT_RCCE, 2, faults="core_stall:core=1,at=%d,cycles=9000"
+            % clean.per_core_cycles[1])
+        assert stalled.per_core_cycles == {
+            0: clean.per_core_cycles[0],
+            1: clean.per_core_cycles[1] + 9000}
+        assert stalled.stdout() == clean.stdout()
+        assert _injections(stalled, "core_stall") == {1: 1}
+
+    def test_pthread_crash_fires_at_exit(self):
+        clean = run_pthread_single_core(SHORT_PTHREAD)
+        with pytest.raises(CoreCrashFault) as info:
+            run_pthread_single_core(
+                SHORT_PTHREAD, faults="core_crash:core=0,at=%d"
+                % clean.cycles)
+        assert (info.value.core, info.value.cycle) == (0, clean.cycles)
+
+    def test_pthread_stall_fires_at_exit(self):
+        clean = run_pthread_single_core(SHORT_PTHREAD)
+        stalled = run_pthread_single_core(
+            SHORT_PTHREAD, faults="core_stall:core=0,at=%d,cycles=700"
+            % clean.cycles)
+        assert stalled.exit_value == clean.exit_value == 28
+        assert stalled.cycles == clean.cycles + 700
+        assert _injections(stalled, "core_stall") == {0: 1}
+
+    def test_a_fault_past_the_end_stays_silent(self):
+        clean = run_rcce(SHORT_RCCE, 2)
+        late = run_rcce(SHORT_RCCE, 2, faults="core_crash:core=1,at=%d"
+                        % (clean.per_core_cycles[1] + 1))
+        assert late.per_core_cycles == clean.per_core_cycles
+        assert _injections(late, "core_crash") == {}
+
+    def test_supervised_run_fires_the_exit_crash_once(self, tmp_path):
+        from repro.recovery import RecoveryOptions
+        from repro.sim.runner import run_rcce_supervised
+        clean = run_rcce(SHORT_RCCE, 2)
+        result = run_rcce_supervised(
+            SHORT_RCCE, 2,
+            faults="core_crash:core=1,at=%d" % clean.per_core_cycles[1],
+            recovery=RecoveryOptions(
+                checkpoint_path=str(tmp_path / "exit.ckpt"),
+                checkpoint_every=1),
+            max_restarts=2)
+        assert result.recovery.restarts == 1
+        assert result.recovery.failures[0]["error"] == "CoreCrashFault"
+        assert result.stdout() == clean.stdout()
+        assert result.per_core_cycles == clean.per_core_cycles
+        assert _injections(result, "core_crash") == {}
+
+
 class TestObservability:
     def test_metrics_export_has_injections(self):
         result = run_rcce(RCCE_COMPUTE, 2,

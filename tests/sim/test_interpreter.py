@@ -184,6 +184,37 @@ class TestPointersAndArrays:
     def test_global_zero_initialized(self):
         assert result_of("return g[7];", decls="int g[16];") == 0
 
+    def test_global_array_static_values(self):
+        """Each element holds its coerced initializer; a one-value list
+        fills the array, a shorter list is padded with the element's
+        zero, and values past the length are evaluated, not stored."""
+        unit = parse_program("""
+            int one[4] = {5};
+            int two[4] = {1, 2};
+            double d[3] = {1, 2};
+            char c[2] = {300, 2, 9};
+            int *ptrs[2];
+            double none[2];
+            int main(void) { return 0; }
+        """)
+        memory = Memory()
+        interp = Interpreter(unit, SCCChip(SCCConfig()), 0, memory)
+
+        def image(name, length, stride):
+            base = interp._global_addr[name]
+            values = [memory.load(base + k * stride, None)
+                      for k in range(length)]
+            return [(type(value).__name__, value) for value in values]
+
+        assert image("one", 4, 4) == [("int", 5)] * 4
+        assert image("two", 4, 4) == [("int", 1), ("int", 2),
+                                      ("int", 0), ("int", 0)]
+        assert image("d", 3, 8) == [("float", 1.0), ("float", 2.0),
+                                    ("float", 0.0)]
+        assert image("c", 2, 1) == [("int", 44), ("int", 2)]
+        assert [value.addr for _, value in image("ptrs", 2, 4)] == [0, 0]
+        assert image("none", 2, 8) == [("float", 0.0)] * 2
+
     def test_struct_member_access(self):
         assert result_of("""
             struct point { int x; int y; };

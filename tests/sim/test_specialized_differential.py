@@ -6,7 +6,9 @@ scalar inline.  Hypothesis generates functions whose expressions,
 conditions and updates mix constant, local and global operands of
 ``int``, ``long``, ``double`` and pointer type: binary, unary,
 logical and conditional operators, casts, pointer and array loads,
-calls of a unit function, ``if``, ``for``, ``while``, ``do``-``while``,
+loads, stores and updates of ``p[i]`` for local and global pointers
+(typed at compile time) and of an ``int **`` element, calls of a unit
+function, ``if``, ``for``, ``while``, ``do``-``while``,
 ``switch``, ``break``, ``continue`` and ``return``, with zero
 divisors, reads of a local whose declaration was skipped, pointer
 comparisons against non-pointers, operators the C subset rejects on
@@ -16,12 +18,16 @@ answering "any compiled child" for every operand, so that every node
 runs behind a closure of its own and every variable loads through an
 lvalue closure.  Both runs must give the same stdout, cycles,
 per-core cycles, steps and chip metrics, or fail with the same
-exception, message and step count.
+exception, message and step count.  Hand-written cases add a
+subscript of a NULL global pointer and a pointer written through a
+differently typed alias, where the typed subscript's guard misses.
 """
 
 import contextlib
+import re
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +44,7 @@ long gl = -5;
 double gd = 2.5;
 int garr[8];
 int *gp;
+int **gq;
 
 long u(int a, long b, double c) {
     gi = gi + a;
@@ -67,6 +74,7 @@ int f(int n, long m, double x, int *q) {
 int main(void) {
     int r;
     gp = garr;
+    gq = &gp;
     for (r = 0; r < 8; r++)
         garr[r] = r - 3;
     for (r = 0; r < 4; r++)
@@ -78,7 +86,7 @@ int main(void) {
 # ``lu`` is declared only when ``f`` enters its switch at case 0
 _LEAVES = ("0", "1", "2", "3", "(-2)", "7", "0.5", "2.0", "0.0",
            "li", "lj", "k", "ll", "ld", "lp",
-           "gi", "gl", "gd", "gp", "garr[2]", "lu")
+           "gi", "gl", "gd", "gp", "garr[2]", "lu", "gp[1]", "gq[0]")
 _ARGS = ("0", "3", "0.5", "li", "ll", "ld", "k", "gi", "gl", "gd",
          "lu")
 _OPS = ("+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "!=",
@@ -89,7 +97,7 @@ _UPDATES = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=",
 # an int stored through an alias of a double reads back converted
 _TARGETS = ("li", "lj", "ll", "ld", "lp", "gi", "gl", "gd", "gp",
             "garr[1]", "*lp", "lp[1]", "lu", "(*(int *)&ld)",
-            "(*(int *)&gd)")
+            "(*(int *)&gd)", "gp[2]", "gq[0][1]")
 _STEPS = ("++", "--")
 
 
@@ -108,6 +116,7 @@ def _expr(draw, depth=0):
     if kind == 8:
         index = draw(_expr(depth=depth + 1))
         return draw(st.sampled_from(("*lp", "lp[(%s) & 3]" % index,
+                                     "gp[(%s) & 3]" % index,
                                      "garr[(%s) & 7]" % index)))
     if kind == 9:
         return "u(%s, %s, %s)" % tuple(draw(st.sampled_from(_ARGS))
@@ -253,3 +262,132 @@ def test_generic_mode_takes_no_operand_inline():
         kind, _, tags = name.rpartition("_")
         assert not kind or name.startswith(("load_", "addr_")) \
             or not set(tags) & set("klfg"), name
+
+
+# ``p[i]`` where ``p`` is a local or global pointer scalar is typed at
+# compile time behind a guard on the pointer's pointee; the generic
+# run takes the run-time-typed lvalue for every subscript
+TYPED_SUBSCRIPTS = {
+    "stores_and_updates": """
+        #include <stdio.h>
+        double *gd;
+        int main(void) {
+            double buf[4];
+            int ibuf[4];
+            char cbuf[4];
+            int *ip = ibuf;
+            char *cp = cbuf;
+            int i;
+            gd = buf;
+            for (i = 0; i < 4; i++) {
+                gd[i] = i * 0.5;
+                ip[i] = i;
+                cp[i] = 120 + i;
+            }
+            gd[1] += 2;
+            ip[2] *= 7;
+            cp[3] += 10;
+            gd[2]++;
+            --ip[1];
+            i = ip[3]++;
+            printf("%f %f %d %d %d %d %d\\n", gd[1], gd[2], ip[1], ip[2],
+                   ip[3], cp[3], i);
+            return ip[2] + cp[0];
+        }
+    """,
+    "pointer_elements": """
+        #include <stdio.h>
+        int g[3];
+        int *gp;
+        int **gq;
+        int main(void) {
+            int *row[2];
+            int **q = row;
+            gp = g;
+            gq = &gp;
+            q[0] = g;
+            q[1] = g + 1;
+            q[1][1] = 5;
+            gq[0][0] = 4;
+            gq[0]++;
+            printf("%d %d %d\\n", g[0], g[2], gp[0]);
+            return q[0][2] + gq[0][1];
+        }
+    """,
+    # static init leaves a NULL: the guard misses, and the subscript
+    # fails as the run-time-typed one does, at the same step
+    "null_global_load": """
+        int *gn;
+        int main(void) {
+            int x = 1;
+            x = x + gn[3];
+            return x;
+        }
+    """,
+    "null_global_store": """
+        double *gn;
+        int main(void) {
+            int x = 2;
+            gn[x] = 1.5;
+            return x;
+        }
+    """,
+    # a pointer written through a differently typed alias carries the
+    # alias's pointee: the guard misses and the element is a double
+    "alias_written_pointer": """
+        #include <stdio.h>
+        double d[4];
+        int *p;
+        int main(void) {
+            *(double **)&p = d;
+            p[1] = 7;
+            p[1] = p[1] / 2;
+            p[2] += 1;
+            p[3]++;
+            printf("%f %f %f\\n", d[1], d[2], d[3]);
+            return 0;
+        }
+    """,
+}
+
+# a typed subscript's mode letter leads a load's or a target's tags
+_TYPED_SHAPE = re.compile(r"(?:^load|set|incdec)_s")
+
+TYPED_OUTCOMES = {
+    "stores_and_updates": ("ok", "2.500000 2.000000 0 14 4 -123 3\n"),
+    "pointer_elements": ("ok", "4 5 0\n"),
+    "null_global_load": ("error", "address 0x3 is outside every segment"),
+    "null_global_store": ("error", "address 0x2 is outside every segment"),
+    "alias_written_pointer": ("ok", "3.500000 1.000000 1.000000\n"),
+}
+
+
+def _typed_run(source, generic):
+    names = []
+    real_build = sim_compile._Shape.build
+
+    def build(shape, name):
+        names.append(name)
+        return real_build(shape, name)
+
+    with mock.patch.object(sim_compile._Shape, "build", build):
+        outcome = _run(source, generic, 50_000)
+    return outcome, names
+
+
+def _summary(outcome):
+    if outcome[0] == "ok":
+        return "ok", outcome[1]["stdout"]
+    return "error", outcome[2]
+
+
+@pytest.mark.parametrize("case", sorted(TYPED_SUBSCRIPTS))
+def test_typed_subscripts_match_generic(case):
+    typed, names = _typed_run(TYPED_SUBSCRIPTS[case], False)
+    generic, generic_names = _typed_run(TYPED_SUBSCRIPTS[case], True)
+    assert typed == generic
+    assert _summary(typed) == TYPED_OUTCOMES[case]
+    # the specialized run took the typed shapes, the generic run none
+    assert [name for name in names if _TYPED_SHAPE.search(name)]
+    assert not [name for name in generic_names
+                if _TYPED_SHAPE.search(name)]
