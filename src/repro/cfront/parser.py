@@ -175,6 +175,7 @@ class Parser:
                 init = None
                 if self._accept(K.ASSIGN):
                     init = self._initializer()
+                    ctype = _completed(ctype, init)
                 decls.append(c_ast.Decl(name, ctype, init, storage, quals,
                                         self._coord(start)))
             if not self._accept(K.COMMA):
@@ -450,6 +451,7 @@ class Parser:
             init = None
             if self._accept(K.ASSIGN):
                 init = self._initializer()
+                ctype = _completed(ctype, init)
             decls.append(c_ast.Decl(name, ctype, init, storage, quals,
                                     self._coord(start)))
             if not self._accept(K.COMMA):
@@ -774,6 +776,19 @@ def _fill_hole(ctype, replacement):
     if isinstance(ctype, ctypes.FunctionType):
         return ctypes.FunctionType(_fill_hole(ctype.ret, replacement),
                                    ctype.params, ctype.varargs)
+    return ctype
+
+
+def _completed(ctype, init):
+    """An array declared without a size takes it from its initializer
+    (C11 6.7.9p22): the entries of a brace list, or a string literal's
+    characters and its terminating NUL."""
+    if not isinstance(ctype, ctypes.ArrayType) or ctype.length is not None:
+        return ctype
+    if isinstance(init, c_ast.InitList):
+        return ctypes.ArrayType(ctype.base, len(init.exprs))
+    if isinstance(init, c_ast.StringLiteral):
+        return ctypes.ArrayType(ctype.base, len(init.value) + 1)
     return ctype
 
 

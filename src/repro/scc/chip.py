@@ -286,9 +286,14 @@ class SCCChip:
 
     def access_fastpath(self, core, addr):
         """Build one inline-cache entry for ``addr`` as seen by
-        ``core``: ``(lo, hi, fn)`` where ``fn(addr, kind)`` prices
+        ``core``: ``(lo, hi, fn, l1)`` where ``fn(addr, kind)`` prices
         any scalar (size-4) access with ``lo <= addr < hi``, with side
-        effects identical to :meth:`access_cost`.
+        effects identical to :meth:`access_cost`.  ``l1`` is the
+        core's L1 when ``fn`` is the private entry and translates no
+        address, else None: ``fn`` then prices an access whose line
+        repeats ``l1.last_line``, or is its set's MRU way, as one L1
+        hit that moves nothing but the hit counter and ``last_line``,
+        so a caller may take those hits in place.
 
         The entry bakes in the result of address resolution — segment
         classification, split-window translation (as an affine delta),
@@ -304,7 +309,7 @@ class SCCChip:
         if self.faults is not None:
             def slow(addr, kind, _cost=self.access_cost, _core=core):
                 return _cost(_core, addr, kind, 4)
-            return 0, 1 << 64, slow
+            return 0, 1 << 64, slow, None
         segment, physical = self.address_space.resolve(addr)
         delta = physical - addr
         if segment is SegmentKind.PRIVATE:
@@ -450,7 +455,8 @@ class SCCChip:
                     if _l1.access(addr) and _probe is not None:
                         _probe[0] += 1
                 return _tail(_core, addr, kind, 4)
-        return lo, hi, fn
+        private = segment is SegmentKind.PRIVATE and not delta
+        return lo, hi, fn, state.l1 if private else None
 
     def _private_cost(self, core, state, addr):
         # L1/L2 hits need no attribution hook: they cost a constant,

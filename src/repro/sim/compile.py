@@ -17,10 +17,15 @@ Interpreter`, ``F`` the flat frame of local-variable addresses), with
 * one **scalar entry** per core for every local and global scalar,
   which all lie in the core's private window: their loads and stores
   call ``I._price_scalar`` (``Interpreter._fill_scalar``) with no site
-  and no window test.  Invalidation is push-style: the chip drops
-  every registered interpreter's entries whenever ``mem_epoch`` bumps
-  (LUT reconfiguration, new split window), so a present entry is
-  always valid and the hot path never checks an epoch stamp, and
+  and no window test.  While the entry's L1 is bound to ``I._sl1``
+  (no faults, no race detector, the window private), a load or store
+  whose line repeats the L1's last line or is its set's MRU way counts
+  that L1 hit and charges ``l1_hit_cycles`` in place, since such a hit
+  moves no LRU state; anything else calls the entry.  Invalidation is
+  push-style: the chip drops every registered interpreter's entries
+  (and ``_sl1``) whenever ``mem_epoch`` bumps (LUT reconfiguration,
+  new split window), so a present entry is always valid and the hot
+  path never checks an epoch stamp, and
 * ``p[i]`` typed at compile time when ``p`` is a local or global
   scalar declared as a pointer to a non-void primitive or to a
   pointer: one shape takes ``p`` and ``i`` inline, checks, charges and
@@ -49,7 +54,16 @@ makes one compare, ``steps >= I._stop``; the
 interpreter keeps ``_stop`` at its next step event (the next multiple
 of ``TICK_STEPS``, or the step past the budget), and
 ``I._step_event()`` raises past the budget, ticks, and sets the next
-one.
+one.  A straight-line run of k steps in one closure (steps with only
+constants, branch and integer-ALU charges, scalar addresses, scalar
+loads and the int->float conversion between them) shares one
+prologue: it adds k to ``steps``, stores it, and compares it with
+``I._run_stop``.  A run that would reach the next step event (a tick,
+the budget or a halt) gives the k steps back and runs its copy with a
+prologue per step, so every event lands on the step and the cycle it
+always did; any other run takes its copy without prologues.  A fault
+injector's loads may raise or read ``steps`` mid-run, so with faults
+``_run_stop`` stays 0 and every run takes the per-step copy.
 
 Constructs the simulator does not support compile to closures that
 raise :class:`InterpreterError` when (and only when) executed: ``goto``,
@@ -86,6 +100,7 @@ from repro.sim.interpreter import (
     _pointer_value,
     _Return,
     const_value,
+    string_array_message,
 )
 from repro.sim.values import (
     NULL,
@@ -391,7 +406,10 @@ def _protect(body):
 # and load run inline in the consumer instead of behind a call.  Each
 # node still counts its own step where its closure would have, so
 # ticks, the budget and a halt land on the same step, and charges
-# keep their order.
+# keep their order.  The steps of a straight-line run share one
+# prologue when rendered (_Shape.source); the blocks stay one per
+# step, so the run's per-step copy is the closure as it would be
+# without runs.
 #
 # A shape is its name and its blocks; a block is a template, its
 # depth, and its fields' values: a variable name of the generated code,
@@ -406,10 +424,11 @@ def _protect(body):
 # ---------------------------------------------------------------------------
 
 class _Template:
-    """Source text with named fields.  A field in ``names`` is a
-    variable of the generated code, named per block; one in ``params``
-    is a parameter of the shape's factory, numbered in the order the
-    shape's blocks are emitted and bound to the node's values."""
+    """Source text with named fields.  A field in ``names`` is filled
+    per block: a variable of the generated code, or a step count a
+    run renders; one in ``params`` is a parameter of the shape's
+    factory, numbered in the order the shape's blocks are emitted and
+    bound to the node's values."""
 
     __slots__ = ("text", "names", "params")
 
@@ -433,6 +452,14 @@ s = I.steps + 1
 I.steps = s
 if s >= I._stop:
     I._step_event()""")
+# the prologue of a straight-line run of {count} steps: it counts them
+# all, then takes the copy of the run with a prologue per step if the
+# run would reach the next step event, and the copy without otherwise
+_RUN_STEPS = _Template("""\
+s = I.steps + {count}
+I.steps = s
+if s >= I._run_stop:
+    I.steps = s - {count}""", ("count",))
 
 # one charged access through the site's inline cache; with a race
 # detector attached, the entry's cost function also records the access
@@ -444,8 +471,27 @@ if e is None or not e[0] <= {addr} < e[1]:
 I.cycles += e[2]({addr}, "{kind}")"""
 # a local or global scalar's access: every one lies in the core's
 # private window, which the core's one scalar entry prices
-# (Interpreter._fill_scalar), so it has no site and no window test
-_SCALAR_ACCESS = 'I.cycles += I._price_scalar({addr}, "{kind}")'
+# (Interpreter._fill_scalar), so it has no site and no window test.
+# While the entry's L1 is bound to ``I._sl1``, a hit on the L1's last
+# line or on its set's MRU way moves no LRU state, so the access counts
+# and charges it here; any other access calls the entry
+_SCALAR_ACCESS = """\
+l1 = I._sl1
+if l1 is None:
+    I.cycles += I._price_scalar({addr}, "{kind}")
+else:
+    line = {addr} // l1.line_size
+    if line == l1.last_line:
+        l1.stats.hits += 1
+        I.cycles += I._l1_hit
+    else:
+        ways = l1.sets.get(line % l1.num_sets)
+        if ways is not None and ways[-1] == line // l1.num_sets:
+            l1.last_line = line
+            l1.stats.hits += 1
+            I.cycles += I._l1_hit
+        else:
+            I.cycles += I._price_scalar({addr}, "{kind}")"""
 
 _LOAD_TEXT = """
 {var} = I._mem_get({addr}, 0)"""
@@ -461,6 +507,13 @@ _STORE_DYN = _Template(_STORE.text.replace("{co}({var})",
                        ("addr", "out", "var"), ("site",))
 _SCALAR_LOAD = _Template(_SCALAR_ACCESS.replace("{kind}", "read")
                          + _LOAD_TEXT, ("addr", "var"))
+# a scalar load through the entry alone, which prices the hits the
+# test above takes in place as that test does: the per-step copy of a
+# straight-line run, taken by about one run in a hundred without
+# faults (and by every run with them, when ``_sl1`` is None), loads
+# with it, which keeps the generated source short
+_ENTRY_LOAD = _Template('I.cycles += I._price_scalar({addr}, "read")'
+                        + _LOAD_TEXT, ("addr", "var"))
 _SCALAR_STORE = _Template(_SCALAR_ACCESS.replace("{kind}", "write")
                           + _STORE_TEXT, ("addr", "out", "var"), ("co",))
 
@@ -468,6 +521,12 @@ _LOCAL_ADDR = _Template("""\
 {addr} = F[{slot}]
 if not {addr}:
     _undefined({name})""", ("addr",), ("slot", "name"))
+# the same inside a run's copy without prologues: the run counted its
+# steps ahead, so it gives back those it had not reached before the
+# error
+_RUN_LOCAL_ADDR = _Template(_LOCAL_ADDR.text.replace(
+    "    _undefined", "    I.steps -= {unreached}\n    _undefined"),
+    ("addr", "unreached"), ("slot", "name"))
 _GLOBAL_ADDR = _Template("{addr} = I._global_addr[{name}]", ("addr",),
                          ("name",))
 _LV_ADDR = _Template("{addr} = {lv}(I, F)", ("addr",), ("lv",))
@@ -790,6 +849,31 @@ _SIZEOF = _Template("return {size} if F[{slot}] else 4", (),
 _FAIL = _Template("raise InterpreterError({message})", (), ("message",))
 
 
+# the blocks a straight-line run of steps may hold besides its steps:
+# none calls a child closure, reads ``steps`` or raises, except a local
+# address, which gives the unreached steps back first (_RUN_LOCAL_ADDR)
+_IN_RUN = frozenset((_CONST, _BRANCH, _CHARGE_IALU, _LOCAL_ADDR,
+                     _GLOBAL_ADDR, _SCALAR_LOAD, _TO_FLOAT))
+
+
+def _run_length(blocks, start):
+    """``(blocks, steps)`` of the straight-line run at ``blocks[start]``:
+    from that _STEP to the last _STEP before a block at another depth
+    or one a run may not hold."""
+    depth = blocks[start][0]
+    length = steps = 0
+    for index in range(start, len(blocks)):
+        block_depth, template = blocks[index][:2]
+        if block_depth != depth:
+            break
+        if template is _STEP:
+            steps += 1
+            length = index - start + 1
+        elif template not in _IN_RUN:
+            break
+    return length, steps
+
+
 class _Shape:
     """One generated closure under construction: its blocks, each a
     template at a depth with the names of its variables, and the
@@ -808,17 +892,56 @@ class _Shape:
         self.values += values
 
     def source(self, name):
+        """The factory's source.  A straight-line run of two or more
+        steps (see _run_length) counts them under one prologue, then
+        runs either its blocks as they are, each step with its own
+        prologue and each scalar load through the entry, when it would
+        reach the next step event (a tick, the budget or a halt:
+        ``I._run_stop``), or its blocks without their steps."""
         params = []
-        lines = [None, "    def %s(I, F, _P=Pointer):" % name]
+        blocks = []
         for depth, template, names in self.blocks:
             fields = dict(zip(template.names, names))
             for field in template.params:
                 fields[field] = "%s%d" % (field, len(params))
                 params.append(fields[field])
+            blocks.append((depth, template, fields))
+        lines = ["def make(%s):" % ", ".join(params),
+                 "    def %s(I, F, _P=Pointer):" % name]
+
+        def render(depth, template, fields):
             pad = "    " * (depth + 2)
             lines.extend(pad + line for line in
                          template.text.format(**fields).split("\n"))
-        lines[0] = "def make(%s):" % ", ".join(params)
+
+        index = 0
+        while index < len(blocks):
+            depth, template, fields = blocks[index]
+            steps = 0
+            if template is _STEP:
+                length, steps = _run_length(blocks, index)
+            if steps < 2:
+                render(depth, template, fields)
+                index += 1
+                continue
+            run = blocks[index:index + length]
+            index += length
+            render(depth, _RUN_STEPS, {"count": steps})
+            for _, template, fields in run:
+                render(depth + 1, _ENTRY_LOAD if template is _SCALAR_LOAD
+                       else template, fields)
+            if len(run) == steps:
+                continue
+            render(depth, _ELSE, {})
+            reached = 0
+            for _, template, fields in run:
+                if template is _STEP:
+                    reached += 1
+                elif template is _LOCAL_ADDR:
+                    render(depth + 1, _RUN_LOCAL_ADDR,
+                           dict(fields, unreached=steps - reached))
+                else:
+                    render(depth + 1, template, fields)
         lines.append("    return %s\n" % name)
         return "\n".join(lines)
 
@@ -1461,6 +1584,10 @@ class _FunctionCompiler:
             slot = self.declare(decl.name, ct)
             shape.emit(0, _ALLOC, (), max(ct.sizeof(), 4), slot, decl.name)
             if isinstance(ct, ctypes.ArrayType):
+                if isinstance(decl.init, c_ast.StringLiteral):
+                    shape.emit(0, _FAIL, (), string_array_message(decl.name))
+                    tags += "f"
+                    continue
                 if not isinstance(decl.init, c_ast.InitList):
                     tags += "p"
                     continue

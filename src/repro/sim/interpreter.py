@@ -170,6 +170,13 @@ def const_value(expr):
     raise InterpreterError("unsupported constant initializer: %r" % expr)
 
 
+def string_array_message(name):
+    """The error of an array initialized by a string literal, whose
+    characters the simulator does not store."""
+    return ("array %r is initialized by a string literal, which the "
+            "simulator does not model" % name)
+
+
 # Stack size reserved per core inside its private window.
 STACK_BYTES = 1024 * 1024
 
@@ -195,10 +202,6 @@ class Interpreter:
 
         self.cycles = 0
         self.steps = 0
-        # the step count at which the compiled closures next call
-        # _step_event: the next multiple of TICK_STEPS or the first
-        # step past the budget, whichever comes first
-        self._stop = min(TICK_STEPS, max_steps + 1)
         self.output = []
         self.current_function = None
         self._rand_state = 12345 + core_id  # deterministic per core
@@ -207,15 +210,27 @@ class Interpreter:
         self._mem_get = memory.get
         self._mem_set = memory.put
         self._global_addr = {}
-        self._site_cache = {}   # site id -> (lo, hi, cost fn)
+        self._site_cache = {}   # site id -> (lo, hi, cost fn, ...)
         # prices every local and global scalar (see _fill_scalar)
         self._price_scalar = self._fill_scalar
+        # the L1 whose hits the scalar loads and stores take in place,
+        # or None: then they all call _price_scalar (see _fill_scalar)
+        self._sl1 = None
+        self._l1_hit = chip.config.l1_hit_cycles
         self.site_fills = 0     # fast-path entries built (diagnostics)
         # fault injection (repro.faults): the chip-attached injector,
         # or None — in which case the read/tick hooks are dead branches
         faults = getattr(chip, "faults", None)
         self._faults = faults if faults is not None and faults.active \
             else None
+        # the step count at which the compiled closures next call
+        # _step_event: the next multiple of TICK_STEPS or the first
+        # step past the budget, whichever comes first
+        self._stop = min(TICK_STEPS, max_steps + 1)
+        # a straight-line run of steps skips its per-step prologues
+        # while it ends below this: ``_stop`` without faults, and 0 with
+        # them, whose loads may raise or read ``steps`` mid-run
+        self._run_stop = self._stop if self._faults is None else 0
         # ECC scrubbing (repro.recovery.ecc) only matters when a read
         # can actually be flipped, so it rides the fault gate
         self._ecc = getattr(chip, "ecc", None) \
@@ -264,6 +279,9 @@ class Interpreter:
             if self._race is not None:
                 self._race.register(decl.name, segment.base, size,
                                     "global")
+            if isinstance(decl.ctype, ctypes.ArrayType) \
+                    and isinstance(decl.init, c_ast.StringLiteral):
+                raise InterpreterError(string_array_message(decl.name))
             self._static_init(segment.base, decl.ctype, decl.init)
 
     def _static_init(self, addr, ctype, init):
@@ -324,27 +342,40 @@ class Interpreter:
         """Called by the compiled closures' step prologue once
         ``steps`` reaches ``_stop``: past the budget, raise
         StepLimitExceeded; on a multiple of TICK_STEPS, deliver
-        scheduled core faults; then set ``_stop`` to the next event."""
+        scheduled core faults; then set ``_stop`` (and, without
+        faults, ``_run_stop``) to the next event."""
         steps = self.steps
         if steps > self.max_steps:
             raise StepLimitExceeded(
                 "exceeded %d interpreter steps on core %d"
                 % (self.max_steps, self.core_id))
-        if not steps % TICK_STEPS and self._faults is not None:
-            self._faults.core_tick(self)
+        faults = self._faults
+        if faults is not None and not steps % TICK_STEPS:
+            faults.core_tick(self)
         # store the next tick before reading the budget: a halt from
         # another thread in between then still lands
         stop = self._stop = steps - steps % TICK_STEPS + TICK_STEPS
+        if faults is None:
+            self._run_stop = stop
         if self.max_steps < stop:
-            self._stop = self.max_steps + 1
+            stop = self._stop = self.max_steps + 1
+            if faults is None:
+                self._run_stop = stop
 
     def halt(self):
         """Stop this core at its next step, which raises
         StepLimitExceeded.  Safe to call from another thread: the
-        budget drops to zero before the next step event does, the
-        order :meth:`_step_event` relies on."""
+        budget drops to zero before the next step event and the run
+        threshold do, the order :meth:`_step_event` relies on.  A
+        straight-line run stores its whole step count before it
+        compares it with ``_run_stop``, so a core inside a run that
+        passed the compare has counted the run's steps already: it
+        stops at the step after the run.  Either way the core stops at
+        most one step past the count ``steps`` held when this
+        returned."""
         self.max_steps = 0
         self._stop = 0
+        self._run_stop = 0
 
     def _fill_site(self, site, addr):
         """Inline-cache miss: rebuild one load/store site's entry from
@@ -371,24 +402,34 @@ class Interpreter:
         and the generated scalar loads and stores call it with no site
         and no window test.  It is wrapped like a site's entry: with
         the race recorder when a detector is attached; under faults it
-        is the chip's whole-range ``access_cost`` entry."""
-        entry = self.chip.access_fastpath(self.core_id, addr)
-        lo = PRIVATE_BASE + self.core_id * PRIVATE_WINDOW
-        assert entry[0] <= lo and lo + PRIVATE_WINDOW <= entry[1], \
+        is the chip's whole-range ``access_cost`` entry.
+
+        When the entry names the L1 it probes in place (the private
+        entry, untranslated) and no recorder wraps it, that L1 becomes
+        ``_sl1``: the generated access then counts a hit on its last
+        line or on its set's MRU way itself and calls the entry for
+        anything else.  Under faults, with a detector, or once the
+        core's own window is remapped to shared, ``_sl1`` stays None
+        and every access calls the entry."""
+        lo, hi, price, l1 = self.chip.access_fastpath(self.core_id, addr)
+        window = PRIVATE_BASE + self.core_id * PRIVATE_WINDOW
+        assert lo <= window and window + PRIVATE_WINDOW <= hi, \
             "the scalar entry must cover core %d's private window" \
             % self.core_id
-        price = entry[2]
         if self._race is not None:
             price = self._recorded(price)
+        else:
+            self._sl1 = l1
         self._price_scalar = price
         self.site_fills += 1
         return price(addr, kind)
 
     def drop_fastpath_entries(self):
         """Forget every fast-path entry, the site caches' and the
-        scalar one; the chip calls this when address translation
-        changes (``SCCChip._bump_mem_epoch``)."""
+        scalar one with its L1; the chip calls this when address
+        translation changes (``SCCChip._bump_mem_epoch``)."""
         self._site_cache.clear()
+        self._sl1 = None
         self._price_scalar = self._fill_scalar
 
     def _recorded(self, price):

@@ -54,6 +54,26 @@ class TestDeclarations:
         unit = parse("int a[4 * 8];")
         assert unit.decls[0].ctype.length == 32
 
+    def test_array_sized_by_its_brace_list(self):
+        """C11 6.7.9p22: the initializer completes the array type, at
+        file scope and in a block."""
+        unit = parse("int a[] = {3, 5, 7};\n"
+                     "void f(void) { int b[] = {4, 6}; int c[] = {1}; }")
+        assert unit.decls[0].ctype == ctypes.ArrayType(ctypes.INT, 3)
+        body = unit.functions()[0].body.items
+        assert body[0].decls[0].ctype == ctypes.ArrayType(ctypes.INT, 2)
+        assert body[1].decls[0].ctype.length == 1
+        assert unit.decls[0].ctype.sizeof() == 12
+
+    def test_array_sized_by_a_string_literal_counts_its_nul(self):
+        unit = parse('char s[] = "a\\tb";')
+        assert unit.decls[0].ctype == ctypes.ArrayType(ctypes.CHAR, 4)
+
+    def test_sized_and_uninitialized_arrays_keep_their_types(self):
+        unit = parse("int a[4] = {1}; int b[];")
+        assert unit.decls[0].ctype.length == 4
+        assert unit.decls[1].ctype.length is None
+
     def test_multiple_declarators(self):
         unit = parse("int a, *b, c[2];")
         names = [d.name for d in unit.decls]

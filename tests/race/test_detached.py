@@ -93,7 +93,7 @@ class TestFillSite:
         def price(addr, kind):
             return 7
         interp.chip.access_fastpath = lambda core, addr: (0, 1 << 64,
-                                                          price)
+                                                          price, None)
         assert interp._price_scalar(64, "read") == 7
         assert interp._price_scalar is price
 

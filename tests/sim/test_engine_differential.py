@@ -24,6 +24,8 @@ from hypothesis import strategies as st
 from repro.bench.programs import benchmark_source
 from repro.cfront.frontend import parse_program
 from repro.faults import FaultInjector
+from repro.scc.chip import SCCChip
+from repro.scc.config import SCCConfig
 from repro.scc.lut import WINDOW_BYTES
 from repro.scc.memmap import SegmentKind
 from repro.sim.compile import compile_unit
@@ -303,38 +305,67 @@ class _PhaseRuntime:
     """Builtins that change address translation mid-run: ``phase(1)``
     remaps the core's own private window to shared-uncacheable DRAM,
     ``phase(0)`` maps it back, ``split()`` adds a split window.  Each
-    records the core's cycles when it is called."""
+    records the core's cycles when it is called, ``bound`` the
+    interpreter's ``_sl1`` before and after its change, and ``counts``
+    the core's L1 hits and the scalar entry's calls (``calls[0]``) so
+    far."""
 
-    def __init__(self):
+    def __init__(self, calls):
         self.marks = []
+        self.bound = []
+        self.counts = []
+        self.calls = calls
+
+    def _record(self, interp):
+        self.marks.append(interp.cycles)
+        self.counts.append((interp.chip.cores[interp.core_id].l1.stats.hits,
+                            self.calls[0]))
 
     def builtins(self):
         return {"phase": self.phase, "split": self.split}
 
     def phase(self, interp, args):
         shared = interp.eval_expr(args[0])
-        self.marks.append(interp.cycles)
+        self._record(interp)
+        before = interp._sl1
         window = interp.stack.base - interp.stack.base % WINDOW_BYTES
         interp.chip.configure_window(interp.core_id, window,
                                      shared=bool(shared))
+        self.bound.append((before, interp._sl1))
         return 0
 
     def split(self, interp, args):
-        self.marks.append(interp.cycles)
+        self._record(interp)
+        before = interp._sl1
         interp.chip.address_space.alloc_split(4096, 1024, label="mid-run")
+        self.bound.append((before, interp._sl1))
         return 0
 
 
 def _scalar_run(reference):
     """Run SCALAR_PROGRAM on core 3; with ``reference``, the chip hands
-    out entries that price every access through ``access_cost``."""
+    out entries that price every access through ``access_cost`` and
+    name no L1, so every scalar access calls the entry.  Without it,
+    the entries are the chip's own, each counting its calls.  Returns
+    the run's record, its interpreter and its runtime."""
     chip = tiny_chip()
+    calls = [0]
     if reference:
         def access_fastpath(core, addr):
             return 0, 1 << 64, lambda addr, kind: chip.access_cost(
-                core, addr, kind, 4)
-        chip.access_fastpath = access_fastpath
-    runtime = _PhaseRuntime()
+                core, addr, kind, 4), None
+    else:
+        chip_entry = chip.access_fastpath
+
+        def access_fastpath(core, addr):
+            lo, hi, fn, l1 = chip_entry(core, addr)
+
+            def counted(addr, kind):
+                calls[0] += 1
+                return fn(addr, kind)
+            return lo, hi, counted, l1
+    chip.access_fastpath = access_fastpath
+    runtime = _PhaseRuntime(calls)
     interp = Interpreter(parse_program(SCALAR_PROGRAM), chip, 3, Memory(),
                          runtime)
     value = interp.run_main()
@@ -346,16 +377,18 @@ def _scalar_run(reference):
                         cache.stats.evictions)
                        for cache in (state.l1, state.l2)],
             "dram": [(c.stats.reads, c.stats.writes, c.stats.busy_cycles)
-                     for c in chip.controllers]}, interp
+                     for c in chip.controllers]}, interp, runtime
 
 
 def test_scalar_entry_matches_access_cost():
     """The core's one scalar entry prices each local and global scalar
     as ``access_cost`` does, across a remap of the core's own window to
     shared and back and a new split window, each of which drops the
-    entry."""
-    fast, interp = _scalar_run(reference=False)
-    slow, _ = _scalar_run(reference=True)
+    entry.  The L1 hits the generated code takes in place (``_sl1``)
+    change nothing: the reference binds no L1, so each of its scalar
+    accesses calls the entry."""
+    fast, interp, runtime = _scalar_run(reference=False)
+    slow, reference, reference_runtime = _scalar_run(reference=True)
     assert fast == slow
     # the shared phase priced the scalars as shared DRAM
     assert fast["accesses"][SegmentKind.SHARED] > 0
@@ -364,6 +397,172 @@ def test_scalar_entry_matches_access_cost():
     # each of the three changes; each array-element site once, in the
     # loop that holds it
     assert interp.site_fills == 4 + 2
+    # before phase(1) the program touches only scalars, and it took
+    # most of their L1 hits in place: the entry saw fewer than half
+    l1 = interp.chip.cores[3].l1
+    before_shared, while_shared, before_split = runtime.bound
+    assert before_shared == (l1, None)
+    hits, entry_calls = runtime.counts[0]
+    assert entry_calls < hits / 2
+    # the window stayed shared until phase(0): nothing bound the L1
+    assert while_shared == (None, None)
+    # back to private, the next scalar access bound it again; every
+    # drop unbinds it
+    assert before_split == (l1, None)
+    assert interp._sl1 is l1
+    assert reference._sl1 is None
+    assert reference_runtime.bound == [(None, None)] * 3
+
+
+def _scalar_hits_program(ops):
+    """A main whose locals ``x``, ``y``, ``z`` and ``w`` lie 4 KB apart,
+    so their lines share one set of the 2-way L1 of SCCConfig (128
+    sets of 32-byte lines), with the arrays ``p0``..``p2`` between
+    them; ``ops`` are statements on those and on the global ``g``,
+    each followed by ``mark()``."""
+    lines = ["int g = 5;", "int main(void) {",
+             "    int x = 1;", "    int p0[1022];",
+             "    int y = 2;", "    int p1[1022];",
+             "    int z = 3;", "    int p2[1022];",
+             "    int w = 4;"]
+    for op in ops:
+        if op[0] == "set":
+            lines.append("    %s = %s;" % op[1:])
+        elif op[0] == "add":
+            lines.append("    %s = %s + %s;" % (op[1], op[1], op[2]))
+        elif op[0] == "store":
+            lines.append("    %s[%d] = %s;" % op[1:])
+        else:
+            lines.append("    %s = %s[%d];" % op[1:])
+        lines.append("    mark();")
+    lines.append("    return x + y + z + w + g;")
+    lines.append("}")
+    return "\n".join(lines)
+
+
+class _EntryForEveryScalar(Interpreter):
+    """Never binds ``_sl1``: every scalar load and store calls the
+    core's scalar entry."""
+
+    def _fill_scalar(self, addr, kind):
+        cost = super()._fill_scalar(addr, kind)
+        self._sl1 = None
+        return cost
+
+
+def _cache_state(cache):
+    return (cache.stats.hits, cache.stats.misses, cache.stats.evictions,
+            cache.last_line, {index: list(ways)
+                              for index, ways in cache.sets.items()})
+
+
+class _Marks:
+    """``mark()``: the clock and the core's L1 state, after each
+    statement."""
+
+    def __init__(self):
+        self.seen = []
+
+    def builtins(self):
+        return {"mark": self.mark}
+
+    def mark(self, interp, args):
+        self.seen.append((interp.cycles, _cache_state(
+            interp.chip.cores[interp.core_id].l1)))
+        return 0
+
+
+_SCALARS = st.sampled_from(("x", "y", "z", "w", "g"))
+# elements that share a scalar's line (p0[0..5] share x's, as p1's and
+# p2's share y's and z's), the next line, and the arrays' last lines
+_ELEMENTS = st.tuples(st.sampled_from(("p0", "p1", "p2")),
+                      st.sampled_from((0, 3, 5, 6, 13, 1014, 1021)))
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("set"), _SCALARS, _SCALARS),
+    st.tuples(st.just("add"), _SCALARS, _SCALARS),
+    st.builds(lambda element, src: ("store",) + element + (src,),
+              _ELEMENTS, _SCALARS),
+    st.builds(lambda dst, element: ("load", dst) + element,
+              _SCALARS, _ELEMENTS)), min_size=1, max_size=30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_OPS)
+def test_inline_scalar_hits_match_the_entry(ops):
+    """Scalar loads and stores whose lines collide in the 2-way L1,
+    interleaved with private element accesses, leave the caches and
+    the clock after every statement exactly as when every scalar
+    access calls the entry."""
+    unit = parse_program(_scalar_hits_program(ops))
+    runs = []
+    for cls in (Interpreter, _EntryForEveryScalar):
+        chip = SCCChip(SCCConfig())
+        marks = _Marks()
+        interp = cls(unit, chip, 0, Memory(), marks)
+        value = interp.run_main()
+        state = chip.cores[0]
+        runs.append((value, interp.steps, interp.cycles, marks.seen,
+                     _cache_state(state.l1), _cache_state(state.l2),
+                     state.accesses))
+        if cls is Interpreter:
+            assert interp._sl1 is state.l1
+        else:
+            assert interp._sl1 is None
+    assert runs[0] == runs[1]
+
+
+def test_attached_hooks_never_bind_the_l1():
+    """With a race detector or a fault injector attached, the scalar
+    entry is wrapped or prices through ``access_cost``, so no scalar
+    access takes an L1 hit in place."""
+    source = """
+        int g;
+        int main(void) {
+            int i;
+            int s = 0;
+            for (i = 0; i < 40; i++) { s += i; g = s; }
+            probe();
+            return s;
+        }
+    """
+
+    class Probe:
+        def __init__(self):
+            self.seen = []
+
+        def builtins(self):
+            return {"probe": self.probe}
+
+        def probe(self, interp, args):
+            self.seen.append((interp._sl1, interp._price_scalar))
+            return 0
+
+    plain = Probe()
+    interp = Interpreter(parse_program(source), SCCChip(SCCConfig()), 0,
+                         Memory(), plain)
+    assert interp.run_main() == 780
+    assert plain.seen[0][0] is interp.chip.cores[0].l1
+
+    class Recorder:
+        def register(self, *args):
+            pass
+
+        def record(self, interp, addr, kind, cycles=None):
+            pass
+
+    raced = SCCChip(SCCConfig())
+    raced.race = Recorder()
+    faulted = SCCChip(SCCConfig())
+    FaultInjector("dram_flip:p=0,seed=1").attach(faulted)
+    for chip in (raced, faulted):
+        probe = Probe()
+        interp = Interpreter(parse_program(source), chip, 0, Memory(),
+                             probe)
+        assert interp.run_main() == 780
+        bound, price = probe.seen[0]
+        assert bound is None and interp._sl1 is None
+        # the entry was built, and it is not the plain one
+        assert price != interp._fill_scalar
 
 
 def test_configure_window_invalidates_site_caches():
@@ -403,8 +602,11 @@ def test_access_fastpath_matches_access_cost():
     for addr in probes:
         fast_chip, _ = _chip_with_layout()
         slow_chip, _ = _chip_with_layout()
-        lo, hi, fn = fast_chip.access_fastpath(0, addr)
+        lo, hi, fn, l1 = fast_chip.access_fastpath(0, addr)
         assert lo <= addr < hi
+        # only the private entry names the L1 it probes in place
+        assert l1 is (fast_chip.cores[0].l1 if addr in probes[:2]
+                      else None)
         for offset in (0, 4, 8):
             for kind in ("read", "write"):
                 assert (fn(addr + offset, kind)
@@ -422,8 +624,9 @@ def test_faulted_fastpath_entry_prices_through_access_cost():
     chip, layout = _chip_with_layout()
     injector = FaultInjector("mesh_delay:p=1.0,seed=1,cycles=7")
     injector.attach(chip)
-    lo, hi, fn = chip.access_fastpath(0, layout["shared"].base)
+    lo, hi, fn, l1 = chip.access_fastpath(0, layout["shared"].base)
     assert lo <= layout["private"].base and layout["mpb"].base < hi
+    assert l1 is None
     plain, _ = _chip_with_layout()
     for addr in (layout["shared"].base, layout["mpb"].base):
         assert fn(addr, "read") == plain.access_cost(0, addr) + 7

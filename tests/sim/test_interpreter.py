@@ -11,6 +11,7 @@ from repro.sim.interpreter import (
     StepLimitExceeded,
 )
 from repro.sim.machine import Memory
+from repro.sim.runner import run_pthread_single_core
 
 
 def run(source, entry="main", args=(), max_steps=2_000_000):
@@ -339,3 +340,62 @@ class TestCycleAccounting:
         }
         """
         assert run(source)[1].cycles == run(source)[1].cycles
+
+
+class TestInitializedArrays:
+    """An array sized by its initializer holds C's values and size; an
+    array initialized by a string literal is refused by name.  The
+    expected lines are C's, worked out by hand."""
+
+    def test_file_and_block_scope_sized_by_brace_lists(self):
+        _, interp = run("""
+            int a[] = {3, 5, 7};
+            int main(void) {
+                int b[] = {4, 6};
+                printf("%d %d %d %d\\n", a[0], a[2], b[1], (int)sizeof(a));
+                return 0;
+            }""")
+        assert "".join(interp.output) == "3 7 6 12\n"
+
+    def test_sized_local_does_not_overlap_the_next(self):
+        _, interp = run("""
+            int main(void) {
+                int b[] = {4, 6, 8};
+                int c = 9;
+                c = c + 1;
+                printf("%d %d %d %d\\n", b[0], b[1], b[2], c);
+                return 0;
+            }""")
+        assert "".join(interp.output) == "4 6 8 10\n"
+
+    def test_threads_read_a_global_sized_by_its_initializer(self):
+        source = """
+            #include <pthread.h>
+            int w[] = {1, 2, 3, 4};
+            void *reader(void *arg) {
+                int id = (int)arg;
+                printf("%d\\n", w[id] + w[id + 2]);
+                return NULL;
+            }
+            int main(void) {
+                pthread_t t[2];
+                int i;
+                for (i = 0; i < 2; i++) {
+                    pthread_create(&t[i], NULL, reader, (void *)i);
+                }
+                for (i = 0; i < 2; i++) {
+                    pthread_join(t[i], NULL);
+                }
+                printf("%d\\n", (int)sizeof(w));
+                return 0;
+            }"""
+        assert run_pthread_single_core(source).stdout() == "4\n6\n16\n"
+
+    @pytest.mark.parametrize("source", [
+        'int main(void) { char s[4] = "ab"; return s[0]; }',
+        'char s[] = "ab"; int main(void) { return s[0]; }',
+    ])
+    def test_string_literal_initializer_is_refused_by_name(self, source):
+        with pytest.raises(InterpreterError, match="array 's' is "
+                           "initialized by a string literal"):
+            run(source)
